@@ -119,15 +119,15 @@ func metricsDemo() error {
 	fmt.Printf("   %d series + %d alarms -> $%.6f/mo list, $%.6f/mo after the 10/10 free tier\n",
 		cloud.Metrics.SeriesCount(), cloud.Metrics.AlarmCount(), list.Dollars(), billed.Dollars())
 
-	// The telemetry plane observing itself: counters for the batching
-	// machinery, published as ordinary telemetry.* series through the
-	// same registry it serves.
+	// The telemetry plane observing itself: its publication counters,
+	// published as ordinary telemetry.* series through the same
+	// registry it serves.
 	cloud.PublishSelfTelemetry(cloud.Clock.Now())
 	st := cloud.Metrics.SelfStats()
 	ls := cloud.Logs.SelfStats()
 	fmt.Println("\n-- telemetry self-observation (the cost of watching):")
-	fmt.Printf("   metric samples batched   %8d in %d flushes\n", st.BatchedSamples, st.Flushes)
-	fmt.Printf("   log events ingested      %8d (%d bytes) in %d flushes\n", ls.Events, ls.Bytes, ls.Flushes)
+	fmt.Printf("   metric samples published %8d\n", st.Samples)
+	fmt.Printf("   log events ingested      %8d (%d bytes)\n", ls.Events, ls.Bytes)
 	fmt.Printf("   interceptor overhead     %8.3f ms host time\n", float64(st.OverheadNs)/1e6)
 
 	fmt.Println("\n-- Prometheus-style exposition (scrape of the whole run):")

@@ -32,12 +32,12 @@
 //   - globalstate: sim/app/workload packages declare no mutable
 //     package-level state, so per-account shards cannot alias;
 //   - shardsafe: functions reachable from a concurrency seam (plane
-//     interceptors, clock OnTick hooks, Batch staging buffers) only
-//     write shared fields under a mutex/atomic guard.
+//     interceptors, fleet shard workers) only write shared fields under
+//     a mutex/atomic guard.
 //
 // All analyzers run off a shared substrate (substrate.go): one pass
 // builds the same-module call graph and the reachability/mutation facts
-// (reachable-from-interceptor, reachable-from-OnTick,
+// (reachable-from-interceptor, reachable-from-fleet-worker,
 // reachable-from-handler, emits-output, mutated-variables), and each
 // analyzer consumes those facts instead of re-walking every body.
 //

@@ -8,16 +8,16 @@ import (
 
 // HotPath guards the telemetry publish paths' per-call cost: the
 // benchmark budget (BENCH_cloudsim.json) only holds if publication
-// stays on the interned/batched fast path. Two seams are rooted:
+// stays on the interned fast path. Three seams are rooted:
 //
 //   - In internal/cloudsim scopes, the body of any PlaneInterceptor —
 //     and every same-package function it can reach — runs per
 //     published call.
-//   - In internal/cloudsim/trace, the store's publish path — Record,
-//     Decide, and Flush, plus every same-package function they can
-//     reach — runs per request (the sampling decision and the staged
-//     append) or per clock tick (the columnar fold). Analytics reads
-//     (Query, ServiceMap, rendering) are off-path and may format.
+//
+//   - In internal/cloudsim/trace, the store's publish path — Record
+//     and Decide, plus every same-package function they can reach —
+//     runs per request (the sampling decision and the staged append).
+//     Reads (Query, ServiceMap, rendering) are off-path and may format.
 //
 //   - In internal/fleet scopes, the control tower's Observe* hooks —
 //     and every same-package function they can reach — run per
@@ -58,7 +58,7 @@ func runHotPath(p *Pass) {
 				return false
 			}
 			switch n.Fn.Name() {
-			case "Record", "Decide", "Flush":
+			case "Record", "Decide":
 				return true
 			}
 			return false

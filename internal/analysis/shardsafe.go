@@ -8,12 +8,8 @@ import (
 
 // ShardSafe guards the concurrency seams of the parallel fleet loop:
 // code reachable from a plane interceptor (runs per published call,
-// concurrently with every shard), from a clock OnTick hook (runs at
-// every timeline move), inside the Batch staging buffers' method sets
-// (written by publishers, drained by the tick goroutine), or from a
-// fleet shard-worker goroutine (shards run concurrently on all cores)
-// must not
-// write a field of a value it did not create — receiver, parameter, or
+// concurrently with every shard) or from a fleet shard-worker goroutine
+// (shards run concurrently on all cores) must not write a field of a value it did not create — receiver, parameter, or
 // captured variable — without a guard in the enclosing method set: a
 // sync.Mutex/RWMutex Lock in the body, or the repo's *Locked naming
 // convention marking the caller as holding the lock. Locals declared in
@@ -22,7 +18,7 @@ import (
 // per checkout) carry a justified .diylint-allow entry.
 var ShardSafe = &Analyzer{
 	Name: "shardsafe",
-	Doc:  "code reachable from concurrency seams (plane interceptors, clock OnTick hooks, Batch method sets, fleet shard workers) must guard shared field writes with a mutex or *Locked convention",
+	Doc:  "code reachable from concurrency seams (plane interceptors, fleet shard workers) must guard shared field writes with a mutex or *Locked convention",
 	Run:  runShardSafe,
 }
 
@@ -143,14 +139,8 @@ func rootIdent(expr ast.Expr) *ast.Ident {
 // seamName names the seam a node is reachable from, for the finding
 // message.
 func seamName(f *Facts, n *Node) string {
-	switch {
-	case f.ReachInterceptor[n]:
+	if f.ReachInterceptor[n] {
 		return "a plane interceptor (runs per published call)"
-	case f.ReachOnTick[n]:
-		return "a clock OnTick hook (runs at every timeline move)"
-	case f.ReachFleet[n]:
-		return "a fleet shard worker (shards run concurrently on all cores)"
-	default:
-		return "a Batch staging buffer (written by publishers, drained at ticks)"
 	}
+	return "a fleet shard worker (shards run concurrently on all cores)"
 }

@@ -20,8 +20,8 @@ import (
 // The graph is deliberately static and conservative:
 //
 //   - Nodes are function declarations AND function literals. A literal
-//     is its own node (it can be registered as a clock OnTick hook or a
-//     plane interceptor independent of its enclosing function) with an
+//     is its own node (it can be registered as a plane interceptor or a
+//     service handler independent of its enclosing function) with an
 //     edge from the enclosing node, since the encloser may invoke it.
 //   - Direct calls resolve through go/types (Uses), giving precise
 //     edges for functions and methods named at the call site.
@@ -123,10 +123,6 @@ type Facts struct {
 	// (*plane.Plane).Use. Code here runs on every published call,
 	// potentially concurrently with every shard.
 	ReachInterceptor map[*Node]bool
-	// ReachOnTick marks nodes reachable from a clock OnTick hook
-	// registration: code here runs at every timeline move, on whichever
-	// goroutine advanced the clock.
-	ReachOnTick map[*Node]bool
 	// ReachHandler marks nodes reachable from a service handler passed
 	// to plane.Do: the per-call state-mutating stage.
 	ReachHandler map[*Node]bool
@@ -141,10 +137,7 @@ type Facts struct {
 	// shard-private per-account state by construction and stay out.
 	ReachFleet map[*Node]bool
 	// ReachSeam is the union of the concurrency seams shardsafe guards:
-	// interceptor roots, OnTick hooks, the method sets of the
-	// publisher-side Batch staging buffers (metrics.Batch / logs.Batch),
-	// which are by construction written from publisher goroutines and
-	// drained from the tick goroutine — and the fleet shard workers.
+	// the interceptor roots and the fleet shard workers.
 	ReachSeam map[*Node]bool
 
 	// Emits marks nodes that can reach an order-observable output sink:
@@ -205,30 +198,22 @@ func ComputeFacts(prog *Program) *Facts {
 	// Seam roots beyond explicit registrations: cloudsim functions named
 	// PlaneInterceptor (the factories core wires via plane.Use — the
 	// wiring passes a local variable, so the name is the reliable
-	// signal) and the method sets of the swap-buffer Batch staging
-	// types.
-	var batchRoots []*Node
+	// signal).
 	for _, n := range b.graph.Nodes {
-		if n.Fn == nil || !pathWithin(n.Pkg.Path, "internal/cloudsim") {
-			continue
-		}
-		if n.Fn.Name() == "PlaneInterceptor" {
+		if n.Fn != nil && n.Fn.Name() == "PlaneInterceptor" && pathWithin(n.Pkg.Path, "internal/cloudsim") {
 			b.interceptorRoots = append(b.interceptorRoots, n)
-		}
-		if recvTypeName(n.Fn) == "Batch" {
-			batchRoots = append(batchRoots, n)
 		}
 	}
 
 	anyEdge := func(*Node, *Node) bool { return true }
 	f.ReachInterceptor = b.graph.Reachable(b.interceptorRoots, anyEdge)
-	f.ReachOnTick = b.graph.Reachable(b.onTickRoots, anyEdge)
 	f.ReachHandler = b.graph.Reachable(b.handlerRoots, anyEdge)
 	f.ReachFleet = b.graph.Reachable(b.fleetRoots, fleetScope)
-	seamRoots := append(append(append([]*Node(nil), b.interceptorRoots...), b.onTickRoots...), batchRoots...)
-	f.ReachSeam = b.graph.Reachable(seamRoots, anyEdge)
-	for n := range f.ReachFleet {
-		f.ReachSeam[n] = true
+	f.ReachSeam = make(map[*Node]bool, len(f.ReachInterceptor)+len(f.ReachFleet))
+	for _, reach := range []map[*Node]bool{f.ReachInterceptor, f.ReachFleet} {
+		for n := range reach {
+			f.ReachSeam[n] = true
+		}
 	}
 	f.Emits = b.computeEmits()
 	return f
@@ -298,29 +283,10 @@ func SamePackage(from, to *Node) bool { return from.Pkg == to.Pkg }
 // telemetry control tower).
 func fleetScope(from, to *Node) bool { return pathWithin(to.Pkg.Path, "internal/fleet") }
 
-// recvTypeName reports the bare receiver type name of a method ("" for
-// plain functions).
-func recvTypeName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	return named.Obj().Name()
-}
-
 // graphBuilder accumulates the graph and seam roots across packages.
 type graphBuilder struct {
 	graph            *Graph
 	interceptorRoots []*Node
-	onTickRoots      []*Node
 	handlerRoots     []*Node
 	fleetRoots       []*Node
 }
@@ -477,8 +443,6 @@ func (w *bodyWalker) call(n *ast.CallExpr, cur *Node) {
 	switch {
 	case callee.Name() == "Use" && strings.HasSuffix(callee.Pkg().Path(), "internal/cloudsim/plane"):
 		w.b.interceptorRoots = append(w.b.interceptorRoots, w.argNodes(n.Args)...)
-	case callee.Name() == "OnTick" && strings.HasSuffix(callee.Pkg().Path(), "internal/cloudsim/clock"):
-		w.b.onTickRoots = append(w.b.onTickRoots, w.argNodes(n.Args)...)
 	case callee.Name() == "Do" && strings.HasSuffix(callee.Pkg().Path(), "internal/cloudsim/plane"):
 		w.b.handlerRoots = append(w.b.handlerRoots, w.argNodes(n.Args)...)
 	}
@@ -650,7 +614,7 @@ func outputSink(fn *types.Func) bool {
 	case strings.HasSuffix(pkg, "internal/cloudsim/logs"):
 		return name == "PutEvents"
 	case strings.HasSuffix(pkg, "internal/cloudsim/metrics"):
-		return name == "Record" || name == "Add"
+		return name == "Record"
 	case strings.HasSuffix(pkg, "internal/cloudsim/trace"):
 		return name == "Annotate" || name == "AddUsage"
 	case strings.HasSuffix(pkg, "internal/pricing"):

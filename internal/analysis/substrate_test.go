@@ -167,3 +167,21 @@ func calleeNames(n *Node) []string {
 	}
 	return out
 }
+
+// recvTypeName reports the bare receiver type name of a method ("" for
+// plain functions).
+func recvTypeName(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	t := sig.Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return ""
+	}
+	return named.Obj().Name()
+}

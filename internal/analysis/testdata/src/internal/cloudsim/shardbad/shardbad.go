@@ -1,24 +1,24 @@
-// Package shardbad mutates shared struct fields from all three
-// concurrency seams without a guard: a plane interceptor bumps a
-// counter per published call, a clock OnTick hook resets it at every
-// timeline move, and a Batch staging buffer appends with no lock.
-// shardsafe must flag every write.
+// Package shardbad mutates a shared struct field from a concurrency
+// seam without a guard: a plane interceptor bumps a counter per
+// published call, and every shard's calls run through the same
+// interceptor instance. shardsafe must flag the write.
 package shardbad
 
 import (
-	"time"
-
-	"repro/internal/cloudsim/clock"
 	"repro/internal/cloudsim/plane"
 )
 
-// collector is shared between the interceptor (per call) and the tick
-// hook (per timeline move) — exactly the aliasing a mutex exists for.
+// collector is shared by every call routed through the interceptor —
+// concurrently, from every shard — exactly the aliasing a mutex exists
+// for. Nothing here takes a lock, so the write below races itself.
 type collector struct {
 	calls int
 }
 
 // PlaneInterceptor counts calls on the shared collector with no lock.
+// Its guarded twin in shardgood takes the collector's mutex first, or
+// delegates to a *Locked helper whose caller holds it; this one does
+// neither.
 func PlaneInterceptor(c *collector) plane.Interceptor {
 	return func(next plane.HandlerFunc) plane.HandlerFunc {
 		return func(req *plane.Request) error {
@@ -26,26 +26,4 @@ func PlaneInterceptor(c *collector) plane.Interceptor {
 			return next(req)
 		}
 	}
-}
-
-// Wire resets the same counter from a tick hook — the other side of
-// the race.
-func Wire(clk *clock.Virtual, c *collector) {
-	clk.OnTick(func(time.Time) {
-		c.calls = 0 // flagged: unguarded write from an OnTick hook
-	})
-}
-
-// Batch stages values the way the telemetry planes do, but with no
-// mutex between the publishing writers and the tick-driven drain.
-type Batch struct {
-	buf []int
-	n   int
-}
-
-// Add is in Batch's method set, so it runs on the publisher side of
-// the seam; both writes race the drain.
-func (b *Batch) Add(v int) {
-	b.buf = append(b.buf, v) // flagged: unguarded append to the staging buffer
-	b.n++                    // flagged: unguarded counter bump
 }

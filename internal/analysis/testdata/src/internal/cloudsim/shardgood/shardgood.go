@@ -1,8 +1,8 @@
 // Package shardgood does the same seam-side mutation as shardbad but
 // guarded: the interceptor takes the struct's mutex before writing,
-// the Batch drain splits into a locking entry point and a *Locked
-// helper whose caller holds the lock, and body-local state needs no
-// guard at all. shardsafe must stay silent on every function here.
+// delegates through a *Locked helper whose caller holds the lock, and
+// body-local state needs no guard at all. shardsafe must stay silent
+// on every function here.
 package shardgood
 
 import (
@@ -11,10 +11,11 @@ import (
 	"repro/internal/cloudsim/plane"
 )
 
-// collector guards its counter with its own mutex.
+// collector guards its counter and op log with its own mutex.
 type collector struct {
 	mu    sync.Mutex
 	calls int
+	ops   []string
 }
 
 // PlaneInterceptor locks before the write — guarded, so silent.
@@ -23,39 +24,26 @@ func PlaneInterceptor(c *collector) plane.Interceptor {
 		return func(req *plane.Request) error {
 			c.mu.Lock()
 			c.calls++ // silent: the body holds the mutex
+			c.appendLocked(req.Call.Op)
 			c.mu.Unlock()
+			tally(req.Call.Op)
 			return next(req)
 		}
 	}
 }
 
-// Batch stages values under a mutex, draining through a *Locked helper.
-type Batch struct {
-	mu  sync.Mutex
-	buf []int
-}
-
-// Add locks, then delegates to the *Locked helper.
-func (b *Batch) Add(v int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.appendLocked(v)
-}
-
 // appendLocked mutates with the lock held by its caller — the naming
 // convention shardsafe honors.
-func (b *Batch) appendLocked(v int) {
-	b.buf = append(b.buf, v) // silent: *Locked means the caller holds b.mu
+func (c *collector) appendLocked(op string) {
+	c.ops = append(c.ops, op) // silent: *Locked means the caller holds c.mu
 }
 
-// Snapshot copies into a body-local aggregate; locals are shard-private
-// by construction, so writing their fields needs no guard.
-func (b *Batch) Snapshot() int {
+// tally builds a body-local aggregate; locals are shard-private by
+// construction, so writing their fields needs no guard.
+func tally(op string) int {
 	type agg struct{ n int }
 	var a agg
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for range b.buf {
+	for range op {
 		a.n++ // silent: a is local to this body
 	}
 	return a.n

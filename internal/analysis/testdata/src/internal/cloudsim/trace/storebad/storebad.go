@@ -1,8 +1,8 @@
 // Package storebad runs a trace store's publish path the slow way:
-// the sampling decision formats its rule key per request, recording
-// binds fields through a per-call map literal, and the tick-driven
-// flush formats segment names while folding. hotpath must flag every
-// site it can reach from Record, Decide, and Flush.
+// the sampling decision formats its rule key per request, and
+// recording binds fields through a per-call map literal and a helper
+// that formats. hotpath must flag every site it can reach from Record
+// and Decide.
 package storebad
 
 import "fmt"
@@ -36,16 +36,13 @@ func stage(s *Store, name string) {
 	s.pending = append(s.pending, fmt.Sprint("staged:", name)) // flagged: reached from Record
 }
 
-// Flush folds staged traces at the clock tick, formatting each row.
-func (s *Store) Flush() {
+// Render is a read, off the publish path: it folds the staged traces
+// and formats, and hotpath must stay silent here even in a package
+// that defines Record.
+func (s *Store) Render() string {
 	for _, p := range s.pending {
-		s.rows = append(s.rows, fmt.Sprintf("row(%s)", p)) // flagged: per-fold format
+		s.rows = append(s.rows, fmt.Sprintf("row(%s)", p))
 	}
 	s.pending = s.pending[:0]
-}
-
-// Render is an analytics read, off the publish path; hotpath must stay
-// silent here even in a package that defines Record and Flush.
-func (s *Store) Render() string {
 	return fmt.Sprintf("%d rows", len(s.rows))
 }

@@ -1,29 +1,22 @@
 // Package storegood runs a trace store's publish path the fast way:
-// rule keys and segment names are interned into tables built with make
-// (allowed: the allocation happens once, not per call), deciding is a
-// map read, recording is a pointer append, and the fold resolves
-// interned handles. Analytics reads format freely off-path. hotpath
-// must stay silent.
+// rule keys are looked up without minting a string, deciding is a map
+// read, and recording is a pointer append. Reads fold and format
+// freely off-path. hotpath must stay silent.
 package storegood
 
 import "fmt"
 
-// Store interns names on first sight; the publish path is appends and
-// integer handles.
+// Store keeps its publish path to map reads and appends.
 type Store struct {
 	rules   map[string]float64
-	ids     map[string]int
-	names   []string
 	pending []string
-	rows    []int
+	rows    []string
 }
 
-// NewStore builds the interning tables up front.
+// NewStore builds the rule table up front (allowed: the allocation
+// happens once, not per call).
 func NewStore() *Store {
-	return &Store{
-		rules: make(map[string]float64),
-		ids:   make(map[string]int),
-	}
+	return &Store{rules: make(map[string]float64)}
 }
 
 // Decide is a concatenation-free rule lookup: service and op index a
@@ -37,23 +30,10 @@ func (s *Store) Record(name string) {
 	s.pending = append(s.pending, name)
 }
 
-// Flush folds staged traces through the interning table, minting a
-// name only on first sight.
-func (s *Store) Flush() {
-	for _, p := range s.pending {
-		id, ok := s.ids[p]
-		if !ok {
-			id = len(s.names)
-			s.names = append(s.names, p)
-			s.ids[p] = id
-		}
-		s.rows = append(s.rows, id)
-	}
-	s.pending = s.pending[:0]
-}
-
-// Render is an analytics read — dashboards, dumps — not reachable from
-// the publish path, so formatting here is fine.
+// Render is a read — dashboards, dumps — not reachable from the
+// publish path, so folding and formatting here is fine.
 func (s *Store) Render() string {
-	return fmt.Sprintf("%d rows, %d names", len(s.rows), len(s.names))
+	s.rows = append(s.rows, s.pending...)
+	s.pending = s.pending[:0]
+	return fmt.Sprintf("%d rows", len(s.rows))
 }

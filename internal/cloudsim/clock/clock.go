@@ -60,7 +60,6 @@ type Virtual struct {
 	mu      sync.Mutex
 	now     time.Time
 	waiters []waiter
-	ticks   []func(time.Time)
 }
 
 // waiter is one goroutine blocked in After until the virtual timeline
@@ -93,11 +92,7 @@ func (v *Virtual) Advance(d time.Duration) {
 	v.mu.Lock()
 	v.now = v.now.Add(d)
 	v.fireLocked()
-	now, ticks := v.now, v.ticks
 	v.mu.Unlock()
-	for _, fn := range ticks {
-		fn(now)
-	}
 }
 
 // Set jumps the clock to t if t is later than the current virtual time,
@@ -105,34 +100,10 @@ func (v *Virtual) Advance(d time.Duration) {
 // the timeline stays monotonic.
 func (v *Virtual) Set(t time.Time) {
 	v.mu.Lock()
-	moved := t.After(v.now)
-	if moved {
+	if t.After(v.now) {
 		v.now = t
 		v.fireLocked()
 	}
-	now, ticks := v.now, v.ticks
-	v.mu.Unlock()
-	if moved {
-		for _, fn := range ticks {
-			fn(now)
-		}
-	}
-}
-
-// OnTick registers a hook called after every timeline move (Advance or
-// Set that actually changed the clock), with the new virtual time.
-// Hooks run outside the clock's lock, in registration order, on the
-// goroutine that moved the clock — so a hook may read the clock or
-// drive other services, but moves are serialized per caller exactly
-// like the Advance calls themselves. The telemetry planes use this as
-// their deterministic flush boundary: pending interceptor batches
-// drain whenever the simulation's timeline steps forward.
-func (v *Virtual) OnTick(fn func(time.Time)) {
-	if fn == nil {
-		return
-	}
-	v.mu.Lock()
-	v.ticks = append(v.ticks, fn)
 	v.mu.Unlock()
 }
 

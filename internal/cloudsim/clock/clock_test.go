@@ -206,43 +206,3 @@ func TestVirtualConcurrentAdvance(t *testing.T) {
 		t.Fatalf("concurrent advance: Now() = %v, want %v", v.Now(), want)
 	}
 }
-
-func TestVirtualOnTick(t *testing.T) {
-	v := NewVirtual()
-	var got []time.Time
-	v.OnTick(func(at time.Time) { got = append(got, at) })
-
-	v.Advance(time.Minute)
-	v.Set(Epoch.Add(time.Hour))
-	if want := []time.Time{Epoch.Add(time.Minute), Epoch.Add(time.Hour)}; len(got) != len(want) {
-		t.Fatalf("hooks fired %d times, want %d", len(got), len(want))
-	} else {
-		for i := range want {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("hook %d fired at %v, want %v", i, got[i], want[i])
-			}
-		}
-	}
-
-	// Non-movements are not ticks: a hook that fired for them would turn
-	// no-op Set calls into flush boundaries and make batching timing
-	// depend on redundant calls.
-	v.Advance(-time.Minute)
-	v.Set(Epoch) // earlier than current time: ignored
-	if len(got) != 2 {
-		t.Fatalf("non-moving Advance/Set fired hooks: %d total firings, want 2", len(got))
-	}
-}
-
-// TestVirtualOnTickReentrant proves a tick hook may read the clock:
-// hooks run outside the mutex, so a hook calling Now (as the telemetry
-// flush boundary does transitively) must not deadlock.
-func TestVirtualOnTickReentrant(t *testing.T) {
-	v := NewVirtual()
-	var seen time.Time
-	v.OnTick(func(at time.Time) { seen = v.Now() })
-	v.Advance(time.Second)
-	if !seen.Equal(Epoch.Add(time.Second)) {
-		t.Fatalf("hook read Now() = %v, want %v", seen, Epoch.Add(time.Second))
-	}
-}

@@ -10,12 +10,11 @@ import (
 // clock: the fleet engine's unit of time. Events are executed in
 // (instant, insertion order) — a deterministic total order — and each
 // pop moves the underlying Virtual clock to the event's instant before
-// the event runs, so Waiter/OnTick semantics are exactly those of a
-// hand-advanced clock: waiters release and tick hooks (the telemetry
-// flush boundary) fire on every move, on the goroutine draining the
-// timeline. One shard drains one timeline at a time, so events never
-// race each other; the internal lock only guards Schedule calls made
-// from inside running events.
+// the event runs, so Waiter semantics are exactly those of a
+// hand-advanced clock: waiters release on every move, on the goroutine
+// draining the timeline. One shard drains one timeline at a time, so
+// events never race each other; the internal lock only guards Schedule
+// calls made from inside running events.
 type Timeline struct {
 	v   *Virtual
 	mu  sync.Mutex

@@ -8,8 +8,8 @@ import (
 
 // This file is the columnar Insights evaluator. Query pipelines run
 // here by default: instead of materializing one map per event (the
-// legacy row evaluator, kept as queryRows for differential testing),
-// the executor works over the store's columns directly —
+// legacy row evaluator, kept in the tests as queryRows), the executor
+// works over the store's columns directly —
 //
 //   - sel holds the indices of currently-selected events in the
 //     group's merged order; filter/limit compact it, sort permutes it;
@@ -24,8 +24,9 @@ import (
 //     post-stats pipeline tail.
 //
 // The two evaluators must agree cell-for-cell on every pipeline —
-// TestColumnarMatchesRows pins it, including the parse edge cases
-// (adjacent wildcards, no-match rows, multi-capture ordering).
+// TestColumnarMatchesRows and FuzzInsightsQuery pin it, including the
+// parse edge cases (adjacent wildcards, no-match rows, multi-capture
+// ordering).
 
 // litGlob is a parse glob compiled to a literal scanner: a leading
 // literal, then one segment per wildcard, each terminated by the next

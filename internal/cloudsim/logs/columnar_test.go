@@ -2,6 +2,7 @@ package logs
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -34,6 +35,24 @@ func mixedGroup(s *Service) {
 	)
 }
 
+// columnarQueries is the differential corpus: each pipeline shape the
+// Insights engine supports, over the mixedGroup events.
+var columnarQueries = []string{
+	`fields @timestamp, @message`,
+	`filter @message like "REPORT"`,
+	`filter outcome = "ok" | fields @logStream, @message`,
+	`filter @logStream = "beta" | sort @timestamp desc | limit 5`,
+	`parse @message "latency_ms=* cost_nanodollars=*" as lat, cost | fields lat, cost`,
+	`parse @message "Billed Duration: * ms" as billed | filter billed != "" | stats count(*) as n, min(billed) as lo, max(billed) as hi, pct(billed, 50) as med`,
+	`filter @message like "outcome=" | stats count(*) as n by outcome | sort n desc`,
+	`stats count(*) as n, avg(cost_nanodollars) as c by service`,
+	`parse @message "outcome=* " as oc | sort oc asc | limit 9`,
+	`filter cost_nanodollars > 410 | stats sum(cost_nanodollars) as total`,
+	`fields @logGroup, @logStream, outcome | sort @logStream asc | limit 30`,
+	`filter @message like "nosuchthing"`,
+	`filter @message like "nosuchthing" | stats count(*) as n`,
+}
+
 // TestColumnarMatchesRows is the differential gate for the columnar
 // executor: every query runs through both the columnar path (Query)
 // and the retained row-at-a-time reference (queryRows), and the
@@ -43,23 +62,8 @@ func TestColumnarMatchesRows(t *testing.T) {
 	s := New(clock.NewVirtual())
 	mixedGroup(s)
 
-	queries := []string{
-		`fields @timestamp, @message`,
-		`filter @message like "REPORT"`,
-		`filter outcome = "ok" | fields @logStream, @message`,
-		`filter @logStream = "beta" | sort @timestamp desc | limit 5`,
-		`parse @message "latency_ms=* cost_nanodollars=*" as lat, cost | fields lat, cost`,
-		`parse @message "Billed Duration: * ms" as billed | filter billed != "" | stats count(*) as n, min(billed) as lo, max(billed) as hi, pct(billed, 50) as med`,
-		`filter @message like "outcome=" | stats count(*) as n by outcome | sort n desc`,
-		`stats count(*) as n, avg(cost_nanodollars) as c by service`,
-		`parse @message "outcome=* " as oc | sort oc asc | limit 9`,
-		`filter cost_nanodollars > 410 | stats sum(cost_nanodollars) as total`,
-		`fields @logGroup, @logStream, outcome | sort @logStream asc | limit 30`,
-		`filter @message like "nosuchthing"`,
-		`filter @message like "nosuchthing" | stats count(*) as n`,
-	}
 	var zero time.Time
-	for _, q := range queries {
+	for _, q := range columnarQueries {
 		col, err := s.Query("g/mixed", q, zero, zero)
 		if err != nil {
 			t.Fatalf("columnar %q: %v", q, err)
@@ -76,7 +80,7 @@ func TestColumnarMatchesRows(t *testing.T) {
 	// Windowed queries must agree too (the window trims the scan before
 	// the pipeline sees it).
 	from, to := clock.Epoch.Add(4*time.Second), clock.Epoch.Add(12*time.Second)
-	for _, q := range queries[:6] {
+	for _, q := range columnarQueries[:6] {
 		col, err := s.Query("g/mixed", q, from, to)
 		if err != nil {
 			t.Fatalf("columnar windowed %q: %v", q, err)
@@ -89,6 +93,79 @@ func TestColumnarMatchesRows(t *testing.T) {
 			t.Errorf("windowed query %q diverges\n--- columnar ---\n%s--- rows ---\n%s", q, got, want)
 		}
 	}
+}
+
+// queryRows is the legacy row-at-a-time evaluator: every event
+// becomes a map, every stage transforms the row slice. Kept as the
+// readable reference semantics the columnar path must reproduce.
+func (s *Service) queryRows(group, query string, from, to time.Time) (*QueryResult, error) {
+	stages, err := parseQuery(query)
+	if err != nil {
+		return nil, err
+	}
+	events := s.Events(group, from, to)
+	rows := make([]row, 0, len(events))
+	for _, e := range events {
+		r := row{
+			"@timestamp": e.Time.UTC().Format("2006-01-02 15:04:05.000"),
+			"@message":   e.Message,
+			"@logGroup":  e.Group,
+			"@logStream": e.Stream,
+		}
+		for k, v := range e.Fields {
+			r[k] = v
+		}
+		rows = append(rows, r)
+	}
+	columns := []string{"@timestamp", "@message"}
+	for _, st := range stages {
+		rows, columns, err = st.apply(rows, columns)
+		if err != nil {
+			return nil, err
+		}
+	}
+	res := &QueryResult{Columns: columns}
+	for _, r := range rows {
+		cells := make([]string, len(columns))
+		for i, c := range columns {
+			cells[i] = r[c]
+		}
+		res.Rows = append(res.Rows, cells)
+	}
+	return res, nil
+}
+
+// FuzzInsightsQuery runs arbitrary pipelines through both evaluators
+// over the mixedGroup events: they must fail with the same error or
+// return the same columns and cells.
+func FuzzInsightsQuery(f *testing.F) {
+	for _, q := range columnarQueries {
+		f.Add(q)
+	}
+	s := New(clock.NewVirtual())
+	mixedGroup(s)
+	var zero time.Time
+	f.Fuzz(func(t *testing.T, q string) {
+		col, colErr := s.Query("g/mixed", q, zero, zero)
+		ref, refErr := s.queryRows("g/mixed", q, zero, zero)
+		if fmt.Sprint(colErr) != fmt.Sprint(refErr) {
+			t.Fatalf("query %q: columnar error %v, rows error %v", q, colErr, refErr)
+		}
+		if colErr != nil {
+			return
+		}
+		if !reflect.DeepEqual(col.Columns, ref.Columns) {
+			t.Fatalf("query %q: columns %q (columnar) vs %q (rows)", q, col.Columns, ref.Columns)
+		}
+		if len(col.Rows) != len(ref.Rows) {
+			t.Fatalf("query %q: %d rows (columnar) vs %d (rows)", q, len(col.Rows), len(ref.Rows))
+		}
+		for i := range col.Rows {
+			if !reflect.DeepEqual(col.Rows[i], ref.Rows[i]) {
+				t.Fatalf("query %q row %d: %q (columnar) vs %q (rows)", q, i, col.Rows[i], ref.Rows[i])
+			}
+		}
+	})
 }
 
 // TestParseEdgeCases pins the glob scanner's corner semantics on both

@@ -30,12 +30,12 @@ import (
 // message with append-style formatting (the numeric field values are
 // substrings of the message, not separate allocations), fields go into
 // typed slots instead of a map, group names intern once per service,
-// and the finished event is staged in a Batch drained at clock ticks.
+// and the finished event is appended straight into the store.
 // The `hotpath` diylint analyzer keeps fmt formatting and map literals
 // out of this path.
 func PlaneInterceptor(s *Service, book *pricing.PriceBook, clk clock.Clock) plane.Interceptor {
 	pub := &logPublisher{
-		batch:  s.NewBatch(),
+		svc:    s,
 		book:   book,
 		clk:    clk,
 		groups: make(map[string]string),
@@ -61,9 +61,9 @@ var encPool = sync.Pool{New: func() any { return new(encoder) }}
 
 // logPublisher is the per-interceptor publication state.
 type logPublisher struct {
-	batch *Batch
-	book  *pricing.PriceBook
-	clk   clock.Clock
+	svc  *Service
+	book *pricing.PriceBook
+	clk  clock.Clock
 
 	mu     sync.Mutex
 	groups map[string]string // service -> interned "plane/<service>"
@@ -82,7 +82,7 @@ func (p *logPublisher) group(service string) string {
 	return g
 }
 
-// publish encodes and stages the call's event. The message rendering
+// publish encodes and stores the call's event. The message rendering
 // is byte-identical to the historical
 //
 //	"%s:%s outcome=%s latency_ms=%s cost_nanodollars=%d principal=%s"
@@ -162,6 +162,16 @@ func (p *logPublisher) publish(req *plane.Request, err error) {
 	}
 	enc.fields = fs
 
-	p.batch.Log(p.group(req.Call.Service), req.Call.Op, at, msg, fs)
+	p.svc.appendEvent(p.group(req.Call.Service), req.Call.Op, at, msg, fs)
 	encPool.Put(enc)
+}
+
+// appendEvent lands one event in group/stream, creating both on first
+// use. The fields are copied into the stream's arena, so the caller may
+// reuse fs immediately.
+func (s *Service) appendEvent(groupName, streamName string, at time.Time, msg string, fs []field) {
+	s.mu.Lock()
+	g := s.ensureGroupLocked(groupName)
+	s.appendLocked(g, s.ensureStreamLocked(g, streamName), at, msg, fs)
+	s.mu.Unlock()
 }

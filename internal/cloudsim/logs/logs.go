@@ -21,9 +21,8 @@
 // structured fields, and each group caches its deterministic merged
 // order. The Insights engine (columnar.go) scans those columns
 // directly — no per-event map is materialized on the query path — and
-// the plane interceptor stages events through a Batch (batch.go)
-// drained at virtual-clock ticks and forced before every read, so
-// batching is invisible to queries and goldens.
+// the plane interceptor appends each event straight into the store, so
+// every read sees every event published before it.
 //
 // Logging is read-only with respect to the economy: nothing in this
 // package touches the account meter, samples randomness, or advances a
@@ -182,13 +181,11 @@ type Service struct {
 
 	mu            sync.Mutex
 	groups        map[string]*group
-	batches       []*Batch
 	ingestedBytes int64
 	storedBytes   int64
 
-	// Self-telemetry counters (see SelfStats).
+	// Self-telemetry counter (see SelfStats).
 	ingestedEvents int64
-	flushes        int64
 }
 
 // New returns an empty log service over the given clock (nil defaults
@@ -303,7 +300,6 @@ func sequenceToken(group, stream string, next int64) string {
 func (s *Service) SequenceToken(groupName, streamName string) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	g, ok := s.groups[groupName]
 	if !ok {
 		return ""
@@ -319,7 +315,6 @@ func (s *Service) SequenceToken(groupName, streamName string) string {
 func (s *Service) Groups() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	return sortutil.SortedKeys(s.groups)
 }
 
@@ -327,7 +322,6 @@ func (s *Service) Groups() []string {
 func (s *Service) Streams(groupName string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	g, ok := s.groups[groupName]
 	if !ok {
 		return nil
@@ -340,7 +334,6 @@ func (s *Service) Streams(groupName string) []string {
 func (s *Service) Inventory() []GroupInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	out := make([]GroupInfo, 0, len(s.groups))
 	for _, name := range sortutil.SortedKeys(s.groups) {
 		g := s.groups[name]
@@ -392,7 +385,6 @@ func materialize(groupName string, ref eventRef) StoredEvent {
 func (s *Service) Events(groupName string, from, to time.Time) []StoredEvent {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	g, ok := s.groups[groupName]
 	if !ok {
 		return nil
@@ -422,13 +414,9 @@ func (s *Service) Tail(groupName string, n int) []StoredEvent {
 // window as of now, releasing the stored bytes. Groups with no policy
 // keep everything. Explicitly driven — call it when the virtual clock
 // has moved — so two identically-seeded runs expire identically.
-// Pending batches flush first, so an event published just before the
-// clock crossed its expiry is ingested (and billed) before it expires,
-// exactly as under unbatched publication.
 func (s *Service) ApplyRetention(now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	for _, g := range s.groups {
 		if g.retention <= 0 {
 			continue
@@ -468,7 +456,6 @@ func (s *Service) ApplyRetention(now time.Time) {
 func (s *Service) IngestedBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	return s.ingestedBytes
 }
 
@@ -477,7 +464,6 @@ func (s *Service) IngestedBytes() int64 {
 func (s *Service) StoredBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	return s.storedBytes
 }
 
@@ -491,7 +477,6 @@ func (s *Service) StoredBytes() int64 {
 func (s *Service) Usage() []pricing.Usage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	const gb = 1 << 30
 	return []pricing.Usage{
 		{Kind: pricing.CWLogsIngestGB, Quantity: float64(s.ingestedBytes) / gb, Resource: "cloudwatch-logs"},
@@ -535,11 +520,18 @@ func (s *Service) ensureStreamLocked(g *group, name string) *stream {
 	return st
 }
 
-// eventBytes is the metered size of one public-shape event.
-func eventBytes(e Event) int64 {
-	n := int64(len(e.Message)) + EventOverheadBytes
-	for k, v := range e.Fields {
-		n += int64(len(k) + len(v))
-	}
-	return n
+// SelfStats is the log plane's observation of itself.
+type SelfStats struct {
+	// Events counts events ingested into the store.
+	Events int64
+	// Bytes is the cumulative ingested byte count (same quantity as
+	// IngestedBytes).
+	Bytes int64
+}
+
+// SelfStats reports the service's self-telemetry counters.
+func (s *Service) SelfStats() SelfStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return SelfStats{Events: s.ingestedEvents, Bytes: s.ingestedBytes}
 }

@@ -95,8 +95,9 @@ type row map[string]string
 // [from, to] (zero times mean unbounded). Evaluation is columnar
 // (columnar.go): the pipeline scans the store's column arrays under
 // the service lock instead of materializing a map per event. The
-// legacy row evaluator survives as queryRows; TestColumnarMatchesRows
-// pins the two cell-for-cell.
+// legacy row evaluator survives in the tests as queryRows;
+// TestColumnarMatchesRows and FuzzInsightsQuery pin the two
+// cell-for-cell.
 func (s *Service) Query(group, query string, from, to time.Time) (*QueryResult, error) {
 	stages, err := parseQuery(query)
 	if err != nil {
@@ -104,53 +105,11 @@ func (s *Service) Query(group, query string, from, to time.Time) (*QueryResult, 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	var refs []eventRef
 	if g, ok := s.groups[group]; ok {
 		refs = g.windowRefs(from, to)
 	}
 	return runColumnar(group, refs, stages)
-}
-
-// queryRows is the legacy row-at-a-time evaluator: every event
-// becomes a map, every stage transforms the row slice. Kept (test-only
-// in spirit, but exercised by the differential suite) as the
-// readable reference semantics the columnar path must reproduce.
-func (s *Service) queryRows(group, query string, from, to time.Time) (*QueryResult, error) {
-	stages, err := parseQuery(query)
-	if err != nil {
-		return nil, err
-	}
-	events := s.Events(group, from, to)
-	rows := make([]row, 0, len(events))
-	for _, e := range events {
-		r := row{
-			"@timestamp": e.Time.UTC().Format("2006-01-02 15:04:05.000"),
-			"@message":   e.Message,
-			"@logGroup":  e.Group,
-			"@logStream": e.Stream,
-		}
-		for k, v := range e.Fields {
-			r[k] = v
-		}
-		rows = append(rows, r)
-	}
-	columns := []string{"@timestamp", "@message"}
-	for _, st := range stages {
-		rows, columns, err = st.apply(rows, columns)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res := &QueryResult{Columns: columns}
-	for _, r := range rows {
-		cells := make([]string, len(columns))
-		for i, c := range columns {
-			cells[i] = r[c]
-		}
-		res.Rows = append(res.Rows, cells)
-	}
-	return res, nil
 }
 
 // stage is one parsed pipeline step.

@@ -28,16 +28,15 @@ import (
 // mutates — so installing it cannot move a ledger-parity golden by a
 // nanodollar (scripts/check.sh proves this each run).
 //
-// The hot path is interned and batched: each (service, op) resolves
-// its five series handles once, publication is a buffer append drained
-// at clock ticks (see Batch), and no names are formatted per call —
-// the `hotpath` diylint analyzer keeps it that way.
+// The hot path is interned: each (service, op) resolves its five series
+// handles once, a call's samples land in the store under one lock, and
+// no names are formatted per call — the `hotpath` diylint analyzer
+// keeps it that way.
 func PlaneInterceptor(s *Service, book *pricing.PriceBook, clk clock.Clock) plane.Interceptor {
 	pub := &publisher{
 		svc:       s,
 		book:      book,
 		clk:       clk,
-		batch:     s.NewBatch(),
 		account:   s.Handle(AccountNamespace, MetricAccountCostNanos),
 		byService: make(map[string]map[string]*opHandles),
 	}
@@ -52,7 +51,7 @@ func PlaneInterceptor(s *Service, book *pricing.PriceBook, clk clock.Clock) plan
 
 // opHandles caches the five resolved series handles for one
 // (service, op) namespace, so steady-state publication does no key
-// building or map insertion — two map reads and five buffer appends.
+// building or map insertion — two map reads, then the inserts.
 type opHandles struct {
 	requests Handle
 	errs     Handle
@@ -69,7 +68,6 @@ type publisher struct {
 	svc     *Service
 	book    *pricing.PriceBook
 	clk     clock.Clock
-	batch   *Batch
 	account Handle
 
 	mu        sync.Mutex
@@ -77,11 +75,18 @@ type publisher struct {
 	cum       int64
 }
 
-// publish emits the call's samples as one burst staged from a stack
-// buffer — a single batch append per call. Holding p.mu across the
-// burst pairs each cumulative-gauge update with its sample (the gauge
-// series stays monotone) and keeps one call's samples adjacent in the
-// batch.
+// sample is one datum of a call's burst: a resolved series handle plus
+// the timestamped value.
+type sample struct {
+	h  Handle
+	at int64 // UnixNano
+	v  float64
+}
+
+// publish emits the call's samples as one burst built in a stack
+// buffer and inserted under a single store lock. Holding p.mu across
+// the burst pairs each cumulative-gauge update with its sample, so the
+// gauge series stays monotone.
 func (p *publisher) publish(req *plane.Request, err error) {
 	t0 := hostNow()
 	at := req.Ctx.Now()
@@ -117,11 +122,21 @@ func (p *publisher) publish(req *plane.Request, err error) {
 	p.cum += cost.Nanodollars()
 	burst[n] = sample{h: p.account, at: atNs, v: float64(p.cum)}
 	n++
-	p.batch.addMany(burst[:n])
+	p.svc.insertBurst(burst[:n])
 	p.mu.Unlock()
 	if t0 != 0 {
 		p.svc.addOverhead(hostNow() - t0)
 	}
+}
+
+// insertBurst stores one call's samples in order under s.mu.
+func (s *Service) insertBurst(ss []sample) {
+	s.mu.Lock()
+	for _, e := range ss {
+		s.insertLocked(e.h, e.at, e.v)
+	}
+	s.samples += int64(len(ss))
+	s.mu.Unlock()
 }
 
 // resolveLocked interns the five series handles for (service, op),
@@ -189,7 +204,6 @@ func (s *Service) Usage() []pricing.Usage {
 // count feeds the CloudWatch inventory bill.
 func (s *Service) SelfPublish(at time.Time) {
 	st := s.SelfStats()
-	s.Record(TelemetryNamespace, MetricTelemetrySamples, at, float64(st.BatchedSamples))
-	s.Record(TelemetryNamespace, MetricTelemetryFlushes, at, float64(st.Flushes))
+	s.Record(TelemetryNamespace, MetricTelemetrySamples, at, float64(st.Samples))
 	s.Record(TelemetryNamespace, MetricTelemetryOverheadNs, at, float64(st.OverheadNs))
 }

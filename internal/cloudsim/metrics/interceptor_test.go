@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -139,6 +140,54 @@ func TestPlaneInterceptorClockFallback(t *testing.T) {
 	// empty rather than record a bogus zero.
 	if got := s.Count("svc/Op", MetricPlaneLatencyMs, time.Time{}, time.Time{}); got != 0 {
 		t.Errorf("latency samples on a cursor-less flow = %d, want 0", got)
+	}
+}
+
+// TestInterceptorConcurrentPublishers drives many flows through one
+// interceptor concurrently while a reader queries the store, checking
+// the final counts. Run under -race this is also the data-race gate
+// for the direct-insert publication path.
+func TestInterceptorConcurrentPublishers(t *testing.T) {
+	s := New()
+	p := plane.New(nil, nil, nil)
+	p.Use(PlaneInterceptor(s, pricing.Default2017(), clock.NewVirtual()))
+	const goroutines, per = 4, 500
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ctx := &sim.Context{Cursor: sim.NewCursor(t0.Add(time.Duration(g) * time.Hour))}
+			call := &plane.Call{Service: "svc", Op: "op"}
+			for i := 0; i < per; i++ {
+				ctx.Cursor.Advance(time.Millisecond)
+				if err := p.Do(ctx, call, func(*plane.Request) error { return nil }); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() {
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				s.SeriesCount()
+				s.Count("svc/op", MetricPlaneRequests, time.Time{}, time.Time{})
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	var zero time.Time
+	if got := s.Count("svc/op", MetricPlaneRequests, zero, zero); got != goroutines*per {
+		t.Fatalf("Count = %d after concurrent publication, want %d", got, goroutines*per)
+	}
+	if got, want := s.SelfStats().Samples, int64(goroutines*per*4); got != want {
+		t.Fatalf("SelfStats().Samples = %d, want %d (requests, latency, cost, account gauge per call)", got, want)
 	}
 }
 

@@ -15,16 +15,15 @@
 // collector never scans the data. Fixed-width sample buckets carry
 // pre-aggregated sum/min/max so wide windows are answered from bucket
 // aggregates instead of a full scan. Publishers on the request plane
-// append through a Batch (batch.go) and pay a buffer append per
-// sample; pending buffers drain at virtual-clock ticks and are
-// force-flushed before any read, so every query and alarm evaluation
-// sees exactly the samples an unbatched store would.
+// insert directly into the series store, so every query and alarm
+// evaluation sees every sample published before it.
 package metrics
 
 import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cloudsim/sortutil"
@@ -97,17 +96,15 @@ func (sx *series) set(i int, ns int64, v float64) {
 // the alarms that watch them (alarm.go). It is safe for concurrent
 // use.
 type Service struct {
-	mu      sync.Mutex
-	series  []*series
-	index   map[string]Handle
-	batches []*Batch
-	alarms  []*Alarm
+	mu     sync.Mutex
+	series []*series
+	index  map[string]Handle
+	alarms []*Alarm
 
 	// Self-telemetry counters (see SelfStats): how much work the
 	// telemetry plane itself has done.
-	batchedSamples int64
-	flushes        int64
-	overheadNs     int64 // atomic; host-clock interceptor overhead, see SetHostClock
+	samples    int64 // samples published by the plane interceptor
+	overheadNs int64 // atomic; host-clock interceptor overhead, see SetHostClock
 }
 
 // New returns an empty metrics service.
@@ -247,7 +244,6 @@ func (sx *series) bounds(from, to time.Time) (lo, hi int) {
 func (s *Service) window(namespace, metric string, from, to time.Time) []Datum {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	sx := s.lookupLocked(namespace, metric)
 	if sx == nil {
 		return nil
@@ -308,12 +304,11 @@ func (sx *series) statRange(lo, hi int) (sum, min, max float64, ok bool) {
 	return sum, min, max, true
 }
 
-// stat runs fn over the windowed range of a series with batches
-// flushed, under the service lock.
+// stat runs fn over the windowed range of a series under the service
+// lock.
 func (s *Service) stat(namespace, metric string, from, to time.Time, fn func(sx *series, lo, hi int)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	sx := s.lookupLocked(namespace, metric)
 	if sx == nil {
 		return
@@ -452,7 +447,6 @@ type SeriesStat struct {
 func (s *Service) SeriesStats() []SeriesStat {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	out := make([]SeriesStat, 0, len(s.series))
 	for _, sx := range s.series {
 		if sx.n == 0 {
@@ -477,7 +471,6 @@ func (s *Service) SeriesStats() []SeriesStat {
 func (s *Service) Metrics(namespace string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	var out []string
 	for _, sx := range s.series {
 		if sx.namespace == namespace && sx.n > 0 {
@@ -493,7 +486,6 @@ func (s *Service) Metrics(namespace string) []string {
 func (s *Service) Namespaces() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	seen := make(map[string]bool)
 	for _, sx := range s.series {
 		if sx.n > 0 {
@@ -509,7 +501,6 @@ func (s *Service) Namespaces() []string {
 func (s *Service) SeriesCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	n := 0
 	for _, sx := range s.series {
 		if sx.n > 0 {
@@ -518,3 +509,64 @@ func (s *Service) SeriesCount() int {
 	}
 	return n
 }
+
+// SelfStats is the metrics plane's observation of itself.
+type SelfStats struct {
+	// Samples counts samples the plane interceptor published.
+	Samples int64
+	// OverheadNs is cumulative host-clock time spent inside the plane
+	// interceptor's publish step. Zero unless SetHostClock was called:
+	// the simulator measures its own cost only when a real-time source
+	// is explicitly injected, keeping simulated runs deterministic.
+	OverheadNs int64
+}
+
+// SelfStats reports the service's self-telemetry counters.
+func (s *Service) SelfStats() SelfStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return SelfStats{
+		Samples:    s.samples,
+		OverheadNs: atomic.LoadInt64(&s.overheadNs),
+	}
+}
+
+// addOverhead accumulates host-clock interceptor time.
+func (s *Service) addOverhead(ns int64) {
+	if ns > 0 {
+		atomic.AddInt64(&s.overheadNs, ns)
+	}
+}
+
+// hostClock, when set, is a real-time nanosecond source used solely to
+// measure the interceptor's own overhead (SelfStats.OverheadNs).
+var hostClock atomic.Value // of func() int64
+
+// SetHostClock injects a host (wall) nanosecond clock for interceptor
+// overhead measurement. The simulator core never sets one — simulated
+// runs measure zero overhead and stay deterministic; diyctl injects
+// time.Now-based nanos so interactive runs can report the telemetry
+// tax in `diyctl metrics`.
+func SetHostClock(fn func() int64) {
+	if fn == nil {
+		return
+	}
+	hostClock.Store(fn)
+}
+
+// hostNow reads the injected host clock, or 0 when none is set.
+func hostNow() int64 {
+	if fn, ok := hostClock.Load().(func() int64); ok {
+		return fn()
+	}
+	return 0
+}
+
+// HostNow exposes the injected host clock to the rest of the module:
+// nanoseconds from the SetHostClock source, or 0 when none is set.
+// The fleet control tower times its host-side phases (profile
+// generation, shard drain, aggregation, per-account install vs replay)
+// through this so simulated and test runs — which never inject a host
+// clock — measure zero everywhere and stay bit-identical, while
+// interactive diyctl runs see real durations.
+func HostNow() int64 { return hostNow() }

@@ -373,3 +373,105 @@ func TestConcurrent(t *testing.T) {
 		t.Fatalf("count = %d", got)
 	}
 }
+
+// TestHandleInterningInvisible pins that interning a handle is free:
+// until a sample lands, the series does not exist for listings,
+// counts, or the inventory bill.
+func TestHandleInterningInvisible(t *testing.T) {
+	s := New()
+	h := s.Handle("svc/op", MetricPlaneRequests)
+	if got := s.SeriesCount(); got != 0 {
+		t.Fatalf("SeriesCount = %d after interning only, want 0", got)
+	}
+	if got := s.Metrics("svc/op"); len(got) != 0 {
+		t.Fatalf("Metrics listed %v for an unsampled series", got)
+	}
+	if got := s.Namespaces(); len(got) != 0 {
+		t.Fatalf("Namespaces listed %v for an unsampled series", got)
+	}
+	s.Record("svc/op", MetricPlaneRequests, t0, 1)
+	if got := s.SeriesCount(); got != 1 {
+		t.Fatalf("SeriesCount = %d after first sample, want 1", got)
+	}
+	// Re-interning resolves to the same handle.
+	if h2 := s.Handle("svc/op", MetricPlaneRequests); h2 != h {
+		t.Fatalf("re-interning returned handle %d, want %d", h2, h)
+	}
+}
+
+// TestChunkedStatsAgainstBruteForce crosses chunk and bucket
+// boundaries (several thousand samples, shuffled arrival order) and
+// compares every windowed statistic against a straight recomputation,
+// so the chunked columns, the out-of-order shift path, and the bucket
+// pre-aggregation all agree with the obvious implementation.
+func TestChunkedStatsAgainstBruteForce(t *testing.T) {
+	s := New()
+	const n = 3 * chunkLen // three full chunks and change
+	rng := rand.New(rand.NewSource(42))
+	type dat struct {
+		at time.Time
+		v  float64
+	}
+	all := make([]dat, n)
+	for i := range all {
+		all[i] = dat{at: t0.Add(time.Duration(i) * time.Second), v: rng.Float64() * 1000}
+	}
+	// Publish in shuffled order: exercises the insert-shift path across
+	// chunk boundaries and the bucket invalidation it triggers.
+	perm := rng.Perm(n)
+	for _, i := range perm {
+		s.Record("svc/op", MetricPlaneLatencyMs, all[i].at, all[i].v)
+	}
+
+	windows := []struct{ lo, hi int }{
+		{0, n},                           // everything
+		{0, 10},                          // inside the first bucket
+		{bucketSize - 3, bucketSize + 3}, // straddling a bucket edge
+		{chunkLen - 5, chunkLen + 5},     // straddling a chunk edge
+		{chunkLen, 2 * chunkLen},         // exactly one whole chunk
+		{17, n - 17},                     // partial edges both sides
+	}
+	for _, w := range windows {
+		from, to := all[w.lo].at, all[w.hi-1].at
+		var sum, min, max float64
+		for i := w.lo; i < w.hi; i++ {
+			v := all[i].v
+			sum += v
+			if i == w.lo || v < min {
+				min = v
+			}
+			if i == w.lo || v > max {
+				max = v
+			}
+		}
+		if got := s.Count("svc/op", MetricPlaneLatencyMs, from, to); got != w.hi-w.lo {
+			t.Errorf("window [%d,%d): Count = %d, want %d", w.lo, w.hi, got, w.hi-w.lo)
+		}
+		if got := s.Min("svc/op", MetricPlaneLatencyMs, from, to); got != min {
+			t.Errorf("window [%d,%d): Min = %v, want %v", w.lo, w.hi, got, min)
+		}
+		if got := s.Max("svc/op", MetricPlaneLatencyMs, from, to); got != max {
+			t.Errorf("window [%d,%d): Max = %v, want %v", w.lo, w.hi, got, max)
+		}
+		// Bucketed summation reorders float adds, so compare against the
+		// in-order sum with a relative tolerance instead of bit equality.
+		if got := s.Sum("svc/op", MetricPlaneLatencyMs, from, to); !closeEnough(got, sum) {
+			t.Errorf("window [%d,%d): Sum = %v, want %v", w.lo, w.hi, got, sum)
+		}
+	}
+}
+
+func closeEnough(a, b float64) bool {
+	diff := a - b
+	if diff < 0 {
+		diff = -diff
+	}
+	scale := b
+	if scale < 0 {
+		scale = -scale
+	}
+	if scale < 1 {
+		scale = 1
+	}
+	return diff <= 1e-9*scale
+}

@@ -57,7 +57,6 @@ const (
 	// inventory bill, so the default stays off and ledger goldens
 	// unmoved).
 	MetricTelemetrySamples    = "telemetry.self.samples"
-	MetricTelemetryFlushes    = "telemetry.self.flushes"
 	MetricTelemetryEvents     = "telemetry.self.events"
 	MetricTelemetryBytes      = "telemetry.self.bytes"
 	MetricTelemetryOverheadNs = "telemetry.self.overhead.ns"
@@ -90,7 +89,6 @@ var registered = []string{
 	MetricLambdaPeakMB,
 	MetricLambdaCold,
 	MetricTelemetrySamples,
-	MetricTelemetryFlushes,
 	MetricTelemetryEvents,
 	MetricTelemetryBytes,
 	MetricTelemetryOverheadNs,

@@ -3,16 +3,14 @@ package metrics
 import "sync"
 
 // Fleet-scale allocation recycling. A fleet run builds and discards
-// one Service per account — tens of thousands of 16 KiB column chunks
-// and pairs of batch staging buffers, each zeroed by the allocator and
-// scanned into cache just to hold a few dozen samples. The pools below
-// recycle both across accounts. Reuse is safe without clearing: every
-// read of chunk columns is bounded by the owning series' sample count
-// (sx.n), which starts at zero for a fresh series, and batch buffers
-// are always appended from length zero — stale bytes beyond the
-// high-water mark are never observed, so replay identity is untouched
-// (the telemetry-on ledger parity test runs entirely on pooled
-// storage).
+// one Service per account — tens of thousands of 16 KiB column chunks,
+// each zeroed by the allocator and scanned into cache just to hold a
+// few dozen samples. The pool below recycles them across accounts.
+// Reuse is safe without clearing: every read of chunk columns is
+// bounded by the owning series' sample count (sx.n), which starts at
+// zero for a fresh series — stale bytes beyond the high-water mark are
+// never observed, so replay identity is untouched (the telemetry-on
+// ledger parity test runs entirely on pooled storage).
 
 // chunkPool recycles column chunks across Services. A checkout is
 // owned by exactly one series on one account's store; no sim state
@@ -22,23 +20,11 @@ var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
 // newChunk draws a (possibly dirty — see above) chunk from the pool.
 func newChunk() *chunk { return chunkPool.Get().(*chunk) }
 
-// sampleBufPool recycles Batch staging buffers (batchCap-sized sample
-// slices), pooled as pointers so the slice header itself does not
-// allocate on the way in.
-var sampleBufPool = sync.Pool{New: func() any {
-	s := make([]sample, 0, batchCap)
-	return &s
-}}
-
-func newSampleBuf() []sample  { return (*(sampleBufPool.Get().(*[]sample)))[:0] }
-func putSampleBuf(s []sample) { s = s[:0]; sampleBufPool.Put(&s) }
-
-// Recycle returns the service's storage — every series' chunks and
-// every batch's staging buffers — to the process-wide pools and leaves
-// the service empty. Callers that are done with a short-lived store
-// (the fleet engine, once an account's series are reduced) call it
-// instead of leaving the chunks to the garbage collector; the service
-// must not be used afterwards except to be dropped.
+// Recycle returns every series' chunks to the process-wide pool and
+// leaves the service empty. Callers that are done with a short-lived
+// store (the fleet engine, once an account's series are reduced) call
+// it instead of leaving the chunks to the garbage collector; the
+// service must not be used afterwards except to be dropped.
 func (s *Service) Recycle() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -51,18 +37,5 @@ func (s *Service) Recycle() {
 	}
 	s.series = nil
 	s.index = nil
-	for _, b := range s.batches {
-		b.mu.Lock()
-		if b.buf != nil {
-			putSampleBuf(b.buf)
-			b.buf = nil
-		}
-		if b.spare != nil {
-			putSampleBuf(b.spare)
-			b.spare = nil
-		}
-		b.mu.Unlock()
-	}
-	s.batches = nil
 	s.alarms = nil
 }

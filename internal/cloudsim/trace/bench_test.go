@@ -29,7 +29,7 @@ func benchTrace(start time.Time) *Trace {
 
 // BenchmarkTraceRecord prices the store's publish path: one sampling
 // decision, one five-span trace built and staged, one amortized share
-// of the tick-boundary columnar fold. This is the per-request cost a
+// of the read-time columnar fold. This is the per-request cost a
 // traced account adds, gated in BENCH_cloudsim.json.
 func BenchmarkTraceRecord(b *testing.B) {
 	s := NewStore(nil)
@@ -50,7 +50,7 @@ func BenchmarkTraceRecord(b *testing.B) {
 			s.Record(benchTrace(at))
 		}
 		if i%64 == 63 {
-			s.Flush() // the clock-tick drain, amortized
+			s.Len() // a read folds the staged traces, amortized
 		}
 	}
 }
@@ -64,7 +64,7 @@ func BenchmarkServiceMap(b *testing.B) {
 		at = at.Add(40 * time.Second)
 		s.Record(benchTrace(at))
 	}
-	s.Flush()
+	s.Len() // fold before timing
 	book := pricing.Default2017()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -11,10 +11,9 @@ import (
 )
 
 // Store is the X-Ray-sim backend: head-sampled traces staged on the
-// hot path and folded into columnar storage at the clock's tick
-// boundary, so recording a trace is a pointer append and reads never
-// observe a half-published one. It replaces the old bounded Recorder
-// ring.
+// hot path and folded into columnar storage at the next read, so
+// recording a trace is a pointer append and reads never observe a
+// half-published one. It replaces the old bounded Recorder ring.
 //
 // The layout follows the logs store's shape: service and operation
 // names are interned once into string tables, each stored trace is a
@@ -33,9 +32,10 @@ type Store struct {
 	mu      sync.Mutex
 	sampler *sampler
 
-	// pending holds kept traces staged by Record, drained into the
-	// columns by Flush (wired to clock.OnTick) or forced before any
-	// read. Traces whose root is still open stay staged.
+	// pending holds kept traces staged by Record, folded into the
+	// columns at the start of every read. A trace is recorded before
+	// its root span finishes, so traces whose root is still open stay
+	// staged until a later read.
 	pending []*Trace
 
 	// Interned name tables. Handles index svcs/ops.
@@ -120,7 +120,7 @@ func (s *Store) Decide(service, op string, at time.Time) bool {
 }
 
 // Record stages a kept trace for publication. The trace is folded
-// into columnar storage at the next Flush once its root span has
+// into columnar storage at the first read after its root span has
 // finished; recording is a single pointer append so the hot path
 // never touches the columns readers scan. Nil stores and traces are
 // no-ops.
@@ -133,19 +133,10 @@ func (s *Store) Record(t *Trace) {
 	s.mu.Unlock()
 }
 
-// Flush drains staged traces into columnar storage. The cloud wires
-// this to clock.OnTick so publication happens at deterministic
-// timeline steps; every read also forces it, so reads are always
-// consistent with everything recorded before them.
-func (s *Store) Flush() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.flushLocked()
-	s.mu.Unlock()
-}
-
+// flushLocked folds every staged trace whose root has finished into
+// the columns, in Record order. Every read calls it first, so reads are
+// consistent with everything recorded and finished before them.
+// Caller holds s.mu.
 func (s *Store) flushLocked() {
 	if len(s.pending) == 0 {
 		return

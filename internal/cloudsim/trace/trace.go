@@ -19,7 +19,7 @@
 // is internally locked so concurrent flows may safely share a Store
 // and read finished traces from other goroutines. The Store is the
 // X-Ray-sim backend proper: head-sampled (see SamplerConfig) traces
-// folded into columnar storage at clock ticks, priced at 2017 X-Ray
+// folded into columnar storage at the next read, priced at 2017 X-Ray
 // rates, and queried for service maps, critical paths and filter
 // expressions.
 package trace

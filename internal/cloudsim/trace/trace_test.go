@@ -204,8 +204,8 @@ func TestStoreBasics(t *testing.T) {
 	if !ok || last.Name() != "b" {
 		t.Fatal("last != b")
 	}
-	// An unfinished trace stays staged, invisible to reads, until
-	// finished and re-flushed.
+	// An unfinished trace stays staged, invisible to reads, until it
+	// finishes and a later read folds it.
 	c := New("c", t0.Add(2*time.Second))
 	s.Record(c)
 	if got := len(s.Stored()); got != 2 {
@@ -222,7 +222,6 @@ func TestStoreBasics(t *testing.T) {
 	}
 	var nilStore *Store
 	nilStore.Record(a)
-	nilStore.Flush()
 	if nilStore.Len() != 0 || nilStore.Stored() != nil || !nilStore.Decide("x", "y", t0) {
 		t.Fatal("nil store misbehaved")
 	}

@@ -145,7 +145,7 @@ type CloudOptions struct {
 	// default reservoir-plus-5% rule.
 	TraceSampling *trace.SamplerConfig
 	// SelfTelemetry lets the telemetry plane record its own counters
-	// (samples batched, events ingested, bytes, flushes, interceptor
+	// (samples published, events ingested, bytes, interceptor
 	// overhead) as telemetry.* metric series via
 	// Cloud.PublishSelfTelemetry. Off by default: the extra series feed
 	// the CloudWatch custom-metric inventory, so silent self-observation
@@ -226,28 +226,18 @@ func NewCloud(opts CloudOptions) (*Cloud, error) {
 		c.KMS.SetLogs(c.Logs)
 	}
 
-	// Clock movement is the deterministic publication boundary for the
-	// batched telemetry interceptors: every Advance/Set drains the
-	// pending metric samples, log events and staged traces into their
-	// stores. Reads force their own flush too, so this is a latency
-	// bound, not a correctness requirement.
-	c.Clock.OnTick(func(time.Time) {
-		c.Metrics.FlushBatches()
-		c.Logs.FlushBatches()
-		c.Tracer.Flush()
-	})
 	c.selfTelemetry = opts.SelfTelemetry
 	c.Attest = shared.Attest
 	return c, nil
 }
 
 // PublishSelfTelemetry records the telemetry plane's own counters as
-// telemetry.* metric series timestamped at: batched metric samples and
-// flushes, interceptor overhead (zero unless a host clock was
-// injected; see metrics.SetHostClock), and the log plane's ingested
-// event and byte totals. No-op unless CloudOptions.SelfTelemetry was
-// set — the series count feeds the CloudWatch inventory bill, so
-// self-observation is opt-in.
+// telemetry.* metric series timestamped at: published metric samples,
+// interceptor overhead (zero unless a host clock was injected; see
+// metrics.SetHostClock), and the log plane's ingested event and byte
+// totals. No-op unless CloudOptions.SelfTelemetry was set — the series
+// count feeds the CloudWatch inventory bill, so self-observation is
+// opt-in.
 func (c *Cloud) PublishSelfTelemetry(at time.Time) {
 	if !c.selfTelemetry {
 		return

@@ -93,7 +93,7 @@ func simulateAccount(cfg *Config, shared *core.Shared, profile workload.AccountP
 	o.events = events
 	if cfg.Tower != nil && o.err == nil {
 		// Reduce the account's CloudWatch series while the store is hot,
-		// then recycle its chunks and batch buffers (below) — the fleet
+		// then recycle its column chunks (below) — the fleet
 		// builds and drops one store per account, and pooling that
 		// storage is what keeps the telemetry bench within budget.
 		cfg.Tower.ObserveAccount(a.cloud.Metrics, telemetry.AccountObservation{
