@@ -60,7 +60,7 @@ func BenchmarkTable2DIYCosts(b *testing.B) {
 func BenchmarkTable3ChatPrototype(b *testing.B) {
 	var run, billed, e2e time.Duration
 	for i := 0; i < b.N; i++ {
-		t3, err := experiments.RunTable3(experiments.Table3Config{Sends: 200})
+		t3, _, err := experiments.RunTable3(experiments.Table3Config{Sends: 200})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -48,25 +48,10 @@ func main() {
 		fmt.Println(experiments.RenderTable2Measured(measured))
 	}
 	if all || *table == 3 {
-		t3, err := experiments.RunTable3(experiments.Table3Config{Sends: *sends, Seed: *seed})
+		t3, evidence, err := experiments.RunTable3(experiments.Table3Config{Sends: *sends, Seed: *seed})
 		check(err)
 		fmt.Println(t3.Render())
-
-		tr3, err := experiments.RunTrace3(*sends, *seed)
-		check(err)
-		fmt.Println(tr3.Render())
-
-		x3, err := experiments.RunXRay3(*sends, *seed)
-		check(err)
-		fmt.Println(x3.Render())
-
-		m3, err := experiments.RunMetrics3(experiments.Table3Config{Sends: *sends, Seed: *seed})
-		check(err)
-		fmt.Println(m3.Render())
-
-		l3, err := experiments.RunLogs3(experiments.Table3Config{Sends: *sends, Seed: *seed})
-		check(err)
-		fmt.Println(l3.Render())
+		fmt.Println(evidence.Render())
 	}
 	if all || *figure == 1 {
 		tr, err := experiments.RunFigure1()

@@ -229,6 +229,13 @@ func TestBudgetAlarm(t *testing.T) {
 	if !last.At.Equal(t0.Add(5 * time.Hour)) {
 		t.Fatalf("alarm fired at %v", last.At)
 	}
+	// Climbing spend walks the whole chain exactly once:
+	// INSUFFICIENT_DATA -> OK -> ALARM.
+	if len(trs) != 2 ||
+		trs[0].From != StateInsufficient || trs[0].To != StateOK ||
+		trs[1].From != StateOK || trs[1].To != StateAlarm {
+		t.Errorf("transitions = %v, want INSUFFICIENT_DATA -> OK -> ALARM", trs)
+	}
 }
 
 // The determinism gate: the same seeded scenario must produce a

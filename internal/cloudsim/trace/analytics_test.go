@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -82,11 +81,21 @@ func TestServiceMapDerivation(t *testing.T) {
 	if ls3 == nil || ls3.Requests != 1 || ls3.Errors != 1 {
 		t.Errorf("lambda->s3 edge = %+v", ls3)
 	}
-	out := m.Render()
-	for _, frag := range []string{"service map — 2 traces, 5 services, 4 edges", "lambda -> s3", "SERVICE"} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("render missing %q:\n%s", frag, out)
-		}
+	// The render, pinned whole: node rows busiest first, then edges.
+	want := `service map — 2 traces, 5 services, 4 edges
+  SERVICE        SPANS  ERRORS         AVG       TOTAL           COST
+  client             2       0       400ms       800ms    $0.00000000
+  gateway            2       0       380ms       760ms    $0.00000000
+  lambda             2       0       360ms       720ms    $0.00000186
+  kms                1       0        10ms        10ms    $0.00000300
+  s3                 1       1       360ms       360ms    $0.00000040
+  client -> gateway             2       0       380ms    $0.00000000
+  gateway -> lambda             2       0       360ms    $0.00000186
+  lambda -> kms                 1       0        10ms    $0.00000300
+  lambda -> s3                  1       1       360ms    $0.00000040
+`
+	if got := m.Render(); got != want {
+		t.Errorf("render:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -153,6 +162,20 @@ func TestCriticalProfileAndMerge(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("lambda u-chat not hit twice: %+v", whole.Steps)
+	}
+	// The render, pinned whole: steps by total self time, then the
+	// histogram.
+	want := `critical path — 2 traces
+  STEP                              HITS    AVG SELF  TOTAL SELF
+  s3 s3:GetObject                      1       360ms       360ms
+  lambda u-chat                        2       175ms       350ms
+  client chat-send                     2        20ms        40ms
+  gateway /u/chat                      2        20ms        40ms
+  kms kms:Decrypt                      1        10ms        10ms
+  duration histogram:  <50ms=0  50-100ms=0  100-250ms=1  250-500ms=0  500ms-1s=1  >=1s=0
+`
+	if got := whole.Render(); got != want {
+		t.Errorf("render:\n%s\nwant:\n%s", got, want)
 	}
 	// Split-window merge equals the whole-window profile.
 	first := s.CriticalProfile(time.Time{}, t0.Add(time.Second))

@@ -32,7 +32,7 @@ func RunMemorySweep(sends int) ([]MemoryPoint, error) {
 	}
 	var out []MemoryPoint
 	for _, mem := range []int{128, 192, 256, 448, 704, 960, 1216, 1536} {
-		t3, err := RunTable3(Table3Config{Sends: sends, MemoryMB: mem})
+		t3, _, err := RunTable3(Table3Config{Sends: sends, MemoryMB: mem})
 		if err != nil {
 			return nil, fmt.Errorf("memory sweep at %d MB: %w", mem, err)
 		}
@@ -189,7 +189,7 @@ func RunBackendComparison(sends int) ([]BackendPoint, error) {
 		if cfgBackend == "s3" {
 			cfgBackend = ""
 		}
-		t3, err := RunTable3(Table3Config{Sends: sends, Backend: cfgBackend})
+		t3, _, err := RunTable3(Table3Config{Sends: sends, Backend: cfgBackend})
 		if err != nil {
 			return nil, fmt.Errorf("backend %s: %w", backend, err)
 		}

@@ -99,7 +99,7 @@ func TestTable2FullAccountingOrdering(t *testing.T) {
 }
 
 func TestTable3MatchesPaperShape(t *testing.T) {
-	t3, err := RunTable3(Table3Config{Sends: 200})
+	t3, _, err := RunTable3(Table3Config{Sends: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestTable3SeedRobustness(t *testing.T) {
 	// different latency-model seeds the medians stay in the paper's
 	// neighborhood and billed time stays pinned at the 200 ms quantum.
 	for _, seed := range []int64{2, 7, 1234} {
-		t3, err := RunTable3(Table3Config{Sends: 120, Seed: seed})
+		t3, _, err := RunTable3(Table3Config{Sends: 120, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

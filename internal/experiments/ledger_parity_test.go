@@ -72,7 +72,7 @@ func TestLedgerParityTable2(t *testing.T) {
 }
 
 func TestLedgerParityTable3(t *testing.T) {
-	tbl, err := RunTable3(Table3Config{})
+	tbl, _, err := RunTable3(Table3Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,4 +86,14 @@ func TestLedgerParityTable3(t *testing.T) {
 		tbl.AllocatedMB, tbl.PeakMemoryMB, int64(tbl.CostPer100K),
 		tbl.Samples, tbl.ColdStarts)
 	checkGolden(t, "ledger_table3.golden", sb.String())
+}
+
+// TestLedgerParityTable3Evidence pins the reconciled evidence block:
+// every source's reading of the default run and each store's bill.
+func TestLedgerParityTable3Evidence(t *testing.T) {
+	_, ev, err := RunTable3(Table3Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "ledger_table3_evidence.golden", ev.Render())
 }

@@ -10,7 +10,7 @@ go vet ./...
 echo ">> diylint ./... (domain invariants: wallclock, globalrand, moneyfloat, spanhygiene, planeroute, metricname, loggroup, hotpath, droppederr, maporder, globalstate, shardsafe)"
 go run ./cmd/diylint ./...
 
-echo ">> ledger parity (Tables 1-3 + metrics3 + logs3 + xray3 bit-identical to committed goldens; observability/logging/tracing on == off)"
+echo ">> ledger parity (Tables 1-3 + the reconciled Table 3 evidence bit-identical to committed goldens; observability/logging/tracing on == off)"
 go test ./internal/experiments -run 'TestLedgerParity|TestObservabilityPreservesLedger|TestLogsPreserveLedger|TestTracePreservesLedger'
 
 echo ">> alarm determinism (two identically-seeded runs, transition logs diffed)"
