@@ -16,7 +16,7 @@ import (
 // pointer-receiver method call such as sync.Pool.Get, Mutex.Lock,
 // atomic.Value.Store). Immutable tables, error sentinels, and compiled
 // regexps are naturally silent. Deliberate process-wide state — a
-// sync.Pool of scratch encoders, a registered-at-init op registry —
+// sync.Pool of column chunks, a registered-at-init op registry —
 // carries a justified .diylint-allow entry.
 var GlobalState = &Analyzer{
 	Name: "globalstate",

@@ -14,8 +14,7 @@ import (
 // sync.Mutex/RWMutex Lock in the body, or the repo's *Locked naming
 // convention marking the caller as holding the lock. Locals declared in
 // the function body are shard-private and free to mutate. Deliberate
-// unguarded writes (a pool-owned scratch encoder used by one goroutine
-// per checkout) carry a justified .diylint-allow entry.
+// unguarded writes carry a justified .diylint-allow entry.
 var ShardSafe = &Analyzer{
 	Name: "shardsafe",
 	Doc:  "code reachable from concurrency seams (plane interceptors, fleet shard workers) must guard shared field writes with a mutex or *Locked convention",

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // This file is the columnar Insights evaluator. Query pipelines run
@@ -175,7 +176,7 @@ func (ex *colExec) timestamp(ri int32) string {
 	}
 	if ex.tsMemo[ri] == "" {
 		ref := ex.refs[ri]
-		ex.tsMemo[ri] = ref.st.times[ref.i].UTC().Format("2006-01-02 15:04:05.000")
+		ex.tsMemo[ri] = time.Unix(0, ref.time()).UTC().Format("2006-01-02 15:04:05.000")
 	}
 	return ex.tsMemo[ri]
 }

@@ -3,7 +3,6 @@ package logs
 import (
 	"errors"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/cloudsim/clock"
@@ -26,20 +25,16 @@ import (
 // cannot move a ledger-parity golden by a nanodollar
 // (TestLogsPreserveLedger proves bit-identity with logging off).
 //
-// The hot path is allocation-lean: a pooled encoder renders the
-// message with append-style formatting (the numeric field values are
-// substrings of the message, not separate allocations), fields go into
-// typed slots instead of a map, group names intern once per service,
-// and the finished event is appended straight into the store.
+// The hot path is allocation-lean: the message is built with
+// append-style formatting in a fixed-size stack buffer (the numeric
+// field values are substrings of the message, not separate
+// allocations), fields go into a stack array of typed slots instead of
+// a map, and the finished event is appended straight into the store
+// under its one lock, which also interns the plane group per service.
 // The `hotpath` diylint analyzer keeps fmt formatting and map literals
 // out of this path.
 func PlaneInterceptor(s *Service, book *pricing.PriceBook, clk clock.Clock) plane.Interceptor {
-	pub := &logPublisher{
-		svc:    s,
-		book:   book,
-		clk:    clk,
-		groups: make(map[string]string),
-	}
+	pub := &logPublisher{svc: s, book: book, clk: clk}
 	return func(next plane.HandlerFunc) plane.HandlerFunc {
 		return func(req *plane.Request) error {
 			err := next(req)
@@ -49,37 +44,12 @@ func PlaneInterceptor(s *Service, book *pricing.PriceBook, clk clock.Clock) plan
 	}
 }
 
-// encoder is a reusable message/field-slot builder. Pooled so
-// concurrent flows each grab their own scratch buffers instead of
-// allocating per event.
-type encoder struct {
-	buf    []byte
-	fields []field
-}
-
-var encPool = sync.Pool{New: func() any { return new(encoder) }}
-
-// logPublisher is the per-interceptor publication state.
+// logPublisher is the per-interceptor publication state. It holds no
+// lock of its own: everything mutable lives in the store.
 type logPublisher struct {
 	svc  *Service
 	book *pricing.PriceBook
 	clk  clock.Clock
-
-	mu     sync.Mutex
-	groups map[string]string // service -> interned "plane/<service>"
-}
-
-// group interns the plane log-group name for a service, building the
-// string once per service rather than once per call.
-func (p *logPublisher) group(service string) string {
-	p.mu.Lock()
-	g, ok := p.groups[service]
-	if !ok {
-		g = PlaneGroup(service)
-		p.groups[service] = g
-	}
-	p.mu.Unlock()
-	return g
 }
 
 // publish encodes and stores the call's event. The message rendering
@@ -88,7 +58,7 @@ func (p *logPublisher) group(service string) string {
 //	"%s:%s outcome=%s latency_ms=%s cost_nanodollars=%d principal=%s"
 //
 // Sprintf (log-stream determinism goldens pin it), built with append
-// formatting into a pooled buffer instead.
+// formatting into a stack buffer instead.
 func (p *logPublisher) publish(req *plane.Request, err error) {
 	at := req.Ctx.Now()
 	if at.IsZero() && p.clk != nil {
@@ -117,9 +87,8 @@ func (p *logPublisher) publish(req *plane.Request, err error) {
 		ms = float64(at.Sub(start)) / float64(time.Millisecond)
 	}
 
-	enc := encPool.Get().(*encoder)
-	b := enc.buf[:0]
-	b = append(b, req.Call.Service...)
+	var buf [160]byte
+	b := append(buf[:0], req.Call.Service...)
 	b = append(b, ':')
 	b = append(b, req.Call.Op...)
 	b = append(b, " outcome="...)
@@ -138,11 +107,10 @@ func (p *logPublisher) publish(req *plane.Request, err error) {
 	costHi := len(b)
 	b = append(b, " principal="...)
 	b = append(b, principal...)
-	enc.buf = b
 	msg := string(b)
 
-	fs := enc.fields[:0]
-	fs = append(fs,
+	var slots [8]field
+	fs := append(slots[:0],
 		field{k: "service", v: req.Call.Service},
 		field{k: "op", v: req.Call.Op},
 		field{k: "outcome", v: outcome},
@@ -160,18 +128,20 @@ func (p *logPublisher) publish(req *plane.Request, err error) {
 	if err != nil {
 		fs = append(fs, field{k: "error", v: err.Error()})
 	}
-	enc.fields = fs
-
-	p.svc.appendEvent(p.group(req.Call.Service), req.Call.Op, at, msg, fs)
-	encPool.Put(enc)
+	p.svc.appendPlaneEvent(req.Call.Service, req.Call.Op, at, msg, fs)
 }
 
-// appendEvent lands one event in group/stream, creating both on first
-// use. The fields are copied into the stream's arena, so the caller may
-// reuse fs immediately.
-func (s *Service) appendEvent(groupName, streamName string, at time.Time, msg string, fs []field) {
+// appendPlaneEvent lands one plane event in group "plane/<service>",
+// stream op, creating both on first use; the service's group is
+// interned so its name is built once. The fields are copied into the
+// stream's arena, so the caller's slots may live on its stack.
+func (s *Service) appendPlaneEvent(service, op string, at time.Time, msg string, fs []field) {
 	s.mu.Lock()
-	g := s.ensureGroupLocked(groupName)
-	s.appendLocked(g, s.ensureStreamLocked(g, streamName), at, msg, fs)
+	g := s.planeGroups[service]
+	if g == nil {
+		g = s.ensureGroupLocked(PlaneGroup(service))
+		s.planeGroups[service] = g
+	}
+	s.appendLocked(g, s.ensureStreamLocked(g, op), at, msg, fs)
 	s.mu.Unlock()
 }

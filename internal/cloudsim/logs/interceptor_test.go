@@ -2,6 +2,7 @@ package logs
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -154,5 +155,63 @@ func TestPlaneInterceptorClockFallback(t *testing.T) {
 	// rather than record a bogus zero.
 	if _, ok := evs[0].Fields["latency_ms"]; ok {
 		t.Fatalf("latency field on cursor-less flow: %v", evs[0].Fields)
+	}
+}
+
+// TestInterceptorConcurrentPublishers is the -race gate for the
+// single-lock publish path: concurrent flows build their events in
+// stack buffers and append under the store lock while a reader scans
+// the group, and no event is lost.
+func TestInterceptorConcurrentPublishers(t *testing.T) {
+	s := New(clock.NewVirtual())
+	p := plane.New(nil, nil, nil)
+	p.Use(PlaneInterceptor(s, pricing.Default2017(), clock.NewVirtual()))
+	const goroutines, per = 4, 500
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ctx := &sim.Context{Principal: "fn", Cursor: sim.NewCursor(clock.Epoch.Add(time.Duration(g) * time.Hour))}
+			call := &plane.Call{Service: "svc", Op: "op"}
+			for i := 0; i < per; i++ {
+				ctx.Cursor.Advance(time.Millisecond)
+				if err := p.Do(ctx, call, func(*plane.Request) error { return nil }); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() {
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				s.Events(PlaneGroup("svc"), time.Time{}, time.Time{})
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	evs := s.Events(PlaneGroup("svc"), time.Time{}, time.Time{})
+	if len(evs) != goroutines*per {
+		t.Fatalf("Events = %d after concurrent publication, want %d", len(evs), goroutines*per)
+	}
+	for i, e := range evs {
+		if e.Fields["principal"] != "fn" || e.Fields["outcome"] != "ok" {
+			t.Fatalf("event %d fields = %v", i, e.Fields)
+		}
+		if i > 0 && e.Time.Before(evs[i-1].Time) {
+			t.Fatalf("event %d at %v precedes event %d at %v", i, e.Time, i-1, evs[i-1].Time)
+		}
+	}
+	if got, want := s.SelfStats().Events, int64(goroutines*per); got != want {
+		t.Fatalf("SelfStats().Events = %d, want %d", got, want)
+	}
+	if got := s.Groups(); len(got) != 1 || got[0] != PlaneGroup("svc") {
+		t.Fatalf("Groups = %v, want one plane group", got)
 	}
 }

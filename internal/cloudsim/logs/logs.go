@@ -76,10 +76,12 @@ type field struct{ k, v string }
 
 // stream is one append-only event sequence inside a group, stored as
 // parallel columns. Event i is (times[i], msgs[i], seqs[i]) with
-// structured fields fields[fieldLo[i]:fieldHi[i]].
+// structured fields fields[fieldLo[i]:fieldHi[i]]. Timestamps are
+// UnixNano, like the metrics and trace columns, so the time column is
+// pointer-free; time.Time is rebuilt only when an event is rendered.
 type stream struct {
 	name    string
-	times   []time.Time
+	times   []int64
 	msgs    []string
 	seqs    []int64
 	fieldLo []int32
@@ -99,6 +101,9 @@ type eventRef struct {
 	st *stream
 	i  int32
 }
+
+// time returns the event's UnixNano timestamp.
+func (r eventRef) time() int64 { return r.st.times[r.i] }
 
 // group is a named set of streams under one retention policy.
 type group struct {
@@ -131,9 +136,8 @@ func (g *group) mergedRefs() []eventRef {
 	// never share a seq — so the map's iteration order cannot leak.
 	sort.Slice(refs, func(i, j int) bool {
 		a, b := refs[i], refs[j]
-		at, bt := a.st.times[a.i], b.st.times[b.i]
-		if !at.Equal(bt) {
-			return at.Before(bt)
+		if at, bt := a.time(), b.time(); at != bt {
+			return at < bt
 		}
 		if a.st.name != b.st.name {
 			return a.st.name < b.st.name
@@ -148,20 +152,7 @@ func (g *group) mergedRefs() []eventRef {
 // in [from, to] (zero times mean unbounded).
 func (g *group) windowRefs(from, to time.Time) []eventRef {
 	refs := g.mergedRefs()
-	lo, hi := 0, len(refs)
-	if !from.IsZero() {
-		lo = sort.Search(len(refs), func(i int) bool {
-			return !refs[i].st.times[refs[i].i].Before(from)
-		})
-	}
-	if !to.IsZero() {
-		hi = sort.Search(len(refs), func(i int) bool {
-			return refs[i].st.times[refs[i].i].After(to)
-		})
-	}
-	if hi < lo {
-		hi = lo
-	}
+	lo, hi := sortutil.Window(len(refs), func(i int) int64 { return refs[i].time() }, from, to)
 	return refs[lo:hi]
 }
 
@@ -181,6 +172,7 @@ type Service struct {
 
 	mu            sync.Mutex
 	groups        map[string]*group
+	planeGroups   map[string]*group // service -> its "plane/<service>" group
 	ingestedBytes int64
 	storedBytes   int64
 
@@ -195,7 +187,7 @@ func New(clk clock.Clock) *Service {
 	if clk == nil {
 		clk = clock.Wall{}
 	}
-	return &Service{clk: clk, groups: make(map[string]*group)}
+	return &Service{clk: clk, groups: make(map[string]*group), planeGroups: make(map[string]*group)}
 }
 
 // CreateGroup provisions a log group. Creating an existing group is a
@@ -277,7 +269,7 @@ func (s *Service) appendLocked(g *group, st *stream, at time.Time, msg string, f
 	s.ingestedBytes += b
 	s.storedBytes += b
 	s.ingestedEvents++
-	st.times = append(st.times, at)
+	st.times = append(st.times, at.UnixNano())
 	st.msgs = append(st.msgs, msg)
 	st.seqs = append(st.seqs, st.nextSeq)
 	st.nextSeq++
@@ -364,7 +356,7 @@ func storedEventBytes(st *stream, i int32) int64 {
 func materialize(groupName string, ref eventRef) StoredEvent {
 	st := ref.st
 	e := StoredEvent{
-		Event:  Event{Time: st.times[ref.i], Message: st.msgs[ref.i]},
+		Event:  Event{Time: time.Unix(0, ref.time()).UTC(), Message: st.msgs[ref.i]},
 		Group:  groupName,
 		Stream: st.name,
 		Seq:    st.seqs[ref.i],
@@ -421,11 +413,11 @@ func (s *Service) ApplyRetention(now time.Time) {
 		if g.retention <= 0 {
 			continue
 		}
-		cutoff := now.Add(-g.retention)
+		cutoff := now.Add(-g.retention).UnixNano()
 		for _, st := range g.streams {
 			n, fn := 0, int32(0)
 			for i := range st.times {
-				if st.times[i].Before(cutoff) {
+				if st.times[i] < cutoff {
 					s.storedBytes -= storedEventBytes(st, int32(i))
 					g.merged = nil
 					continue

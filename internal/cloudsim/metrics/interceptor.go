@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"repro/internal/cloudsim/clock"
@@ -29,9 +28,10 @@ import (
 // nanodollar (scripts/check.sh proves this each run).
 //
 // The hot path is interned: each (service, op) resolves its five series
-// handles once, a call's samples land in the store under one lock, and
-// no names are formatted per call — the `hotpath` diylint analyzer
-// keeps it that way.
+// handles once, a call takes exactly one lock — the store's — to
+// resolve them, land its samples and advance the spend gauge, and no
+// names are formatted per call. The `hotpath` diylint analyzer keeps
+// it that way.
 func PlaneInterceptor(s *Service, book *pricing.PriceBook, clk clock.Clock) plane.Interceptor {
 	pub := &publisher{
 		svc:       s,
@@ -60,33 +60,25 @@ type opHandles struct {
 	cost     Handle
 }
 
-// publisher is the per-interceptor publication state, shared by every
-// call on every plane the interceptor instance is installed on (core
-// installs one instance fleet-wide, so the cumulative gauge spans the
-// whole account).
+// publisher is the per-interceptor publication state. Its handle
+// cache and cumulative gauge are guarded by svc.mu, so a call takes
+// one lock in all. core.NewCloud installs one interceptor per Service
+// and shares it across the account's planes, so the gauge spans the
+// whole account.
 type publisher struct {
 	svc     *Service
 	book    *pricing.PriceBook
 	clk     clock.Clock
 	account Handle
 
-	mu        sync.Mutex
-	byService map[string]map[string]*opHandles
-	cum       int64
+	byService map[string]map[string]*opHandles // guarded by svc.mu
+	cum       int64                            // guarded by svc.mu
 }
 
-// sample is one datum of a call's burst: a resolved series handle plus
-// the timestamped value.
-type sample struct {
-	h  Handle
-	at int64 // UnixNano
-	v  float64
-}
-
-// publish emits the call's samples as one burst built in a stack
-// buffer and inserted under a single store lock. Holding p.mu across
-// the burst pairs each cumulative-gauge update with its sample, so the
-// gauge series stays monotone.
+// publish prices the call outside the lock, then inserts its samples
+// under the single store lock. Holding svc.mu across the inserts pairs
+// each cumulative-gauge update with its sample, so the gauge series
+// stays monotone.
 func (p *publisher) publish(req *plane.Request, err error) {
 	t0 := hostNow()
 	at := req.Ctx.Now()
@@ -94,54 +86,41 @@ func (p *publisher) publish(req *plane.Request, err error) {
 		at = p.clk.Now()
 	}
 	atNs := at.UnixNano()
-	var burst [6]sample
-	n := 0
-	p.mu.Lock()
-	h := p.resolveLocked(req.Call.Service, req.Call.Op)
-	burst[n] = sample{h: h.requests, at: atNs, v: 1}
-	n++
-	switch {
-	case errors.Is(err, iam.ErrDenied):
-		burst[n] = sample{h: h.denials, at: atNs, v: 1}
-		n++
-	case err != nil:
-		burst[n] = sample{h: h.errs, at: atNs, v: 1}
-		n++
-	}
-	if start := req.Start(); !start.IsZero() && !at.Before(start) {
-		burst[n] = sample{h: h.latency, at: atNs,
-			v: float64(at.Sub(start)) / float64(time.Millisecond)}
-		n++
-	}
 	var cost pricing.Money
 	for _, u := range req.Metered() {
 		cost += p.book.ListPrice(u)
 	}
-	burst[n] = sample{h: h.cost, at: atNs, v: float64(cost.Nanodollars())}
-	n++
-	p.cum += cost.Nanodollars()
-	burst[n] = sample{h: p.account, at: atNs, v: float64(p.cum)}
-	n++
-	p.svc.insertBurst(burst[:n])
-	p.mu.Unlock()
-	if t0 != 0 {
-		p.svc.addOverhead(hostNow() - t0)
-	}
-}
-
-// insertBurst stores one call's samples in order under s.mu.
-func (s *Service) insertBurst(ss []sample) {
+	start := req.Start()
+	s := p.svc
 	s.mu.Lock()
-	for _, e := range ss {
-		s.insertLocked(e.h, e.at, e.v)
+	h := p.resolveLocked(req.Call.Service, req.Call.Op)
+	n := int64(3) // requests, cost, account gauge
+	s.insertLocked(h.requests, atNs, 1)
+	switch {
+	case errors.Is(err, iam.ErrDenied):
+		s.insertLocked(h.denials, atNs, 1)
+		n++
+	case err != nil:
+		s.insertLocked(h.errs, atNs, 1)
+		n++
 	}
-	s.samples += int64(len(ss))
+	if !start.IsZero() && !at.Before(start) {
+		s.insertLocked(h.latency, atNs, float64(at.Sub(start))/float64(time.Millisecond))
+		n++
+	}
+	s.insertLocked(h.cost, atNs, float64(cost.Nanodollars()))
+	p.cum += cost.Nanodollars()
+	s.insertLocked(p.account, atNs, float64(p.cum))
+	s.samples += n
 	s.mu.Unlock()
+	if t0 != 0 {
+		s.addOverhead(hostNow() - t0)
+	}
 }
 
 // resolveLocked interns the five series handles for (service, op),
 // building the "service/op" namespace string only on first sight.
-// Caller holds p.mu.
+// Caller holds p.svc.mu.
 func (p *publisher) resolveLocked(service, op string) *opHandles {
 	ops := p.byService[service]
 	if ops == nil {
@@ -151,12 +130,13 @@ func (p *publisher) resolveLocked(service, op string) *opHandles {
 	h := ops[op]
 	if h == nil {
 		ns := service + "/" + op
+		s := p.svc
 		h = &opHandles{
-			requests: p.svc.Handle(ns, MetricPlaneRequests),
-			errs:     p.svc.Handle(ns, MetricPlaneErrors),
-			denials:  p.svc.Handle(ns, MetricPlaneDenials),
-			latency:  p.svc.Handle(ns, MetricPlaneLatencyMs),
-			cost:     p.svc.Handle(ns, MetricPlaneCostNanos),
+			requests: s.handleLocked(ns, MetricPlaneRequests),
+			errs:     s.handleLocked(ns, MetricPlaneErrors),
+			denials:  s.handleLocked(ns, MetricPlaneDenials),
+			latency:  s.handleLocked(ns, MetricPlaneLatencyMs),
+			cost:     s.handleLocked(ns, MetricPlaneCostNanos),
 		}
 		ops[op] = h
 	}

@@ -98,7 +98,7 @@ func (sx *series) set(i int, ns int64, v float64) {
 type Service struct {
 	mu     sync.Mutex
 	series []*series
-	index  map[string]Handle
+	names  sortutil.Names // key(namespace, metric) -> Handle
 	alarms []*Alarm
 
 	// Self-telemetry counters (see SelfStats): how much work the
@@ -109,7 +109,7 @@ type Service struct {
 
 // New returns an empty metrics service.
 func New() *Service {
-	return &Service{index: make(map[string]Handle)}
+	return &Service{}
 }
 
 func key(namespace, metric string) string { return namespace + "\x00" + metric }
@@ -126,13 +126,10 @@ func (s *Service) Handle(namespace, metric string) Handle {
 // handleLocked resolves or creates the series for (namespace, metric).
 // Caller holds s.mu.
 func (s *Service) handleLocked(namespace, metric string) Handle {
-	k := key(namespace, metric)
-	if h, ok := s.index[k]; ok {
-		return h
+	h := Handle(s.names.IDLocked(key(namespace, metric)))
+	if int(h) == len(s.series) {
+		s.series = append(s.series, &series{namespace: namespace, metric: metric})
 	}
-	h := Handle(len(s.series))
-	s.series = append(s.series, &series{namespace: namespace, metric: metric})
-	s.index[k] = h
 	return h
 }
 
@@ -213,29 +210,10 @@ func (sx *series) ensureBuckets(want int) {
 // lookupLocked returns the series for (namespace, metric), or nil.
 // Caller holds s.mu.
 func (s *Service) lookupLocked(namespace, metric string) *series {
-	if h, ok := s.index[key(namespace, metric)]; ok {
+	if h, ok := s.names.Lookup(key(namespace, metric)); ok {
 		return s.series[h]
 	}
 	return nil
-}
-
-// bounds locates the half-open index range [lo, hi) of samples within
-// [from, to] (zero times mean unbounded). The series is
-// timestamp-ordered, so both bounds are binary searches.
-func (sx *series) bounds(from, to time.Time) (lo, hi int) {
-	lo, hi = 0, sx.n
-	if !from.IsZero() {
-		f := from.UnixNano()
-		lo = sort.Search(sx.n, func(i int) bool { return sx.at(i) >= f })
-	}
-	if !to.IsZero() {
-		t := to.UnixNano()
-		hi = sort.Search(sx.n, func(i int) bool { return sx.at(i) > t })
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
 }
 
 // window returns a copy of the samples within [from, to]. It exists
@@ -248,7 +226,7 @@ func (s *Service) window(namespace, metric string, from, to time.Time) []Datum {
 	if sx == nil {
 		return nil
 	}
-	lo, hi := sx.bounds(from, to)
+	lo, hi := sortutil.Window(sx.n, sx.at, from, to)
 	if lo == hi {
 		return nil
 	}
@@ -313,7 +291,7 @@ func (s *Service) stat(namespace, metric string, from, to time.Time, fn func(sx 
 	if sx == nil {
 		return
 	}
-	lo, hi := sx.bounds(from, to)
+	lo, hi := sortutil.Window(sx.n, sx.at, from, to)
 	fn(sx, lo, hi)
 }
 

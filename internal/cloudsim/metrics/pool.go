@@ -1,6 +1,10 @@
 package metrics
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/cloudsim/sortutil"
+)
 
 // Fleet-scale allocation recycling. A fleet run builds and discards
 // one Service per account — tens of thousands of 16 KiB column chunks,
@@ -11,6 +15,14 @@ import "sync"
 // zero for a fresh series — stale bytes beyond the high-water mark are
 // never observed, so replay identity is untouched (the telemetry-on
 // ledger parity test runs entirely on pooled storage).
+//
+// The pool and the fixed chunk layout are kept because they measure
+// better than the obvious alternative. On a 2-core linux/amd64 host,
+// append-grown slices in their place cut fleet_default live heap from
+// 3.33 to 2.17 MB but lost 6 of 8 alternating
+// BenchmarkFleetTelemetry/accounts=1000 ns/request pairs (roughly
+// +5–15%), and cost +6% allocs/op as two slices or +6.6% B/op as one
+// slice of points at capacity 64.
 
 // chunkPool recycles column chunks across Services. A checkout is
 // owned by exactly one series on one account's store; no sim state
@@ -36,6 +48,6 @@ func (s *Service) Recycle() {
 		sx.n = 0
 	}
 	s.series = nil
-	s.index = nil
+	s.names = sortutil.Names{}
 	s.alarms = nil
 }

@@ -22,10 +22,10 @@ import (
 	"repro/internal/cloudsim/lambda"
 	"repro/internal/cloudsim/netsim"
 	"repro/internal/cloudsim/plane"
-	"repro/internal/cloudsim/ses"
-	"repro/internal/cloudsim/sqs"
 	"repro/internal/cloudsim/s3"
+	"repro/internal/cloudsim/ses"
 	"repro/internal/cloudsim/sim"
+	"repro/internal/cloudsim/sqs"
 	"repro/internal/pricing"
 )
 

@@ -11,7 +11,7 @@ import (
 //
 //	t0+0s:  chat-send 200ms — gateway → lambda → kms, lambda billed
 //	t0+10s: chat-send 600ms — gateway → lambda → s3 (error, cold start)
-func fixtureStore(t *testing.T) *Store {
+func fixtureStore(t testing.TB) *Store {
 	t.Helper()
 	s := NewStore(nil)
 

@@ -38,7 +38,7 @@ func (s *Store) criticalPathLocked(row int32) []PathStep {
 	rel := int32(0)
 	for {
 		i := lo + rel
-		step := PathStep{Service: s.svcs[s.segSvc[i]], Op: s.ops[s.segOp[i]], Self: s.durLocked(i)}
+		step := PathStep{Service: s.svcs.Name(s.segSvc[i]), Op: s.ops.Name(s.segOp[i]), Self: s.durLocked(i)}
 		next := int32(-1)
 		var nextDur time.Duration
 		var nextStart int64

@@ -234,7 +234,7 @@ func (p *filterParser) parsePrimary() (filterPred, error) {
 		svc := name.text
 		return func(s *Store, row int32) bool {
 			for i := s.segLo[row]; i < s.segHi[row]; i++ {
-				if s.svcs[s.segSvc[i]] == svc {
+				if s.svcs.Name(s.segSvc[i]) == svc {
 					return true
 				}
 			}

@@ -63,7 +63,7 @@ func (s *Store) ServiceMap(book *pricing.PriceBook, from, to time.Time) *Service
 	for _, row := range rows {
 		lo, hi := s.segLo[row], s.segHi[row]
 		for i := lo; i < hi; i++ {
-			svc := s.svcs[s.segSvc[i]]
+			svc := s.svcs.Name(s.segSvc[i])
 			dur := s.durLocked(i)
 			cost := s.segCostLocked(i, book)
 			isErr := s.hasAnnotationLocked(i, "error")
@@ -86,7 +86,7 @@ func (s *Store) ServiceMap(book *pricing.PriceBook, from, to time.Time) *Service
 			if p < 0 {
 				continue
 			}
-			from := s.svcs[s.segSvc[lo+p]]
+			from := s.svcs.Name(s.segSvc[lo+p])
 			if from == svc {
 				continue // sub-segment of the same service, not a hop
 			}

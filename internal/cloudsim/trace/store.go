@@ -7,20 +7,21 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cloudsim/sortutil"
 	"repro/internal/pricing"
 )
 
 // Store is the X-Ray-sim backend: head-sampled traces staged on the
 // hot path and folded into columnar storage at the next read, so
 // recording a trace is a pointer append and reads never observe a
-// half-published one. It replaces the old bounded Recorder ring.
+// half-published one.
 //
-// The layout follows the logs store's shape: service and operation
-// names are interned once into string tables, each stored trace is a
-// contiguous block of preorder segment rows in parallel arrays
-// (service/op handles, instants, block-relative parent links,
-// annotation and usage arena ranges), and time-window reads binary
-// search a cached start-time order.
+// Each stored trace is a contiguous block of preorder segment rows in
+// parallel arrays (service/op ids, instants, block-relative parent
+// links, annotation and usage arena ranges). Service and operation
+// names intern through sortutil.Names, and time-window reads run
+// sortutil.Window over a cached start-time order — the storage core
+// the metrics and logs stores share.
 //
 // Like the metrics and logs services, the store is read-only over the
 // simulated economy: it never touches the account meter and its
@@ -38,11 +39,9 @@ type Store struct {
 	// staged until a later read.
 	pending []*Trace
 
-	// Interned name tables. Handles index svcs/ops.
-	svcIDs map[string]int32
-	svcs   []string
-	opIDs  map[string]int32
-	ops    []string
+	// Interned service and operation names; segSvc/segOp hold ids.
+	svcs sortutil.Names
+	ops  sortutil.Names
 
 	// Per-trace columns, one row per stored trace in publication order.
 	rootStart []int64 // root span start, UnixNano
@@ -92,11 +91,7 @@ type StoreStats struct {
 // NewStore returns an empty store sampling by cfg. A nil cfg keeps
 // every recorded trace — the single-account default.
 func NewStore(cfg *SamplerConfig) *Store {
-	return &Store{
-		sampler: newSampler(cfg),
-		svcIDs:  make(map[string]int32),
-		opIDs:   make(map[string]int32),
-	}
+	return &Store{sampler: newSampler(cfg)}
 }
 
 // Decide takes the head-based sampling decision for a request named
@@ -167,8 +162,8 @@ func (s *Store) foldLocked(tr *Trace) {
 	var walk func(sp *Span, parent int32)
 	walk = func(sp *Span, parent int32) {
 		idx := int32(len(s.segSvc)) - base
-		s.segSvc = append(s.segSvc, internLocked(s.svcIDs, &s.svcs, sp.service))
-		s.segOp = append(s.segOp, internLocked(s.opIDs, &s.ops, sp.op))
+		s.segSvc = append(s.segSvc, s.svcs.IDLocked(sp.service))
+		s.segOp = append(s.segOp, s.ops.IDLocked(sp.op))
 		s.segParent = append(s.segParent, parent)
 		s.segStart = append(s.segStart, sp.start.UnixNano())
 		if sp.end.IsZero() {
@@ -197,16 +192,6 @@ func (s *Store) foldLocked(tr *Trace) {
 	s.segLo = append(s.segLo, base)
 	s.segHi = append(s.segHi, int32(len(s.segSvc)))
 	s.byStart = nil
-}
-
-func internLocked(ids map[string]int32, tab *[]string, name string) int32 {
-	if h, ok := ids[name]; ok {
-		return h
-	}
-	h := int32(len(*tab))
-	*tab = append(*tab, name)
-	ids[name] = h
-	return h
 }
 
 // Len reports how many kept traces the store holds: stored rows plus
@@ -274,23 +259,11 @@ func (s *Store) orderLocked() []int32 {
 }
 
 // windowLocked returns the rows whose root start falls in [from, to]
-// (zero bounds are open) in start order, via binary search on the
+// (zero bounds are open) in start order, via sortutil.Window on the
 // cached order.
 func (s *Store) windowLocked(from, to time.Time) []int32 {
 	ord := s.orderLocked()
-	lo := 0
-	if !from.IsZero() {
-		f := from.UnixNano()
-		lo = sort.Search(len(ord), func(i int) bool { return s.rootStart[ord[i]] >= f })
-	}
-	hi := len(ord)
-	if !to.IsZero() {
-		t := to.UnixNano()
-		hi = sort.Search(len(ord), func(i int) bool { return s.rootStart[ord[i]] > t })
-	}
-	if lo >= hi {
-		return nil
-	}
+	lo, hi := sortutil.Window(len(ord), func(i int) int64 { return s.rootStart[ord[i]] }, from, to)
 	return ord[lo:hi]
 }
 
@@ -353,7 +326,7 @@ type SegmentView struct {
 func (v TraceView) Name() string {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
-	return v.s.ops[v.s.segOp[v.s.segLo[v.row]]]
+	return v.s.ops.Name(v.s.segOp[v.s.segLo[v.row]])
 }
 
 // Start reports when the trace's root span opened.
@@ -405,7 +378,7 @@ func (v TraceView) Find(service, op string) (SegmentView, bool) {
 	defer v.s.mu.Unlock()
 	lo, hi := v.s.segLo[v.row], v.s.segHi[v.row]
 	for i := lo; i < hi; i++ {
-		if v.s.svcs[v.s.segSvc[i]] == service && (op == "" || v.s.ops[v.s.segOp[i]] == op) {
+		if v.s.svcs.Name(v.s.segSvc[i]) == service && (op == "" || v.s.ops.Name(v.s.segOp[i]) == op) {
 			return SegmentView{s: v.s, seg: i, lo: lo}, true
 		}
 	}
@@ -419,7 +392,7 @@ func (v TraceView) FindAll(service string) []SegmentView {
 	lo, hi := v.s.segLo[v.row], v.s.segHi[v.row]
 	var out []SegmentView
 	for i := lo; i < hi; i++ {
-		if v.s.svcs[v.s.segSvc[i]] == service {
+		if v.s.svcs.Name(v.s.segSvc[i]) == service {
 			out = append(out, SegmentView{s: v.s, seg: i, lo: lo})
 		}
 	}
@@ -450,7 +423,7 @@ func (v TraceView) Render(book *pricing.PriceBook) string {
 	s := v.s
 	lo := s.segLo[v.row]
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s  %s  %s\n", s.ops[s.segOp[lo]], fmtDur(s.durLocked(lo)),
+	fmt.Fprintf(&sb, "%s  %s  %s\n", s.ops.Name(s.segOp[lo]), fmtDur(s.durLocked(lo)),
 		fmtCost(s.traceCostLocked(v.row, book)))
 	kids := s.childrenLocked(v.row)
 	t0 := s.segStart[lo]
@@ -478,7 +451,7 @@ func (s *Store) renderSegLocked(sb *strings.Builder, book *pricing.PriceBook, ki
 		branch, cont = "└─ ", "   "
 	}
 	i := lo + rel
-	fmt.Fprintf(sb, "%s%s%s %s  +%s %s", prefix, branch, s.svcs[s.segSvc[i]], s.ops[s.segOp[i]],
+	fmt.Fprintf(sb, "%s%s%s %s  +%s %s", prefix, branch, s.svcs.Name(s.segSvc[i]), s.ops.Name(s.segOp[i]),
 		fmtDur(time.Duration(s.segStart[i]-t0)), fmtDur(s.durLocked(i)))
 	for a := s.annoLo[i]; a < s.annoHi[i]; a++ {
 		fmt.Fprintf(sb, "  %s=%s", s.annoKeys[a], s.annoVals[a])
@@ -507,35 +480,10 @@ func (s *Store) segCostLocked(seg int32, book *pricing.PriceBook) pricing.Money 
 	return total
 }
 
+// traceUsageLocked aggregates one stored trace's usage. A trace's
+// segments are folded contiguously, so their usage is one arena run.
 func (s *Store) traceUsageLocked(row int32) []pricing.Usage {
-	type key struct {
-		kind     pricing.Kind
-		resource string
-		app      string
-	}
-	sums := make(map[key]float64)
-	lo, hi := s.segLo[row], s.segHi[row]
-	for i := lo; i < hi; i++ {
-		for u := s.useLo[i]; u < s.useHi[i]; u++ {
-			rec := s.usages[u]
-			sums[key{rec.Kind, rec.Resource, rec.App}] += rec.Quantity
-		}
-	}
-	out := make([]pricing.Usage, 0, len(sums))
-	for k, q := range sums {
-		out = append(out, pricing.Usage{Kind: k.kind, Quantity: q, Resource: k.resource, App: k.app})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Resource != b.Resource {
-			return a.Resource < b.Resource
-		}
-		return a.App < b.App
-	})
-	return out
+	return pricing.Aggregate(s.usages[s.useLo[s.segLo[row]]:s.useHi[s.segHi[row]-1]])
 }
 
 func (s *Store) traceCostLocked(row int32, book *pricing.PriceBook) pricing.Money {
@@ -550,14 +498,14 @@ func (s *Store) traceCostLocked(row int32, book *pricing.PriceBook) pricing.Mone
 func (g SegmentView) Service() string {
 	g.s.mu.Lock()
 	defer g.s.mu.Unlock()
-	return g.s.svcs[g.s.segSvc[g.seg]]
+	return g.s.svcs.Name(g.s.segSvc[g.seg])
 }
 
 // Op reports the segment's operation name.
 func (g SegmentView) Op() string {
 	g.s.mu.Lock()
 	defer g.s.mu.Unlock()
-	return g.s.ops[g.s.segOp[g.seg]]
+	return g.s.ops.Name(g.s.segOp[g.seg])
 }
 
 // Start reports when the segment opened on the simulated timeline.

@@ -26,7 +26,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -166,32 +165,11 @@ func (t *Trace) FindAll(service string) []*Span {
 // shape a meter diff across the request would produce, so the two can
 // be compared record for record.
 func (t *Trace) Usage() []pricing.Usage {
-	type key struct {
-		kind     pricing.Kind
-		resource string
-		app      string
-	}
-	sums := make(map[key]float64)
+	var all []pricing.Usage
 	for _, s := range t.Spans() {
-		for _, u := range s.Usage() {
-			sums[key{u.Kind, u.Resource, u.App}] += u.Quantity
-		}
+		all = append(all, s.Usage()...)
 	}
-	out := make([]pricing.Usage, 0, len(sums))
-	for k, q := range sums {
-		out = append(out, pricing.Usage{Kind: k.kind, Quantity: q, Resource: k.resource, App: k.app})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Resource != b.Resource {
-			return a.Resource < b.Resource
-		}
-		return a.App < b.App
-	})
-	return out
+	return pricing.Aggregate(all)
 }
 
 // Cost prices the whole trace at the book's list price (no free

@@ -156,8 +156,27 @@ func (m *Meter) Reset() {
 func (m *Meter) Snapshot() []Usage {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Usage, 0, len(m.byKey))
-	for key, q := range m.byKey {
+	return sortedUsage(m.byKey)
+}
+
+// Aggregate sums usage records by (kind, resource, app) and returns
+// one record per key in Snapshot order — the shape a meter diff across
+// the same records would produce, so the two compare record for
+// record. Unlike Meter.Add it keeps zero and negative quantities: it
+// reports what was recorded, not what a meter would bill.
+func Aggregate(us []Usage) []Usage {
+	sums := make(map[meterKey]float64)
+	for _, u := range us {
+		sums[meterKey{u.Kind, u.Resource, u.App}] += u.Quantity
+	}
+	return sortedUsage(sums)
+}
+
+// sortedUsage flattens per-key sums into records ordered by kind, then
+// resource, then app.
+func sortedUsage(sums map[meterKey]float64) []Usage {
+	out := make([]Usage, 0, len(sums))
+	for key, q := range sums {
 		out = append(out, Usage{Kind: key.kind, Quantity: q, Resource: key.resource, App: key.app})
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -1,11 +1,20 @@
 #!/bin/sh
-# check.sh — the repo's full verification gate: static analysis plus
-# the test suite under the race detector. CI and `make check` run this.
+# check.sh — the repo's full verification gate: formatting and static
+# analysis plus the test suite under the race detector. CI and
+# `make check` run this.
 set -eu
 cd "$(dirname "$0")/.."
 
 echo ">> go vet ./..."
 go vet ./...
+
+echo ">> gofmt -l (every tracked Go file gofmt-clean)"
+UNFORMATTED=$(gofmt -l $(git ls-files '*.go'))
+if [ -n "$UNFORMATTED" ]; then
+	echo "check: files need gofmt:" >&2
+	echo "$UNFORMATTED" >&2
+	exit 1
+fi
 
 echo ">> diylint ./... (domain invariants: wallclock, globalrand, moneyfloat, spanhygiene, planeroute, metricname, loggroup, hotpath, droppederr, maporder, globalstate, shardsafe)"
 go run ./cmd/diylint ./...
