@@ -15,7 +15,8 @@ var globalrandAllowed = map[string]bool{
 // simulator, app, and workload code. The global source is seeded from
 // runtime entropy, so any use makes latency samples and workload
 // arrivals unreproducible; randomness must come from an injected
-// *rand.Rand built with rand.New(rand.NewSource(seed)).
+// *rand.Rand built with workload.NewRand(seed), which draws
+// rand.New(rand.NewSource(seed))'s exact sequence but seeds in O(1).
 var GlobalRand = &Analyzer{
 	Name: "globalrand",
 	Doc:  "simulator/app/workload randomness must come from an injected seeded *rand.Rand, never math/rand's global source",

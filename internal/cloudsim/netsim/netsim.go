@@ -13,6 +13,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"repro/internal/workload"
 )
 
 // Hop identifies one network/service hop whose latency the model samples.
@@ -116,9 +118,11 @@ func DefaultParams() Params {
 // Model samples hop latencies and tracks region health. It is safe for
 // concurrent use.
 type Model struct {
-	mu      sync.Mutex
-	rng     *rand.Rand
-	params  Params
+	mu     sync.Mutex
+	rng    *rand.Rand
+	params Params
+	// outages stays nil until the first SetOutage: only failover
+	// experiments inject one, and a nil map reads as every region up.
 	outages map[string]bool
 }
 
@@ -128,9 +132,8 @@ func NewModel(p Params) *Model {
 		p.RefMemoryMB = 448
 	}
 	return &Model{
-		rng:     rand.New(rand.NewSource(p.Seed)),
-		params:  p,
-		outages: make(map[string]bool),
+		rng:    workload.NewRand(p.Seed),
+		params: p,
 	}
 }
 
@@ -240,6 +243,9 @@ func (m *Model) SetOutage(region string, down bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if down {
+		if m.outages == nil {
+			m.outages = make(map[string]bool)
+		}
 		m.outages[region] = true
 	} else {
 		delete(m.outages, region)

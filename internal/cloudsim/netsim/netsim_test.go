@@ -155,6 +155,11 @@ func TestOutages(t *testing.T) {
 	if !m.RegionUp("us-west-2") {
 		t.Fatal("regions start healthy")
 	}
+	// Clearing before any outage was set touches no outage map.
+	m.SetOutage("eu-west-1", false)
+	if !m.RegionUp("eu-west-1") {
+		t.Fatal("clearing a healthy region marked it down")
+	}
 	m.SetOutage("us-west-2", true)
 	if m.RegionUp("us-west-2") {
 		t.Fatal("outage not recorded")

@@ -177,7 +177,7 @@ func newAccountSim(cfg *Config, shared *core.Shared, profile workload.AccountPro
 		tl:      tl,
 		cloud:   cloud,
 		end:     clock.Epoch.Add(cfg.Span),
-		payload: rand.New(rand.NewSource(workload.Substream(profile.Seed, "payload"))),
+		payload: workload.NewRand(workload.Substream(profile.Seed, "payload")),
 	}
 
 	switch profile.Kind {

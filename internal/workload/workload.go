@@ -24,7 +24,7 @@ type Poisson struct {
 
 // NewPoisson returns a Poisson arrival process starting at start.
 func NewPoisson(seed int64, perDay float64, start time.Time) *Poisson {
-	return &Poisson{rng: rand.New(rand.NewSource(seed)), perDay: perDay, current: start}
+	return &Poisson{rng: NewRand(seed), perDay: perDay, current: start}
 }
 
 // Next advances to and returns the next arrival instant.
@@ -94,7 +94,7 @@ func PaperSlackGroup() SlackGroup {
 // start, Poisson in time with diurnal modulation, senders drawn
 // uniformly.
 func (g SlackGroup) Trace(start time.Time, span time.Duration) []ChatEvent {
-	rng := rand.New(rand.NewSource(g.Seed))
+	rng := NewRand(g.Seed)
 	perDay := g.MsgsPerWeek / 7
 	bodyBytes := g.BodyBytes
 	if bodyBytes <= 0 {

@@ -75,4 +75,7 @@ diff "$LOG1" "$LOG2"
 echo ">> go test -race ./... (includes the fleet scheduler under the race detector)"
 go test -race ./...
 
+echo ">> bench smoke tests (diybench builds; 1- and 2-worker chunks agree at 1/50 size)"
+(cd bench && go test ./...)
+
 echo "check: all green"
