@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/cloudsim/dynamo"
 	"repro/internal/cloudsim/lambda"
+	"repro/internal/cloudsim/s3"
 	"repro/internal/core"
 	"repro/internal/crypto/envelope"
 	"repro/internal/proto/xmpp"
@@ -305,31 +306,32 @@ func (h *handler) search(body []byte) (lambda.Response, error) {
 	return lambda.Response{Status: 200, Body: []byte(sb.String())}, nil
 }
 
-// loadRoom fetches and opens the room document (an empty room on first
-// touch). The returned version feeds saveRoom's conditional write.
+// loadRoom fetches and opens the room document. Only a missing object
+// means a new, empty room; any other read failure is returned, since
+// saving an empty room over an unreadable one would destroy its
+// history. The returned version feeds saveRoom's conditional write.
 func (h *handler) loadRoom(key []byte) (*roomDoc, int64, error) {
 	data, version, err := h.getBlob("room")
-	if err != nil {
+	if errors.Is(err, s3.ErrNoSuchKey) || errors.Is(err, dynamo.ErrNoSuchItem) {
 		return &roomDoc{Members: h.app.Members}, 0, nil
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("chat: reading room doc: %w", err)
 	}
 	pt, err := envelope.Open(key, data, []byte("room"))
 	if err != nil {
 		return nil, 0, fmt.Errorf("chat: opening room doc: %w", err)
 	}
-	var doc roomDoc
-	if err := json.Unmarshal(pt, &doc); err != nil {
+	doc, err := parseRoomDoc(pt)
+	if err != nil {
 		return nil, 0, fmt.Errorf("chat: parsing room doc: %w", err)
 	}
 	h.env.Compute(2 * time.Millisecond)
-	return &doc, version, nil
+	return doc, version, nil
 }
 
 func (h *handler) saveRoom(key []byte, doc *roomDoc, ifVersion int64) error {
-	pt, err := json.Marshal(doc)
-	if err != nil {
-		return err
-	}
-	sealed, err := envelope.Seal(key, pt, []byte("room"))
+	sealed, err := envelope.Seal(key, marshalRoomDoc(doc), []byte("room"))
 	if err != nil {
 		return err
 	}
@@ -571,12 +573,8 @@ func (h *handler) history(member string) (lambda.Response, error) {
 // archiveChunk moves the live tail into an immutable archived chunk
 // object and resets the tail.
 func (h *handler) archiveChunk(key []byte, doc *roomDoc) error {
-	pt, err := json.Marshal(doc.Entries)
-	if err != nil {
-		return err
-	}
 	chunkKey := fmt.Sprintf("history/%06d", doc.Chunks)
-	sealed, err := envelope.Seal(key, pt, []byte(chunkKey))
+	sealed, err := envelope.Seal(key, marshalEntries(doc.Entries), []byte(chunkKey))
 	if err != nil {
 		return err
 	}
@@ -599,8 +597,8 @@ func (h *handler) loadArchivedChunk(key []byte, c int) ([]historyEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chat: opening chunk %s: %w", chunkKey, err)
 	}
-	var entries []historyEntry
-	if err := json.Unmarshal(pt, &entries); err != nil {
+	entries, err := parseEntries(pt)
+	if err != nil {
 		return nil, fmt.Errorf("chat: parsing chunk %s: %w", chunkKey, err)
 	}
 	return entries, nil

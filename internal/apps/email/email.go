@@ -17,12 +17,14 @@ package email
 import (
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/mail"
 	"strings"
 	"time"
 
 	"repro/internal/cloudsim/lambda"
+	"repro/internal/cloudsim/s3"
 	"repro/internal/core"
 	"repro/internal/crypto/envelope"
 	"repro/internal/crypto/sealedbox"
@@ -140,24 +142,30 @@ func (h *mailHandler) key() ([]byte, error) {
 
 func (h *mailHandler) bucket() string { return h.env.Config(core.ConfigBucket) }
 
+// loadBox fetches and opens the mailbox index. Only a missing object
+// means a new, empty mailbox; any other read failure is returned, since
+// saving an empty index over an unreadable one would lose every entry.
 func (h *mailHandler) loadBox(key []byte) (*mailbox, error) {
 	obj, err := h.env.S3().Get(h.env.Ctx(), h.bucket(), "box")
-	if err != nil {
+	if errors.Is(err, s3.ErrNoSuchKey) {
 		return &mailbox{NextID: 1}, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("email: reading mailbox: %w", err)
 	}
 	pt, err := envelope.Open(key, obj.Data, []byte("box"))
 	if err != nil {
 		return nil, fmt.Errorf("email: opening mailbox: %w", err)
 	}
-	var box mailbox
-	if err := json.Unmarshal(pt, &box); err != nil {
+	box, err := parseMailbox(pt)
+	if err != nil {
 		return nil, fmt.Errorf("email: parsing mailbox: %w", err)
 	}
-	return &box, nil
+	return box, nil
 }
 
 func (h *mailHandler) saveBox(key []byte, box *mailbox) error {
-	pt, err := json.Marshal(box)
+	pt, err := marshalMailbox(box)
 	if err != nil {
 		return err
 	}
@@ -257,7 +265,7 @@ func (h *mailHandler) list() (lambda.Response, error) {
 		return lambda.Response{Status: 500}, err
 	}
 	h.env.Compute(3 * time.Millisecond)
-	out, err := json.Marshal(box.Entries)
+	out, err := marshalIndexEntries(box.Entries)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}

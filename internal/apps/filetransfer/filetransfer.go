@@ -17,11 +17,13 @@ package filetransfer
 import (
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
 
 	"repro/internal/cloudsim/lambda"
+	"repro/internal/cloudsim/s3"
 	"repro/internal/core"
 	"repro/internal/crypto/envelope"
 	"repro/internal/crypto/sealedbox"
@@ -141,10 +143,17 @@ func (h *xferHandler) key() ([]byte, error) {
 
 func (h *xferHandler) bucket() string { return h.env.Config(core.ConfigBucket) }
 
+// loadManifest fetches and opens the transfer manifest. Only a missing
+// object means an empty manifest; any other read failure is returned,
+// since saving an empty manifest over an unreadable one would drop
+// every pending transfer.
 func (h *xferHandler) loadManifest(key []byte) (*manifest, error) {
 	obj, err := h.env.S3().Get(h.env.Ctx(), h.bucket(), "manifest")
-	if err != nil {
+	if errors.Is(err, s3.ErrNoSuchKey) {
 		return &manifest{}, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("filetransfer: reading manifest: %w", err)
 	}
 	pt, err := envelope.Open(key, obj.Data, []byte("manifest"))
 	if err != nil {

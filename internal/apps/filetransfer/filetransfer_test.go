@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cloudsim/iam"
+	"repro/internal/cloudsim/s3"
 	"repro/internal/cloudsim/sim"
 	"repro/internal/core"
 	"repro/internal/crypto/envelope"
@@ -284,5 +286,41 @@ func TestUploadBadRecipientKey(t *testing.T) {
 	resp, _, _ := d.Invoke(d.ClientContext(), "upload", req)
 	if resp.Status != 400 {
 		t.Fatalf("bad key status %d", resp.Status)
+	}
+}
+
+// A failed manifest read must fail the upload, not be taken for an
+// empty manifest: saving an empty manifest over an unreadable one would
+// drop every pending transfer.
+func TestUnreadableManifestFailsAndKeepsTransfers(t *testing.T) {
+	cloud, d := newXfer(t)
+	upload(t, d, "a.txt", "bob", []byte("a"))
+	role, _ := cloud.IAM.Role(d.Role)
+	orig := *role
+	denied := orig
+	denied.Policies = append(append([]iam.Policy(nil), orig.Policies...), iam.Policy{
+		Name:       "deny-state-reads",
+		Statements: []iam.Statement{iam.DenyStatement([]string{s3.ActionGet}, []string{"*"})},
+	})
+	if err := cloud.IAM.PutRole(&denied); err != nil {
+		t.Fatal(err)
+	}
+	req, _ := json.Marshal(UploadRequest{Name: "b.txt", To: "carol", Data: []byte("bb")})
+	if resp, _, err := d.Invoke(d.ClientContext(), "upload", req); err == nil && resp.Status == 200 {
+		t.Fatal("upload succeeded although the manifest could not be read")
+	}
+	if err := cloud.IAM.PutRole(&orig); err != nil {
+		t.Fatal(err)
+	}
+	resp, _, err := d.Invoke(d.ClientContext(), "list", nil)
+	if err != nil || resp.Status != 200 {
+		t.Fatalf("list: %v status %d", err, resp.Status)
+	}
+	var offers []Offer
+	if err := json.Unmarshal(resp.Body, &offers); err != nil {
+		t.Fatal(err)
+	}
+	if len(offers) != 1 || offers[0].Name != "a.txt" {
+		t.Fatalf("offers after the failed read = %+v", offers)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cloudsim/iam"
+	"repro/internal/cloudsim/s3"
 	"repro/internal/cloudsim/sim"
 	"repro/internal/core"
 	"repro/internal/crypto/envelope"
@@ -194,5 +196,40 @@ func TestRegistryAtRestIsSealed(t *testing.T) {
 	}
 	if !envelope.IsSealed(obj.Data) || bytes.Contains(obj.Data, []byte("secret-camera")) {
 		t.Fatal("registry leaks plaintext")
+	}
+}
+
+// A failed registry read must fail the request, not be taken for an
+// empty registry: saving an empty registry over an unreadable one would
+// forget every device.
+func TestUnreadableRegistryFailsAndKeepsDevices(t *testing.T) {
+	cloud, d := newHome(t)
+	if st, _ := do(t, d, "register", Device{Name: "thermostat", Kind: "climate"}); st != 200 {
+		t.Fatalf("register status %d", st)
+	}
+	role, _ := cloud.IAM.Role(d.Role)
+	orig := *role
+	denied := orig
+	denied.Policies = append(append([]iam.Policy(nil), orig.Policies...), iam.Policy{
+		Name:       "deny-state-reads",
+		Statements: []iam.Statement{iam.DenyStatement([]string{s3.ActionGet}, []string{"*"})},
+	})
+	if err := cloud.IAM.PutRole(&denied); err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(Device{Name: "doorlock", Kind: "security"})
+	if resp, _, err := d.Invoke(d.ClientContext(), "register", body); err == nil && resp.Status == 200 {
+		t.Fatal("register succeeded although the registry could not be read")
+	}
+	if err := cloud.IAM.PutRole(&orig); err != nil {
+		t.Fatal(err)
+	}
+	_, out := do(t, d, "dashboard", nil)
+	var db Dashboard
+	if err := json.Unmarshal(out, &db); err != nil {
+		t.Fatal(err)
+	}
+	if len(db.Devices) != 1 || db.Devices[0].Name != "thermostat" {
+		t.Fatalf("dashboard after the failed read = %+v", db)
 	}
 }

@@ -1,0 +1,611 @@
+// Package canonjson holds the primitives of the hand-written codecs for
+// the sealed documents the apps rewrite on every request: chat's room
+// document and history chunks, and email's mailbox index.
+//
+// The appenders write exactly the bytes encoding/json's Marshal writes
+// for the same Go value (HTML-escaped strings, ES6 floats, RFC 3339
+// times), so a document encoded here seals to the same size, bills the
+// same transfer bytes and pins the same goldens as under encoding/json.
+//
+// Reader is not a general JSON parser. Everything it reads was written
+// by these appenders and sealed under the envelope AEAD, so it accepts
+// only their canonical bytes (no whitespace, only the escapes the
+// encoder emits, shortest numbers) and rejects anything else instead of
+// interpreting it. Its results equal json.Unmarshal's for those bytes.
+package canonjson
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
+	"time"
+	"unicode/utf8"
+	"unsafe"
+)
+
+const hex = "0123456789abcdef"
+
+// safe marks the ASCII bytes encoding/json writes unescaped with HTML
+// escaping on: everything printable except '"', '\\', '<', '>' and '&'.
+var safe = func() (t [utf8.RuneSelf]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = true
+	}
+	for _, c := range `"\<>&` {
+		t[c] = false
+	}
+	return t
+}()
+
+// plainLen returns the length of the longest prefix of s made of safe
+// bytes: printable ASCII other than '"', '\\', '<', '>' and '&', which
+// AppendString copies as they are and Str accepts raw. It tests eight
+// bytes per step as one word: each term below has its top bit set in
+// some byte exactly when some byte of w is in the named class (borrows
+// can misplace the flagged byte, never lose it).
+func plainLen(s string) int {
+	const lsb, msb = 0x0101010101010101, 0x8080808080808080
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		b := s[i : i+8]
+		w := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+		quoteAmp := (w | 0x04*lsb) ^ 0x26*lsb // zero byte where '"' (0x22) or '&' (0x26)
+		angle := (w | 0x02*lsb) ^ 0x3e*lsb    // zero byte where '<' (0x3c) or '>' (0x3e)
+		backslash := w ^ 0x5c*lsb             // zero byte where '\\'
+		t := w                                // non-ASCII: top bit already set
+		t |= (w - 0x20*lsb) &^ w              // control byte
+		t |= (quoteAmp - lsb) &^ quoteAmp
+		t |= (angle - lsb) &^ angle
+		t |= (backslash - lsb) &^ backslash
+		if t&msb != 0 {
+			break
+		}
+	}
+	for i < len(s) && s[i] < utf8.RuneSelf && safe[s[i]] {
+		i++
+	}
+	return i
+}
+
+// AppendString appends s as a JSON string, escaped exactly as
+// encoding/json escapes it: '<', '>', '&' and control bytes as \u00XX
+// (except the short escapes \b \f \n \r \t), '"' and '\\' with a
+// backslash, invalid UTF-8 as \ufffd, and U+2028/U+2029 as \u2028
+// and \u2029.
+func AppendString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if n := plainLen(s[i:]); n > 0 {
+			i += n
+			continue
+		}
+		if b := s[i]; b < utf8.RuneSelf {
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		if c == utf8.RuneError && size == 1 {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			i++
+			start = i
+			continue
+		}
+		if c == '\u2028' || c == '\u2029' {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+			i += size
+			start = i
+			continue
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// AppendStrings appends a string slice as encoding/json does: null for
+// a nil slice, [] for an empty one.
+func AppendStrings(dst []byte, list []string) []byte {
+	if list == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, s := range list {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendString(dst, s)
+	}
+	return append(dst, ']')
+}
+
+// Headroom is the spare capacity an encoder leaves beyond n bytes of
+// unescaped output (each escape adds one to five bytes): about 3%, so a
+// document with an escape every 30 bytes still encodes into the buffer
+// it sized up front.
+func Headroom(n int) int { return n/32 + 64 }
+
+// AppendInt appends an integer in decimal.
+func AppendInt(dst []byte, v int) []byte { return strconv.AppendInt(dst, int64(v), 10) }
+
+// IntLen is the number of bytes AppendInt writes for v.
+func IntLen(v int) int {
+	n := 1
+	if v < 0 {
+		n++
+	}
+	for v >= 10 || v <= -10 {
+		v /= 10
+		n++
+	}
+	return n
+}
+
+// ErrUnsupportedFloat reports a NaN or infinite float, which JSON
+// cannot carry (encoding/json refuses them too).
+var ErrUnsupportedFloat = errors.New("canonjson: unsupported float value")
+
+// AppendFloat appends a float64 by encoding/json's ES6 rule: 'f'
+// format, except 'e' when the magnitude is below 1e-6 or at least
+// 1e21, with a one-digit negative exponent written e-7 rather than
+// e-07.
+func AppendFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, ErrUnsupportedFloat
+	}
+	abs := math.Abs(f)
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, nil
+}
+
+// AppendTime appends t as a quoted RFC 3339 timestamp with nanoseconds:
+// the bytes of t.MarshalJSON, which wraps MarshalText. It formats with
+// AppendFormat(RFC3339Nano), the same formatter without MarshalText's
+// per-call allocation, and applies the same range check: a year outside
+// [0,9999] or a zone offset of 24 hours or more is an error.
+func AppendTime(dst []byte, t time.Time) ([]byte, error) {
+	dst = append(dst, '"')
+	n0 := len(dst)
+	dst = t.AppendFormat(dst, time.RFC3339Nano)
+	num2 := func(b []byte) byte { return 10*(b[0]-'0') + (b[1] - '0') }
+	switch {
+	case dst[n0+len("9999")] != '-':
+		return dst[:n0-1], errors.New("canonjson: time year outside of range [0,9999]")
+	case dst[len(dst)-1] != 'Z':
+		c := dst[len(dst)-len("Z07:00")]
+		if ('0' <= c && c <= '9') || num2(dst[len(dst)-len("07:00"):]) >= 24 {
+			return dst[:n0-1], errors.New("canonjson: time zone hour outside of range [0,23]")
+		}
+	}
+	return append(dst, '"'), nil
+}
+
+// ErrNotCanonical is wrapped by every Reader error: the input is not
+// the byte sequence the appenders would have written.
+var ErrNotCanonical = errors.New("canonjson: not canonical encoder output")
+
+// Reader parses canonical JSON written by the appenders. It keeps the
+// first error and turns every later call into a no-op returning zero
+// values, so a document parser reads straight through and checks Err
+// once at the end.
+//
+// Strings without escapes are slices of the input itself; strings with
+// escapes are decoded into one growing buffer shared by the whole
+// document.
+type Reader struct {
+	src []byte          // the input, for time values (time parses []byte)
+	s   string          // src viewed as a string; unescaped strings slice it
+	esc strings.Builder // decoded escaped strings, sliced by Str
+	i   int
+	err error
+}
+
+// NewReader returns a Reader over src and takes ownership of it: the
+// strings it returns share src's memory instead of copying it, so the
+// caller must never modify src again. The documents it parses are
+// freshly opened envelope plaintexts that nothing else references.
+func NewReader(src []byte) *Reader {
+	return &Reader{src: src, s: unsafe.String(unsafe.SliceData(src), len(src))}
+}
+
+// Err returns the first error, or nil.
+func (r *Reader) Err() error { return r.err }
+
+// Rest returns the unread part of the input.
+func (r *Reader) Rest() string {
+	if r.err != nil {
+		return ""
+	}
+	return r.s[r.i:]
+}
+
+// Done returns the first error, or an error if input remains unread.
+func (r *Reader) Done() error {
+	if r.err == nil && r.i != len(r.s) {
+		r.fail("trailing bytes")
+	}
+	return r.err
+}
+
+// Reject records an error for input the caller finds non-canonical,
+// such as a field encoding/json's omitempty would have dropped.
+func (r *Reader) Reject(what string) { r.fail(what) }
+
+func (r *Reader) fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s at offset %d", ErrNotCanonical, what, r.i)
+	}
+}
+
+// Expect consumes lit, which must come next.
+func (r *Reader) Expect(lit string) {
+	if r.err != nil {
+		return
+	}
+	if !strings.HasPrefix(r.s[r.i:], lit) {
+		r.fail("expected " + strconv.Quote(lit))
+		return
+	}
+	r.i += len(lit)
+}
+
+// Accept consumes lit and reports true if it comes next.
+func (r *Reader) Accept(lit string) bool {
+	if r.err != nil || !strings.HasPrefix(r.s[r.i:], lit) {
+		return false
+	}
+	r.i += len(lit)
+	return true
+}
+
+// More reports whether an array or object has another element: it
+// consumes the closing byte and returns false at the end, and requires
+// and consumes the ',' separator before every element but the first.
+func (r *Reader) More(close byte, first bool) bool {
+	if r.err != nil {
+		return false
+	}
+	if r.i < len(r.s) && r.s[r.i] == close {
+		r.i++
+		return false
+	}
+	if !first {
+		r.Expect(",")
+	}
+	return r.err == nil
+}
+
+// Int reads an integer: an optional '-' and digits without a leading
+// zero (and no "-0"), as strconv.AppendInt writes it.
+func (r *Reader) Int() int {
+	if r.err != nil {
+		return 0
+	}
+	s, i := r.s, r.i
+	neg := i < len(s) && s[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var v uint64
+	for i < len(s) && '0' <= s[i] && s[i] <= '9' {
+		d := uint64(s[i] - '0')
+		if v > (math.MaxUint64-d)/10 {
+			r.fail("integer overflow")
+			return 0
+		}
+		v = v*10 + d
+		i++
+	}
+	switch n := i - start; {
+	case n == 0:
+		r.fail("expected integer")
+		return 0
+	case n > 1 && s[start] == '0', neg && v == 0:
+		r.fail("non-canonical integer")
+		return 0
+	case !neg && v > math.MaxInt, neg && v > -math.MinInt:
+		r.fail("integer overflow")
+		return 0
+	}
+	r.i = i
+	if neg {
+		return int(-v)
+	}
+	return int(v)
+}
+
+// Float reads a float64 and requires it to be exactly what AppendFloat
+// writes for the parsed value.
+func (r *Reader) Float() float64 {
+	if r.err != nil {
+		return 0
+	}
+	s, i := r.s, r.i
+	for i < len(s) && strings.IndexByte("0123456789.eE+-", s[i]) >= 0 {
+		i++
+	}
+	tok := s[r.i:i]
+	f, err := strconv.ParseFloat(tok, 64)
+	if err != nil {
+		r.fail("bad float")
+		return 0
+	}
+	var buf [32]byte
+	if canon, err := AppendFloat(buf[:0], f); err != nil || string(canon) != tok {
+		r.fail("non-canonical float")
+		return 0
+	}
+	r.i = i
+	return f
+}
+
+// Bool reads true or false.
+func (r *Reader) Bool() bool {
+	if r.Accept("true") {
+		return true
+	}
+	if !r.Accept("false") {
+		r.fail("expected bool")
+	}
+	return false
+}
+
+// Time reads a quoted RFC 3339 timestamp the way time.Time's
+// UnmarshalJSON does: the quoted bytes go to UnmarshalText unescaped.
+func (r *Reader) Time() time.Time {
+	if r.err != nil {
+		return time.Time{}
+	}
+	if !strings.HasPrefix(r.s[r.i:], `"`) {
+		r.fail("expected time")
+		return time.Time{}
+	}
+	end := strings.IndexByte(r.s[r.i+1:], '"')
+	if end < 0 {
+		r.fail("unterminated time")
+		return time.Time{}
+	}
+	var t time.Time
+	if err := t.UnmarshalText(r.src[r.i+1 : r.i+1+end]); err != nil {
+		r.fail("bad time")
+		return time.Time{}
+	}
+	r.i += end + 2
+	return t
+}
+
+// Str reads a JSON string. A string without escapes is a slice of the
+// input; one with escapes is decoded into the Reader's escape buffer
+// and sliced from it. Only the bytes AppendString writes are accepted:
+// raw control bytes, '<', '>', '&', invalid UTF-8, U+2028 and U+2029
+// are errors, as is any escape AppendString would not have used.
+func (r *Reader) Str() string {
+	if r.err != nil {
+		return ""
+	}
+	s := r.s
+	i := r.i
+	if i >= len(s) || s[i] != '"' {
+		r.fail("expected string")
+		return ""
+	}
+	i++
+	start := i
+	for i < len(s) {
+		if n := plainLen(s[i:]); n > 0 {
+			i += n
+			continue
+		}
+		c := s[i]
+		if c < utf8.RuneSelf {
+			switch c {
+			case '"':
+				r.i = i + 1
+				return s[start:i]
+			case '\\':
+				return r.unescape(start)
+			}
+			r.i = i
+			r.fail("unescaped byte in string")
+			return ""
+		}
+		n, ok := rawRune(s[i:])
+		if !ok {
+			r.i = i
+			r.fail("invalid or unescaped rune in string")
+			return ""
+		}
+		i += n
+	}
+	r.fail("unterminated string")
+	return ""
+}
+
+// rawRune reports the width of the valid UTF-8 rune at the start of s,
+// and false for invalid UTF-8 or U+2028/U+2029, which the encoder
+// always escapes.
+func rawRune(s string) (int, bool) {
+	c, size := utf8.DecodeRuneInString(s)
+	if c == utf8.RuneError && size == 1 || c == '\u2028' || c == '\u2029' {
+		return 0, false
+	}
+	return size, true
+}
+
+// Strs reads null (a nil slice) or an array of strings (a non-nil
+// slice, empty for []), as json.Unmarshal fills a []string.
+func (r *Reader) Strs() []string {
+	if r.Accept("null") {
+		return nil
+	}
+	r.Expect("[")
+	if r.err != nil {
+		return nil
+	}
+	// Collect on the stack, then copy into one exactly sized slice.
+	var stack [32]string
+	list := stack[:0]
+	for first := true; r.More(']', first); first = false {
+		list = append(list, r.Str())
+	}
+	if r.err != nil {
+		return nil
+	}
+	return append(make([]string, 0, len(list)), list...)
+}
+
+// unescape decodes the string that began at start, whose raw bytes
+// contain at least one backslash.
+func (r *Reader) unescape(start int) string {
+	s := r.s
+	// Find the closing quote to size the buffer: unescaping only
+	// shrinks.
+	end := start
+	for end < len(s) && s[end] != '"' {
+		if s[end] == '\\' {
+			end++
+		}
+		end++
+	}
+	if end >= len(s) {
+		r.i = start
+		r.fail("unterminated string")
+		return ""
+	}
+	// The builder only appends, so strings sliced from it earlier stay
+	// intact when it regrows.
+	b := &r.esc
+	b.Grow(end - start)
+	mark := b.Len()
+	run := start
+	for i := start; i < end; {
+		if n := plainLen(s[i:end]); n > 0 {
+			i += n
+			continue
+		}
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			n, ok := rawRune(s[i:end])
+			if !ok {
+				r.i = i
+				r.fail("invalid or unescaped rune in string")
+				return ""
+			}
+			i += n
+			continue
+		}
+		if c != '\\' {
+			r.i = i
+			r.fail("unescaped byte in string")
+			return ""
+		}
+		b.WriteString(s[run:i])
+		n, ok := decodeEscape(b, s[i:end])
+		if !ok {
+			r.i = i
+			r.fail("non-canonical escape")
+			return ""
+		}
+		i += n
+		run = i
+	}
+	b.WriteString(s[run:end])
+	r.i = end + 1
+	return b.String()[mark:]
+}
+
+// decodeEscape writes the character the escape at the start of s
+// stands for and returns the escape's width, accepting only the
+// escapes AppendString writes.
+func decodeEscape(b *strings.Builder, s string) (int, bool) {
+	if len(s) < 2 {
+		return 0, false
+	}
+	switch s[1] {
+	case '"', '\\':
+		b.WriteByte(s[1])
+		return 2, true
+	case 'b':
+		b.WriteByte('\b')
+		return 2, true
+	case 'f':
+		b.WriteByte('\f')
+		return 2, true
+	case 'n':
+		b.WriteByte('\n')
+		return 2, true
+	case 'r':
+		b.WriteByte('\r')
+		return 2, true
+	case 't':
+		b.WriteByte('\t')
+		return 2, true
+	case 'u':
+	default:
+		return 0, false
+	}
+	if len(s) < 6 {
+		return 0, false
+	}
+	switch u := s[2:6]; u {
+	case "fffd":
+		b.WriteRune(utf8.RuneError)
+		return 6, true
+	case "2028":
+		b.WriteRune('\u2028')
+		return 6, true
+	case "2029":
+		b.WriteRune('\u2029')
+		return 6, true
+	}
+	if s[2] != '0' || s[3] != '0' {
+		return 0, false
+	}
+	hi, lo := strings.IndexByte(hex, s[4]), strings.IndexByte(hex, s[5])
+	if hi < 0 || lo < 0 {
+		return 0, false
+	}
+	c := byte(hi<<4 | lo)
+	switch {
+	case c == '<', c == '>', c == '&':
+	case c < 0x20 && strings.IndexByte("\b\f\n\r\t", c) < 0:
+	default:
+		return 0, false // the encoder writes c raw or as a short escape
+	}
+	b.WriteByte(c)
+	return 6, true
+}

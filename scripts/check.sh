@@ -72,6 +72,11 @@ if ! grep -q 'Fleet trace rollup' "$LOG1"; then
 fi
 diff "$LOG1" "$LOG2"
 
+echo ">> codec fuzz smoke (each sealed-document codec against encoding/json, 10 s per fuzzer)"
+go test -run '^$' -fuzz '^FuzzAppendString$' -fuzztime 10s ./internal/canonjson
+go test -run '^$' -fuzz '^FuzzRoomDocCodec$' -fuzztime 10s ./internal/apps/chat
+go test -run '^$' -fuzz '^FuzzMailboxCodec$' -fuzztime 10s ./internal/apps/email
+
 echo ">> go test -race ./... (includes the fleet scheduler under the race detector)"
 go test -race ./...
 
