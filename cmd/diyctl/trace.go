@@ -59,10 +59,11 @@ func traceDemo(args []string) error {
 	cloud.Clock.Advance(10 * time.Minute)
 	before := cloud.Meter.Snapshot()
 	fmt.Println("\n-- first message after 10 idle minutes (cold container):")
-	tr, _, err := casey.SendTraced("good morning — this send pays the cold start")
+	cold, err := casey.SendTraced("good morning — this send pays the cold start")
 	if err != nil {
 		return err
 	}
+	tr := cold.Trace
 	fmt.Print(indent(tr.Render(cloud.Book)))
 
 	// The trace's ledger and the billing meter saw the same usage.
@@ -76,10 +77,11 @@ func traceDemo(args []string) error {
 
 	fmt.Println("\n-- second message 30 seconds later (warm container):")
 	cloud.Clock.Advance(30 * time.Second)
-	tr2, _, err := casey.SendTraced("and this one rides a warm container")
+	warm, err := casey.SendTraced("and this one rides a warm container")
 	if err != nil {
 		return err
 	}
+	tr2 := warm.Trace
 	fmt.Print(indent(tr2.Render(cloud.Book)))
 	fmt.Printf("\n   cold send: %v and %s; warm send: %v and %s\n",
 		tr.Duration().Round(time.Millisecond), fmtMoney(tr.Cost(cloud.Book)),

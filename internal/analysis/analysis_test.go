@@ -117,7 +117,7 @@ var goldenCases = []struct {
 	// telemetry Observe hooks as reachability roots.
 	{HotPath, "internal/fleet/towerbad", "internal/fleet/towergood", "hotpathfleet"},
 	// hotpath a third time over the trace store's publish seam:
-	// Record/Decide as reachability roots.
+	// Decide, Finish and Record as reachability roots.
 	{HotPath, "internal/cloudsim/trace/storebad", "internal/cloudsim/trace/storegood", "hotpathtrace"},
 }
 

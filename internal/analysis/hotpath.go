@@ -14,10 +14,12 @@ import (
 //     and every same-package function it can reach — runs per
 //     published call.
 //
-//   - In internal/cloudsim/trace, the store's publish path — Record
-//     and Decide, plus every same-package function they can reach —
-//     runs per request (the sampling decision and the staged append).
-//     Reads (Query, ServiceMap, rendering) are off-path and may format.
+//   - In internal/cloudsim/trace, the store's publish path — Decide,
+//     Finish (finishing the root span folds the trace into the store's
+//     columns) and Record, plus every same-package function they can
+//     reach — runs per request: the sampling decision and the columnar
+//     fold. Reads (Query, ServiceMap, rendering) are off-path and may
+//     format.
 //
 //   - In internal/fleet scopes, the control tower's Observe* hooks —
 //     and every same-package function they can reach — run per
@@ -51,14 +53,14 @@ func runHotPath(p *Pass) {
 	case pathWithin(p.Pkg.Path, "internal/cloudsim/trace"):
 		// The trace seam must precede the general cloudsim one: the
 		// store's publish path is rooted at its own hot entry points,
-		// not at plane interceptors.
+		// not at plane interceptors. Finish is the entry that folds.
 		seam = "the trace-store publish path"
 		isRoot = func(n *Node) bool {
 			if n.Fn == nil {
 				return false
 			}
 			switch n.Fn.Name() {
-			case "Record", "Decide":
+			case "Record", "Decide", "Finish":
 				return true
 			}
 			return false

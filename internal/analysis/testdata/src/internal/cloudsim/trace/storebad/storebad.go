@@ -1,8 +1,8 @@
 // Package storebad runs a trace store's publish path the slow way:
 // the sampling decision formats its rule key per request, and
-// recording binds fields through a per-call map literal and a helper
-// that formats. hotpath must flag every site it can reach from Record
-// and Decide.
+// finishing a trace folds it through a per-call map literal and a
+// helper that formats. hotpath must flag every site it can reach from
+// Decide, Record and Finish.
 package storebad
 
 import "fmt"
@@ -10,9 +10,9 @@ import "fmt"
 // Store is a sketch of the columnar trace store: the shapes matter to
 // the analyzer, not the storage.
 type Store struct {
-	rules   map[string]float64
-	pending []string
-	rows    []string
+	rules  map[string]float64
+	rows   []string
+	labels []string
 }
 
 // Decide formats the rule-lookup key on every sampling decision — the
@@ -22,27 +22,44 @@ func (s *Store) Decide(service, op string) bool {
 	return s.rules[key] > 0
 }
 
-// Record stages a trace through a per-call map literal and a
-// same-package helper that formats.
+// Record is the fold Finish hands a trace to: it binds the row's
+// fields through a per-call map literal.
 func (s *Store) Record(name string) {
-	fields := map[string]string{"name": name} // flagged: per-record map literal
-	s.pending = append(s.pending, fields["name"])
-	stage(s, name)
+	fields := map[string]string{"name": name} // flagged: per-fold map literal
+	s.rows = append(s.rows, fields["name"])
 }
 
-// stage is a same-package callee of Record: its formatting runs per
-// recorded trace just the same, so the fixpoint must reach it.
+// stage labels a folded row. Only Finish reaches it — Record does
+// not call it — so its finding is what proves Finish roots the seam
+// in its own right.
 func stage(s *Store, name string) {
-	s.pending = append(s.pending, fmt.Sprint("staged:", name)) // flagged: reached from Record
+	s.labels = append(s.labels, fmt.Sprint("folded:", name)) // flagged: reached from Finish
 }
 
-// Render is a read, off the publish path: it folds the staged traces
-// and formats, and hotpath must stay silent here even in a package
-// that defines Record.
-func (s *Store) Render() string {
-	for _, p := range s.pending {
-		s.rows = append(s.rows, fmt.Sprintf("row(%s)", p))
+// Trace is a sketch of a live trace bound for its store.
+type Trace struct {
+	s    *Store
+	name string
+	done bool
+}
+
+// Finish closes the root span and, the first time, folds the trace
+// into its store — the publish entry, run once per request.
+func (t *Trace) Finish() {
+	if t.done {
+		return
 	}
-	s.pending = s.pending[:0]
-	return fmt.Sprintf("%d rows", len(s.rows))
+	t.done = true
+	t.s.Record(t.name)
+	stage(t.s, t.name)
+}
+
+// Render is a read, off the publish path: it formats every row, and
+// hotpath must stay silent here even in a package that defines Finish.
+func (s *Store) Render() string {
+	out := fmt.Sprintf("%d rows", len(s.rows))
+	for _, r := range s.rows {
+		out += fmt.Sprintf(" row(%s)", r)
+	}
+	return out
 }

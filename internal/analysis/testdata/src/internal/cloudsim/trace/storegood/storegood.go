@@ -1,16 +1,15 @@
 // Package storegood runs a trace store's publish path the fast way:
 // rule keys are looked up without minting a string, deciding is a map
-// read, and recording is a pointer append. Reads fold and format
-// freely off-path. hotpath must stay silent.
+// read, and finishing a trace folds it into the rows with an append.
+// Reads format freely off-path. hotpath must stay silent.
 package storegood
 
 import "fmt"
 
 // Store keeps its publish path to map reads and appends.
 type Store struct {
-	rules   map[string]float64
-	pending []string
-	rows    []string
+	rules map[string]float64
+	rows  []string
 }
 
 // NewStore builds the rule table up front (allowed: the allocation
@@ -25,15 +24,25 @@ func (s *Store) Decide(service, op string) bool {
 	return s.rules[service+"/"+op] > 0
 }
 
-// Record stages a trace with a single append.
-func (s *Store) Record(name string) {
-	s.pending = append(s.pending, name)
+// Trace is a live trace bound for its store.
+type Trace struct {
+	s    *Store
+	name string
+	done bool
+}
+
+// Finish closes the root span and, the first time, folds the trace
+// into the rows with a single append.
+func (t *Trace) Finish() {
+	if t.done {
+		return
+	}
+	t.done = true
+	t.s.rows = append(t.s.rows, t.name)
 }
 
 // Render is a read — dashboards, dumps — not reachable from the
-// publish path, so folding and formatting here is fine.
+// publish path, so formatting here is fine.
 func (s *Store) Render() string {
-	s.rows = append(s.rows, s.pending...)
-	s.pending = s.pending[:0]
 	return fmt.Sprintf("%d rows", len(s.rows))
 }

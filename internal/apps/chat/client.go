@@ -99,61 +99,47 @@ func (c *Client) Leave() error {
 // Send posts one groupchat message, returning the invocation stats
 // (the Table 3 "Lambda Time Run"/"Billed" source).
 func (c *Client) Send(body string) (lambda.InvocationStats, error) {
-	if c.dataKey == nil {
-		return lambda.InvocationStats{}, ErrNotSessioned
-	}
-	c.seq++
-	m := &xmpp.Message{
-		From: c.jid.String(), To: "room@" + Domain,
-		Type: "groupchat", ID: fmt.Sprintf("%s-%d", c.member, c.seq), Body: body,
-	}
-	resp, stats, err := c.sendStanza(m)
-	if err != nil {
-		return stats, err
-	}
-	if resp.Status != 200 {
-		return stats, fmt.Errorf("chat: send refused (%d): %s", resp.Status, resp.Body)
-	}
-	return stats, nil
+	stats, _, _, err := c.send(body, false)
+	return stats, err
 }
 
 // SendTimed is Send plus the end-to-end instant bookkeeping used by the
 // Table 3 experiment: it returns the simulated instant at which the
 // message hit the inbox queues (the end of the function run).
 func (c *Client) SendTimed(body string) (stats lambda.InvocationStats, sentAt time.Time, err error) {
-	ctx := c.ctx()
-	if c.dataKey == nil {
-		return lambda.InvocationStats{}, time.Time{}, ErrNotSessioned
-	}
-	c.seq++
-	m := &xmpp.Message{
-		From: c.jid.String(), To: "room@" + Domain,
-		Type: "groupchat", ID: fmt.Sprintf("%s-%d", c.member, c.seq), Body: body,
-	}
-	raw, err := xmpp.Encode(m)
-	if err != nil {
-		return lambda.InvocationStats{}, time.Time{}, err
-	}
-	resp, stats, err := c.d.Invoke(ctx, "stanza", raw)
-	if err != nil {
-		return stats, time.Time{}, err
-	}
-	if resp.Status != 200 {
-		return stats, time.Time{}, fmt.Errorf("chat: send refused: %s", resp.Body)
-	}
-	return stats, ctx.Cursor.Now(), nil
+	stats, sentAt, _, err = c.send(body, false)
+	return stats, sentAt, err
 }
 
-// SendTraced is Send with a distributed trace attached: the returned
-// trace holds one span per service hop of the message's journey —
-// gateway, function (with cold-start and billing-quantum sub-spans),
-// KMS, S3 and the per-member SQS fan-out — each carrying the usage it
-// was metered for, so the whole send can be rendered as a flame tree
-// with per-hop latency and dollars. The trace is also recorded in the
-// cloud's trace recorder.
-func (c *Client) SendTraced(body string) (*trace.Trace, lambda.InvocationStats, error) {
+// Sent is the outcome of one SendTraced call.
+type Sent struct {
+	Stats lambda.InvocationStats
+	// At is the simulated instant the message hit the inbox queues.
+	At time.Time
+	// Trace is the send's stored trace; Traced is false when the
+	// cloud's store kept none (sampled out, or tracing disabled).
+	Trace  trace.TraceView
+	Traced bool
+}
+
+// SendTraced is SendTimed with a distributed trace attached: the
+// stored trace holds one segment per service hop of the message's
+// journey — gateway, function (with cold-start and billing-quantum
+// sub-segments), KMS, S3 and the per-member SQS fan-out — each carrying
+// the usage it was metered for, so the whole send can be rendered as a
+// flame tree with per-hop latency and dollars.
+func (c *Client) SendTraced(body string) (Sent, error) {
+	stats, at, tr, err := c.send(body, true)
+	tv, ok := tr.Finish(at)
+	return Sent{Stats: stats, At: at, Trace: tv, Traced: ok}, err
+}
+
+// send posts one groupchat message, under a TracedContext when traced,
+// and reports the invocation stats and the instant the send completed.
+// The caller finishes the returned (nil when untraced) trace.
+func (c *Client) send(body string, traced bool) (lambda.InvocationStats, time.Time, *trace.Trace, error) {
 	if c.dataKey == nil {
-		return nil, lambda.InvocationStats{}, ErrNotSessioned
+		return lambda.InvocationStats{}, time.Time{}, nil, ErrNotSessioned
 	}
 	c.seq++
 	m := &xmpp.Message{
@@ -162,18 +148,20 @@ func (c *Client) SendTraced(body string) (*trace.Trace, lambda.InvocationStats, 
 	}
 	raw, err := xmpp.Encode(m)
 	if err != nil {
-		return nil, lambda.InvocationStats{}, err
+		return lambda.InvocationStats{}, time.Time{}, nil, err
 	}
-	ctx, tr := c.d.TracedContext("chat-send")
+	var ctx *sim.Context
+	var tr *trace.Trace
+	if traced {
+		ctx, tr = c.d.TracedContext("chat-send")
+	} else {
+		ctx = c.ctx()
+	}
 	resp, stats, err := c.d.Invoke(ctx, "stanza", raw)
-	tr.Finish(ctx.Now())
-	if err != nil {
-		return tr, stats, err
+	if err == nil && resp.Status != 200 {
+		err = fmt.Errorf("chat: send refused (%d): %s", resp.Status, resp.Body)
 	}
-	if resp.Status != 200 {
-		return tr, stats, fmt.Errorf("chat: send refused (%d): %s", resp.Status, resp.Body)
-	}
-	return tr, stats, nil
+	return stats, ctx.Now(), tr, err
 }
 
 // ReceiveStanzas long polls the member's inbox for up to wait,

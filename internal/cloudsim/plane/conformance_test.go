@@ -26,6 +26,7 @@ import (
 	"repro/internal/cloudsim/ses"
 	"repro/internal/cloudsim/sim"
 	"repro/internal/cloudsim/sqs"
+	"repro/internal/cloudsim/trace"
 	"repro/internal/pricing"
 )
 
@@ -328,7 +329,7 @@ func TestConformance(t *testing.T) {
 		t.Run(key+"/traced", func(t *testing.T) {
 			w := newWorld(t)
 			ctx := &sim.Context{Principal: "fn", App: "app", Cursor: sim.NewCursor(t0)}
-			tr := ctx.StartTrace(key)
+			tr := ctx.StartTrace(trace.NewStore(nil), key)
 			before := w.meter.Snapshot()
 			if err := sc.invoke(w, ctx); err != nil {
 				t.Fatalf("%s: %v", key, err)
@@ -337,7 +338,14 @@ func TestConformance(t *testing.T) {
 			if wantSpans == 0 {
 				wantSpans = 1
 			}
-			if got := len(tr.Root().Children()); got != wantSpans {
+			tv, _ := tr.Finish(ctx.Now())
+			root, got := tv.Root(), 0
+			for _, g := range tv.Segments() {
+				if p, ok := g.Parent(); ok && p == root {
+					got++
+				}
+			}
+			if got != wantSpans {
 				t.Errorf("%s opened %d root spans, want %d", key, got, wantSpans)
 			}
 			if sc.fee != "" && quantity(w.meter.Snapshot(), sc.fee) <= quantity(before, sc.fee) {

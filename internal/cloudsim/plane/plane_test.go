@@ -30,10 +30,15 @@ func allowAll(t *testing.T) *iam.Service {
 	return svc
 }
 
-func tracedCtx() (*sim.Context, *trace.Trace) {
+// tracedCtx returns a traced context and a finish func that folds the
+// trace into its own store and returns the stored view.
+func tracedCtx() (*sim.Context, func() trace.TraceView) {
 	ctx := &sim.Context{Principal: "fn", App: "app", Cursor: sim.NewCursor(t0)}
-	tr := ctx.StartTrace("test")
-	return ctx, tr
+	tr := ctx.StartTrace(trace.NewStore(nil), "test")
+	return ctx, func() trace.TraceView {
+		tv, _ := tr.Finish(ctx.Now())
+		return tv
+	}
 }
 
 // TestPipelineOrder drives one fully-featured call and checks each
@@ -45,7 +50,7 @@ func tracedCtx() (*sim.Context, *trace.Trace) {
 func TestPipelineOrder(t *testing.T) {
 	meter := pricing.NewMeter()
 	p := New(allowAll(t), meter, netsim.NewDefaultModel())
-	ctx, tr := tracedCtx()
+	ctx, finish := tracedCtx()
 
 	var handlerAt time.Time
 	err := p.Do(ctx, &Call{
@@ -70,28 +75,29 @@ func TestPipelineOrder(t *testing.T) {
 		t.Errorf("handler ran at %v; want after latency advanced the cursor past %v", handlerAt, t0)
 	}
 
-	sp := tr.Find("svc", "Op")
-	if sp == nil {
+	tv := finish()
+	sp, ok := tv.Find("svc", "Op")
+	if !ok {
 		t.Fatal("no svc/Op span recorded")
 	}
 	if got, ok := sp.Annotation("k"); !ok || got != "v" {
 		t.Errorf("call annotation = %q, %v", got, ok)
 	}
-	if sp.Start() != t0 {
+	if !sp.Start().Equal(t0) {
 		t.Errorf("span opened at %v, want call instant %v", sp.Start(), t0)
 	}
-	if sp.End() != handlerAt {
+	if !sp.End().Equal(handlerAt) {
 		t.Errorf("span closed at %v, want handler-return instant %v", sp.End(), handlerAt)
 	}
 
-	asp := tr.Find("iam", "svc:Op")
-	if asp == nil {
+	asp, ok := tv.Find("iam", "svc:Op")
+	if !ok {
 		t.Fatal("no iam child span recorded")
 	}
-	if asp.Parent() != sp {
+	if parent, _ := asp.Parent(); parent != sp {
 		t.Error("iam span is not a child of the call span")
 	}
-	if asp.Start() != t0 || asp.Duration() != 0 {
+	if !asp.Start().Equal(t0) || asp.Duration() != 0 {
 		t.Errorf("iam span [%v +%v]; want zero-duration at the call instant (before latency)", asp.Start(), asp.Duration())
 	}
 	if res, _ := asp.Annotation("result"); res != "allow" {
@@ -113,7 +119,7 @@ func TestPipelineOrder(t *testing.T) {
 func TestDeniedCallStillMetersAndPaysLatency(t *testing.T) {
 	meter := pricing.NewMeter()
 	p := New(iam.New(), meter, netsim.NewDefaultModel()) // no roles: everything denied
-	ctx, tr := tracedCtx()
+	ctx, finish := tracedCtx()
 
 	ran := false
 	err := p.Do(ctx, &Call{
@@ -139,11 +145,13 @@ func TestDeniedCallStillMetersAndPaysLatency(t *testing.T) {
 	if !ctx.Now().After(t0) {
 		t.Error("denied call paid no latency")
 	}
-	sp := tr.Find("svc", "Op")
+	tv := finish()
+	sp, _ := tv.Find("svc", "Op")
 	if msg, _ := sp.Annotation("error"); msg != "access-denied" {
 		t.Errorf("error annotation = %q, want access-denied", msg)
 	}
-	if res, _ := tr.Find("iam", "svc:Op").Annotation("result"); res != "deny" {
+	asp, _ := tv.Find("iam", "svc:Op")
+	if res, _ := asp.Annotation("result"); res != "deny" {
 		t.Errorf("iam result = %q, want deny", res)
 	}
 }
@@ -306,23 +314,25 @@ func TestRequestObservability(t *testing.T) {
 // itself.
 func TestHandlerErrorAnnotation(t *testing.T) {
 	p := New(nil, nil, nil)
-	ctx, tr := tracedCtx()
+	ctx, finish := tracedCtx()
 	wantErr := errors.New("svc: thing exploded")
 	if err := p.Do(ctx, &Call{Service: "svc", Op: "Op"}, func(*Request) error {
 		return wantErr
 	}); !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v", err)
 	}
-	if msg, _ := tr.Find("svc", "Op").Annotation("error"); msg != wantErr.Error() {
+	sp, _ := finish().Find("svc", "Op")
+	if msg, _ := sp.Annotation("error"); msg != wantErr.Error() {
 		t.Errorf("error annotation = %q, want %q", msg, wantErr.Error())
 	}
 
-	ctx2, tr2 := tracedCtx()
+	ctx2, finish2 := tracedCtx()
 	p.Do(ctx2, &Call{Service: "svc", Op: "Short"}, func(req *Request) error {
 		req.Span.Annotate("error", "short-token")
 		return wantErr
 	})
-	if msg, _ := tr2.Find("svc", "Short").Annotation("error"); msg != "short-token" {
+	sp, _ = finish2().Find("svc", "Short")
+	if msg, _ := sp.Annotation("error"); msg != "short-token" {
 		t.Errorf("handler's own error annotation was overwritten: %q", msg)
 	}
 }

@@ -123,16 +123,18 @@ func (c Context) WithPrincipal(p string) *Context {
 	return &c
 }
 
-// StartTrace attaches a fresh trace to the context, rooted at the
-// cursor's current instant, and returns it. The caller finishes the
-// trace (tr.Finish(ctx.Now())) when the flow completes. Returns nil —
-// and leaves the context untraced — when the context has no cursor:
-// without a simulated timeline spans have no meaningful extent.
-func (c *Context) StartTrace(name string) *trace.Trace {
+// StartTrace attaches a fresh trace bound for st to the context,
+// rooted at the cursor's current instant, and returns it. The caller
+// finishes the trace (tr.Finish(ctx.Now())) when the flow completes,
+// which folds it into st. Returns nil — and leaves the context
+// untraced — when st is nil or the context has no cursor: without a
+// store nothing could read the trace, and without a simulated timeline
+// spans have no meaningful extent.
+func (c *Context) StartTrace(st *trace.Store, name string) *trace.Trace {
 	if c == nil || c.Cursor == nil {
 		return nil
 	}
-	tr := trace.New(name, c.Cursor.Now())
+	tr := trace.New(st, name, c.Cursor.Now())
 	c.Span = tr.Root()
 	return tr
 }

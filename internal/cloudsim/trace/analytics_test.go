@@ -15,7 +15,7 @@ func fixtureStore(t testing.TB) *Store {
 	t.Helper()
 	s := NewStore(nil)
 
-	a := New("chat-send", t0)
+	a := New(s, "chat-send", t0)
 	gw := a.Root().StartChild("gateway", "/u/chat", t0.Add(10*time.Millisecond))
 	fn := gw.StartChild("lambda", "u-chat", t0.Add(20*time.Millisecond))
 	fn.AddUsage(pricing.Usage{Kind: pricing.LambdaRequests, Quantity: 1})
@@ -26,9 +26,8 @@ func fixtureStore(t testing.TB) *Store {
 	fn.Finish(t0.Add(180 * time.Millisecond))
 	gw.Finish(t0.Add(190 * time.Millisecond))
 	a.Finish(t0.Add(200 * time.Millisecond))
-	s.Record(a)
 
-	b := New("chat-send", t0.Add(10*time.Second))
+	b := New(s, "chat-send", t0.Add(10*time.Second))
 	bgw := b.Root().StartChild("gateway", "/u/chat", t0.Add(10*time.Second+10*time.Millisecond))
 	bfn := bgw.StartChild("lambda", "u-chat", t0.Add(10*time.Second+20*time.Millisecond))
 	bfn.Annotate("cold_start", "true")
@@ -40,7 +39,6 @@ func fixtureStore(t testing.TB) *Store {
 	bfn.Finish(t0.Add(10*time.Second + 580*time.Millisecond))
 	bgw.Finish(t0.Add(10*time.Second + 590*time.Millisecond))
 	b.Finish(t0.Add(10*time.Second + 600*time.Millisecond))
-	s.Record(b)
 	return s
 }
 

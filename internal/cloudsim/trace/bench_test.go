@@ -7,10 +7,11 @@ import (
 	"repro/internal/pricing"
 )
 
-// benchTrace builds one finished chat-shaped trace (client → gateway →
-// lambda → {kms, s3}) starting at the given instant.
-func benchTrace(start time.Time) *Trace {
-	tr := New("chat-send", start)
+// benchTrace builds one chat-shaped trace (client → gateway → lambda →
+// {kms, s3}) starting at the given instant and finishes it, which
+// folds it into s.
+func benchTrace(s *Store, start time.Time) {
+	tr := New(s, "chat-send", start)
 	gw := tr.Root().StartChild("gateway", "/u/chat", start.Add(time.Millisecond))
 	fn := gw.StartChild("lambda", "u-chat", start.Add(2*time.Millisecond))
 	fn.Annotate("cold_start", "false")
@@ -24,13 +25,12 @@ func benchTrace(start time.Time) *Trace {
 	fn.Finish(start.Add(120 * time.Millisecond))
 	gw.Finish(start.Add(130 * time.Millisecond))
 	tr.Finish(start.Add(140 * time.Millisecond))
-	return tr
 }
 
 // BenchmarkTraceRecord prices the store's publish path: one sampling
-// decision, one five-span trace built and staged, one amortized share
-// of the read-time columnar fold. This is the per-request cost a
-// traced account adds, gated in BENCH_cloudsim.json.
+// decision, one five-span trace built, and its columnar fold when the
+// root finishes. This is the per-request cost a traced account adds,
+// gated in BENCH_cloudsim.json.
 func BenchmarkTraceRecord(b *testing.B) {
 	s := NewStore(nil)
 	at := t0
@@ -47,10 +47,7 @@ func BenchmarkTraceRecord(b *testing.B) {
 		}
 		at = at.Add(40 * time.Second)
 		if s.Decide("client", "chat-send", at) {
-			s.Record(benchTrace(at))
-		}
-		if i%64 == 63 {
-			s.Len() // a read folds the staged traces, amortized
+			benchTrace(s, at)
 		}
 	}
 }
@@ -62,9 +59,8 @@ func BenchmarkServiceMap(b *testing.B) {
 	at := t0
 	for i := 0; i < 1024; i++ {
 		at = at.Add(40 * time.Second)
-		s.Record(benchTrace(at))
+		benchTrace(s, at)
 	}
-	s.Len() // fold before timing
 	book := pricing.Default2017()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -106,7 +106,6 @@ func (s *Store) CriticalProfile(from, to time.Time) *CriticalProfile {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	rows := s.windowLocked(from, to)
 	s.scanned += int64(len(rows))
 

@@ -45,7 +45,6 @@ func (s *Store) Query(expr string, book *pricing.PriceBook, from, to time.Time) 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	rows := s.windowLocked(from, to)
 	s.scanned += int64(len(rows))
 	var out []TraceView

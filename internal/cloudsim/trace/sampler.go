@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Rule configures head-based sampling for requests whose root span
 // matches (Service, Op); an empty field matches anything. The shape
@@ -32,11 +29,11 @@ type SamplerConfig struct {
 	Rules []Rule
 }
 
-// sampler is the compiled, stateful form of a SamplerConfig. A nil
-// sampler keeps every trace — the single-account default, where the
-// operator wants each request explained.
+// sampler is the compiled, stateful form of a SamplerConfig, guarded
+// by its Store's lock. A nil sampler keeps every trace — the
+// single-account default, where the operator wants each request
+// explained.
 type sampler struct {
-	mu    sync.Mutex
 	rules []ruleState
 }
 
@@ -100,14 +97,13 @@ func newSampler(cfg *SamplerConfig) *sampler {
 	return s
 }
 
-// decide reports whether a request named (service, op) arriving at
-// the given virtual instant is kept. Nil samplers keep everything.
-func (s *sampler) decide(service, op string, at time.Time) bool {
+// decideLocked reports whether a request named (service, op) arriving
+// at the given virtual instant is kept. Nil samplers keep everything.
+// Caller holds the owning Store's mu.
+func (s *sampler) decideLocked(service, op string, at time.Time) bool {
 	if s == nil {
 		return true
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for i := range s.rules {
 		st := &s.rules[i]
 		r := st.rule

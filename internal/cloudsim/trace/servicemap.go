@@ -53,7 +53,6 @@ func (s *Store) ServiceMap(book *pricing.PriceBook, from, to time.Time) *Service
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	rows := s.windowLocked(from, to)
 	s.scanned += int64(len(rows))
 

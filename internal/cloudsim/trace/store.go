@@ -11,10 +11,9 @@ import (
 	"repro/internal/pricing"
 )
 
-// Store is the X-Ray-sim backend: head-sampled traces staged on the
-// hot path and folded into columnar storage at the next read, so
-// recording a trace is a pointer append and reads never observe a
-// half-published one.
+// Store is the X-Ray-sim backend: each head-sampled trace is folded
+// into columnar storage once, when its root span finishes, so reads
+// see every finished trace and never a half-built one.
 //
 // Each stored trace is a contiguous block of preorder segment rows in
 // parallel arrays (service/op ids, instants, block-relative parent
@@ -27,17 +26,12 @@ import (
 // simulated economy: it never touches the account meter and its
 // Usage() inventory (traces recorded, traces scanned — X-Ray's two
 // billable dimensions) is priced only when a caller asks, so tracing
-// on versus off is ledger-bit-identical. All methods are nil-safe so
-// a cloud built with tracing disabled costs untraced flows nothing.
+// on versus off is ledger-bit-identical. All methods are nil-safe: a
+// cloud built with tracing disabled has a nil store, whose Decide
+// keeps nothing, so its flows run untraced.
 type Store struct {
 	mu      sync.Mutex
 	sampler *sampler
-
-	// pending holds kept traces staged by Record, folded into the
-	// columns at the start of every read. A trace is recorded before
-	// its root span finishes, so traces whose root is still open stay
-	// staged until a later read.
-	pending []*Trace
 
 	// Interned service and operation names; segSvc/segOp hold ids.
 	svcs sortutil.Names
@@ -54,7 +48,7 @@ type Store struct {
 	segOp     []int32
 	segParent []int32 // block-relative parent index; -1 at the root
 	segStart  []int64
-	segEnd    []int64 // noEnd while the span was never finished
+	segEnd    []int64 // noEnd for a span never finished before its root
 	annoLo    []int32 // annotation arena range
 	annoHi    []int32
 	useLo     []int32 // usage arena range
@@ -96,114 +90,92 @@ func NewStore(cfg *SamplerConfig) *Store {
 
 // Decide takes the head-based sampling decision for a request named
 // (service, op) arriving at the given virtual instant: true means the
-// caller should build and Record a trace, false means the flow runs
-// untraced (nil-safe spans make that nearly free). A nil store keeps
-// deciding true so flows still build client-side traces when storage
-// is disabled.
+// caller should build a trace with New, false means the flow runs
+// untraced (nil-safe spans make that nearly free). A nil store — a
+// cloud with tracing disabled — decides false, so nothing builds a
+// trace that no store would hold.
 func (s *Store) Decide(service, op string, at time.Time) bool {
 	if s == nil {
-		return true
+		return false
 	}
-	keep := s.sampler.decide(service, op, at)
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	keep := s.sampler.decideLocked(service, op, at)
 	s.decided++
 	if keep {
 		s.kept++
 	}
-	s.mu.Unlock()
 	return keep
 }
 
-// Record stages a kept trace for publication. The trace is folded
-// into columnar storage at the first read after its root span has
-// finished; recording is a single pointer append so the hot path
-// never touches the columns readers scan. Nil stores and traces are
-// no-ops.
-func (s *Store) Record(t *Trace) {
-	if s == nil || t == nil {
-		return
-	}
+// publish closes t's root span at the given instant and, the first
+// time, folds t into the columns — the store's only write, run once
+// per kept request from the root's Finish. Reads therefore never see a
+// trace whose root is still open, and stored rows follow finish order.
+// It returns t's row. Locks are taken store first, then trace.
+func (s *Store) publish(t *Trace, at time.Time) int32 {
 	s.mu.Lock()
-	s.pending = append(s.pending, t)
-	s.mu.Unlock()
-}
-
-// flushLocked folds every staged trace whose root has finished into
-// the columns, in Record order. Every read calls it first, so reads are
-// consistent with everything recorded and finished before them.
-// Caller holds s.mu.
-func (s *Store) flushLocked() {
-	if len(s.pending) == 0 {
-		return
+	defer s.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.root.finishLocked(at)
+	if t.row < 0 {
+		s.foldLocked(t)
 	}
-	kept := s.pending[:0]
-	for _, tr := range s.pending {
-		if tr.Root().End().IsZero() {
-			kept = append(kept, tr)
-			continue
-		}
-		s.foldLocked(tr)
-	}
-	for i := len(kept); i < len(s.pending); i++ {
-		s.pending[i] = nil
-	}
-	s.pending = kept
+	return t.row
 }
 
 // foldLocked copies one finished trace into the columns: interned
 // handles, preorder segment rows, arena-packed annotations and usage.
-// It holds the trace's own lock across the walk and reads the raw span
-// fields directly — the accessor methods each copy their slice, which
-// would cost three allocations per segment on the publish path.
-func (s *Store) foldLocked(tr *Trace) {
+// Caller holds s.mu and t.mu.
+func (s *Store) foldLocked(t *Trace) {
 	base := int32(len(s.segSvc))
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	var walk func(sp *Span, parent int32)
-	walk = func(sp *Span, parent int32) {
-		idx := int32(len(s.segSvc)) - base
-		s.segSvc = append(s.segSvc, s.svcs.IDLocked(sp.service))
-		s.segOp = append(s.segOp, s.ops.IDLocked(sp.op))
-		s.segParent = append(s.segParent, parent)
-		s.segStart = append(s.segStart, sp.start.UnixNano())
-		if sp.end.IsZero() {
-			s.segEnd = append(s.segEnd, noEnd)
-		} else {
-			s.segEnd = append(s.segEnd, sp.end.UnixNano())
-		}
-		al := int32(len(s.annoKeys))
-		for _, a := range sp.annotations {
-			s.annoKeys = append(s.annoKeys, a.Key)
-			s.annoVals = append(s.annoVals, a.Value)
-		}
-		s.annoLo = append(s.annoLo, al)
-		s.annoHi = append(s.annoHi, int32(len(s.annoKeys)))
-		ul := int32(len(s.usages))
-		s.usages = append(s.usages, sp.usage...)
-		s.useLo = append(s.useLo, ul)
-		s.useHi = append(s.useHi, int32(len(s.usages)))
-		for _, c := range sp.children {
-			walk(c, idx)
-		}
-	}
-	walk(tr.root, -1)
-	s.rootStart = append(s.rootStart, tr.root.start.UnixNano())
-	s.rootEnd = append(s.rootEnd, tr.root.end.UnixNano())
+	s.foldSpanLocked(t.root, -1, base)
+	s.rootStart = append(s.rootStart, t.root.start.UnixNano())
+	s.rootEnd = append(s.rootEnd, t.root.end.UnixNano())
 	s.segLo = append(s.segLo, base)
 	s.segHi = append(s.segHi, int32(len(s.segSvc)))
 	s.byStart = nil
+	t.row = int32(len(s.rootStart) - 1)
 }
 
-// Len reports how many kept traces the store holds: stored rows plus
-// still-open staged ones.
+// foldSpanLocked appends sp's segment row, then its subtree in
+// preorder. parent is block-relative to base.
+func (s *Store) foldSpanLocked(sp *Span, parent, base int32) {
+	idx := int32(len(s.segSvc)) - base
+	s.segSvc = append(s.segSvc, s.svcs.IDLocked(sp.service))
+	s.segOp = append(s.segOp, s.ops.IDLocked(sp.op))
+	s.segParent = append(s.segParent, parent)
+	s.segStart = append(s.segStart, sp.start.UnixNano())
+	if sp.end.IsZero() {
+		s.segEnd = append(s.segEnd, noEnd)
+	} else {
+		s.segEnd = append(s.segEnd, sp.end.UnixNano())
+	}
+	al := int32(len(s.annoKeys))
+	for _, a := range sp.annotations {
+		s.annoKeys = append(s.annoKeys, a.Key)
+		s.annoVals = append(s.annoVals, a.Value)
+	}
+	s.annoLo = append(s.annoLo, al)
+	s.annoHi = append(s.annoHi, int32(len(s.annoKeys)))
+	ul := int32(len(s.usages))
+	s.usages = append(s.usages, sp.usage...)
+	s.useLo = append(s.useLo, ul)
+	s.useHi = append(s.useHi, int32(len(s.usages)))
+	for _, c := range sp.children {
+		s.foldSpanLocked(c, idx, base)
+	}
+}
+
+// Len reports how many traces the store holds.
 func (s *Store) Len() int {
 	if s == nil {
 		return 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
-	return len(s.rootStart) + len(s.pending)
+	return len(s.rootStart)
 }
 
 // Stats reports the sampling and scan counters.
@@ -213,7 +185,6 @@ func (s *Store) Stats() StoreStats {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	return StoreStats{
 		Decided: s.decided,
 		Kept:    s.kept,
@@ -232,7 +203,6 @@ func (s *Store) Usage() []pricing.Usage {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	return []pricing.Usage{
 		{Kind: pricing.XRayTracesRecorded, Quantity: float64(len(s.rootStart)), Resource: "xray"},
 		{Kind: pricing.XRayTracesScanned, Quantity: float64(s.scanned), Resource: "xray"},
@@ -282,7 +252,6 @@ func (s *Store) Window(from, to time.Time) []TraceView {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	rows := s.windowLocked(from, to)
 	s.scanned += int64(len(rows))
 	out := make([]TraceView, len(rows))
@@ -300,7 +269,6 @@ func (s *Store) Last() (TraceView, bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
 	if len(s.rootStart) == 0 {
 		return TraceView{}, false
 	}
@@ -400,8 +368,9 @@ func (v TraceView) FindAll(service string) []SegmentView {
 }
 
 // Usage aggregates the whole trace's usage records by (kind,
-// resource, app) in the pricing meter's snapshot order, exactly as
-// Trace.Usage does for a live trace.
+// resource, app) in the pricing meter's snapshot order — the same
+// shape a meter diff across the request would produce, so the two can
+// be compared record for record.
 func (v TraceView) Usage() []pricing.Usage {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
@@ -415,8 +384,16 @@ func (v TraceView) Cost(book *pricing.PriceBook) pricing.Money {
 	return v.s.traceCostLocked(v.row, book)
 }
 
-// Render prints the stored trace as the same flame-style tree
-// Trace.Render prints for a live one.
+// Render prints the stored trace as a flame-style tree: one line per
+// segment with its offset from the trace start, duration, annotations
+// and per-segment list-price cost, under a header with the trace's
+// total cost.
+//
+//	chat-send  211ms  $0.00000182
+//	└─ gateway /casey/chat/xmpp  +0ms 195ms
+//	   └─ lambda casey-chat  +16ms 179ms  cold_start=false ... $0.00000166
+//	      ├─ kms kms:Decrypt  +25ms 14ms  $0.00000300
+//	...
 func (v TraceView) Render(book *pricing.PriceBook) string {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
@@ -580,3 +557,12 @@ func (g SegmentView) Parent() (SegmentView, bool) {
 	}
 	return SegmentView{s: g.s, seg: g.lo + p, lo: g.lo}, true
 }
+
+// fmtDur and fmtCost delegate to the shared sortutil formatters so
+// trace renders, the fleet trace dashboard and every other
+// observability surface agree digit-for-digit on rounding.
+func fmtDur(d time.Duration) string { return sortutil.FormatDuration(d) }
+
+// fmtCost prints a span-scale amount: nanodollar sums far below the
+// bill's cent resolution, so render micro-dollar precision.
+func fmtCost(m pricing.Money) string { return sortutil.FormatMoneyNanos(m.Nanodollars()) }

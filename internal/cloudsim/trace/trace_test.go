@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,11 +12,18 @@ import (
 
 var t0 = time.Date(2017, 6, 1, 0, 0, 0, 0, time.UTC)
 
-func TestSpanTree(t *testing.T) {
-	tr := New("req", t0)
-	if tr.Name() != "req" {
-		t.Fatalf("name = %q", tr.Name())
+// services lists a stored trace's segment services in preorder.
+func services(v TraceView) []string {
+	var out []string
+	for _, g := range v.Segments() {
+		out = append(out, g.Service())
 	}
+	return out
+}
+
+func TestSpanTree(t *testing.T) {
+	s := NewStore(nil)
+	tr := New(s, "req", t0)
 	root := tr.Root()
 	gw := root.StartChild("gateway", "/x", t0.Add(5*time.Millisecond))
 	fn := gw.StartChild("lambda", "fn", t0.Add(10*time.Millisecond))
@@ -23,64 +31,77 @@ func TestSpanTree(t *testing.T) {
 	kms.Finish(t0.Add(30 * time.Millisecond))
 	fn.Finish(t0.Add(150 * time.Millisecond))
 	gw.Finish(t0.Add(160 * time.Millisecond))
-	tr.Finish(t0.Add(170 * time.Millisecond))
+	v, ok := tr.Finish(t0.Add(170 * time.Millisecond))
+	if !ok {
+		t.Fatal("finished trace not stored")
+	}
 
-	spans := tr.Spans()
-	want := []string{"client", "gateway", "lambda", "kms"}
-	if len(spans) != len(want) {
-		t.Fatalf("got %d spans, want %d", len(spans), len(want))
+	if v.Name() != "req" {
+		t.Fatalf("name = %q", v.Name())
 	}
-	for i, s := range spans {
-		if s.Service() != want[i] {
-			t.Errorf("span %d service = %q, want %q", i, s.Service(), want[i])
-		}
+	if got, want := services(v), []string{"client", "gateway", "lambda", "kms"}; !slices.Equal(got, want) {
+		t.Fatalf("segments = %v, want %v", got, want)
 	}
-	if d := tr.Duration(); d != 170*time.Millisecond {
+	if d := v.Duration(); d != 170*time.Millisecond {
 		t.Errorf("trace duration = %v", d)
 	}
-	if d := kms.Duration(); d != 10*time.Millisecond {
-		t.Errorf("kms duration = %v", d)
+	skms, ok := v.Find("kms", "")
+	if !ok || skms.Duration() != 10*time.Millisecond {
+		t.Errorf("Find(kms, *) = %v, %v", skms.Duration(), ok)
 	}
-	if got := tr.Find("lambda", "fn"); got != fn {
-		t.Error("Find(lambda, fn) missed")
+	sfn, ok := v.Find("lambda", "fn")
+	if !ok {
+		t.Fatal("Find(lambda, fn) missed")
 	}
-	if got := tr.Find("kms", ""); got != kms {
-		t.Error("Find(kms, *) missed")
+	if _, ok := v.Find("dynamo", ""); ok {
+		t.Error("Find for absent service should miss")
 	}
-	if tr.Find("dynamo", "") != nil {
-		t.Error("Find for absent service should be nil")
-	}
-	if kms.Parent() != fn || fn.Parent() != gw || root.Parent() != nil {
+	sgw, _ := sfn.Parent()
+	sroot, _ := sgw.Parent()
+	if p, _ := skms.Parent(); p != sfn || sgw.Service() != "gateway" || sroot != v.Root() {
 		t.Error("parent links wrong")
+	}
+	if _, ok := v.Root().Parent(); ok {
+		t.Error("root has a parent")
 	}
 }
 
 func TestFinishClamp(t *testing.T) {
-	tr := New("req", t0)
-	s := tr.Root().StartChild("s3", "Get", t0.Add(time.Second))
-	s.Finish(t0) // earlier than start: clamped
-	if s.End() != s.Start() {
-		t.Fatalf("end = %v, want clamp to start %v", s.End(), s.Start())
+	s := NewStore(nil)
+	tr := New(s, "req", t0)
+	c := tr.Root().StartChild("s3", "Get", t0.Add(time.Second))
+	c.Finish(t0) // earlier than start: clamped
+	v, _ := tr.Finish(t0)
+	g, _ := v.Find("s3", "Get")
+	if !g.End().Equal(g.Start()) {
+		t.Fatalf("end = %v, want clamp to start %v", g.End(), g.Start())
 	}
-	if s.Duration() != 0 {
-		t.Fatalf("duration = %v, want 0", s.Duration())
+	if g.Duration() != 0 {
+		t.Fatalf("duration = %v, want 0", g.Duration())
 	}
 }
 
 func TestAnnotations(t *testing.T) {
-	tr := New("req", t0)
-	s := tr.Root().StartChild("lambda", "fn", t0)
-	s.Annotate("cold_start", "true")
-	s.Annotate("region", "us-west-2")
-	s.Annotate("cold_start", "false") // overwrite, not duplicate
-	if v, ok := s.Annotation("cold_start"); !ok || v != "false" {
-		t.Fatalf("cold_start = %q, %v", v, ok)
+	s := NewStore(nil)
+	tr := New(s, "req", t0)
+	sp := tr.Root().StartChild("lambda", "fn", t0)
+	sp.Annotate("cold_start", "true")
+	sp.Annotate("region", "us-west-2")
+	sp.Annotate("cold_start", "false") // overwrite, not duplicate
+	if v, ok := sp.Annotation("cold_start"); !ok || v != "false" {
+		t.Fatalf("live cold_start = %q, %v", v, ok)
 	}
-	if got := s.Annotations(); len(got) != 2 {
-		t.Fatalf("annotations = %v", got)
-	}
-	if _, ok := s.Annotation("absent"); ok {
+	if _, ok := sp.Annotation("absent"); ok {
 		t.Fatal("absent annotation reported present")
+	}
+	v, _ := tr.Finish(t0)
+	g, _ := v.Find("lambda", "fn")
+	want := []Annotation{{"cold_start", "false"}, {"region", "us-west-2"}}
+	if got := g.Annotations(); !slices.Equal(got, want) {
+		t.Fatalf("stored annotations = %v, want %v", got, want)
+	}
+	if _, ok := g.Annotation("absent"); ok {
+		t.Fatal("absent annotation stored")
 	}
 }
 
@@ -93,27 +114,26 @@ func TestNilSafety(t *testing.T) {
 	s.Finish(t0)
 	s.Annotate("k", "v")
 	s.AddUsage(pricing.Usage{Kind: pricing.KMSRequests, Quantity: 1})
-	if s.Duration() != 0 || s.Service() != "" || s.Op() != "" {
-		t.Fatal("nil span yielded non-zero values")
+	if _, ok := s.Annotation("k"); ok {
+		t.Fatal("nil span holds an annotation")
 	}
-	if len(s.Usage()) != 0 || len(s.Annotations()) != 0 || len(s.Children()) != 0 {
-		t.Fatal("nil span yielded contents")
+	if _, ok := tr.Finish(t0); ok {
+		t.Fatal("nil trace stored")
 	}
-	if tr.Spans() != nil || tr.Name() != "" || tr.Duration() != 0 {
-		t.Fatal("nil trace yielded contents")
+	// A trace with no store to land in is never built.
+	if New(nil, "req", t0) != nil {
+		t.Fatal("New built a trace for a nil store")
 	}
-	tr.Finish(t0)
-	if tr.Render(pricing.Default2017()) != "" {
-		t.Fatal("nil trace rendered")
-	}
-	if tr.Cost(pricing.Default2017()) != 0 {
-		t.Fatal("nil trace cost")
+	var st *Store
+	if st.Decide("x", "y", t0) || st.Len() != 0 || st.Stored() != nil {
+		t.Fatal("nil store misbehaved")
 	}
 }
 
 func TestUsageAggregationAndCost(t *testing.T) {
 	book := pricing.Default2017()
-	tr := New("req", t0)
+	st := NewStore(nil)
+	tr := New(st, "req", t0)
 	fn := tr.Root().StartChild("lambda", "fn", t0)
 	fn.AddUsage(pricing.Usage{Kind: pricing.LambdaRequests, Quantity: 1, App: "chat"})
 	fn.AddUsage(pricing.Usage{Kind: pricing.LambdaGBSeconds, Quantity: 0.0875, App: "chat"})
@@ -121,8 +141,9 @@ func TestUsageAggregationAndCost(t *testing.T) {
 	s3a.AddUsage(pricing.Usage{Kind: pricing.S3PutRequests, Quantity: 1, App: "chat"})
 	s3b := fn.StartChild("s3", "Put", t0)
 	s3b.AddUsage(pricing.Usage{Kind: pricing.S3PutRequests, Quantity: 1, App: "chat"})
+	v, _ := tr.Finish(t0)
 
-	agg := tr.Usage()
+	agg := v.Usage()
 	// Same-key records merge: the two S3 puts become one record.
 	var puts float64
 	for _, u := range agg {
@@ -140,30 +161,36 @@ func TestUsageAggregationAndCost(t *testing.T) {
 	want := book.ListPrice(pricing.Usage{Kind: pricing.LambdaRequests, Quantity: 1}) +
 		book.ListPrice(pricing.Usage{Kind: pricing.LambdaGBSeconds, Quantity: 0.0875}) +
 		book.ListPrice(pricing.Usage{Kind: pricing.S3PutRequests, Quantity: 2})
-	if got := tr.Cost(book); got != want {
+	if got := v.Cost(book); got != want {
 		t.Fatalf("trace cost = %v, want %v", got, want)
 	}
-	// Per-span and subtree attribution.
-	if fn.Cost(book) >= tr.Cost(book) {
-		t.Fatal("lambda span alone should cost less than the whole trace")
+	// Per-segment attribution: the lambda segment alone costs less than
+	// the trace, and the segments' own costs sum to it.
+	sfn, _ := v.Find("lambda", "fn")
+	if sfn.Cost(book) >= v.Cost(book) {
+		t.Fatal("lambda segment alone should cost less than the whole trace")
 	}
-	if fn.SubtreeCost(book) != tr.Cost(book) {
-		t.Fatalf("subtree cost %v != trace cost %v", fn.SubtreeCost(book), tr.Cost(book))
+	var sum pricing.Money
+	for _, g := range v.Segments() {
+		sum += g.Cost(book)
+	}
+	if sum != v.Cost(book) {
+		t.Fatalf("segment costs sum to %v, trace cost %v", sum, v.Cost(book))
 	}
 }
 
 func TestRender(t *testing.T) {
 	book := pricing.Default2017()
-	tr := New("chat-send", t0)
+	tr := New(NewStore(nil), "chat-send", t0)
 	gw := tr.Root().StartChild("gateway", "/u/chat", t0.Add(time.Millisecond))
 	fn := gw.StartChild("lambda", "u-chat", t0.Add(20*time.Millisecond))
 	fn.Annotate("cold_start", "true")
 	fn.AddUsage(pricing.Usage{Kind: pricing.LambdaRequests, Quantity: 1})
 	fn.Finish(t0.Add(200 * time.Millisecond))
 	gw.Finish(t0.Add(210 * time.Millisecond))
-	tr.Finish(t0.Add(211 * time.Millisecond))
+	v, _ := tr.Finish(t0.Add(211 * time.Millisecond))
 
-	out := tr.Render(book)
+	out := v.Render(book)
 	for _, frag := range []string{
 		"chat-send  211ms",
 		"└─ gateway /u/chat  +1ms 209ms",
@@ -184,12 +211,8 @@ func TestStoreBasics(t *testing.T) {
 	if _, ok := s.Last(); ok {
 		t.Fatal("fresh store has a last trace")
 	}
-	a, b := New("a", t0), New("b", t0.Add(time.Second))
-	a.Finish(t0.Add(100 * time.Millisecond))
-	b.Finish(t0.Add(1100 * time.Millisecond))
-	s.Record(a)
-	s.Record(b)
-	s.Record(nil) // nil traces are ignored
+	New(s, "a", t0).Finish(t0.Add(100 * time.Millisecond))
+	New(s, "b", t0.Add(time.Second)).Finish(t0.Add(1100 * time.Millisecond))
 	if got := s.Len(); got != 2 {
 		t.Fatalf("len = %d", got)
 	}
@@ -204,56 +227,207 @@ func TestStoreBasics(t *testing.T) {
 	if !ok || last.Name() != "b" {
 		t.Fatal("last != b")
 	}
-	// An unfinished trace stays staged, invisible to reads, until it
-	// finishes and a later read folds it.
-	c := New("c", t0.Add(2*time.Second))
-	s.Record(c)
-	if got := len(s.Stored()); got != 2 {
-		t.Fatalf("open trace leaked into storage: %d stored", got)
-	}
-	c.Finish(t0.Add(3 * time.Second))
-	if got := len(s.Stored()); got != 3 {
-		t.Fatalf("finished trace not folded: %d stored", got)
-	}
+	New(s, "c", t0.Add(2*time.Second)).Finish(t0.Add(3 * time.Second))
 	// Time windows binary-search root starts, bounds inclusive.
 	win := s.Window(t0.Add(time.Second), t0.Add(2*time.Second))
 	if len(win) != 2 || win[0].Name() != "b" || win[1].Name() != "c" {
 		t.Fatalf("window = %d traces", len(win))
 	}
-	var nilStore *Store
-	nilStore.Record(a)
-	if nilStore.Len() != 0 || nilStore.Stored() != nil || !nilStore.Decide("x", "y", t0) {
-		t.Fatal("nil store misbehaved")
+}
+
+// segWant is what a builder wrote for one span, listed in preorder.
+type segWant struct {
+	service, op string
+	parent      int // preorder index of the parent, -1 at the root
+	start, end  time.Time
+	annos       []Annotation
+	usage       []pricing.Usage
+}
+
+// TestFoldFidelity checks every stored segment against what the
+// builder wrote: service, op, parent, start, end, annotations and
+// usage. Spans are created out of preorder (a sibling before its elder
+// sibling's children) and one child is still open when the root
+// finishes, so the fold's preorder walk and its never-finished marker
+// are both exercised.
+func TestFoldFidelity(t *testing.T) {
+	ms := func(n int) time.Time { return t0.Add(time.Duration(n) * time.Millisecond) }
+	use := func(k pricing.Kind, q float64) pricing.Usage {
+		return pricing.Usage{Kind: k, Quantity: q, Resource: "r", App: "chat"}
+	}
+	st := NewStore(nil)
+	tr := New(st, "chat-send", ms(0))
+	gw := tr.Root().StartChild("gateway", "/u/chat", ms(1))
+	fn := gw.StartChild("lambda", "u-chat", ms(2))
+	tail := gw.StartChild("sqs", "sqs:SendMessage", ms(150)) // created before fn's children
+	fn.Annotate("cold_start", "true")
+	fn.Annotate("run_ms", "120")
+	fn.Annotate("cold_start", "false")
+	fn.AddUsage(use(pricing.LambdaRequests, 1))
+	fn.AddUsage(use(pricing.LambdaGBSeconds, 0.0875))
+	kms := fn.StartChild("kms", "kms:Decrypt", ms(3))
+	kms.AddUsage(use(pricing.KMSRequests, 1))
+	kms.Finish(ms(5))
+	open := fn.StartChild("s3", "s3:PutObject", ms(6)) // never finished
+	open.Annotate("bytes", "222")
+	fn.Finish(ms(122))
+	tail.AddUsage(use(pricing.SQSRequests, 1))
+	tail.Finish(ms(160))
+	gw.Finish(ms(170))
+	v, ok := tr.Finish(ms(171))
+	if !ok {
+		t.Fatal("trace not stored")
+	}
+
+	want := []segWant{
+		{"client", "chat-send", -1, ms(0), ms(171), nil, nil},
+		{"gateway", "/u/chat", 0, ms(1), ms(170), nil, nil},
+		{"lambda", "u-chat", 1, ms(2), ms(122),
+			[]Annotation{{"cold_start", "false"}, {"run_ms", "120"}},
+			[]pricing.Usage{use(pricing.LambdaRequests, 1), use(pricing.LambdaGBSeconds, 0.0875)}},
+		{"kms", "kms:Decrypt", 2, ms(3), ms(5), nil, []pricing.Usage{use(pricing.KMSRequests, 1)}},
+		{"s3", "s3:PutObject", 2, ms(6), time.Time{}, []Annotation{{"bytes", "222"}}, nil},
+		{"sqs", "sqs:SendMessage", 1, ms(150), ms(160), nil, []pricing.Usage{use(pricing.SQSRequests, 1)}},
+	}
+	segs := v.Segments()
+	if len(segs) != len(want) {
+		t.Fatalf("stored %d segments, want %d", len(segs), len(want))
+	}
+	for i, w := range want {
+		g := segs[i]
+		if g.Service() != w.service || g.Op() != w.op {
+			t.Errorf("segment %d = %s %s, want %s %s", i, g.Service(), g.Op(), w.service, w.op)
+		}
+		p, ok := g.Parent()
+		if got := slices.Index(segs, p); ok != (w.parent >= 0) || (ok && got != w.parent) {
+			t.Errorf("segment %d parent = %d (%v), want %d", i, got, ok, w.parent)
+		}
+		if !g.Start().Equal(w.start) || !g.End().Equal(w.end) {
+			t.Errorf("segment %d = [%v, %v], want [%v, %v]", i, g.Start(), g.End(), w.start, w.end)
+		}
+		if got := g.Annotations(); !slices.Equal(got, w.annos) {
+			t.Errorf("segment %d annotations = %v, want %v", i, got, w.annos)
+		}
+		if got := g.Usage(); !slices.Equal(got, w.usage) {
+			t.Errorf("segment %d usage = %v, want %v", i, got, w.usage)
+		}
 	}
 }
 
-func TestConcurrentTraceAccess(t *testing.T) {
-	// A reader walking the trace while another goroutine appends spans
-	// must be race-free (the store makes traces visible across
-	// goroutines).
-	tr := New("req", t0)
-	root := tr.Root()
+// TestConcurrentFinish has N goroutines decide, build and finish traces
+// into one shared store while another goroutine reads its counters:
+// exactly N traces are stored and the counters agree. Run under -race.
+func TestConcurrentFinish(t *testing.T) {
+	const n = 64
+	s := NewStore(nil)
 	var wg sync.WaitGroup
-	wg.Add(2)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			at := t0.Add(time.Duration(i) * time.Second)
+			if !s.Decide("client", "req", at) {
+				t.Error("keep-all store dropped a trace")
+				return
+			}
+			tr := New(s, "req", at)
+			c := tr.Root().StartChild("s3", "Get", at)
+			c.Annotate("k", "v")
+			c.AddUsage(pricing.Usage{Kind: pricing.S3GetRequests, Quantity: 1})
+			c.Finish(at.Add(time.Millisecond))
+			tr.Finish(at.Add(2 * time.Millisecond))
+		}(i)
+	}
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(done)
 		for i := 0; i < 200; i++ {
-			s := root.StartChild("s3", "Get", t0)
-			s.Annotate("k", "v")
-			s.AddUsage(pricing.Usage{Kind: pricing.S3GetRequests, Quantity: 1})
-			s.Finish(t0.Add(time.Millisecond))
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			tr.Spans()
-			tr.Usage()
-			tr.Cost(pricing.Default2017())
+			st := s.Stats()
+			if st.Stored > st.Kept || st.Kept > st.Decided {
+				t.Errorf("inconsistent stats mid-run: %+v", st)
+				return
+			}
+			s.Len()
 		}
 	}()
 	wg.Wait()
-	if got := len(tr.FindAll("s3")); got != 200 {
-		t.Fatalf("spans = %d", got)
+	<-done
+	if got := s.Stats(); got != (StoreStats{Decided: n, Kept: n, Stored: n}) {
+		t.Fatalf("stats = %+v, want %d decided, kept and stored", got, n)
+	}
+	if got := s.Len(); got != n {
+		t.Fatalf("len = %d, want %d", got, n)
+	}
+}
+
+// A second Finish must not store the trace again: it returns the same
+// view, and the stored root keeps the first end instant.
+func TestFinishTwice(t *testing.T) {
+	s := NewStore(nil)
+	tr := New(s, "req", t0)
+	first, _ := tr.Finish(t0.Add(time.Second))
+	again, ok := tr.Finish(t0.Add(5 * time.Second))
+	if !ok || again != first {
+		t.Fatal("second Finish returned a different view")
+	}
+	tr.Root().Finish(t0.Add(9 * time.Second))
+	if got := s.Stats().Stored; got != 1 || s.Len() != 1 {
+		t.Fatalf("stored %d traces (len %d), want 1", got, s.Len())
+	}
+	if d := first.Duration(); d != time.Second {
+		t.Fatalf("stored duration = %v, want the first Finish's 1s", d)
+	}
+}
+
+// A trace whose root is still open is invisible to every read, however
+// much of it has been built and finished.
+func TestOpenTraceInvisible(t *testing.T) {
+	book := pricing.Default2017()
+	s := NewStore(nil)
+	tr := New(s, "req", t0)
+	c := tr.Root().StartChild("kms", "kms:Decrypt", t0)
+	c.AddUsage(pricing.Usage{Kind: pricing.KMSRequests, Quantity: 1})
+	c.Finish(t0.Add(time.Millisecond))
+	if s.Len() != 0 || len(s.Stored()) != 0 {
+		t.Fatal("open trace visible to Len/Stored")
+	}
+	if _, ok := s.Last(); ok {
+		t.Fatal("open trace visible to Last")
+	}
+	if m := s.ServiceMap(book, time.Time{}, time.Time{}); m.Traces != 0 {
+		t.Fatalf("open trace in the service map: %d traces", m.Traces)
+	}
+	if p := s.CriticalProfile(time.Time{}, time.Time{}); p.Traces != 0 {
+		t.Fatalf("open trace in the critical profile: %d traces", p.Traces)
+	}
+	if q, err := s.Query(`service(kms)`, book, time.Time{}, time.Time{}); err != nil || len(q) != 0 {
+		t.Fatalf("open trace matched a query: %d, %v", len(q), err)
+	}
+	if st := s.Stats(); st.Stored != 0 || st.Scanned != 0 {
+		t.Fatalf("open trace counted: %+v", st)
+	}
+	tr.Finish(t0.Add(2 * time.Millisecond))
+	if s.Len() != 1 {
+		t.Fatal("finished trace not stored")
+	}
+}
+
+// Traces are stored in the order their roots finish, not the order
+// they started: Last follows finishing, while windows still order by
+// start.
+func TestFinishOrder(t *testing.T) {
+	s := NewStore(nil)
+	a := New(s, "a", t0)
+	b := New(s, "b", t0.Add(time.Second))
+	vb, _ := b.Finish(t0.Add(2 * time.Second))
+	if last, _ := s.Last(); last != vb {
+		t.Fatal("b finished first but is not the last stored trace")
+	}
+	va, _ := a.Finish(t0.Add(3 * time.Second))
+	if last, _ := s.Last(); last != va {
+		t.Fatal("a finished last but is not the last stored trace")
+	}
+	if v := s.Stored(); len(v) != 2 || v[0] != va || v[1] != vb {
+		t.Fatal("Stored is not in start order")
 	}
 }

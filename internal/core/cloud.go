@@ -132,11 +132,10 @@ type CloudOptions struct {
 	// bundle's values — the fleet uses that to re-seed the latency
 	// model per account.
 	Shared *Shared
-	// DisableTracing skips building the X-Ray-sim trace store. Traced
-	// flows still construct client-side traces (TracedContext keeps
-	// returning one), but nothing is sampled, stored or priced — the
-	// parity tests flip this to prove trace storage never moves a
-	// ledger number.
+	// DisableTracing skips building the X-Ray-sim trace store, so
+	// every flow runs untraced: TracedContext returns a nil trace and
+	// nothing is sampled, stored or priced — the parity tests flip this
+	// to prove tracing never moves a ledger number.
 	DisableTracing bool
 	// TraceSampling configures the trace store's head-based sampler.
 	// Nil keeps every recorded trace — the single-account default,

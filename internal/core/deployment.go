@@ -230,23 +230,20 @@ func (d *Deployment) ClientContext() *sim.Context {
 }
 
 // TracedContext is ClientContext with a distributed trace attached:
-// every service hop of the request records a span, and the finished
-// trace lands in the cloud's trace store. The head-based sampling
-// decision is taken here, before any span exists — an unsampled
-// request returns a nil trace, and nil-safe spans make the untraced
-// flow cost one pointer check per hop. The default store keeps every
-// trace (and a cloud with tracing disabled still returns a live,
-// unstored trace), so single-account callers always get one back.
-// The caller finishes the trace when the flow completes (or defers
-// the returned trace's Finish).
+// every service hop of the request records a span, and finishing the
+// trace (tr.Finish(ctx.Now())) when the flow completes folds it into
+// the cloud's trace store and returns its stored view. The head-based
+// sampling decision is taken here, before any span exists — an
+// unsampled request returns a nil trace, and nil-safe spans make the
+// untraced flow cost one pointer check per hop. The default store
+// keeps every trace; a cloud with tracing disabled has no store, so
+// every flow runs untraced.
 func (d *Deployment) TracedContext(name string) (*sim.Context, *trace.Trace) {
 	ctx := d.ClientContext()
 	if !d.Cloud.Tracer.Decide("client", name, ctx.Cursor.Now()) {
 		return ctx, nil
 	}
-	tr := ctx.StartTrace(name)
-	d.Cloud.Tracer.Record(tr)
-	return ctx, tr
+	return ctx, ctx.StartTrace(d.Cloud.Tracer, name)
 }
 
 // Invoke sends one request through the HTTPS endpoint.

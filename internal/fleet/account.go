@@ -15,9 +15,7 @@ import (
 	"repro/internal/apps/filetransfer"
 	"repro/internal/apps/iot"
 	"repro/internal/cloudsim/clock"
-	"repro/internal/cloudsim/lambda"
 	"repro/internal/cloudsim/metrics"
-	"repro/internal/cloudsim/sim"
 	"repro/internal/cloudsim/trace"
 	"repro/internal/core"
 	"repro/internal/fleet/telemetry"
@@ -290,30 +288,11 @@ func (a *accountSim) requestLocked(now time.Time) error {
 	}
 }
 
-// requestContextLocked returns the arrival's client context. With
-// tracing on it is a TracedContext: the head-sampling decision is
-// taken up front and an unsampled request carries a nil (still
-// nil-safe) trace. Caller holds a.mu and finishes the returned trace
-// when the flow completes.
-func (a *accountSim) requestContextLocked(op string) (*sim.Context, *trace.Trace) {
-	if !a.cfg.Trace {
-		return a.dep.ClientContext(), nil
-	}
-	return a.dep.TracedContext(op)
-}
-
 // chatRequestLocked is the Table 3 flow at fleet scale: owner sends,
 // peer's outstanding long poll delivers, E2E latency runs from send
 // initiation to decrypted delivery.
 func (a *accountSim) chatRequestLocked(now time.Time, gap time.Duration) error {
-	body := a.bodyLocked()
-	var stats lambda.InvocationStats
-	var err error
-	if a.cfg.Trace {
-		_, stats, err = a.owner.SendTraced(body)
-	} else {
-		stats, _, err = a.owner.SendTimed(body)
-	}
+	sent, err := a.owner.SendTraced(a.bodyLocked())
 	if err != nil {
 		return fmt.Errorf("chat send %d: %w", a.stats.Requests, err)
 	}
@@ -325,7 +304,7 @@ func (a *accountSim) chatRequestLocked(now time.Time, gap time.Duration) error {
 	if len(msgs) != 1 {
 		return fmt.Errorf("chat receive %d: got %d messages, want 1", a.stats.Requests, len(msgs))
 	}
-	a.recordLocked(gap, stats.ColdStart, pollCtx.Cursor.Now().Sub(now))
+	a.recordLocked(gap, sent.Stats.ColdStart, pollCtx.Cursor.Now().Sub(now))
 	return nil
 }
 
@@ -336,7 +315,7 @@ func (a *accountSim) emailRequestLocked(now time.Time, gap time.Duration) error 
 	raw := fmt.Sprintf("From: friend@example.org\r\nSubject: note %d\r\n\r\n%s",
 		a.stats.Requests, a.bodyLocked())
 	_, coldBefore := a.cloud.Lambda.Stats(a.dep.FnName)
-	ctx, tr := a.requestContextLocked("email-inbound")
+	ctx, tr := a.dep.TracedContext("email-inbound")
 	err := a.cloud.SES.Deliver(ctx, "friend@example.org", operator+"@"+email.MailDomain, []byte(raw))
 	tr.Finish(ctx.Now())
 	if err != nil {
@@ -358,7 +337,7 @@ func (a *accountSim) filedropRequestLocked(now time.Time, gap time.Duration) err
 	if err != nil {
 		return err
 	}
-	ctx, tr := a.requestContextLocked("filedrop-upload")
+	ctx, tr := a.dep.TracedContext("filedrop-upload")
 	resp, stats, err := a.dep.Invoke(ctx, "upload", req)
 	tr.Finish(ctx.Now())
 	if err != nil {
@@ -387,7 +366,7 @@ func (a *accountSim) iotRequestLocked(now time.Time, gap time.Duration) error {
 		}
 		body = b
 	}
-	ctx, tr := a.requestContextLocked("iot-" + op)
+	ctx, tr := a.dep.TracedContext("iot-" + op)
 	resp, stats, err := a.dep.Invoke(ctx, op, body)
 	tr.Finish(ctx.Now())
 	if err != nil {

@@ -101,31 +101,45 @@ func TestTracePropagation(t *testing.T) {
 			cloud.Clock.Advance(tc.idle)
 
 			before := cloud.Meter.Snapshot()
-			tr, stats, err := alice.SendTraced("hello, traced world")
+			sent, err := alice.SendTraced("hello, traced world")
 			if err != nil {
 				t.Fatal(err)
 			}
 			after := cloud.Meter.Snapshot()
-
-			assertSpanTree(t, tr, d, stats, tc.cold, tc.wantInside)
-			assertCostMatchesMeter(t, tr, cloud.Book, before, after)
-
-			// The store folded the same trace: the latest stored view
-			// agrees with the client-side object.
-			last, ok := cloud.Tracer.Last()
-			if !ok {
+			if !sent.Traced {
 				t.Fatal("trace not recorded in the cloud's store")
 			}
-			if last.Name() != "chat-send" || last.Duration() != tr.Duration() {
-				t.Errorf("stored trace = %q %v, want %q %v",
-					last.Name(), last.Duration(), "chat-send", tr.Duration())
+
+			assertSpanTree(t, sent.Trace, d, sent.Stats, tc.cold, tc.wantInside)
+			assertCostMatchesMeter(t, sent.Trace, cloud.Book, before, after)
+
+			// The send's view is the store's latest trace, and the root
+			// spans the whole send.
+			last, ok := cloud.Tracer.Last()
+			if !ok || last != sent.Trace {
+				t.Fatal("the send's trace is not the store's latest")
+			}
+			if last.Name() != "chat-send" || !last.End().Equal(sent.At) {
+				t.Errorf("stored trace = %q ending %v, want %q ending %v",
+					last.Name(), last.End(), "chat-send", sent.At)
 			}
 		})
 	}
 }
 
+// children lists g's child segments in creation order.
+func children(tr trace.TraceView, g trace.SegmentView) []trace.SegmentView {
+	var out []trace.SegmentView
+	for _, c := range tr.Segments() {
+		if p, ok := c.Parent(); ok && p == g {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 // assertSpanTree checks the client → gateway → lambda → hops chain.
-func assertSpanTree(t *testing.T, tr *trace.Trace, d *core.Deployment, stats lambda.InvocationStats, wantCold bool, wantInside []spanID) {
+func assertSpanTree(t *testing.T, tr trace.TraceView, d *core.Deployment, stats lambda.InvocationStats, wantCold bool, wantInside []spanID) {
 	t.Helper()
 	root := tr.Root()
 	if root.Service() != "client" || root.Op() != "chat-send" {
@@ -135,7 +149,7 @@ func assertSpanTree(t *testing.T, tr *trace.Trace, d *core.Deployment, stats lam
 		t.Fatal("trace has no duration")
 	}
 
-	kids := root.Children()
+	kids := children(tr, root)
 	if len(kids) != 1 {
 		t.Fatalf("root has %d children, want 1 gateway span", len(kids))
 	}
@@ -144,16 +158,13 @@ func assertSpanTree(t *testing.T, tr *trace.Trace, d *core.Deployment, stats lam
 		t.Fatalf("first hop = %s %s, want gateway %s", gw.Service(), gw.Op(), d.Endpoint)
 	}
 
-	kids = gw.Children()
+	kids = children(tr, gw)
 	if len(kids) != 1 {
 		t.Fatalf("gateway has %d children, want 1 lambda span", len(kids))
 	}
 	fn := kids[0]
 	if fn.Service() != "lambda" || fn.Op() != d.FnName {
 		t.Fatalf("second hop = %s %s, want lambda %s", fn.Service(), fn.Op(), d.FnName)
-	}
-	if fn.Parent() != gw || gw.Parent() != root {
-		t.Fatal("parent links broken")
 	}
 
 	// Invocation annotations agree with the returned stats.
@@ -171,7 +182,7 @@ func assertSpanTree(t *testing.T, tr *trace.Trace, d *core.Deployment, stats lam
 	}
 
 	var got []spanID
-	for _, c := range fn.Children() {
+	for _, c := range children(tr, fn) {
 		if c.Op() == "billing-quantum" {
 			continue // virtual padding span; presence depends on run time
 		}
@@ -190,7 +201,7 @@ func assertSpanTree(t *testing.T, tr *trace.Trace, d *core.Deployment, stats lam
 // assertCostMatchesMeter prices the usage metered during the traced
 // flow (meter snapshot diff) and requires the trace's own ledger to
 // agree record for record and to the exact nanodollar.
-func assertCostMatchesMeter(t *testing.T, tr *trace.Trace, book *pricing.PriceBook, before, after []pricing.Usage) {
+func assertCostMatchesMeter(t *testing.T, tr trace.TraceView, book *pricing.PriceBook, before, after []pricing.Usage) {
 	t.Helper()
 	type key struct {
 		kind     pricing.Kind
@@ -237,8 +248,12 @@ func assertCostMatchesMeter(t *testing.T, tr *trace.Trace, book *pricing.PriceBo
 	if got := tr.Cost(book); got != meterCost {
 		t.Errorf("trace cost %v != metered cost %v", got, meterCost)
 	}
-	// The per-span ledger sums to the same total.
-	if got := tr.Root().SubtreeCost(book); got != tr.Cost(book) {
-		t.Errorf("subtree cost %v != trace cost %v", got, tr.Cost(book))
+	// The per-segment ledger sums to the same total.
+	var sum pricing.Money
+	for _, g := range tr.Segments() {
+		sum += g.Cost(book)
+	}
+	if sum != tr.Cost(book) {
+		t.Errorf("segment costs sum to %v != trace cost %v", sum, tr.Cost(book))
 	}
 }

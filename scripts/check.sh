@@ -72,6 +72,11 @@ if ! grep -q 'Fleet trace rollup' "$LOG1"; then
 fi
 diff "$LOG1" "$LOG2"
 
+echo ">> trace demo goldens (diyctl trace and the traced-fleet render above, byte-identical to cmd/diyctl/testdata)"
+diff cmd/diyctl/testdata/trace_fleet.golden "$LOG1"
+go run ./cmd/diyctl trace >"$LOG2"
+diff cmd/diyctl/testdata/trace.golden "$LOG2"
+
 echo ">> codec fuzz smoke (each sealed-document codec against encoding/json, 10 s per fuzzer)"
 go test -run '^$' -fuzz '^FuzzAppendString$' -fuzztime 10s ./internal/canonjson
 go test -run '^$' -fuzz '^FuzzRoomDocCodec$' -fuzztime 10s ./internal/apps/chat
