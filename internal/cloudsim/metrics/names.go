@@ -66,7 +66,7 @@ const (
 	// of a run: one sample per shard, in shard order, all virtual-time
 	// — they are part of nothing the replay-identity goldens pin, but
 	// they are themselves bit-identical across replays.
-	MetricFleetShardEvents   = "fleet.shard.events"     // timeline events popped
+	MetricFleetShardEvents   = "fleet.shard.events"     // arrivals served by the replay loop
 	MetricFleetShardAccounts = "fleet.shard.accounts"   // accounts completed
 	MetricFleetShardRequests = "fleet.shard.requests"   // workload arrivals served
 	MetricFleetShardCold     = "fleet.shard.coldstarts" // cold containers hit

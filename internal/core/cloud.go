@@ -100,12 +100,8 @@ func NewShared(book *pricing.PriceBook, params *netsim.Params) (*Shared, error) 
 type CloudOptions struct {
 	// Name identifies the provider (default "aws-sim").
 	Name string
-	// Region is the home region (default "us-west-2").
-	Region string
 	// NetParams overrides the latency model (DefaultParams if nil).
 	NetParams *netsim.Params
-	// Book overrides the price book (Default2017 if nil).
-	Book *pricing.PriceBook
 	// DisableObservability skips installing the metrics interceptor on
 	// the service planes. Observability is on by default — the DIY
 	// operator has no provider dashboard, so the cloud publishes its
@@ -119,18 +115,12 @@ type CloudOptions struct {
 	// with respect to the economy; TestLogsPreserveLedger flips this to
 	// prove a logged run is bit-identical to an unlogged one.
 	DisableLogging bool
-	// Clock injects the cloud's virtual timeline. The fleet engine hands
-	// each account the clock of a shard-local event queue
-	// (clock.Timeline) so one drain loop drives many accounts; nil keeps
-	// the historical behaviour of a fresh virtual clock at Epoch.
-	Clock *clock.Virtual
 	// Shared supplies the immutable cross-account state (price book,
 	// base netsim params, attestation platform) so per-account
-	// construction stays cheap. Nil builds a private bundle from the
-	// Book/NetParams fields, preserving single-account behaviour
-	// bit-for-bit. Book and NetParams, when set, still win over the
-	// bundle's values — the fleet uses that to re-seed the latency
-	// model per account.
+	// construction stays cheap. Nil builds a private bundle with the
+	// Default2017 book and the NetParams latency model. NetParams, when
+	// set, still wins over the bundle's params — the fleet uses that to
+	// re-seed the latency model per account.
 	Shared *Shared
 	// DisableTracing skips building the X-Ray-sim trace store, so
 	// every flow runs untraced: TracedContext returns a nil trace and
@@ -157,12 +147,9 @@ func NewCloud(opts CloudOptions) (*Cloud, error) {
 	if opts.Name == "" {
 		opts.Name = "aws-sim"
 	}
-	if opts.Region == "" {
-		opts.Region = "us-west-2"
-	}
 	shared := opts.Shared
 	if shared == nil {
-		s, err := NewShared(opts.Book, opts.NetParams)
+		s, err := NewShared(nil, opts.NetParams)
 		if err != nil {
 			return nil, fmt.Errorf("core: building cloud %q: %w", opts.Name, err)
 		}
@@ -172,22 +159,14 @@ func NewCloud(opts CloudOptions) (*Cloud, error) {
 	if opts.NetParams != nil {
 		params = *opts.NetParams
 	}
-	book := opts.Book
-	if book == nil {
-		book = shared.Book
-	}
-	clk := opts.Clock
-	if clk == nil {
-		clk = clock.NewVirtual()
-	}
 
 	c := &Cloud{
 		Name:   opts.Name,
-		Region: opts.Region,
-		Clock:  clk,
+		Region: "us-west-2",
+		Clock:  clock.NewVirtual(),
 		Model:  netsim.NewModel(params),
 		Meter:  pricing.NewMeter(),
-		Book:   book,
+		Book:   shared.Book,
 		IAM:    iam.New(),
 	}
 	c.KMS = kms.New(c.IAM, c.Meter, c.Model, c.Clock)

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/apps/chat"
@@ -30,39 +29,24 @@ import (
 // ledgers" a meaningful isolation property.
 const operator = "op"
 
-// accountSim drives one account's deployment through its simulated
-// span as a chain of timeline events: each arrival serves a request
-// and schedules the next. Its mutable fields are written only under mu
-// (or from *Locked methods whose callers hold it): the struct is
-// shard-private today, but the scheduler's workers are exactly the
-// concurrency seam the shardsafe analyzer guards, and the lock keeps
-// that guarantee mechanical rather than situational.
+// accountSim is one account's private world: its cloud, installed
+// deployment and payload stream. It is read-only after newAccountSim;
+// replay keeps every per-arrival tally in its own locals.
 type accountSim struct {
-	mu      sync.Mutex
 	cfg     *Config
 	profile workload.AccountProfile
 
-	tl    *clock.Timeline
-	cloud *core.Cloud
-	dep   *core.Deployment
-	end   time.Time
-
-	arrivals *workload.Poisson
-	payload  *rand.Rand
-	lastAt   time.Time
+	cloud   *core.Cloud
+	dep     *core.Deployment
+	payload *rand.Rand
 
 	// chat peers (KindChat only).
 	owner, peer *chat.Client
-
-	stats     AccountStats
-	latencies []time.Duration
-	samples   []reqSample
-	err       error
 }
 
-// simulateAccount builds one account's private world — timeline, cloud
-// wired from the shared immutable bundle, deployment — replays its
-// span, and returns the outcome. slot is the account's position in the
+// simulateAccount builds one account's private world — cloud wired
+// from the shared immutable bundle, deployment — replays its span, and
+// returns the outcome. slot is the account's position in the
 // simulated sub-fleet (its outcome-slice index).
 //
 // The pprof phase labels and metrics.HostNow marks attribute the
@@ -81,14 +65,11 @@ func simulateAccount(cfg *Config, shared *core.Shared, profile workload.AccountP
 		return accountOutcome{err: fmt.Errorf("account %06d (%v): %w", profile.Index, profile.Kind, err)}
 	}
 	drainStart := metrics.HostNow()
-	var events int
+	var o accountOutcome
 	pprof.Do(context.Background(), pprof.Labels("phase", "drain"), func(context.Context) {
-		a.scheduleNext()
-		events = a.tl.RunUntil(a.end)
+		o = a.replay()
 	})
 	drainEnd := metrics.HostNow()
-	o := a.outcome()
-	o.events = events
 	if cfg.Tower != nil && o.err == nil {
 		// Reduce the account's CloudWatch series while the store is hot,
 		// then recycle its column chunks (below) — the fleet
@@ -102,7 +83,7 @@ func simulateAccount(cfg *Config, shared *core.Shared, profile workload.AccountP
 			Kind:             profile.Kind.String(),
 			Requests:         o.stats.Requests,
 			ColdStarts:       o.stats.ColdStarts,
-			Events:           events,
+			Events:           o.stats.Requests,
 			MonthlyCostNanos: o.stats.MonthlyCost.Nanodollars(),
 			InstallHostNs:    drainStart - installStart,
 			DrainHostNs:      drainEnd - drainStart,
@@ -137,11 +118,10 @@ func simulateAccount(cfg *Config, shared *core.Shared, profile workload.AccountP
 	return o
 }
 
-// newAccountSim wires the account: an injected shard-local timeline,
-// per-account netsim/arrival/payload streams derived from the
-// account's seed partition, and the app installation + warmup.
+// newAccountSim wires the account: per-account netsim and payload
+// streams derived from the account's seed partition, and the app
+// installation + warmup.
 func newAccountSim(cfg *Config, shared *core.Shared, profile workload.AccountProfile) (*accountSim, error) {
-	tl := clock.NewTimeline()
 	params := shared.Params
 	params.Seed = workload.Substream(profile.Seed, "netsim")
 	// With tracing on, each account gets an X-Ray-sim store whose
@@ -154,7 +134,6 @@ func newAccountSim(cfg *Config, shared *core.Shared, profile workload.AccountPro
 	cloud, err := core.NewCloud(core.CloudOptions{
 		Name:      fmt.Sprintf("fleet-%06d", profile.Index),
 		Shared:    shared,
-		Clock:     tl.Clock(),
 		NetParams: &params,
 		// With a control tower attached, each account publishes its
 		// CloudWatch plane series for the cross-account rollups. The
@@ -172,9 +151,7 @@ func newAccountSim(cfg *Config, shared *core.Shared, profile workload.AccountPro
 	a := &accountSim{
 		cfg:     cfg,
 		profile: profile,
-		tl:      tl,
 		cloud:   cloud,
-		end:     clock.Epoch.Add(cfg.Span),
 		payload: workload.NewRand(workload.Substream(profile.Seed, "payload")),
 	}
 
@@ -223,15 +200,6 @@ func newAccountSim(cfg *Config, shared *core.Shared, profile workload.AccountPro
 	default:
 		return nil, fmt.Errorf("unknown app kind %d", profile.Kind)
 	}
-
-	// The warmup above (installs, sessions, device registration) ran at
-	// Epoch; the first arrival's inter-request gap measures from here.
-	a.lastAt = cloud.Clock.Now()
-	a.arrivals = workload.NewPoisson(
-		workload.Substream(profile.Seed, "arrivals"),
-		profile.RequestsPerDay,
-		a.lastAt,
-	)
 	return a, nil
 }
 
@@ -248,113 +216,124 @@ func (a *accountSim) invokeOK(op string, body []byte) error {
 	return nil
 }
 
-// scheduleNext queues the next arrival, if it falls inside the span.
-func (a *accountSim) scheduleNext() {
-	next := a.arrivals.Next()
-	if next.Before(a.end) {
-		a.tl.Schedule(next, a.step)
+// replay serves the account's Poisson arrivals in order, each at its
+// own instant on the cloud's clock, until the span ends or a request
+// fails; then it moves the clock to the horizon, prices the span at
+// list price, extrapolates to the month, and packages the raw result.
+func (a *accountSim) replay() accountOutcome {
+	var o accountOutcome
+	// The warmup (installs, sessions, device registration) ran at
+	// Epoch; the first arrival's inter-request gap measures from here.
+	last := a.cloud.Clock.Now()
+	arrivals := workload.NewPoisson(workload.Substream(a.profile.Seed, "arrivals"), a.profile.RequestsPerDay, last)
+	end := clock.Epoch.Add(a.cfg.Span)
+	for at := arrivals.Next(); at.Before(end); at = arrivals.Next() {
+		a.cloud.Clock.Set(at)
+		now := a.cloud.Clock.Now()
+		cold, latency, err := a.request(now, o.stats.Requests)
+		if err != nil {
+			return accountOutcome{err: fmt.Errorf("account %06d (%v): %w", a.profile.Index, a.profile.Kind, err)}
+		}
+		o.stats.Requests++
+		if cold {
+			o.stats.ColdStarts++
+		}
+		o.latencies = append(o.latencies, latency)
+		o.samples = append(o.samples, reqSample{gap: now.Sub(last), cold: cold})
+		last = now
 	}
+	a.cloud.Clock.Set(end)
+
+	var span pricing.Money
+	for _, u := range a.cloud.Meter.Snapshot() {
+		span += a.cfg.Book.ListPrice(u)
+	}
+	o.stats.Index = a.profile.Index
+	o.stats.Kind = a.profile.Kind
+	o.stats.MonthlyCost = span.MulFloat(float64(month) / float64(a.cfg.Span))
+	if a.cfg.CaptureLedgers {
+		o.stats.Ledger = renderLedger(a.cloud.Meter)
+	}
+	return o
 }
 
-// step is one timeline event: serve the arrival, then schedule the
-// next one. Errors latch and stop the chain.
-func (a *accountSim) step(now time.Time) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.err != nil {
-		return
-	}
-	if err := a.requestLocked(now); err != nil {
-		a.err = err
-		return
-	}
-	a.scheduleNext()
-}
-
-// requestLocked serves one workload arrival for the account's app
-// kind. Caller holds a.mu.
-func (a *accountSim) requestLocked(now time.Time) error {
-	gap := now.Sub(a.lastAt)
-	a.lastAt = now
+// request serves arrival n (0-based) at now for the account's app kind,
+// reporting whether it hit a cold container and its end-to-end latency.
+func (a *accountSim) request(now time.Time, n int) (cold bool, latency time.Duration, err error) {
 	switch a.profile.Kind {
 	case workload.KindChat:
-		return a.chatRequestLocked(now, gap)
+		return a.chatRequest(now, n)
 	case workload.KindEmail:
-		return a.emailRequestLocked(now, gap)
+		return a.emailRequest(now, n)
 	case workload.KindFiledrop:
-		return a.filedropRequestLocked(now, gap)
+		return a.filedropRequest(now, n)
 	default:
-		return a.iotRequestLocked(now, gap)
+		return a.iotRequest(now, n)
 	}
 }
 
-// chatRequestLocked is the Table 3 flow at fleet scale: owner sends,
-// peer's outstanding long poll delivers, E2E latency runs from send
-// initiation to decrypted delivery.
-func (a *accountSim) chatRequestLocked(now time.Time, gap time.Duration) error {
-	sent, err := a.owner.SendTraced(a.bodyLocked())
+// chatRequest is the Table 3 flow at fleet scale: owner sends, peer's
+// outstanding long poll delivers, E2E latency runs from send initiation
+// to decrypted delivery.
+func (a *accountSim) chatRequest(now time.Time, n int) (bool, time.Duration, error) {
+	sent, err := a.owner.SendTraced(a.body())
 	if err != nil {
-		return fmt.Errorf("chat send %d: %w", a.stats.Requests, err)
+		return false, 0, fmt.Errorf("chat send %d: %w", n, err)
 	}
 	pollCtx := a.peer.PollContext(now)
 	msgs, err := a.peer.Receive(pollCtx, 20*time.Second)
 	if err != nil {
-		return fmt.Errorf("chat receive %d: %w", a.stats.Requests, err)
+		return false, 0, fmt.Errorf("chat receive %d: %w", n, err)
 	}
 	if len(msgs) != 1 {
-		return fmt.Errorf("chat receive %d: got %d messages, want 1", a.stats.Requests, len(msgs))
+		return false, 0, fmt.Errorf("chat receive %d: got %d messages, want 1", n, len(msgs))
 	}
-	a.recordLocked(gap, sent.Stats.ColdStart, pollCtx.Cursor.Now().Sub(now))
-	return nil
+	return sent.Stats.ColdStart, pollCtx.Cursor.Now().Sub(now), nil
 }
 
-// emailRequestLocked delivers one inbound message through the SES
-// trigger. Deliver does not surface InvocationStats, so cold starts
-// come from the function's platform counters.
-func (a *accountSim) emailRequestLocked(now time.Time, gap time.Duration) error {
-	raw := fmt.Sprintf("From: friend@example.org\r\nSubject: note %d\r\n\r\n%s",
-		a.stats.Requests, a.bodyLocked())
+// emailRequest delivers one inbound message through the SES trigger.
+// Deliver does not surface InvocationStats, so cold starts come from
+// the function's platform counters.
+func (a *accountSim) emailRequest(now time.Time, n int) (bool, time.Duration, error) {
+	raw := fmt.Sprintf("From: friend@example.org\r\nSubject: note %d\r\n\r\n%s", n, a.body())
 	_, coldBefore := a.cloud.Lambda.Stats(a.dep.FnName)
 	ctx, tr := a.dep.TracedContext("email-inbound")
 	err := a.cloud.SES.Deliver(ctx, "friend@example.org", operator+"@"+email.MailDomain, []byte(raw))
 	tr.Finish(ctx.Now())
 	if err != nil {
-		return fmt.Errorf("email inbound %d: %w", a.stats.Requests, err)
+		return false, 0, fmt.Errorf("email inbound %d: %w", n, err)
 	}
 	_, coldAfter := a.cloud.Lambda.Stats(a.dep.FnName)
-	a.recordLocked(gap, coldAfter > coldBefore, ctx.Cursor.Now().Sub(now))
-	return nil
+	return coldAfter > coldBefore, ctx.Cursor.Now().Sub(now), nil
 }
 
-// filedropRequestLocked uploads one file and verifies the offer was
-// accepted.
-func (a *accountSim) filedropRequestLocked(now time.Time, gap time.Duration) error {
+// filedropRequest uploads one file and verifies the offer was accepted.
+func (a *accountSim) filedropRequest(now time.Time, n int) (bool, time.Duration, error) {
 	req, err := json.Marshal(filetransfer.UploadRequest{
-		Name: fmt.Sprintf("drop-%06d", a.stats.Requests),
+		Name: fmt.Sprintf("drop-%06d", n),
 		To:   "peer",
-		Data: []byte(a.bodyLocked()),
+		Data: []byte(a.body()),
 	})
 	if err != nil {
-		return err
+		return false, 0, err
 	}
 	ctx, tr := a.dep.TracedContext("filedrop-upload")
 	resp, stats, err := a.dep.Invoke(ctx, "upload", req)
 	tr.Finish(ctx.Now())
 	if err != nil {
-		return fmt.Errorf("filedrop upload %d: %w", a.stats.Requests, err)
+		return false, 0, fmt.Errorf("filedrop upload %d: %w", n, err)
 	}
 	if resp.Status != 200 {
-		return fmt.Errorf("filedrop upload %d: status %d: %s", a.stats.Requests, resp.Status, resp.Body)
+		return false, 0, fmt.Errorf("filedrop upload %d: status %d: %s", n, resp.Status, resp.Body)
 	}
-	a.recordLocked(gap, stats.ColdStart, ctx.Cursor.Now().Sub(now))
-	return nil
+	return stats.ColdStart, ctx.Cursor.Now().Sub(now), nil
 }
 
-// iotRequestLocked alternates device telemetry reports with an
-// occasional dashboard read — the §6.1 controller workload.
-func (a *accountSim) iotRequestLocked(now time.Time, gap time.Duration) error {
+// iotRequest alternates device telemetry reports with an occasional
+// dashboard read — the §6.1 controller workload.
+func (a *accountSim) iotRequest(now time.Time, n int) (bool, time.Duration, error) {
 	op, body := "report", []byte(nil)
-	if a.stats.Requests%12 == 11 {
+	if n%12 == 11 {
 		op = "dashboard"
 	} else {
 		b, err := json.Marshal(iot.Report{
@@ -362,7 +341,7 @@ func (a *accountSim) iotRequestLocked(now time.Time, gap time.Duration) error {
 			Metrics: map[string]float64{"temperature_c": 20 + 30*a.payload.Float64()},
 		})
 		if err != nil {
-			return err
+			return false, 0, err
 		}
 		body = b
 	}
@@ -370,51 +349,19 @@ func (a *accountSim) iotRequestLocked(now time.Time, gap time.Duration) error {
 	resp, stats, err := a.dep.Invoke(ctx, op, body)
 	tr.Finish(ctx.Now())
 	if err != nil {
-		return fmt.Errorf("iot %s %d: %w", op, a.stats.Requests, err)
+		return false, 0, fmt.Errorf("iot %s %d: %w", op, n, err)
 	}
 	if resp.Status != 200 {
-		return fmt.Errorf("iot %s %d: status %d: %s", op, a.stats.Requests, resp.Status, resp.Body)
+		return false, 0, fmt.Errorf("iot %s %d: status %d: %s", op, n, resp.Status, resp.Body)
 	}
-	a.recordLocked(gap, stats.ColdStart, ctx.Cursor.Now().Sub(now))
-	return nil
+	return stats.ColdStart, ctx.Cursor.Now().Sub(now), nil
 }
 
-// bodyLocked draws a payload whose length varies around the profile's
-// mean from the account's payload stream. Caller holds a.mu.
-func (a *accountSim) bodyLocked() string {
+// body draws a payload whose length varies around the profile's mean
+// from the account's payload stream.
+func (a *accountSim) body() string {
 	n := a.profile.BodyBytes/2 + a.payload.Intn(a.profile.BodyBytes)
 	return strings.Repeat("x", n)
-}
-
-// recordLocked books one served request. Caller holds a.mu.
-func (a *accountSim) recordLocked(gap time.Duration, cold bool, latency time.Duration) {
-	a.stats.Requests++
-	if cold {
-		a.stats.ColdStarts++
-	}
-	a.latencies = append(a.latencies, latency)
-	a.samples = append(a.samples, reqSample{gap: gap, cold: cold})
-}
-
-// outcome prices the account's span at list price, extrapolates to the
-// month, and packages the raw result.
-func (a *accountSim) outcome() accountOutcome {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.err != nil {
-		return accountOutcome{err: fmt.Errorf("account %06d (%v): %w", a.profile.Index, a.profile.Kind, a.err)}
-	}
-	var span pricing.Money
-	for _, u := range a.cloud.Meter.Snapshot() {
-		span += a.cfg.Book.ListPrice(u)
-	}
-	a.stats.Index = a.profile.Index
-	a.stats.Kind = a.profile.Kind
-	a.stats.MonthlyCost = span.MulFloat(float64(month) / float64(a.cfg.Span))
-	if a.cfg.CaptureLedgers {
-		a.stats.Ledger = renderLedger(a.cloud.Meter)
-	}
-	return accountOutcome{stats: a.stats, latencies: a.latencies, samples: a.samples}
 }
 
 // renderLedger formats a meter snapshot as one line per usage

@@ -10,7 +10,7 @@ import (
 
 // BenchmarkFleet measures fleet simulation throughput end to end —
 // profile partitioning, per-account cloud construction off the shared
-// bundle, timeline replay, and ordered aggregation — at two fleet
+// bundle, the per-account replay loop, and ordered aggregation — at two fleet
 // sizes. Beyond ns/op it reports accounts/sec (how fast the engine
 // chews through accounts) and ns/request (amortized cost of one
 // simulated workload arrival), both gated in BENCH_cloudsim.json.

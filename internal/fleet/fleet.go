@@ -1,10 +1,10 @@
 // Package fleet scales the single-account simulator to the paper's
 // premise: millions of people, each running their own DIY serverless
-// deployment. It is a discrete-event engine driving N independent
-// accounts — each with its own Cloud, meter, virtual timeline, and
-// partitioned PRNG streams — hash-partitioned into a fixed number of
-// logical shards that run on however many worker goroutines the host
-// offers.
+// deployment. It replays N independent accounts — each with its own
+// Cloud, meter, virtual clock, and partitioned PRNG streams, its
+// Poisson arrivals served in order by one plain loop — hash-partitioned
+// into a fixed number of logical shards that run on however many
+// worker goroutines the host offers.
 //
 // The determinism contract: a fleet run is a pure function of
 // (Accounts, MaxSimulated, Seed, Span, Shards) and replays

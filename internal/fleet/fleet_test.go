@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/workload"
 )
 
 // fingerprint renders everything a Result promises to keep
@@ -70,6 +72,27 @@ func TestFleetReplayStable(t *testing.T) {
 	}
 	if fa, fb := fingerprint(a), fingerprint(b); fa != fb {
 		t.Fatalf("replay diverged:\n%s", firstDiffLine(fa, fb))
+	}
+}
+
+// TestFleetErrorLowestIndex pins the error path: when several accounts
+// fail, Run reports the lowest-indexed one, whichever worker drained
+// its shard first.
+func TestFleetErrorLowestIndex(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		_, err := Run(Config{
+			Accounts: 40, Shards: 8, Workers: workers, Span: 5 * time.Minute,
+			Profile: func(base int64, index int) workload.AccountProfile {
+				p := workload.Profile(base, index)
+				if index == 7 || index == 23 {
+					p.Kind = workload.NumKinds
+				}
+				return p
+			},
+		})
+		if err == nil || !strings.Contains(err.Error(), "account 000007") {
+			t.Fatalf("workers=%d: err = %v, want it to name account 000007", workers, err)
+		}
 	}
 }
 

@@ -48,7 +48,7 @@ func TestIdenticalSeedsIdenticalLedgers(t *testing.T) {
 
 // TestOneAccountFleetMatchesStandalone pins the refactor's core
 // promise: wrapping an account in the fleet machinery (shared
-// immutable bundle, injected timeline, shard scheduler) changes
+// immutable bundle, per-account replay loop, shard scheduler) changes
 // nothing about what the account meters. A 1-account fleet's ledger
 // must be bit-identical to driving the same workload by hand against
 // a plain core.NewCloud.
@@ -74,8 +74,8 @@ func TestOneAccountFleetMatchesStandalone(t *testing.T) {
 	}
 	fleetLedger := res.PerAccount[0].Ledger
 
-	// Standalone replica: no Shared bundle, no Timeline — the historical
-	// construction path, driven by explicit Clock.Set calls.
+	// Standalone replica: no Shared bundle, no fleet scheduler — the
+	// historical construction path, driven by explicit Clock.Set calls.
 	params := netsim.DefaultParams()
 	params.Seed = workload.Substream(prof.Seed, "netsim")
 	cloud, err := core.NewCloud(core.CloudOptions{

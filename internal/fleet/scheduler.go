@@ -30,10 +30,7 @@ type accountOutcome struct {
 	stats     AccountStats
 	latencies []time.Duration
 	samples   []reqSample
-	// events counts the timeline events the account's replay popped —
-	// engine self-telemetry, surfaced per shard by the control tower.
-	events int
-	err    error
+	err       error
 }
 
 // reqSample pairs one request's inter-request gap with whether it hit
@@ -118,7 +115,7 @@ func drainShard(cfg *Config, shared *core.Shared, profiles []workload.AccountPro
 		sc.Accounts++
 		sc.Requests += o.stats.Requests
 		sc.ColdStarts += o.stats.ColdStarts
-		sc.Events += o.events
+		sc.Events += o.stats.Requests
 		sc.HorizonNs += int64(cfg.Span)
 	}
 	if cfg.Tower != nil {

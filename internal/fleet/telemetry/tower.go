@@ -3,7 +3,7 @@
 // simulated clouds publish into. It has three layers.
 //
 // Engine self-telemetry: deterministic virtual-time counters per shard
-// (timeline events popped, accounts completed, requests simulated,
+// (arrivals served, accounts completed, requests simulated,
 // cold starts, horizon drained), published under metrics.FleetNamespace.
 // These are pure functions of the fleet's replay identity and are
 // bit-identical across runs at any worker count.
@@ -53,7 +53,8 @@ type AccountObservation struct {
 	// Kind names the app the account ran.
 	Kind string
 	// Requests, ColdStarts, Events count workload arrivals served,
-	// cold containers hit, and timeline events popped over the span.
+	// cold containers hit, and steps of the account's replay loop (one
+	// per arrival served) over the span.
 	Requests, ColdStarts, Events int
 	// MonthlyCostNanos is the account's extrapolated monthly bill in
 	// nanodollars.

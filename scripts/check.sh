@@ -63,6 +63,9 @@ if ! grep -q 'Fleet control tower' "$LOG1"; then
 fi
 diff "$LOG1" "$LOG2"
 
+echo ">> fleet golden (the report and control-tower dashboard above, byte-identical to cmd/diyctl/testdata/fleet.golden)"
+diff cmd/diyctl/testdata/fleet.golden "$LOG1"
+
 echo ">> traced-fleet double-run (sampled kept-sets, service map and critical path diffed across worker counts)"
 GOMAXPROCS=1 go run ./cmd/diyctl trace -fleet -accounts 200 -span 10m >"$LOG1" 2>/dev/null
 go run ./cmd/diyctl trace -fleet -accounts 200 -span 10m >"$LOG2" 2>/dev/null
