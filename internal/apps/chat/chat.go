@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -168,6 +169,14 @@ func (h *handler) memberOf(name string) bool {
 	return false
 }
 
+// messageID formats the stanza id "<prefix>-<n>": a client's nth
+// message ("alice-7") or an archived entry ("seq-7").
+func messageID(prefix string, n int) string {
+	var buf [64]byte
+	b := append(append(buf[:0], prefix...), '-')
+	return string(strconv.AppendInt(b, int64(n), 10))
+}
+
 func (h *handler) stanza(body []byte) (lambda.Response, error) {
 	h.env.RecordMemory(baseMemory + int64(2*len(body)))
 	stanza, err := xmpp.Decode(body)
@@ -278,7 +287,7 @@ func (h *handler) search(body []byte) (lambda.Response, error) {
 			}
 			out, err := xmpp.Encode(&xmpp.Message{
 				From: e.From + "@" + Domain, Type: "groupchat",
-				ID: fmt.Sprintf("seq-%d", e.Seq), Body: e.Body,
+				ID: messageID("seq", e.Seq), Body: e.Body,
 			})
 			if err != nil {
 				return err
@@ -544,7 +553,7 @@ func (h *handler) history(member string) (lambda.Response, error) {
 		for _, e := range entries {
 			out, err := xmpp.Encode(&xmpp.Message{
 				From: e.From + "@" + Domain, Type: "groupchat",
-				ID: fmt.Sprintf("seq-%d", e.Seq), Body: e.Body,
+				ID: messageID("seq", e.Seq), Body: e.Body,
 			})
 			if err != nil {
 				return err

@@ -284,6 +284,32 @@ func TestBadStanzasRejected(t *testing.T) {
 	}
 }
 
+// TestNonCanonicalStanzaRejected pins the tunnel's strictness: a stanza
+// in any form other than the one xmpp.Encode writes gets HTTP 400 from
+// the stanza op, even where a general XML parser would read the same
+// message.
+func TestNonCanonicalStanzaRejected(t *testing.T) {
+	_, d := newRoom(t)
+	from := "alice@" + Domain + "/phone"
+	canonical := `<message from="` + from + `" to="room@` + Domain + `" type="groupchat" id="alice-1"><body>hi</body></message>`
+	resp, _, err := d.Invoke(d.ClientContext(), "stanza", []byte(canonical))
+	if err != nil || resp.Status != 200 {
+		t.Fatalf("canonical stanza: %v status %d %s", err, resp.Status, resp.Body)
+	}
+	for _, bad := range []string{
+		strings.ReplaceAll(canonical, `"`, `'`),
+		`<message type="groupchat" from="` + from + `" id="alice-2"><body>hi</body></message>`,
+		`<presence from="` + from + `"/>`,
+		`<?xml version="1.0"?>` + canonical,
+		"\n" + canonical + "\n",
+	} {
+		resp, _, err := d.Invoke(d.ClientContext(), "stanza", []byte(bad))
+		if err != nil || resp.Status != 400 {
+			t.Errorf("stanza %q: %v status %d, want 400", bad, err, resp.Status)
+		}
+	}
+}
+
 func TestHistoryDeniedForNonMember(t *testing.T) {
 	_, d := newRoom(t)
 	resp, _, err := d.Invoke(d.ClientContext(), "history", []byte("mallory"))

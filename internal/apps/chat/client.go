@@ -144,7 +144,7 @@ func (c *Client) send(body string, traced bool) (lambda.InvocationStats, time.Ti
 	c.seq++
 	m := &xmpp.Message{
 		From: c.jid.String(), To: "room@" + Domain,
-		Type: "groupchat", ID: fmt.Sprintf("%s-%d", c.member, c.seq), Body: body,
+		Type: "groupchat", ID: messageID(c.member, c.seq), Body: body,
 	}
 	raw, err := xmpp.Encode(m)
 	if err != nil {

@@ -1,24 +1,38 @@
 package xmpp
 
-import "testing"
+import (
+	"bytes"
+	"reflect"
+	"testing"
+)
 
-// FuzzDecode checks the stanza decoder never panics and that anything
-// it accepts can be re-encoded.
+// FuzzDecode checks the stanza decoder never panics, that anything it
+// accepts re-encodes to exactly the input (it accepts only canonical
+// bytes), and that encoding/xml decodes the input to an equal value.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte(`<message from="a@b" type="chat"><body>hi</body></message>`))
-	f.Add([]byte(`<presence type="unavailable"/>`))
-	f.Add([]byte(`<iq type="set" id="1"><session/></iq>`))
+	f.Add([]byte(`<presence type="unavailable"></presence>`))
+	f.Add([]byte(`<iq type="set" id="1"><session></session></iq>`))
 	f.Add([]byte(`<message><body>&lt;tricky&gt;</body></message>`))
 	f.Add([]byte(``))
 	f.Add([]byte(`<message`))
 	f.Add([]byte(`<weird attr="<">`))
+	f.Add([]byte(`<iq from="a@b/c" to="b" type="error" id=""><bind><resource>r</resource><jid>j</jid></bind><error type="auth"><text>no &amp; no</text></error></iq>`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(data)
 		if err != nil {
 			return
 		}
-		if _, err := Encode(st); err != nil {
-			t.Fatalf("decoded stanza failed to re-encode: %v", err)
+		again, err := Encode(st)
+		if err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("Decode accepted %q, which re-encodes to %q (%v)", data, again, err)
+		}
+		want, err := stdDecode(data)
+		if err != nil {
+			t.Fatalf("Decode accepted %q, which encoding/xml rejects: %v", data, err)
+		}
+		if !reflect.DeepEqual(st, want) {
+			t.Fatalf("Decode(%q):\n got %#v\nwant %#v", data, st, want)
 		}
 	})
 }

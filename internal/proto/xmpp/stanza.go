@@ -1,10 +1,9 @@
 package xmpp
 
 import (
-	"bytes"
-	"encoding/xml"
 	"errors"
 	"fmt"
+	"reflect"
 )
 
 // Stanza kinds.
@@ -14,9 +13,15 @@ const (
 	KindIQ       = "iq"
 )
 
+// The xml struct tags below are the stanzas' schema, read by the tests'
+// encoding/xml oracle; Encode and Decode implement them by hand (see
+// codec.go). Each XMLName is an empty marker: its tag names the
+// element, and encoding/xml stores a decoded name only in a field of
+// its own Name type, so a decoded stanza equals encoding/xml's with ==.
+
 // Message is a chat message stanza.
 type Message struct {
-	XMLName xml.Name `xml:"message"`
+	XMLName struct{} `xml:"message"`
 	From    string   `xml:"from,attr,omitempty"`
 	To      string   `xml:"to,attr,omitempty"`
 	Type    string   `xml:"type,attr,omitempty"` // "chat", "groupchat"
@@ -26,7 +31,7 @@ type Message struct {
 
 // Presence announces availability ("", "unavailable").
 type Presence struct {
-	XMLName xml.Name `xml:"presence"`
+	XMLName struct{} `xml:"presence"`
 	From    string   `xml:"from,attr,omitempty"`
 	To      string   `xml:"to,attr,omitempty"`
 	Type    string   `xml:"type,attr,omitempty"`
@@ -36,7 +41,7 @@ type Presence struct {
 // IQ is an info/query stanza; the prototype uses it for session
 // initiation and resource binding.
 type IQ struct {
-	XMLName xml.Name `xml:"iq"`
+	XMLName struct{} `xml:"iq"`
 	From    string   `xml:"from,attr,omitempty"`
 	To      string   `xml:"to,attr,omitempty"`
 	Type    string   `xml:"type,attr"` // "get", "set", "result", "error"
@@ -48,19 +53,19 @@ type IQ struct {
 
 // Bind is the resource-binding IQ payload.
 type Bind struct {
-	XMLName  xml.Name `xml:"bind"`
+	XMLName  struct{} `xml:"bind"`
 	Resource string   `xml:"resource,omitempty"`
 	JID      string   `xml:"jid,omitempty"`
 }
 
 // Session is the session-initiation IQ payload.
 type Session struct {
-	XMLName xml.Name `xml:"session"`
+	XMLName struct{} `xml:"session"`
 }
 
 // Error is a stanza error.
 type Error struct {
-	XMLName xml.Name `xml:"error"`
+	XMLName struct{} `xml:"error"`
 	Type    string   `xml:"type,attr,omitempty"`
 	Text    string   `xml:"text,omitempty"`
 }
@@ -68,60 +73,200 @@ type Error struct {
 // ErrUnknownStanza reports an unrecognized element.
 var ErrUnknownStanza = errors.New("xmpp: unknown stanza")
 
-// Encode serializes a stanza (Message, Presence or IQ) to XML.
+// Encode serializes a stanza (Message, Presence or IQ, or a pointer to
+// one) to XML: exactly the bytes xml.Marshal writes for it, so a nil
+// pointer encodes to nothing.
 func Encode(stanza any) ([]byte, error) {
-	switch stanza.(type) {
-	case *Message, *Presence, *IQ, Message, Presence, IQ:
-		return xml.Marshal(stanza)
+	switch st := stanza.(type) {
+	case *Message:
+		if st == nil {
+			return nil, nil
+		}
+		return st.appendXML(make([]byte, 0, st.xmlLen())), nil
+	case *Presence:
+		if st == nil {
+			return nil, nil
+		}
+		return st.appendXML(make([]byte, 0, st.xmlLen())), nil
+	case *IQ:
+		if st == nil {
+			return nil, nil
+		}
+		return st.appendXML(make([]byte, 0, st.xmlLen())), nil
+	case Message:
+		return Encode(&st)
+	case Presence:
+		return Encode(&st)
+	case IQ:
+		return Encode(&st)
 	default:
-		return nil, fmt.Errorf("%w: %T", ErrUnknownStanza, stanza)
+		// reflect.TypeOf rather than %T keeps the stanza off the heap.
+		return nil, fmt.Errorf("%w: %v", ErrUnknownStanza, reflect.TypeOf(stanza))
 	}
 }
 
 // Decode parses a single stanza, returning *Message, *Presence or *IQ.
+// It accepts only the canonical bytes Encode writes — one element, no
+// XML declaration or surrounding whitespace, double-quoted attributes
+// in schema order, only Encode's escapes, no empty omitempty field —
+// and returns what encoding/xml would decode from them. Anything else
+// is an error; an element other than the three stanzas is
+// ErrUnknownStanza. The stanza's strings share one copy of data, so the
+// caller may reuse data afterwards.
 func Decode(data []byte) (any, error) {
-	dec := xml.NewDecoder(bytes.NewReader(data))
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return nil, fmt.Errorf("xmpp: decoding stanza: %w", err)
-		}
-		start, ok := tok.(xml.StartElement)
-		if !ok {
-			continue
-		}
-		switch start.Name.Local {
-		case KindMessage:
-			var m Message
-			if err := dec.DecodeElement(&m, &start); err != nil {
-				return nil, fmt.Errorf("xmpp: decoding message: %w", err)
-			}
-			return &m, nil
-		case KindPresence:
-			var p Presence
-			if err := dec.DecodeElement(&p, &start); err != nil {
-				return nil, fmt.Errorf("xmpp: decoding presence: %w", err)
-			}
-			return &p, nil
-		case KindIQ:
-			var iq IQ
-			if err := dec.DecodeElement(&iq, &start); err != nil {
-				return nil, fmt.Errorf("xmpp: decoding iq: %w", err)
-			}
-			return &iq, nil
-		default:
-			return nil, fmt.Errorf("%w: <%s>", ErrUnknownStanza, start.Name.Local)
-		}
+	r := reader{s: string(data)}
+	name := r.root()
+	var st any
+	switch {
+	case r.err != nil:
+	case name == KindMessage:
+		st = r.message()
+	case name == KindPresence:
+		st = r.presence()
+	case name == KindIQ:
+		st = r.iq()
+	default:
+		return nil, fmt.Errorf("%w: <%s>", ErrUnknownStanza, name)
 	}
+	if r.err == nil && r.i != len(r.s) {
+		r.fail("trailing bytes")
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return st, nil
 }
 
-// StreamHeader returns the opening <stream:stream> element for a
-// client-to-server stream. The HTTPS tunnel sends it once per session.
-func StreamHeader(from, to, id string) string {
-	return fmt.Sprintf(
-		`<stream:stream from=%q to=%q id=%q version="1.0" xmlns="jabber:client" xmlns:stream="http://etherx.jabber.org/streams">`,
-		from, to, id)
+func (m *Message) xmlLen() int {
+	return len("<message></message>") +
+		attrLen(` from="`, m.From) + attrLen(` to="`, m.To) + attrLen(` type="`, m.Type) + attrLen(` id="`, m.ID) +
+		elemLen("<body>", m.Body, "</body>")
 }
 
-// StreamClose returns the stream-closing tag.
-func StreamClose() string { return `</stream:stream>` }
+func (m *Message) appendXML(b []byte) []byte {
+	b = append(b, "<message"...)
+	b = appendAttr(b, ` from="`, m.From)
+	b = appendAttr(b, ` to="`, m.To)
+	b = appendAttr(b, ` type="`, m.Type)
+	b = appendAttr(b, ` id="`, m.ID)
+	b = append(b, '>')
+	b = appendElem(b, "<body>", m.Body, "</body>")
+	return append(b, "</message>"...)
+}
+
+func (r *reader) message() *Message {
+	m := &Message{
+		From: r.attr(` from="`),
+		To:   r.attr(` to="`),
+		Type: r.attr(` type="`),
+		ID:   r.attr(` id="`),
+	}
+	r.expect(">")
+	m.Body = r.elem("<body>", "</body>")
+	r.expect("</message>")
+	return m
+}
+
+func (p *Presence) xmlLen() int {
+	return len("<presence></presence>") +
+		attrLen(` from="`, p.From) + attrLen(` to="`, p.To) + attrLen(` type="`, p.Type) +
+		elemLen("<status>", p.Status, "</status>")
+}
+
+func (p *Presence) appendXML(b []byte) []byte {
+	b = append(b, "<presence"...)
+	b = appendAttr(b, ` from="`, p.From)
+	b = appendAttr(b, ` to="`, p.To)
+	b = appendAttr(b, ` type="`, p.Type)
+	b = append(b, '>')
+	b = appendElem(b, "<status>", p.Status, "</status>")
+	return append(b, "</presence>"...)
+}
+
+func (r *reader) presence() *Presence {
+	p := &Presence{
+		From: r.attr(` from="`),
+		To:   r.attr(` to="`),
+		Type: r.attr(` type="`),
+	}
+	r.expect(">")
+	p.Status = r.elem("<status>", "</status>")
+	r.expect("</presence>")
+	return p
+}
+
+func (iq *IQ) xmlLen() int {
+	n := len(`<iq type="" id=""></iq>`) + escapedLen(iq.Type) + escapedLen(iq.ID) +
+		attrLen(` from="`, iq.From) + attrLen(` to="`, iq.To)
+	if iq.Bind != nil {
+		n += len("<bind></bind>") + elemLen("<resource>", iq.Bind.Resource, "</resource>") + elemLen("<jid>", iq.Bind.JID, "</jid>")
+	}
+	if iq.Session != nil {
+		n += len("<session></session>")
+	}
+	if iq.Error != nil {
+		n += len("<error></error>") + attrLen(` type="`, iq.Error.Type) + elemLen("<text>", iq.Error.Text, "</text>")
+	}
+	return n
+}
+
+// appendXML writes type and id even when empty: their tags have no
+// omitempty. Session, with no content, is written as a start and end
+// tag pair, as encoding/xml writes every element.
+func (iq *IQ) appendXML(b []byte) []byte {
+	b = append(b, "<iq"...)
+	b = appendAttr(b, ` from="`, iq.From)
+	b = appendAttr(b, ` to="`, iq.To)
+	b = append(b, ` type="`...)
+	b = appendEscaped(b, iq.Type)
+	b = append(b, `" id="`...)
+	b = appendEscaped(b, iq.ID)
+	b = append(b, `">`...)
+	if bind := iq.Bind; bind != nil {
+		b = append(b, "<bind>"...)
+		b = appendElem(b, "<resource>", bind.Resource, "</resource>")
+		b = appendElem(b, "<jid>", bind.JID, "</jid>")
+		b = append(b, "</bind>"...)
+	}
+	if iq.Session != nil {
+		b = append(b, "<session></session>"...)
+	}
+	if e := iq.Error; e != nil {
+		b = append(b, "<error"...)
+		b = appendAttr(b, ` type="`, e.Type)
+		b = append(b, '>')
+		b = appendElem(b, "<text>", e.Text, "</text>")
+		b = append(b, "</error>"...)
+	}
+	return append(b, "</iq>"...)
+}
+
+func (r *reader) iq() *IQ {
+	iq := &IQ{
+		From: r.attr(` from="`),
+		To:   r.attr(` to="`),
+	}
+	r.expect(` type="`)
+	iq.Type = r.text('"')
+	r.expect(`" id="`)
+	iq.ID = r.text('"')
+	r.expect(`">`)
+	if r.accept("<bind>") {
+		iq.Bind = &Bind{
+			Resource: r.elem("<resource>", "</resource>"),
+			JID:      r.elem("<jid>", "</jid>"),
+		}
+		r.expect("</bind>")
+	}
+	if r.accept("<session></session>") {
+		iq.Session = &Session{}
+	}
+	if r.accept("<error") {
+		iq.Error = &Error{Type: r.attr(` type="`)}
+		r.expect(">")
+		iq.Error.Text = r.elem("<text>", "</text>")
+		r.expect("</error>")
+	}
+	r.expect("</iq>")
+	return iq
+}

@@ -80,10 +80,11 @@ diff cmd/diyctl/testdata/trace_fleet.golden "$LOG1"
 go run ./cmd/diyctl trace >"$LOG2"
 diff cmd/diyctl/testdata/trace.golden "$LOG2"
 
-echo ">> codec fuzz smoke (each sealed-document codec against encoding/json, 10 s per fuzzer)"
+echo ">> codec fuzz smoke (each hand-written codec against its stdlib oracle, encoding/json or encoding/xml, 10 s per fuzzer)"
 go test -run '^$' -fuzz '^FuzzAppendString$' -fuzztime 10s ./internal/canonjson
 go test -run '^$' -fuzz '^FuzzRoomDocCodec$' -fuzztime 10s ./internal/apps/chat
 go test -run '^$' -fuzz '^FuzzMailboxCodec$' -fuzztime 10s ./internal/apps/email
+go test -run '^$' -fuzz '^FuzzStanzaCodec$' -fuzztime 10s ./internal/proto/xmpp
 
 echo ">> go test -race ./... (includes the fleet scheduler under the race detector)"
 go test -race ./...
