@@ -1,7 +1,6 @@
 package chat
 
 import (
-	"slices"
 	"strings"
 
 	"repro/internal/canonjson"
@@ -31,15 +30,9 @@ func marshalRoomDoc(doc *roomDoc) []byte {
 	b = append(b, `,"entries":`...)
 	b = appendEntries(b, doc.Entries)
 	if len(doc.LastID) > 0 {
-		// json.Marshal writes map keys in sorted order.
 		var stack [32]string
-		keys := stack[:0]
-		for k := range doc.LastID {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
 		b = append(b, `,"last_id":{`...)
-		for i, k := range keys {
+		for i, k := range canonjson.SortedKeys(stack[:0], doc.LastID) {
 			if i > 0 {
 				b = append(b, ',')
 			}
@@ -125,9 +118,9 @@ func parseRoomDoc(pt []byte) (*roomDoc, error) {
 	doc.Entries = readEntries(r)
 	if r.Accept(`,"last_id":{`) {
 		doc.LastID = make(map[string]string)
+		var k string
 		for first := true; r.More('}', first); first = false {
-			k := r.Str()
-			r.Expect(":")
+			k = r.Key(k, first)
 			doc.LastID[k] = r.Str()
 		}
 		if len(doc.LastID) == 0 {

@@ -132,6 +132,8 @@ func TestParseRoomDocRejectsNonCanonical(t *testing.T) {
 		`{"chunks":0,"messages":1,"members":["a"],"present":null,"entries":[{"body":"b","from":"a","seq":1}]}`,
 		`{"chunks":0,"messages":1,"members":["~u0008"],"present":null,"entries":null}`,
 		`{"chunks":0,"messages":1,"members":["~ufffe"],"present":null,"entries":null}`,
+		`{"chunks":0,"messages":1,"members":null,"present":null,"entries":null,"last_id":{"b":"b-1","a":"a-1"}}`,
+		`{"chunks":0,"messages":1,"members":null,"present":null,"entries":null,"last_id":{"a":"a-1","a":"a-2"}}`,
 	} {
 		bad = strings.ReplaceAll(bad, "~", "\\")
 		if _, err := parseRoomDoc([]byte(bad)); err == nil {

@@ -89,12 +89,12 @@ func indexEntriesLen(entries []IndexEntry) int {
 		e := &entries[i]
 		n += len(`{"id":,"from":"","subject":"","date":,"spam":false,"size":},`) +
 			canonjson.IntLen(e.ID) + len(e.From) + len(e.Subject) +
-			len(`"2006-01-02T15:04:05.999999999-07:00"`) + canonjson.IntLen(e.Size)
+			canonjson.MaxTimeLen + canonjson.IntLen(e.Size)
 		if e.MsgID != "" {
 			n += len(`,"msg_id":""`) + len(e.MsgID)
 		}
 		if e.Score != 0 {
-			n += len(`,"score":`) + len("-1.2345678901234567e-308")
+			n += len(`,"score":`) + canonjson.MaxFloatLen
 		}
 		if len(e.Rules) > 0 {
 			n += len(`,"rules":[]`)

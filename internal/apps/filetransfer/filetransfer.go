@@ -16,7 +16,6 @@ package filetransfer
 
 import (
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -159,15 +158,15 @@ func (h *xferHandler) loadManifest(key []byte) (*manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("filetransfer: opening manifest: %w", err)
 	}
-	var m manifest
-	if err := json.Unmarshal(pt, &m); err != nil {
+	m, err := parseManifest(pt)
+	if err != nil {
 		return nil, fmt.Errorf("filetransfer: parsing manifest: %w", err)
 	}
-	return &m, nil
+	return m, nil
 }
 
 func (h *xferHandler) saveManifest(key []byte, m *manifest) error {
-	pt, err := json.Marshal(m)
+	pt, err := marshalManifest(m)
 	if err != nil {
 		return err
 	}
@@ -179,8 +178,8 @@ func (h *xferHandler) saveManifest(key []byte, m *manifest) error {
 }
 
 func (h *xferHandler) upload(body []byte) (lambda.Response, error) {
-	var req UploadRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := decodeUploadRequest(body)
+	if err != nil {
 		return lambda.Response{Status: 400, Body: []byte("bad upload request")}, nil
 	}
 	if req.Name == "" || strings.Contains(req.Name, "/") || len(req.Data) == 0 {
@@ -227,7 +226,7 @@ func (h *xferHandler) upload(body []byte) (lambda.Response, error) {
 
 	// Notify the recipient (sealed, like everything leaving the
 	// container).
-	notice, err := json.Marshal(offer)
+	notice, err := marshalOffer(&offer)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
@@ -251,7 +250,7 @@ func (h *xferHandler) list() (lambda.Response, error) {
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
-	out, err := json.Marshal(m.Offers)
+	out, err := marshalOffers(m.Offers)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}

@@ -1,23 +1,32 @@
 // Package canonjson holds the primitives of the hand-written codecs for
 // the sealed documents the apps rewrite on every request: chat's room
-// document and history chunks, and email's mailbox index.
+// document and history chunks, email's mailbox index, the file-drop
+// manifest and the IoT device registry. The same primitives encode
+// those apps' other function output (offer, command and alert notices,
+// list and dashboard responses) and read the two request bodies with a
+// fast path, file-drop uploads and IoT reports.
 //
 // The appenders write exactly the bytes encoding/json's Marshal writes
 // for the same Go value (HTML-escaped strings, ES6 floats, RFC 3339
-// times), so a document encoded here seals to the same size, bills the
-// same transfer bytes and pins the same goldens as under encoding/json.
+// times, sorted map keys), so a document encoded here seals to the same
+// size, bills the same transfer bytes and pins the same goldens as
+// under encoding/json.
 //
-// Reader is not a general JSON parser. Everything it reads was written
-// by these appenders and sealed under the envelope AEAD, so it accepts
-// only their canonical bytes (no whitespace, only the escapes the
-// encoder emits, shortest numbers) and rejects anything else instead of
-// interpreting it. Its results equal json.Unmarshal's for those bytes.
+// Reader is not a general JSON parser. It accepts only the appenders'
+// canonical bytes (no whitespace, only the escapes the encoder emits,
+// shortest numbers, ascending map keys) and rejects anything else
+// instead of interpreting it. Its results equal json.Unmarshal's for
+// those bytes. A sealed document was written by the appenders, so its
+// parser has no other path; a request body comes from outside, so its
+// decoder hands whatever the Reader rejects to json.Unmarshal.
 package canonjson
 
 import (
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -142,6 +151,13 @@ func AppendStrings(dst []byte, list []string) []byte {
 	return append(dst, ']')
 }
 
+// Longest outputs of AppendFloat and AppendTime, quotes included, for
+// encoders that size their buffer up front.
+const (
+	MaxFloatLen = len("-0.0000012345678901234567")
+	MaxTimeLen  = len(`"2006-01-02T15:04:05.999999999-07:00"`)
+)
+
 // Headroom is the spare capacity an encoder leaves beyond n bytes of
 // unescaped output (each escape adds one to five bytes): about 3%, so a
 // document with an escape every 30 bytes still encodes into the buffer
@@ -213,6 +229,51 @@ func AppendTime(dst []byte, t time.Time) ([]byte, error) {
 	return append(dst, '"'), nil
 }
 
+// SortedKeys appends m's keys to buf in ascending order, the order in
+// which json.Marshal writes a map, and returns the extended slice. A
+// caller that passes a stack array's empty slice sorts small maps
+// without allocating.
+func SortedKeys[V any](buf []string, m map[string]V) []string {
+	for k := range m {
+		buf = append(buf, k)
+	}
+	slices.Sort(buf)
+	return buf
+}
+
+// AppendFloatMap appends a map[string]float64 as encoding/json does:
+// null for a nil map, otherwise an object with the keys in ascending
+// order.
+func AppendFloatMap(dst []byte, m map[string]float64) ([]byte, error) {
+	if m == nil {
+		return append(dst, "null"...), nil
+	}
+	var stack [16]string
+	dst = append(dst, '{')
+	for i, k := range SortedKeys(stack[:0], m) {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendString(dst, k)
+		dst = append(dst, ':')
+		var err error
+		if dst, err = AppendFloat(dst, m[k]); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}'), nil
+}
+
+// FloatMapLen bounds the length AppendFloatMap writes for m if no key
+// needs escaping.
+func FloatMapLen(m map[string]float64) int {
+	n := len("null")
+	for k := range m {
+		n += len(k) + len(`"":,`) + MaxFloatLen
+	}
+	return n
+}
+
 // ErrNotCanonical is wrapped by every Reader error: the input is not
 // the byte sequence the appenders would have written.
 var ErrNotCanonical = errors.New("canonjson: not canonical encoder output")
@@ -226,7 +287,7 @@ var ErrNotCanonical = errors.New("canonjson: not canonical encoder output")
 // escapes are decoded into one growing buffer shared by the whole
 // document.
 type Reader struct {
-	src []byte          // the input, for time values (time parses []byte)
+	src []byte          // the input, for times and base64 (both parse []byte)
 	s   string          // src viewed as a string; unescaped strings slice it
 	esc strings.Builder // decoded escaped strings, sliced by Str
 	i   int
@@ -235,8 +296,10 @@ type Reader struct {
 
 // NewReader returns a Reader over src and takes ownership of it: the
 // strings it returns share src's memory instead of copying it, so the
-// caller must never modify src again. The documents it parses are
-// freshly opened envelope plaintexts that nothing else references.
+// caller must never modify src again. The sealed documents it parses
+// are freshly opened envelope plaintexts that nothing else references;
+// a caller reading a buffer it does not own (a request body) copies
+// the strings it keeps, or the buffer, first.
 func NewReader(src []byte) *Reader {
 	return &Reader{src: src, s: unsafe.String(unsafe.SliceData(src), len(src))}
 }
@@ -386,6 +449,9 @@ func (r *Reader) Bool() bool {
 
 // Time reads a quoted RFC 3339 timestamp the way time.Time's
 // UnmarshalJSON does: the quoted bytes go to UnmarshalText unescaped.
+// UnmarshalText also takes forms AppendTime never writes (a fraction
+// with trailing zeros, "+00:00" for "Z"), so the value must re-encode
+// to exactly the bytes read.
 func (r *Reader) Time() time.Time {
 	if r.err != nil {
 		return time.Time{}
@@ -399,13 +465,56 @@ func (r *Reader) Time() time.Time {
 		r.fail("unterminated time")
 		return time.Time{}
 	}
+	raw := r.src[r.i+1 : r.i+1+end]
 	var t time.Time
-	if err := t.UnmarshalText(r.src[r.i+1 : r.i+1+end]); err != nil {
+	if err := t.UnmarshalText(raw); err != nil {
 		r.fail("bad time")
+		return time.Time{}
+	}
+	var buf [MaxTimeLen]byte
+	if canon, err := AppendTime(buf[:0], t); err != nil || string(canon[1:len(canon)-1]) != string(raw) {
+		r.fail("non-canonical time")
 		return time.Time{}
 	}
 	r.i += end + 2
 	return t
+}
+
+// strictBase64 is the decoding json.Marshal's []byte encoding inverts:
+// standard alphabet, padded, zero padding bits.
+var strictBase64 = base64.StdEncoding.Strict()
+
+// Bytes reads a []byte as json.Unmarshal fills one: null is a nil
+// slice, and a string holds the bytes in base64, which must be exactly
+// what json.Marshal writes; "" is a non-nil empty slice. The result is
+// a new slice, not a view of the input.
+func (r *Reader) Bytes() []byte {
+	if r.err != nil || r.Accept("null") {
+		return nil
+	}
+	if !strings.HasPrefix(r.s[r.i:], `"`) {
+		r.fail("expected base64 string")
+		return nil
+	}
+	// The base64 alphabet has no '\\', so the first quote ends the
+	// string; an escape inside it fails to decode below.
+	end := strings.IndexByte(r.s[r.i+1:], '"')
+	if end < 0 {
+		r.fail("unterminated string")
+		return nil
+	}
+	enc := r.src[r.i+1 : r.i+1+end]
+	out := make([]byte, base64.StdEncoding.DecodedLen(len(enc)))
+	n, err := strictBase64.Decode(out, enc)
+	// Even strict decoding skips '\r' and '\n', which JSON does not allow
+	// raw in a string; n decoded bytes re-encode to exactly len(enc)
+	// bytes only if there were none.
+	if err != nil || base64.StdEncoding.EncodedLen(n) != len(enc) {
+		r.fail("non-canonical base64")
+		return nil
+	}
+	r.i += end + 2
+	return out[:n]
 }
 
 // Str reads a JSON string. A string without escapes is a slice of the
@@ -486,6 +595,44 @@ func (r *Reader) Strs() []string {
 		return nil
 	}
 	return append(make([]string, 0, len(list)), list...)
+}
+
+// Key reads an object key and the ':' after it. json.Marshal writes a
+// map's keys in strictly ascending order, so unless first is set the
+// key must sort after prev, the key read before it. The one exception
+// is a key holding U+FFFD: it may stand for invalid UTF-8, which
+// json.Marshal sorted before replacing it, so it is not ordered
+// against its neighbours, and a repeat overwrites the earlier value as
+// it does under json.Unmarshal.
+func (r *Reader) Key(prev string, first bool) string {
+	k := r.Str()
+	if !first && k <= prev && !strings.ContainsRune(k, utf8.RuneError) && !strings.ContainsRune(prev, utf8.RuneError) {
+		r.fail("map keys out of order")
+	}
+	r.Expect(":")
+	return k
+}
+
+// FloatMap reads null (a nil map) or an object of floats (a non-nil
+// map, empty for {}), as json.Unmarshal fills a map[string]float64.
+func (r *Reader) FloatMap() map[string]float64 {
+	if r.Accept("null") {
+		return nil
+	}
+	r.Expect("{")
+	if r.err != nil {
+		return nil
+	}
+	m := make(map[string]float64)
+	var k string
+	for first := true; r.More('}', first); first = false {
+		k = r.Key(k, first)
+		m[k] = r.Float()
+	}
+	if r.err != nil {
+		return nil
+	}
+	return m
 }
 
 // unescape decodes the string that began at start, whose raw bytes

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -179,6 +180,26 @@ func TestReaderRejectsNonCanonical(t *testing.T) {
 		"unterminated esc":   {`"abc~"`, func(r *Reader) { r.Str() }},
 		"time escaped":       {`"2017-06-05T10:00:00~u002b07:00"`, func(r *Reader) { r.Time() }},
 		"time no zone":       {`"2017-06-05T10:00:00"`, func(r *Reader) { r.Time() }},
+		"time fraction 000":  {`"2020-01-01T00:00:00.000Z"`, func(r *Reader) { r.Time() }},
+		"time fraction 5000": {`"2020-01-01T00:00:00.5000Z"`, func(r *Reader) { r.Time() }},
+		"time +00:00 for Z":  {`"2020-01-01T00:00:00+00:00"`, func(r *Reader) { r.Time() }},
+		"time lowercase t":   {`"2020-01-01t00:00:00Z"`, func(r *Reader) { r.Time() }},
+		"bytes bad padding":  {`"AQ"`, func(r *Reader) { r.Bytes() }},
+		"bytes extra pad":    {`"AQ==="`, func(r *Reader) { r.Bytes() }},
+		"bytes pad bits":     {`"AR=="`, func(r *Reader) { r.Bytes() }},
+		"bytes URL alphabet": {`"-_8="`, func(r *Reader) { r.Bytes() }},
+		"bytes escaped /":    {`"~/w=="`, func(r *Reader) { r.Bytes() }},
+		"bytes newline":      {"\"AQ~n==\"", func(r *Reader) { r.Bytes() }},
+		"bytes raw CR":       {"\"AQ\r==\"", func(r *Reader) { r.Bytes() }},
+		"bytes raw LF":       {"\"AQID\nBA==\"", func(r *Reader) { r.Bytes() }},
+		"bytes unterminated": {`"AQID`, func(r *Reader) { r.Bytes() }},
+		"bytes array":        {`[1,2]`, func(r *Reader) { r.Bytes() }},
+		"map keys unsorted":  {`{"b":1,"a":2}`, func(r *Reader) { r.FloatMap() }},
+		"map keys repeated":  {`{"a":1,"a":2}`, func(r *Reader) { r.FloatMap() }},
+		"map spaced":         {`{"a": 1}`, func(r *Reader) { r.FloatMap() }},
+		"map trailing ,":     {`{"a":1,}`, func(r *Reader) { r.FloatMap() }},
+		"map float 1.0":      {`{"a":1.0}`, func(r *Reader) { r.FloatMap() }},
+		"map int key":        {`{1:1}`, func(r *Reader) { r.FloatMap() }},
 		"strings spaced":     {`["a", "b"]`, func(r *Reader) { r.Strs() }},
 		"strings trailing ,": {`["a",]`, func(r *Reader) { r.Strs() }},
 		"trailing bytes":     {`"a" `, func(r *Reader) { r.Str() }},
@@ -246,5 +267,47 @@ func TestPlainLenMatchesTable(t *testing.T) {
 				check(s)
 			}
 		}
+	}
+}
+
+// Bytes, FloatMap and AppendFloatMap against encoding/json: the
+// appender writes json.Marshal's bytes, and every value json.Marshal
+// writes reads back as json.Unmarshal's, nil versus empty included.
+func TestBytesAndFloatMapMatchStdlib(t *testing.T) {
+	for _, b := range [][]byte{nil, {}, {0}, {1, 2}, {1, 2, 3}, []byte("<&>"), bytes.Repeat([]byte{0xfb, 0xff}, 100)} {
+		enc, _ := json.Marshal(b)
+		var want []byte
+		if err := json.Unmarshal(enc, &want); err != nil {
+			t.Fatal(err)
+		}
+		r := NewReader(enc)
+		got := r.Bytes()
+		if err := r.Done(); err != nil || (got == nil) != (want == nil) || !bytes.Equal(got, want) {
+			t.Fatalf("Bytes(%q) = %#v, %v; json.Unmarshal = %#v", enc, got, err, want)
+		}
+	}
+	for _, m := range []map[string]float64{
+		nil, {}, {"a": 1}, {"temperature_c": 45.5, "humidity": -0.25, "<b>": 1e21, "": 5e-324, "z\u00e9": 0},
+	} {
+		enc, _ := json.Marshal(m)
+		got, err := AppendFloatMap([]byte("prefix"), m)
+		if err != nil || !bytes.Equal(got[len("prefix"):], enc) {
+			t.Fatalf("AppendFloatMap(%v) = %q, %v; json.Marshal = %q", m, got, err, enc)
+		}
+		if n := FloatMapLen(m); len(enc) > n {
+			t.Fatalf("FloatMapLen(%v) = %d, encoding is %d bytes", m, n, len(enc))
+		}
+		var want map[string]float64
+		if err := json.Unmarshal(enc, &want); err != nil {
+			t.Fatal(err)
+		}
+		r := NewReader(enc)
+		back := r.FloatMap()
+		if err := r.Done(); err != nil || (back == nil) != (want == nil) || !reflect.DeepEqual(back, want) {
+			t.Fatalf("FloatMap(%q) = %v, %v; json.Unmarshal = %v", enc, back, err, want)
+		}
+	}
+	if _, err := AppendFloatMap(nil, map[string]float64{"nan": math.NaN()}); err == nil {
+		t.Fatal("AppendFloatMap accepted NaN")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -106,49 +105,6 @@ func newAEAD(key []byte) (cipher.AEAD, error) {
 		return nil, fmt.Errorf("envelope: %w", err)
 	}
 	return cipher.NewGCM(block)
-}
-
-// Envelope bundles a payload ciphertext with the wrapped (KMS-encrypted)
-// data key that protects it, so an object is self-describing: anyone
-// holding the blob learns nothing; anyone with kms:Decrypt on the master
-// key can unwrap the data key and open the payload.
-type Envelope struct {
-	// WrappedKey is the data key encrypted by the KMS master key.
-	WrappedKey []byte
-	// Sealed is the Seal()-format payload ciphertext.
-	Sealed []byte
-}
-
-// Encode serializes the envelope: magic || 'E' || len(wrapped) ||
-// wrapped || sealed. The distinct tag byte keeps Encode output and raw
-// Seal output mutually distinguishable while both pass IsSealed.
-func (e *Envelope) Encode() []byte {
-	out := make([]byte, 0, len(magic)+1+4+len(e.WrappedKey)+len(e.Sealed))
-	out = append(out, magic...)
-	out = append(out, 'E')
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(e.WrappedKey)))
-	out = append(out, lenBuf[:]...)
-	out = append(out, e.WrappedKey...)
-	out = append(out, e.Sealed...)
-	return out
-}
-
-// DecodeEnvelope parses a blob produced by Encode.
-func DecodeEnvelope(blob []byte) (*Envelope, error) {
-	if !IsSealed(blob) || len(blob) < len(magic)+5 || blob[len(magic)] != 'E' {
-		return nil, ErrNotSealed
-	}
-	body := blob[len(magic)+1:]
-	n := binary.BigEndian.Uint32(body[:4])
-	body = body[4:]
-	if uint32(len(body)) < n {
-		return nil, ErrCorrupt
-	}
-	return &Envelope{
-		WrappedKey: append([]byte(nil), body[:n]...),
-		Sealed:     append([]byte(nil), body[n:]...),
-	}, nil
 }
 
 // Zero overwrites a key (or any secret) in place. The lambda runtime

@@ -135,48 +135,6 @@ func TestIsSealed(t *testing.T) {
 	}
 }
 
-func TestEnvelopeEncodeDecode(t *testing.T) {
-	key := mustKey(t)
-	sealed, err := Seal(key, []byte("payload"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := &Envelope{WrappedKey: []byte("wrapped-by-kms"), Sealed: sealed}
-	blob := env.Encode()
-	if !IsSealed(blob) {
-		t.Fatal("encoded envelope must pass IsSealed")
-	}
-	got, err := DecodeEnvelope(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.WrappedKey, env.WrappedKey) || !bytes.Equal(got.Sealed, env.Sealed) {
-		t.Fatal("envelope round trip mismatch")
-	}
-	pt, err := Open(key, got.Sealed, nil)
-	if err != nil || string(pt) != "payload" {
-		t.Fatalf("payload open failed: %v %q", err, pt)
-	}
-}
-
-func TestDecodeEnvelopeRejectsRawSeal(t *testing.T) {
-	key := mustKey(t)
-	sealed, _ := Seal(key, []byte("x"), nil)
-	if _, err := DecodeEnvelope(sealed); err == nil {
-		t.Fatal("raw Seal output decoded as an Envelope")
-	}
-}
-
-func TestDecodeEnvelopeCorruptLength(t *testing.T) {
-	env := &Envelope{WrappedKey: bytes.Repeat([]byte{1}, 16), Sealed: []byte("s")}
-	blob := env.Encode()
-	// Inflate the declared wrapped-key length past the body.
-	blob[len(magic)+1] = 0xff
-	if _, err := DecodeEnvelope(blob); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("got %v, want ErrCorrupt", err)
-	}
-}
-
 func TestZero(t *testing.T) {
 	k := mustKey(t)
 	Zero(k)
@@ -200,20 +158,6 @@ func TestSealOpenProperty(t *testing.T) {
 			return false
 		}
 		return bytes.Equal(got, pt)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEnvelopeRoundTripProperty(t *testing.T) {
-	f := func(wrapped, sealedBody []byte) bool {
-		env := &Envelope{WrappedKey: wrapped, Sealed: sealedBody}
-		got, err := DecodeEnvelope(env.Encode())
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(got.WrappedKey, wrapped) && bytes.Equal(got.Sealed, sealedBody)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

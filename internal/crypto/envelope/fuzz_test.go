@@ -26,20 +26,3 @@ func FuzzOpen(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeEnvelope checks the container parser never panics.
-func FuzzDecodeEnvelope(f *testing.F) {
-	env := &Envelope{WrappedKey: []byte("wrapped"), Sealed: []byte("sealed")}
-	f.Add(env.Encode())
-	f.Add([]byte("DIY\x01E\x00\x00\xff\xff"))
-	f.Fuzz(func(t *testing.T, blob []byte) {
-		e, err := DecodeEnvelope(blob)
-		if err != nil {
-			return
-		}
-		// Accepted envelopes re-encode to something decodable.
-		if _, err := DecodeEnvelope(e.Encode()); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-	})
-}

@@ -80,11 +80,15 @@ diff cmd/diyctl/testdata/trace_fleet.golden "$LOG1"
 go run ./cmd/diyctl trace >"$LOG2"
 diff cmd/diyctl/testdata/trace.golden "$LOG2"
 
-echo ">> codec fuzz smoke (each hand-written codec against its stdlib oracle, encoding/json or encoding/xml, 10 s per fuzzer)"
-go test -run '^$' -fuzz '^FuzzAppendString$' -fuzztime 10s ./internal/canonjson
-go test -run '^$' -fuzz '^FuzzRoomDocCodec$' -fuzztime 10s ./internal/apps/chat
-go test -run '^$' -fuzz '^FuzzMailboxCodec$' -fuzztime 10s ./internal/apps/email
-go test -run '^$' -fuzz '^FuzzStanzaCodec$' -fuzztime 10s ./internal/proto/xmpp
+echo ">> codec fuzz smoke (each hand-written codec against its stdlib oracle, encoding/json or encoding/xml, 10 s per fuzzer; -fuzzminimizetime 1x keeps minimization from eating the 10 s)"
+go test -run '^$' -fuzz '^FuzzAppendString$' -fuzztime 10s -fuzzminimizetime 1x ./internal/canonjson
+go test -run '^$' -fuzz '^FuzzRoomDocCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/chat
+go test -run '^$' -fuzz '^FuzzMailboxCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/email
+go test -run '^$' -fuzz '^FuzzManifestCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/filetransfer
+go test -run '^$' -fuzz '^FuzzUploadRequestDecode$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/filetransfer
+go test -run '^$' -fuzz '^FuzzRegistryCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/iot
+go test -run '^$' -fuzz '^FuzzReportDecode$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/iot
+go test -run '^$' -fuzz '^FuzzStanzaCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/proto/xmpp
 
 echo ">> go test -race ./... (includes the fleet scheduler under the race detector)"
 go test -race ./...
