@@ -16,7 +16,7 @@ vet:
 # lint runs diylint, the repo's domain-invariant analyzer suite
 # (wallclock, globalrand, moneyfloat, spanhygiene, planeroute,
 # metricname, loggroup, hotpath, droppederr, maporder, globalstate,
-# shardsafe), all twelve driven off one shared call-graph substrate.
+# shardsafe, testonly), all thirteen driven off one shared call-graph substrate.
 # Output stays human-readable here; CI re-renders the same run with
 # -format=sarif for annotation. Deliberate findings live in
 # .diylint-allow with a justification.

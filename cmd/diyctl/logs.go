@@ -48,13 +48,9 @@ func logsDemo() error {
 	fmt.Println("   done; every call left a line in the log plane")
 
 	fmt.Println("\n-- log groups after the run:")
-	fmt.Printf("   %-24s %8s %8s %10s %10s\n", "GROUP", "STREAMS", "EVENTS", "BYTES", "RETENTION")
+	fmt.Printf("   %-24s %8s %8s %10s\n", "GROUP", "STREAMS", "EVENTS", "BYTES")
 	for _, g := range cloud.Logs.Inventory() {
-		ret := "infinite"
-		if g.Retention > 0 {
-			ret = g.Retention.String()
-		}
-		fmt.Printf("   %-24s %8d %8d %10d %10s\n", g.Name, g.Streams, g.Events, g.Bytes, ret)
+		fmt.Printf("   %-24s %8d %8d %10d\n", g.Name, g.Streams, g.Events, g.Bytes)
 	}
 
 	fmt.Printf("\n-- tail %s (last 3 events, what `aws logs tail` would show):\n",

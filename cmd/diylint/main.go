@@ -5,8 +5,9 @@
 // discipline (metricname), log-group registry discipline (loggroup),
 // telemetry hot-path allocation discipline (hotpath), discarded errors
 // (droppederr), map-iteration-order determinism (maporder), no mutable
-// package-level state (globalstate), and guarded writes across
-// concurrency seams (shardsafe). All twelve run off one shared
+// package-level state (globalstate), guarded writes across
+// concurrency seams (shardsafe), and a lean exported surface with no
+// test-only API (testonly). All thirteen run off one shared
 // substrate pass that builds the module call graph and its
 // reachability facts.
 //

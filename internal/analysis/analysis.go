@@ -33,7 +33,9 @@
 //     package-level state, so per-account shards cannot alias;
 //   - shardsafe: functions reachable from a concurrency seam (plane
 //     interceptors, fleet shard workers) only write shared fields under
-//     a mutex/atomic guard.
+//     a mutex/atomic guard;
+//   - testonly: every exported function under internal/ has a non-test
+//     reference, so the shipped surface carries no test-only API.
 //
 // All analyzers run off a shared substrate (substrate.go): one pass
 // builds the same-module call graph and the reachability/mutation facts
@@ -120,6 +122,7 @@ func Analyzers() []*Analyzer {
 		MapOrder,
 		GlobalState,
 		ShardSafe,
+		TestOnly,
 	}
 }
 

@@ -49,6 +49,8 @@ var fixtureDirs = []string{
 	"internal/cloudsim/globalgood",
 	"internal/cloudsim/shardbad",
 	"internal/cloudsim/shardgood",
+	"internal/cloudsim/testonlybad",
+	"internal/cloudsim/testonlygood",
 	"internal/fleet/shardfleetbad",
 	"internal/fleet/shardfleetgood",
 	"internal/fleet/towerbad",
@@ -109,6 +111,7 @@ var goldenCases = []struct {
 	{MapOrder, "internal/cloudsim/mapbad", "internal/cloudsim/mapgood", ""},
 	{GlobalState, "internal/cloudsim/globalbad", "internal/cloudsim/globalgood", ""},
 	{ShardSafe, "internal/cloudsim/shardbad", "internal/cloudsim/shardgood", ""},
+	{TestOnly, "internal/cloudsim/testonlybad", "internal/cloudsim/testonlygood", ""},
 	// The same analyzer again over the fleet scheduler seam: shard
 	// worker goroutines as reachability roots. A distinct golden name
 	// keeps it from colliding with the cloudsim shardsafe golden.

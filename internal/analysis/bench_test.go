@@ -9,7 +9,7 @@ import (
 // cannot elide the analysis.
 var benchFindings []Finding
 
-// BenchmarkDiylint runs the full twelve-analyzer suite — substrate pass
+// BenchmarkDiylint runs the full thirteen-analyzer suite — substrate pass
 // included — over the repo's own tree. Loading and type-checking happen
 // once outside the timer; the measured work is what grows as analyzers
 // are added, so a substrate regression (an accidental per-analyzer

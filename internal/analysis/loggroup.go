@@ -11,13 +11,12 @@ import (
 
 // LogGroup guards the log-group registry (logs/names.go): a typo'd
 // group name silently forks the evidence trail into a group no query
-// or retention policy will ever look at, so group names may only be
-// minted in the logs package and must reach the store API through a
-// registry expression — a logs-package constant (LogGroupKMSAudit) or
-// a logs-package deriver (PlaneGroup, LambdaGroup). The logs package
-// itself is exempt from the call-site rule: the store is the one place
-// allowed to treat group names as data (it ranges over them to render
-// the inventory and the dump).
+// will ever look at, so group names may only be minted in the logs
+// package and must reach the store API through a registry expression
+// — a logs-package constant (LogGroupKMSAudit) or a logs-package
+// deriver (PlaneGroup, LambdaGroup). The logs package itself is exempt
+// from the call-site rule: the store is the one place allowed to treat
+// group names as data (it ranges over them to render the inventory).
 var LogGroup = &Analyzer{
 	Name: "loggroup",
 	Doc:  "log group names are registry expressions: minted in internal/cloudsim/logs, lowercase slash-separated, passed by constant or deriver call",
@@ -33,15 +32,10 @@ const logsPkgDir = "internal/cloudsim/logs"
 // logGroupArgMethods are the (*logs.Service) methods whose first
 // argument is a group name.
 var logGroupArgMethods = map[string]bool{
-	"CreateGroup":   true,
-	"SetRetention":  true,
-	"Retention":     true,
-	"PutEvents":     true,
-	"SequenceToken": true,
-	"Streams":       true,
-	"Events":        true,
-	"Tail":          true,
-	"Query":         true,
+	"PutEvents": true,
+	"Events":    true,
+	"Tail":      true,
+	"Query":     true,
 }
 
 func runLogGroup(p *Pass) {
@@ -72,7 +66,7 @@ func runLogGroup(p *Pass) {
 					}
 					if !inRegistry {
 						p.Reportf(name.Pos(),
-							"constant %s mints a log group name outside the registry; declare it in %s so retention, queries, and the inventory can see the group",
+							"constant %s mints a log group name outside the registry; declare it in %s so queries and the inventory can see the group",
 							name.Name, logsPkgDir)
 					}
 					if val := constant.StringVal(c.Val()); !logGroupRE.MatchString(val) {

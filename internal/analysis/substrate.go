@@ -62,6 +62,10 @@ type Node struct {
 	// referenced function values, nested literals, and interface
 	// dispatch fallbacks, in first-mention order.
 	Callees []*Node
+
+	// referenced marks a declared function that the loaded program
+	// names outside its own declaration (see Facts.Referenced).
+	referenced bool
 }
 
 // CallSite is one call expression with its statically resolved callee.
@@ -83,14 +87,6 @@ func (n *Node) Name() string {
 		return n.Decl.Name.Name
 	}
 	return "func literal"
-}
-
-// Pos is the node's source position.
-func (n *Node) Pos() token.Pos {
-	if n.Lit != nil {
-		return n.Lit.Pos()
-	}
-	return n.Decl.Name.Pos()
 }
 
 // Graph is the same-module static call graph over a Program.
@@ -154,6 +150,10 @@ type Facts struct {
 	// var with neither as an immutable table.
 	mutated   map[*types.Var]token.Pos
 	addrTaken map[*types.Var]token.Pos
+
+	// ifaceUsed holds the interface methods the loaded program names,
+	// whose implementations are reached by dynamic dispatch.
+	ifaceUsed map[*types.Func]bool
 }
 
 // VarMutated reports whether the loaded program ever writes v (directly,
@@ -169,6 +169,33 @@ func (f *Facts) VarMutated(v *types.Var) (token.Pos, bool) {
 func (f *Facts) VarAddrTaken(v *types.Var) (token.Pos, bool) {
 	pos, ok := f.addrTaken[v]
 	return pos, ok
+}
+
+// Referenced reports whether the loaded program names fn anywhere
+// outside fn's own declaration, or calls an interface method that fn
+// implements.
+func (f *Facts) Referenced(fn *types.Func) bool {
+	fn = fn.Origin()
+	if n := f.Graph.ByFn[fn]; n != nil && n.referenced {
+		return true
+	}
+	sig := fn.Type().(*types.Signature)
+	if sig.Recv() == nil {
+		return false
+	}
+	recv := sig.Recv().Type()
+	if _, isPtr := recv.(*types.Pointer); !isPtr {
+		recv = types.NewPointer(recv) // *T's method set includes T's
+	}
+	for m := range f.ifaceUsed {
+		if m.Name() != fn.Name() {
+			continue
+		}
+		if it, ok := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface); ok && types.Implements(recv, it) {
+			return true
+		}
+	}
+	return false
 }
 
 // ComputeFacts runs the substrate pass over prog: node collection, then
@@ -190,6 +217,7 @@ func ComputeFacts(prog *Program) *Facts {
 		Graph:     b.graph,
 		mutated:   make(map[*types.Var]token.Pos),
 		addrTaken: make(map[*types.Var]token.Pos),
+		ifaceUsed: make(map[*types.Func]bool),
 	}
 	for _, pkg := range prog.Pkgs {
 		b.walkBodies(pkg, f)
@@ -336,9 +364,11 @@ func (b *graphBuilder) walkBodies(pkg *Package, f *Facts) {
 	for _, file := range pkg.Files {
 		for _, d := range file.Decls {
 			var cur *Node
+			w.self = nil
 			if decl, ok := d.(*ast.FuncDecl); ok && decl.Body != nil {
 				if fn, ok := pkg.Info.Defs[decl.Name].(*types.Func); ok {
 					cur = b.graph.ByFn[fn]
+					w.self = fn
 				}
 			}
 			w.walk(d, cur)
@@ -357,6 +387,9 @@ type bodyWalker struct {
 	// plain call as a method value. ast.Inspect visits a CallExpr before
 	// its Fun child, so the mark is always in place in time.
 	callFun map[*ast.Ident]bool
+	// self is the function whose declaration is being walked, so a
+	// recursive call does not count as a reference to it.
+	self *types.Func
 }
 
 // walk visits root attributing calls, references, and mutations to cur;
@@ -382,13 +415,16 @@ func (w *bodyWalker) walk(root ast.Node, cur *Node) {
 		case *ast.CallExpr:
 			w.call(n, cur)
 		case *ast.Ident:
+			fn, ok := info.Uses[n].(*types.Func)
+			if !ok {
+				break
+			}
+			w.reference(fn)
 			// Function referenced outside call position: a method value
 			// or function value escaping into a variable or argument.
 			if cur != nil && !w.callFun[n] {
-				if fn, ok := info.Uses[n].(*types.Func); ok {
-					if target, ok := w.b.graph.ByFn[fn]; ok {
-						addEdge(cur, target)
-					}
+				if target, ok := w.b.graph.ByFn[fn]; ok {
+					addEdge(cur, target)
 				}
 			}
 		case *ast.AssignStmt:
@@ -410,6 +446,19 @@ func (w *bodyWalker) walk(root ast.Node, cur *Node) {
 		}
 		return true
 	})
+}
+
+// reference records a use of fn for Facts.Referenced.
+func (w *bodyWalker) reference(fn *types.Func) {
+	fn = fn.Origin()
+	if fn == w.self {
+		return
+	}
+	if isInterfaceMethod(fn) {
+		w.f.ifaceUsed[fn] = true
+	} else if n := w.b.graph.ByFn[fn]; n != nil {
+		n.referenced = true
+	}
 }
 
 // call handles one call expression: the call-site record, the static

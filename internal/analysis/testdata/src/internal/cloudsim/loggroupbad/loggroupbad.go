@@ -13,8 +13,8 @@ import (
 // the store's own validation rejects.
 const LogGroupShadow = "Lambda/Proto"
 
-// Emit writes and reads events under groups no retention policy or
-// query will ever cover.
+// Emit writes and reads events under groups no query will ever
+// cover.
 func Emit(s *logs.Service, at time.Time) int {
 	s.PutEvents("lambda/protochat", "stream", logs.Event{Time: at, Message: "orphaned"})
 	s.PutEvents(LogGroupShadow, "stream", logs.Event{Time: at, Message: "shadowed"})

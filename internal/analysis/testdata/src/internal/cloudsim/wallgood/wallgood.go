@@ -13,11 +13,6 @@ func Deadline(clk clock.Clock, wait time.Duration) time.Time {
 	return clk.Now().Add(wait)
 }
 
-// Park blocks on the injected clock's timeline, not a real timer.
-func Park(clk clock.Clock, d time.Duration) time.Time {
-	return <-clock.After(clk, d)
-}
-
 // Age measures elapsed simulated time.
 func Age(clk clock.Clock, start time.Time) time.Duration {
 	return clk.Now().Sub(start)

@@ -57,7 +57,7 @@ func runWallClock(p *Pass) {
 		}
 		if wallclockForbidden[fn.Name()] {
 			p.Reportf(ident.Pos(),
-				"time.%s reads the wall clock; take time from the injected clock.Clock (or clock.After) so virtual-timeline replay stays deterministic",
+				"time.%s reads the wall clock; take time from the injected clock.Clock so virtual-timeline replay stays deterministic",
 				fn.Name())
 		}
 	}

@@ -65,11 +65,12 @@ func TestSendDeliverReceive(t *testing.T) {
 	alice := session(t, d, "alice")
 	bob := session(t, d, "bob")
 
-	stats, sentAt, err := alice.SendTimed("hello bob")
+	sent, err := alice.SendTraced("hello bob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.RunTime <= 0 {
+	sentAt := sent.At
+	if sent.Stats.RunTime <= 0 {
 		t.Fatal("no run time recorded")
 	}
 
@@ -97,10 +98,11 @@ func TestSendDeliverReceive(t *testing.T) {
 func TestGroupFanOut(t *testing.T) {
 	_, d := newRoom(t, "alice", "bob", "carol", "dave")
 	alice := session(t, d, "alice")
-	_, sentAt, err := alice.SendTimed("team: standup at 10")
+	sent, err := alice.SendTraced("team: standup at 10")
 	if err != nil {
 		t.Fatal(err)
 	}
+	sentAt := sent.At
 	for _, member := range []string{"bob", "carol", "dave"} {
 		c := session(t, d, member)
 		msgs, err := c.Receive(c.PollContext(sentAt), 20*time.Second)
@@ -191,10 +193,11 @@ func TestQueuedDeliveriesAreSealed(t *testing.T) {
 	cloud, d := newRoom(t)
 	alice := session(t, d, "alice")
 	secret := "very private line"
-	_, sentAt, err := alice.SendTimed(secret)
+	sent, err := alice.SendTraced(secret)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sentAt := sent.At
 	// Raw queue inspection (as the cloud provider could do): sealed.
 	ctx := &sim.Context{Principal: d.ClientRole, Cursor: sim.NewCursor(sentAt)}
 	raw, err := cloud.SQS.Receive(ctx, d.Queues[InboxQueueSuffix("bob")], 1, 20*time.Second)
@@ -349,11 +352,11 @@ func TestDynamoBackendRoundTrip(t *testing.T) {
 	alice := session(t, d, "alice")
 	bob := session(t, d, "bob")
 	secret := "fast path message"
-	_, sentAt, err := alice.SendTimed(secret)
+	sent, err := alice.SendTraced(secret)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msgs, err := bob.Receive(bob.PollContext(sentAt), 20*time.Second)
+	msgs, err := bob.Receive(bob.PollContext(sent.At), 20*time.Second)
 	if err != nil || len(msgs) != 1 || msgs[0].Body != secret {
 		t.Fatalf("delivery over dynamo backend: %v %v", err, msgs)
 	}

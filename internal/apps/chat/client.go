@@ -103,14 +103,6 @@ func (c *Client) Send(body string) (lambda.InvocationStats, error) {
 	return stats, err
 }
 
-// SendTimed is Send plus the end-to-end instant bookkeeping used by the
-// Table 3 experiment: it returns the simulated instant at which the
-// message hit the inbox queues (the end of the function run).
-func (c *Client) SendTimed(body string) (stats lambda.InvocationStats, sentAt time.Time, err error) {
-	stats, sentAt, _, err = c.send(body, false)
-	return stats, sentAt, err
-}
-
 // Sent is the outcome of one SendTraced call.
 type Sent struct {
 	Stats lambda.InvocationStats
@@ -122,12 +114,13 @@ type Sent struct {
 	Traced bool
 }
 
-// SendTraced is SendTimed with a distributed trace attached: the
-// stored trace holds one segment per service hop of the message's
-// journey — gateway, function (with cold-start and billing-quantum
-// sub-segments), KMS, S3 and the per-member SQS fan-out — each carrying
-// the usage it was metered for, so the whole send can be rendered as a
-// flame tree with per-hop latency and dollars.
+// SendTraced is Send with a distributed trace attached, plus the
+// simulated instant the message hit the inbox queues. The stored trace
+// holds one segment per service hop of the message's journey — gateway,
+// function (with cold-start and billing-quantum sub-segments), KMS, S3
+// and the per-member SQS fan-out — each carrying the usage it was
+// metered for, so the whole send can be rendered as a flame tree with
+// per-hop latency and dollars.
 func (c *Client) SendTraced(body string) (Sent, error) {
 	stats, at, tr, err := c.send(body, true)
 	tv, ok := tr.Finish(at)

@@ -200,8 +200,7 @@ func TestFasterThanS3(t *testing.T) {
 		f.dynamo.Get(dCtx, "alice-chat", "absent") // latency applies regardless
 		dynamoTime += dCtx.Cursor.Elapsed() - before
 	}
-	model := netsim.NewDefaultModel()
-	s3Median = model.Median(netsim.HopS3) * 32
+	s3Median = netsim.DefaultParams().Hops[netsim.HopS3].Median * 32
 	if dynamoTime*2 >= s3Median {
 		t.Fatalf("dynamo 32 ops took %v, not ≪ S3's %v", dynamoTime, s3Median)
 	}

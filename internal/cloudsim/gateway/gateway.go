@@ -142,13 +142,6 @@ func (s *Service) Stats(path string) (EndpointStats, bool) {
 	return st, true
 }
 
-// Throttled reports how many requests the gateway has rejected.
-func (s *Service) Throttled() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.throttled
-}
-
 // Handle routes one client request through TLS termination, the
 // throttle, and the function invocation, metering the response payload
 // as internet transfer out for external callers.

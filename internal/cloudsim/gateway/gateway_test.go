@@ -137,9 +137,9 @@ func TestThrottleCapsDDoSCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := f.meter.Total(pricing.LambdaRequests)
-	ctx := extCtx() // all within one instant: only the burst passes
+	start := extCtx().Cursor.Now() // all within one instant: only the burst passes
 	for i := 0; i < 1000; i++ {
-		c := &sim.Context{Cursor: sim.NewCursor(ctx.Cursor.Start()), External: true}
+		c := &sim.Context{Cursor: sim.NewCursor(start), External: true}
 		f.gw.Handle(c, Request{Path: "/t"})
 	}
 	invoked := f.meter.Total(pricing.LambdaRequests) - before

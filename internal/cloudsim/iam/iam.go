@@ -89,13 +89,6 @@ func (s *Service) Role(name string) (*Role, bool) {
 	return r, ok
 }
 
-// Roles reports how many roles exist (for TCB accounting and tests).
-func (s *Service) Roles() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.roles)
-}
-
 // Authorize evaluates whether the principal (a role name) may perform
 // action on resource. It returns nil if allowed and an error wrapping
 // ErrDenied otherwise.

@@ -48,7 +48,6 @@ type Env struct {
 
 	peakMemory int64
 	secrets    [][]byte
-	logs       []string
 }
 
 // Ctx returns the invocation's call context: principal = the function's
@@ -71,14 +70,8 @@ func (e *Env) Dynamo() *dynamo.Service { return e.platform.servicesSnapshot().Dy
 // Email returns the outbound email service, or nil if none is wired.
 func (e *Env) Email() EmailSender { return e.platform.servicesSnapshot().Email }
 
-// MemoryMB reports the container's memory allocation.
-func (e *Env) MemoryMB() int { return e.fn.MemoryMB }
-
 // Config returns a function environment value ("" if unset).
 func (e *Env) Config(key string) string { return e.fn.Config[key] }
-
-// Region reports where this invocation is running.
-func (e *Env) Region() string { return e.ctx.Region }
 
 // Compute declares d of modelled CPU work (encryption, parsing,
 // application logic), advancing the invocation timeline. The handler's
@@ -126,14 +119,6 @@ func (e *Env) DataKey(wrapped []byte) ([]byte, error) {
 	}
 	return dk, nil
 }
-
-// Logf records a diagnostic line on the invocation.
-func (e *Env) Logf(format string, args ...any) {
-	e.logs = append(e.logs, fmt.Sprintf(format, args...))
-}
-
-// Logs returns the lines recorded during the invocation.
-func (e *Env) Logs() []string { return e.logs }
 
 // finish scrubs per-invocation secrets.
 func (e *Env) finish() {

@@ -19,7 +19,6 @@
 package lambda
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"strconv"
@@ -133,10 +132,6 @@ type Function struct {
 	// placed here.
 	Config map[string]string
 }
-
-// Measurement returns the SHA-256 of the deployment package, the value
-// a hardware enclave would attest (§3.3 "Securing DIY with Enclaves").
-func (f *Function) Measurement() [32]byte { return sha256.Sum256(f.Code) }
 
 // InvocationStats reports one invocation's accounting.
 type InvocationStats struct {
@@ -256,13 +251,6 @@ func (p *Platform) SetConcurrencyLimit(n int) {
 	p.mu.Lock()
 	p.concLimit = n
 	p.mu.Unlock()
-}
-
-// Concurrent reports the number of in-flight invocations.
-func (p *Platform) Concurrent() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.concurrent
 }
 
 // SetWarmTTL overrides the warm-pool idle TTL (for the cold-start
@@ -610,16 +598,6 @@ func (p *Platform) Stats(fnName string) (invocations, coldStarts int64) {
 		return st.invocations, st.coldStarts
 	}
 	return 0, 0
-}
-
-// WarmContainers reports how many warm containers a function holds.
-func (p *Platform) WarmContainers(fnName string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if st, ok := p.fns[fnName]; ok {
-		return len(st.containers)
-	}
-	return 0
 }
 
 func (p *Platform) pickRegion(regions []string) (region string, hops int, err error) {

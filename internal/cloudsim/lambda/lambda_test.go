@@ -470,20 +470,6 @@ func TestHandlerErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestEnvLogs(t *testing.T) {
-	f := newFixture(t)
-	var captured []string
-	f.register(t, Function{Name: "fn", Handler: func(env *Env, ev Event) (Response, error) {
-		env.Logf("processing %d bytes", len(ev.Body))
-		captured = env.Logs()
-		return Response{Status: 200}, nil
-	}})
-	f.platform.Invoke(f.ctx(), "fn", Event{Body: []byte("12345")})
-	if len(captured) != 1 || captured[0] != "processing 5 bytes" {
-		t.Fatalf("logs = %v", captured)
-	}
-}
-
 func TestBillQuantumProperties(t *testing.T) {
 	// Properties: billed >= run; billed - run < quantum (for positive
 	// runs); billed is a positive quantum multiple.

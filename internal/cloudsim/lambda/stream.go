@@ -123,18 +123,6 @@ func (p *Platform) OpenConnection(ctx *sim.Context, fnName string, suspendAfter 
 	}, nil
 }
 
-// State reports the connection's state as of the given instant,
-// accounting for lazy suspension.
-func (c *Connection) State(at time.Time) ConnState {
-	if c.state == ConnClosed {
-		return ConnClosed
-	}
-	if c.state == ConnActive && at.Sub(c.lastActivity) > c.suspendAfter {
-		return ConnSuspended
-	}
-	return c.state
-}
-
 // Send delivers one event over the connection at the context's current
 // instant, resuming the container if it was suspended. The handler
 // runs exactly as in a regular invocation (same Env, same service

@@ -7,11 +7,12 @@
 //
 // The simulator stores append-only structured events in log groups and
 // streams, stamped with virtual-clock timestamps and deterministic
-// sequence tokens, under per-group retention policies. A single plane
-// interceptor (PlaneInterceptor) auto-emits one event per service API
-// call, the lambda platform writes real-shaped START/END/REPORT lines
-// per invocation, and a Logs Insights-style query engine (query.go)
-// answers `fields | filter | parse | stats | sort | limit` pipelines
+// sequence tokens. Nothing expires: every ingested event stays at rest
+// for the run, as under CloudWatch Logs' default "never expire" policy.
+// A single plane interceptor (PlaneInterceptor) auto-emits one event
+// per service API call, the lambda platform writes real-shaped
+// START/END/REPORT lines per invocation, and a Logs Insights-style
+// query engine (query.go) answers `fields | filter | parse | stats | sort | limit` pipelines
 // over the stored events. Ingest and storage are billed at the 2017
 // CloudWatch Logs rates through the same PriceBook/meter/bill engine
 // as every other service.
@@ -105,14 +106,13 @@ type eventRef struct {
 // time returns the event's UnixNano timestamp.
 func (r eventRef) time() int64 { return r.st.times[r.i] }
 
-// group is a named set of streams under one retention policy.
+// group is a named set of streams.
 type group struct {
-	name      string
-	streams   map[string]*stream
-	retention time.Duration // 0 = keep forever
+	name    string
+	streams map[string]*stream
 	// merged caches every event in the group's deterministic order
 	// (timestamp, then stream name, then sequence). nil = needs
-	// rebuilding after an ingest or retention sweep.
+	// rebuilding after an ingest.
 	merged []eventRef
 }
 
@@ -158,11 +158,10 @@ func (g *group) windowRefs(from, to time.Time) []eventRef {
 
 // GroupInfo summarizes one log group for inventory listings.
 type GroupInfo struct {
-	Name      string
-	Streams   int
-	Events    int
-	Bytes     int64
-	Retention time.Duration
+	Name    string
+	Streams int
+	Events  int
+	Bytes   int64
 }
 
 // Service is the simulated CloudWatch Logs store. It is safe for
@@ -174,7 +173,6 @@ type Service struct {
 	groups        map[string]*group
 	planeGroups   map[string]*group // service -> its "plane/<service>" group
 	ingestedBytes int64
-	storedBytes   int64
 
 	// Self-telemetry counter (see SelfStats).
 	ingestedEvents int64
@@ -188,39 +186,6 @@ func New(clk clock.Clock) *Service {
 		clk = clock.Wall{}
 	}
 	return &Service{clk: clk, groups: make(map[string]*group), planeGroups: make(map[string]*group)}
-}
-
-// CreateGroup provisions a log group. Creating an existing group is a
-// no-op, as emitters and operators race benignly to ensure their group
-// exists.
-func (s *Service) CreateGroup(name string) {
-	s.mu.Lock()
-	s.ensureGroupLocked(name)
-	s.mu.Unlock()
-}
-
-// SetRetention sets a group's retention policy (0 keeps events
-// forever), creating the group if needed. Expiry happens when
-// ApplyRetention is called with a later virtual instant — retention is
-// explicit and clock-driven, never a background timer, so runs stay
-// deterministic.
-func (s *Service) SetRetention(name string, d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	s.mu.Lock()
-	s.ensureGroupLocked(name).retention = d
-	s.mu.Unlock()
-}
-
-// Retention reports a group's retention policy (0 = keep forever).
-func (s *Service) Retention(name string) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if g, ok := s.groups[name]; ok {
-		return g.retention
-	}
-	return 0
 }
 
 // PutEvents appends events to a stream, creating group and stream on
@@ -256,7 +221,7 @@ func sortedFields(m map[string]string) []field {
 
 // appendLocked lands one event in a stream's columns, stamping a zero
 // timestamp with the service clock, assigning the next sequence
-// number, and accruing the ingest/storage byte inventory. Caller
+// number, and accruing the ingested byte inventory. Caller
 // holds s.mu.
 func (s *Service) appendLocked(g *group, st *stream, at time.Time, msg string, fs []field) {
 	if at.IsZero() {
@@ -267,7 +232,6 @@ func (s *Service) appendLocked(g *group, st *stream, at time.Time, msg string, f
 		b += int64(len(f.k) + len(f.v))
 	}
 	s.ingestedBytes += b
-	s.storedBytes += b
 	s.ingestedEvents++
 	st.times = append(st.times, at.UnixNano())
 	st.msgs = append(st.msgs, msg)
@@ -287,40 +251,6 @@ func sequenceToken(group, stream string, next int64) string {
 	return fmt.Sprintf("%s/%s@%08d", group, stream, next)
 }
 
-// SequenceToken reports a stream's current upload token without
-// writing ("" for an unknown stream).
-func (s *Service) SequenceToken(groupName, streamName string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := s.groups[groupName]
-	if !ok {
-		return ""
-	}
-	st, ok := g.streams[streamName]
-	if !ok {
-		return ""
-	}
-	return sequenceToken(groupName, streamName, st.nextSeq)
-}
-
-// Groups lists every log group name, sorted.
-func (s *Service) Groups() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return sortutil.SortedKeys(s.groups)
-}
-
-// Streams lists a group's stream names, sorted.
-func (s *Service) Streams(groupName string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := s.groups[groupName]
-	if !ok {
-		return nil
-	}
-	return sortutil.SortedKeys(g.streams)
-}
-
 // Inventory summarizes every group (streams, events, stored bytes),
 // sorted by group name.
 func (s *Service) Inventory() []GroupInfo {
@@ -329,7 +259,7 @@ func (s *Service) Inventory() []GroupInfo {
 	out := make([]GroupInfo, 0, len(s.groups))
 	for _, name := range sortutil.SortedKeys(s.groups) {
 		g := s.groups[name]
-		info := GroupInfo{Name: g.name, Streams: len(g.streams), Retention: g.retention}
+		info := GroupInfo{Name: g.name, Streams: len(g.streams)}
 		for _, stName := range sortutil.SortedKeys(g.streams) {
 			st := g.streams[stName]
 			info.Events += len(st.times)
@@ -402,46 +332,6 @@ func (s *Service) Tail(groupName string, n int) []StoredEvent {
 	return all
 }
 
-// ApplyRetention expires every event older than its group's retention
-// window as of now, releasing the stored bytes. Groups with no policy
-// keep everything. Explicitly driven — call it when the virtual clock
-// has moved — so two identically-seeded runs expire identically.
-func (s *Service) ApplyRetention(now time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, g := range s.groups {
-		if g.retention <= 0 {
-			continue
-		}
-		cutoff := now.Add(-g.retention).UnixNano()
-		for _, st := range g.streams {
-			n, fn := 0, int32(0)
-			for i := range st.times {
-				if st.times[i] < cutoff {
-					s.storedBytes -= storedEventBytes(st, int32(i))
-					g.merged = nil
-					continue
-				}
-				fs := st.fieldsAt(int32(i))
-				st.times[n] = st.times[i]
-				st.msgs[n] = st.msgs[i]
-				st.seqs[n] = st.seqs[i]
-				copy(st.fields[fn:], fs)
-				st.fieldLo[n] = fn
-				fn += int32(len(fs))
-				st.fieldHi[n] = fn
-				n++
-			}
-			st.times = st.times[:n]
-			st.msgs = st.msgs[:n]
-			st.seqs = st.seqs[:n]
-			st.fieldLo = st.fieldLo[:n]
-			st.fieldHi = st.fieldHi[:n]
-			st.fields = st.fields[:fn]
-		}
-	}
-}
-
 // IngestedBytes reports the total bytes ever ingested (message +
 // fields + per-event overhead) — the quantity CloudWatch Logs billed
 // $0.50/GB for in 2017.
@@ -451,13 +341,9 @@ func (s *Service) IngestedBytes() int64 {
 	return s.ingestedBytes
 }
 
-// StoredBytes reports the bytes currently at rest after retention —
-// the $0.03/GB-month storage quantity.
-func (s *Service) StoredBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.storedBytes
-}
+// StoredBytes reports the bytes at rest — the $0.03/GB-month storage
+// quantity. Nothing expires, so it equals IngestedBytes.
+func (s *Service) StoredBytes() int64 { return s.IngestedBytes() }
 
 // Usage reports the log plane's inventory as meterable usage: GB
 // ingested and GB-months stored, the 2017 CloudWatch Logs billing
@@ -472,22 +358,8 @@ func (s *Service) Usage() []pricing.Usage {
 	const gb = 1 << 30
 	return []pricing.Usage{
 		{Kind: pricing.CWLogsIngestGB, Quantity: float64(s.ingestedBytes) / gb, Resource: "cloudwatch-logs"},
-		{Kind: pricing.CWLogsStorageGBMo, Quantity: float64(s.storedBytes) / gb, Resource: "cloudwatch-logs"},
+		{Kind: pricing.CWLogsStorageGBMo, Quantity: float64(s.ingestedBytes) / gb, Resource: "cloudwatch-logs"},
 	}
-}
-
-// Dump renders every stored event as one line per event in a stable
-// order — the byte-identical artifact scripts/check.sh diffs across
-// two identically-seeded runs.
-func (s *Service) Dump() []string {
-	var out []string
-	for _, g := range s.Groups() {
-		for _, e := range s.Events(g, time.Time{}, time.Time{}) {
-			out = append(out, fmt.Sprintf("%s %s seq=%06d t=%d %s",
-				e.Group, e.Stream, e.Seq, e.Time.UnixNano(), e.Message))
-		}
-	}
-	return out
 }
 
 // ensureGroupLocked returns the named group, creating it if absent. Caller

@@ -86,30 +86,6 @@ func TestEventsWindowAndTail(t *testing.T) {
 	}
 }
 
-func TestRetentionExpiresOldEvents(t *testing.T) {
-	s := New(clock.NewVirtual())
-	s.SetRetention("g/r", time.Hour)
-	if got := s.Retention("g/r"); got != time.Hour {
-		t.Fatalf("Retention = %v", got)
-	}
-	s.PutEvents("g/r", "s", Event{Time: at(0), Message: "old"})
-	s.PutEvents("g/r", "s", Event{Time: at(2 * time.Hour), Message: "new"})
-	stored := s.StoredBytes()
-	s.ApplyRetention(at(2*time.Hour + time.Minute))
-	evs := s.Events("g/r", time.Time{}, time.Time{})
-	if len(evs) != 1 || evs[0].Message != "new" {
-		t.Fatalf("after retention: %+v", evs)
-	}
-	if s.StoredBytes() >= stored {
-		t.Fatalf("stored bytes did not shrink: %d -> %d", stored, s.StoredBytes())
-	}
-	// Ingested bytes are cumulative: retention frees storage, not the
-	// ingest charge already incurred.
-	if s.IngestedBytes() != stored {
-		t.Fatalf("ingested bytes %d changed by retention (want %d)", s.IngestedBytes(), stored)
-	}
-}
-
 func TestIngestAccountingAndBillLines(t *testing.T) {
 	s := New(clock.NewVirtual())
 	e := Event{Time: at(0), Message: "hello", Fields: map[string]string{"k": "vv"}}
@@ -171,12 +147,14 @@ func TestInventoryAndDump(t *testing.T) {
 	if got := s.Groups(); len(got) != 2 || got[0] != "g/a" || got[1] != "g/b" {
 		t.Fatalf("groups = %v", got)
 	}
-	if got := s.Streams("g/a"); len(got) != 2 || got[0] != "s1" {
-		t.Fatalf("streams = %v", got)
+	var dump []string
+	for _, g := range s.Groups() {
+		for _, e := range s.Events(g, time.Time{}, time.Time{}) {
+			dump = append(dump, e.Group+" "+e.Stream+" "+e.Message)
+		}
 	}
-	dump := s.Dump()
-	if len(dump) != 3 || !strings.Contains(dump[0], "m1") {
-		t.Fatalf("dump = %v", dump)
+	if want := "g/a s1 m1|g/a s2 m2|g/b s1 m3"; strings.Join(dump, "|") != want {
+		t.Fatalf("dump = %v, want %s", dump, want)
 	}
 }
 

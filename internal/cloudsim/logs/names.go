@@ -11,8 +11,6 @@
 // (e.g. "kms/audit", "lambda/chat-fn", "plane/s3").
 package logs
 
-import "regexp"
-
 // Registered log group names. Prefix LogGroup, value lowercase
 // slash-separated — both enforced by diylint.
 const (
@@ -21,16 +19,6 @@ const (
 	// "hardened, audited system" trust argument (§3).
 	LogGroupKMSAudit = "kms/audit"
 )
-
-// groupRE is the naming convention: lowercase slash-separated
-// segments, each starting with a letter, digits and dashes allowed.
-var groupRE = regexp.MustCompile(`^[a-z][a-z0-9-]*(/[a-z][a-z0-9-]*)+$`)
-
-// ValidGroupName reports whether a log group name follows the
-// registry convention.
-func ValidGroupName(name string) bool {
-	return groupRE.MatchString(name)
-}
 
 // PlaneGroup is the log group the plane interceptor writes a
 // service's request events into: "plane/<service>".
@@ -43,10 +31,4 @@ func PlaneGroup(service string) string {
 // analogue of /aws/lambda/<function>.
 func LambdaGroup(fn string) string {
 	return "lambda/" + fn
-}
-
-// Names lists the registered constant group names (builders like
-// PlaneGroup and LambdaGroup mint per-entity names on top).
-func Names() []string {
-	return []string{LogGroupKMSAudit}
 }

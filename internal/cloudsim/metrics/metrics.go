@@ -444,21 +444,6 @@ func (s *Service) SeriesStats() []SeriesStat {
 	return out
 }
 
-// Metrics lists the metric names recorded under a namespace, sorted.
-// Interned-but-empty series are invisible until their first sample.
-func (s *Service) Metrics(namespace string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for _, sx := range s.series {
-		if sx.namespace == namespace && sx.n > 0 {
-			out = append(out, sx.metric)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Namespaces lists every namespace with at least one recorded series,
 // sorted.
 func (s *Service) Namespaces() []string {

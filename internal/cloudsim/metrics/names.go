@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"regexp"
-	"sort"
-)
+import "sort"
 
 // This file is the central registry of metric series names. Every name
 // published through Service.Record in non-test code must be one of the
@@ -73,10 +70,6 @@ const (
 	MetricFleetHorizonNs     = "fleet.horizon.ns"       // virtual time drained
 )
 
-// nameRE is the shape every registered name must have: lowercase
-// dot-separated identifiers, each starting with a letter.
-var nameRE = regexp.MustCompile(`^[a-z][a-z0-9]*(\.[a-z][a-z0-9]*)+$`)
-
 var registered = []string{
 	MetricPlaneRequests,
 	MetricPlaneErrors,
@@ -115,8 +108,3 @@ func Registered(name string) bool {
 	}
 	return false
 }
-
-// ValidName reports whether name is a well-formed series name
-// (lowercase dot-separated identifiers). The registry test and the
-// metricname analyzer both check registered constants against it.
-func ValidName(name string) bool { return nameRE.MatchString(name) }

@@ -89,8 +89,6 @@ type Params struct {
 	// RefMemoryMB is the function memory size at which S3 base latency
 	// is exactly the configured median (the paper's 448 MB prototype).
 	RefMemoryMB int
-	// InterRegionRTT is the median RTT between distinct regions.
-	InterRegionRTT time.Duration
 }
 
 // DefaultParams returns hop latencies calibrated so the §6.2 chat
@@ -98,9 +96,8 @@ type Params struct {
 // 200 ms, E2E 211 ms) on the simulated us-west-2.
 func DefaultParams() Params {
 	p := Params{
-		Seed:           1,
-		RefMemoryMB:    448,
-		InterRegionRTT: 60 * time.Millisecond,
+		Seed:        1,
+		RefMemoryMB: 448,
 	}
 	p.Hops[HopClientGateway] = HopParams{Median: 16 * time.Millisecond, Sigma: 0.15}
 	p.Hops[HopGatewayDispatch] = HopParams{Median: 9 * time.Millisecond, Sigma: 0.15}
@@ -161,37 +158,6 @@ func (m *Model) sampleLocked(hp HopParams) time.Duration {
 	return time.Duration(float64(hp.Median) * f)
 }
 
-// Median reports the configured median latency for hop h, with no
-// sampling noise. Useful for closed-form cost/latency analysis.
-func (m *Model) Median(h Hop) time.Duration {
-	if h < 0 || h >= numHops {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.params.Hops[h].Median
-}
-
-// S3Latency samples the latency of one object-store API call issued by a
-// function with memMB of allocated memory, transferring payload bytes.
-//
-// Two memory couplings are modelled, both observed by the paper's
-// prototype ("API calls to S3 took significantly longer when we
-// allocated less memory to the function"):
-//
-//   - the per-request base latency scales up as memory shrinks below the
-//     reference allocation (448 MB), because Lambda provisions network
-//     and CPU proportionally to memory;
-//   - payload transfer time is payload size divided by the
-//     memory-proportional bandwidth.
-func (m *Model) S3Latency(memMB int, payloadBytes int64) time.Duration {
-	m.mu.Lock()
-	base := m.sampleLocked(m.params.Hops[HopS3])
-	m.mu.Unlock()
-	scaled := time.Duration(float64(base) * MemoryLatencyFactor(memMB, m.params.RefMemoryMB))
-	return scaled + TransferTime(payloadBytes, BandwidthMBps(memMB))
-}
-
 // MemoryLatencyFactor reports the multiplicative penalty on per-request
 // base latency for a function with memMB of memory relative to refMB.
 // The factor is clamped to [0.75, 4.0]: more memory than the reference
@@ -227,15 +193,6 @@ func TransferTime(n int64, bw float64) time.Duration {
 	}
 	seconds := float64(n) / (bw * 1e6)
 	return time.Duration(seconds * float64(time.Second))
-}
-
-// InterRegion samples the latency of one cross-region hop; zero if the
-// regions are the same.
-func (m *Model) InterRegion(from, to string) time.Duration {
-	if from == to {
-		return 0
-	}
-	return m.Sample(HopInterRegion)
 }
 
 // SetOutage marks a region as down (true) or healthy (false).

@@ -17,7 +17,7 @@ import (
 // the end-to-end latency of the flow.
 //
 // A Cursor is intentionally not safe for concurrent use: it models a
-// single causal chain of events. Fork one per concurrent flow.
+// single causal chain of events. Start a new one per concurrent flow.
 type Cursor struct {
 	start time.Time
 	now   time.Time
@@ -30,9 +30,6 @@ func NewCursor(start time.Time) *Cursor {
 
 // Now reports the cursor's current position on the simulated timeline.
 func (c *Cursor) Now() time.Time { return c.now }
-
-// Start reports where the cursor began.
-func (c *Cursor) Start() time.Time { return c.start }
 
 // Elapsed reports how much simulated time the flow has consumed.
 func (c *Cursor) Elapsed() time.Duration { return c.now.Sub(c.start) }
@@ -54,10 +51,6 @@ func (c *Cursor) AdvanceTo(t time.Time) time.Duration {
 	c.now = t
 	return d
 }
-
-// Fork returns a new cursor starting at this cursor's current position,
-// for modelling a concurrent downstream flow (e.g. an async delivery).
-func (c *Cursor) Fork() *Cursor { return NewCursor(c.now) }
 
 // Context identifies one simulated API call: who is calling, from which
 // region, along which timeline, and with how much network bandwidth.

@@ -45,7 +45,8 @@ func TestCursorAdvanceTo(t *testing.T) {
 func TestCursorFork(t *testing.T) {
 	c := NewCursor(t0)
 	c.Advance(time.Minute)
-	f := c.Fork()
+	// A concurrent flow forks as a new cursor at the parent's now.
+	f := NewCursor(c.Now())
 	if !f.Start().Equal(c.Now()) {
 		t.Fatalf("Fork start = %v, want parent now %v", f.Start(), c.Now())
 	}

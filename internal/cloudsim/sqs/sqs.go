@@ -4,14 +4,10 @@
 // Simple Queue Service, which the client then long polls" with "the
 // maximum 20 second poll interval".
 //
-// The simulator supports both execution modes used in this repo:
-//
-//   - virtual-time flows (ctx.Cursor set): Receive resolves analytically
-//     against the flow's timeline, so a 20-second long poll costs no
-//     real time;
-//   - wall-clock flows (ctx.Cursor nil): Receive genuinely blocks until
-//     a message arrives or the wait expires, for the runnable examples
-//     that drive concurrent goroutine clients.
+// Receive resolves every long poll analytically on a virtual timeline,
+// so a 20-second poll costs no real time. A flow with a cursor polls
+// along it; a caller without one polls on a fresh cursor at the service
+// clock's now, the same instant Send stamps on that caller's messages.
 package sqs
 
 import (
@@ -71,16 +67,10 @@ type message struct {
 	body      []byte
 	sent      time.Time
 	visibleAt time.Time // in-flight until this instant
-	receives  int
 }
 
 type queue struct {
-	msgs   []*message
-	notify chan struct{}
-	// Redrive policy: after maxReceives deliveries without deletion a
-	// message moves to the dead-letter queue instead of reappearing.
-	dlq         string
-	maxReceives int
+	msgs []*message
 }
 
 // Service is the simulated queue service. It is safe for concurrent use.
@@ -127,44 +117,6 @@ func call(action, name string) *plane.Call {
 // Resource returns the IAM resource string for a queue.
 func Resource(name string) string { return "queue/" + name }
 
-// SetRedrivePolicy routes messages that have been received maxReceives
-// times without deletion to the dead-letter queue — how a DIY
-// deployment quarantines poison messages (e.g. a command no device
-// ever acknowledges) instead of redelivering them forever.
-func (s *Service) SetRedrivePolicy(name, dlqName string, maxReceives int) error {
-	if maxReceives <= 0 {
-		return errors.New("sqs: maxReceives must be positive")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	q, ok := s.queues[name]
-	if !ok {
-		return fmt.Errorf("sqs: %q: %w", name, ErrNoSuchQueue)
-	}
-	if _, ok := s.queues[dlqName]; !ok {
-		return fmt.Errorf("sqs: dead-letter %q: %w", dlqName, ErrNoSuchQueue)
-	}
-	q.dlq = dlqName
-	q.maxReceives = maxReceives
-	return nil
-}
-
-// redriveLocked moves a poison message to the queue's DLQ. Caller
-// holds the service lock.
-func (s *Service) redriveLocked(q *queue, idx int) {
-	m := q.msgs[idx]
-	q.msgs = append(q.msgs[:idx], q.msgs[idx+1:]...)
-	dq, ok := s.queues[q.dlq]
-	if !ok {
-		return // DLQ deleted since configuration; drop the message
-	}
-	m.receives = 0
-	m.visibleAt = time.Time{}
-	dq.msgs = append(dq.msgs, m)
-	close(dq.notify)
-	dq.notify = make(chan struct{})
-}
-
 // CreateQueue provisions an empty queue.
 func (s *Service) CreateQueue(name string) error {
 	if name == "" {
@@ -175,7 +127,7 @@ func (s *Service) CreateQueue(name string) error {
 	if _, ok := s.queues[name]; ok {
 		return fmt.Errorf("sqs: %q: %w", name, ErrQueueExists)
 	}
-	s.queues[name] = &queue{notify: make(chan struct{})}
+	s.queues[name] = &queue{}
 	return nil
 }
 
@@ -183,11 +135,9 @@ func (s *Service) CreateQueue(name string) error {
 func (s *Service) DeleteQueue(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	q, ok := s.queues[name]
-	if !ok {
+	if _, ok := s.queues[name]; !ok {
 		return fmt.Errorf("sqs: %q: %w", name, ErrNoSuchQueue)
 	}
-	close(q.notify) // release any wall-clock waiters
 	delete(s.queues, name)
 	return nil
 }
@@ -231,11 +181,8 @@ func (s *Service) Send(ctx *sim.Context, name string, body []byte) (string, erro
 		q.msgs = append(q.msgs, &message{
 			id:   id,
 			body: append([]byte(nil), body...),
-			sent: s.instant(ctx),
+			sent: s.cursor(ctx).Now(),
 		})
-		// Wake wall-clock long pollers.
-		close(q.notify)
-		q.notify = make(chan struct{})
 		return nil
 	})
 	if err != nil {
@@ -262,42 +209,25 @@ func (s *Service) Receive(ctx *sim.Context, name string, max int, wait time.Dura
 		if wait > MaxWait {
 			wait = MaxWait
 		}
-		var rerr error
-		if ctx != nil && ctx.Cursor != nil {
-			msgs, rerr = s.receiveVirtual(ctx, name, max, wait)
-		} else {
-			msgs, rerr = s.receiveBlocking(ctx, name, max, wait)
-		}
+		var err error
+		msgs, err = s.poll(s.cursor(ctx), name, max, wait)
 		req.Span.Annotate("messages", strconv.Itoa(len(msgs)))
-		return rerr
+		return err
 	})
 	return msgs, err
 }
 
-// receiveVirtual resolves the long poll on the flow's virtual timeline:
-// if a message is (or becomes) visible within the wait window, the
-// cursor advances to the delivery instant; otherwise it advances by the
-// full wait.
-func (s *Service) receiveVirtual(ctx *sim.Context, name string, max int, wait time.Duration) ([]Message, error) {
+// poll resolves the long poll on cur's virtual timeline: if a message
+// is (or becomes) visible within the wait window, the cursor advances
+// to the delivery instant; otherwise it advances by the full wait.
+func (s *Service) poll(cur *sim.Cursor, name string, max int, wait time.Duration) ([]Message, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	q, ok := s.queues[name]
 	if !ok {
 		return nil, fmt.Errorf("sqs: %q: %w", name, ErrNoSuchQueue)
 	}
-	pollStart := ctx.Cursor.Now()
-	deadline := pollStart.Add(wait)
-
-	// Redrive poison messages before delivery.
-	if q.dlq != "" {
-		for i := 0; i < len(q.msgs); {
-			if q.msgs[i].receives >= q.maxReceives && !q.msgs[i].visibleAt.After(pollStart) {
-				s.redriveLocked(q, i)
-				continue
-			}
-			i++
-		}
-	}
+	deadline := cur.Now().Add(wait)
 
 	var got []Message
 	var deliveredAt time.Time
@@ -320,77 +250,23 @@ func (s *Service) receiveVirtual(ctx *sim.Context, name string, max int, wait ti
 		got = append(got, Message{ID: m.id, Body: append([]byte(nil), m.body...), Sent: m.sent})
 	}
 	if len(got) == 0 {
-		ctx.Cursor.AdvanceTo(deadline)
+		cur.AdvanceTo(deadline)
 		return nil, nil
 	}
 	// The poll completes when the latest delivered message arrived
 	// (never earlier than the poll start) plus delivery latency.
-	ctx.Cursor.AdvanceTo(deliveredAt)
-	ctx.Cursor.Advance(s.sample(netsim.HopSQSDeliver))
+	cur.AdvanceTo(deliveredAt)
+	cur.Advance(s.sample(netsim.HopSQSDeliver))
 	// Mark in-flight.
-	invisibleUntil := ctx.Cursor.Now().Add(DefaultVisibility)
+	invisibleUntil := cur.Now().Add(DefaultVisibility)
 	for _, gm := range got {
 		for _, m := range q.msgs {
 			if m.id == gm.ID {
 				m.visibleAt = invisibleUntil
-				m.receives++
 			}
 		}
 	}
 	return got, nil
-}
-
-// receiveBlocking genuinely blocks until a message arrives or the wait
-// expires. All time flows through the injected clock: deadlines are
-// computed on s.clk's timeline and the poll parks on clock.After, so a
-// replay driven by a *clock.Virtual stays on the virtual timeline
-// (Advance releases the poll) instead of silently consuming real time.
-func (s *Service) receiveBlocking(ctx *sim.Context, name string, max int, wait time.Duration) ([]Message, error) {
-	deadline := s.clk.Now().Add(wait)
-	for {
-		s.mu.Lock()
-		q, ok := s.queues[name]
-		if !ok {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("sqs: %q: %w", name, ErrNoSuchQueue)
-		}
-		now := s.clk.Now()
-		if q.dlq != "" {
-			for i := 0; i < len(q.msgs); {
-				if q.msgs[i].receives >= q.maxReceives && !q.msgs[i].visibleAt.After(now) {
-					s.redriveLocked(q, i)
-					continue
-				}
-				i++
-			}
-		}
-		var got []Message
-		for _, m := range q.msgs {
-			if len(got) >= max {
-				break
-			}
-			if m.visibleAt.After(now) {
-				continue
-			}
-			m.visibleAt = now.Add(DefaultVisibility)
-			m.receives++
-			got = append(got, Message{ID: m.id, Body: append([]byte(nil), m.body...), Sent: m.sent})
-		}
-		notify := q.notify
-		s.mu.Unlock()
-		if len(got) > 0 || wait == 0 {
-			return got, nil
-		}
-		remaining := deadline.Sub(now)
-		if remaining <= 0 {
-			return nil, nil
-		}
-		select {
-		case <-notify:
-		case <-clock.After(s.clk, remaining):
-			return nil, nil
-		}
-	}
 }
 
 // Delete removes a received message by id. Deleting an unknown id is a
@@ -420,11 +296,11 @@ func (s *Service) sample(h netsim.Hop) time.Duration {
 	return s.model.Sample(h)
 }
 
-// instant reports the caller's current simulated time, falling back to
-// the service clock for wall-mode callers.
-func (s *Service) instant(ctx *sim.Context) time.Time {
+// cursor returns the caller's flow cursor, or for a caller without one
+// a fresh cursor at the service clock's now.
+func (s *Service) cursor(ctx *sim.Context) *sim.Cursor {
 	if ctx != nil && ctx.Cursor != nil {
-		return ctx.Cursor.Now()
+		return ctx.Cursor
 	}
-	return s.clk.Now()
+	return sim.NewCursor(s.clk.Now())
 }

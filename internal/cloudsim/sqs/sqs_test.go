@@ -46,7 +46,7 @@ func (f *fixture) vctx() *sim.Context {
 	return &sim.Context{Principal: "chat-fn", App: "chat", Cursor: sim.NewCursor(clock.Epoch)}
 }
 
-// wctx is a wall-clock (blocking) context.
+// wctx is a context with no cursor.
 func (f *fixture) wctx() *sim.Context {
 	return &sim.Context{Principal: "chat-fn", App: "chat"}
 }
@@ -244,65 +244,27 @@ func TestRequestsMetered(t *testing.T) {
 	}
 }
 
-func TestBlockingReceiveDeliversOnSend(t *testing.T) {
-	// Wall-clock mode: a blocked long poll wakes when a message lands.
-	f := newFixture(t)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var got []Message
-	var rerr error
-	started := make(chan struct{})
-	go func() {
-		defer wg.Done()
-		close(started)
-		got, rerr = f.sqs.Receive(f.wctx(), "alice-inbox", 1, 5*time.Second)
-	}()
-	<-started
-	time.Sleep(20 * time.Millisecond) // let the poller block
-	if _, err := f.sqs.Send(f.wctx(), "alice-inbox", []byte("wake up")); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	if len(got) != 1 || string(got[0].Body) != "wake up" {
-		t.Fatalf("blocking receive got %v", got)
-	}
-}
-
-func TestBlockingReceiveTimesOut(t *testing.T) {
-	// The blocking path now parks on the injected clock, so an empty
-	// poll resolves by advancing virtual time — deterministically, with
-	// no real waiting.
-	f := newFixture(t)
-	start := f.clk.Now()
-	done := make(chan struct{})
-	var got []Message
-	var rerr error
-	go func() {
-		defer close(done)
-		got, rerr = f.sqs.Receive(f.wctx(), "alice-inbox", 1, 50*time.Millisecond)
-	}()
-	for f.clk.Waiters() == 0 {
-		time.Sleep(time.Millisecond) // let the poller park on the clock
-	}
-	f.clk.Advance(50 * time.Millisecond)
-	<-done
-	if rerr != nil || got != nil {
-		t.Fatalf("got %v, %v", got, rerr)
-	}
-	if elapsed := f.clk.Now().Sub(start); elapsed != 50*time.Millisecond {
-		t.Fatalf("poll consumed %v of virtual time, want 50ms", elapsed)
-	}
-}
-
-func TestBlockingReceiveImmediate(t *testing.T) {
+func TestCursorlessReceiveImmediate(t *testing.T) {
 	f := newFixture(t)
 	f.sqs.Send(f.wctx(), "alice-inbox", []byte("x"))
 	got, err := f.sqs.Receive(f.wctx(), "alice-inbox", 1, 0)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("immediate receive: %v, %v", got, err)
+	}
+}
+
+func TestCursorlessReceiveEmptyReturnsAtOnce(t *testing.T) {
+	// A caller without a cursor polls on a fresh cursor at the service
+	// clock's now: an empty long poll resolves on that throwaway
+	// timeline, returns nothing, and leaves the service clock alone.
+	f := newFixture(t)
+	start := f.clk.Now()
+	got, err := f.sqs.Receive(f.wctx(), "alice-inbox", 1, MaxWait)
+	if err != nil || got != nil {
+		t.Fatalf("empty cursorless receive: %v, %v", got, err)
+	}
+	if now := f.clk.Now(); !now.Equal(start) {
+		t.Fatalf("service clock moved from %v to %v", start, now)
 	}
 }
 
@@ -381,70 +343,5 @@ func TestAtLeastOnceProperty(t *testing.T) {
 	ctx.Cursor.Advance(100 * DefaultVisibility)
 	if msgs, _ := f.sqs.Receive(ctx, "alice-inbox", 1, time.Second); len(msgs) != 0 {
 		t.Fatal("deleted message redelivered")
-	}
-}
-
-func TestDeadLetterRedrive(t *testing.T) {
-	f := newFixture(t)
-	if err := f.sqs.CreateQueue("alice-dlq"); err != nil {
-		t.Fatal(err)
-	}
-	f.iam.PutRole(&iam.Role{
-		Name: "ops",
-		Policies: []iam.Policy{{
-			Name:       "all-queues",
-			Statements: []iam.Statement{iam.AllowStatement([]string{"sqs:*"}, []string{"queue/*"})},
-		}},
-	})
-	opsCtx := func(at time.Duration) *sim.Context {
-		c := &sim.Context{Principal: "ops", Cursor: sim.NewCursor(clock.Epoch)}
-		c.Cursor.Advance(at)
-		return c
-	}
-
-	// Policy validation.
-	if err := f.sqs.SetRedrivePolicy("alice-inbox", "alice-dlq", 0); err == nil {
-		t.Fatal("zero maxReceives accepted")
-	}
-	if err := f.sqs.SetRedrivePolicy("ghost", "alice-dlq", 2); !errors.Is(err, ErrNoSuchQueue) {
-		t.Fatalf("unknown queue: %v", err)
-	}
-	if err := f.sqs.SetRedrivePolicy("alice-inbox", "ghost", 2); !errors.Is(err, ErrNoSuchQueue) {
-		t.Fatalf("unknown dlq: %v", err)
-	}
-	if err := f.sqs.SetRedrivePolicy("alice-inbox", "alice-dlq", 2); err != nil {
-		t.Fatal(err)
-	}
-
-	// A poison message: received twice, never deleted.
-	if _, err := f.sqs.Send(opsCtx(0), "alice-inbox", []byte("poison")); err != nil {
-		t.Fatal(err)
-	}
-	gap := DefaultVisibility + time.Minute
-	for round := 1; round <= 2; round++ {
-		msgs, err := f.sqs.Receive(opsCtx(time.Duration(round)*gap), "alice-inbox", 1, time.Second)
-		if err != nil || len(msgs) != 1 {
-			t.Fatalf("round %d: %v %d msgs", round, err, len(msgs))
-		}
-	}
-	// Third attempt: the message has moved to the DLQ.
-	msgs, err := f.sqs.Receive(opsCtx(3*gap), "alice-inbox", 1, time.Second)
-	if err != nil || len(msgs) != 0 {
-		t.Fatalf("poison still delivered: %v %d", err, len(msgs))
-	}
-	dead, err := f.sqs.Receive(opsCtx(3*gap), "alice-dlq", 1, time.Second)
-	if err != nil || len(dead) != 1 || string(dead[0].Body) != "poison" {
-		t.Fatalf("dlq: %v %v", err, dead)
-	}
-
-	// Healthy messages (deleted after receipt) never redrive.
-	id, _ := f.sqs.Send(opsCtx(4*gap), "alice-inbox", []byte("healthy"))
-	got, _ := f.sqs.Receive(opsCtx(4*gap+time.Minute), "alice-inbox", 1, time.Second)
-	if len(got) != 1 {
-		t.Fatal("healthy message not delivered")
-	}
-	f.sqs.Delete(opsCtx(4*gap+2*time.Minute), "alice-inbox", id)
-	if f.sqs.Len("alice-dlq") != 1 {
-		t.Fatalf("dlq grew unexpectedly: %d", f.sqs.Len("alice-dlq"))
 	}
 }

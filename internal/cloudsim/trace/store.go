@@ -237,12 +237,6 @@ func (s *Store) windowLocked(from, to time.Time) []int32 {
 	return ord[lo:hi]
 }
 
-// Stored returns a view of every stored trace in start order. The
-// retrieval counts toward the scanned dimension.
-func (s *Store) Stored() []TraceView {
-	return s.Window(time.Time{}, time.Time{})
-}
-
 // Window returns views of the stored traces whose root started in
 // [from, to] (zero bounds are open), in start order. The retrieval
 // counts toward the scanned dimension.
@@ -297,13 +291,6 @@ func (v TraceView) Name() string {
 	return v.s.ops.Name(v.s.segOp[v.s.segLo[v.row]])
 }
 
-// Start reports when the trace's root span opened.
-func (v TraceView) Start() time.Time {
-	v.s.mu.Lock()
-	defer v.s.mu.Unlock()
-	return time.Unix(0, v.s.rootStart[v.row]).UTC()
-}
-
 // End reports when the trace's root span closed.
 func (v TraceView) End() time.Time {
 	v.s.mu.Lock()
@@ -351,20 +338,6 @@ func (v TraceView) Find(service, op string) (SegmentView, bool) {
 		}
 	}
 	return SegmentView{}, false
-}
-
-// FindAll returns every segment (preorder) for a service.
-func (v TraceView) FindAll(service string) []SegmentView {
-	v.s.mu.Lock()
-	defer v.s.mu.Unlock()
-	lo, hi := v.s.segLo[v.row], v.s.segHi[v.row]
-	var out []SegmentView
-	for i := lo; i < hi; i++ {
-		if v.s.svcs.Name(v.s.segSvc[i]) == service {
-			out = append(out, SegmentView{s: v.s, seg: i, lo: lo})
-		}
-	}
-	return out
 }
 
 // Usage aggregates the whole trace's usage records by (kind,
@@ -519,18 +492,6 @@ func (g SegmentView) Annotation(key string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// Annotations returns the segment's annotations in insertion order.
-func (g SegmentView) Annotations() []Annotation {
-	g.s.mu.Lock()
-	defer g.s.mu.Unlock()
-	lo, hi := g.s.annoLo[g.seg], g.s.annoHi[g.seg]
-	out := make([]Annotation, 0, hi-lo)
-	for a := lo; a < hi; a++ {
-		out = append(out, Annotation{Key: g.s.annoKeys[a], Value: g.s.annoVals[a]})
-	}
-	return out
 }
 
 // Usage returns a copy of the segment's own usage records.

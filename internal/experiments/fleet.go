@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/workload"
@@ -104,10 +103,4 @@ func (r *FleetReport) RawFingerprint() string {
 	}
 	sb.WriteString("\n")
 	return sb.String()
-}
-
-// DefaultFleetConfig is the check.sh / golden configuration: 1,000
-// accounts over a 30-minute span.
-func DefaultFleetConfig() fleet.Config {
-	return fleet.Config{Accounts: 1000, Span: 30 * time.Minute, Seed: 1}
 }

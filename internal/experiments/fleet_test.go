@@ -3,9 +3,17 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/fleet/telemetry"
 )
+
+// checkFleetConfig is the scripts/check.sh / golden configuration:
+// 1,000 accounts over a 30-minute span.
+func checkFleetConfig() fleet.Config {
+	return fleet.Config{Accounts: 1000, Span: 30 * time.Minute, Seed: 1}
+}
 
 // TestLedgerParityFleet pins the 1,000-account fleet bit-for-bit: the
 // rendered summary, every per-account stat line, and the raw
@@ -14,7 +22,7 @@ import (
 // which is the enforced form of the "worker count never changes a
 // byte" contract.
 func TestLedgerParityFleet(t *testing.T) {
-	rep, err := RunFleet(DefaultFleetConfig())
+	rep, err := RunFleet(checkFleetConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +41,7 @@ func TestLedgerParityFleet(t *testing.T) {
 // replay-identity output. (check.sh's `-run TestLedgerParityFleet`
 // prefix match runs this at GOMAXPROCS=1 and NumCPU too.)
 func TestLedgerParityFleetTelemetry(t *testing.T) {
-	cfg := DefaultFleetConfig()
+	cfg := checkFleetConfig()
 	tower := telemetry.NewTower(telemetry.Options{})
 	cfg.Tower = tower
 	rep, err := RunFleet(cfg)
@@ -77,7 +85,7 @@ func TestLedgerParityFleetTelemetry(t *testing.T) {
 // runs this at GOMAXPROCS=1 and NumCPU too, so the sampled kept-sets
 // are also pinned independent of worker count.)
 func TestLedgerParityFleetTraced(t *testing.T) {
-	cfg := DefaultFleetConfig()
+	cfg := checkFleetConfig()
 	cfg.Trace = true
 	tower := telemetry.NewTower(telemetry.Options{})
 	cfg.Tower = tower

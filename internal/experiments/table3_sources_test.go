@@ -171,7 +171,7 @@ func TestLogs3MatchesTable3(t *testing.T) {
 	if cloud.Logs.IngestedBytes() <= 0 {
 		t.Error("log plane ingested nothing")
 	}
-	if len(cloud.Logs.Groups()) == 0 {
+	if len(cloud.Logs.Inventory()) == 0 {
 		t.Error("no log groups after the run")
 	}
 }

@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/cloudsim/logs"
 	"repro/internal/core"
 	"repro/internal/pricing"
 )
@@ -94,7 +97,7 @@ func TestLogStreamsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := cloud.Logs.Dump()
+	lines := dumpLogs(cloud.Logs)
 	if len(lines) == 0 {
 		t.Fatal("empty log dump")
 	}
@@ -112,6 +115,20 @@ func TestLogStreamsDeterministic(t *testing.T) {
 	if reports != 27 {
 		t.Errorf("well-formed REPORT lines = %d, want 27", reports)
 	}
+}
+
+// dumpLogs renders every stored event as one line, groups in name
+// order and each group's events in the store's merged order: the
+// artifact scripts/check.sh diffs across two identically-seeded runs.
+func dumpLogs(s *logs.Service) []string {
+	var out []string
+	for _, g := range s.Inventory() {
+		for _, e := range s.Events(g.Name, time.Time{}, time.Time{}) {
+			out = append(out, fmt.Sprintf("%s %s seq=%06d t=%d %s",
+				e.Group, e.Stream, e.Seq, e.Time.UnixNano(), e.Message))
+		}
+	}
+	return out
 }
 
 // TestTable3EvidenceDeterministic replays a seeded run and requires a

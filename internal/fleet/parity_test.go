@@ -113,7 +113,7 @@ func TestOneAccountFleetMatchesStandalone(t *testing.T) {
 	for at := arrivals.Next(); at.Before(end); at = arrivals.Next() {
 		cloud.Clock.Set(at)
 		n := prof.BodyBytes/2 + payload.Intn(prof.BodyBytes)
-		if _, _, err := owner.SendTimed(strings.Repeat("x", n)); err != nil {
+		if _, err := owner.Send(strings.Repeat("x", n)); err != nil {
 			t.Fatal(err)
 		}
 		pollCtx := peer.PollContext(at)

@@ -399,10 +399,6 @@ func (t *Tower) Finalize() {
 	}
 }
 
-// Store exposes the tower's fleet-level metrics store (read-only by
-// convention; populated once Finalize has run).
-func (t *Tower) Store() *metrics.Service { return t.store }
-
 // fleetRED is one row of the dashboard's per-service table.
 type fleetRED struct {
 	ns        string

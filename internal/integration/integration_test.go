@@ -213,7 +213,8 @@ func (throttledNotes) Handler() lambda.Handler {
 }
 
 // TestWallClockConcurrentChat drives the chat service with real
-// goroutines and the SQS blocking receive path — no virtual cursors.
+// goroutines and cursorless receives: each poll resolves at once on a
+// cursor started at the cloud clock's now.
 func TestWallClockConcurrentChat(t *testing.T) {
 	cloud := newCloud(t)
 	room, err := chat.Install(cloud, "casey", chat.App{Members: []string{"casey", "dana"}})
@@ -246,7 +247,7 @@ func TestWallClockConcurrentChat(t *testing.T) {
 		defer wg.Done()
 		deadline := time.Now().Add(10 * time.Second)
 		for received < n && time.Now().Before(deadline) {
-			// Wall-clock context: no cursor, SQS genuinely blocks.
+			// No cursor: the poll runs on one at the clock's now.
 			ctx := &sim.Context{Principal: room.ClientRole, App: "chat"}
 			msgs, err := dana.Receive(ctx, 200*time.Millisecond)
 			if err != nil {
@@ -258,7 +259,7 @@ func TestWallClockConcurrentChat(t *testing.T) {
 	}()
 	wg.Wait()
 	if received != n {
-		t.Fatalf("received %d of %d messages over the blocking path", received, n)
+		t.Fatalf("received %d of %d messages over cursorless polls", received, n)
 	}
 }
 

@@ -49,9 +49,8 @@ type Usage struct {
 // Meter accumulates usage records. It is safe for concurrent use.
 // The zero value is not ready; construct with NewMeter.
 type Meter struct {
-	mu      sync.Mutex
-	byKey   map[meterKey]float64
-	records int
+	mu    sync.Mutex
+	byKey map[meterKey]float64
 }
 
 type meterKey struct {
@@ -73,7 +72,6 @@ func (m *Meter) Add(u Usage) {
 	}
 	m.mu.Lock()
 	m.byKey[meterKey{u.Kind, u.Resource, u.App}] += u.Quantity
-	m.records++
 	m.mu.Unlock()
 }
 
@@ -116,39 +114,6 @@ func (m *Meter) ByResource(k Kind) map[string]float64 {
 		}
 	}
 	return out
-}
-
-// Apps reports the distinct app labels seen, sorted.
-func (m *Meter) Apps() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	seen := make(map[string]bool)
-	for key := range m.byKey {
-		if key.app != "" {
-			seen[key.app] = true
-		}
-	}
-	apps := make([]string, 0, len(seen))
-	for a := range seen {
-		apps = append(apps, a)
-	}
-	sort.Strings(apps)
-	return apps
-}
-
-// Records reports how many Add calls were recorded, for test assertions.
-func (m *Meter) Records() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.records
-}
-
-// Reset clears all accumulated usage (a new billing month).
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	m.byKey = make(map[meterKey]float64)
-	m.records = 0
-	m.mu.Unlock()
 }
 
 // Snapshot returns a copy of the per-(kind,resource,app) quantities,

@@ -27,7 +27,7 @@ func TestMeterIgnoresNonPositive(t *testing.T) {
 	m := NewMeter()
 	m.Add(Usage{Kind: LambdaRequests, Quantity: 0})
 	m.Add(Usage{Kind: LambdaRequests, Quantity: -5})
-	if m.Records() != 0 || m.Total(LambdaRequests) != 0 {
+	if len(m.Snapshot()) != 0 || m.Total(LambdaRequests) != 0 {
 		t.Fatal("non-positive quantities must be ignored")
 	}
 }
@@ -48,9 +48,12 @@ func TestMeterApps(t *testing.T) {
 	m.Add(Usage{Kind: LambdaRequests, Quantity: 1, App: "zeta"})
 	m.Add(Usage{Kind: LambdaRequests, Quantity: 1, App: "alpha"})
 	m.Add(Usage{Kind: LambdaRequests, Quantity: 1}) // unattributed
-	apps := m.Apps()
-	if len(apps) != 2 || apps[0] != "alpha" || apps[1] != "zeta" {
-		t.Fatalf("Apps() = %v, want [alpha zeta]", apps)
+	var apps []string
+	for _, u := range m.Snapshot() {
+		apps = append(apps, u.App)
+	}
+	if len(apps) != 3 || apps[0] != "" || apps[1] != "alpha" || apps[2] != "zeta" {
+		t.Fatalf("Snapshot apps = %q, want [\"\" alpha zeta]", apps)
 	}
 }
 
@@ -58,7 +61,7 @@ func TestMeterReset(t *testing.T) {
 	m := NewMeter()
 	m.Add(Usage{Kind: LambdaRequests, Quantity: 1})
 	m.Reset()
-	if m.Total(LambdaRequests) != 0 || m.Records() != 0 {
+	if m.Total(LambdaRequests) != 0 || len(m.Snapshot()) != 0 {
 		t.Fatal("Reset did not clear the meter")
 	}
 }

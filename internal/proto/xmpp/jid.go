@@ -68,6 +68,3 @@ func (j JID) String() string {
 
 // Bare returns the JID without its resource.
 func (j JID) Bare() JID { return JID{Local: j.Local, Domain: j.Domain} }
-
-// IsZero reports whether the JID is empty.
-func (j JID) IsZero() bool { return j == JID{} }

@@ -122,15 +122,6 @@ func (g SlackGroup) Trace(start time.Time, span time.Duration) []ChatEvent {
 	}
 }
 
-// PerDay reports the trace's average daily message count.
-func PerDay(events []ChatEvent, span time.Duration) float64 {
-	days := span.Hours() / 24
-	if days <= 0 {
-		return 0
-	}
-	return float64(len(events)) / days
-}
-
 var words = []string{
 	"ok", "ship", "it", "deploy", "lambda", "meeting", "at", "noon",
 	"did", "you", "see", "the", "latency", "numbers", "lgtm", "cost",

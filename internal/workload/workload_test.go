@@ -96,14 +96,6 @@ func TestSlackTraceCalibration(t *testing.T) {
 	if len(senders) < 10 {
 		t.Fatalf("only %d of 15 members ever spoke", len(senders))
 	}
-	// PerDay agrees.
-	perDay := PerDay(events, span)
-	if math.Abs(perDay-float64(len(events))/28) > 1e-9 {
-		t.Fatalf("PerDay = %v", perDay)
-	}
-	if PerDay(nil, 0) != 0 {
-		t.Fatal("PerDay zero-span not handled")
-	}
 }
 
 func TestSlackTraceDiurnal(t *testing.T) {

@@ -16,7 +16,7 @@ if [ -n "$UNFORMATTED" ]; then
 	exit 1
 fi
 
-echo ">> diylint ./... (domain invariants: wallclock, globalrand, moneyfloat, spanhygiene, planeroute, metricname, loggroup, hotpath, droppederr, maporder, globalstate, shardsafe)"
+echo ">> diylint ./... (domain invariants: wallclock, globalrand, moneyfloat, spanhygiene, planeroute, metricname, loggroup, hotpath, droppederr, maporder, globalstate, shardsafe, testonly)"
 go run ./cmd/diylint ./...
 
 echo ">> ledger parity (Tables 1-3 + the reconciled Table 3 evidence bit-identical to committed goldens; observability/logging/tracing on == off)"
@@ -89,6 +89,14 @@ go test -run '^$' -fuzz '^FuzzUploadRequestDecode$' -fuzztime 10s -fuzzminimizet
 go test -run '^$' -fuzz '^FuzzRegistryCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/iot
 go test -run '^$' -fuzz '^FuzzReportDecode$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/iot
 go test -run '^$' -fuzz '^FuzzStanzaCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/proto/xmpp
+
+echo ">> examples smoke (each examples/* program, the README's entry points, runs to exit 0)"
+for ex in examples/*/; do
+	if ! go run "./$ex" >/dev/null; then
+		echo "check: $ex exited non-zero" >&2
+		exit 1
+	fi
+done
 
 echo ">> go test -race ./... (includes the fleet scheduler under the race detector)"
 go test -race ./...
