@@ -172,7 +172,8 @@ func (f *Facts) VarAddrTaken(v *types.Var) (token.Pos, bool) {
 }
 
 // Referenced reports whether the loaded program names fn anywhere
-// outside fn's own declaration, or calls an interface method that fn
+// outside fn's own declaration, calls an interface method that fn
+// implements, or converts a value whose method fn is to an interface fn
 // implements.
 func (f *Facts) Referenced(fn *types.Func) bool {
 	fn = fn.Origin()
@@ -414,6 +415,26 @@ func (w *bodyWalker) walk(root ast.Node, cur *Node) {
 			}
 		case *ast.CallExpr:
 			w.call(n, cur)
+			w.convertCallArgs(n)
+		case *ast.CompositeLit:
+			w.convertElts(n)
+		case *ast.ValueSpec:
+			if n.Type != nil {
+				for i := range n.Names {
+					w.convertAt(n.Values, i, info.TypeOf(n.Type))
+				}
+			}
+		case *ast.ReturnStmt:
+			if cur != nil {
+				results := signatureOf(info, cur).Results()
+				for i := 0; i < results.Len(); i++ {
+					w.convertAt(n.Results, i, results.At(i).Type())
+				}
+			}
+		case *ast.SendStmt:
+			if ch, ok := info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
+				w.convert(n.Value, ch.Elem())
+			}
 		case *ast.Ident:
 			fn, ok := info.Uses[n].(*types.Func)
 			if !ok {
@@ -428,9 +449,12 @@ func (w *bodyWalker) walk(root ast.Node, cur *Node) {
 				}
 			}
 		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
+			for i, lhs := range n.Lhs {
 				if v := pkgLevelVar(info, lhs); v != nil {
 					markOnce(w.f.mutated, v, lhs.Pos())
+				}
+				if n.Tok == token.ASSIGN {
+					w.convertAt(n.Rhs, i, info.TypeOf(lhs))
 				}
 			}
 		case *ast.IncDecStmt:
@@ -446,6 +470,144 @@ func (w *bodyWalker) walk(root ast.Node, cur *Node) {
 		}
 		return true
 	})
+}
+
+// Conversions to an interface. A concrete value converted to an
+// interface type can have the interface's methods called on it by
+// whoever receives it — net/http calling ServeHTTP on a Handler, go/types
+// calling Import on an Importer — so each conversion references the
+// concrete methods that implement the interface. Conversions happen in
+// assignments, var declarations, composite-literal elements, call
+// arguments, returns, channel sends and explicit conversions.
+
+// convert records the conversion of expr's value to type dst.
+func (w *bodyWalker) convert(expr ast.Expr, dst types.Type) {
+	if iface := methodfulInterface(dst); iface != nil {
+		w.implement(w.pkg.Info.TypeOf(expr), iface)
+	}
+}
+
+// convertAt records the conversion of the i-th value exprs produce to
+// dst: exprs[i], or the i-th result when exprs is one multi-value call.
+func (w *bodyWalker) convertAt(exprs []ast.Expr, i int, dst types.Type) {
+	iface := methodfulInterface(dst)
+	if iface == nil || len(exprs) == 0 {
+		return
+	}
+	info := w.pkg.Info
+	if tuple, ok := info.TypeOf(exprs[0]).(*types.Tuple); ok && len(exprs) == 1 {
+		if i < tuple.Len() {
+			w.implement(tuple.At(i).Type(), iface)
+		}
+	} else if i < len(exprs) {
+		w.implement(info.TypeOf(exprs[i]), iface)
+	}
+}
+
+// methodfulInterface returns dst's underlying interface if it has
+// methods a conversion could make reachable, else nil.
+func methodfulInterface(dst types.Type) *types.Interface {
+	if dst == nil {
+		return nil
+	}
+	if iface, ok := dst.Underlying().(*types.Interface); ok && iface.NumMethods() > 0 {
+		return iface
+	}
+	return nil
+}
+
+// implement references the methods of src that implement iface, when
+// src is a concrete type.
+func (w *bodyWalker) implement(src types.Type, iface *types.Interface) {
+	if src == nil || types.IsInterface(src) {
+		return
+	}
+	for i := 0; i < iface.NumMethods(); i++ {
+		m := iface.Method(i)
+		obj, _, _ := types.LookupFieldOrMethod(src, true, m.Pkg(), m.Name())
+		if fn, ok := obj.(*types.Func); ok {
+			w.reference(fn)
+		}
+	}
+}
+
+// convertCallArgs records the conversions a call makes: its arguments
+// to the parameter types, or its operand for an explicit conversion.
+func (w *bodyWalker) convertCallArgs(n *ast.CallExpr) {
+	tv := w.pkg.Info.Types[n.Fun]
+	if tv.IsType() {
+		w.convertAt(n.Args, 0, tv.Type)
+		return
+	}
+	sig, ok := tv.Type.(*types.Signature)
+	if !ok {
+		return
+	}
+	params := sig.Params()
+	if !sig.Variadic() || n.Ellipsis.IsValid() {
+		for i := 0; i < params.Len(); i++ {
+			w.convertAt(n.Args, i, params.At(i).Type())
+		}
+		return
+	}
+	last := params.Len() - 1
+	for i, a := range n.Args {
+		if i < last {
+			w.convert(a, params.At(i).Type())
+		} else if slice, ok := params.At(last).Type().Underlying().(*types.Slice); ok {
+			w.convert(a, slice.Elem())
+		}
+	}
+}
+
+// convertElts records the conversions of a composite literal's elements
+// to its field, element, or key and value types.
+func (w *bodyWalker) convertElts(n *ast.CompositeLit) {
+	info := w.pkg.Info
+	t := info.TypeOf(n)
+	if t == nil {
+		return
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok { // elided &T in a nested literal
+		t = p.Elem()
+	}
+	for i, elt := range n.Elts {
+		kv, keyed := elt.(*ast.KeyValueExpr)
+		value := elt
+		if keyed {
+			value = kv.Value
+		}
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			var field *types.Var
+			if !keyed {
+				field = u.Field(i)
+			} else if key, ok := kv.Key.(*ast.Ident); ok {
+				field, _ = info.Uses[key].(*types.Var)
+			}
+			if field != nil {
+				w.convert(value, field.Type())
+			}
+		case *types.Map:
+			if keyed {
+				w.convert(kv.Key, u.Key())
+			}
+			w.convert(value, u.Elem())
+		case *types.Slice:
+			w.convert(value, u.Elem())
+		case *types.Array:
+			w.convert(value, u.Elem())
+		}
+	}
+}
+
+// signatureOf returns the signature of a declared function or literal
+// node.
+func signatureOf(info *types.Info, n *Node) *types.Signature {
+	if n.Fn != nil {
+		return n.Fn.Type().(*types.Signature)
+	}
+	return info.TypeOf(n.Lit).(*types.Signature)
 }
 
 // reference records a use of fn for Facts.Referenced.

@@ -24,3 +24,13 @@ func Countdown(n int) int {
 
 // helper is unexported: testonly only guards the exported surface.
 func helper() int { return 2 }
+
+// Sink implements io.Writer, but no loaded code converts a Sink to an
+// interface with a Write method or calls Write through one: handing it
+// to an empty interface reaches no method.
+type Sink struct{}
+
+// Write is never reachable through any conversion.
+func (Sink) Write(p []byte) (int, error) { return len(p), nil }
+
+var anySink any = Sink{}

@@ -11,12 +11,13 @@ import (
 // move it into the package's export_test.go so the shipped build stops
 // carrying it. A reference is any mention outside the function's own
 // declaration: a call, a method or function value, an alias in a
-// package-level initializer, or a call through an interface method the
-// function implements. String and Error methods count as referenced,
-// since fmt and errors reach them through interfaces on any value.
-// Methods reached only from outside the loaded program (net/http
-// calling ServeHTTP, math/rand calling Int63) or kept for a documented
-// caller carry a justified .diylint-allow entry.
+// package-level initializer, a call through an interface method the
+// function implements, or the conversion of a value whose method it is
+// to an interface the method implements (net/http calls ServeHTTP on
+// the Handler a program hands it). String and Error methods count as
+// referenced, since fmt and errors reach them through interfaces on any
+// value. Functions kept for a documented caller carry a justified
+// .diylint-allow entry.
 var TestOnly = &Analyzer{
 	Name: "testonly",
 	Doc:  "exported functions under internal/ must have a non-test reference; delete them or move them into export_test.go",

@@ -340,7 +340,7 @@ func (h *handler) loadRoom(key []byte) (*roomDoc, int64, error) {
 }
 
 func (h *handler) saveRoom(key []byte, doc *roomDoc, ifVersion int64) error {
-	sealed, err := envelope.Seal(key, marshalRoomDoc(doc), []byte("room"))
+	sealed, err := envelope.SealInPlace(key, marshalRoomDoc(doc), []byte("room"))
 	if err != nil {
 		return err
 	}
@@ -583,7 +583,7 @@ func (h *handler) history(member string) (lambda.Response, error) {
 // object and resets the tail.
 func (h *handler) archiveChunk(key []byte, doc *roomDoc) error {
 	chunkKey := fmt.Sprintf("history/%06d", doc.Chunks)
-	sealed, err := envelope.Seal(key, marshalEntries(doc.Entries), []byte(chunkKey))
+	sealed, err := envelope.SealInPlace(key, marshalEntries(doc.Entries), []byte(chunkKey))
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"repro/internal/canonjson"
+	"repro/internal/crypto/envelope"
 )
 
 // The room document and its archived chunks are rewritten on every
@@ -13,12 +14,16 @@ import (
 // the parsers accept only those bytes (everything they read was sealed
 // under the envelope AEAD) and return what json.Unmarshal would: null
 // is a nil slice, [] an empty one, an absent last_id a nil map.
+//
+// Both encoders write behind envelope.Header reserved bytes, into one
+// buffer sized up front with room for the GCM tag, so
+// envelope.SealInPlace seals the document where it was encoded.
 
-// marshalRoomDoc encodes doc as json.Marshal(doc) would, into one
-// buffer sized up front.
+// marshalRoomDoc encodes doc as json.Marshal(doc) would, behind the
+// reserved envelope header.
 func marshalRoomDoc(doc *roomDoc) []byte {
 	n := roomDocLen(doc)
-	b := make([]byte, 0, n+canonjson.Headroom(n))
+	b := envelope.NewBuffer(n + canonjson.Headroom(n))
 	b = append(b, `{"chunks":`...)
 	b = canonjson.AppendInt(b, doc.Chunks)
 	b = append(b, `,"messages":`...)
@@ -46,10 +51,10 @@ func marshalRoomDoc(doc *roomDoc) []byte {
 }
 
 // marshalEntries encodes an archived chunk as json.Marshal(entries)
-// would.
+// would, behind the reserved envelope header.
 func marshalEntries(entries []historyEntry) []byte {
 	n := entriesLen(entries)
-	return appendEntries(make([]byte, 0, n+canonjson.Headroom(n)), entries)
+	return appendEntries(envelope.NewBuffer(n+canonjson.Headroom(n)), entries)
 }
 
 func appendEntries(b []byte, entries []historyEntry) []byte {

@@ -10,7 +10,17 @@ import (
 
 	"repro/internal/cloudsim/iam"
 	"repro/internal/cloudsim/s3"
+	"repro/internal/crypto/envelope"
 )
+
+// plaintext returns the JSON a sealed-document encoder wrote behind the
+// envelope header it reserves; a failed encoding's nil stays nil.
+func plaintext(buf []byte) []byte {
+	if buf == nil {
+		return nil
+	}
+	return buf[envelope.Header:]
+}
 
 // fuzzRoomDoc builds a room document from fuzz inputs. shape's bits
 // choose nil versus empty versus filled for each slice and the map, so
@@ -62,7 +72,7 @@ func checkRoomDocCodec(t *testing.T, doc *roomDoc) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := marshalRoomDoc(doc); !bytes.Equal(got, want) {
+	if got := plaintext(marshalRoomDoc(doc)); !bytes.Equal(got, want) {
 		t.Fatalf("marshalRoomDoc:\n got %q\nwant %q", got, want)
 	}
 	var wantDoc roomDoc
@@ -81,7 +91,7 @@ func checkRoomDocCodec(t *testing.T, doc *roomDoc) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := marshalEntries(doc.Entries); !bytes.Equal(got, want) {
+	if got := plaintext(marshalEntries(doc.Entries)); !bytes.Equal(got, want) {
 		t.Fatalf("marshalEntries:\n got %q\nwant %q", got, want)
 	}
 	var wantEntries []historyEntry
@@ -172,7 +182,8 @@ func bigRoomDoc(escapes bool) (doc *roomDoc, escaped int) {
 }
 
 // The codec's allocation counts are exact and host-independent. The
-// encoder allocates its one presized buffer. Without escapes the parser
+// encoder allocates its one presized buffer, which leaves room for the
+// GCM tag so the document seals in place. Without escapes the parser
 // allocates a fixed six objects whatever the entry count: the doc, its
 // entry slice, the members and present lists, and the last_id map
 // (header and slot group); strings alias the input. Escaped strings
@@ -181,7 +192,11 @@ func bigRoomDoc(escapes bool) (doc *roomDoc, escaped int) {
 func TestRoomDocCodecAllocs(t *testing.T) {
 	for _, escapes := range []bool{false, true} {
 		doc, escaped := bigRoomDoc(escapes)
-		pt := marshalRoomDoc(doc)
+		buf := marshalRoomDoc(doc)
+		if spare := cap(buf) - len(buf); spare < envelope.Overhead {
+			t.Errorf("room doc encoded with %d bytes spare, want at least the %d-byte GCM tag", spare, envelope.Overhead)
+		}
+		pt := plaintext(buf)
 		if len(pt) < 56<<10 || len(pt) > 64<<10 {
 			t.Fatalf("fixture encodes to %d bytes, want about 60 KB", len(pt))
 		}
@@ -211,7 +226,7 @@ var sinkDoc *roomDoc
 // on the ~60 KB room document a send reads and rewrites.
 func BenchmarkRoomDocCodec(b *testing.B) {
 	doc, _ := bigRoomDoc(true)
-	pt := marshalRoomDoc(doc)
+	pt := plaintext(marshalRoomDoc(doc))
 	b.Run("encode/canonjson", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(pt)))

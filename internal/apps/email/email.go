@@ -165,11 +165,11 @@ func (h *mailHandler) loadBox(key []byte) (*mailbox, error) {
 }
 
 func (h *mailHandler) saveBox(key []byte, box *mailbox) error {
-	pt, err := marshalMailbox(box)
+	buf, err := marshalMailbox(box)
 	if err != nil {
 		return err
 	}
-	sealed, err := envelope.Seal(key, pt, []byte("box"))
+	sealed, err := envelope.SealInPlace(key, buf, []byte("box"))
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/canonjson"
+	"repro/internal/crypto/envelope"
 )
 
 // The mailbox index is rewritten on every delivery, so it has a
@@ -16,10 +17,12 @@ import (
 // slice and [] an empty one, and omitempty fields a canonical encoding
 // would have dropped are rejected when present.
 
-// marshalMailbox encodes box as json.Marshal(box) would.
+// marshalMailbox encodes box as json.Marshal(box) would, behind
+// envelope.Header reserved bytes and with room for the GCM tag, so
+// envelope.SealInPlace seals it where it was encoded.
 func marshalMailbox(box *mailbox) ([]byte, error) {
 	n := len(`{"next_id":,"entries":}`) + 20 + indexEntriesLen(box.Entries)
-	b := make([]byte, 0, n+canonjson.Headroom(n))
+	b := envelope.NewBuffer(n + canonjson.Headroom(n))
 	b = append(b, `{"next_id":`...)
 	b = canonjson.AppendInt(b, box.NextID)
 	b = append(b, `,"entries":`...)

@@ -13,7 +13,17 @@ import (
 	"repro/internal/cloudsim/iam"
 	"repro/internal/cloudsim/s3"
 	"repro/internal/cloudsim/sim"
+	"repro/internal/crypto/envelope"
 )
+
+// plaintext returns the JSON a sealed-document encoder wrote behind the
+// envelope header it reserves; a failed encoding's nil stays nil.
+func plaintext(buf []byte) []byte {
+	if buf == nil {
+		return nil
+	}
+	return buf[envelope.Header:]
+}
 
 // fuzzMailbox builds a mailbox from fuzz inputs. shape's bits choose a
 // nil, empty or filled entry list, an empty or set Message-ID, and nil,
@@ -75,7 +85,8 @@ func sameEntries(got, want []IndexEntry) bool {
 func checkMailboxCodec(t *testing.T, box *mailbox) {
 	t.Helper()
 	want, wantErr := json.Marshal(box)
-	got, err := marshalMailbox(box)
+	buf, err := marshalMailbox(box)
+	got := plaintext(buf)
 	if (err != nil) != (wantErr != nil) {
 		t.Fatalf("marshalMailbox error %v, json.Marshal error %v", err, wantErr)
 	}
@@ -109,7 +120,7 @@ func checkMailboxCodec(t *testing.T, box *mailbox) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wantAgain, _ := json.Marshal(&wantBox); !bytes.Equal(again, wantAgain) {
+	if wantAgain, _ := json.Marshal(&wantBox); !bytes.Equal(plaintext(again), wantAgain) {
 		t.Fatalf("re-encoded mailbox:\n got %q\nwant %q", again, wantAgain)
 	}
 }
@@ -197,10 +208,14 @@ func bigMailbox(escapes bool) (box *mailbox, escaped int) {
 func TestMailboxCodecAllocs(t *testing.T) {
 	for _, escapes := range []bool{false, true} {
 		box, escaped := bigMailbox(escapes)
-		pt, err := marshalMailbox(box)
+		buf, err := marshalMailbox(box)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if spare := cap(buf) - len(buf); spare < envelope.Overhead {
+			t.Errorf("mailbox encoded with %d bytes spare, want at least the %d-byte GCM tag", spare, envelope.Overhead)
+		}
+		pt := plaintext(buf)
 		enc := testing.AllocsPerRun(20, func() {
 			if _, err := marshalMailbox(box); err != nil {
 				t.Fatal(err)

@@ -166,11 +166,11 @@ func (h *xferHandler) loadManifest(key []byte) (*manifest, error) {
 }
 
 func (h *xferHandler) saveManifest(key []byte, m *manifest) error {
-	pt, err := marshalManifest(m)
+	buf, err := marshalManifest(m)
 	if err != nil {
 		return err
 	}
-	sealed, err := envelope.Seal(key, pt, []byte("manifest"))
+	sealed, err := envelope.SealInPlace(key, buf, []byte("manifest"))
 	if err != nil {
 		return err
 	}

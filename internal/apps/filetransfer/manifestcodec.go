@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/canonjson"
+	"repro/internal/crypto/envelope"
 )
 
 // Every upload reads and rewrites the sealed manifest and decodes a
@@ -24,10 +25,12 @@ import (
 // other body to json.Unmarshal: it accepts what json.Unmarshal accepts
 // and returns what it returns.
 
-// marshalManifest encodes m as json.Marshal(m) would.
+// marshalManifest encodes m as json.Marshal(m) would, behind
+// envelope.Header reserved bytes and with room for the GCM tag, so
+// envelope.SealInPlace seals it where it was encoded.
 func marshalManifest(m *manifest) ([]byte, error) {
 	n := len(`{"offers":}`) + offersLen(m.Offers)
-	b := make([]byte, 0, n+canonjson.Headroom(n))
+	b := envelope.NewBuffer(n + canonjson.Headroom(n))
 	b = append(b, `{"offers":`...)
 	b, err := appendOffers(b, m.Offers)
 	if err != nil {

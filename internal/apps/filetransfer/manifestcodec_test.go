@@ -7,7 +7,18 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/crypto/envelope"
 )
+
+// plaintext returns the JSON a sealed-document encoder wrote behind the
+// envelope header it reserves; a failed encoding's nil stays nil.
+func plaintext(buf []byte) []byte {
+	if buf == nil {
+		return nil
+	}
+	return buf[envelope.Header:]
+}
 
 // fuzzManifest builds a manifest from fuzz inputs. shape's low bits
 // choose a nil, empty or filled offer list, so null and [] both occur.
@@ -48,7 +59,8 @@ func sameOffers(got, want []Offer) bool {
 func checkManifestEncoders(t *testing.T, m *manifest) ([]byte, error) {
 	t.Helper()
 	want, wantErr := json.Marshal(m)
-	got, err := marshalManifest(m)
+	buf, err := marshalManifest(m)
+	got := plaintext(buf)
 	if (err != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
 		t.Fatalf("marshalManifest = %q, %v; json.Marshal = %q, %v", got, err, want, wantErr)
 	}
@@ -237,10 +249,14 @@ func bigManifest(n int) *manifest {
 // the name and recipient out of the caller's body.
 func TestManifestCodecAllocs(t *testing.T) {
 	m := bigManifest(200)
-	pt, err := marshalManifest(m)
+	buf, err := marshalManifest(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if spare := cap(buf) - len(buf); spare < envelope.Overhead {
+		t.Errorf("manifest encoded with %d bytes spare, want at least the %d-byte GCM tag", spare, envelope.Overhead)
+	}
+	pt := plaintext(buf)
 	for name, c := range map[string]struct {
 		want float64
 		run  func() error
@@ -282,7 +298,8 @@ var (
 // encoding/json on a 200-offer manifest and a 48 KB upload body.
 func BenchmarkManifestCodec(b *testing.B) {
 	m := bigManifest(200)
-	pt, _ := marshalManifest(m)
+	buf, _ := marshalManifest(m)
+	pt := plaintext(buf)
 	body, _ := json.Marshal(UploadRequest{Name: "drop-000001", To: "peer", Data: bytes.Repeat([]byte("media"), 48<<10/5)})
 	for _, c := range []struct {
 		name string

@@ -172,11 +172,11 @@ func (h *iotHandler) loadRegistry(key []byte) (*registry, error) {
 }
 
 func (h *iotHandler) saveRegistry(key []byte, r *registry) error {
-	pt, err := marshalRegistry(r)
+	buf, err := marshalRegistry(r)
 	if err != nil {
 		return err
 	}
-	sealed, err := envelope.Seal(key, pt, []byte("registry"))
+	sealed, err := envelope.SealInPlace(key, buf, []byte("registry"))
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 
 	"repro/internal/canonjson"
+	"repro/internal/crypto/envelope"
 )
 
 // Every report reads and rewrites the sealed device registry and
@@ -25,14 +26,16 @@ import (
 // other body to json.Unmarshal: it accepts what json.Unmarshal accepts
 // and returns what it returns.
 
-// marshalRegistry encodes reg as json.Marshal(reg) would.
+// marshalRegistry encodes reg as json.Marshal(reg) would, behind
+// envelope.Header reserved bytes and with room for the GCM tag, so
+// envelope.SealInPlace seals it where it was encoded.
 func marshalRegistry(reg *registry) ([]byte, error) {
 	n := len(`{"devices":null,"queries":,"alerts":}`) +
 		canonjson.IntLen(reg.Queries) + canonjson.IntLen(reg.Alerts)
 	for k, d := range reg.Devices {
 		n += len(k) + len(`"":,`) + deviceLen(d)
 	}
-	b := make([]byte, 0, n+canonjson.Headroom(n))
+	b := envelope.NewBuffer(n + canonjson.Headroom(n))
 	b = append(b, `{"devices":`...)
 	if reg.Devices == nil {
 		b = append(b, "null"...)

@@ -9,7 +9,18 @@ import (
 	"testing"
 	"time"
 	"unicode/utf8"
+
+	"repro/internal/crypto/envelope"
 )
+
+// plaintext returns the JSON a sealed-document encoder wrote behind the
+// envelope header it reserves; a failed encoding's nil stays nil.
+func plaintext(buf []byte) []byte {
+	if buf == nil {
+		return nil
+	}
+	return buf[envelope.Header:]
+}
 
 // fuzzRegistry builds a registry from fuzz inputs. shape's bits choose
 // a nil, empty or filled device map, a nil device entry, and nil, empty
@@ -84,7 +95,7 @@ func checkEncoder(t *testing.T, name string, got []byte, err error, v any) {
 func checkRegistryEncoders(t *testing.T, reg *registry) {
 	t.Helper()
 	got, err := marshalRegistry(reg)
-	checkEncoder(t, "marshalRegistry", got, err, reg)
+	checkEncoder(t, "marshalRegistry", plaintext(got), err, reg)
 	db := Dashboard{Queries: reg.Queries, Alerts: reg.Alerts}
 	for k, d := range reg.Devices {
 		if d == nil {
@@ -275,10 +286,14 @@ func homeRegistry(n int) *registry {
 func TestRegistryCodecAllocs(t *testing.T) {
 	const devices = 8
 	reg := homeRegistry(devices)
-	pt, err := marshalRegistry(reg)
+	buf, err := marshalRegistry(reg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if spare := cap(buf) - len(buf); spare < envelope.Overhead {
+		t.Errorf("registry encoded with %d bytes spare, want at least the %d-byte GCM tag", spare, envelope.Overhead)
+	}
+	pt := plaintext(buf)
 	db := Dashboard{Queries: reg.Queries, Alerts: reg.Alerts}
 	for _, d := range reg.Devices {
 		db.Devices = append(db.Devices, *d)

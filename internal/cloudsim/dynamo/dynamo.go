@@ -8,6 +8,11 @@
 // allowance of 25 RCU + 25 WCU that keeps personal-scale DIY services
 // at $0.00. The chat application can run against either backend; the
 // backend ablation in internal/experiments compares them.
+//
+// Item values are immutable. Put and PutIfVersion take ownership of the
+// value they are handed, and Get returns the stored slice, not a copy:
+// neither the writer nor a reader may write to it again (package owned
+// checks this in tests).
 package dynamo
 
 import (
@@ -20,6 +25,7 @@ import (
 	"repro/internal/cloudsim/clock"
 	"repro/internal/cloudsim/iam"
 	"repro/internal/cloudsim/netsim"
+	"repro/internal/cloudsim/owned"
 	"repro/internal/cloudsim/plane"
 	"repro/internal/cloudsim/sim"
 	"repro/internal/cloudsim/sortutil"
@@ -61,12 +67,14 @@ var (
 	ErrPlaintextRejected = errors.New("dynamo: table policy rejects plaintext items")
 )
 
-// Item is one stored item.
+// Item is one stored item. Value is the stored slice and must not be
+// written to.
 type Item struct {
 	Key      string
 	Value    []byte
 	Version  int64
 	Modified time.Time
+	sum      uint32 // owned.Sum(Value)
 }
 
 type table struct {
@@ -173,7 +181,8 @@ func (s *Service) SetRequireSealed(name string, check func([]byte) bool) error {
 	return nil
 }
 
-// Get retrieves an item.
+// Get retrieves an item. Its Value is the stored slice, which the
+// caller must not write to.
 func (s *Service) Get(ctx *sim.Context, tableName, key string) (*Item, error) {
 	s.mu.Lock()
 	var size int
@@ -195,8 +204,8 @@ func (s *Service) Get(ctx *sim.Context, tableName, key string) (*Item, error) {
 		if !ok {
 			return fmt.Errorf("dynamo: %s/%s: %w", tableName, key, ErrNoSuchItem)
 		}
+		owned.Check("dynamo table", tableName, key, it.Value, it.sum)
 		cp := *it
-		cp.Value = append([]byte(nil), it.Value...)
 		out = &cp
 		return nil
 	})
@@ -206,14 +215,16 @@ func (s *Service) Get(ctx *sim.Context, tableName, key string) (*Item, error) {
 	return out, nil
 }
 
-// Put stores an item unconditionally.
+// Put stores an item unconditionally and takes ownership of value: the
+// caller must not write to it afterwards.
 func (s *Service) Put(ctx *sim.Context, tableName, key string, value []byte) error {
 	return s.put(ctx, tableName, key, value, -1)
 }
 
 // PutIfVersion stores an item only if its current version matches
 // expect (0 = must not exist): the conditional write DIY apps use for
-// read-modify-write safety under concurrent invocations.
+// read-modify-write safety under concurrent invocations. Like Put, it
+// takes ownership of value.
 func (s *Service) PutIfVersion(ctx *sim.Context, tableName, key string, value []byte, expect int64) error {
 	return s.put(ctx, tableName, key, value, expect)
 }
@@ -230,6 +241,9 @@ func (s *Service) put(ctx *sim.Context, tableName, key string, value []byte, exp
 			return fmt.Errorf("dynamo: %s/%s: %w", tableName, key, ErrPlaintextRejected)
 		}
 		cur, exists := t.items[key]
+		if exists {
+			owned.Check("dynamo table", tableName, key, cur.Value, cur.sum)
+		}
 		if expect >= 0 {
 			switch {
 			case expect == 0 && exists:
@@ -245,7 +259,7 @@ func (s *Service) put(ctx *sim.Context, tableName, key string, value []byte, exp
 		t.version++
 		t.items[key] = &Item{
 			Key:     key,
-			Value:   append([]byte(nil), value...),
+			Value:   value,
 			Version: t.version,
 			Modified: func() time.Time {
 				if ctx != nil && ctx.Cursor != nil {
@@ -253,6 +267,7 @@ func (s *Service) put(ctx *sim.Context, tableName, key string, value []byte, exp
 				}
 				return s.clk.Now()
 			}(),
+			sum: owned.Sum(value),
 		}
 		return nil
 	})
@@ -266,6 +281,9 @@ func (s *Service) Delete(ctx *sim.Context, tableName, key string) error {
 		t, ok := s.tables[tableName]
 		if !ok {
 			return fmt.Errorf("dynamo: %q: %w", tableName, ErrNoSuchTable)
+		}
+		if it, ok := t.items[key]; ok {
+			owned.Check("dynamo table", tableName, key, it.Value, it.sum)
 		}
 		delete(t.items, key)
 		return nil

@@ -2,6 +2,7 @@ package dynamo
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -58,12 +59,46 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if it.Version == 0 || !it.Modified.Equal(ctx.Cursor.Now()) && it.Modified.IsZero() {
 		t.Fatalf("metadata: %+v", it)
 	}
-	// Returned value is a copy.
-	it.Value[0] = 'X'
-	again, _ := f.dynamo.Get(ctx, "alice-chat", "room")
-	if string(again.Value) != "v" {
-		t.Fatal("internal buffer exposed")
+}
+
+// Item values are immutable: Get returns the stored slice, so a write
+// into it, or into a value after Put took it, is caught at the next
+// read, overwrite or delete.
+func TestWriteIntoStoredValuePanics(t *testing.T) {
+	f := newFixture(t)
+	ctx := f.ctx()
+	if err := f.dynamo.Put(ctx, "alice-chat", "room", []byte("v")); err != nil {
+		t.Fatal(err)
 	}
+	it, err := f.dynamo.Get(ctx, "alice-chat", "room")
+	if err != nil {
+		t.Fatal(err)
+	}
+	it.Value[0] = 'X'
+	mustPanicNaming(t, "dynamo table alice-chat: room ", func() { f.dynamo.Get(ctx, "alice-chat", "room") })
+
+	value := []byte("handed over")
+	if err := f.dynamo.PutIfVersion(ctx, "alice-chat", "k", value, 0); err != nil {
+		t.Fatal(err)
+	}
+	value[0] = 'X'
+	mustPanicNaming(t, "dynamo table alice-chat: k ", func() { f.dynamo.Get(ctx, "alice-chat", "k") })
+	mustPanicNaming(t, "dynamo table alice-chat: k ", func() { f.dynamo.PutIfVersion(ctx, "alice-chat", "k", []byte("v2"), 1) })
+	mustPanicNaming(t, "dynamo table alice-chat: k ", func() { f.dynamo.Delete(ctx, "alice-chat", "k") })
+}
+
+// mustPanicNaming runs read and requires it to panic with a message
+// containing want.
+func mustPanicNaming(t *testing.T, want string, read func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, want) {
+			t.Fatalf("read after a write into a stored payload: panic %q, want one naming %q", msg, want)
+		}
+	}()
+	read()
 }
 
 func TestGetMissing(t *testing.T) {

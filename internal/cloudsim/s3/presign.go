@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cloudsim/owned"
 	"repro/internal/cloudsim/plane"
 	"repro/internal/cloudsim/sim"
 	"repro/internal/pricing"
@@ -43,7 +44,8 @@ func (s *Service) Presign(principal, bucketName, key string, expires time.Time) 
 
 // GetPresigned fetches an object with a presigned token. The caller
 // needs no principal; the payload is billed as internet egress for
-// external callers, like any other external GET.
+// external callers, like any other external GET. As with Get, Data is
+// the stored slice and must not be written to.
 func (s *Service) GetPresigned(ctx *sim.Context, token string) (*Object, error) {
 	raw, err := base64.RawURLEncoding.DecodeString(token)
 	if err != nil {
@@ -82,8 +84,8 @@ func (s *Service) GetPresigned(ctx *sim.Context, token string) (*Object, error) 
 		return nil, fmt.Errorf("s3: %s/%s: %w", bucketName, key, ErrNoSuchKey)
 	}
 	cp := *o
-	cp.Data = append([]byte(nil), o.Data...)
 	s.mu.RUnlock()
+	owned.Check("s3 bucket", bucketName, key, cp.Data, cp.sum)
 
 	// The token itself is the authorization, so the plane call carries
 	// no IAM action; the hop is still traced, latency-modeled, and

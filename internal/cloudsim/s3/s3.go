@@ -4,6 +4,11 @@
 // transfer metering, and the memory-coupled I/O latency model the
 // paper's prototype observed ("API calls to S3 took significantly
 // longer when we allocated less memory to the function").
+//
+// Objects are immutable. Put takes ownership of the data it is handed,
+// and Get and GetPresigned return the stored slice, not a copy: neither
+// the writer nor a reader may write to it again (package owned checks
+// this in tests).
 package s3
 
 import (
@@ -17,6 +22,7 @@ import (
 	"repro/internal/cloudsim/clock"
 	"repro/internal/cloudsim/iam"
 	"repro/internal/cloudsim/netsim"
+	"repro/internal/cloudsim/owned"
 	"repro/internal/cloudsim/plane"
 	"repro/internal/cloudsim/sim"
 	"repro/internal/cloudsim/sortutil"
@@ -57,12 +63,14 @@ var (
 	ErrPlaintextRejected = errors.New("s3: bucket policy rejects plaintext objects")
 )
 
-// Object is a stored object and its metadata.
+// Object is a stored object and its metadata. Data is the stored
+// slice and must not be written to.
 type Object struct {
 	Key      string
 	Data     []byte
 	Modified time.Time
 	Version  int64
+	sum      uint32 // owned.Sum(Data)
 }
 
 type bucket struct {
@@ -182,9 +190,10 @@ func (s *Service) BucketExists(name string) bool {
 	return ok
 }
 
-// Put stores an object, overwriting any previous version. Buckets
-// with the sealed-writes policy reject payloads that are not envelope
-// ciphertext.
+// Put stores an object, overwriting any previous version, and takes
+// ownership of data: the caller must not write to it afterwards.
+// Buckets with the sealed-writes policy reject payloads that are not
+// envelope ciphertext.
 func (s *Service) Put(ctx *sim.Context, bucketName, key string, data []byte) error {
 	return s.pl.Do(ctx, call(ActionPut, ObjectResource(bucketName, key), int64(len(data)), pricing.S3PutRequests), func(*plane.Request) error {
 		s.mu.Lock()
@@ -196,18 +205,23 @@ func (s *Service) Put(ctx *sim.Context, bucketName, key string, data []byte) err
 		if b.requireSealed && !envelope.IsSealed(data) {
 			return fmt.Errorf("s3: %s/%s: %w", bucketName, key, ErrPlaintextRejected)
 		}
+		if old, ok := b.objects[key]; ok {
+			owned.Check("s3 bucket", bucketName, key, old.Data, old.sum)
+		}
 		b.version++
 		b.objects[key] = &Object{
 			Key:      key,
-			Data:     append([]byte(nil), data...),
+			Data:     data,
 			Modified: s.clk.Now(),
 			Version:  b.version,
+			sum:      owned.Sum(data),
 		}
 		return nil
 	})
 }
 
-// Get retrieves an object. External callers are billed internet
+// Get retrieves an object. Its Data is the stored slice, which the
+// caller must not write to. External callers are billed internet
 // transfer out for the payload.
 func (s *Service) Get(ctx *sim.Context, bucketName, key string) (*Object, error) {
 	s.mu.RLock()
@@ -234,8 +248,8 @@ func (s *Service) Get(ctx *sim.Context, bucketName, key string) (*Object, error)
 		if ctx != nil && ctx.External {
 			req.MeterUsage(pricing.Usage{Kind: pricing.TransferOutGB, Quantity: float64(size) / 1e9})
 		}
+		owned.Check("s3 bucket", bucketName, key, o.Data, o.sum)
 		cp := *o
-		cp.Data = append([]byte(nil), o.Data...)
 		out = &cp
 		return nil
 	})
@@ -254,6 +268,9 @@ func (s *Service) Delete(ctx *sim.Context, bucketName, key string) error {
 		b, ok := s.buckets[bucketName]
 		if !ok {
 			return fmt.Errorf("s3: %q: %w", bucketName, ErrNoSuchBucket)
+		}
+		if old, ok := b.objects[key]; ok {
+			owned.Check("s3 bucket", bucketName, key, old.Data, old.sum)
 		}
 		delete(b.objects, key)
 		return nil

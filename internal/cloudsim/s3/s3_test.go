@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/base64"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,6 +68,9 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !bytes.Equal(obj.Data, data) {
 		t.Fatalf("Get returned %q", obj.Data)
 	}
+	if &obj.Data[0] != &data[0] {
+		t.Fatal("Get returned a copy; the store owns data and returns it as stored")
+	}
 	if obj.Version == 0 {
 		t.Fatal("object has no version")
 	}
@@ -75,16 +79,59 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGetReturnsCopy(t *testing.T) {
+// mustPanicNaming runs read and requires it to panic with a message
+// containing want.
+func mustPanicNaming(t *testing.T, want string, read func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, want) {
+			t.Fatalf("read after a write into a stored payload: panic %q, want one naming %q", msg, want)
+		}
+	}()
+	read()
+}
+
+// Objects are immutable: Get returns the stored slice, so a write into
+// it, or into data after Put took it, is caught at the next read,
+// overwrite or delete.
+func TestWriteIntoStoredObjectPanics(t *testing.T) {
 	f := newFixture(t)
 	ctx := f.ctx()
-	f.s3.Put(ctx, "alice-chat", "k", []byte("original"))
-	obj, _ := f.s3.Get(ctx, "alice-chat", "k")
-	obj.Data[0] = 'X'
-	again, _ := f.s3.Get(ctx, "alice-chat", "k")
-	if string(again.Data) != "original" {
-		t.Fatal("Get exposed internal buffer")
+	if err := f.s3.Put(ctx, "alice-chat", "k", []byte("original")); err != nil {
+		t.Fatal(err)
 	}
+	obj, err := f.s3.Get(ctx, "alice-chat", "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj.Data[0] = 'X'
+	mustPanicNaming(t, "s3 bucket alice-chat: k ", func() { f.s3.Get(ctx, "alice-chat", "k") })
+
+	data := []byte("handed over")
+	if err := f.s3.Put(ctx, "alice-chat", "share/file", data); err != nil {
+		t.Fatal(err)
+	}
+	token, err := f.s3.Presign("chat-fn", "alice-chat", "share/file", clock.Epoch.Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[0] = 'X'
+	mustPanicNaming(t, "s3 bucket alice-chat: share/file ", func() { f.s3.GetPresigned(ctx, token) })
+	mustPanicNaming(t, "s3 bucket alice-chat: share/file ", func() { f.s3.Get(ctx, "alice-chat", "share/file") })
+
+	// A read-modify-write that scribbles on what it read is caught when
+	// it writes back.
+	if err := f.s3.Put(ctx, "alice-chat", "room", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if obj, err = f.s3.Get(ctx, "alice-chat", "room"); err != nil {
+		t.Fatal(err)
+	}
+	obj.Data[1] = '2'
+	mustPanicNaming(t, "s3 bucket alice-chat: room ", func() { f.s3.Put(ctx, "alice-chat", "room", []byte("v3")) })
+	mustPanicNaming(t, "s3 bucket alice-chat: room ", func() { f.s3.Delete(ctx, "alice-chat", "room") })
 }
 
 func TestPutOverwriteBumpsVersion(t *testing.T) {

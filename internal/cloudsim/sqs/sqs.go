@@ -8,6 +8,11 @@
 // so a 20-second poll costs no real time. A flow with a cursor polls
 // along it; a caller without one polls on a fresh cursor at the service
 // clock's now, the same instant Send stamps on that caller's messages.
+//
+// Message bodies are immutable. Send takes ownership of the body it is
+// handed, and Receive returns the stored slice, not a copy: neither the
+// sender nor a receiver may write to it again (package owned checks
+// this in tests).
 package sqs
 
 import (
@@ -20,6 +25,7 @@ import (
 	"repro/internal/cloudsim/clock"
 	"repro/internal/cloudsim/iam"
 	"repro/internal/cloudsim/netsim"
+	"repro/internal/cloudsim/owned"
 	"repro/internal/cloudsim/plane"
 	"repro/internal/cloudsim/sim"
 	"repro/internal/cloudsim/trace"
@@ -54,7 +60,8 @@ var (
 	ErrQueueExists = errors.New("sqs: queue already exists")
 )
 
-// Message is a queued message as seen by a receiver.
+// Message is a queued message as seen by a receiver. Body is the
+// stored slice and must not be written to.
 type Message struct {
 	ID   string
 	Body []byte
@@ -67,6 +74,7 @@ type message struct {
 	body      []byte
 	sent      time.Time
 	visibleAt time.Time // in-flight until this instant
+	sum       uint32    // owned.Sum(body)
 }
 
 type queue struct {
@@ -162,8 +170,9 @@ func (s *Service) Len(name string) int {
 	return len(q.msgs)
 }
 
-// Send enqueues a message. The message becomes visible at the sender's
-// current simulated instant plus the queue-delivery latency.
+// Send enqueues a message and takes ownership of body: the caller must
+// not write to it afterwards. The message becomes visible at the
+// sender's current simulated instant plus the queue-delivery latency.
 func (s *Service) Send(ctx *sim.Context, name string, body []byte) (string, error) {
 	c := call(ActionSend, name)
 	c.Annotations = append(c.Annotations, trace.Annotation{Key: "bytes", Value: strconv.Itoa(len(body))})
@@ -180,8 +189,9 @@ func (s *Service) Send(ctx *sim.Context, name string, body []byte) (string, erro
 		id = "m-" + strconv.FormatInt(s.nextID, 10)
 		q.msgs = append(q.msgs, &message{
 			id:   id,
-			body: append([]byte(nil), body...),
+			body: body,
 			sent: s.cursor(ctx).Now(),
+			sum:  owned.Sum(body),
 		})
 		return nil
 	})
@@ -247,7 +257,8 @@ func (s *Service) poll(cur *sim.Cursor, name string, max int, wait time.Duration
 		if avail.After(deliveredAt) {
 			deliveredAt = avail
 		}
-		got = append(got, Message{ID: m.id, Body: append([]byte(nil), m.body...), Sent: m.sent})
+		owned.Check("sqs queue", name, m.id, m.body, m.sum)
+		got = append(got, Message{ID: m.id, Body: m.body, Sent: m.sent})
 	}
 	if len(got) == 0 {
 		cur.AdvanceTo(deadline)
@@ -281,6 +292,7 @@ func (s *Service) Delete(ctx *sim.Context, name, id string) error {
 		}
 		for i, m := range q.msgs {
 			if m.id == id {
+				owned.Check("sqs queue", name, m.id, m.body, m.sum)
 				q.msgs = append(q.msgs[:i], q.msgs[i+1:]...)
 				break
 			}

@@ -2,6 +2,7 @@ package sqs
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -157,6 +158,48 @@ func TestVisibilityTimeout(t *testing.T) {
 	if len(reappeared) != 1 {
 		t.Fatal("message did not reappear after visibility timeout")
 	}
+}
+
+// Message bodies are immutable: Receive returns the stored slice, so a
+// write into it, or into a body after Send took it, is caught when the
+// message is next received or deleted.
+func TestWriteIntoStoredBodyPanics(t *testing.T) {
+	f := newFixture(t)
+	body := []byte("handed over")
+	id, err := f.sqs.Send(f.vctx(), "alice-inbox", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body[0] = 'X'
+	mustPanicNaming(t, "sqs queue alice-inbox: "+id+" ", func() { f.sqs.Receive(f.vctx(), "alice-inbox", 1, time.Second) })
+
+	f = newFixture(t)
+	if id, err = f.sqs.Send(f.vctx(), "alice-inbox", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	msgs, err := f.sqs.Receive(f.vctx(), "alice-inbox", 1, time.Second)
+	if err != nil || len(msgs) != 1 {
+		t.Fatalf("receive: %v, %d messages", err, len(msgs))
+	}
+	msgs[0].Body[0] = 'X'
+	late := f.vctx()
+	late.Cursor.Advance(DefaultVisibility + time.Minute)
+	mustPanicNaming(t, "sqs queue alice-inbox: "+id+" ", func() { f.sqs.Receive(late, "alice-inbox", 1, time.Second) })
+	mustPanicNaming(t, "sqs queue alice-inbox: "+id+" ", func() { f.sqs.Delete(f.vctx(), "alice-inbox", id) })
+}
+
+// mustPanicNaming runs read and requires it to panic with a message
+// containing want.
+func mustPanicNaming(t *testing.T, want string, read func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, want) {
+			t.Fatalf("read after a write into a stored payload: panic %q, want one naming %q", msg, want)
+		}
+	}()
+	read()
 }
 
 func TestDeleteMessage(t *testing.T) {

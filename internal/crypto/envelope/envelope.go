@@ -25,6 +25,14 @@ var magic = []byte{'D', 'I', 'Y', 1}
 
 const nonceSize = 12
 
+// Header is the length of the magic and nonce every sealed blob starts
+// with, and Overhead the length of the GCM tag it ends with: a sealed
+// blob is Header+Overhead bytes longer than its plaintext.
+const (
+	Header   = 4 + nonceSize
+	Overhead = 16
+)
+
 // Errors returned by this package.
 var (
 	ErrNotSealed  = errors.New("envelope: blob is not a sealed envelope")
@@ -50,14 +58,49 @@ func Seal(key, plaintext, aad []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	nonce := make([]byte, nonceSize)
+	out := make([]byte, Header, Header+len(plaintext)+Overhead)
+	nonce, err := writeHeader(out)
+	if err != nil {
+		return nil, err
+	}
+	return aead.Seal(out, nonce, plaintext, aad), nil
+}
+
+// NewBuffer returns a buffer for SealInPlace: Header reserved bytes
+// with room behind them for n bytes of plaintext and the GCM tag.
+// Encoders append the plaintext to it.
+func NewBuffer(n int) []byte { return make([]byte, Header, Header+n+Overhead) }
+
+// SealInPlace seals buf[Header:] under key, binding aad, and returns
+// the same blob Seal would. The first Header bytes of buf (which must
+// be at least that long; NewBuffer makes such a buffer) are reserved
+// and overwritten with the magic and nonce, and the ciphertext
+// overwrites the plaintext, so with Overhead bytes of spare capacity
+// behind buf the blob is buf itself and nothing but the AEAD is
+// allocated; with less, the blob is one new buffer. Either way buf's
+// plaintext is gone when SealInPlace returns.
+func SealInPlace(key, buf, aad []byte) ([]byte, error) {
+	aead, err := newAEAD(key)
+	if err != nil {
+		return nil, err
+	}
+	nonce, err := writeHeader(buf)
+	if err != nil {
+		return nil, err
+	}
+	// GCM permits the ciphertext to overwrite the plaintext exactly.
+	return aead.Seal(buf[:Header], nonce, buf[Header:], aad), nil
+}
+
+// writeHeader writes the magic and a fresh random nonce into
+// blob[:Header] and returns the nonce.
+func writeHeader(blob []byte) ([]byte, error) {
+	copy(blob, magic)
+	nonce := blob[len(magic):Header]
 	if _, err := rand.Read(nonce); err != nil {
 		return nil, fmt.Errorf("envelope: generating nonce: %w", err)
 	}
-	out := make([]byte, 0, len(magic)+nonceSize+len(plaintext)+aead.Overhead())
-	out = append(out, magic...)
-	out = append(out, nonce...)
-	return aead.Seal(out, nonce, plaintext, aad), nil
+	return nonce, nil
 }
 
 // Open decrypts a blob produced by Seal with the same key and aad.
@@ -69,11 +112,10 @@ func Open(key, blob, aad []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	body := blob[len(magic):]
-	if len(body) < nonceSize+aead.Overhead() {
+	if len(blob) < Header+Overhead {
 		return nil, ErrCorrupt
 	}
-	nonce, ct := body[:nonceSize], body[nonceSize:]
+	nonce, ct := blob[len(magic):Header], blob[Header:]
 	pt, err := aead.Open(nil, nonce, ct, aad)
 	if err != nil {
 		return nil, ErrCorrupt
