@@ -54,7 +54,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	noticePT, err := envelope.Open(dataKey, msgs[0].Body, []byte("offer"))
+	key, err := envelope.NewKey(dataKey)
+	if err != nil {
+		log.Fatal(err)
+	}
+	noticePT, err := key.Open(msgs[0].Body, []byte("offer"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +75,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pt, err := envelope.Open(dataKey, obj.Data, []byte(filetransfer.ObjectKey(offer.Name)))
+	pt, err := key.Open(obj.Data, []byte(filetransfer.ObjectKey(offer.Name)))
 	if err != nil {
 		log.Fatal(err)
 	}

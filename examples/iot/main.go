@@ -12,6 +12,7 @@ import (
 
 	diy "repro"
 	"repro/internal/apps/iot"
+	"repro/internal/crypto/envelope"
 )
 
 func main() {
@@ -62,8 +63,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	key, err := envelope.NewKey(dataKey)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var cmd iot.Command
-	if err := iot.OpenQueueJSON(dataKey, msgs[0].Body, "command", &cmd); err != nil {
+	if err := iot.OpenQueueJSON(key, msgs[0].Body, "command", &cmd); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("thermostat received sealed command: %s %s\n", cmd.Action, cmd.Arg)
@@ -76,7 +81,7 @@ func main() {
 		log.Fatalf("alert poll: %v (%d messages)", err, len(alerts))
 	}
 	var alert iot.Alert
-	if err := iot.OpenQueueJSON(dataKey, alerts[0].Body, "alert", &alert); err != nil {
+	if err := iot.OpenQueueJSON(key, alerts[0].Body, "alert", &alert); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("ALERT on casey's phone: %s %s=%.0f (limit %.0f)\n",

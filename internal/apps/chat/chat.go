@@ -18,7 +18,6 @@
 package chat
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,7 +27,6 @@ import (
 
 	"repro/internal/cloudsim/dynamo"
 	"repro/internal/cloudsim/lambda"
-	"repro/internal/cloudsim/s3"
 	"repro/internal/core"
 	"repro/internal/crypto/envelope"
 	"repro/internal/proto/xmpp"
@@ -149,16 +147,6 @@ type handler struct {
 	app App
 }
 
-func (h *handler) key() ([]byte, error) {
-	wrapped, err := hex.DecodeString(h.env.Config(core.ConfigWrappedKey))
-	if err != nil {
-		return nil, fmt.Errorf("chat: bad wrapped key config: %w", err)
-	}
-	return h.env.DataKey(wrapped)
-}
-
-func (h *handler) bucket() string { return h.env.Config(core.ConfigBucket) }
-
 // memberOf reports whether name is in the group.
 func (h *handler) memberOf(name string) bool {
 	for _, m := range h.app.Members {
@@ -198,33 +186,43 @@ func (h *handler) stanza(body []byte) (lambda.Response, error) {
 	}
 }
 
-// getBlob reads one sealed state blob from the configured backend,
-// returning the item version for conditional writes (0 = absent or
-// versionless backend).
-func (h *handler) getBlob(storeKey string) ([]byte, int64, error) {
-	if h.app.Backend == "dynamo" {
-		it, err := h.env.Dynamo().Get(h.env.Ctx(), h.env.Config(core.ConfigTable), storeKey)
-		if err != nil {
-			return nil, 0, err
-		}
-		return it.Value, it.Version, nil
+// getBlob reads and opens one sealed state blob from the configured
+// backend, with aad = storeKey, returning the item version for
+// conditional writes (0 = absent or versionless backend). The object
+// backend is the vault's; on the table backend only a missing item is
+// not found, as in the vault.
+func (h *handler) getBlob(v *core.Vault, storeKey string) (pt []byte, found bool, version int64, err error) {
+	if h.app.Backend != "dynamo" {
+		pt, found, err = v.Load(storeKey)
+		return pt, found, 0, err
 	}
-	obj, err := h.env.S3().Get(h.env.Ctx(), h.bucket(), storeKey)
+	it, err := h.env.Dynamo().Get(h.env.Ctx(), h.env.Config(core.ConfigTable), storeKey)
+	if errors.Is(err, dynamo.ErrNoSuchItem) {
+		return nil, false, 0, nil
+	}
 	if err != nil {
-		return nil, 0, err
+		return nil, false, 0, fmt.Errorf("chat: reading %s: %w", storeKey, err)
 	}
-	return obj.Data, 0, nil
+	if pt, err = v.Key().Open(it.Value, []byte(storeKey)); err != nil {
+		return nil, false, 0, fmt.Errorf("chat: opening %s: %w", storeKey, err)
+	}
+	return pt, true, it.Version, nil
 }
 
-// putBlob writes one sealed state blob. On the table backend the write
-// is conditional on the version read earlier, giving optimistic
+// putBlob seals buf (an envelope.NewBuffer holding the plaintext) in
+// place with aad = storeKey and writes it. On the table backend the
+// write is conditional on the version read earlier, giving optimistic
 // concurrency; 2017 S3 had no conditional PUT, so the object backend is
 // last-writer-wins — the same race the paper's real prototype had.
-func (h *handler) putBlob(storeKey string, data []byte, ifVersion int64) error {
-	if h.app.Backend == "dynamo" {
-		return h.env.Dynamo().PutIfVersion(h.env.Ctx(), h.env.Config(core.ConfigTable), storeKey, data, ifVersion)
+func (h *handler) putBlob(v *core.Vault, storeKey string, buf []byte, ifVersion int64) error {
+	if h.app.Backend != "dynamo" {
+		return v.Save(storeKey, buf)
 	}
-	return h.env.S3().Put(h.env.Ctx(), h.bucket(), storeKey, data)
+	sealed, err := v.Key().SealInPlace(buf, []byte(storeKey))
+	if err != nil {
+		return err
+	}
+	return h.env.Dynamo().PutIfVersion(h.env.Ctx(), h.env.Config(core.ConfigTable), storeKey, sealed, ifVersion)
 }
 
 // roster returns the presence roster (JSON member list) to a member.
@@ -232,11 +230,11 @@ func (h *handler) roster(member string) (lambda.Response, error) {
 	if !h.memberOf(member) {
 		return lambda.Response{Status: 403, Body: []byte("not a member")}, nil
 	}
-	key, err := h.key()
+	v, err := core.OpenVault(h.env)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
-	doc, _, err := h.loadRoom(key)
+	doc, _, err := h.loadRoom(v)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
@@ -268,45 +266,22 @@ func (h *handler) search(body []byte) (lambda.Response, error) {
 	if !h.memberOf(req.Member) {
 		return lambda.Response{Status: 403, Body: []byte("not a member")}, nil
 	}
-	key, err := h.key()
+	v, err := core.OpenVault(h.env)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
-	doc, _, err := h.loadRoom(key)
+	doc, _, err := h.loadRoom(v)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
 	needle := strings.ToLower(req.Query)
 	scanned := 0
 	var sb strings.Builder
-	emitMatches := func(entries []historyEntry) error {
-		for _, e := range entries {
-			scanned += len(e.Body)
-			if !strings.Contains(strings.ToLower(e.Body), needle) {
-				continue
-			}
-			out, err := xmpp.Encode(&xmpp.Message{
-				From: e.From + "@" + Domain, Type: "groupchat",
-				ID: messageID("seq", e.Seq), Body: e.Body,
-			})
-			if err != nil {
-				return err
-			}
-			sb.Write(out)
-			sb.WriteByte('\n')
-		}
-		return nil
-	}
-	for c := 0; c < doc.Chunks; c++ {
-		entries, err := h.loadArchivedChunk(key, c)
-		if err != nil {
-			return lambda.Response{Status: 500}, err
-		}
-		if err := emitMatches(entries); err != nil {
-			return lambda.Response{Status: 500}, err
-		}
-	}
-	if err := emitMatches(doc.Entries); err != nil {
+	err = h.writeHistory(v, doc, &sb, func(e historyEntry) bool {
+		scanned += len(e.Body)
+		return strings.Contains(strings.ToLower(e.Body), needle)
+	})
+	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
 	// Scan cost on the container CPU, ~1 GB/s.
@@ -315,21 +290,15 @@ func (h *handler) search(body []byte) (lambda.Response, error) {
 	return lambda.Response{Status: 200, Body: []byte(sb.String())}, nil
 }
 
-// loadRoom fetches and opens the room document. Only a missing object
-// means a new, empty room; any other read failure is returned, since
-// saving an empty room over an unreadable one would destroy its
-// history. The returned version feeds saveRoom's conditional write.
-func (h *handler) loadRoom(key []byte) (*roomDoc, int64, error) {
-	data, version, err := h.getBlob("room")
-	if errors.Is(err, s3.ErrNoSuchKey) || errors.Is(err, dynamo.ErrNoSuchItem) {
+// loadRoom opens the room document; a missing one is a new, empty
+// room. The returned version feeds saveRoom's conditional write.
+func (h *handler) loadRoom(v *core.Vault) (*roomDoc, int64, error) {
+	pt, found, version, err := h.getBlob(v, "room")
+	if err != nil {
+		return nil, 0, err
+	}
+	if !found {
 		return &roomDoc{Members: h.app.Members}, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("chat: reading room doc: %w", err)
-	}
-	pt, err := envelope.Open(key, data, []byte("room"))
-	if err != nil {
-		return nil, 0, fmt.Errorf("chat: opening room doc: %w", err)
 	}
 	doc, err := parseRoomDoc(pt)
 	if err != nil {
@@ -339,29 +308,25 @@ func (h *handler) loadRoom(key []byte) (*roomDoc, int64, error) {
 	return doc, version, nil
 }
 
-func (h *handler) saveRoom(key []byte, doc *roomDoc, ifVersion int64) error {
-	sealed, err := envelope.SealInPlace(key, marshalRoomDoc(doc), []byte("room"))
-	if err != nil {
-		return err
-	}
+func (h *handler) saveRoom(v *core.Vault, doc *roomDoc, ifVersion int64) error {
 	h.env.Compute(2 * time.Millisecond)
-	return h.putBlob("room", sealed, ifVersion)
+	return h.putBlob(v, "room", marshalRoomDoc(doc), ifVersion)
 }
 
 // updateRoom applies mutate under optimistic concurrency: load, apply,
 // conditional save, retry on version conflict (table backend only; the
 // object backend has a single attempt, last-writer-wins).
-func (h *handler) updateRoom(key []byte, mutate func(*roomDoc) error) error {
+func (h *handler) updateRoom(v *core.Vault, mutate func(*roomDoc) error) error {
 	const maxAttempts = 5
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		doc, version, err := h.loadRoom(key)
+		doc, version, err := h.loadRoom(v)
 		if err != nil {
 			return err
 		}
 		if err := mutate(doc); err != nil {
 			return err
 		}
-		err = h.saveRoom(key, doc, version)
+		err = h.saveRoom(v, doc, version)
 		if err == nil {
 			return nil
 		}
@@ -414,11 +379,11 @@ func (h *handler) presence(p *xmpp.Presence) (lambda.Response, error) {
 	if err != nil || !h.memberOf(from.Local) {
 		return lambda.Response{Status: 403, Body: []byte("not a member")}, nil
 	}
-	key, err := h.key()
+	v, err := core.OpenVault(h.env)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
-	err = h.updateRoom(key, func(doc *roomDoc) error {
+	err = h.updateRoom(v, func(doc *roomDoc) error {
 		present := doc.Present[:0]
 		for _, m := range doc.Present {
 			if m != from.Local {
@@ -442,14 +407,14 @@ func (h *handler) presence(p *xmpp.Presence) (lambda.Response, error) {
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
-	if err := h.fanOut(key, from.Local, relayed); err != nil {
+	if err := h.fanOut(v.Key(), from.Local, relayed); err != nil {
 		return lambda.Response{Status: 500}, err
 	}
 	return lambda.Response{Status: 200}, nil
 }
 
 // fanOut seals a stanza into every other member's inbox queue.
-func (h *handler) fanOut(key []byte, sender string, stanza []byte) error {
+func (h *handler) fanOut(key envelope.Key, sender string, stanza []byte) error {
 	for _, member := range h.app.Members {
 		if member == sender {
 			continue
@@ -458,7 +423,7 @@ func (h *handler) fanOut(key []byte, sender string, stanza []byte) error {
 		if qname == "" {
 			continue
 		}
-		sealed, err := envelope.Seal(key, stanza, []byte("inbox:"+member))
+		sealed, err := key.Seal(stanza, []byte("inbox:"+member))
 		if err != nil {
 			return err
 		}
@@ -476,7 +441,7 @@ func (h *handler) message(m *xmpp.Message) (lambda.Response, error) {
 	if err != nil || !h.memberOf(from.Local) {
 		return lambda.Response{Status: 403, Body: []byte("not a member")}, nil
 	}
-	key, err := h.key()
+	v, err := core.OpenVault(h.env)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
@@ -486,7 +451,7 @@ func (h *handler) message(m *xmpp.Message) (lambda.Response, error) {
 	// retries, so concurrent invocations never lose an update.
 	rawLen := 0
 	duplicate := false
-	err = h.updateRoom(key, func(doc *roomDoc) error {
+	err = h.updateRoom(v, func(doc *roomDoc) error {
 		duplicate = false
 		if m.ID != "" {
 			if doc.LastID == nil {
@@ -506,7 +471,7 @@ func (h *handler) message(m *xmpp.Message) (lambda.Response, error) {
 		}
 		rawLen = tailBytes
 		if tailBytes > chunkLimit {
-			if err := h.archiveChunk(key, doc); err != nil {
+			if err := h.archiveChunk(v, doc); err != nil {
 				return err
 			}
 		}
@@ -528,7 +493,7 @@ func (h *handler) message(m *xmpp.Message) (lambda.Response, error) {
 		return lambda.Response{Status: 500}, err
 	}
 	h.env.Compute(4 * time.Millisecond)
-	if err := h.fanOut(key, from.Local, relayed); err != nil {
+	if err := h.fanOut(v.Key(), from.Local, relayed); err != nil {
 		return lambda.Response{Status: 500}, err
 	}
 	h.env.RecordMemory(baseMemory + int64(rawLen+4*len(m.Body)))
@@ -540,17 +505,38 @@ func (h *handler) history(member string) (lambda.Response, error) {
 	if !h.memberOf(member) {
 		return lambda.Response{Status: 403, Body: []byte("not a member")}, nil
 	}
-	key, err := h.key()
+	v, err := core.OpenVault(h.env)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
-	doc, _, err := h.loadRoom(key)
+	doc, _, err := h.loadRoom(v)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
 	var sb strings.Builder
-	emit := func(entries []historyEntry) error {
+	if err := h.writeHistory(v, doc, &sb, nil); err != nil {
+		return lambda.Response{Status: 500}, err
+	}
+	h.env.Compute(6 * time.Millisecond)
+	return lambda.Response{Status: 200, Body: []byte(sb.String())}, nil
+}
+
+// writeHistory writes every archived entry, then every live one, that
+// keep accepts (all of them when keep is nil) to sb as groupchat
+// <message> stanzas, one per line.
+func (h *handler) writeHistory(v *core.Vault, doc *roomDoc, sb *strings.Builder, keep func(historyEntry) bool) error {
+	for c := 0; c <= doc.Chunks; c++ {
+		entries := doc.Entries
+		if c < doc.Chunks {
+			var err error
+			if entries, err = h.loadArchivedChunk(v, c); err != nil {
+				return err
+			}
+		}
 		for _, e := range entries {
+			if keep != nil && !keep(e) {
+				continue
+			}
 			out, err := xmpp.Encode(&xmpp.Message{
 				From: e.From + "@" + Domain, Type: "groupchat",
 				ID: messageID("seq", e.Seq), Body: e.Body,
@@ -561,33 +547,15 @@ func (h *handler) history(member string) (lambda.Response, error) {
 			sb.Write(out)
 			sb.WriteByte('\n')
 		}
-		return nil
 	}
-	for c := 0; c < doc.Chunks; c++ {
-		entries, err := h.loadArchivedChunk(key, c)
-		if err != nil {
-			return lambda.Response{Status: 500}, err
-		}
-		if err := emit(entries); err != nil {
-			return lambda.Response{Status: 500}, err
-		}
-	}
-	if err := emit(doc.Entries); err != nil {
-		return lambda.Response{Status: 500}, err
-	}
-	h.env.Compute(6 * time.Millisecond)
-	return lambda.Response{Status: 200, Body: []byte(sb.String())}, nil
+	return nil
 }
 
 // archiveChunk moves the live tail into an immutable archived chunk
 // object and resets the tail.
-func (h *handler) archiveChunk(key []byte, doc *roomDoc) error {
+func (h *handler) archiveChunk(v *core.Vault, doc *roomDoc) error {
 	chunkKey := fmt.Sprintf("history/%06d", doc.Chunks)
-	sealed, err := envelope.SealInPlace(key, marshalEntries(doc.Entries), []byte(chunkKey))
-	if err != nil {
-		return err
-	}
-	if err := h.putBlob(chunkKey, sealed, -1); err != nil {
+	if err := h.putBlob(v, chunkKey, marshalEntries(doc.Entries), -1); err != nil {
 		return err
 	}
 	doc.Chunks++
@@ -596,15 +564,14 @@ func (h *handler) archiveChunk(key []byte, doc *roomDoc) error {
 }
 
 // loadArchivedChunk reads archived chunk c.
-func (h *handler) loadArchivedChunk(key []byte, c int) ([]historyEntry, error) {
+func (h *handler) loadArchivedChunk(v *core.Vault, c int) ([]historyEntry, error) {
 	chunkKey := fmt.Sprintf("history/%06d", c)
-	data, _, err := h.getBlob(chunkKey)
-	if err != nil {
-		return nil, fmt.Errorf("chat: reading chunk %s: %w", chunkKey, err)
+	pt, found, _, err := h.getBlob(v, chunkKey)
+	if err == nil && !found {
+		err = errors.New("chat: missing chunk " + chunkKey)
 	}
-	pt, err := envelope.Open(key, data, []byte(chunkKey))
 	if err != nil {
-		return nil, fmt.Errorf("chat: opening chunk %s: %w", chunkKey, err)
+		return nil, err
 	}
 	entries, err := parseEntries(pt)
 	if err != nil {

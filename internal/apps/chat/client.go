@@ -26,6 +26,7 @@ type Client struct {
 	seq    int
 
 	dataKey []byte
+	key     envelope.Key
 	inbox   string
 }
 
@@ -64,11 +65,14 @@ func (c *Client) Session() (lambda.InvocationStats, error) {
 		return stats, fmt.Errorf("%w: %s", ErrDenied, resp.Body)
 	}
 	// Unwrap the deployment data key under the client's own authority.
-	key, err := c.d.Cloud.KMS.Decrypt(c.ctx(), c.d.WrappedKey)
+	raw, err := c.d.Cloud.KMS.Decrypt(c.ctx(), c.d.WrappedKey)
 	if err != nil {
 		return stats, fmt.Errorf("chat: fetching data key: %w", err)
 	}
-	c.dataKey = key
+	if c.key, err = envelope.NewKey(raw); err != nil {
+		return stats, err
+	}
+	c.dataKey = raw
 	return stats, nil
 }
 
@@ -178,7 +182,7 @@ func (c *Client) ReceiveStanzas(ctx *sim.Context, wait time.Duration) ([]any, er
 	}
 	out := make([]any, 0, len(msgs))
 	for _, qm := range msgs {
-		pt, err := envelope.Open(c.dataKey, qm.Body, []byte("inbox:"+c.member))
+		pt, err := c.key.Open(qm.Body, []byte("inbox:"+c.member))
 		if err != nil {
 			return nil, fmt.Errorf("chat: opening delivery: %w", err)
 		}
@@ -289,6 +293,7 @@ func decodeStanzaLines(body []byte) ([]*xmpp.Message, error) {
 func (c *Client) Close() {
 	envelope.Zero(c.dataKey)
 	c.dataKey = nil
+	c.key = envelope.Key{}
 }
 
 func (c *Client) sendStanza(st any) (lambda.Response, lambda.InvocationStats, error) {

@@ -15,18 +15,14 @@
 package email
 
 import (
-	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/mail"
 	"strings"
 	"time"
 
 	"repro/internal/cloudsim/lambda"
-	"repro/internal/cloudsim/s3"
 	"repro/internal/core"
-	"repro/internal/crypto/envelope"
 	"repro/internal/crypto/sealedbox"
 	"repro/internal/spam"
 )
@@ -132,30 +128,15 @@ type mailHandler struct {
 	app App
 }
 
-func (h *mailHandler) key() ([]byte, error) {
-	wrapped, err := hex.DecodeString(h.env.Config(core.ConfigWrappedKey))
+// loadBox opens the mailbox index; a missing one is a new, empty
+// mailbox.
+func loadBox(v *core.Vault) (*mailbox, error) {
+	pt, found, err := v.Load("box")
 	if err != nil {
-		return nil, fmt.Errorf("email: bad wrapped key config: %w", err)
+		return nil, err
 	}
-	return h.env.DataKey(wrapped)
-}
-
-func (h *mailHandler) bucket() string { return h.env.Config(core.ConfigBucket) }
-
-// loadBox fetches and opens the mailbox index. Only a missing object
-// means a new, empty mailbox; any other read failure is returned, since
-// saving an empty index over an unreadable one would lose every entry.
-func (h *mailHandler) loadBox(key []byte) (*mailbox, error) {
-	obj, err := h.env.S3().Get(h.env.Ctx(), h.bucket(), "box")
-	if errors.Is(err, s3.ErrNoSuchKey) {
+	if !found {
 		return &mailbox{NextID: 1}, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("email: reading mailbox: %w", err)
-	}
-	pt, err := envelope.Open(key, obj.Data, []byte("box"))
-	if err != nil {
-		return nil, fmt.Errorf("email: opening mailbox: %w", err)
 	}
 	box, err := parseMailbox(pt)
 	if err != nil {
@@ -164,16 +145,12 @@ func (h *mailHandler) loadBox(key []byte) (*mailbox, error) {
 	return box, nil
 }
 
-func (h *mailHandler) saveBox(key []byte, box *mailbox) error {
+func saveBox(v *core.Vault, box *mailbox) error {
 	buf, err := marshalMailbox(box)
 	if err != nil {
 		return err
 	}
-	sealed, err := envelope.SealInPlace(key, buf, []byte("box"))
-	if err != nil {
-		return err
-	}
-	return h.env.S3().Put(h.env.Ctx(), h.bucket(), "box", sealed)
+	return v.Save("box", buf)
 }
 
 // inbound encrypts and stores one arriving message — the paper's
@@ -210,11 +187,11 @@ func (h *mailHandler) inbound(ev lambda.Event) (lambda.Response, error) {
 		h.env.Compute(5 * time.Millisecond)
 	}
 
-	key, err := h.key()
+	v, err := core.OpenVault(h.env)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
-	box, err := h.loadBox(key)
+	box, err := loadBox(v)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
@@ -237,30 +214,29 @@ func (h *mailHandler) inbound(ev lambda.Event) (lambda.Response, error) {
 	})
 
 	msgKey := fmt.Sprintf("mail/%06d", id)
-	var sealed []byte
 	if h.app.RecipientPub != nil {
-		sealed, err = sealedbox.Seal(*h.app.RecipientPub, ev.Body, []byte(msgKey))
+		var sealed []byte
+		if sealed, err = sealedbox.Seal(*h.app.RecipientPub, ev.Body, []byte(msgKey)); err == nil {
+			err = h.env.S3().Put(h.env.Ctx(), v.Bucket(), msgKey, sealed)
+		}
 	} else {
-		sealed, err = envelope.Seal(key, ev.Body, []byte(msgKey))
+		err = v.Put(msgKey, ev.Body)
 	}
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
-	if err := h.env.S3().Put(h.env.Ctx(), h.bucket(), msgKey, sealed); err != nil {
-		return lambda.Response{Status: 500}, err
-	}
-	if err := h.saveBox(key, box); err != nil {
+	if err := saveBox(v, box); err != nil {
 		return lambda.Response{Status: 500}, err
 	}
 	return lambda.Response{Status: 200, Body: []byte(fmt.Sprintf("%d", id))}, nil
 }
 
 func (h *mailHandler) list() (lambda.Response, error) {
-	key, err := h.key()
+	v, err := core.OpenVault(h.env)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
-	box, err := h.loadBox(key)
+	box, err := loadBox(v)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
@@ -277,27 +253,29 @@ func (h *mailHandler) fetch(idStr string) (lambda.Response, error) {
 	if !ok {
 		return lambda.Response{Status: 400, Body: []byte("bad id")}, nil
 	}
-	key, err := h.key()
+	v, err := core.OpenVault(h.env)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
-	msgKey := fmt.Sprintf("mail/%06d", id)
-	obj, err := h.env.S3().Get(h.env.Ctx(), h.bucket(), msgKey)
+	// PGP mode: the function cannot open the body; the sealed box goes
+	// to the client as-is and is opened on the device.
+	pgp, read := h.app.RecipientPub != nil, v.Load
+	if pgp {
+		read = v.Get
+	}
+	body, found, err := read(fmt.Sprintf("mail/%06d", id))
 	if err != nil {
+		return lambda.Response{Status: 500}, err
+	}
+	if !found {
 		return lambda.Response{Status: 404, Body: []byte("no such message")}, nil
 	}
 	h.env.Compute(5 * time.Millisecond)
-	if h.app.RecipientPub != nil {
-		// PGP mode: the function cannot open the body; the sealed box
-		// goes to the client as-is and is opened on the device.
-		return lambda.Response{Status: 200, Body: obj.Data,
+	if pgp {
+		return lambda.Response{Status: 200, Body: body,
 			Attrs: map[string]string{"X-DIY-Sealed": "box"}}, nil
 	}
-	pt, err := envelope.Open(key, obj.Data, []byte(msgKey))
-	if err != nil {
-		return lambda.Response{Status: 500}, err
-	}
-	return lambda.Response{Status: 200, Body: pt}, nil
+	return lambda.Response{Status: 200, Body: body}, nil
 }
 
 func (h *mailHandler) delete(idStr string) (lambda.Response, error) {
@@ -305,11 +283,11 @@ func (h *mailHandler) delete(idStr string) (lambda.Response, error) {
 	if !ok {
 		return lambda.Response{Status: 400, Body: []byte("bad id")}, nil
 	}
-	key, err := h.key()
+	v, err := core.OpenVault(h.env)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
-	box, err := h.loadBox(key)
+	box, err := loadBox(v)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
@@ -320,10 +298,10 @@ func (h *mailHandler) delete(idStr string) (lambda.Response, error) {
 		}
 	}
 	box.Entries = kept
-	if err := h.env.S3().Delete(h.env.Ctx(), h.bucket(), fmt.Sprintf("mail/%06d", id)); err != nil {
+	if err := h.env.S3().Delete(h.env.Ctx(), v.Bucket(), fmt.Sprintf("mail/%06d", id)); err != nil {
 		return lambda.Response{Status: 500}, err
 	}
-	if err := h.saveBox(key, box); err != nil {
+	if err := saveBox(v, box); err != nil {
 		return lambda.Response{Status: 500}, err
 	}
 	return lambda.Response{Status: 200}, nil
@@ -365,20 +343,18 @@ func (h *mailHandler) mark(idStr string, isSpam bool) (lambda.Response, error) {
 	if !ok {
 		return lambda.Response{Status: 400, Body: []byte("bad id")}, nil
 	}
-	key, err := h.key()
+	v, err := core.OpenVault(h.env)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
-	msgKey := fmt.Sprintf("mail/%06d", id)
-	obj, err := h.env.S3().Get(h.env.Ctx(), h.bucket(), msgKey)
+	pt, found, err := v.Load(fmt.Sprintf("mail/%06d", id))
 	if err != nil {
+		return lambda.Response{Status: 500}, err
+	}
+	if !found {
 		return lambda.Response{Status: 404, Body: []byte("no such message")}, nil
 	}
-	pt, err := envelope.Open(key, obj.Data, []byte(msgKey))
-	if err != nil {
-		return lambda.Response{Status: 500}, err
-	}
-	box, err := h.loadBox(key)
+	box, err := loadBox(v)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
@@ -396,7 +372,7 @@ func (h *mailHandler) mark(idStr string, isSpam bool) (lambda.Response, error) {
 	}, isSpam)
 	entry.Spam = isSpam
 	h.env.Compute(6 * time.Millisecond)
-	if err := h.saveBox(key, box); err != nil {
+	if err := saveBox(v, box); err != nil {
 		return lambda.Response{Status: 500}, err
 	}
 	return lambda.Response{Status: 200}, nil

@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cloudsim/iam"
+	"repro/internal/cloudsim/s3"
 	"repro/internal/cloudsim/sim"
 	"repro/internal/core"
 	"repro/internal/crypto/envelope"
@@ -87,8 +90,32 @@ func TestFetchRoundTrip(t *testing.T) {
 	}
 }
 
+// denyStateReads denies s3:GetObject to the deployment's function
+// role and returns a func that restores the role.
+func denyStateReads(t *testing.T, cloud *core.Cloud, d *core.Deployment) (restore func()) {
+	t.Helper()
+	role, ok := cloud.IAM.Role(d.Role)
+	if !ok {
+		t.Fatalf("no role %q", d.Role)
+	}
+	orig := *role
+	denied := orig
+	denied.Policies = append(append([]iam.Policy(nil), orig.Policies...), iam.Policy{
+		Name:       "deny-state-reads",
+		Statements: []iam.Statement{iam.DenyStatement([]string{s3.ActionGet}, []string{"*"})},
+	})
+	if err := cloud.IAM.PutRole(&denied); err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		if err := cloud.IAM.PutRole(&orig); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestFetchErrors(t *testing.T) {
-	_, d := newMailbox(t, nil)
+	cloud, d := newMailbox(t, nil)
 	resp, _, _ := d.Invoke(d.ClientContext(), "fetch", []byte("999"))
 	if resp.Status != 404 {
 		t.Fatalf("missing id status %d", resp.Status)
@@ -96,6 +123,18 @@ func TestFetchErrors(t *testing.T) {
 	resp, _, _ = d.Invoke(d.ClientContext(), "fetch", []byte("not-a-number"))
 	if resp.Status != 400 {
 		t.Fatalf("bad id status %d", resp.Status)
+	}
+	// Only a missing message is a 404: a stored one the function may
+	// not read is a failure, not an absence.
+	deliver(t, cloud, "bob@remote.net", "hello", "the body text")
+	restore := denyStateReads(t, cloud, d)
+	resp, _, err := d.Invoke(d.ClientContext(), "fetch", []byte("1"))
+	if resp.Status != 500 || !errors.Is(err, iam.ErrDenied) {
+		t.Fatalf("denied read: status %d, err %v; want 500 and ErrDenied", resp.Status, err)
+	}
+	restore()
+	if resp, _, err := d.Invoke(d.ClientContext(), "fetch", []byte("1")); err != nil || resp.Status != 200 {
+		t.Fatalf("fetch after restore: status %d, err %v", resp.Status, err)
 	}
 }
 
@@ -354,11 +393,15 @@ func TestPGPModeOnlyClientCanRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	key, err := envelope.NewKey(dataKey)
+	if err != nil {
+		t.Fatal(err)
+	}
 	obj, err := cloud.S3.Get(admin, d.Bucket, "mail/000001")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := envelope.Open(dataKey, obj.Data, []byte("mail/000001")); err == nil {
+	if _, err := key.Open(obj.Data, []byte("mail/000001")); err == nil {
 		t.Fatal("data key opened a PGP-mode body")
 	}
 }
@@ -433,7 +476,6 @@ func TestMarkErrors(t *testing.T) {
 	}
 	// Bad and missing ids.
 	cloud3, d3 := newMailbox(t, spam.NewFilter())
-	_ = cloud3
 	resp, _, _ = d3.Invoke(d3.ClientContext(), "markspam", []byte("zero"))
 	if resp.Status != 400 {
 		t.Fatalf("bad id status %d", resp.Status)
@@ -442,6 +484,14 @@ func TestMarkErrors(t *testing.T) {
 	if resp.Status != 404 {
 		t.Fatalf("missing id status %d", resp.Status)
 	}
+	// A stored message the function may not read is a 500.
+	deliver(t, cloud3, "bob@remote.net", "hello", "the body text")
+	restore := denyStateReads(t, cloud3, d3)
+	resp, _, err = d3.Invoke(d3.ClientContext(), "markspam", []byte("1"))
+	if resp.Status != 500 || !errors.Is(err, iam.ErrDenied) {
+		t.Fatalf("denied read: status %d, err %v; want 500 and ErrDenied", resp.Status, err)
+	}
+	restore()
 }
 
 func TestInboundDedupByMessageID(t *testing.T) {

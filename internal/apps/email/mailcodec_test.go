@@ -10,8 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cloudsim/iam"
-	"repro/internal/cloudsim/s3"
 	"repro/internal/cloudsim/sim"
 	"repro/internal/crypto/envelope"
 )
@@ -249,27 +247,13 @@ func TestUnreadableMailboxFailsDeliveryAndKeepsIndex(t *testing.T) {
 		deliver(t, cloud, "bob@remote.net", s, "body of "+s)
 	}
 
-	role, ok := cloud.IAM.Role(d.Role)
-	if !ok {
-		t.Fatalf("no role %q", d.Role)
-	}
-	orig := *role
-	denied := orig
-	denied.Policies = append(append([]iam.Policy(nil), orig.Policies...), iam.Policy{
-		Name:       "deny-state-reads",
-		Statements: []iam.Statement{iam.DenyStatement([]string{s3.ActionGet}, []string{"*"})},
-	})
-	if err := cloud.IAM.PutRole(&denied); err != nil {
-		t.Fatal(err)
-	}
+	restore := denyStateReads(t, cloud, d)
 	raw := "From: carol@remote.net\r\nSubject: lost?\r\n\r\nhello\r\n"
 	ctx := &sim.Context{App: "email", Cursor: sim.NewCursor(cloud.Clock.Now())}
 	if err := cloud.SES.Deliver(ctx, "carol@remote.net", "alice@"+MailDomain, []byte(raw)); err == nil {
 		t.Fatal("delivery succeeded although the mailbox index could not be read")
 	}
-	if err := cloud.IAM.PutRole(&orig); err != nil {
-		t.Fatal(err)
-	}
+	restore()
 
 	var got []string
 	for _, e := range listEntries(t, d) {

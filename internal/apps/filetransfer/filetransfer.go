@@ -15,16 +15,12 @@
 package filetransfer
 
 import (
-	"encoding/hex"
-	"errors"
 	"fmt"
 	"strings"
 	"time"
 
 	"repro/internal/cloudsim/lambda"
-	"repro/internal/cloudsim/s3"
 	"repro/internal/core"
-	"repro/internal/crypto/envelope"
 	"repro/internal/crypto/sealedbox"
 )
 
@@ -132,31 +128,14 @@ type xferHandler struct {
 	ttl time.Duration
 }
 
-func (h *xferHandler) key() ([]byte, error) {
-	wrapped, err := hex.DecodeString(h.env.Config(core.ConfigWrappedKey))
+// loadManifest opens the transfer manifest; a missing one is empty.
+func loadManifest(v *core.Vault) (*manifest, error) {
+	pt, found, err := v.Load("manifest")
 	if err != nil {
-		return nil, fmt.Errorf("filetransfer: bad wrapped key config: %w", err)
+		return nil, err
 	}
-	return h.env.DataKey(wrapped)
-}
-
-func (h *xferHandler) bucket() string { return h.env.Config(core.ConfigBucket) }
-
-// loadManifest fetches and opens the transfer manifest. Only a missing
-// object means an empty manifest; any other read failure is returned,
-// since saving an empty manifest over an unreadable one would drop
-// every pending transfer.
-func (h *xferHandler) loadManifest(key []byte) (*manifest, error) {
-	obj, err := h.env.S3().Get(h.env.Ctx(), h.bucket(), "manifest")
-	if errors.Is(err, s3.ErrNoSuchKey) {
+	if !found {
 		return &manifest{}, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("filetransfer: reading manifest: %w", err)
-	}
-	pt, err := envelope.Open(key, obj.Data, []byte("manifest"))
-	if err != nil {
-		return nil, fmt.Errorf("filetransfer: opening manifest: %w", err)
 	}
 	m, err := parseManifest(pt)
 	if err != nil {
@@ -165,16 +144,12 @@ func (h *xferHandler) loadManifest(key []byte) (*manifest, error) {
 	return m, nil
 }
 
-func (h *xferHandler) saveManifest(key []byte, m *manifest) error {
+func saveManifest(v *core.Vault, m *manifest) error {
 	buf, err := marshalManifest(m)
 	if err != nil {
 		return err
 	}
-	sealed, err := envelope.SealInPlace(key, buf, []byte("manifest"))
-	if err != nil {
-		return err
-	}
-	return h.env.S3().Put(h.env.Ctx(), h.bucket(), "manifest", sealed)
+	return v.Save("manifest", buf)
 }
 
 func (h *xferHandler) upload(body []byte) (lambda.Response, error) {
@@ -189,25 +164,24 @@ func (h *xferHandler) upload(body []byte) (lambda.Response, error) {
 	h.env.RecordMemory(baseMemory + int64(2*len(req.Data)))
 	h.env.Compute(time.Duration(len(req.Data)/2048) * time.Microsecond) // ~0.5 GB/s AES
 
-	key, err := h.key()
+	v, err := core.OpenVault(h.env)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
 	objKey := ObjectKey(req.Name)
-	var sealed []byte
 	if len(req.RecipientPub) > 0 {
 		pub, perr := sealedbox.ParsePublicKey(req.RecipientPub)
 		if perr != nil {
 			return lambda.Response{Status: 400, Body: []byte("bad recipient key")}, nil
 		}
-		sealed, err = sealedbox.Seal(pub, req.Data, []byte(objKey))
+		var sealed []byte
+		if sealed, err = sealedbox.Seal(pub, req.Data, []byte(objKey)); err == nil {
+			err = h.env.S3().Put(h.env.Ctx(), v.Bucket(), objKey, sealed)
+		}
 	} else {
-		sealed, err = envelope.Seal(key, req.Data, []byte(objKey))
+		err = v.Put(objKey, req.Data)
 	}
 	if err != nil {
-		return lambda.Response{Status: 500}, err
-	}
-	if err := h.env.S3().Put(h.env.Ctx(), h.bucket(), objKey, sealed); err != nil {
 		return lambda.Response{Status: 500}, err
 	}
 
@@ -215,12 +189,12 @@ func (h *xferHandler) upload(body []byte) (lambda.Response, error) {
 		Name: req.Name, From: h.env.Config(core.ConfigUser), To: req.To,
 		Size: len(req.Data), Uploaded: h.env.Ctx().Cursor.Now(),
 	}
-	m, err := h.loadManifest(key)
+	m, err := loadManifest(v)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
 	m.Offers = append(m.Offers, offer)
-	if err := h.saveManifest(key, m); err != nil {
+	if err := saveManifest(v, m); err != nil {
 		return lambda.Response{Status: 500}, err
 	}
 
@@ -230,7 +204,7 @@ func (h *xferHandler) upload(body []byte) (lambda.Response, error) {
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
-	sealedNotice, err := envelope.Seal(key, notice, []byte("offer"))
+	sealedNotice, err := v.Key().Seal(notice, []byte("offer"))
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
@@ -242,11 +216,11 @@ func (h *xferHandler) upload(body []byte) (lambda.Response, error) {
 }
 
 func (h *xferHandler) list() (lambda.Response, error) {
-	key, err := h.key()
+	v, err := core.OpenVault(h.env)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
-	m, err := h.loadManifest(key)
+	m, err := loadManifest(v)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
@@ -261,18 +235,16 @@ func (h *xferHandler) download(name string) (lambda.Response, error) {
 	if name == "" {
 		return lambda.Response{Status: 400, Body: []byte("missing name")}, nil
 	}
-	key, err := h.key()
+	v, err := core.OpenVault(h.env)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
-	objKey := ObjectKey(name)
-	obj, err := h.env.S3().Get(h.env.Ctx(), h.bucket(), objKey)
+	pt, found, err := v.Load(ObjectKey(name))
 	if err != nil {
+		return lambda.Response{Status: 500}, err
+	}
+	if !found {
 		return lambda.Response{Status: 404, Body: []byte("no such transfer")}, nil
-	}
-	pt, err := envelope.Open(key, obj.Data, []byte(objKey))
-	if err != nil {
-		return lambda.Response{Status: 500}, err
 	}
 	h.env.RecordMemory(baseMemory + int64(2*len(pt)))
 	h.env.Compute(time.Duration(len(pt)/2048) * time.Microsecond)
@@ -287,7 +259,7 @@ func (h *xferHandler) link(name string) (lambda.Response, error) {
 		return lambda.Response{Status: 400, Body: []byte("missing name")}, nil
 	}
 	h.env.Compute(2 * time.Millisecond)
-	token, err := h.env.S3().Presign(h.env.Ctx().Principal, h.bucket(), ObjectKey(name),
+	token, err := h.env.S3().Presign(h.env.Ctx().Principal, h.env.Config(core.ConfigBucket), ObjectKey(name),
 		h.env.Ctx().Cursor.Now().Add(h.ttl))
 	if err != nil {
 		return lambda.Response{Status: 404, Body: []byte("no such transfer")}, nil
@@ -297,11 +269,11 @@ func (h *xferHandler) link(name string) (lambda.Response, error) {
 
 // sweep enforces the temporary-storage TTL.
 func (h *xferHandler) sweep() (lambda.Response, error) {
-	key, err := h.key()
+	v, err := core.OpenVault(h.env)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
-	m, err := h.loadManifest(key)
+	m, err := loadManifest(v)
 	if err != nil {
 		return lambda.Response{Status: 500}, err
 	}
@@ -310,7 +282,7 @@ func (h *xferHandler) sweep() (lambda.Response, error) {
 	removed := 0
 	for _, o := range m.Offers {
 		if now.Sub(o.Uploaded) > h.ttl {
-			if err := h.env.S3().Delete(h.env.Ctx(), h.bucket(), ObjectKey(o.Name)); err != nil {
+			if err := h.env.S3().Delete(h.env.Ctx(), v.Bucket(), ObjectKey(o.Name)); err != nil {
 				return lambda.Response{Status: 500}, err
 			}
 			removed++
@@ -319,7 +291,7 @@ func (h *xferHandler) sweep() (lambda.Response, error) {
 		kept = append(kept, o)
 	}
 	m.Offers = kept
-	if err := h.saveManifest(key, m); err != nil {
+	if err := saveManifest(v, m); err != nil {
 		return lambda.Response{Status: 500}, err
 	}
 	return lambda.Response{Status: 200, Body: []byte(fmt.Sprintf("%d", removed))}, nil

@@ -3,6 +3,7 @@ package filetransfer
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 
@@ -25,6 +26,21 @@ func newXfer(t *testing.T) (*core.Cloud, *core.Deployment) {
 		t.Fatal(err)
 	}
 	return cloud, d
+}
+
+// clientKey is the data key as the user's devices hold it: unwrapped
+// under the client principal.
+func clientKey(t *testing.T, d *core.Deployment) envelope.Key {
+	t.Helper()
+	raw, err := d.Cloud.KMS.Decrypt(d.ClientContext(), d.WrappedKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := envelope.NewKey(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
 }
 
 func upload(t *testing.T, d *core.Deployment, name, to string, data []byte) {
@@ -54,6 +70,51 @@ func TestUploadDownloadRoundTrip(t *testing.T) {
 	}
 }
 
+// denyStateReads denies s3:GetObject to the deployment's function
+// role and returns a func that restores the role.
+func denyStateReads(t *testing.T, cloud *core.Cloud, d *core.Deployment) (restore func()) {
+	t.Helper()
+	role, ok := cloud.IAM.Role(d.Role)
+	if !ok {
+		t.Fatalf("no role %q", d.Role)
+	}
+	orig := *role
+	denied := orig
+	denied.Policies = append(append([]iam.Policy(nil), orig.Policies...), iam.Policy{
+		Name:       "deny-state-reads",
+		Statements: []iam.Statement{iam.DenyStatement([]string{s3.ActionGet}, []string{"*"})},
+	})
+	if err := cloud.IAM.PutRole(&denied); err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		if err := cloud.IAM.PutRole(&orig); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// Only an absent transfer is a 404: one the function may not read is a
+// failure, not an absence.
+func TestDownloadErrors(t *testing.T) {
+	cloud, d := newXfer(t)
+	resp, _, err := d.Invoke(d.ClientContext(), "download", []byte("absent.bin"))
+	if err != nil || resp.Status != 404 {
+		t.Fatalf("absent transfer: status %d, err %v; want 404", resp.Status, err)
+	}
+	upload(t, d, "there.bin", "bob", []byte("payload"))
+	restore := denyStateReads(t, cloud, d)
+	resp, _, err = d.Invoke(d.ClientContext(), "download", []byte("there.bin"))
+	if resp.Status != 500 || !errors.Is(err, iam.ErrDenied) {
+		t.Fatalf("denied read: status %d, err %v; want 500 and ErrDenied", resp.Status, err)
+	}
+	restore()
+	resp, _, err = d.Invoke(d.ClientContext(), "download", []byte("there.bin"))
+	if err != nil || resp.Status != 200 || string(resp.Body) != "payload" {
+		t.Fatalf("download after restore: status %d, err %v, body %q", resp.Status, err, resp.Body)
+	}
+}
+
 func TestOfferNotification(t *testing.T) {
 	cloud, d := newXfer(t)
 	upload(t, d, "doc.pdf", "bob", []byte("contents"))
@@ -71,11 +132,7 @@ func TestOfferNotification(t *testing.T) {
 	if !envelope.IsSealed(msgs[0].Body) {
 		t.Fatal("offer notice is plaintext")
 	}
-	key, err := cloud.KMS.Decrypt(d.ClientContext(), d.WrappedKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := envelope.Open(key, msgs[0].Body, []byte("offer"))
+	pt, err := clientKey(t, d).Open(msgs[0].Body, []byte("offer"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +160,7 @@ func TestDirectSealedFetch(t *testing.T) {
 	if !envelope.IsSealed(obj.Data) || bytes.Contains(obj.Data, payload) {
 		t.Fatal("stored file not sealed")
 	}
-	key, err := cloud.KMS.Decrypt(d.ClientContext(), d.WrappedKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := envelope.Open(key, obj.Data, []byte(ObjectKey("direct.bin")))
+	pt, err := clientKey(t, d).Open(obj.Data, []byte(ObjectKey("direct.bin")))
 	if err != nil || !bytes.Equal(pt, payload) {
 		t.Fatalf("direct fetch failed: %v", err)
 	}
@@ -246,11 +299,7 @@ func TestExternalRecipientFlow(t *testing.T) {
 	}
 
 	// The deployment data key cannot open a recipient-sealed transfer.
-	dataKey, err := cloud.KMS.Decrypt(d.ClientContext(), d.WrappedKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := envelope.Open(dataKey, obj.Data, []byte(ObjectKey("secret.pdf"))); err == nil {
+	if _, err := clientKey(t, d).Open(obj.Data, []byte(ObjectKey("secret.pdf"))); err == nil {
 		t.Fatal("data key opened a recipient-sealed transfer")
 	}
 
@@ -295,23 +344,12 @@ func TestUploadBadRecipientKey(t *testing.T) {
 func TestUnreadableManifestFailsAndKeepsTransfers(t *testing.T) {
 	cloud, d := newXfer(t)
 	upload(t, d, "a.txt", "bob", []byte("a"))
-	role, _ := cloud.IAM.Role(d.Role)
-	orig := *role
-	denied := orig
-	denied.Policies = append(append([]iam.Policy(nil), orig.Policies...), iam.Policy{
-		Name:       "deny-state-reads",
-		Statements: []iam.Statement{iam.DenyStatement([]string{s3.ActionGet}, []string{"*"})},
-	})
-	if err := cloud.IAM.PutRole(&denied); err != nil {
-		t.Fatal(err)
-	}
+	restore := denyStateReads(t, cloud, d)
 	req, _ := json.Marshal(UploadRequest{Name: "b.txt", To: "carol", Data: []byte("bb")})
 	if resp, _, err := d.Invoke(d.ClientContext(), "upload", req); err == nil && resp.Status == 200 {
 		t.Fatal("upload succeeded although the manifest could not be read")
 	}
-	if err := cloud.IAM.PutRole(&orig); err != nil {
-		t.Fatal(err)
-	}
+	restore()
 	resp, _, err := d.Invoke(d.ClientContext(), "list", nil)
 	if err != nil || resp.Status != 200 {
 		t.Fatalf("list: %v status %d", err, resp.Status)

@@ -49,9 +49,13 @@ func do(t *testing.T, d *core.Deployment, op string, v any) (int, []byte) {
 	return resp.Status, resp.Body
 }
 
-func dataKey(t *testing.T, d *core.Deployment) []byte {
+func dataKey(t *testing.T, d *core.Deployment) envelope.Key {
 	t.Helper()
-	key, err := d.Cloud.KMS.Decrypt(d.ClientContext(), d.WrappedKey)
+	raw, err := d.Cloud.KMS.Decrypt(d.ClientContext(), d.WrappedKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := envelope.NewKey(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,8 +192,9 @@ func TestSealedPolicy(t *testing.T) {
 	if err := f.dynamo.Put(ctx, "alice-chat", "k", []byte("plaintext")); !errors.Is(err, ErrPlaintextRejected) {
 		t.Fatalf("got %v, want ErrPlaintextRejected", err)
 	}
-	key, _ := envelope.NewDataKey()
-	sealed, _ := envelope.Seal(key, []byte("x"), nil)
+	raw, _ := envelope.NewDataKey()
+	key, _ := envelope.NewKey(raw)
+	sealed, _ := key.Seal([]byte("x"), nil)
 	if err := f.dynamo.Put(ctx, "alice-chat", "k", sealed); err != nil {
 		t.Fatal(err)
 	}

@@ -63,6 +63,7 @@ type AuditEntry struct {
 type masterKey struct {
 	id              string
 	material        []byte // never leaves the service
+	key             envelope.Key
 	customerManaged bool
 }
 
@@ -109,12 +110,16 @@ func (s *Service) CreateKey(id string, customerManaged bool) error {
 	if err != nil {
 		return fmt.Errorf("kms: creating master key: %w", err)
 	}
+	key, err := envelope.NewKey(material)
+	if err != nil {
+		return fmt.Errorf("kms: creating master key: %w", err)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, exists := s.keys[id]; exists {
 		return fmt.Errorf("kms: key %q already exists", id)
 	}
-	s.keys[id] = &masterKey{id: id, material: material, customerManaged: customerManaged}
+	s.keys[id] = &masterKey{id: id, material: material, key: key, customerManaged: customerManaged}
 	if customerManaged {
 		s.meter.Add(pricing.Usage{Kind: pricing.KMSCustomerKeys, Quantity: 1})
 	}
@@ -188,7 +193,7 @@ func (s *Service) Decrypt(ctx *sim.Context, wrapped []byte) ([]byte, error) {
 		if lerr != nil {
 			return lerr
 		}
-		d, oerr := envelope.Open(mk.material, sealed, []byte("kms:"+keyID))
+		d, oerr := mk.key.Open(sealed, []byte("kms:"+keyID))
 		if oerr != nil {
 			return fmt.Errorf("kms: unwrapping data key: %w", oerr)
 		}
@@ -335,7 +340,7 @@ func (s *Service) lookup(keyID string) (*masterKey, error) {
 // wrap seals a data key under a master key and prefixes the key id so
 // Decrypt can locate the master key from the blob alone.
 func (s *Service) wrap(mk *masterKey, dataKey []byte) ([]byte, error) {
-	sealed, err := envelope.Seal(mk.material, dataKey, []byte("kms:"+mk.id))
+	sealed, err := mk.key.Seal(dataKey, []byte("kms:"+mk.id))
 	if err != nil {
 		return nil, fmt.Errorf("kms: wrapping data key: %w", err)
 	}

@@ -87,15 +87,11 @@ func (e *Env) RecordMemory(bytes int64) {
 	}
 }
 
-// TrackSecret registers key material to be zeroed when the invocation
-// finishes, enforcing the paper's "the function only contains the key
-// in its memory during execution".
-func (e *Env) TrackSecret(secret []byte) { e.secrets = append(e.secrets, secret) }
-
 // DataKey returns the plaintext data key for a wrapped blob. With
 // CacheDataKeys enabled, warm containers reuse the unwrapped key and
 // skip the KMS round trip; otherwise every invocation calls KMS and the
-// key is scrubbed at invocation end.
+// key is zeroed when the invocation finishes, enforcing the paper's
+// "the function only contains the key in its memory during execution".
 func (e *Env) DataKey(wrapped []byte) ([]byte, error) {
 	cacheKey := string(wrapped)
 	if e.fn.CacheDataKeys {
@@ -115,7 +111,7 @@ func (e *Env) DataKey(wrapped []byte) ([]byte, error) {
 		e.cont.cache[cacheKey] = dk
 		e.platform.mu.Unlock()
 	} else {
-		e.TrackSecret(dk)
+		e.secrets = append(e.secrets, dk)
 	}
 	return dk, nil
 }

@@ -324,11 +324,15 @@ func TestSealedWritesPolicy(t *testing.T) {
 		t.Fatalf("plaintext put: got %v, want ErrPlaintextRejected", err)
 	}
 	// Sealed ciphertext is accepted.
-	key, err := envelope.NewDataKey()
+	raw, err := envelope.NewDataKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed, err := envelope.Seal(key, []byte("secret"), nil)
+	key, err := envelope.NewKey(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := key.Seal([]byte("secret"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/hex"
 	"errors"
 	"strings"
 	"testing"
@@ -36,39 +35,29 @@ func (notesApp) Spec() AppSpec {
 
 func (notesApp) Handler() lambda.Handler {
 	return func(env *lambda.Env, ev lambda.Event) (lambda.Response, error) {
-		wrapped, err := hex.DecodeString(env.Config(ConfigWrappedKey))
+		v, err := OpenVault(env)
 		if err != nil {
 			return lambda.Response{Status: 500}, err
 		}
-		key, err := env.DataKey(wrapped)
-		if err != nil {
-			return lambda.Response{Status: 500}, err
-		}
-		bucket := env.Config(ConfigBucket)
 		env.Compute(5 * time.Millisecond)
 		switch ev.Op {
 		case "put":
-			sealed, err := envelope.Seal(key, ev.Body, []byte("note"))
-			if err != nil {
-				return lambda.Response{Status: 500}, err
-			}
-			if err := env.S3().Put(env.Ctx(), bucket, "note", sealed); err != nil {
+			if err := v.Put("note", ev.Body); err != nil {
 				return lambda.Response{Status: 500}, err
 			}
 			return lambda.Response{Status: 200}, nil
 		case "get":
-			obj, err := env.S3().Get(env.Ctx(), bucket, "note")
-			if err != nil {
-				return lambda.Response{Status: 404}, err
-			}
-			pt, err := envelope.Open(key, obj.Data, []byte("note"))
+			pt, found, err := v.Load("note")
 			if err != nil {
 				return lambda.Response{Status: 500}, err
+			}
+			if !found {
+				return lambda.Response{Status: 404}, nil
 			}
 			return lambda.Response{Status: 200, Body: pt}, nil
 		case "leak":
 			// A buggy/malicious op that tries to store plaintext.
-			err := env.S3().Put(env.Ctx(), bucket, "leaked", ev.Body)
+			err := env.S3().Put(env.Ctx(), v.Bucket(), "leaked", ev.Body)
 			if err != nil {
 				return lambda.Response{Status: 403}, err
 			}

@@ -49,21 +49,39 @@ func NewDataKey() ([]byte, error) {
 	return k, nil
 }
 
-// Seal encrypts plaintext under key with AES-256-GCM, binding the
-// optional associated data aad (e.g. the object's storage path, so a
-// ciphertext cannot be swapped between locations undetected). The
-// returned blob is magic || nonce || ciphertext.
-func Seal(key, plaintext, aad []byte) ([]byte, error) {
-	aead, err := newAEAD(key)
-	if err != nil {
-		return nil, err
+// Key is a data key ready for use: NewKey expands the raw key into its
+// AES-GCM schedule once, and every Seal, SealInPlace and Open under the
+// key reuses it. Whoever holds a data key builds one Key and keeps it
+// for as long as it holds the raw key. Key holds no reference to the
+// raw key, so zeroing the raw key does not disturb it; the expanded
+// schedule itself cannot be zeroed and is dropped with the Key. The
+// zero Key is not usable.
+type Key struct{ aead cipher.AEAD }
+
+// NewKey expands a KeySize-byte data key.
+func NewKey(raw []byte) (Key, error) {
+	if len(raw) != KeySize {
+		return Key{}, ErrBadKeySize
 	}
+	block, err := aes.NewCipher(raw)
+	if err != nil {
+		return Key{}, fmt.Errorf("envelope: %w", err)
+	}
+	aead, err := cipher.NewGCM(block)
+	return Key{aead: aead}, err
+}
+
+// Seal encrypts plaintext with AES-256-GCM, binding the optional
+// associated data aad (e.g. the object's storage path, so a ciphertext
+// cannot be swapped between locations undetected). The returned blob
+// is magic || nonce || ciphertext, and the only allocation.
+func (k Key) Seal(plaintext, aad []byte) ([]byte, error) {
 	out := make([]byte, Header, Header+len(plaintext)+Overhead)
 	nonce, err := writeHeader(out)
 	if err != nil {
 		return nil, err
 	}
-	return aead.Seal(out, nonce, plaintext, aad), nil
+	return k.aead.Seal(out, nonce, plaintext, aad), nil
 }
 
 // NewBuffer returns a buffer for SealInPlace: Header reserved bytes
@@ -71,25 +89,21 @@ func Seal(key, plaintext, aad []byte) ([]byte, error) {
 // Encoders append the plaintext to it.
 func NewBuffer(n int) []byte { return make([]byte, Header, Header+n+Overhead) }
 
-// SealInPlace seals buf[Header:] under key, binding aad, and returns
-// the same blob Seal would. The first Header bytes of buf (which must
-// be at least that long; NewBuffer makes such a buffer) are reserved
-// and overwritten with the magic and nonce, and the ciphertext
-// overwrites the plaintext, so with Overhead bytes of spare capacity
-// behind buf the blob is buf itself and nothing but the AEAD is
-// allocated; with less, the blob is one new buffer. Either way buf's
-// plaintext is gone when SealInPlace returns.
-func SealInPlace(key, buf, aad []byte) ([]byte, error) {
-	aead, err := newAEAD(key)
-	if err != nil {
-		return nil, err
-	}
+// SealInPlace seals buf[Header:], binding aad, and returns the same
+// blob Seal would. The first Header bytes of buf (which must be at
+// least that long; NewBuffer makes such a buffer) are reserved and
+// overwritten with the magic and nonce, and the ciphertext overwrites
+// the plaintext, so with Overhead bytes of spare capacity behind buf
+// the blob is buf itself and nothing is allocated; with less, the blob
+// is one new buffer. Either way buf's plaintext is gone when
+// SealInPlace returns.
+func (k Key) SealInPlace(buf, aad []byte) ([]byte, error) {
 	nonce, err := writeHeader(buf)
 	if err != nil {
 		return nil, err
 	}
 	// GCM permits the ciphertext to overwrite the plaintext exactly.
-	return aead.Seal(buf[:Header], nonce, buf[Header:], aad), nil
+	return k.aead.Seal(buf[:Header], nonce, buf[Header:], aad), nil
 }
 
 // writeHeader writes the magic and a fresh random nonce into
@@ -103,20 +117,17 @@ func writeHeader(blob []byte) ([]byte, error) {
 	return nonce, nil
 }
 
-// Open decrypts a blob produced by Seal with the same key and aad.
-func Open(key, blob, aad []byte) ([]byte, error) {
+// Open decrypts a blob produced by Seal or SealInPlace under the same
+// key and aad. The plaintext is the only allocation.
+func (k Key) Open(blob, aad []byte) ([]byte, error) {
 	if !IsSealed(blob) {
 		return nil, ErrNotSealed
-	}
-	aead, err := newAEAD(key)
-	if err != nil {
-		return nil, err
 	}
 	if len(blob) < Header+Overhead {
 		return nil, ErrCorrupt
 	}
 	nonce, ct := blob[len(magic):Header], blob[Header:]
-	pt, err := aead.Open(nil, nonce, ct, aad)
+	pt, err := k.aead.Open(nil, nonce, ct, aad)
 	if err != nil {
 		return nil, ErrCorrupt
 	}
@@ -136,17 +147,6 @@ func IsSealed(blob []byte) bool {
 		}
 	}
 	return true
-}
-
-func newAEAD(key []byte) (cipher.AEAD, error) {
-	if len(key) != KeySize {
-		return nil, ErrBadKeySize
-	}
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("envelope: %w", err)
-	}
-	return cipher.NewGCM(block)
 }
 
 // Zero overwrites a key (or any secret) in place. The lambda runtime

@@ -7,9 +7,13 @@ import (
 	"testing/quick"
 )
 
-func mustKey(t *testing.T) []byte {
+func mustKey(t testing.TB) Key {
 	t.Helper()
-	k, err := NewDataKey()
+	raw, err := NewDataKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := NewKey(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,11 +24,11 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	key := mustKey(t)
 	pt := []byte("alice: hello bob, this chat log is private")
 	aad := []byte("bucket/alice-chat/room1")
-	blob, err := Seal(key, pt, aad)
+	blob, err := key.Seal(pt, aad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Open(key, blob, aad)
+	got, err := key.Open(blob, aad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +43,7 @@ func TestSealedBlobIsNotPlaintext(t *testing.T) {
 	// sealed blob.
 	key := mustKey(t)
 	pt := []byte("extremely secret message body 1234567890")
-	blob, err := Seal(key, pt, nil)
+	blob, err := key.Seal(pt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +57,11 @@ func TestSealedBlobIsNotPlaintext(t *testing.T) {
 
 func TestOpenWrongKey(t *testing.T) {
 	k1, k2 := mustKey(t), mustKey(t)
-	blob, err := Seal(k1, []byte("data"), nil)
+	blob, err := k1.Seal([]byte("data"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(k2, blob, nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := k2.Open(blob, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("wrong key: got %v, want ErrCorrupt", err)
 	}
 }
@@ -66,64 +70,60 @@ func TestOpenWrongAAD(t *testing.T) {
 	// Binding the storage path as AAD means a ciphertext moved to a
 	// different path fails to open — swap attacks are detected.
 	key := mustKey(t)
-	blob, err := Seal(key, []byte("data"), []byte("path/a"))
+	blob, err := key.Seal([]byte("data"), []byte("path/a"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(key, blob, []byte("path/b")); !errors.Is(err, ErrCorrupt) {
+	if _, err := key.Open(blob, []byte("path/b")); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("wrong aad: got %v, want ErrCorrupt", err)
 	}
 }
 
 func TestOpenTamperedCiphertext(t *testing.T) {
 	key := mustKey(t)
-	blob, err := Seal(key, []byte("data that matters"), nil)
+	blob, err := key.Seal([]byte("data that matters"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	blob[len(blob)-1] ^= 0xff
-	if _, err := Open(key, blob, nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := key.Open(blob, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("tampered: got %v, want ErrCorrupt", err)
 	}
 }
 
 func TestOpenNotSealed(t *testing.T) {
 	key := mustKey(t)
-	if _, err := Open(key, []byte("plaintext junk"), nil); !errors.Is(err, ErrNotSealed) {
+	if _, err := key.Open([]byte("plaintext junk"), nil); !errors.Is(err, ErrNotSealed) {
 		t.Fatalf("got %v, want ErrNotSealed", err)
 	}
-	if _, err := Open(key, nil, nil); !errors.Is(err, ErrNotSealed) {
+	if _, err := key.Open(nil, nil); !errors.Is(err, ErrNotSealed) {
 		t.Fatalf("nil blob: got %v, want ErrNotSealed", err)
 	}
 }
 
 func TestOpenTruncated(t *testing.T) {
 	key := mustKey(t)
-	blob, err := Seal(key, []byte("data"), nil)
+	blob, err := key.Seal([]byte("data"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(key, blob[:6], nil); err == nil {
+	if _, err := key.Open(blob[:6], nil); err == nil {
 		t.Fatal("truncated blob opened")
 	}
 }
 
 func TestBadKeySize(t *testing.T) {
-	if _, err := Seal([]byte("short"), []byte("x"), nil); !errors.Is(err, ErrBadKeySize) {
-		t.Fatalf("got %v, want ErrBadKeySize", err)
-	}
-	if _, err := SealInPlace([]byte("short"), NewBuffer(0), nil); !errors.Is(err, ErrBadKeySize) {
-		t.Fatalf("in place: got %v, want ErrBadKeySize", err)
-	}
-	if _, err := Open([]byte("short"), append([]byte("DIY\x01"), make([]byte, 40)...), nil); !errors.Is(err, ErrBadKeySize) {
-		t.Fatalf("got %v, want ErrBadKeySize", err)
+	for _, raw := range [][]byte{nil, []byte("short"), make([]byte, KeySize-1), make([]byte, KeySize+1), make([]byte, 16)} {
+		if _, err := NewKey(raw); !errors.Is(err, ErrBadKeySize) {
+			t.Fatalf("%d-byte key: got %v, want ErrBadKeySize", len(raw), err)
+		}
 	}
 }
 
 func TestNoncesUnique(t *testing.T) {
 	key := mustKey(t)
-	a, _ := Seal(key, []byte("x"), nil)
-	b, _ := Seal(key, []byte("x"), nil)
+	a, _ := key.Seal([]byte("x"), nil)
+	b, _ := key.Seal([]byte("x"), nil)
 	if bytes.Equal(a, b) {
 		t.Fatal("two seals of the same plaintext are identical: nonce reuse")
 	}
@@ -139,7 +139,10 @@ func TestIsSealed(t *testing.T) {
 }
 
 func TestZero(t *testing.T) {
-	k := mustKey(t)
+	k, err := NewDataKey()
+	if err != nil {
+		t.Fatal(err)
+	}
 	Zero(k)
 	for _, b := range k {
 		if b != 0 {
@@ -152,11 +155,11 @@ func TestSealOpenProperty(t *testing.T) {
 	// Property: any payload round-trips under any aad.
 	key := mustKey(t)
 	f := func(pt, aad []byte) bool {
-		blob, err := Seal(key, pt, aad)
+		blob, err := key.Seal(pt, aad)
 		if err != nil {
 			return false
 		}
-		got, err := Open(key, blob, aad)
+		got, err := key.Open(blob, aad)
 		if err != nil {
 			return false
 		}
@@ -167,23 +170,12 @@ func TestSealOpenProperty(t *testing.T) {
 	}
 }
 
-// sealInPlace seals pt through a NewBuffer, the way the sealed-document
-// encoders do.
-func sealInPlace(t testing.TB, key, pt, aad []byte) []byte {
-	t.Helper()
-	blob, err := SealInPlace(key, append(NewBuffer(len(pt)), pt...), aad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
-}
-
 func TestSealInPlaceRoundTrip(t *testing.T) {
 	key := mustKey(t)
 	aad := []byte("room")
 	for _, pt := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("0123456789abcdef"), 64<<10/16+3)} {
 		buf := append(NewBuffer(len(pt)), pt...)
-		blob, err := SealInPlace(key, buf, aad)
+		blob, err := key.SealInPlace(buf, aad)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,14 +191,14 @@ func TestSealInPlaceRoundTrip(t *testing.T) {
 		if len(pt) > 16 && bytes.Contains(blob, pt[:16]) {
 			t.Fatal("plaintext leaked into in-place blob")
 		}
-		got, err := Open(key, blob, aad)
+		got, err := key.Open(blob, aad)
 		if err != nil {
 			t.Fatalf("%d-byte plaintext: %v", len(pt), err)
 		}
 		if !bytes.Equal(got, pt) {
 			t.Fatalf("%d-byte plaintext: round trip mismatch", len(pt))
 		}
-		if _, err := Open(key, blob, []byte("elsewhere")); !errors.Is(err, ErrCorrupt) {
+		if _, err := key.Open(blob, []byte("elsewhere")); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("wrong aad: got %v, want ErrCorrupt", err)
 		}
 	}
@@ -220,48 +212,60 @@ func TestSealInPlaceNoSpareCapacity(t *testing.T) {
 	pt := bytes.Repeat([]byte(`"esc<" `), 500)
 	buf := make([]byte, Header+len(pt))
 	copy(buf[Header:], pt)
-	blob, err := SealInPlace(key, buf, nil)
+	blob, err := key.SealInPlace(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &blob[0] == &buf[0] {
 		t.Fatal("sealed past the buffer's capacity")
 	}
-	got, err := Open(key, blob, nil)
+	got, err := key.Open(blob, nil)
 	if err != nil || !bytes.Equal(got, pt) {
 		t.Fatalf("round trip through a full buffer: %v", err)
 	}
 }
 
-// SealInPlace's allocation count is exact: the AEAD it builds from the
-// key and nothing else, since the nonce is written into the buffer and
-// the ciphertext over the plaintext. A buffer with no room for the tag
-// costs exactly one more allocation, the blob.
-func TestSealInPlaceAllocs(t *testing.T) {
-	key := mustKey(t)
-	pt := bytes.Repeat([]byte("sealed document "), 4<<10)
-	buf := append(NewBuffer(len(pt)), pt...)
-	full := append([]byte(nil), buf...)
-	aead := testing.AllocsPerRun(50, func() {
-		if _, err := newAEAD(key); err != nil {
+// allocsOf is op's allocations per run, failing t if op errs.
+func allocsOf(t *testing.T, op func() error) float64 {
+	return testing.AllocsPerRun(50, func() {
+		if err := op(); err != nil {
 			t.Fatal(err)
 		}
 	})
-	for _, c := range []struct {
-		name string
-		buf  []byte
-		want float64
-	}{
-		{"with spare capacity", buf, aead},
-		{"with no spare capacity", full[:len(full):len(full)], aead + 1},
-	} {
-		got := testing.AllocsPerRun(50, func() {
-			if _, err := SealInPlace(key, c.buf, nil); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if got != c.want {
-			t.Errorf("SealInPlace of %d bytes %s: %v allocs, want exactly %v (the AEAD's %v)", len(pt), c.name, got, c.want, aead)
-		}
+}
+
+// SealInPlace's allocation count is exact. NewKey expanded the AES-GCM
+// schedule once, so with Overhead spare bytes behind the plaintext
+// nothing is allocated: the nonce is written into the buffer and the
+// ciphertext over the plaintext. A buffer with no room for the tag
+// costs exactly one allocation, the blob.
+func TestSealInPlaceAllocs(t *testing.T) {
+	key := mustKey(t)
+	pt := bytes.Repeat([]byte("sealed document "), 4<<10)
+	aad := []byte("room")
+	buf := append(NewBuffer(len(pt)), pt...)
+	full := append([]byte(nil), buf...)
+	if got := allocsOf(t, func() error { _, err := key.SealInPlace(buf, aad); return err }); got != 0 {
+		t.Errorf("SealInPlace of %d bytes with Overhead spare bytes: %v allocs, want exactly 0", len(pt), got)
+	}
+	if got := allocsOf(t, func() error { _, err := key.SealInPlace(full[:len(full):len(full)], aad); return err }); got != 1 {
+		t.Errorf("SealInPlace of %d bytes with no spare capacity: %v allocs, want exactly 1", len(pt), got)
+	}
+}
+
+// Seal allocates only its blob, and Open only the plaintext.
+func TestSealOpenAllocs(t *testing.T) {
+	key := mustKey(t)
+	pt := bytes.Repeat([]byte("sealed document "), 4<<10)
+	aad := []byte("room")
+	blob, err := key.Seal(pt, aad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := allocsOf(t, func() error { _, err := key.Seal(pt, aad); return err }); got != 1 {
+		t.Errorf("Seal of %d bytes: %v allocs, want exactly 1", len(pt), got)
+	}
+	if got := allocsOf(t, func() error { _, err := key.Open(blob, aad); return err }); got != 1 {
+		t.Errorf("Open of %d bytes: %v allocs, want exactly 1", len(pt), got)
 	}
 }

@@ -82,8 +82,9 @@ func TestSatisfiesSealedWritesPolicy(t *testing.T) {
 	if !envelope.IsSealed(blob) {
 		t.Fatal("sealed box fails the bucket policy")
 	}
-	key, _ := envelope.NewDataKey()
-	env, _ := envelope.Seal(key, []byte("x"), nil)
+	raw, _ := envelope.NewDataKey()
+	key, _ := envelope.NewKey(raw)
+	env, _ := key.Seal([]byte("x"), nil)
 	if IsSealedBox(env) {
 		t.Fatal("envelope blob mistaken for a sealed box")
 	}

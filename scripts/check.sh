@@ -80,7 +80,7 @@ diff cmd/diyctl/testdata/trace_fleet.golden "$LOG1"
 go run ./cmd/diyctl trace >"$LOG2"
 diff cmd/diyctl/testdata/trace.golden "$LOG2"
 
-echo ">> codec fuzz smoke (each hand-written codec against its stdlib oracle, encoding/json or encoding/xml, 10 s per fuzzer; -fuzzminimizetime 1x keeps minimization from eating the 10 s)"
+echo ">> fuzz smoke (each hand-written codec against its stdlib oracle, encoding/json or encoding/xml, then envelope.Key's Open and SealInPlace; 10 s per fuzzer; -fuzzminimizetime 1x keeps minimization from eating the 10 s)"
 go test -run '^$' -fuzz '^FuzzAppendString$' -fuzztime 10s -fuzzminimizetime 1x ./internal/canonjson
 go test -run '^$' -fuzz '^FuzzRoomDocCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/chat
 go test -run '^$' -fuzz '^FuzzMailboxCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/email
@@ -89,6 +89,8 @@ go test -run '^$' -fuzz '^FuzzUploadRequestDecode$' -fuzztime 10s -fuzzminimizet
 go test -run '^$' -fuzz '^FuzzRegistryCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/iot
 go test -run '^$' -fuzz '^FuzzReportDecode$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/iot
 go test -run '^$' -fuzz '^FuzzStanzaCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/proto/xmpp
+go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s -fuzzminimizetime 1x ./internal/crypto/envelope
+go test -run '^$' -fuzz '^FuzzSealInPlace$' -fuzztime 10s -fuzzminimizetime 1x ./internal/crypto/envelope
 
 echo ">> examples smoke (each examples/* program, the README's entry points, runs to exit 0)"
 for ex in examples/*/; do
