@@ -3,18 +3,29 @@
 // of it through the offers queue and downloads it directly from
 // storage, opening the envelope with the data key KMS releases to the
 // user's client principal.
+//
+// It then runs the zero-credential handoff (DESIGN §4, E4): a file
+// sealed to an outside recipient's public key, fetched through a
+// presigned link by a caller with no cloud account, and opened on the
+// recipient's device. The program exits non-zero unless the stored
+// object is a sealed box the deployment's own data key cannot open,
+// and the link stops working once its TTL has passed.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"time"
 
 	diy "repro"
 	"repro/internal/apps/filetransfer"
+	"repro/internal/cloudsim/s3"
+	"repro/internal/cloudsim/sim"
 	"repro/internal/crypto/envelope"
+	"repro/internal/crypto/sealedbox"
 )
 
 func main() {
@@ -82,8 +93,52 @@ func main() {
 	fmt.Printf("downloaded and opened locally: %d bytes, intact=%v\n",
 		len(pt), bytes.Equal(pt, payload))
 
-	// A day later, the sweep clears the temporary storage.
+	// E4: erin has no cloud account, only a keypair on their own
+	// device. The sender seals the file to erin's public key and hands
+	// over a presigned link; erin fetches it anonymously and opens it
+	// locally.
+	erinPub, erinPriv, err := sealedbox.GenerateKeys()
+	if err != nil {
+		log.Fatal(err)
+	}
+	secret := []byte("for erin's eyes only")
+	secretKey := filetransfer.ObjectKey("secret.pdf")
+	req, _ = json.Marshal(filetransfer.UploadRequest{
+		Name: "secret.pdf", To: "erin@elsewhere.example", Data: secret, RecipientPub: erinPub.Bytes(),
+	})
+	if resp, _, err = d.Invoke(d.ClientContext(), "upload", req); err != nil || resp.Status != 200 {
+		log.Fatalf("recipient-sealed upload: %v (status %d)", err, resp.Status)
+	}
+	if resp, _, err = d.Invoke(d.ClientContext(), "link", []byte("secret.pdf")); err != nil || resp.Status != 200 {
+		log.Fatalf("link: %v (status %d)", err, resp.Status)
+	}
+	token := string(resp.Body)
+	anon := &sim.Context{Cursor: sim.NewCursor(cloud.Clock.Now()), External: true}
+	box, err := cloud.S3.GetPresigned(anon, token)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !sealedbox.IsSealedBox(box.Data) || bytes.Contains(box.Data, secret) {
+		log.Fatal("the recipient-sealed transfer is not stored as a sealed box")
+	}
+	if _, err := key.Open(box.Data, []byte(secretKey)); err == nil {
+		log.Fatal("the deployment's data key opened a recipient-sealed transfer")
+	}
+	opened, err := sealedbox.Open(erinPriv, box.Data, []byte(secretKey))
+	if err != nil || !bytes.Equal(opened, secret) {
+		log.Fatalf("erin could not open the transfer: %v", err)
+	}
+	fmt.Printf("erin fetched %d sealed bytes with no credentials and opened them on their device (the data key cannot)\n",
+		len(box.Data))
+
+	// A day later the link is dead and the sweep clears the temporary
+	// storage.
 	cloud.Clock.Advance(25 * time.Hour)
+	late := &sim.Context{Cursor: sim.NewCursor(cloud.Clock.Now()), External: true}
+	if _, err := cloud.S3.GetPresigned(late, token); !errors.Is(err, s3.ErrTokenExpired) {
+		log.Fatalf("link after its TTL: %v, want %v", err, s3.ErrTokenExpired)
+	}
+	fmt.Println("25 h later erin's link has expired")
 	resp, _, err = d.Invoke(d.ClientContext(), "sweep", nil)
 	if err != nil {
 		log.Fatal(err)

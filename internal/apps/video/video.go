@@ -67,23 +67,12 @@ func StartCall(cloud *core.Cloud, user, instanceType string, at time.Time) (*Cal
 		participants: make(map[string][][]byte),
 		started:      at,
 	}
-	inst, err := cloud.EC2.Launch(instanceType, cloud.Region, AppName, c.relayHandler, at)
+	inst, err := cloud.EC2.Launch(instanceType, cloud.Region, AppName, at)
 	if err != nil {
 		return nil, fmt.Errorf("video: starting call: %w", err)
 	}
 	c.inst = inst
 	return c, nil
-}
-
-// relayHandler is the code the VM runs; ops route through ec2.Request
-// in frame-level mode.
-func (c *Call) relayHandler(ctx *sim.Context, op string, body []byte) ([]byte, error) {
-	switch op {
-	case "ping":
-		return []byte("pong"), nil
-	default:
-		return nil, fmt.Errorf("video: relay op %q not understood", op)
-	}
 }
 
 // Join adds a participant.

@@ -153,11 +153,3 @@ func TestStartCallUnknownType(t *testing.T) {
 		t.Fatal("unknown instance type accepted")
 	}
 }
-
-func TestRelayPing(t *testing.T) {
-	cloud, call := newCall(t)
-	out, err := cloud.EC2.Request(&sim.Context{Cursor: sim.NewCursor(clock.Epoch)}, call.inst.ID, "ping", nil)
-	if err != nil || string(out) != "pong" {
-		t.Fatalf("ping: %v %q", err, out)
-	}
-}

@@ -38,17 +38,15 @@ func init() {
 		plane.Op{Service: "dynamo", Method: "Get", Action: ActionGet},
 		plane.Op{Service: "dynamo", Method: "Put", Action: ActionPut},
 		plane.Op{Service: "dynamo", Method: "PutIfVersion", Action: ActionPut},
-		plane.Op{Service: "dynamo", Method: "Delete", Action: ActionDelete},
 		plane.Op{Service: "dynamo", Method: "Query", Action: ActionQuery},
 	)
 }
 
 // Actions checked against IAM.
 const (
-	ActionGet    = "dynamodb:GetItem"
-	ActionPut    = "dynamodb:PutItem"
-	ActionDelete = "dynamodb:DeleteItem"
-	ActionQuery  = "dynamodb:Query"
+	ActionGet   = "dynamodb:GetItem"
+	ActionPut   = "dynamodb:PutItem"
+	ActionQuery = "dynamodb:Query"
 )
 
 // ItemUnitBytes is the capacity-unit accounting granularity: one write
@@ -269,23 +267,6 @@ func (s *Service) put(ctx *sim.Context, tableName, key string, value []byte, exp
 			}(),
 			sum: owned.Sum(value),
 		}
-		return nil
-	})
-}
-
-// Delete removes an item; deleting an absent key is a no-op.
-func (s *Service) Delete(ctx *sim.Context, tableName, key string) error {
-	return s.pl.Do(ctx, call(ActionDelete, tableName, 0, 1), func(*plane.Request) error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		t, ok := s.tables[tableName]
-		if !ok {
-			return fmt.Errorf("dynamo: %q: %w", tableName, ErrNoSuchTable)
-		}
-		if it, ok := t.items[key]; ok {
-			owned.Check("dynamo table", tableName, key, it.Value, it.sum)
-		}
-		delete(t.items, key)
 		return nil
 	})
 }

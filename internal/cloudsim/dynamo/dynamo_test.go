@@ -63,7 +63,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 // Item values are immutable: Get returns the stored slice, so a write
 // into it, or into a value after Put took it, is caught at the next
-// read, overwrite or delete.
+// read or overwrite.
 func TestWriteIntoStoredValuePanics(t *testing.T) {
 	f := newFixture(t)
 	ctx := f.ctx()
@@ -84,7 +84,6 @@ func TestWriteIntoStoredValuePanics(t *testing.T) {
 	value[0] = 'X'
 	mustPanicNaming(t, "dynamo table alice-chat: k ", func() { f.dynamo.Get(ctx, "alice-chat", "k") })
 	mustPanicNaming(t, "dynamo table alice-chat: k ", func() { f.dynamo.PutIfVersion(ctx, "alice-chat", "k", []byte("v2"), 1) })
-	mustPanicNaming(t, "dynamo table alice-chat: k ", func() { f.dynamo.Delete(ctx, "alice-chat", "k") })
 }
 
 // mustPanicNaming runs read and requires it to panic with a message
@@ -143,18 +142,6 @@ func TestQueryPrefix(t *testing.T) {
 	keys, err := f.dynamo.Query(ctx, "alice-chat", "msg/")
 	if err != nil || len(keys) != 2 || keys[0] != "msg/1" {
 		t.Fatalf("query: %v %v", err, keys)
-	}
-}
-
-func TestDeleteIdempotent(t *testing.T) {
-	f := newFixture(t)
-	ctx := f.ctx()
-	f.dynamo.Put(ctx, "alice-chat", "k", []byte("x"))
-	if err := f.dynamo.Delete(ctx, "alice-chat", "k"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.dynamo.Delete(ctx, "alice-chat", "k"); err != nil {
-		t.Fatal(err)
 	}
 }
 

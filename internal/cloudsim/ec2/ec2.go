@@ -7,7 +7,10 @@
 // Unlike the serverless platform, a VM bills for every second it is
 // running whether or not requests arrive, and provides no automatic
 // failover: if its region goes down, so does the service. Those two
-// properties are the paper's entire argument.
+// properties are the paper's entire argument. The service models only
+// the bill (instance seconds and outbound transfer); it has no request
+// plane. Code hosted on a VM, such as the video relay, checks its own
+// region and pays its own client hop.
 package ec2
 
 import (
@@ -18,18 +21,8 @@ import (
 	"time"
 
 	"repro/internal/cloudsim/clock"
-	"repro/internal/cloudsim/netsim"
-	"repro/internal/cloudsim/plane"
-	"repro/internal/cloudsim/sim"
-	"repro/internal/cloudsim/trace"
 	"repro/internal/pricing"
 )
-
-func init() {
-	// A VM request authenticates at the application layer (the hosted
-	// handler), not via IAM.
-	plane.Register(plane.Op{Service: "ec2", Method: "Request", Action: ""})
-}
 
 // InstanceType describes a VM size.
 type InstanceType struct {
@@ -51,12 +44,10 @@ var Catalog = map[string]InstanceType{
 var (
 	ErrNoSuchInstance = errors.New("ec2: no such instance")
 	ErrUnknownType    = errors.New("ec2: unknown instance type")
-	ErrRegionDown     = errors.New("ec2: region is down")
-	ErrStopped        = errors.New("ec2: instance is not running")
+	// ErrRegionDown is what a VM-hosted service returns while its
+	// instance's region is down.
+	ErrRegionDown = errors.New("ec2: region is down")
 )
-
-// Handler is the request-serving code a VM hosts.
-type Handler func(ctx *sim.Context, op string, body []byte) ([]byte, error)
 
 // Instance is one launched VM.
 type Instance struct {
@@ -64,7 +55,6 @@ type Instance struct {
 	Type     InstanceType
 	Region   string
 	App      string
-	Handler  Handler
 	running  bool
 	launched time.Time
 	accrued  time.Time
@@ -73,8 +63,6 @@ type Instance struct {
 // Service is the simulated VM platform. It is safe for concurrent use.
 type Service struct {
 	meter *pricing.Meter
-	pl    *plane.Plane
-	model *netsim.Model // availability checks + conditional latency
 	clk   clock.Clock
 
 	mu        sync.Mutex
@@ -82,27 +70,21 @@ type Service struct {
 	nextID    int64
 }
 
-// New returns a VM service wired to the meter, model and clock.
-func New(meter *pricing.Meter, model *netsim.Model, clk clock.Clock) *Service {
+// New returns a VM service wired to the meter and clock.
+func New(meter *pricing.Meter, clk clock.Clock) *Service {
 	if clk == nil {
 		clk = clock.Wall{}
 	}
 	return &Service{
 		meter:     meter,
-		pl:        plane.New(nil, meter, model),
-		model:     model,
 		clk:       clk,
 		instances: make(map[string]*Instance),
 	}
 }
 
-// Plane exposes the service's request plane so wiring code can attach
-// interceptors around every request.
-func (s *Service) Plane() *plane.Plane { return s.pl }
-
 // Launch starts a VM of the given type. at is the launch instant on the
 // simulated timeline (pass the flow's cursor time, or the clock's now).
-func (s *Service) Launch(typeName, region, app string, handler Handler, at time.Time) (*Instance, error) {
+func (s *Service) Launch(typeName, region, app string, at time.Time) (*Instance, error) {
 	it, ok := Catalog[typeName]
 	if !ok {
 		return nil, fmt.Errorf("ec2: %q: %w", typeName, ErrUnknownType)
@@ -118,7 +100,6 @@ func (s *Service) Launch(typeName, region, app string, handler Handler, at time.
 		Type:     it,
 		Region:   region,
 		App:      app,
-		Handler:  handler,
 		running:  true,
 		launched: at,
 		accrued:  at,
@@ -178,51 +159,6 @@ func (s *Service) Running(id string) bool {
 	defer s.mu.Unlock()
 	inst, ok := s.instances[id]
 	return ok && inst.running
-}
-
-// Request delivers a request to an always-on VM server. There is no
-// failover: if the VM's region is down, the request fails — the
-// availability gap between the strawman and DIY.
-func (s *Service) Request(ctx *sim.Context, id, op string, body []byte) ([]byte, error) {
-	var out []byte
-	// Latency is conditional on the instance being reachable, so it
-	// stays in the handler (Call.Latency nil).
-	err := s.pl.Do(ctx, &plane.Call{
-		Service: "ec2",
-		Op:      "Request",
-		Annotations: []trace.Annotation{
-			{Key: "instance", Value: id},
-			{Key: "op", Value: op},
-		},
-	}, func(req *plane.Request) error {
-		s.mu.Lock()
-		inst, ok := s.instances[id]
-		s.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("ec2: %q: %w", id, ErrNoSuchInstance)
-		}
-		if !inst.running {
-			req.Span.Annotate("error", "stopped")
-			return fmt.Errorf("ec2: %q: %w", id, ErrStopped)
-		}
-		if s.model != nil && !s.model.RegionUp(inst.Region) {
-			req.Span.Annotate("error", "region-down")
-			return fmt.Errorf("ec2: %q in %s: %w", id, inst.Region, ErrRegionDown)
-		}
-		if s.model != nil && ctx != nil {
-			ctx.Advance(s.model.Sample(netsim.HopClientGateway))
-		}
-		if inst.Handler == nil {
-			return nil
-		}
-		var herr error
-		out, herr = inst.Handler(ctx, op, body)
-		return herr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // MeterTransferOut bills internet egress from a VM (e.g. the video

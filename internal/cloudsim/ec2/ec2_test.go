@@ -7,28 +7,25 @@ import (
 	"time"
 
 	"repro/internal/cloudsim/clock"
-	"repro/internal/cloudsim/netsim"
-	"repro/internal/cloudsim/sim"
 	"repro/internal/pricing"
 )
 
 type fixture struct {
 	meter *pricing.Meter
-	model *netsim.Model
 	clk   *clock.Virtual
 	ec2   *Service
 }
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	f := &fixture{meter: pricing.NewMeter(), model: netsim.NewDefaultModel(), clk: clock.NewVirtual()}
-	f.ec2 = New(f.meter, f.model, f.clk)
+	f := &fixture{meter: pricing.NewMeter(), clk: clock.NewVirtual()}
+	f.ec2 = New(f.meter, f.clk)
 	return f
 }
 
 func TestLaunchUnknownType(t *testing.T) {
 	f := newFixture(t)
-	if _, err := f.ec2.Launch("t9.mega", "us-west-2", "x", nil, clock.Epoch); !errors.Is(err, ErrUnknownType) {
+	if _, err := f.ec2.Launch("t9.mega", "us-west-2", "x", clock.Epoch); !errors.Is(err, ErrUnknownType) {
 		t.Fatalf("got %v, want ErrUnknownType", err)
 	}
 }
@@ -36,7 +33,7 @@ func TestLaunchUnknownType(t *testing.T) {
 func TestPerSecondBilling(t *testing.T) {
 	// The paper's §6.1: a 15-minute t2.medium call billed per second.
 	f := newFixture(t)
-	inst, err := f.ec2.Launch("t2.medium", "us-west-2", "video", nil, clock.Epoch)
+	inst, err := f.ec2.Launch("t2.medium", "us-west-2", "video", clock.Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +58,7 @@ func TestPerSecondBilling(t *testing.T) {
 func TestMonthLongNanoMatchesTable1(t *testing.T) {
 	// Table 1 compute row: a t2.nano running the whole month = $4.32.
 	f := newFixture(t)
-	inst, _ := f.ec2.Launch("t2.nano", "us-west-2", "email", nil, clock.Epoch)
+	inst, _ := f.ec2.Launch("t2.nano", "us-west-2", "email", clock.Epoch)
 	f.ec2.Accrue(inst.ID, clock.Epoch.Add(pricing.Month))
 	bill := pricing.Compute(pricing.Default2017(), f.meter)
 	if got := bill.Total().RoundCents(); got != pricing.FromDollars(4.32) {
@@ -71,7 +68,7 @@ func TestMonthLongNanoMatchesTable1(t *testing.T) {
 
 func TestAccrueIdempotentOverTime(t *testing.T) {
 	f := newFixture(t)
-	inst, _ := f.ec2.Launch("t2.nano", "us-west-2", "x", nil, clock.Epoch)
+	inst, _ := f.ec2.Launch("t2.nano", "us-west-2", "x", clock.Epoch)
 	mid := clock.Epoch.Add(time.Hour)
 	f.ec2.Accrue(inst.ID, mid)
 	f.ec2.Accrue(inst.ID, mid) // same instant: no double billing
@@ -85,47 +82,15 @@ func TestAccrueIdempotentOverTime(t *testing.T) {
 	}
 }
 
-func TestRequestServing(t *testing.T) {
-	f := newFixture(t)
-	inst, _ := f.ec2.Launch("t2.medium", "us-west-2", "video", func(ctx *sim.Context, op string, body []byte) ([]byte, error) {
-		return append([]byte(op+":"), body...), nil
-	}, clock.Epoch)
-	ctx := &sim.Context{Cursor: sim.NewCursor(clock.Epoch), External: true}
-	out, err := f.ec2.Request(ctx, inst.ID, "relay", []byte("frame"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != "relay:frame" {
-		t.Fatalf("out = %q", out)
-	}
-	if ctx.Cursor.Elapsed() == 0 {
-		t.Fatal("request consumed no simulated time")
-	}
-}
-
-func TestNoFailover(t *testing.T) {
-	// The strawman's availability gap: region down means service down.
-	f := newFixture(t)
-	inst, _ := f.ec2.Launch("t2.nano", "us-west-2", "email", nil, clock.Epoch)
-	f.model.SetOutage("us-west-2", true)
-	_, err := f.ec2.Request(&sim.Context{}, inst.ID, "ping", nil)
-	if !errors.Is(err, ErrRegionDown) {
-		t.Fatalf("got %v, want ErrRegionDown", err)
-	}
-}
-
 func TestTerminateLifecycle(t *testing.T) {
 	f := newFixture(t)
-	inst, _ := f.ec2.Launch("t2.nano", "us-west-2", "x", nil, clock.Epoch)
+	inst, _ := f.ec2.Launch("t2.nano", "us-west-2", "x", clock.Epoch)
 	if !f.ec2.Running(inst.ID) {
 		t.Fatal("instance not running after launch")
 	}
 	f.ec2.Terminate(inst.ID, clock.Epoch.Add(time.Second))
 	if f.ec2.Running(inst.ID) {
 		t.Fatal("instance running after terminate")
-	}
-	if _, err := f.ec2.Request(&sim.Context{}, inst.ID, "ping", nil); !errors.Is(err, ErrNoSuchInstance) {
-		t.Fatalf("got %v, want ErrNoSuchInstance", err)
 	}
 	if err := f.ec2.Terminate(inst.ID, clock.Epoch); !errors.Is(err, ErrNoSuchInstance) {
 		t.Fatalf("double terminate: %v", err)

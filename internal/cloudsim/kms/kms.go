@@ -33,7 +33,6 @@ func init() {
 	plane.Register(
 		plane.Op{Service: "kms", Method: "GenerateDataKey", Action: ActionGenerateDataKey},
 		plane.Op{Service: "kms", Method: "Decrypt", Action: ActionDecrypt},
-		plane.Op{Service: "kms", Method: "ReWrap", Action: ActionGenerateDataKey},
 		plane.Op{Service: "kms", Method: "ImportWrapped", Action: ActionGenerateDataKey},
 	)
 }
@@ -204,35 +203,6 @@ func (s *Service) Decrypt(ctx *sim.Context, wrapped []byte) ([]byte, error) {
 		return nil, err
 	}
 	return dk, nil
-}
-
-// ReWrap unwraps a data key and wraps it under another master key,
-// without ever exposing the data key to the caller. This is the
-// primitive behind DIY's provider-migration story: ciphertext moves
-// as-is and only the wrapped key changes custody.
-func (s *Service) ReWrap(ctx *sim.Context, wrapped []byte, newKeyID string) ([]byte, error) {
-	dk, err := s.Decrypt(ctx, wrapped)
-	if err != nil {
-		return nil, err
-	}
-	defer envelope.Zero(dk)
-	var out []byte
-	err = s.do(ctx, ActionGenerateDataKey, newKeyID, func(*plane.Request) error {
-		mk, lerr := s.lookup(newKeyID)
-		if lerr != nil {
-			return lerr
-		}
-		w, werr := s.wrap(mk, dk)
-		if werr != nil {
-			return werr
-		}
-		out = w
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // ImportWrapped wraps an externally supplied data key under a master

@@ -168,47 +168,6 @@ func TestDecryptTamperedBlob(t *testing.T) {
 	}
 }
 
-func TestReWrap(t *testing.T) {
-	f := newFixture(t)
-	if err := f.kms.CreateKey("alice-chat-v2", false); err != nil {
-		t.Fatal(err)
-	}
-	f.iam.PutRole(&iam.Role{
-		Name: "migrator",
-		Policies: []iam.Policy{{
-			Name: "migrate",
-			Statements: []iam.Statement{
-				iam.AllowStatement(
-					[]string{ActionDecrypt, ActionGenerateDataKey},
-					[]string{Resource("alice-chat"), Resource("alice-chat-v2")},
-				),
-			},
-		}},
-	})
-	ctx := &sim.Context{Principal: "migrator", Cursor: sim.NewCursor(t0)}
-
-	orig, wrapped, err := f.kms.GenerateDataKey(f.ctx(), "alice-chat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rewrapped, err := f.kms.ReWrap(ctx, wrapped, "alice-chat-v2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := f.kms.Decrypt(ctx, rewrapped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, orig) {
-		t.Fatal("rewrap changed the data key")
-	}
-	// The old grant holder cannot decrypt the rewrapped blob unless it
-	// also holds the new key (chat-fn only has alice-chat).
-	if _, err := f.kms.Decrypt(f.ctx(), rewrapped); !errors.Is(err, iam.ErrDenied) {
-		t.Fatalf("old role decrypting rewrapped blob: got %v, want ErrDenied", err)
-	}
-}
-
 func TestImportWrapped(t *testing.T) {
 	f := newFixture(t)
 	dk, err := envelope.NewDataKey()

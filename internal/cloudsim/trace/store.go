@@ -39,7 +39,6 @@ type Store struct {
 
 	// Per-trace columns, one row per stored trace in publication order.
 	rootStart []int64 // root span start, UnixNano
-	rootEnd   []int64
 	segLo     []int32 // the trace's segment block is [segLo, segHi)
 	segHi     []int32
 
@@ -132,7 +131,6 @@ func (s *Store) foldLocked(t *Trace) {
 	base := int32(len(s.segSvc))
 	s.foldSpanLocked(t.root, -1, base)
 	s.rootStart = append(s.rootStart, t.root.start.UnixNano())
-	s.rootEnd = append(s.rootEnd, t.root.end.UnixNano())
 	s.segLo = append(s.segLo, base)
 	s.segHi = append(s.segHi, int32(len(s.segSvc)))
 	s.byStart = nil
@@ -281,7 +279,6 @@ type TraceView struct {
 type SegmentView struct {
 	s   *Store
 	seg int32 // absolute segment index
-	lo  int32 // owning trace's block start, for parent/child resolution
 }
 
 // Name reports the trace's name (the root segment's op).
@@ -291,39 +288,11 @@ func (v TraceView) Name() string {
 	return v.s.ops.Name(v.s.segOp[v.s.segLo[v.row]])
 }
 
-// End reports when the trace's root span closed.
-func (v TraceView) End() time.Time {
-	v.s.mu.Lock()
-	defer v.s.mu.Unlock()
-	return time.Unix(0, v.s.rootEnd[v.row]).UTC()
-}
-
 // Duration reports the root span's duration.
 func (v TraceView) Duration() time.Duration {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
 	return v.s.durLocked(v.s.segLo[v.row])
-}
-
-// Root returns the root segment.
-func (v TraceView) Root() SegmentView {
-	v.s.mu.Lock()
-	defer v.s.mu.Unlock()
-	lo := v.s.segLo[v.row]
-	return SegmentView{s: v.s, seg: lo, lo: lo}
-}
-
-// Segments returns every segment in preorder (parent before children,
-// siblings in creation order) — the order they were folded in.
-func (v TraceView) Segments() []SegmentView {
-	v.s.mu.Lock()
-	defer v.s.mu.Unlock()
-	lo, hi := v.s.segLo[v.row], v.s.segHi[v.row]
-	out := make([]SegmentView, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		out = append(out, SegmentView{s: v.s, seg: i, lo: lo})
-	}
-	return out
 }
 
 // Find returns the first segment (preorder) matching service and, if
@@ -334,7 +303,7 @@ func (v TraceView) Find(service, op string) (SegmentView, bool) {
 	lo, hi := v.s.segLo[v.row], v.s.segHi[v.row]
 	for i := lo; i < hi; i++ {
 		if v.s.svcs.Name(v.s.segSvc[i]) == service && (op == "" || v.s.ops.Name(v.s.segOp[i]) == op) {
-			return SegmentView{s: v.s, seg: i, lo: lo}, true
+			return SegmentView{s: v.s, seg: i}, true
 		}
 	}
 	return SegmentView{}, false
@@ -458,30 +427,6 @@ func (g SegmentView) Op() string {
 	return g.s.ops.Name(g.s.segOp[g.seg])
 }
 
-// Start reports when the segment opened on the simulated timeline.
-func (g SegmentView) Start() time.Time {
-	g.s.mu.Lock()
-	defer g.s.mu.Unlock()
-	return time.Unix(0, g.s.segStart[g.seg]).UTC()
-}
-
-// End reports when the segment closed (zero if it never finished).
-func (g SegmentView) End() time.Time {
-	g.s.mu.Lock()
-	defer g.s.mu.Unlock()
-	if g.s.segEnd[g.seg] == noEnd {
-		return time.Time{}
-	}
-	return time.Unix(0, g.s.segEnd[g.seg]).UTC()
-}
-
-// Duration reports the segment's duration (zero if it never finished).
-func (g SegmentView) Duration() time.Duration {
-	g.s.mu.Lock()
-	defer g.s.mu.Unlock()
-	return g.s.durLocked(g.seg)
-}
-
 // Annotation reports the value for a key and whether it was set.
 func (g SegmentView) Annotation(key string) (string, bool) {
 	g.s.mu.Lock()
@@ -492,31 +437,6 @@ func (g SegmentView) Annotation(key string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// Usage returns a copy of the segment's own usage records.
-func (g SegmentView) Usage() []pricing.Usage {
-	g.s.mu.Lock()
-	defer g.s.mu.Unlock()
-	return append([]pricing.Usage(nil), g.s.usages[g.s.useLo[g.seg]:g.s.useHi[g.seg]]...)
-}
-
-// Cost prices this segment's own usage at list price.
-func (g SegmentView) Cost(book *pricing.PriceBook) pricing.Money {
-	g.s.mu.Lock()
-	defer g.s.mu.Unlock()
-	return g.s.segCostLocked(g.seg, book)
-}
-
-// Parent returns the segment's parent, false at the root.
-func (g SegmentView) Parent() (SegmentView, bool) {
-	g.s.mu.Lock()
-	defer g.s.mu.Unlock()
-	p := g.s.segParent[g.seg]
-	if p < 0 {
-		return SegmentView{}, false
-	}
-	return SegmentView{s: g.s, seg: g.lo + p, lo: g.lo}, true
 }
 
 // fmtDur and fmtCost delegate to the shared sortutil formatters so

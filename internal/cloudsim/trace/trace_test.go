@@ -15,8 +15,8 @@ var t0 = time.Date(2017, 6, 1, 0, 0, 0, 0, time.UTC)
 // services lists a stored trace's segment services in preorder.
 func services(v TraceView) []string {
 	var out []string
-	for _, g := range v.Segments() {
-		out = append(out, g.Service())
+	for _, g := range segments(v, nil) {
+		out = append(out, g.Service)
 	}
 	return out
 }
@@ -45,24 +45,25 @@ func TestSpanTree(t *testing.T) {
 	if d := v.Duration(); d != 170*time.Millisecond {
 		t.Errorf("trace duration = %v", d)
 	}
-	skms, ok := v.Find("kms", "")
-	if !ok || skms.Duration() != 10*time.Millisecond {
-		t.Errorf("Find(kms, *) = %v, %v", skms.Duration(), ok)
+	if skms, ok := v.Find("kms", ""); !ok || skms.Op() != "Decrypt" {
+		t.Errorf("Find(kms, *) = %q, %v", skms.Op(), ok)
 	}
-	sfn, ok := v.Find("lambda", "fn")
-	if !ok {
+	if sfn, ok := v.Find("lambda", "fn"); !ok || sfn.Service() != "lambda" {
 		t.Fatal("Find(lambda, fn) missed")
 	}
 	if _, ok := v.Find("dynamo", ""); ok {
 		t.Error("Find for absent service should miss")
 	}
-	sgw, _ := sfn.Parent()
-	sroot, _ := sgw.Parent()
-	if p, _ := skms.Parent(); p != sfn || sgw.Service() != "gateway" || sroot != v.Root() {
-		t.Error("parent links wrong")
+	segs := segments(v, nil)
+	if d := segs[3].End.Sub(segs[3].Start); d != 10*time.Millisecond {
+		t.Errorf("kms duration = %v", d)
 	}
-	if _, ok := v.Root().Parent(); ok {
-		t.Error("root has a parent")
+	// Preorder client, gateway, lambda, kms: each the child of the one
+	// before, and the root the child of none.
+	for i, g := range segs {
+		if g.Parent != i-1 {
+			t.Errorf("%s parent = %d, want %d", g.Service, g.Parent, i-1)
+		}
 	}
 }
 
@@ -72,12 +73,9 @@ func TestFinishClamp(t *testing.T) {
 	c := tr.Root().StartChild("s3", "Get", t0.Add(time.Second))
 	c.Finish(t0) // earlier than start: clamped
 	v, _ := tr.Finish(t0)
-	g, _ := v.Find("s3", "Get")
-	if !g.End().Equal(g.Start()) {
-		t.Fatalf("end = %v, want clamp to start %v", g.End(), g.Start())
-	}
-	if g.Duration() != 0 {
-		t.Fatalf("duration = %v, want 0", g.Duration())
+	g := segments(v, nil)[1]
+	if g.Op != "Get" || !g.End.Equal(g.Start) {
+		t.Fatalf("%s end = %v, want clamp to start %v", g.Op, g.End, g.Start)
 	}
 }
 
@@ -97,8 +95,11 @@ func TestAnnotations(t *testing.T) {
 	v, _ := tr.Finish(t0)
 	g, _ := v.Find("lambda", "fn")
 	want := []Annotation{{"cold_start", "false"}, {"region", "us-west-2"}}
-	if got := g.Annotations(); !slices.Equal(got, want) {
+	if got := segments(v, nil)[1].Annos; !slices.Equal(got, want) {
 		t.Fatalf("stored annotations = %v, want %v", got, want)
+	}
+	if got, ok := g.Annotation("region"); !ok || got != "us-west-2" {
+		t.Fatalf("stored region = %q, %v", got, ok)
 	}
 	if _, ok := g.Annotation("absent"); ok {
 		t.Fatal("absent annotation stored")
@@ -166,16 +167,36 @@ func TestUsageAggregationAndCost(t *testing.T) {
 	}
 	// Per-segment attribution: the lambda segment alone costs less than
 	// the trace, and the segments' own costs sum to it.
-	sfn, _ := v.Find("lambda", "fn")
-	if sfn.Cost(book) >= v.Cost(book) {
+	segs := segments(v, book)
+	if segs[1].Op != "fn" || segs[1].Cost >= v.Cost(book) {
 		t.Fatal("lambda segment alone should cost less than the whole trace")
 	}
 	var sum pricing.Money
-	for _, g := range v.Segments() {
-		sum += g.Cost(book)
+	for _, g := range segs {
+		sum += g.Cost
 	}
 	if sum != v.Cost(book) {
 		t.Fatalf("segment costs sum to %v, trace cost %v", sum, v.Cost(book))
+	}
+
+	// The same holds for a chat send's ledger: a function invocation
+	// whose KMS, S3 and per-member SQS hops each carry their own fee,
+	// the SQS fees merging into one record across three segments.
+	tr = New(st, "chat-send", t0)
+	fn = tr.Root().StartChild("gateway", "/u/chat", t0).StartChild("lambda", "u-chat", t0)
+	fn.AddUsage(pricing.Usage{Kind: pricing.LambdaRequests, Quantity: 1, Resource: "u-chat", App: "chat"})
+	fn.AddUsage(pricing.Usage{Kind: pricing.LambdaGBSeconds, Quantity: 0.0875, Resource: "u-chat", App: "chat"})
+	for _, k := range []pricing.Kind{pricing.KMSRequests, pricing.S3GetRequests, pricing.S3PutRequests,
+		pricing.SQSRequests, pricing.SQSRequests, pricing.SQSRequests} {
+		fn.StartChild("hop", string(k), t0).AddUsage(pricing.Usage{Kind: k, Quantity: 1, App: "chat"})
+	}
+	v, _ = tr.Finish(t0)
+	sum = 0
+	for _, g := range segments(v, book) {
+		sum += g.Cost
+	}
+	if sum != v.Cost(book) || len(v.Usage()) != 6 {
+		t.Fatalf("chat send: segment costs sum to %v, trace cost %v over %d records", sum, v.Cost(book), len(v.Usage()))
 	}
 }
 
@@ -289,27 +310,26 @@ func TestFoldFidelity(t *testing.T) {
 		{"s3", "s3:PutObject", 2, ms(6), time.Time{}, []Annotation{{"bytes", "222"}}, nil},
 		{"sqs", "sqs:SendMessage", 1, ms(150), ms(160), nil, []pricing.Usage{use(pricing.SQSRequests, 1)}},
 	}
-	segs := v.Segments()
+	segs := segments(v, nil)
 	if len(segs) != len(want) {
 		t.Fatalf("stored %d segments, want %d", len(segs), len(want))
 	}
 	for i, w := range want {
 		g := segs[i]
-		if g.Service() != w.service || g.Op() != w.op {
-			t.Errorf("segment %d = %s %s, want %s %s", i, g.Service(), g.Op(), w.service, w.op)
+		if g.Service != w.service || g.Op != w.op {
+			t.Errorf("segment %d = %s %s, want %s %s", i, g.Service, g.Op, w.service, w.op)
 		}
-		p, ok := g.Parent()
-		if got := slices.Index(segs, p); ok != (w.parent >= 0) || (ok && got != w.parent) {
-			t.Errorf("segment %d parent = %d (%v), want %d", i, got, ok, w.parent)
+		if g.Parent != w.parent {
+			t.Errorf("segment %d parent = %d, want %d", i, g.Parent, w.parent)
 		}
-		if !g.Start().Equal(w.start) || !g.End().Equal(w.end) {
-			t.Errorf("segment %d = [%v, %v], want [%v, %v]", i, g.Start(), g.End(), w.start, w.end)
+		if !g.Start.Equal(w.start) || !g.End.Equal(w.end) {
+			t.Errorf("segment %d = [%v, %v], want [%v, %v]", i, g.Start, g.End, w.start, w.end)
 		}
-		if got := g.Annotations(); !slices.Equal(got, w.annos) {
-			t.Errorf("segment %d annotations = %v, want %v", i, got, w.annos)
+		if !slices.Equal(g.Annos, w.annos) {
+			t.Errorf("segment %d annotations = %v, want %v", i, g.Annos, w.annos)
 		}
-		if got := g.Usage(); !slices.Equal(got, w.usage) {
-			t.Errorf("segment %d usage = %v, want %v", i, got, w.usage)
+		if !slices.Equal(g.Usage, w.usage) {
+			t.Errorf("segment %d usage = %v, want %v", i, g.Usage, w.usage)
 		}
 	}
 }

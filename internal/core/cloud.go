@@ -174,7 +174,7 @@ func NewCloud(opts CloudOptions) (*Cloud, error) {
 	c.Dynamo = dynamo.New(c.IAM, c.Meter, c.Model, c.Clock)
 	c.SQS = sqs.New(c.IAM, c.Meter, c.Model, c.Clock)
 	c.Lambda = lambda.New(c.Meter, c.Model, c.Clock)
-	c.EC2 = ec2.New(c.Meter, c.Model, c.Clock)
+	c.EC2 = ec2.New(c.Meter, c.Clock)
 	c.SES = ses.New(c.Lambda, c.Meter, c.Model)
 	c.Gateway = gateway.New(c.Lambda, c.Meter, c.Model, c.Clock)
 	c.Metrics = metrics.New()
@@ -187,7 +187,7 @@ func NewCloud(opts CloudOptions) (*Cloud, error) {
 
 	planes := []*plane.Plane{
 		c.KMS.Plane(), c.S3.Plane(), c.Dynamo.Plane(), c.SQS.Plane(),
-		c.Lambda.Plane(), c.EC2.Plane(), c.SES.Plane(), c.Gateway.Plane(),
+		c.Lambda.Plane(), c.SES.Plane(), c.Gateway.Plane(),
 	}
 	if !opts.DisableObservability {
 		obs := metrics.PlaneInterceptor(c.Metrics, c.Book, c.Clock)

@@ -68,9 +68,6 @@ func ParsePublicKey(b []byte) (PublicKey, error) {
 	return PublicKey{k: k}, nil
 }
 
-// Public returns the private key's public half.
-func (p PrivateKey) Public() PublicKey { return PublicKey{k: p.k.PublicKey()} }
-
 // Seal encrypts plaintext to the recipient. The sender is anonymous:
 // only an ephemeral key is transmitted.
 func Seal(to PublicKey, plaintext, aad []byte) ([]byte, error) {

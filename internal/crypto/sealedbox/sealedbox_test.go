@@ -106,9 +106,6 @@ func TestPublicKeyRoundTrip(t *testing.T) {
 	if _, err := ParsePublicKey([]byte("short")); err == nil {
 		t.Fatal("bad public key parsed")
 	}
-	if priv.Public().k.Equal(pub.k) == false {
-		t.Fatal("Public() mismatch")
-	}
 }
 
 func TestSealRandomized(t *testing.T) {

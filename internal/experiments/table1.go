@@ -33,7 +33,7 @@ func RunTable1() (*Table1, error) {
 	}
 	sm := Table1Strawman()
 
-	inst, err := cloud.EC2.Launch(sm.InstanceType, cloud.Region, "email-vm", nil, clock.Epoch)
+	inst, err := cloud.EC2.Launch(sm.InstanceType, cloud.Region, "email-vm", clock.Epoch)
 	if err != nil {
 		return nil, err
 	}

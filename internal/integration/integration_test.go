@@ -214,7 +214,11 @@ func (throttledNotes) Handler() lambda.Handler {
 
 // TestWallClockConcurrentChat drives the chat service with real
 // goroutines and cursorless receives: each poll resolves at once on a
-// cursor started at the cloud clock's now.
+// cursor started at the cloud clock's now. A send lands in the inbox at
+// its start plus its drawn latency, which can pass one poll's 200 ms
+// window; an empty poll therefore moves the shared clock on by the
+// window it waited, as a real long poll spends that time, so every
+// send becomes visible to a later poll.
 func TestWallClockConcurrentChat(t *testing.T) {
 	cloud := newCloud(t)
 	room, err := chat.Install(cloud, "casey", chat.App{Members: []string{"casey", "dana"}})
@@ -255,6 +259,9 @@ func TestWallClockConcurrentChat(t *testing.T) {
 				return
 			}
 			received += len(msgs)
+			if len(msgs) == 0 {
+				cloud.Clock.Advance(200 * time.Millisecond)
+			}
 		}
 	}()
 	wg.Wait()

@@ -2,8 +2,10 @@ package integration
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/apps/chat"
 	"repro/internal/cloudsim/lambda"
@@ -100,6 +102,7 @@ func TestTracePropagation(t *testing.T) {
 			}
 			cloud.Clock.Advance(tc.idle)
 
+			start := cloud.Clock.Now()
 			before := cloud.Meter.Snapshot()
 			sent, err := alice.SendTraced("hello, traced world")
 			if err != nil {
@@ -110,64 +113,96 @@ func TestTracePropagation(t *testing.T) {
 				t.Fatal("trace not recorded in the cloud's store")
 			}
 
-			assertSpanTree(t, sent.Trace, d, sent.Stats, tc.cold, tc.wantInside)
+			assertSpanTree(t, sent.Trace, cloud.Book, d, sent.Stats, tc.cold, tc.wantInside)
 			assertCostMatchesMeter(t, sent.Trace, cloud.Book, before, after)
 
 			// The send's view is the store's latest trace, and the root
-			// spans the whole send.
+			// spans the whole send: it opens when the send starts and
+			// closes when the message hit the inbox queues.
 			last, ok := cloud.Tracer.Last()
 			if !ok || last != sent.Trace {
 				t.Fatal("the send's trace is not the store's latest")
 			}
-			if last.Name() != "chat-send" || !last.End().Equal(sent.At) {
-				t.Errorf("stored trace = %q ending %v, want %q ending %v",
-					last.Name(), last.End(), "chat-send", sent.At)
+			if last.Name() != "chat-send" || last.Duration() != sent.At.Sub(start) {
+				t.Errorf("stored trace = %q lasting %v, want %q lasting %v",
+					last.Name(), last.Duration(), "chat-send", sent.At.Sub(start))
 			}
 		})
 	}
 }
 
-// children lists g's child segments in creation order.
-func children(tr trace.TraceView, g trace.SegmentView) []trace.SegmentView {
-	var out []trace.SegmentView
-	for _, c := range tr.Segments() {
-		if p, ok := c.Parent(); ok && p == g {
-			out = append(out, c)
+// renderedSpan is one line of a stored trace's Render below the
+// header: the span's depth (1 for the root's children), service and op.
+type renderedSpan struct {
+	depth       int
+	service, op string
+}
+
+// renderedTree parses Render's flame tree back into preorder spans.
+// Each level indents by one three-rune column ("│  " or "   ") before
+// the "├─ "/"└─ " branch; service and op are the first field after it.
+func renderedTree(tr trace.TraceView, book *pricing.PriceBook) []renderedSpan {
+	lines := strings.Split(strings.TrimSuffix(tr.Render(book), "\n"), "\n")
+	var out []renderedSpan
+	for _, line := range lines[1:] {
+		i := strings.Index(line, "─ ")
+		head, _, _ := strings.Cut(line[i+len("─ "):], "  ")
+		service, op, _ := strings.Cut(head, " ")
+		out = append(out, renderedSpan{depth: (utf8.RuneCountInString(line[:i])-1)/3 + 1, service: service, op: op})
+	}
+	return out
+}
+
+// children returns the direct children of spans[parent] (of the root
+// when parent is -1), in creation order, as indexes into spans.
+func children(spans []renderedSpan, parent int) []int {
+	depth := 0
+	if parent >= 0 {
+		depth = spans[parent].depth
+	}
+	var out []int
+	for i := parent + 1; i < len(spans) && spans[i].depth > depth; i++ {
+		if spans[i].depth == depth+1 {
+			out = append(out, i)
 		}
 	}
 	return out
 }
 
 // assertSpanTree checks the client → gateway → lambda → hops chain.
-func assertSpanTree(t *testing.T, tr trace.TraceView, d *core.Deployment, stats lambda.InvocationStats, wantCold bool, wantInside []spanID) {
+func assertSpanTree(t *testing.T, tr trace.TraceView, book *pricing.PriceBook, d *core.Deployment, stats lambda.InvocationStats, wantCold bool, wantInside []spanID) {
 	t.Helper()
-	root := tr.Root()
-	if root.Service() != "client" || root.Op() != "chat-send" {
-		t.Fatalf("root = %s %s", root.Service(), root.Op())
+	if _, ok := tr.Find("client", "chat-send"); !ok || tr.Name() != "chat-send" {
+		t.Fatalf("root = %q, want client chat-send", tr.Name())
 	}
-	if root.Duration() <= 0 {
+	if tr.Duration() <= 0 {
 		t.Fatal("trace has no duration")
 	}
 
-	kids := children(tr, root)
+	spans := renderedTree(tr, book)
+	kids := children(spans, -1)
 	if len(kids) != 1 {
 		t.Fatalf("root has %d children, want 1 gateway span", len(kids))
 	}
-	gw := kids[0]
-	if gw.Service() != "gateway" || gw.Op() != d.Endpoint {
-		t.Fatalf("first hop = %s %s, want gateway %s", gw.Service(), gw.Op(), d.Endpoint)
+	gw := spans[kids[0]]
+	if gw.service != "gateway" || gw.op != d.Endpoint {
+		t.Fatalf("first hop = %s %s, want gateway %s", gw.service, gw.op, d.Endpoint)
 	}
 
-	kids = children(tr, gw)
+	kids = children(spans, kids[0])
 	if len(kids) != 1 {
 		t.Fatalf("gateway has %d children, want 1 lambda span", len(kids))
 	}
-	fn := kids[0]
-	if fn.Service() != "lambda" || fn.Op() != d.FnName {
-		t.Fatalf("second hop = %s %s, want lambda %s", fn.Service(), fn.Op(), d.FnName)
+	fnAt := kids[0]
+	if s := spans[fnAt]; s.service != "lambda" || s.op != d.FnName {
+		t.Fatalf("second hop = %s %s, want lambda %s", s.service, s.op, d.FnName)
 	}
 
 	// Invocation annotations agree with the returned stats.
+	fn, ok := tr.Find("lambda", d.FnName)
+	if !ok {
+		t.Fatalf("Find(lambda, %s) missed", d.FnName)
+	}
 	if v, _ := fn.Annotation("cold_start"); v != fmt.Sprintf("%v", wantCold) {
 		t.Errorf("cold_start = %q, want %v", v, wantCold)
 	}
@@ -182,11 +217,11 @@ func assertSpanTree(t *testing.T, tr trace.TraceView, d *core.Deployment, stats 
 	}
 
 	var got []spanID
-	for _, c := range children(tr, fn) {
-		if c.Op() == "billing-quantum" {
+	for _, c := range children(spans, fnAt) {
+		if spans[c].op == "billing-quantum" {
 			continue // virtual padding span; presence depends on run time
 		}
-		got = append(got, spanID{c.Service(), c.Op()})
+		got = append(got, spanID{spans[c].service, spans[c].op})
 	}
 	if len(got) != len(wantInside) {
 		t.Fatalf("lambda children = %v, want %v", got, wantInside)
@@ -247,13 +282,5 @@ func assertCostMatchesMeter(t *testing.T, tr trace.TraceView, book *pricing.Pric
 
 	if got := tr.Cost(book); got != meterCost {
 		t.Errorf("trace cost %v != metered cost %v", got, meterCost)
-	}
-	// The per-segment ledger sums to the same total.
-	var sum pricing.Money
-	for _, g := range tr.Segments() {
-		sum += g.Cost(book)
-	}
-	if sum != tr.Cost(book) {
-		t.Errorf("segment costs sum to %v != trace cost %v", sum, tr.Cost(book))
 	}
 }

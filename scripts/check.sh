@@ -19,6 +19,14 @@ fi
 echo ">> diylint ./... (domain invariants: wallclock, globalrand, moneyfloat, spanhygiene, planeroute, metricname, loggroup, hotpath, droppederr, maporder, globalstate, shardsafe, testonly)"
 go run ./cmd/diylint ./...
 
+echo ">> testonly ratchet (.diylint-allow keeps at most 26 testonly entries; lower the cap as entries go, never raise it)"
+TESTONLY_CAP=26
+TESTONLY=$(grep -c '^testonly ' .diylint-allow || true)
+if [ "$TESTONLY" -gt "$TESTONLY_CAP" ]; then
+	echo "check: .diylint-allow has $TESTONLY testonly entries, cap is $TESTONLY_CAP" >&2
+	exit 1
+fi
+
 echo ">> ledger parity (Tables 1-3 + the reconciled Table 3 evidence bit-identical to committed goldens; observability/logging/tracing on == off)"
 go test ./internal/experiments -run 'TestLedgerParity|TestObservabilityPreservesLedger|TestLogsPreserveLedger|TestTracePreservesLedger'
 
