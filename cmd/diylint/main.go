@@ -30,9 +30,11 @@
 //
 // The justification is required — an unexplained suppression is
 // rejected — and entries that no longer match anything are reported as
-// stale so the file cannot rot. Line-scoped entries tolerate line
-// drift: if the exact line no longer matches, the entry binds to the
-// nearest finding of the same analyzer in the same file.
+// stale so the file cannot rot. A line-scoped entry whose exact line no
+// longer matches binds to the nearest finding of the same analyzer in
+// the same file, so the finding stays suppressed, but the entry is
+// reported as drifted, naming the line it now matches, and the run
+// fails until the entry's line is corrected.
 package main
 
 import (
@@ -107,9 +109,12 @@ func run(allowPath, format string, patterns []string) int {
 	}
 
 	findings := analysis.Run(prog, analysis.Analyzers())
-	kept, stale := analysis.Filter(findings, entries, root)
+	kept, stale, drifted := analysis.Filter(findings, entries, root)
 	for _, e := range stale {
 		fmt.Fprintf(os.Stderr, "diylint: stale allowlist entry: %s %s (matches nothing; remove it)\n", e.Analyzer, e.Target())
+	}
+	for _, e := range drifted {
+		fmt.Fprintf(os.Stderr, "diylint: drifted allowlist entry: %s %s now matches line %d; correct its line\n", e.Analyzer, e.Target(), e.DriftLine)
 	}
 	switch format {
 	case "json":
@@ -127,6 +132,9 @@ func run(allowPath, format string, patterns []string) int {
 	}
 	if len(kept) > 0 {
 		fmt.Fprintf(os.Stderr, "diylint: %d finding(s)\n", len(kept))
+		return 1
+	}
+	if len(drifted) > 0 {
 		return 1
 	}
 	return 0

@@ -18,6 +18,10 @@ type AllowEntry struct {
 	// Line restricts the entry to one line; 0 allows the whole file.
 	Line          int
 	Justification string
+	// DriftLine is the line of the finding a line-scoped entry bound to
+	// by drift, set by Filter; 0 when the entry matched its own line or
+	// nothing.
+	DriftLine int
 
 	used bool
 }
@@ -87,18 +91,22 @@ func parseAllow(src, name string) ([]*AllowEntry, error) {
 }
 
 // Filter drops findings matched by an allow entry and returns the
-// survivors plus any entries that matched nothing (stale suppressions
-// worth cleaning up).
+// survivors, the entries that matched nothing (stale suppressions
+// worth cleaning up), and the entries that matched only by drift (line
+// numbers to correct).
 //
 // Matching is two-phase. First, exact: same analyzer, same file, and —
 // for line-scoped entries — the same line. Then, drift: a line-scoped
 // entry whose line matched nothing binds to the nearest remaining
 // finding of the same analyzer in the same file, so an unrelated edit
-// higher in the file does not turn a justified suppression stale (or,
-// worse, let the finding through). An entry suppresses at most one
-// drifted finding; only entries that match nothing at all — the
-// finding is gone, or the analyzer/file changed — are reported stale.
-func Filter(findings []Finding, entries []*AllowEntry, root string) (kept []Finding, stale []*AllowEntry) {
+// higher in the file never lets a justified finding through. The bound
+// finding stays suppressed, but the entry is returned as drifted, with
+// DriftLine naming the line it now matches, so the allowlist is
+// corrected rather than left to point at the wrong line. An entry
+// suppresses at most one drifted finding; only entries that match
+// nothing at all — the finding is gone, or the analyzer/file changed —
+// are reported stale.
+func Filter(findings []Finding, entries []*AllowEntry, root string) (kept []Finding, stale, drifted []*AllowEntry) {
 	rels := make([]string, len(findings))
 	suppressed := make([]bool, len(findings))
 	for i, f := range findings {
@@ -129,7 +137,9 @@ func Filter(findings []Finding, entries []*AllowEntry, root string) (kept []Find
 		}
 		if best >= 0 {
 			e.used = true
+			e.DriftLine = findings[best].Pos.Line
 			suppressed[best] = true
+			drifted = append(drifted, e)
 		}
 	}
 	for i, f := range findings {
@@ -142,7 +152,7 @@ func Filter(findings []Finding, entries []*AllowEntry, root string) (kept []Find
 			stale = append(stale, e)
 		}
 	}
-	return kept, stale
+	return kept, stale, drifted
 }
 
 func absInt(n int) int {

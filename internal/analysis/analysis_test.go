@@ -202,12 +202,15 @@ func TestRepoIsClean(t *testing.T) {
 		}
 	}
 	findings := Run(prog, Analyzers())
-	kept, stale := Filter(findings, entries, root)
+	kept, stale, drifted := Filter(findings, entries, root)
 	for _, f := range kept {
 		t.Errorf("unallowed finding: %s", f.Rel(root))
 	}
 	for _, e := range stale {
 		t.Errorf("stale allowlist entry: %s %s # %s", e.Analyzer, e.File, e.Justification)
+	}
+	for _, e := range drifted {
+		t.Errorf("drifted allowlist entry: %s %s now matches line %d # %s", e.Analyzer, e.Target(), e.DriftLine, e.Justification)
 	}
 }
 
@@ -323,21 +326,25 @@ globalrand c/c.go # never matches
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept, stale := Filter(findings, entries, root)
+	kept, stale, drifted := Filter(findings, entries, root)
 	if len(kept) != 1 || kept[0].Pos.Line != 20 {
 		t.Errorf("kept = %v, want only the line-20 wallclock finding", kept)
 	}
 	if len(stale) != 1 || stale[0].Analyzer != "globalrand" {
 		t.Errorf("stale = %v, want only the globalrand entry", stale)
 	}
+	if len(drifted) != 0 {
+		t.Errorf("drifted = %v, want none: every entry matched exactly or not at all", drifted)
+	}
 }
 
-// TestFilterDrift pins the line-drift tolerance: a line-scoped entry
+// TestFilterDrift pins the line-drift handling: a line-scoped entry
 // whose exact line no longer matches binds to the nearest un-suppressed
-// finding of the same analyzer in the same file — and only then. An
-// entry for another analyzer or another file stays stale no matter how
-// close its line is, and a second entry cannot ride the finding the
-// first one already suppressed.
+// finding of the same analyzer in the same file — and only then — and
+// is reported as drifted, naming that finding's line. An entry for
+// another analyzer or another file stays stale no matter how close its
+// line is, and a second entry cannot ride the finding the first one
+// already suppressed.
 func TestFilterDrift(t *testing.T) {
 	root := string(filepath.Separator) + "mod"
 	mk := func(file string, line int, analyzer string) Finding {
@@ -356,12 +363,15 @@ func TestFilterDrift(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kept, stale := Filter(findings, entries, root)
+		kept, stale, drifted := Filter(findings, entries, root)
 		if len(stale) != 0 {
 			t.Errorf("stale = %v, want none: the entry should drift onto line 15", stale)
 		}
 		if len(kept) != 1 || kept[0].Pos.Line != 40 {
 			t.Errorf("kept = %v, want only the line-40 finding (line 15 is nearest to 12)", kept)
+		}
+		if len(drifted) != 1 || drifted[0].DriftLine != 15 {
+			t.Errorf("drifted = %v, want the entry reported as now matching line 15", drifted)
 		}
 	})
 
@@ -374,7 +384,7 @@ globalstate b/b.go:15 # same analyzer, wrong file
 		if err != nil {
 			t.Fatal(err)
 		}
-		kept, stale := Filter(findings, entries, root)
+		kept, stale, _ := Filter(findings, entries, root)
 		if len(kept) != 1 {
 			t.Errorf("kept = %v, want the finding kept: neither entry may bind to it", kept)
 		}
@@ -392,7 +402,7 @@ globalstate a/a.go:16 # nothing left to bind to
 		if err != nil {
 			t.Fatal(err)
 		}
-		kept, stale := Filter(findings, entries, root)
+		kept, stale, _ := Filter(findings, entries, root)
 		if len(kept) != 0 {
 			t.Errorf("kept = %v, want the finding suppressed by the first entry", kept)
 		}
@@ -400,6 +410,30 @@ globalstate a/a.go:16 # nothing left to bind to
 			t.Errorf("stale = %v, want only the line-16 entry", stale)
 		}
 	})
+}
+
+// TestDriftedEntryFixture runs the drift report end to end: the
+// globalstate analyzer over the globalbad fixture, filtered through
+// testdata/drift.allow, whose middle entry names a line its finding has
+// left. The drifted finding stays suppressed and nothing is stale, but
+// the entry is reported with the line it now matches.
+func TestDriftedEntryFixture(t *testing.T) {
+	prog := loadFixtures(t)
+	findings := Run(subProgram(prog, "internal/cloudsim/globalbad"), []*Analyzer{GlobalState})
+	entries, err := ParseAllowFile(filepath.Join(moduleRoot, "internal/analysis/testdata/drift.allow"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, stale, drifted := Filter(findings, entries, moduleRoot)
+	if len(kept) != 0 {
+		t.Errorf("kept = %v, want every finding suppressed, the drifted one too", kept)
+	}
+	if len(stale) != 0 {
+		t.Errorf("stale = %v, want none", stale)
+	}
+	if len(drifted) != 1 || drifted[0].Line != 17 || drifted[0].DriftLine != 15 {
+		t.Fatalf("drifted = %v, want only the line-17 entry, now matching line 15", drifted)
+	}
 }
 
 // TestAllowEntryTarget pins the rendering the stale-entry message uses.

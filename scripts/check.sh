@@ -88,10 +88,12 @@ diff cmd/diyctl/testdata/trace_fleet.golden "$LOG1"
 go run ./cmd/diyctl trace >"$LOG2"
 diff cmd/diyctl/testdata/trace.golden "$LOG2"
 
-echo ">> fuzz smoke (each hand-written codec against its stdlib oracle, encoding/json or encoding/xml, then envelope.Key's Open and SealInPlace; 10 s per fuzzer; -fuzzminimizetime 1x keeps minimization from eating the 10 s)"
+echo ">> fuzz smoke (each hand-written codec against its stdlib oracle, encoding/json or encoding/xml, the room-doc and mailbox splices against decode-append-encode, then envelope.Key's Open and SealInPlace; 10 s per fuzzer; -fuzzminimizetime 1x keeps minimization from eating the 10 s)"
 go test -run '^$' -fuzz '^FuzzAppendString$' -fuzztime 10s -fuzzminimizetime 1x ./internal/canonjson
 go test -run '^$' -fuzz '^FuzzRoomDocCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/chat
+go test -run '^$' -fuzz '^FuzzRoomDocSplice$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/chat
 go test -run '^$' -fuzz '^FuzzMailboxCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/email
+go test -run '^$' -fuzz '^FuzzMailboxSplice$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/email
 go test -run '^$' -fuzz '^FuzzManifestCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/filetransfer
 go test -run '^$' -fuzz '^FuzzUploadRequestDecode$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/filetransfer
 go test -run '^$' -fuzz '^FuzzRegistryCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/iot
