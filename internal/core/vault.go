@@ -13,8 +13,7 @@ import (
 // Vault is one invocation's sealed state: the deployment's data key,
 // unwrapped by KMS for the length of the invocation and expanded once,
 // and the deployment's bucket, in which every object it reads or writes
-// is sealed under that key with the object's storage name as AAD. It is
-// the one place that turns a read into "found", "not found" or an error.
+// is sealed under that key with the object's storage name as AAD.
 type Vault struct {
 	env    *lambda.Env
 	key    envelope.Key
@@ -48,12 +47,15 @@ func (v *Vault) Key() envelope.Key { return v.key }
 // Bucket is the deployment's bucket.
 func (v *Vault) Bucket() string { return v.bucket }
 
-// Get reads the sealed object name as stored. Only a missing object is
-// "not found" (found false, nil error); any other read failure is an
-// error, since a caller that took an unreadable object for an absent
-// one would write empty state over it.
-func (v *Vault) Get(name string) (blob []byte, found bool, err error) {
-	obj, err := v.env.S3().Get(v.env.Ctx(), v.bucket, name)
+// Get reads object name from the deployment's bucket as stored, with
+// no data key: a Vault's Load opens what it reads, and an object sealed
+// to a key the function does not hold is passed on as it is. It is the
+// one place that turns a read into "found", "not found" or an error.
+// Only a missing object is "not found" (found false, nil error); any
+// other read failure is an error, since a caller that took an
+// unreadable object for an absent one would write empty state over it.
+func Get(env *lambda.Env, name string) (blob []byte, found bool, err error) {
+	obj, err := env.S3().Get(env.Ctx(), env.Config(ConfigBucket), name)
 	if errors.Is(err, s3.ErrNoSuchKey) {
 		return nil, false, nil
 	}
@@ -65,7 +67,7 @@ func (v *Vault) Get(name string) (blob []byte, found bool, err error) {
 
 // Load is Get, then opens the object with aad = name.
 func (v *Vault) Load(name string) (plaintext []byte, found bool, err error) {
-	blob, found, err := v.Get(name)
+	blob, found, err := Get(v.env, name)
 	if !found || err != nil {
 		return nil, found, err
 	}

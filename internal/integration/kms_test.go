@@ -9,6 +9,7 @@ import (
 	"repro/internal/apps/filetransfer"
 	"repro/internal/apps/iot"
 	"repro/internal/core"
+	"repro/internal/crypto/sealedbox"
 	"repro/internal/pricing"
 	"repro/internal/proto/xmpp"
 	"repro/internal/spam"
@@ -52,6 +53,11 @@ func TestKMSUnwrapsPerOp(t *testing.T) {
 	room := chat.App{Members: []string{"alice", "bob"}}
 	table := chat.App{Members: []string{"alice", "bob"}, Backend: "dynamo"}
 	mail := email.App{SpamFilter: spam.NewFilter()}
+	pub, _, err := sealedbox.GenerateKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pgp := email.App{SpamFilter: spam.NewFilter(), RecipientPub: &pub}
 	raw := []byte("From: bob@remote.net\r\nSubject: hi\r\n\r\nhello\r\n")
 	cases := []struct {
 		name string
@@ -74,6 +80,13 @@ func TestKMSUnwrapsPerOp(t *testing.T) {
 		{"email/send", mail, "send", js(email.SendRequest{To: []string{"bob@remote.net"}, Raw: raw}), 0},
 		{"email/markspam", mail, "markspam", []byte("1"), 1},
 		{"email/markham", mail, "markham", []byte("1"), 1},
+		// PGP mode: bodies are sealed to the user's key, so fetch hands
+		// over the stored box without the data key; the index is still
+		// under it.
+		{"email/inbound (PGP)", pgp, "inbound", raw, 1},
+		{"email/list (PGP)", pgp, "list", nil, 1},
+		{"email/fetch (PGP)", pgp, "fetch", []byte("1"), 0},
+		{"email/delete (PGP)", pgp, "delete", []byte("1"), 1},
 		{"filetransfer/upload", filetransfer.App{}, "upload", js(filetransfer.UploadRequest{Name: "a.bin", To: "bob", Data: []byte("payload")}), 1},
 		{"filetransfer/list", filetransfer.App{}, "list", nil, 1},
 		{"filetransfer/download", filetransfer.App{}, "download", []byte("a.bin"), 1},
