@@ -30,8 +30,13 @@
 //
 // The justification is required — an unexplained suppression is
 // rejected — and entries that no longer match anything are reported as
-// stale so the file cannot rot. A line-scoped entry whose exact line no
-// longer matches binds to the nearest finding of the same analyzer in
+// stale so the file cannot rot. A line-scoped entry's justification
+// opens with the declaration it names (a function, method, var, const
+// or type, qualified or not: "regMu guards …", "(*Client).Join: …"),
+// and the entry binds only to a finding inside that declaration. An
+// entry whose exact line no longer holds its declaration's finding —
+// the line moved, or now holds another declaration's finding — binds
+// to the nearest finding of its declaration with the same analyzer in
 // the same file, so the finding stays suppressed, but the entry is
 // reported as drifted, naming the line it now matches, and the run
 // fails until the entry's line is corrected.
@@ -114,7 +119,7 @@ func run(allowPath, format string, patterns []string) int {
 		fmt.Fprintf(os.Stderr, "diylint: stale allowlist entry: %s %s (matches nothing; remove it)\n", e.Analyzer, e.Target())
 	}
 	for _, e := range drifted {
-		fmt.Fprintf(os.Stderr, "diylint: drifted allowlist entry: %s %s now matches line %d; correct its line\n", e.Analyzer, e.Target(), e.DriftLine)
+		fmt.Fprintf(os.Stderr, "diylint: drifted allowlist entry: %s %s names %s, whose finding is on line %d; correct its line\n", e.Analyzer, e.Target(), e.Symbol(), e.DriftLine)
 	}
 	switch format {
 	case "json":

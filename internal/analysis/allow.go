@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -24,6 +25,33 @@ type AllowEntry struct {
 	DriftLine int
 
 	used bool
+}
+
+// Symbol is the declaration a line-scoped entry names: the leading
+// token of its justification, qualified or not — "regMu", "registry:",
+// "Connection.Send" or "(*Client).Join:" name regMu, registry, Send and
+// Join. An entry binds only to a finding whose Symbol that is, so an
+// entry whose line comes to hold another declaration's finding is not
+// silently accepted under the wrong justification. "" when the
+// justification does not open with an identifier.
+func (e *AllowEntry) Symbol() string {
+	tok, _, _ := strings.Cut(e.Justification, " ")
+	tok = strings.TrimRight(tok, ":;,")
+	if i := strings.LastIndexByte(tok, '.'); i >= 0 {
+		tok = tok[i+1:]
+	}
+	if !token.IsIdentifier(tok) {
+		return ""
+	}
+	return tok
+}
+
+// binds reports whether e may suppress f, given that they already
+// agree on analyzer and file: a file-scoped entry takes every finding,
+// and a line-scoped one only a finding of the declaration it names (a
+// finding with no Symbol, built by hand, takes any).
+func (e *AllowEntry) binds(f Finding) bool {
+	return e.Line == 0 || f.Symbol == "" || f.Symbol == e.Symbol()
 }
 
 // Target renders the entry's scope as file[:line], for messages.
@@ -96,16 +124,20 @@ func parseAllow(src, name string) ([]*AllowEntry, error) {
 // numbers to correct).
 //
 // Matching is two-phase. First, exact: same analyzer, same file, and —
-// for line-scoped entries — the same line. Then, drift: a line-scoped
-// entry whose line matched nothing binds to the nearest remaining
-// finding of the same analyzer in the same file, so an unrelated edit
-// higher in the file never lets a justified finding through. The bound
-// finding stays suppressed, but the entry is returned as drifted, with
-// DriftLine naming the line it now matches, so the allowlist is
-// corrected rather than left to point at the wrong line. An entry
-// suppresses at most one drifted finding; only entries that match
-// nothing at all — the finding is gone, or the analyzer/file changed —
-// are reported stale.
+// for line-scoped entries — the same line and the declaration the
+// entry names (AllowEntry.Symbol). Then, drift: a line-scoped entry
+// that matched nothing binds to the nearest remaining finding of the
+// same analyzer in the same file whose declaration it names, so an
+// unrelated edit higher in the file never lets a justified finding
+// through. The bound finding stays suppressed, but the entry is
+// returned as drifted, with DriftLine naming the line it now matches,
+// so the allowlist is corrected rather than left to point at the wrong
+// line. That includes an entry whose own line holds another
+// declaration's finding, as when two adjacent entries trade places:
+// neither is accepted there. An entry suppresses at most one drifted
+// finding; only entries that match nothing at all — the finding is
+// gone, or the analyzer, file or declaration changed — are reported
+// stale.
 func Filter(findings []Finding, entries []*AllowEntry, root string) (kept []Finding, stale, drifted []*AllowEntry) {
 	rels := make([]string, len(findings))
 	suppressed := make([]bool, len(findings))
@@ -116,7 +148,7 @@ func Filter(findings []Finding, entries []*AllowEntry, root string) (kept []Find
 		}
 		rels[i] = rel
 		for _, e := range entries {
-			if e.Analyzer == f.Analyzer && e.File == rel && (e.Line == 0 || e.Line == f.Pos.Line) {
+			if e.Analyzer == f.Analyzer && e.File == rel && (e.Line == 0 || e.Line == f.Pos.Line) && e.binds(f) {
 				e.used = true
 				suppressed[i] = true
 			}
@@ -128,7 +160,7 @@ func Filter(findings []Finding, entries []*AllowEntry, root string) (kept []Find
 		}
 		best := -1
 		for i, f := range findings {
-			if suppressed[i] || f.Analyzer != e.Analyzer || rels[i] != e.File {
+			if suppressed[i] || f.Analyzer != e.Analyzer || rels[i] != e.File || !e.binds(f) {
 				continue
 			}
 			if best == -1 || absInt(f.Pos.Line-e.Line) < absInt(findings[best].Pos.Line-e.Line) {

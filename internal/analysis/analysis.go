@@ -22,9 +22,12 @@
 //     internal/cloudsim/logs, lowercase slash-separated and passed by
 //     constant or deriver call, so a typo cannot fork the evidence
 //     trail into an unwatched group;
-//   - hotpath: PlaneInterceptor bodies and the same-package functions
-//     they reach must not fmt.Sprint* or build map literals per call,
-//     so the telemetry fast path's benchmark budget cannot regress;
+//   - hotpath: PlaneInterceptor bodies, the telemetry write paths (the
+//     trace store's span writes and fold, the lambda platform's
+//     per-invocation log lines), fleet-telemetry Observe hooks and the
+//     same-package functions they reach must not fmt.Sprint* or build
+//     map literals per call, so the telemetry fast path's benchmark
+//     budget cannot regress;
 //   - droppederr: internal/cloudsim never discards an error with `_ =`;
 //   - maporder: sim code never ranges over a map where the iteration
 //     order can reach observable output (ledger lines, log events,
@@ -32,8 +35,8 @@
 //   - globalstate: sim/app/workload packages declare no mutable
 //     package-level state, so per-account shards cannot alias;
 //   - shardsafe: functions reachable from a concurrency seam (plane
-//     interceptors, fleet shard workers) only write shared fields under
-//     a mutex/atomic guard;
+//     interceptors, the telemetry write paths, fleet shard workers)
+//     only write shared fields under a mutex/atomic guard;
 //   - testonly: every exported function under internal/ has a non-test
 //     reference, so the shipped surface carries no test-only API.
 //
@@ -61,6 +64,11 @@ type Finding struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
+	// Symbol names the declaration the finding lies in: the function or
+	// method, or the package-level var, const or type. Empty where no
+	// declaration encloses it (an import) or the finding was built by
+	// hand. A line-scoped allowlist entry binds to it (AllowEntry.Symbol).
+	Symbol string
 }
 
 // String formats the finding as "file:line: analyzer: message" with the
@@ -97,7 +105,50 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.name,
 		Message:  fmt.Sprintf(format, args...),
+		Symbol:   enclosingSymbol(p.Pkg.Files, pos),
 	})
+}
+
+// enclosingSymbol names the top-level declaration of files that
+// contains pos: a function or method's name, or, in a var, const or
+// type declaration, the name of the spec holding pos (for a spec that
+// declares several names, the last one at or before pos). "" when no
+// such declaration contains pos.
+func enclosingSymbol(files []*ast.File, pos token.Pos) string {
+	for _, f := range files {
+		if pos < f.Pos() || pos > f.End() {
+			continue
+		}
+		for _, d := range f.Decls {
+			if pos < d.Pos() || pos > d.End() {
+				continue
+			}
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				return d.Name.Name
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if pos < spec.Pos() || pos > spec.End() {
+						continue
+					}
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						return spec.Name.Name
+					case *ast.ValueSpec:
+						name := spec.Names[0].Name
+						for _, n := range spec.Names[1:] {
+							if n.Pos() <= pos {
+								name = n.Name
+							}
+						}
+						return name
+					}
+				}
+			}
+			return ""
+		}
+	}
+	return ""
 }
 
 // Analyzer is one invariant checker.

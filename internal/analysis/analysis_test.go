@@ -41,12 +41,15 @@ var fixtureDirs = []string{
 	"internal/cloudsim/hotpathgood",
 	"internal/cloudsim/trace/storebad",
 	"internal/cloudsim/trace/storegood",
+	"internal/cloudsim/lambda/linesbad",
+	"internal/cloudsim/lambda/linesgood",
 	"internal/cloudsim/errbad",
 	"internal/cloudsim/errgood",
 	"internal/cloudsim/mapbad",
 	"internal/cloudsim/mapgood",
 	"internal/cloudsim/globalbad",
 	"internal/cloudsim/globalgood",
+	"internal/cloudsim/allowswap",
 	"internal/cloudsim/shardbad",
 	"internal/cloudsim/shardgood",
 	"internal/cloudsim/testonlybad",
@@ -120,8 +123,14 @@ var goldenCases = []struct {
 	// telemetry Observe hooks as reachability roots.
 	{HotPath, "internal/fleet/towerbad", "internal/fleet/towergood", "hotpathfleet"},
 	// hotpath a third time over the trace store's publish seam:
-	// Decide, Finish and Record as reachability roots.
+	// Decide, Record, Finish and the span writes as reachability roots.
 	{HotPath, "internal/cloudsim/trace/storebad", "internal/cloudsim/trace/storegood", "hotpathtrace"},
+	// shardsafe over the same fixtures: the trace write path is a
+	// concurrency seam, so the span slab's writes must be guarded.
+	{ShardSafe, "internal/cloudsim/trace/storebad", "internal/cloudsim/trace/storegood", "shardtrace"},
+	// hotpath over the lambda platform's per-invocation log lines:
+	// writeLogLines as the reachability root.
+	{HotPath, "internal/cloudsim/lambda/linesbad", "internal/cloudsim/lambda/linesgood", "hotpathlambda"},
 }
 
 // TestGolden runs each analyzer over its positive and negative fixture
@@ -210,7 +219,7 @@ func TestRepoIsClean(t *testing.T) {
 		t.Errorf("stale allowlist entry: %s %s # %s", e.Analyzer, e.File, e.Justification)
 	}
 	for _, e := range drifted {
-		t.Errorf("drifted allowlist entry: %s %s now matches line %d # %s", e.Analyzer, e.Target(), e.DriftLine, e.Justification)
+		t.Errorf("drifted allowlist entry: %s %s names %s, whose finding is on line %d # %s", e.Analyzer, e.Target(), e.Symbol(), e.DriftLine, e.Justification)
 	}
 }
 
@@ -433,6 +442,57 @@ func TestDriftedEntryFixture(t *testing.T) {
 	}
 	if len(drifted) != 1 || drifted[0].Line != 17 || drifted[0].DriftLine != 15 {
 		t.Fatalf("drifted = %v, want only the line-17 entry, now matching line 15", drifted)
+	}
+}
+
+// TestSwappedEntryFixture reproduces two adjacent allowlist entries
+// that traded lines, as the plane's regMu and registry entries once
+// did: each entry's line holds a finding of its analyzer in its file,
+// but for the other variable. Neither may be accepted there. Each binds
+// by drift to the finding of the variable its justification names, and
+// both are reported, so diylint fails until the lines are corrected.
+func TestSwappedEntryFixture(t *testing.T) {
+	prog := loadFixtures(t)
+	findings := Run(subProgram(prog, "internal/cloudsim/allowswap"), []*Analyzer{GlobalState})
+	if len(findings) != 2 || findings[0].Symbol != "regMu" || findings[1].Symbol != "registry" {
+		t.Fatalf("findings = %v, want regMu's then registry's", findings)
+	}
+	entries, err := ParseAllowFile(filepath.Join(moduleRoot, "internal/analysis/testdata/swap.allow"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, stale, drifted := Filter(findings, entries, moduleRoot)
+	if len(kept) != 0 || len(stale) != 0 {
+		t.Errorf("kept = %v, stale = %v, want neither: each finding has an entry naming it", kept, stale)
+	}
+	if len(drifted) != 2 {
+		t.Fatalf("drifted = %v, want both swapped entries reported", drifted)
+	}
+	for _, e := range drifted {
+		want := map[string]int{"registry": 15, "regMu": 14}[e.Symbol()]
+		if e.DriftLine != want {
+			t.Errorf("entry %s (%s) drifted to line %d, want %d", e.Target(), e.Symbol(), e.DriftLine, want)
+		}
+	}
+}
+
+// TestAllowEntrySymbol pins how an entry names its declaration: the
+// justification's leading token, with any receiver or package
+// qualification and a trailing colon dropped.
+func TestAllowEntrySymbol(t *testing.T) {
+	for just, want := range map[string]string{
+		"regMu guards the op registry below":      "regMu",
+		"(*Client).Join: public API":              "Join",
+		"Connection.Send accrues active-time":     "Send",
+		"cache: drifted, moved up two lines":      "cache",
+		"TraceView.CriticalPath: first caller":    "CriticalPath",
+		"the finding is deliberate":               "the",
+		"$ not an identifier":                     "",
+		"(*T). empty after the qualification dot": "",
+	} {
+		if got := (&AllowEntry{Justification: just}).Symbol(); got != want {
+			t.Errorf("Symbol() of %q = %q, want %q", just, got, want)
+		}
 	}
 }
 

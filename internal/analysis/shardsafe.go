@@ -8,8 +8,10 @@ import (
 
 // ShardSafe guards the concurrency seams of the parallel fleet loop:
 // code reachable from a plane interceptor (runs per published call,
-// concurrently with every shard) or from a fleet shard-worker goroutine
-// (shards run concurrently on all cores) must not write a field of a value it did not create — receiver, parameter, or
+// concurrently with every shard), from a telemetry write path (the
+// trace span writes and fold, the lambda log lines; see writePaths),
+// or from a fleet shard-worker goroutine (shards run concurrently on
+// all cores) must not write a field of a value it did not create — receiver, parameter, or
 // captured variable — without a guard in the enclosing method set: a
 // sync.Mutex/RWMutex Lock in the body, or the repo's *Locked naming
 // convention marking the caller as holding the lock. Locals declared in
@@ -140,6 +142,9 @@ func rootIdent(expr ast.Expr) *ast.Ident {
 func seamName(f *Facts, n *Node) string {
 	if f.ReachInterceptor[n] {
 		return "a plane interceptor (runs per published call)"
+	}
+	if f.ReachWritePath[n] {
+		return "the telemetry write path (runs per traced span or logged invocation)"
 	}
 	return "a fleet shard worker (shards run concurrently on all cores)"
 }

@@ -132,8 +132,16 @@ type Facts struct {
 	// cross-package callees (the simulator, the apps) operate on
 	// shard-private per-account state by construction and stay out.
 	ReachFleet map[*Node]bool
+	// ReachWritePath marks nodes reachable (module-wide) from a
+	// telemetry write-path entry point outside the interceptors
+	// (writePaths in hotpath.go): the trace span writes and fold, and
+	// the lambda platform's per-invocation log lines. Code here runs
+	// per traced span or logged invocation, concurrently with every
+	// other flow that writes the same account's stores.
+	ReachWritePath map[*Node]bool
 	// ReachSeam is the union of the concurrency seams shardsafe guards:
-	// the interceptor roots and the fleet shard workers.
+	// the interceptor roots, the telemetry write paths and the fleet
+	// shard workers.
 	ReachSeam map[*Node]bool
 
 	// Emits marks nodes that can reach an order-observable output sink:
@@ -234,12 +242,20 @@ func ComputeFacts(prog *Program) *Facts {
 		}
 	}
 
+	var writeRoots []*Node
+	for _, n := range b.graph.Nodes {
+		if _, ok := writePathRoot(n); ok {
+			writeRoots = append(writeRoots, n)
+		}
+	}
+
 	anyEdge := func(*Node, *Node) bool { return true }
 	f.ReachInterceptor = b.graph.Reachable(b.interceptorRoots, anyEdge)
+	f.ReachWritePath = b.graph.Reachable(writeRoots, anyEdge)
 	f.ReachHandler = b.graph.Reachable(b.handlerRoots, anyEdge)
 	f.ReachFleet = b.graph.Reachable(b.fleetRoots, fleetScope)
-	f.ReachSeam = make(map[*Node]bool, len(f.ReachInterceptor)+len(f.ReachFleet))
-	for _, reach := range []map[*Node]bool{f.ReachInterceptor, f.ReachFleet} {
+	f.ReachSeam = make(map[*Node]bool, len(f.ReachInterceptor)+len(f.ReachWritePath)+len(f.ReachFleet))
+	for _, reach := range []map[*Node]bool{f.ReachInterceptor, f.ReachWritePath, f.ReachFleet} {
 		for n := range reach {
 			f.ReachSeam[n] = true
 		}
@@ -823,7 +839,7 @@ func outputSink(fn *types.Func) bool {
 	}
 	switch {
 	case strings.HasSuffix(pkg, "internal/cloudsim/logs"):
-		return name == "PutEvents"
+		return name == "PutEvents" || name == "AppendLambdaLines"
 	case strings.HasSuffix(pkg, "internal/cloudsim/metrics"):
 		return name == "Record"
 	case strings.HasSuffix(pkg, "internal/cloudsim/trace"):

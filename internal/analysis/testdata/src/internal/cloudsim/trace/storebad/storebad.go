@@ -1,8 +1,10 @@
 // Package storebad runs a trace store's publish path the slow way:
-// the sampling decision formats its rule key per request, and
-// finishing a trace folds it through a per-call map literal and a
-// helper that formats. hotpath must flag every site it can reach from
-// Decide, Record and Finish.
+// the sampling decision formats its rule key per request, finishing a
+// trace folds it through a per-call map literal and a helper that
+// formats, and annotating a span formats its value into the trace's
+// slab with no lock held. hotpath must flag every site it can reach
+// from Decide, Record, Finish and Annotate, and shardsafe every
+// unguarded write on that path.
 package storebad
 
 import "fmt"
@@ -41,6 +43,23 @@ type Trace struct {
 	s    *Store
 	name string
 	done bool
+	slab *slab
+}
+
+// slab is the trace's reusable span storage.
+type slab struct {
+	annos []string
+}
+
+// Span is a handle on one slot of its trace's slab.
+type Span struct {
+	t *Trace
+}
+
+// Annotate formats the pair per call and writes the slab without the
+// trace's lock.
+func (sp *Span) Annotate(key, value string) {
+	sp.t.slab.annos = append(sp.t.slab.annos, fmt.Sprint(key, "=", value)) // flagged: hotpath format, shardsafe write
 }
 
 // Finish closes the root span and, the first time, folds the trace

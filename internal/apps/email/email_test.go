@@ -494,6 +494,25 @@ func TestMarkErrors(t *testing.T) {
 	restore()
 }
 
+// TestInboundDedupInvalidUTF8MessageID redelivers a message whose
+// Message-ID holds bytes that are not UTF-8. The index stores the id
+// with each such byte as U+FFFD, and the dedup lookup compares that
+// stored form, so the redelivery is recognised: one entry, not two.
+func TestInboundDedupInvalidUTF8MessageID(t *testing.T) {
+	cloud, d := newMailbox(t, nil)
+	raw := "From: bob@remote.net\r\nTo: alice@" + MailDomain +
+		"\r\nSubject: once\r\nMessage-Id: <a\xff\xfe@remote.net>\r\n\r\nbody\r\n"
+	for i := 0; i < 2; i++ { // original + one redelivery
+		ctx := &sim.Context{App: "email", Cursor: sim.NewCursor(cloud.Clock.Now())}
+		if err := cloud.SES.Deliver(ctx, "bob@remote.net", "alice@"+MailDomain, []byte(raw)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if entries := listEntries(t, d); len(entries) != 1 {
+		t.Fatalf("index has %d entries, want 1 (dedup of an id with invalid UTF-8)", len(entries))
+	}
+}
+
 func TestInboundDedupByMessageID(t *testing.T) {
 	cloud, d := newMailbox(t, nil)
 	raw := "From: bob@remote.net\r\nTo: alice@" + MailDomain +

@@ -142,9 +142,9 @@ func parseMailbox(pt []byte, msgID string) (*mailbox, error) {
 	box.NextID = r.Int()
 	r.Expect(`,"entries":`)
 	var enc []byte
-	if msgID != "" && utf8.ValidString(msgID) {
+	if msgID != "" {
 		var stack [128]byte
-		enc = canonjson.AppendString(stack[:0], msgID)
+		enc = canonjson.AppendString(stack[:0], storedMsgID(msgID))
 	}
 	scanIndexEntries(r, box, enc)
 	r.Expect("}")
@@ -152,6 +152,29 @@ func parseMailbox(pt []byte, msgID string) (*mailbox, error) {
 		return nil, err
 	}
 	return box, nil
+}
+
+// storedMsgID returns a Message-ID in the form it reads back once
+// stored: the encoder writes each byte that is not valid UTF-8 as
+// \ufffd — one per byte, not one per run as strings.ToValidUTF8 would
+// — and that decodes to U+FFFD. parseMailbox looks the stored form up,
+// so a redelivered message whose id holds invalid UTF-8 dedups like
+// any other.
+func storedMsgID(id string) string {
+	if utf8.ValidString(id) {
+		return id
+	}
+	b := make([]byte, 0, len(id)+8)
+	for i := 0; i < len(id); {
+		r, n := utf8.DecodeRuneInString(id[i:])
+		if r == utf8.RuneError && n == 1 {
+			b = utf8.AppendRune(b, utf8.RuneError)
+		} else {
+			b = append(b, id[i:i+n]...)
+		}
+		i += n
+	}
+	return string(b)
 }
 
 // parseIndexEntries decodes an encoded index array, nil for null.

@@ -196,7 +196,9 @@ func TestParseMailboxRejectsNonCanonical(t *testing.T) {
 // FuzzMailboxSplice holds the kept-encoded index to the decoding codec.
 // parseMailbox must accept exactly the mailboxes whose index
 // readIndexEntries accepts, and keep the index as read; its Message-ID
-// lookup must find the first entry whose decoded msg_id equals the id;
+// lookup must find the first entry whose decoded msg_id equals the id
+// as it would read back once stored (encoding/json's round trip, which
+// turns each invalid UTF-8 byte into U+FFFD);
 // and unless one does, splicing the delivery's entry onto the kept
 // bytes must write json.Marshal's bytes for the decoded index with the
 // entry appended (which also needs the entry count right: a comma goes
@@ -217,7 +219,7 @@ func FuzzMailboxSplice(f *testing.F) {
 		`[{"id":1,"from":"a","subject":"<","date":"2017-06-05T10:00:00Z","spam":false,"size":3}]`,
 		`[{"id":1,"from":"a","subject":"s","date":"2017-06-05T10:00:00Z","spam":false,"size":03}]`,
 	} {
-		for _, msgID := range []string{"", "<1@remote.net>", "x\uFFFD", "x\xff"} {
+		for _, msgID := range []string{"", "<1@remote.net>", "x\uFFFD", "x\xff", "x\xff\xfe", "\xe2\x28\xa1"} {
 			f.Add([]byte(index), msgID, "carol@remote.net", "new <mail> & more", int64(1496682000), true, 2.5)
 		}
 		f.Add([]byte(index), "new", "\xc3\x28", "", int64(253402300800), false, math.NaN())
@@ -237,9 +239,13 @@ func FuzzMailboxSplice(f *testing.F) {
 		if kept := box.Entries.Bytes(); box.NextID != 7 || (kept == nil) != (entries == nil) || kept != nil && !bytes.Equal(kept, index) {
 			t.Fatalf("parseMailbox(%q) kept next %d, index %q", pt, box.NextID, kept)
 		}
+		var storedID string
+		if enc, err := json.Marshal(msgID); err != nil || json.Unmarshal(enc, &storedID) != nil {
+			t.Fatalf("json round trip of %q: %v", msgID, err)
+		}
 		dup, found := 0, false
 		for _, e := range entries {
-			if msgID != "" && e.MsgID == msgID {
+			if msgID != "" && e.MsgID == storedID {
 				dup, found = e.ID, true
 				break
 			}

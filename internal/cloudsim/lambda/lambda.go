@@ -540,29 +540,14 @@ func (p *Platform) Invoke(ctx *sim.Context, fnName string, event Event) (Respons
 		// effect — so logging on vs off cannot move the ledger.
 		p.mu.Lock()
 		lg := p.logs
-		var reqID string
+		var reqNum int64
 		if lg != nil {
 			p.nextReqID++
-			reqID = fmt.Sprintf("00000000-0000-4000-8000-%012x", p.nextReqID)
+			reqNum = p.nextReqID
 		}
 		p.mu.Unlock()
 		if lg != nil {
-			stream := start.UTC().Format("2006/01/02") +
-				fmt.Sprintf("/[$LATEST]container-%06d", cont.id)
-			report := fmt.Sprintf(
-				"REPORT RequestId: %s\tDuration: %.2f ms\tBilled Duration: %d ms\tMemory Size: %d MB\tMax Memory Used: %d MB",
-				reqID, float64(run)/float64(time.Millisecond),
-				stats.BilledTime.Milliseconds(), fn.MemoryMB, stats.PeakMemoryBytes>>20)
-			if cold {
-				report += fmt.Sprintf("\tInit Duration: %.2f ms",
-					float64(initDur)/float64(time.Millisecond))
-			}
-			endAt := start.Add(run)
-			lg.PutEvents(logs.LambdaGroup(fnName), stream,
-				logs.Event{Time: start, Message: "START RequestId: " + reqID + " Version: $LATEST"},
-				logs.Event{Time: endAt, Message: "END RequestId: " + reqID},
-				logs.Event{Time: endAt, Message: report},
-			)
+			writeLogLines(lg, fnName, reqNum, cont.id, fn.MemoryMB, start, &stats, initDur)
 		}
 
 		// Release the container.
@@ -588,6 +573,85 @@ func (p *Platform) Invoke(ctx *sim.Context, fnName string, event Event) (Respons
 		return herr
 	})
 	return resp, stats, err
+}
+
+// writeLogLines appends one invocation's START, END and REPORT lines
+// to stream "<yyyy/mm/dd>/[$LATEST]container-<id>" of the function's
+// log group. The request id, the stream name and the three messages
+// are built with strconv appends in one stack buffer, which the store
+// copies into the stream, so the block allocates nothing of its own per
+// invocation (TestLogLinesAllocs). The bytes are exactly the
+// historical Sprintf renderings — request id
+// "00000000-0000-4000-8000-%012x", stream suffix
+// "/[$LATEST]container-%06d", and
+//
+//	"REPORT RequestId: %s\tDuration: %.2f ms\tBilled Duration: %d ms\tMemory Size: %d MB\tMax Memory Used: %d MB"
+//
+// plus "\tInit Duration: %.2f ms" after a cold start
+// (TestLogLinesMatchSprintf pins them). The hotpath analyzer roots
+// this function, so fmt cannot come back into it.
+func writeLogLines(lg *logs.Service, fnName string, reqNum, contID int64, memMB int, start time.Time, stats *InvocationStats, initDur time.Duration) {
+	var buf [512]byte
+	b := start.UTC().AppendFormat(buf[:0], "2006/01/02")
+	b = append(b, "/[$LATEST]container-"...)
+	b = appendPadded(b, contID, 6, 10)
+	streamHi := len(b)
+
+	startLo := len(b)
+	b = append(b, "START RequestId: "...)
+	idLo := len(b)
+	b = append(b, "00000000-0000-4000-8000-"...)
+	b = appendPadded(b, reqNum, 12, 16)
+	idHi := len(b)
+	b = append(b, " Version: $LATEST"...)
+	startHi := len(b)
+
+	endLo := len(b)
+	b = append(b, "END RequestId: "...)
+	b = append(b, b[idLo:idHi]...)
+	endHi := len(b)
+
+	reportLo := len(b)
+	b = append(b, "REPORT RequestId: "...)
+	b = append(b, b[idLo:idHi]...)
+	b = append(b, "\tDuration: "...)
+	b = strconv.AppendFloat(b, float64(stats.RunTime)/float64(time.Millisecond), 'f', 2, 64)
+	b = append(b, " ms\tBilled Duration: "...)
+	b = strconv.AppendInt(b, stats.BilledTime.Milliseconds(), 10)
+	b = append(b, " ms\tMemory Size: "...)
+	b = strconv.AppendInt(b, int64(memMB), 10)
+	b = append(b, " MB\tMax Memory Used: "...)
+	b = strconv.AppendInt(b, stats.PeakMemoryBytes>>20, 10)
+	b = append(b, " MB"...)
+	if stats.ColdStart {
+		b = append(b, "\tInit Duration: "...)
+		b = strconv.AppendFloat(b, float64(initDur)/float64(time.Millisecond), 'f', 2, 64)
+		b = append(b, " ms"...)
+	}
+
+	endAt := start.Add(stats.RunTime)
+	lg.AppendLambdaLines(fnName, b[:streamHi],
+		logs.Line{Time: start, Msg: b[startLo:startHi]},
+		logs.Line{Time: endAt, Msg: b[endLo:endHi]},
+		logs.Line{Time: endAt, Msg: b[reportLo:]},
+	)
+}
+
+// appendPadded appends v in the given base, zero-padded to width the
+// way fmt's %0<width>d and %0<width>x pad: the width counts a leading
+// minus sign, and the zeros go after it.
+func appendPadded(b []byte, v int64, width, base int) []byte {
+	var digits [24]byte
+	d := strconv.AppendInt(digits[:0], v, base)
+	if v < 0 {
+		b = append(b, '-')
+		d = d[1:]
+		width--
+	}
+	for n := len(d); n < width; n++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
 }
 
 // Stats reports a function's lifetime invocation and cold-start counts.

@@ -18,8 +18,13 @@ import (
 //     bitmap) kept aligned with sel, and the capture spans are
 //     substrings of the stored message, never copies;
 //   - builtins (@timestamp, @message, @logGroup, @logStream) and
-//     structured fields are read straight off the stream columns, with
-//     @timestamp rendering memoized per event on first touch;
+//     structured fields are read straight off the stream columns, as
+//     views of the stream's bytes (see stream) or interned strings,
+//     with the field name resolved to its key id once per run of
+//     lookups and @timestamp rendering memoized per event on first
+//     touch;
+//   - nothing is copied until a cell leaves the store: the result's
+//     cells are copies, so no caller holds a view of the store;
 //   - stats aggregates by scanning column values per bucket, then
 //     hands its aggregate rows to the legacy row stages for any
 //     post-stats pipeline tail.
@@ -123,19 +128,37 @@ type dcol struct {
 
 // colExec evaluates the columnar stage prefix of a pipeline.
 type colExec struct {
-	groupName string
-	refs      []eventRef // windowed merged order, immutable
-	sel       []int32    // indices into refs, in current row order
-	derived   map[string]*dcol
-	tsMemo    []string // aligned with refs; "" = not yet rendered
+	svc     *Service // its lock is held for the whole run
+	g       *group
+	refs    []eventRef // windowed merged order, immutable
+	sel     []int32    // indices into refs, in current row order
+	derived map[string]*dcol
+	tsMemo  []string // aligned with refs; "" = not yet rendered
+
+	// The last field name lookup resolved, and its key id (keyOK is
+	// false for a name no event has as a key).
+	keyName string
+	key     int32
+	keyOK   bool
+	keySet  bool
 }
 
-func newColExec(groupName string, refs []eventRef) *colExec {
+func newColExec(svc *Service, g *group, refs []eventRef) *colExec {
 	sel := make([]int32, len(refs))
 	for i := range sel {
 		sel[i] = int32(i)
 	}
-	return &colExec{groupName: groupName, refs: refs, sel: sel}
+	return &colExec{svc: svc, g: g, refs: refs, sel: sel}
+}
+
+// keyID resolves a field name to its interned key id, remembering the
+// last name: a stage looks the same name up for every row.
+func (ex *colExec) keyID(name string) (int32, bool) {
+	if !ex.keySet || name != ex.keyName {
+		ex.keyName, ex.keySet = name, true
+		ex.key, ex.keyOK = ex.svc.keys.Lookup(name)
+	}
+	return ex.key, ex.keyOK
 }
 
 // lookup resolves a column value for selected row i with the same
@@ -149,20 +172,23 @@ func (ex *colExec) lookup(name string, i int) (string, bool) {
 		return d.vals[i], true
 	}
 	ref := ex.refs[ex.sel[i]]
-	for _, f := range ref.st.fieldsAt(ref.i) {
-		if f.k == name {
-			return f.v, true
+	st := ex.g.stream(ref)
+	if key, ok := ex.keyID(name); ok {
+		for _, f := range st.fieldsAt(ref.i) {
+			if f.key == key {
+				return ex.svc.fieldVal(st, f), true
+			}
 		}
 	}
 	switch name {
 	case "@timestamp":
 		return ex.timestamp(ex.sel[i]), true
 	case "@message":
-		return ref.st.msgs[ref.i], true
+		return st.msg(ref.i), true
 	case "@logGroup":
-		return ex.groupName, true
+		return ex.g.name, true
 	case "@logStream":
-		return ref.st.name, true
+		return st.name, true
 	}
 	return "", false
 }
@@ -175,8 +201,7 @@ func (ex *colExec) timestamp(ri int32) string {
 		ex.tsMemo = make([]string, len(ex.refs))
 	}
 	if ex.tsMemo[ri] == "" {
-		ref := ex.refs[ri]
-		ex.tsMemo[ri] = time.Unix(0, ref.time()).UTC().Format("2006-01-02 15:04:05.000")
+		ex.tsMemo[ri] = time.Unix(0, ex.g.time(ex.refs[ri])).UTC().Format("2006-01-02 15:04:05.000")
 	}
 	return ex.tsMemo[ri]
 }
@@ -366,7 +391,8 @@ func (ex *colExec) computeAgg(a aggregate, idxs []int) string {
 }
 
 // materializeRows converts the current selection into the final result
-// cells for the given output columns.
+// cells for the given output columns, each a copy (the cells leave the
+// store).
 func (ex *colExec) materializeRows(columns []string) [][]string {
 	if len(ex.sel) == 0 {
 		return nil
@@ -375,17 +401,19 @@ func (ex *colExec) materializeRows(columns []string) [][]string {
 	for i := range ex.sel {
 		cells := make([]string, len(columns))
 		for c, name := range columns {
-			cells[c], _ = ex.lookup(name, i)
+			v, _ := ex.lookup(name, i)
+			cells[c] = strings.Clone(v)
 		}
 		out = append(out, cells)
 	}
 	return out
 }
 
-// runColumnar evaluates the pipeline: columnar stages until the first
-// stats, then the legacy row stages for anything after it.
-func runColumnar(groupName string, refs []eventRef, stages []stage) (*QueryResult, error) {
-	ex := newColExec(groupName, refs)
+// runColumnar evaluates the pipeline over g's windowed refs: columnar
+// stages until the first stats, then the legacy row stages for
+// anything after it. Caller holds svc.mu.
+func runColumnar(svc *Service, g *group, refs []eventRef, stages []stage) (*QueryResult, error) {
+	ex := newColExec(svc, g, refs)
 	columns := []string{"@timestamp", "@message"}
 	var rows []row
 	rowMode := false
@@ -419,7 +447,7 @@ func runColumnar(groupName string, refs []eventRef, stages []stage) (*QueryResul
 		for _, r := range rows {
 			cells := make([]string, len(columns))
 			for i, c := range columns {
-				cells[i] = r[c]
+				cells[i] = strings.Clone(r[c])
 			}
 			res.Rows = append(res.Rows, cells)
 		}

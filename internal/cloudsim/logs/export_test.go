@@ -35,7 +35,7 @@ func (s *Service) SequenceToken(groupName, streamName string) string {
 	if !ok {
 		return ""
 	}
-	return sequenceToken(groupName, streamName, st.nextSeq)
+	return sequenceToken(groupName, streamName, int64(st.rows.Len()))
 }
 
 // Groups lists every log group name, sorted.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strconv"
 	"time"
+	"unsafe"
 
 	"repro/internal/cloudsim/clock"
 	"repro/internal/cloudsim/iam"
@@ -25,14 +26,15 @@ import (
 // cannot move a ledger-parity golden by a nanodollar
 // (TestLogsPreserveLedger proves bit-identity with logging off).
 //
-// The hot path is allocation-lean: the message is built with
-// append-style formatting in a fixed-size stack buffer (the numeric
-// field values are substrings of the message, not separate
-// allocations), fields go into a stack array of typed slots instead of
-// a map, and the finished event is appended straight into the store
-// under its one lock, which also interns the plane group per service.
-// The `hotpath` diylint analyzer keeps fmt formatting and map literals
-// out of this path.
+// The hot path allocates nothing of its own per event: the
+// message is built with append-style formatting in a fixed-size stack
+// buffer and copied into the stream's bytes, the numeric field values
+// point at their bytes inside that message, the values that repeat
+// (service, op, outcome, principal, app) are interned ids, and fields
+// go into a stack array of typed slots instead of a map. The finished
+// event is appended straight into the store under its one lock, which
+// also interns the plane group per service. The `hotpath` diylint
+// analyzer keeps fmt formatting and map literals out of this path.
 func PlaneInterceptor(s *Service, book *pricing.PriceBook, clk clock.Clock) plane.Interceptor {
 	pub := &logPublisher{svc: s, book: book, clk: clk}
 	return func(next plane.HandlerFunc) plane.HandlerFunc {
@@ -58,7 +60,8 @@ type logPublisher struct {
 //	"%s:%s outcome=%s latency_ms=%s cost_nanodollars=%d principal=%s"
 //
 // Sprintf (log-stream determinism goldens pin it), built with append
-// formatting into a stack buffer instead.
+// formatting into a stack buffer instead and copied from there into
+// the stream's bytes, never into a string of its own.
 func (p *logPublisher) publish(req *plane.Request, err error) {
 	at := req.Ctx.Now()
 	if at.IsZero() && p.clk != nil {
@@ -107,41 +110,41 @@ func (p *logPublisher) publish(req *plane.Request, err error) {
 	costHi := len(b)
 	b = append(b, " principal="...)
 	b = append(b, principal...)
-	msg := string(b)
 
-	var slots [8]field
+	var slots [8]fieldIn
 	fs := append(slots[:0],
-		field{k: "service", v: req.Call.Service},
-		field{k: "op", v: req.Call.Op},
-		field{k: "outcome", v: outcome},
-		field{k: "cost_nanodollars", v: msg[costLo:costHi]},
+		fieldIn{key: keyService, val: req.Call.Service, intern: true},
+		fieldIn{key: keyOp, val: req.Call.Op, intern: true},
+		fieldIn{key: keyOutcome, val: outcome, intern: true},
+		fieldIn{key: keyCost, lo: costLo, hi: costHi, inMsg: true},
 	)
 	if principal != "" {
-		fs = append(fs, field{k: "principal", v: principal})
+		fs = append(fs, fieldIn{key: keyPrincipal, val: principal, intern: true})
 	}
 	if app != "" {
-		fs = append(fs, field{k: "app", v: app})
+		fs = append(fs, fieldIn{key: keyApp, val: app, intern: true})
 	}
 	if measurable {
-		fs = append(fs, field{k: "latency_ms", v: msg[latLo:latHi]})
+		fs = append(fs, fieldIn{key: keyLatency, lo: latLo, hi: latHi, inMsg: true})
 	}
 	if err != nil {
-		fs = append(fs, field{k: "error", v: err.Error()})
+		fs = append(fs, fieldIn{key: keyError, val: err.Error()})
 	}
-	p.svc.appendPlaneEvent(req.Call.Service, req.Call.Op, at, msg, fs)
+	p.svc.appendPlaneEvent(req.Call.Service, req.Call.Op, at, b, fs)
 }
 
 // appendPlaneEvent lands one plane event in group "plane/<service>",
 // stream op, creating both on first use; the service's group is
-// interned so its name is built once. The fields are copied into the
-// stream's arena, so the caller's slots may live on its stack.
-func (s *Service) appendPlaneEvent(service, op string, at time.Time, msg string, fs []field) {
+// interned so its name is built once. The message and fields are
+// copied into the stream's bytes or interned, so the caller's buffer
+// and slots may live on its stack.
+func (s *Service) appendPlaneEvent(service, op string, at time.Time, msg []byte, fs []fieldIn) {
 	s.mu.Lock()
 	g := s.planeGroups[service]
 	if g == nil {
 		g = s.ensureGroupLocked(PlaneGroup(service))
 		s.planeGroups[service] = g
 	}
-	s.appendLocked(g, s.ensureStreamLocked(g, op), at, msg, fs)
+	s.appendLocked(g, s.ensureStreamLocked(g, op), at, unsafe.String(unsafe.SliceData(msg), len(msg)), fs)
 	s.mu.Unlock()
 }

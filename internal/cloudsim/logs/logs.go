@@ -17,13 +17,23 @@
 // CloudWatch Logs rates through the same PriceBook/meter/bill engine
 // as every other service.
 //
-// Storage is columnar: each stream keeps parallel arrays (timestamps,
-// messages, sequence numbers) plus one shared key/value arena for
-// structured fields, and each group caches its deterministic merged
-// order. The Insights engine (columnar.go) scans those columns
-// directly — no per-event map is materialized on the query path — and
-// the plane interceptor appends each event straight into the store, so
-// every read sees every event published before it.
+// Storage is columnar and pointer-free: each stream keeps one row per
+// event (timestamp, message range, field-slot range), the events'
+// field slots, and one append-only byte column that holds the message
+// bytes and every field value not interned, all as sortutil.Chunks
+// addressed by int32 offsets. Field keys, and the values that repeat
+// from event to event (service, op, outcome, principal, app), are ids
+// from the service's interners. Each group caches its deterministic
+// merged order. The Insights engine (columnar.go) scans those columns
+// directly, reading messages and values as views of the byte column —
+// no per-event map or string is materialized on the query path — and
+// the plane interceptor and the lambda platform append each event
+// straight into the store, so every read sees every event published
+// before it. Appending an event allocates nothing of its own: its
+// message is built on the caller's stack and copied into the store,
+// and the columns grow by whole chunks that are never copied. The GC
+// never scans the retained events, since none of the columns that grow
+// with them holds a pointer.
 //
 // Logging is read-only with respect to the economy: nothing in this
 // package touches the account meter, samples randomness, or advances a
@@ -34,8 +44,10 @@ package logs
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/cloudsim/clock"
 	"repro/internal/cloudsim/sortutil"
@@ -70,51 +82,108 @@ type StoredEvent struct {
 	Seq    int64
 }
 
-// field is one structured key/value slot at rest. Events store their
-// fields as contiguous runs in the stream's shared arena instead of
-// per-event maps.
-type field struct{ k, v string }
+// Line is one plain-text event for AppendLambdaLines: its timestamp and
+// its message bytes, which the store copies, so Msg may be the
+// caller's scratch buffer.
+type Line struct {
+	Time time.Time
+	Msg  []byte
+}
 
-// stream is one append-only event sequence inside a group, stored as
-// parallel columns. Event i is (times[i], msgs[i], seqs[i]) with
-// structured fields fields[fieldLo[i]:fieldHi[i]]. Timestamps are
-// UnixNano, like the metrics and trace columns, so the time column is
-// pointer-free; time.Time is rebuilt only when an event is rendered.
+// fieldSlot is one structured field at rest, pointer-free: the key's
+// id in Service.keys, and the value — the stream's bytes[lo:hi], or,
+// when lo < 0, the value ^lo interned in Service.vals (hi unused).
+type fieldSlot struct{ key, lo, hi int32 }
+
+// fieldIn is one field handed to appendLocked: the key's id in
+// Service.keys and the value. The value is the event's own message
+// bytes msg[lo:hi] when inMsg is set (no copy: the slot points at the
+// message in the stream's bytes), else val, interned when intern is
+// set (a value that repeats across events) and copied otherwise.
+type fieldIn struct {
+	key           int32
+	val           string
+	lo, hi        int
+	inMsg, intern bool
+}
+
+// The plane interceptor's field keys. New interns them first, in this
+// order, so the publish path names them by constant id instead of
+// looking them up per event.
+const (
+	keyService int32 = iota
+	keyOp
+	keyOutcome
+	keyCost
+	keyPrincipal
+	keyApp
+	keyLatency
+	keyError
+)
+
+// planeKeys are the names of the key ids above, in id order.
+var planeKeys = [...]string{"service", "op", "outcome", "cost_nanodollars", "principal", "app", "latency_ms", "error"}
+
+// eventRow is one stored event's row: its UnixNano timestamp (time.Time
+// is rebuilt only when an event is rendered), its message, the
+// stream's bytes[msgLo:msgHi], and its structured fields, the run
+// fields[fieldLo:fieldHi] in the order they were ingested.
+type eventRow struct {
+	at                             int64
+	msgLo, msgHi, fieldLo, fieldHi int32
+}
+
+// stream is one append-only event sequence inside a group, stored
+// pointer-free in three sortutil.Chunks columns, which never copy what
+// they hold as they grow: rows, one per event, addressed by row offset
+// (an event's sequence number is its row's Index); fields, each
+// event's field slots as one run; and bytes, each message and every
+// field value not interned. Their aliasing rule is the store's: reads
+// inside the store use views of the bytes without copying, and a
+// string that leaves the store — a materialized event, a query result
+// cell — is a copy, so no caller can pin a chunk or observe a view.
 type stream struct {
-	name    string
-	times   []int64
-	msgs    []string
-	seqs    []int64
-	fieldLo []int32
-	fieldHi []int32
-	fields  []field
-	nextSeq int64
+	name   string
+	rows   sortutil.Chunks[eventRow]
+	fields sortutil.Chunks[fieldSlot]
+	bytes  sortutil.Chunks[byte]
 }
 
-// fieldsAt returns event i's structured fields (a view into the
-// arena — callers must not mutate or retain it across ingests).
-func (st *stream) fieldsAt(i int32) []field {
-	return st.fields[st.fieldLo[i]:st.fieldHi[i]]
+// msg returns the message of the event at row offset i as a view.
+func (st *stream) msg(i int32) string {
+	r := st.rows.At(i)
+	return sortutil.View(&st.bytes, r.msgLo, r.msgHi)
 }
 
-// eventRef addresses one stored event: a stream plus a column index.
-type eventRef struct {
-	st *stream
-	i  int32
+// fieldsAt returns the structured field slots of the event at row
+// offset i (a view into the column — callers must not write to it).
+func (st *stream) fieldsAt(i int32) []fieldSlot {
+	r := st.rows.At(i)
+	return st.fields.Run(r.fieldLo, r.fieldHi)
 }
 
-// time returns the event's UnixNano timestamp.
-func (r eventRef) time() int64 { return r.st.times[r.i] }
+// eventRef addresses one stored event: a stream (its index in the
+// group's list) plus the event's row offset. It holds no pointer, so
+// the group's merged order is a slice the GC does not scan.
+type eventRef struct{ s, i int32 }
 
 // group is a named set of streams.
 type group struct {
 	name    string
 	streams map[string]*stream
+	// list holds the streams in creation order; eventRef.s indexes it.
+	list []*stream
 	// merged caches every event in the group's deterministic order
 	// (timestamp, then stream name, then sequence). nil = needs
 	// rebuilding after an ingest.
 	merged []eventRef
 }
+
+// stream returns the stream ref r lives in.
+func (g *group) stream(r eventRef) *stream { return g.list[r.s] }
+
+// time returns r's UnixNano timestamp.
+func (g *group) time(r eventRef) int64 { return g.list[r.s].rows.At(r.i).at }
 
 // mergedRefs returns the group's events in deterministic order,
 // rebuilding the cache if an ingest invalidated it.
@@ -123,26 +192,29 @@ func (g *group) mergedRefs() []eventRef {
 		return g.merged
 	}
 	total := 0
-	for _, st := range g.streams {
-		total += len(st.times)
+	for _, st := range g.list {
+		total += st.rows.Len()
 	}
 	refs := make([]eventRef, 0, total)
-	for _, st := range g.streams {
-		for i := range st.times {
-			refs = append(refs, eventRef{st: st, i: int32(i)})
+	var offs []int32
+	for s, st := range g.list {
+		offs = st.rows.Offsets(offs[:0])
+		for _, i := range offs {
+			refs = append(refs, eventRef{s: int32(s), i: i})
 		}
 	}
 	// (time, stream, seq) is a total order — two events in one stream
-	// never share a seq — so the map's iteration order cannot leak.
+	// never share a seq, and row offsets grow with the seq — so the
+	// streams' creation order cannot leak.
 	sort.Slice(refs, func(i, j int) bool {
 		a, b := refs[i], refs[j]
-		if at, bt := a.time(), b.time(); at != bt {
+		if at, bt := g.time(a), g.time(b); at != bt {
 			return at < bt
 		}
-		if a.st.name != b.st.name {
-			return a.st.name < b.st.name
+		if an, bn := g.list[a.s].name, g.list[b.s].name; an != bn {
+			return an < bn
 		}
-		return a.st.seqs[a.i] < b.st.seqs[b.i]
+		return a.i < b.i
 	})
 	g.merged = refs
 	return refs
@@ -152,7 +224,7 @@ func (g *group) mergedRefs() []eventRef {
 // in [from, to] (zero times mean unbounded).
 func (g *group) windowRefs(from, to time.Time) []eventRef {
 	refs := g.mergedRefs()
-	lo, hi := sortutil.Window(len(refs), func(i int) int64 { return refs[i].time() }, from, to)
+	lo, hi := sortutil.Window(len(refs), func(i int) int64 { return g.time(refs[i]) }, from, to)
 	return refs[lo:hi]
 }
 
@@ -169,9 +241,14 @@ type GroupInfo struct {
 type Service struct {
 	clk clock.Clock
 
-	mu            sync.Mutex
-	groups        map[string]*group
-	planeGroups   map[string]*group // service -> its "plane/<service>" group
+	mu           sync.Mutex
+	groups       map[string]*group
+	planeGroups  map[string]*group // service -> its "plane/<service>" group
+	lambdaGroups map[string]*group // function -> its "lambda/<function>" group
+	// keys interns field keys and vals the field values that repeat;
+	// fieldSlot holds their ids.
+	keys          sortutil.Names
+	vals          sortutil.Names
 	ingestedBytes int64
 
 	// Self-telemetry counter (see SelfStats).
@@ -185,7 +262,16 @@ func New(clk clock.Clock) *Service {
 	if clk == nil {
 		clk = clock.Wall{}
 	}
-	return &Service{clk: clk, groups: make(map[string]*group), planeGroups: make(map[string]*group)}
+	s := &Service{
+		clk:          clk,
+		groups:       make(map[string]*group),
+		planeGroups:  make(map[string]*group),
+		lambdaGroups: make(map[string]*group),
+	}
+	for _, k := range planeKeys {
+		s.keys.IDLocked(k) // s is not shared yet
+	}
+	return s
 }
 
 // PutEvents appends events to a stream, creating group and stream on
@@ -199,49 +285,94 @@ func (s *Service) PutEvents(groupName, streamName string, events ...Event) strin
 	g := s.ensureGroupLocked(groupName)
 	st := s.ensureStreamLocked(g, streamName)
 	for _, e := range events {
-		fs := sortedFields(e.Fields)
-		s.appendLocked(g, st, e.Time, e.Message, fs)
+		s.appendLocked(g, st, e.Time, e.Message, s.sortedFieldsLocked(e.Fields))
 	}
-	return sequenceToken(groupName, streamName, st.nextSeq)
+	return sequenceToken(groupName, streamName, int64(st.rows.Len()))
 }
 
-// sortedFields converts a public Fields map into arena slots, sorted
-// by key so identical maps always store identically.
-func sortedFields(m map[string]string) []field {
+// AppendLambdaLines appends plain-text lines to the named stream of
+// function fn's group, LambdaGroup(fn), creating both on first use. It
+// is PutEvents for the lambda platform's per-invocation START, END and
+// REPORT lines without PutEvents' per-call strings: the group is
+// interned per function, the stream is found by its bytes, each
+// message is copied into the stream's bytes, and no sequence token is
+// built, since the platform never reads one.
+func (s *Service) AppendLambdaLines(fn string, stream []byte, lines ...Line) {
+	s.mu.Lock()
+	g := s.lambdaGroups[fn]
+	if g == nil {
+		g = s.ensureGroupLocked(LambdaGroup(fn))
+		s.lambdaGroups[fn] = g
+	}
+	st := g.streams[string(stream)]
+	if st == nil {
+		st = s.ensureStreamLocked(g, string(stream))
+	}
+	for _, l := range lines {
+		s.appendLocked(g, st, l.Time, unsafe.String(unsafe.SliceData(l.Msg), len(l.Msg)), nil)
+	}
+	s.mu.Unlock()
+}
+
+// sortedFieldsLocked converts a public Fields map into fields to
+// append, sorted by key so identical maps always store identically.
+// The keys are interned; the values are arbitrary, so they are copied,
+// not interned. Caller holds s.mu.
+func (s *Service) sortedFieldsLocked(m map[string]string) []fieldIn {
 	if len(m) == 0 {
 		return nil
 	}
-	fs := make([]field, 0, len(m))
-	for k, v := range m {
-		fs = append(fs, field{k: k, v: v})
+	keys := sortutil.SortedKeys(m)
+	fs := make([]fieldIn, len(keys))
+	for i, k := range keys {
+		fs[i] = fieldIn{key: s.keys.IDLocked(k), val: m[k]}
 	}
-	sort.Slice(fs, func(i, j int) bool { return fs[i].k < fs[j].k })
 	return fs
 }
 
 // appendLocked lands one event in a stream's columns, stamping a zero
-// timestamp with the service clock, assigning the next sequence
-// number, and accruing the ingested byte inventory. Caller
-// holds s.mu.
-func (s *Service) appendLocked(g *group, st *stream, at time.Time, msg string, fs []field) {
+// timestamp with the service clock and accruing the ingested byte
+// inventory. msg and the field values are copied (or interned), so
+// they may live in the caller's scratch buffers. Caller holds s.mu.
+func (s *Service) appendLocked(g *group, st *stream, at time.Time, msg string, fs []fieldIn) {
 	if at.IsZero() {
 		at = s.clk.Now()
 	}
 	b := int64(len(msg)) + EventOverheadBytes
+	r := eventRow{at: at.UnixNano()}
+	r.msgLo, r.msgHi = sortutil.PutString(&st.bytes, msg)
+	var buf [8]fieldSlot
+	slots := buf[:0]
 	for _, f := range fs {
-		b += int64(len(f.k) + len(f.v))
+		slot := fieldSlot{key: f.key}
+		b += int64(len(s.keys.Name(f.key)))
+		switch {
+		case f.inMsg:
+			slot.lo, slot.hi = r.msgLo+int32(f.lo), r.msgLo+int32(f.hi)
+			b += int64(f.hi - f.lo)
+		case f.intern:
+			slot.lo = ^s.vals.IDLocked(f.val)
+			b += int64(len(f.val))
+		default:
+			slot.lo, slot.hi = sortutil.PutString(&st.bytes, f.val)
+			b += int64(len(f.val))
+		}
+		slots = append(slots, slot)
 	}
+	r.fieldLo, r.fieldHi = st.fields.Append(slots...)
+	st.rows.Append(r)
 	s.ingestedBytes += b
 	s.ingestedEvents++
-	st.times = append(st.times, at.UnixNano())
-	st.msgs = append(st.msgs, msg)
-	st.seqs = append(st.seqs, st.nextSeq)
-	st.nextSeq++
-	lo := int32(len(st.fields))
-	st.fields = append(st.fields, fs...)
-	st.fieldLo = append(st.fieldLo, lo)
-	st.fieldHi = append(st.fieldHi, int32(len(st.fields)))
 	g.merged = nil
+}
+
+// fieldVal returns a stored field's value: the interned string, or a
+// view of the stream's bytes. Caller holds s.mu.
+func (s *Service) fieldVal(st *stream, f fieldSlot) string {
+	if f.lo < 0 {
+		return s.vals.Name(^f.lo)
+	}
+	return sortutil.View(&st.bytes, f.lo, f.hi)
 }
 
 // sequenceToken renders the deterministic upload token for a stream
@@ -262,9 +393,9 @@ func (s *Service) Inventory() []GroupInfo {
 		info := GroupInfo{Name: g.name, Streams: len(g.streams)}
 		for _, stName := range sortutil.SortedKeys(g.streams) {
 			st := g.streams[stName]
-			info.Events += len(st.times)
-			for i := range st.msgs {
-				info.Bytes += storedEventBytes(st, int32(i))
+			info.Events += st.rows.Len()
+			for _, i := range st.rows.Offsets(nil) {
+				info.Bytes += s.storedEventBytes(st, i)
 			}
 		}
 		out = append(out, info)
@@ -272,29 +403,36 @@ func (s *Service) Inventory() []GroupInfo {
 	return out
 }
 
-// storedEventBytes is the metered size of the event at ref position i.
-func storedEventBytes(st *stream, i int32) int64 {
-	n := int64(len(st.msgs[i])) + EventOverheadBytes
+// storedEventBytes is the metered size of st's event at row offset i:
+// the same lengths appendLocked billed at ingest. Caller holds s.mu.
+func (s *Service) storedEventBytes(st *stream, i int32) int64 {
+	r := st.rows.At(i)
+	n := int64(r.msgHi-r.msgLo) + EventOverheadBytes
 	for _, f := range st.fieldsAt(i) {
-		n += int64(len(f.k) + len(f.v))
+		n += int64(len(s.keys.Name(f.key)) + len(s.fieldVal(st, f)))
 	}
 	return n
 }
 
 // materialize rehydrates one stored event into the public shape,
-// rebuilding its Fields map (nil when the event has none).
-func materialize(groupName string, ref eventRef) StoredEvent {
-	st := ref.st
+// rebuilding its Fields map (nil when the event has none). The message
+// and every field value in its bytes are copied out. Caller holds s.mu.
+func (s *Service) materialize(g *group, ref eventRef) StoredEvent {
+	st := g.stream(ref)
 	e := StoredEvent{
-		Event:  Event{Time: time.Unix(0, ref.time()).UTC(), Message: st.msgs[ref.i]},
-		Group:  groupName,
+		Event:  Event{Time: time.Unix(0, st.rows.At(ref.i).at).UTC(), Message: strings.Clone(st.msg(ref.i))},
+		Group:  g.name,
 		Stream: st.name,
-		Seq:    st.seqs[ref.i],
+		Seq:    int64(st.rows.Index(ref.i)),
 	}
 	if fs := st.fieldsAt(ref.i); len(fs) > 0 {
 		m := make(map[string]string, len(fs))
 		for _, f := range fs {
-			m[f.k] = f.v
+			if f.lo < 0 {
+				m[s.keys.Name(f.key)] = s.vals.Name(^f.lo)
+			} else {
+				m[s.keys.Name(f.key)] = strings.Clone(sortutil.View(&st.bytes, f.lo, f.hi))
+			}
 		}
 		e.Fields = m
 	}
@@ -317,7 +455,7 @@ func (s *Service) Events(groupName string, from, to time.Time) []StoredEvent {
 	}
 	out := make([]StoredEvent, 0, len(refs))
 	for _, ref := range refs {
-		out = append(out, materialize(groupName, ref))
+		out = append(out, s.materialize(g, ref))
 	}
 	return out
 }
@@ -380,6 +518,7 @@ func (s *Service) ensureStreamLocked(g *group, name string) *stream {
 	if !ok {
 		st = &stream{name: name}
 		g.streams[name] = st
+		g.list = append(g.list, st)
 	}
 	return st
 }

@@ -98,18 +98,18 @@ type row map[string]string
 // legacy row evaluator survives in the tests as queryRows;
 // TestColumnarMatchesRows and FuzzInsightsQuery pin the two
 // cell-for-cell.
-func (s *Service) Query(group, query string, from, to time.Time) (*QueryResult, error) {
+func (s *Service) Query(groupName, query string, from, to time.Time) (*QueryResult, error) {
 	stages, err := parseQuery(query)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var refs []eventRef
-	if g, ok := s.groups[group]; ok {
-		refs = g.windowRefs(from, to)
+	g := s.groups[groupName]
+	if g == nil {
+		g = &group{name: groupName} // no events: @logGroup still names it
 	}
-	return runColumnar(group, refs, stages)
+	return runColumnar(s, g, g.windowRefs(from, to), stages)
 }
 
 // stage is one parsed pipeline step.

@@ -10,8 +10,12 @@
 //   - Window: the one inclusive time-window search over a
 //     timestamp-ordered column, shared by the metrics series, the logs
 //     merged order and the trace start order.
-//   - Names: the one string interner, behind metrics series handles
-//     and the trace store's service and operation tables.
+//   - Names: the one string interner, behind metrics series handles,
+//     the trace store's service, operation, annotation-key and usage
+//     names, and the logs store's field keys and repeated values.
+//   - Chunks: the one append-only column the logs and trace stores
+//     keep retained events in, pointer-free, in chunks that are never
+//     copied as it grows, addressed by int32 offsets.
 package sortutil
 
 import (

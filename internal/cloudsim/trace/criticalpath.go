@@ -38,13 +38,14 @@ func (s *Store) criticalPathLocked(row int32) []PathStep {
 	rel := int32(0)
 	for {
 		i := lo + rel
-		step := PathStep{Service: s.svcs.Name(s.segSvc[i]), Op: s.ops.Name(s.segOp[i]), Self: s.durLocked(i)}
+		r := s.segs.At(i)
+		step := PathStep{Service: s.svcs.Name(r.svc), Op: s.ops.Name(r.op), Self: r.dur()}
 		next := int32(-1)
 		var nextDur time.Duration
 		var nextStart int64
 		for _, c := range kids[rel] {
-			ci := lo + c
-			d, st := s.durLocked(ci), s.segStart[ci]
+			kid := s.segs.At(lo + c)
+			d, st := kid.dur(), kid.start
 			if next < 0 || d > nextDur || (d == nextDur && st < nextStart) {
 				next, nextDur, nextStart = c, d, st
 			}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"strings"
 	"time"
 
 	"repro/internal/pricing"
@@ -33,21 +34,24 @@ func segments(v TraceView, book *pricing.PriceBook) []storedSeg {
 	lo, hi := s.segLo[v.row], s.segHi[v.row]
 	out := make([]storedSeg, 0, hi-lo)
 	for i := lo; i < hi; i++ {
+		r := s.segs.At(i)
 		g := storedSeg{
-			Service: s.svcs.Name(s.segSvc[i]),
-			Op:      s.ops.Name(s.segOp[i]),
-			Parent:  int(s.segParent[i]),
-			Start:   time.Unix(0, s.segStart[i]).UTC(),
+			Service: s.svcs.Name(r.svc),
+			Op:      s.ops.Name(r.op),
+			Parent:  int(r.parent),
+			Start:   time.Unix(0, r.start).UTC(),
 		}
-		if s.segEnd[i] != noEnd {
-			g.End = time.Unix(0, s.segEnd[i]).UTC()
+		if r.end != noEnd {
+			g.End = time.Unix(0, r.end).UTC()
 		}
-		for a := s.annoLo[i]; a < s.annoHi[i]; a++ {
-			g.Annos = append(g.Annos, Annotation{Key: s.annoKeys[a], Value: s.annoVals[a]})
+		for a := r.annoLo; a < r.annoHi; a++ {
+			g.Annos = append(g.Annos, Annotation{Key: s.annoKeys.Name(s.annos.At(a).key), Value: strings.Clone(s.annoVal(a))})
 		}
-		g.Usage = append(g.Usage, s.usages[s.useLo[i]:s.useHi[i]]...)
+		for u := r.useLo; u < r.useHi; u++ {
+			g.Usage = append(g.Usage, s.usageAt(u))
+		}
 		if book != nil {
-			g.Cost = s.segCostLocked(i, book)
+			g.Cost = s.rowCostLocked(&r, book)
 		}
 		out = append(out, g)
 	}

@@ -233,7 +233,7 @@ func (p *filterParser) parsePrimary() (filterPred, error) {
 		svc := name.text
 		return func(s *Store, row int32) bool {
 			for i := s.segLo[row]; i < s.segHi[row]; i++ {
-				if s.svcs.Name(s.segSvc[i]) == svc {
+				if s.svcs.Name(s.segs.At(i).svc) == svc {
 					return true
 				}
 			}
@@ -289,12 +289,15 @@ func (p *filterParser) parsePrimary() (filterPred, error) {
 		}
 		k, want, eq := key.text, val.text, op.text == "="
 		return func(s *Store, row int32) bool {
+			id, ok := s.annoKeys.Lookup(k)
+			if !ok {
+				return false
+			}
 			for i := s.segLo[row]; i < s.segHi[row]; i++ {
-				for a := s.annoLo[i]; a < s.annoHi[i]; a++ {
-					if s.annoKeys[a] == k {
-						if (s.annoVals[a] == want) == eq {
-							return true
-						}
+				r := s.segs.At(i)
+				for a := r.annoLo; a < r.annoHi; a++ {
+					if s.annos.At(a).key == id && (s.annoVal(a) == want) == eq {
+						return true
 					}
 				}
 			}

@@ -57,21 +57,24 @@ func (s *Store) ServiceMap(book *pricing.PriceBook, from, to time.Time) *Service
 	s.scanned += int64(len(rows))
 
 	m := &ServiceMap{Traces: len(rows)}
-	nodeIdx := make(map[string]int)
-	edgeIdx := make(map[[2]string]int)
+	errKey, errKeyOK := s.annoKeys.Lookup("error")
+	// Nodes and edges are found by interned service id, so the scan
+	// hashes ints, not names; the names are read once per node or edge.
+	nodeIdx := make(map[int32]int)
+	edgeIdx := make(map[[2]int32]int)
 	for _, row := range rows {
 		lo, hi := s.segLo[row], s.segHi[row]
 		for i := lo; i < hi; i++ {
-			svc := s.svcs.Name(s.segSvc[i])
-			dur := s.durLocked(i)
-			cost := s.segCostLocked(i, book)
-			isErr := s.hasAnnotationLocked(i, "error")
+			r := s.segs.At(i)
+			dur := r.dur()
+			cost := s.rowCostLocked(&r, book)
+			isErr := errKeyOK && s.hasAnnotationLocked(&r, errKey)
 
-			ni, ok := nodeIdx[svc]
+			ni, ok := nodeIdx[r.svc]
 			if !ok {
 				ni = len(m.Nodes)
-				nodeIdx[svc] = ni
-				m.Nodes = append(m.Nodes, MapNode{Service: svc})
+				nodeIdx[r.svc] = ni
+				m.Nodes = append(m.Nodes, MapNode{Service: s.svcs.Name(r.svc)})
 			}
 			n := &m.Nodes[ni]
 			n.Requests++
@@ -81,20 +84,19 @@ func (s *Store) ServiceMap(book *pricing.PriceBook, from, to time.Time) *Service
 				n.Errors++
 			}
 
-			p := s.segParent[i]
-			if p < 0 {
+			if r.parent < 0 {
 				continue
 			}
-			from := s.svcs.Name(s.segSvc[lo+p])
-			if from == svc {
+			from := s.segs.At(lo + r.parent).svc
+			if from == r.svc {
 				continue // sub-segment of the same service, not a hop
 			}
-			k := [2]string{from, svc}
+			k := [2]int32{from, r.svc}
 			ei, ok := edgeIdx[k]
 			if !ok {
 				ei = len(m.Edges)
 				edgeIdx[k] = ei
-				m.Edges = append(m.Edges, MapEdge{From: from, To: svc})
+				m.Edges = append(m.Edges, MapEdge{From: s.svcs.Name(from), To: s.svcs.Name(r.svc)})
 			}
 			e := &m.Edges[ei]
 			e.Requests++
@@ -108,9 +110,11 @@ func (s *Store) ServiceMap(book *pricing.PriceBook, from, to time.Time) *Service
 	return m
 }
 
-func (s *Store) hasAnnotationLocked(seg int32, key string) bool {
-	for a := s.annoLo[seg]; a < s.annoHi[seg]; a++ {
-		if s.annoKeys[a] == key {
+// hasAnnotationLocked reports whether a segment carries the annotation
+// key with the given interned id.
+func (s *Store) hasAnnotationLocked(r *segRow, key int32) bool {
+	for a := r.annoLo; a < r.annoHi; a++ {
+		if s.annos.At(a).key == key {
 			return true
 		}
 	}

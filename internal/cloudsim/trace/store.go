@@ -15,12 +15,21 @@ import (
 // into columnar storage once, when its root span finishes, so reads
 // see every finished trace and never a half-built one.
 //
-// Each stored trace is a contiguous block of preorder segment rows in
-// parallel arrays (service/op ids, instants, block-relative parent
-// links, annotation and usage arena ranges). Service and operation
-// names intern through sortutil.Names, and time-window reads run
-// sortutil.Window over a cached start-time order — the storage core
-// the metrics and logs stores share.
+// Each stored trace is a contiguous run of preorder segment rows
+// (service/op ids, instants, block-relative parent links, annotation
+// and usage row ranges). Every column that grows with the stored
+// traces is pointer-free, so the GC never scans it, and is a
+// sortutil.Chunks, which never copies what it holds as it grows:
+// service, operation and annotation-key names, and the usage records'
+// kind, resource and app, intern through sortutil.Names; annotation
+// values are runs of one byte column; a usage row is three ids and a
+// quantity. Time-window reads run sortutil.Window over a cached
+// start-time order — the storage core the metrics and logs stores
+// share.
+//
+// The store also keeps the span slabs (see slab) of finished traces
+// for the next traces to reuse, so tracing a request allocates only
+// its Trace once a slab has grown to a flow's size.
 //
 // Like the metrics and logs services, the store is read-only over the
 // simulated economy: it never touches the account meter and its
@@ -33,7 +42,7 @@ type Store struct {
 	mu      sync.Mutex
 	sampler *sampler
 
-	// Interned service and operation names; segSvc/segOp hold ids.
+	// Interned service and operation names; a segRow holds their ids.
 	svcs sortutil.Names
 	ops  sortutil.Names
 
@@ -42,21 +51,31 @@ type Store struct {
 	segLo     []int32 // the trace's segment block is [segLo, segHi)
 	segHi     []int32
 
-	// Per-segment columns, preorder within each trace's block.
-	segSvc    []int32
-	segOp     []int32
-	segParent []int32 // block-relative parent index; -1 at the root
-	segStart  []int64
-	segEnd    []int64 // noEnd for a span never finished before its root
-	annoLo    []int32 // annotation arena range
-	annoHi    []int32
-	useLo     []int32 // usage arena range
-	useHi     []int32
+	// Segment rows, each trace's block one run in preorder.
+	segs sortutil.Chunks[segRow]
 
-	// Arenas shared by every segment.
-	annoKeys []string
-	annoVals []string
-	usages   []pricing.Usage
+	// Annotation rows, each segment's one run: a key id in annoKeys and
+	// a value, a run of annoBytes. The aliasing rule of sortutil.Chunks
+	// is the store's: reads inside the store compare and render values
+	// as views (annoVal) without copying, and a value that leaves the
+	// store (SegmentView.Annotation) is a copy.
+	annoKeys  sortutil.Names
+	annos     sortutil.Chunks[annoRow]
+	annoBytes sortutil.Chunks[byte]
+
+	// Usage rows, each segment's one run, with kind, resource and app
+	// interned in useNames.
+	useNames sortutil.Names
+	uses     sortutil.Chunks[useRow]
+
+	// Scratch the fold builds one trace's rows in before appending each
+	// run, kept for the next fold.
+	segBuf  []segRow
+	annoBuf []annoRow
+	useBuf  []useRow
+
+	// free holds the slabs of folded traces for New to hand out again.
+	free []*slab
 
 	// byStart caches trace rows ordered by (rootStart, row) for
 	// binary-searched windows; nil means rebuild on next read.
@@ -72,6 +91,27 @@ type Store struct {
 
 // noEnd marks a segment whose span was never finished.
 const noEnd = int64(-1) << 62
+
+// segRow is one stored segment: service and op ids, the parent's
+// index within its trace's block (-1 at the root), its instants
+// (UnixNano; end is noEnd for a span never finished before its root),
+// and its annotation and usage row ranges.
+type segRow struct {
+	svc, op, parent              int32
+	start, end                   int64
+	annoLo, annoHi, useLo, useHi int32
+}
+
+// annoRow is one stored annotation: its key's id in annoKeys and its
+// value, annoBytes[lo:hi].
+type annoRow struct{ key, lo, hi int32 }
+
+// useRow is one stored usage record, pointer-free: kind, resource and
+// app are ids in useNames.
+type useRow struct {
+	kind, res, app int32
+	qty            float64
+}
 
 // StoreStats summarizes the store's sampling and scan counters.
 type StoreStats struct {
@@ -107,6 +147,21 @@ func (s *Store) Decide(service, op string, at time.Time) bool {
 	return keep
 }
 
+// takeSlab hands a new trace a slab from the free list, or a fresh
+// one while every slab is in use by a live trace.
+func (s *Store) takeSlab() *slab {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.free)
+	if n == 0 {
+		return new(slab)
+	}
+	sl := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
+	return sl
+}
+
 // publish closes t's root span at the given instant and, the first
 // time, folds t into the columns — the store's only write, run once
 // per kept request from the root's Finish. Reads therefore never see a
@@ -117,53 +172,104 @@ func (s *Store) publish(t *Trace, at time.Time) int32 {
 	defer s.mu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.root.finishLocked(at)
 	if t.row < 0 {
+		t.slab.finishLocked(0, at)
 		s.foldLocked(t)
 	}
 	return t.row
 }
 
-// foldLocked copies one finished trace into the columns: interned
-// handles, preorder segment rows, arena-packed annotations and usage.
-// Caller holds s.mu and t.mu.
+// foldLocked copies one finished trace from its slab into the columns
+// — interned handles, one run of preorder segment rows, and each
+// segment's annotation and usage runs — then empties the slab into the
+// free list and detaches it from t, which turns every later call on
+// t's spans into a no-op. Caller holds s.mu and t.mu.
 func (s *Store) foldLocked(t *Trace) {
-	base := int32(len(s.segSvc))
-	s.foldSpanLocked(t.root, -1, base)
-	s.rootStart = append(s.rootStart, t.root.start.UnixNano())
-	s.segLo = append(s.segLo, base)
-	s.segHi = append(s.segHi, int32(len(s.segSvc)))
+	sl := t.slab
+	s.segBuf = s.segBuf[:0]
+	s.foldSpanLocked(sl, 0, -1)
+	lo, hi := s.segs.Append(s.segBuf...)
+	s.rootStart = append(s.rootStart, sl.spans[0].start.UnixNano())
+	s.segLo = append(s.segLo, lo)
+	s.segHi = append(s.segHi, hi)
 	s.byStart = nil
 	t.row = int32(len(s.rootStart) - 1)
+	sl.resetLocked()
+	s.free = append(s.free, sl)
+	t.slab = nil
 }
 
-// foldSpanLocked appends sp's segment row, then its subtree in
-// preorder. parent is block-relative to base.
-func (s *Store) foldSpanLocked(sp *Span, parent, base int32) {
-	idx := int32(len(s.segSvc)) - base
-	s.segSvc = append(s.segSvc, s.svcs.IDLocked(sp.service))
-	s.segOp = append(s.segOp, s.ops.IDLocked(sp.op))
-	s.segParent = append(s.segParent, parent)
-	s.segStart = append(s.segStart, sp.start.UnixNano())
-	if sp.end.IsZero() {
-		s.segEnd = append(s.segEnd, noEnd)
-	} else {
-		s.segEnd = append(s.segEnd, sp.end.UnixNano())
+// foldSpanLocked appends slot i's segment row to segBuf, then its
+// subtree in preorder. parent is the parent's index in segBuf.
+func (s *Store) foldSpanLocked(sl *slab, i, parent int32) {
+	idx := int32(len(s.segBuf))
+	sp := &sl.spans[i]
+	r := segRow{
+		svc:    s.svcs.IDLocked(sp.service),
+		op:     s.ops.IDLocked(sp.op),
+		parent: parent,
+		start:  sp.start.UnixNano(),
+		end:    noEnd,
 	}
-	al := int32(len(s.annoKeys))
-	for _, a := range sp.annotations {
-		s.annoKeys = append(s.annoKeys, a.Key)
-		s.annoVals = append(s.annoVals, a.Value)
+	if !sp.end.IsZero() {
+		r.end = sp.end.UnixNano()
 	}
-	s.annoLo = append(s.annoLo, al)
-	s.annoHi = append(s.annoHi, int32(len(s.annoKeys)))
-	ul := int32(len(s.usages))
-	s.usages = append(s.usages, sp.usage...)
-	s.useLo = append(s.useLo, ul)
-	s.useHi = append(s.useHi, int32(len(s.usages)))
-	for _, c := range sp.children {
-		s.foldSpanLocked(c, idx, base)
+	s.annoBuf = s.annoBuf[:0]
+	for a := sp.annoHead; a != noSlot; a = sl.annos[a].next {
+		an := &sl.annos[a]
+		lo, hi := sortutil.PutString(&s.annoBytes, an.val)
+		s.annoBuf = append(s.annoBuf, annoRow{key: s.annoKeys.IDLocked(an.key), lo: lo, hi: hi})
 	}
+	r.annoLo, r.annoHi = s.annos.Append(s.annoBuf...)
+	s.useBuf = s.useBuf[:0]
+	for u := sp.useHead; u != noSlot; u = sl.uses[u].next {
+		x := &sl.uses[u].u
+		s.useBuf = append(s.useBuf, useRow{
+			kind: s.useNames.IDLocked(string(x.Kind)),
+			res:  s.useNames.IDLocked(x.Resource),
+			app:  s.useNames.IDLocked(x.App),
+			qty:  x.Quantity,
+		})
+	}
+	r.useLo, r.useHi = s.uses.Append(s.useBuf...)
+	s.segBuf = append(s.segBuf, r)
+	for c := sp.kidHead; c != noSlot; c = sl.spans[c].next {
+		s.foldSpanLocked(sl, c, idx)
+	}
+}
+
+// annoVal returns annotation row a's value as a view of annoBytes; see
+// the aliasing rule there.
+func (s *Store) annoVal(a int32) string {
+	r := s.annos.At(a)
+	return sortutil.View(&s.annoBytes, r.lo, r.hi)
+}
+
+// usageAt rebuilds usage row u as a pricing.Usage; its strings are the
+// interned names, so nothing is allocated.
+func (s *Store) usageAt(u int32) pricing.Usage {
+	r := s.uses.At(u)
+	return pricing.Usage{
+		Kind:     pricing.Kind(s.useNames.Name(r.kind)),
+		Quantity: r.qty,
+		Resource: s.useNames.Name(r.res),
+		App:      s.useNames.Name(r.app),
+	}
+}
+
+// annoLocked returns seg's row for the annotation key, or -1.
+func (s *Store) annoLocked(seg int32, key string) int32 {
+	id, ok := s.annoKeys.Lookup(key)
+	if !ok {
+		return -1
+	}
+	r := s.segs.At(seg)
+	for a := r.annoLo; a < r.annoHi; a++ {
+		if s.annos.At(a).key == id {
+			return a
+		}
+	}
+	return -1
 }
 
 // Len reports how many traces the store holds.
@@ -285,7 +391,7 @@ type SegmentView struct {
 func (v TraceView) Name() string {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
-	return v.s.ops.Name(v.s.segOp[v.s.segLo[v.row]])
+	return v.s.ops.Name(v.s.segs.At(v.s.segLo[v.row]).op)
 }
 
 // Duration reports the root span's duration.
@@ -302,7 +408,8 @@ func (v TraceView) Find(service, op string) (SegmentView, bool) {
 	defer v.s.mu.Unlock()
 	lo, hi := v.s.segLo[v.row], v.s.segHi[v.row]
 	for i := lo; i < hi; i++ {
-		if v.s.svcs.Name(v.s.segSvc[i]) == service && (op == "" || v.s.ops.Name(v.s.segOp[i]) == op) {
+		r := v.s.segs.At(i)
+		if v.s.svcs.Name(r.svc) == service && (op == "" || v.s.ops.Name(r.op) == op) {
 			return SegmentView{s: v.s, seg: i}, true
 		}
 	}
@@ -342,10 +449,10 @@ func (v TraceView) Render(book *pricing.PriceBook) string {
 	s := v.s
 	lo := s.segLo[v.row]
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s  %s  %s\n", s.ops.Name(s.segOp[lo]), fmtDur(s.durLocked(lo)),
+	fmt.Fprintf(&sb, "%s  %s  %s\n", s.ops.Name(s.segs.At(lo).op), fmtDur(s.durLocked(lo)),
 		fmtCost(s.traceCostLocked(v.row, book)))
 	kids := s.childrenLocked(v.row)
-	t0 := s.segStart[lo]
+	t0 := s.segs.At(lo).start
 	for i, c := range kids[0] {
 		s.renderSegLocked(&sb, book, kids, c, lo, "", i == len(kids[0])-1, t0)
 	}
@@ -358,7 +465,7 @@ func (s *Store) childrenLocked(row int32) [][]int32 {
 	lo, hi := s.segLo[row], s.segHi[row]
 	kids := make([][]int32, hi-lo)
 	for i := lo + 1; i < hi; i++ {
-		p := s.segParent[i]
+		p := s.segs.At(i).parent
 		kids[p] = append(kids[p], i-lo)
 	}
 	return kids
@@ -370,12 +477,16 @@ func (s *Store) renderSegLocked(sb *strings.Builder, book *pricing.PriceBook, ki
 		branch, cont = "└─ ", "   "
 	}
 	i := lo + rel
-	fmt.Fprintf(sb, "%s%s%s %s  +%s %s", prefix, branch, s.svcs.Name(s.segSvc[i]), s.ops.Name(s.segOp[i]),
-		fmtDur(time.Duration(s.segStart[i]-t0)), fmtDur(s.durLocked(i)))
-	for a := s.annoLo[i]; a < s.annoHi[i]; a++ {
-		fmt.Fprintf(sb, "  %s=%s", s.annoKeys[a], s.annoVals[a])
+	r := s.segs.At(i)
+	fmt.Fprintf(sb, "%s%s%s %s  +%s %s", prefix, branch, s.svcs.Name(r.svc), s.ops.Name(r.op),
+		fmtDur(time.Duration(r.start-t0)), fmtDur(r.dur()))
+	for a := r.annoLo; a < r.annoHi; a++ {
+		sb.WriteString("  ")
+		sb.WriteString(s.annoKeys.Name(s.annos.At(a).key))
+		sb.WriteByte('=')
+		sb.WriteString(s.annoVal(a))
 	}
-	if c := s.segCostLocked(i, book); c != 0 {
+	if c := s.rowCostLocked(&r, book); c != 0 {
 		fmt.Fprintf(sb, "  %s", fmtCost(c))
 	}
 	sb.WriteByte('\n')
@@ -384,25 +495,39 @@ func (s *Store) renderSegLocked(sb *strings.Builder, book *pricing.PriceBook, ki
 	}
 }
 
+// durLocked is segment seg's duration.
 func (s *Store) durLocked(seg int32) time.Duration {
-	if s.segEnd[seg] == noEnd {
-		return 0
-	}
-	return time.Duration(s.segEnd[seg] - s.segStart[seg])
+	r := s.segs.At(seg)
+	return r.dur()
 }
 
-func (s *Store) segCostLocked(seg int32, book *pricing.PriceBook) pricing.Money {
+// dur is the segment's duration, 0 for a span never finished.
+func (r *segRow) dur() time.Duration {
+	if r.end == noEnd {
+		return 0
+	}
+	return time.Duration(r.end - r.start)
+}
+
+// rowCostLocked prices a segment's own usage at the book's list price.
+func (s *Store) rowCostLocked(r *segRow, book *pricing.PriceBook) pricing.Money {
 	var total pricing.Money
-	for u := s.useLo[seg]; u < s.useHi[seg]; u++ {
-		total += book.ListPrice(s.usages[u])
+	for u := r.useLo; u < r.useHi; u++ {
+		total += book.ListPrice(s.usageAt(u))
 	}
 	return total
 }
 
-// traceUsageLocked aggregates one stored trace's usage. A trace's
-// segments are folded contiguously, so their usage is one arena run.
+// traceUsageLocked aggregates one stored trace's usage records.
 func (s *Store) traceUsageLocked(row int32) []pricing.Usage {
-	return pricing.Aggregate(s.usages[s.useLo[s.segLo[row]]:s.useHi[s.segHi[row]-1]])
+	var us []pricing.Usage
+	for i := s.segLo[row]; i < s.segHi[row]; i++ {
+		r := s.segs.At(i)
+		for u := r.useLo; u < r.useHi; u++ {
+			us = append(us, s.usageAt(u))
+		}
+	}
+	return pricing.Aggregate(us)
 }
 
 func (s *Store) traceCostLocked(row int32, book *pricing.PriceBook) pricing.Money {
@@ -417,26 +542,26 @@ func (s *Store) traceCostLocked(row int32, book *pricing.PriceBook) pricing.Mone
 func (g SegmentView) Service() string {
 	g.s.mu.Lock()
 	defer g.s.mu.Unlock()
-	return g.s.svcs.Name(g.s.segSvc[g.seg])
+	return g.s.svcs.Name(g.s.segs.At(g.seg).svc)
 }
 
 // Op reports the segment's operation name.
 func (g SegmentView) Op() string {
 	g.s.mu.Lock()
 	defer g.s.mu.Unlock()
-	return g.s.ops.Name(g.s.segOp[g.seg])
+	return g.s.ops.Name(g.s.segs.At(g.seg).op)
 }
 
-// Annotation reports the value for a key and whether it was set.
+// Annotation reports the value for a key and whether it was set. The
+// value is a copy: it leaves the store.
 func (g SegmentView) Annotation(key string) (string, bool) {
 	g.s.mu.Lock()
 	defer g.s.mu.Unlock()
-	for a := g.s.annoLo[g.seg]; a < g.s.annoHi[g.seg]; a++ {
-		if g.s.annoKeys[a] == key {
-			return g.s.annoVals[a], true
-		}
+	a := g.s.annoLocked(g.seg, key)
+	if a < 0 {
+		return "", false
 	}
-	return "", false
+	return strings.Clone(g.s.annoVal(a)), true
 }
 
 // fmtDur and fmtCost delegate to the shared sortutil formatters so

@@ -16,10 +16,12 @@
 // *why* did this request take 827 ms, and what did it cost?
 //
 // A Trace is the write side: the request path opens spans, annotates
-// them and attributes usage while the flow runs. When the root span
-// finishes, the trace is folded once into its Store's columns, and
-// from then on it is read only through the store's TraceView and
-// SegmentView handles — there is no second way to read a trace. The
+// them and attributes usage while the flow runs, writing into a span
+// slab the trace borrows from its store. When the root span finishes,
+// the trace is folded once from that slab into the Store's columns,
+// the slab goes back to the store for the next trace, and from then on
+// the trace is read only through the store's TraceView and SegmentView
+// handles — there is no second way to read a trace. The
 // Store is the X-Ray-sim backend proper: head-sampled (see
 // SamplerConfig) traces in columnar storage, priced at 2017 X-Ray
 // rates, and queried for service maps, critical paths and filter
@@ -42,52 +44,108 @@ type Annotation struct {
 
 // Span is one timed operation inside a trace: a service hop, a
 // sub-segment of one (cold start, billing quantum), or the client
-// root. All methods are nil-safe so untraced flows cost one pointer
-// check per hop.
+// root. A Span is a handle — its trace and its slot in the trace's
+// slab — and never changes once made; the span's data lives in the
+// slab. All methods are nil-safe so untraced flows cost one pointer
+// check per hop, and every method on a span of a trace that has
+// already folded is a no-op: the slab has gone back to the store, so a
+// late call must not write into what is now another trace's slot.
 type Span struct {
 	tr *Trace
-
-	service string
-	op      string
-	start   time.Time
-	end     time.Time
-
-	annotations []Annotation
-	usage       []pricing.Usage
-	children    []*Span
+	i  int32 // slot in tr's slab; 0 is the root
 }
 
 // Trace is a tree of spans rooted at the client request, bound to the
-// store it folds into when the root finishes.
+// store it folds into when the root finishes. The Trace itself is the
+// one allocation a traced request makes once the store's slabs and
+// columns have grown to the flow's size: it is never recycled, so a
+// stale *Trace or *Span can always tell that its trace has folded.
 type Trace struct {
 	mu    sync.Mutex
 	store *Store
-	root  *Span
+	// slab holds the live spans' data while the flow runs; nil once the
+	// trace has folded and handed the slab back to the store.
+	slab *slab
 	// row is the trace's row in store once folded, -1 before: a second
 	// Finish finds it set and folds nothing.
 	row int32
+	// root is the root span's handle, fixed by New.
+	root *Span
 
-	// slab is the current span allocation chunk. Spans are handed out
-	// slot by slot and a fresh fixed-capacity chunk replaces a full one,
-	// so span pointers stay stable while a whole request flow costs one
-	// or two allocations instead of one per hop — tracing a request must
-	// stay cheap enough to leave on fleet-wide.
-	slab []Span
+	// handles are the Spans handed out, in slot order. The first
+	// spanChunk live inside the Trace (buf); a longer flow grows the
+	// slice, and the *Span values returned earlier stay valid because a
+	// handle is immutable.
+	handles []Span
+	buf     [spanChunk]Span
 }
 
-// spanChunk sizes the slab: a chat-shaped flow (gateway, lambda and
-// its sub-segments, per-hop IAM checks) runs about a dozen spans.
-const spanChunk = 16
+// spanChunk sizes the handles kept inside a Trace: a traced request
+// (gateway, lambda and its sub-segments, per-hop IAM checks and the
+// service calls) runs about a dozen to two dozen spans.
+const spanChunk = 24
 
-// newSpanLocked hands out the next slab slot, minting a new chunk when
-// the current one is full. Never growing a chunk in place is what
-// keeps previously returned *Span values valid.
-func (t *Trace) newSpanLocked() *Span {
-	if len(t.slab) == cap(t.slab) {
-		t.slab = make([]Span, 0, spanChunk)
+// noSlot ends a slab list.
+const noSlot = int32(-1)
+
+// slab is the reusable storage of one live trace: the spans' data in
+// slot order, and the annotations and usage records attributed to
+// them. Each span links its children, annotations and usage records as
+// lists through the slab's own columns, so a span, a child link, an
+// annotation or a usage record costs no allocation once the slab has
+// grown to a flow's size. A trace takes a slab from its store when it
+// starts and gives it back when it folds.
+type slab struct {
+	spans []liveSpan
+	annos []liveAnno
+	uses  []liveUse
+}
+
+// liveSpan is one span's data while its trace runs. The list heads and
+// tails are slots in the slab, noSlot when empty: children in creation
+// order (next links siblings), annotations in first-set order, usage
+// records in attribution order.
+type liveSpan struct {
+	service, op string
+	start, end  time.Time // end is zero until Finish
+
+	kidHead, kidTail, next int32
+	annoHead, annoTail     int32
+	useHead, useTail       int32
+}
+
+type liveAnno struct {
+	key, val string
+	next     int32
+}
+
+type liveUse struct {
+	u    pricing.Usage
+	next int32
+}
+
+// newSpanLocked appends a span to the slab, links it under parent
+// (noSlot for the root) and returns its handle. Caller holds t.mu and
+// t.slab is live.
+func (t *Trace) newSpanLocked(service, op string, start time.Time, parent int32) *Span {
+	sl := t.slab
+	i := int32(len(sl.spans))
+	sl.spans = append(sl.spans, liveSpan{
+		service: service, op: op, start: start,
+		kidHead: noSlot, kidTail: noSlot, next: noSlot,
+		annoHead: noSlot, annoTail: noSlot, useHead: noSlot, useTail: noSlot,
+	})
+	if parent != noSlot {
+		p := &sl.spans[parent]
+		if p.kidTail == noSlot {
+			p.kidHead = i
+		} else {
+			sl.spans[p.kidTail].next = i
+		}
+		p.kidTail = i
 	}
-	t.slab = append(t.slab, Span{})
-	return &t.slab[len(t.slab)-1]
+	t.handles = append(t.handles, Span{tr: t, i: i})
+	return &t.handles[len(t.handles)-1]
 }
 
 // New starts a trace bound for st whose root span (service "client",
@@ -97,9 +155,11 @@ func New(st *Store, name string, start time.Time) *Trace {
 	if st == nil {
 		return nil
 	}
-	t := &Trace{store: st, row: -1}
-	t.root = t.newSpanLocked()
-	*t.root = Span{tr: t, service: "client", op: name, start: start}
+	t := &Trace{store: st, row: -1, slab: st.takeSlab()}
+	t.handles = t.buf[:0]
+	t.mu.Lock()
+	t.root = t.newSpanLocked("client", name, start, noSlot)
+	t.mu.Unlock()
 	return t
 }
 
@@ -123,20 +183,18 @@ func (t *Trace) Finish(at time.Time) (TraceView, bool) {
 }
 
 // StartChild opens a sub-span under s at the given instant. Returns
-// nil (safely chainable) when s is nil.
+// nil (safely chainable) when s is nil or its trace has folded.
 func (s *Span) StartChild(service, op string, at time.Time) *Span {
 	if s == nil {
 		return nil
 	}
-	s.tr.mu.Lock()
-	c := s.tr.newSpanLocked()
-	*c = Span{tr: s.tr, service: service, op: op, start: at}
-	if s.children == nil {
-		s.children = make([]*Span, 0, 4)
+	t := s.tr
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.slab == nil {
+		return nil
 	}
-	s.children = append(s.children, c)
-	s.tr.mu.Unlock()
-	return c
+	return t.newSpanLocked(service, op, at, s.i)
 }
 
 // Finish closes the span at the given instant (clamped to the span's
@@ -146,21 +204,25 @@ func (s *Span) Finish(at time.Time) {
 	if s == nil {
 		return
 	}
-	if s == s.tr.root {
+	if s.i == 0 {
 		s.tr.store.publish(s.tr, at)
 		return
 	}
-	s.tr.mu.Lock()
-	s.finishLocked(at)
-	s.tr.mu.Unlock()
+	t := s.tr
+	t.mu.Lock()
+	if t.slab != nil {
+		t.slab.finishLocked(s.i, at)
+	}
+	t.mu.Unlock()
 }
 
-// finishLocked sets the span's end. Caller holds s.tr.mu.
-func (s *Span) finishLocked(at time.Time) {
-	if at.Before(s.start) {
-		at = s.start
+// finishLocked sets span i's end. Caller holds the trace's mu.
+func (sl *slab) finishLocked(i int32, at time.Time) {
+	sp := &sl.spans[i]
+	if at.Before(sp.start) {
+		at = sp.start
 	}
-	s.end = at
+	sp.end = at
 }
 
 // Annotate attaches a key/value pair. Re-annotating a key overwrites
@@ -169,30 +231,51 @@ func (s *Span) Annotate(key, value string) {
 	if s == nil {
 		return
 	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	for i, a := range s.annotations {
-		if a.Key == key {
-			s.annotations[i].Value = value
+	t := s.tr
+	t.mu.Lock()
+	if t.slab != nil {
+		t.slab.annotateLocked(s.i, key, value)
+	}
+	t.mu.Unlock()
+}
+
+// annotateLocked sets key on span i, in place if it is already set.
+// Caller holds the trace's mu.
+func (sl *slab) annotateLocked(i int32, key, value string) {
+	sp := &sl.spans[i]
+	for a := sp.annoHead; a != noSlot; a = sl.annos[a].next {
+		if sl.annos[a].key == key {
+			sl.annos[a].val = value
 			return
 		}
 	}
-	if s.annotations == nil {
-		s.annotations = make([]Annotation, 0, 4)
+	a := int32(len(sl.annos))
+	sl.annos = append(sl.annos, liveAnno{key: key, val: value, next: noSlot})
+	if sp.annoTail == noSlot {
+		sp.annoHead = a
+	} else {
+		sl.annos[sp.annoTail].next = a
 	}
-	s.annotations = append(s.annotations, Annotation{Key: key, Value: value})
+	sp.annoTail = a
 }
 
-// Annotation reports the value for a key and whether it was set.
+// Annotation reports the value for a key and whether it was set. A
+// span of a folded trace reports nothing; read the stored trace
+// through its TraceView instead.
 func (s *Span) Annotation(key string) (string, bool) {
 	if s == nil {
 		return "", false
 	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	for _, a := range s.annotations {
-		if a.Key == key {
-			return a.Value, true
+	t := s.tr
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	sl := t.slab
+	if sl == nil {
+		return "", false
+	}
+	for a := sl.spans[s.i].annoHead; a != noSlot; a = sl.annos[a].next {
+		if sl.annos[a].key == key {
+			return sl.annos[a].val, true
 		}
 	}
 	return "", false
@@ -204,10 +287,34 @@ func (s *Span) AddUsage(u pricing.Usage) {
 	if s == nil {
 		return
 	}
-	s.tr.mu.Lock()
-	if s.usage == nil {
-		s.usage = make([]pricing.Usage, 0, 2)
+	t := s.tr
+	t.mu.Lock()
+	if t.slab != nil {
+		t.slab.addUsageLocked(s.i, u)
 	}
-	s.usage = append(s.usage, u)
-	s.tr.mu.Unlock()
+	t.mu.Unlock()
+}
+
+// addUsageLocked appends u to span i's usage list. Caller holds the
+// trace's mu.
+func (sl *slab) addUsageLocked(i int32, u pricing.Usage) {
+	sp := &sl.spans[i]
+	x := int32(len(sl.uses))
+	sl.uses = append(sl.uses, liveUse{u: u, next: noSlot})
+	if sp.useTail == noSlot {
+		sp.useHead = x
+	} else {
+		sl.uses[sp.useTail].next = x
+	}
+	sp.useTail = x
+}
+
+// resetLocked empties the slab for its next trace, keeping its
+// capacity. Clearing drops the finished trace's strings, so a slab
+// waiting in the free list pins nothing. Caller holds the store's mu.
+func (sl *slab) resetLocked() {
+	clear(sl.spans)
+	clear(sl.annos)
+	clear(sl.uses)
+	sl.spans, sl.annos, sl.uses = sl.spans[:0], sl.annos[:0], sl.uses[:0]
 }
