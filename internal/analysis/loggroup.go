@@ -33,7 +33,6 @@ const logsPkgDir = "internal/cloudsim/logs"
 // argument is a group name.
 var logGroupArgMethods = map[string]bool{
 	"PutEvents": true,
-	"Events":    true,
 	"Tail":      true,
 	"Query":     true,
 }

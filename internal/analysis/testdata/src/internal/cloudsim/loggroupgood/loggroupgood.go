@@ -12,7 +12,7 @@ import (
 // group name from the logs package at the call site.
 func Emit(s *logs.Service, fn string, at time.Time) (int, error) {
 	s.PutEvents(logs.LambdaGroup(fn), "stream", logs.Event{Time: at, Message: "kept"})
-	audit := s.Events(logs.LogGroupKMSAudit, time.Time{}, time.Time{})
+	audit := s.Tail(logs.LogGroupKMSAudit, 0)
 	res, err := s.Query(logs.PlaneGroup("s3"), `stats count(*) as n`, time.Time{}, time.Time{})
 	if err != nil {
 		return 0, err

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -290,7 +291,7 @@ func (s *Service) do(ctx *sim.Context, action, keyID string, h plane.HandlerFunc
 				"principal": entry.Principal,
 				"action":    entry.Action,
 				"key_id":    entry.KeyID,
-				"allowed":   fmt.Sprintf("%t", entry.Allowed),
+				"allowed":   strconv.FormatBool(entry.Allowed),
 			},
 		})
 	}

@@ -49,7 +49,7 @@ func TestLogLinesMatchSprintf(t *testing.T) {
 		s := logs.New(clock.NewVirtual())
 		writeLogLines(s, "fn", c.reqNum, c.contID, c.memMB, c.start, &c.stats, c.initDur)
 		stream, want := sprintfLogLines(c.reqNum, c.contID, c.memMB, c.start, &c.stats, c.initDur)
-		evs := s.Events(logs.LambdaGroup("fn"), time.Time{}, time.Time{})
+		evs := s.Tail(logs.LambdaGroup("fn"), 0)
 		if len(evs) != 3 {
 			t.Fatalf("case %d: %d events, want 3", i, len(evs))
 		}

@@ -7,38 +7,38 @@ import (
 	"time"
 )
 
-// This file is the columnar Insights evaluator. Query pipelines run
-// here by default: instead of materializing one map per event (the
-// legacy row evaluator, kept in the tests as queryRows), the executor
-// works over the store's columns directly —
+// This file is the Insights evaluator. Every stage of a pipeline runs
+// on one column executor: instead of materializing one map per event,
+// it works over the store's columns directly —
 //
-//   - sel holds the indices of currently-selected events in the
-//     group's merged order; filter/limit compact it, sort permutes it;
+//   - sel holds the indices of currently-selected rows;
+//     filter/limit compact it, sort permutes it;
 //   - parse writes its captures into derived columns (value + set
 //     bitmap) kept aligned with sel, and the capture spans are
-//     substrings of the stored message, never copies;
+//     substrings of the source cell, never copies;
 //   - builtins (@timestamp, @message, @logGroup, @logStream) and
 //     structured fields are read straight off the stream columns, as
 //     views of the stream's bytes (see stream) or interned strings,
 //     with the field name resolved to its key id once per run of
 //     lookups and @timestamp rendering memoized per event on first
 //     touch;
+//   - stats aggregates by scanning column values per bucket and
+//     replaces the rows: from then on sel indexes its aggregate table,
+//     and later stages read those cells through the same lookup;
 //   - nothing is copied until a cell leaves the store: the result's
-//     cells are copies, so no caller holds a view of the store;
-//   - stats aggregates by scanning column values per bucket, then
-//     hands its aggregate rows to the legacy row stages for any
-//     post-stats pipeline tail.
+//     cells are copies, so no caller holds a view of the store.
 //
-// The two evaluators must agree cell-for-cell on every pipeline —
-// TestColumnarMatchesRows and FuzzInsightsQuery pin it, including the
-// parse edge cases (adjacent wildcards, no-match rows, multi-capture
-// ordering).
+// The tests keep a row-at-a-time reference evaluator (one map per
+// row, each parse glob compiled to a regexp from its text);
+// TestColumnarMatchesRows and FuzzInsightsQuery pin this executor to
+// it cell-for-cell, before and after stats, including the parse edge
+// cases (adjacent wildcards, no-match rows, multi-capture ordering).
 
 // litGlob is a parse glob compiled to a literal scanner: a leading
 // literal, then one segment per wildcard, each terminated by the next
 // literal. Matching is a sequence of strings.Index calls — no regexp
 // machinery, no per-row submatch allocation. It is exactly equivalent
-// to the lazy-capture regex the row path compiles: the unanchored
+// to the lazy-capture regex the tests' reference compiles: the unanchored
 // match starts at the earliest occurrence of the leading literal, each
 // non-final capture takes the shortest span to the next literal's
 // earliest occurrence, and a trailing wildcard captures greedily to
@@ -118,22 +118,30 @@ func (g litGlob) match(s string, out []string) ([]string, bool) {
 
 // dcol is one derived (parse-produced) column, aligned with the
 // executor's selection: vals[i] belongs to selected row i, and set[i]
-// distinguishes "parse matched here" from "fall through to the
-// underlying event field" — real Insights leaves unmatched rows'
-// fields unset rather than blanking them.
+// distinguishes "parse matched here" from "fall through to the row's
+// own field" — real Insights leaves unmatched rows' fields unset
+// rather than blanking them.
 type dcol struct {
 	vals []string
 	set  []bool
 }
 
-// colExec evaluates the columnar stage prefix of a pipeline.
+// colExec evaluates a pipeline. Its rows are the windowed events until
+// the first stats, then that stats' aggregate rows.
 type colExec struct {
 	svc     *Service // its lock is held for the whole run
 	g       *group
 	refs    []eventRef // windowed merged order, immutable
-	sel     []int32    // indices into refs, in current row order
+	sel     []int32    // indices into refs (agg after a stats), in row order
 	derived map[string]*dcol
 	tsMemo  []string // aligned with refs; "" = not yet rendered
+
+	// After a stats: agg holds one row per group, aggCol maps each
+	// output name to its cell. A name that repeats (two aliases, or an
+	// alias equal to a by field) has one cell, holding the value
+	// written last.
+	agg    [][]string
+	aggCol map[string]int
 
 	// The last field name lookup resolved, and its key id (keyOK is
 	// false for a name no event has as a key).
@@ -161,15 +169,19 @@ func (ex *colExec) keyID(name string) (int32, bool) {
 	return ex.key, ex.keyOK
 }
 
-// lookup resolves a column value for selected row i with the same
-// precedence the row evaluator's map ends up with: parse-derived
-// bindings first, then structured event fields, then the builtins
-// (the row path writes builtins into the map before copying Fields
-// over them, so an event field shadows a same-named builtin). ok
-// reports presence (count(f) semantics).
+// lookup resolves a column value for selected row i: parse-derived
+// bindings first, then, for an event, its structured fields, then the
+// builtins (an event field shadows a same-named builtin); for an
+// aggregate row, its cells. ok reports presence (count(f) semantics).
 func (ex *colExec) lookup(name string, i int) (string, bool) {
 	if d := ex.derived[name]; d != nil && d.set[i] {
 		return d.vals[i], true
+	}
+	if ex.aggCol != nil {
+		if c, ok := ex.aggCol[name]; ok {
+			return ex.agg[ex.sel[i]][c], true
+		}
+		return "", false
 	}
 	ref := ex.refs[ex.sel[i]]
 	st := ex.g.stream(ref)
@@ -229,7 +241,7 @@ func (ex *colExec) applyFilter(f *filterStage) {
 
 // applyParse runs the glob over the source column, binding captures
 // into derived columns. Rows the glob misses keep their previous
-// binding (or fall through to the event field), like the row path.
+// binding (or fall through to the row's own field), as in Insights.
 func (ex *colExec) applyParse(p *parseStage) {
 	if ex.derived == nil {
 		ex.derived = make(map[string]*dcol)
@@ -258,9 +270,8 @@ func (ex *colExec) applyParse(p *parseStage) {
 	}
 }
 
-// applySort reorders the selection (and derived columns) by the same
-// comparator as the row path: numeric when both cells parse, else
-// lexicographic, stable.
+// applySort reorders the selection (and derived columns), stably:
+// numerically when both cells parse, else lexicographically.
 func (ex *colExec) applySort(st *sortStage) {
 	n := len(ex.sel)
 	vals := make([]string, n)
@@ -310,10 +321,11 @@ func (ex *colExec) applyLimit(l *limitStage) {
 	}
 }
 
-// applyStats buckets the selection and computes the aggregates,
-// producing plain rows — the pipeline continues row-wise from here
-// (post-stats stages see aggregate rows, not events).
-func (ex *colExec) applyStats(st *statsStage) ([]row, []string) {
+// applyStats buckets the selection and computes the aggregates, then
+// makes the aggregate rows the selection, with no derived columns:
+// post-stats stages see only the by fields and the aliases. It returns
+// the output columns.
+func (ex *colExec) applyStats(st *statsStage) []string {
 	type colBucket struct {
 		byVals []string
 		idxs   []int
@@ -345,23 +357,35 @@ func (ex *colExec) applyStats(st *statsStage) ([]row, []string) {
 	for _, a := range st.aggs {
 		columns = append(columns, a.alias)
 	}
-	var out []row
-	for _, key := range keys {
+	aggCol := make(map[string]int, len(columns))
+	for _, name := range columns {
+		if _, ok := aggCol[name]; !ok {
+			aggCol[name] = len(aggCol)
+		}
+	}
+	agg := make([][]string, len(keys))
+	for r, key := range keys {
 		b := buckets[key]
-		r := row{}
+		cells := make([]string, len(aggCol))
 		for i, f := range st.by {
-			r[f] = b.byVals[i]
+			cells[aggCol[f]] = b.byVals[i]
 		}
 		for _, a := range st.aggs {
-			r[a.alias] = ex.computeAgg(a, b.idxs)
+			cells[aggCol[a.alias]] = ex.computeAgg(a, b.idxs)
 		}
-		out = append(out, r)
+		agg[r] = cells
 	}
-	return out, columns
+	ex.agg, ex.aggCol, ex.derived = agg, aggCol, nil
+	ex.sel = ex.sel[:0]
+	for r := range agg {
+		ex.sel = append(ex.sel, int32(r))
+	}
+	return columns
 }
 
-// computeAgg mirrors aggregate.compute over column lookups: count(f)
-// counts presence, numeric aggregates skip unset or unparsable cells.
+// computeAgg evaluates one aggregate over a bucket's rows: count(f)
+// counts presence, and the numeric aggregates skip unset or
+// unparsable cells, as Insights treats unparsed rows as missing data.
 func (ex *colExec) computeAgg(a aggregate, idxs []int) string {
 	if a.fn == "count" {
 		if a.field == "*" {
@@ -409,23 +433,12 @@ func (ex *colExec) materializeRows(columns []string) [][]string {
 	return out
 }
 
-// runColumnar evaluates the pipeline over g's windowed refs: columnar
-// stages until the first stats, then the legacy row stages for
-// anything after it. Caller holds svc.mu.
-func runColumnar(svc *Service, g *group, refs []eventRef, stages []stage) (*QueryResult, error) {
+// runColumnar evaluates the pipeline over g's windowed refs. Caller
+// holds svc.mu.
+func runColumnar(svc *Service, g *group, refs []eventRef, stages []stage) *QueryResult {
 	ex := newColExec(svc, g, refs)
 	columns := []string{"@timestamp", "@message"}
-	var rows []row
-	rowMode := false
 	for _, st := range stages {
-		if rowMode {
-			var err error
-			rows, columns, err = st.apply(rows, columns)
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
 		switch t := st.(type) {
 		case *fieldsStage:
 			columns = append([]string(nil), t.names...)
@@ -438,21 +451,8 @@ func runColumnar(svc *Service, g *group, refs []eventRef, stages []stage) (*Quer
 		case *limitStage:
 			ex.applyLimit(t)
 		case *statsStage:
-			rows, columns = ex.applyStats(t)
-			rowMode = true
+			columns = ex.applyStats(t)
 		}
 	}
-	res := &QueryResult{Columns: columns}
-	if rowMode {
-		for _, r := range rows {
-			cells := make([]string, len(columns))
-			for i, c := range columns {
-				cells[i] = strings.Clone(r[c])
-			}
-			res.Rows = append(res.Rows, cells)
-		}
-	} else {
-		res.Rows = ex.materializeRows(columns)
-	}
-	return res, nil
+	return &QueryResult{Columns: columns, Rows: ex.materializeRows(columns)}
 }

@@ -51,13 +51,20 @@ var columnarQueries = []string{
 	`fields @logGroup, @logStream, outcome | sort @logStream asc | limit 30`,
 	`filter @message like "nosuchthing"`,
 	`filter @message like "nosuchthing" | stats count(*) as n`,
+
+	// Post-stats tails: later stages read the aggregate rows.
+	`stats count(*) as n by outcome | filter n > 1 | stats sum(n) as total`,
+	`stats count(*) as n by op | parse op "s3:*" as verb | fields op, verb, n`,
+	`parse @message "latency_ms=* " as lat | stats count(*) as n, max(lat) as hi by @logStream | fields hi, @logStream, n, @message`,
+	`stats count(*) as n by service, outcome | sort outcome desc | limit 2 | stats count(*) as groups, sum(n) as events`,
+	`parse @message "cost_nanodollars=*" as cost | stats count(*) as n, pct(cost, 50) as n by service | sort n desc`,
+	`stats count(*) as outcome by outcome | fields outcome`,
 }
 
-// TestColumnarMatchesRows is the differential gate for the columnar
-// executor: every query runs through both the columnar path (Query)
-// and the retained row-at-a-time reference (queryRows), and the
-// rendered tables must match byte for byte — columns, order, and cell
-// formatting.
+// TestColumnarMatchesRows is the differential gate for the column
+// executor: every query runs through both Query and the row-at-a-time
+// reference (queryRows, reference_test.go), and the rendered tables
+// must match byte for byte — columns, order, and cell formatting.
 func TestColumnarMatchesRows(t *testing.T) {
 	s := New(clock.NewVirtual())
 	mixedGroup(s)
@@ -95,49 +102,9 @@ func TestColumnarMatchesRows(t *testing.T) {
 	}
 }
 
-// queryRows is the legacy row-at-a-time evaluator: every event
-// becomes a map, every stage transforms the row slice. Kept as the
-// readable reference semantics the columnar path must reproduce.
-func (s *Service) queryRows(group, query string, from, to time.Time) (*QueryResult, error) {
-	stages, err := parseQuery(query)
-	if err != nil {
-		return nil, err
-	}
-	events := s.Events(group, from, to)
-	rows := make([]row, 0, len(events))
-	for _, e := range events {
-		r := row{
-			"@timestamp": e.Time.UTC().Format("2006-01-02 15:04:05.000"),
-			"@message":   e.Message,
-			"@logGroup":  e.Group,
-			"@logStream": e.Stream,
-		}
-		for k, v := range e.Fields {
-			r[k] = v
-		}
-		rows = append(rows, r)
-	}
-	columns := []string{"@timestamp", "@message"}
-	for _, st := range stages {
-		rows, columns, err = st.apply(rows, columns)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res := &QueryResult{Columns: columns}
-	for _, r := range rows {
-		cells := make([]string, len(columns))
-		for i, c := range columns {
-			cells[i] = r[c]
-		}
-		res.Rows = append(res.Rows, cells)
-	}
-	return res, nil
-}
-
-// FuzzInsightsQuery runs arbitrary pipelines through both evaluators
-// over the mixedGroup events: they must fail with the same error or
-// return the same columns and cells.
+// FuzzInsightsQuery runs arbitrary pipelines through Query and the
+// reference over the mixedGroup events: they must fail with the same
+// error or return the same columns and cells.
 func FuzzInsightsQuery(f *testing.F) {
 	for _, q := range columnarQueries {
 		f.Add(q)
@@ -168,8 +135,8 @@ func FuzzInsightsQuery(f *testing.F) {
 	})
 }
 
-// TestParseEdgeCases pins the glob scanner's corner semantics on both
-// executors: empty globs are rejected at parse time, adjacent
+// TestParseEdgeCases pins the glob scanner's corner semantics, on Query
+// and on the reference: empty globs are rejected at parse time, adjacent
 // wildcards yield an empty first capture, unmatched rows leave their
 // fields unset, and multi-capture globs bind names left to right.
 func TestParseEdgeCases(t *testing.T) {
@@ -257,8 +224,8 @@ func TestParseEdgeCases(t *testing.T) {
 	}
 }
 
-// TestLitGlobMatchesRegex fuzzes the literal-scanner glob matcher
-// against the compiled-regex reference across messages built from a
+// TestLitGlobMatchesRegex checks the literal-scanner glob matcher
+// against the reference's text-compiled regexp across messages from a
 // small alphabet, so every capture-boundary case the scanner special-
 // cases (lead literal offset, lazy middles, greedy tail, adjacent
 // stars) is cross-checked.
@@ -287,14 +254,19 @@ func TestLitGlobMatchesRegex(t *testing.T) {
 		"a=1 b=2 a=3 b=4",
 	}
 	for _, glob := range globs {
-		st, err := parseParse(fmt.Sprintf("@message %q as %s", glob, names(strings.Count(glob, "*"))))
+		text := fmt.Sprintf("@message %q as %s", glob, names(strings.Count(glob, "*")))
+		st, err := parseParse(text)
 		if err != nil {
 			t.Fatalf("glob %q: %v", glob, err)
 		}
 		ps := st.(*parseStage)
+		re, err := globRegexp("parse " + text)
+		if err != nil {
+			t.Fatalf("glob %q: %v", glob, err)
+		}
 		caps := make([]string, strings.Count(glob, "*"))
 		for _, msg := range msgs {
-			m := ps.re.FindStringSubmatch(msg)
+			m := re.FindStringSubmatch(msg)
 			caps, ok := ps.lg.match(msg, caps[:0])
 			if (m != nil) != ok {
 				t.Errorf("glob %q on %q: scanner matched=%v, regex matched=%v", glob, msg, ok, m != nil)
@@ -319,4 +291,67 @@ func names(n int) string {
 		out[i] = fmt.Sprintf("v%d", i)
 	}
 	return strings.Join(out, ", ")
+}
+
+// TestParseGlobInvalidUTF8 pins that a parse glob must be valid UTF-8:
+// one with a stray byte is a query error, while a valid non-ASCII glob
+// parses and matches.
+func TestParseGlobInvalidUTF8(t *testing.T) {
+	s := New(clock.NewVirtual())
+	s.PutEvents("g/utf8", "s", Event{Time: clock.Epoch, Message: "prix=12€ net"})
+	var zero time.Time
+	for _, glob := range []string{"\xff*", "prix=*\xe2\x82 net", "*\xc3"} {
+		q := `parse @message "` + glob + `" as x`
+		_, err := s.Query("g/utf8", q, zero, zero)
+		if err == nil || !strings.Contains(err.Error(), "invalid UTF-8") {
+			t.Errorf("query %q: error %v, want an invalid UTF-8 error", q, err)
+		}
+	}
+	res, err := s.Query("g/utf8", `parse @message "prix=*€" as p | fields p`, zero, zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Value(0, "p"); got != "12" {
+		t.Errorf("non-ASCII glob captured %q, want 12", got)
+	}
+}
+
+// TestStatsRepeatedOutputName pins the rule for a stats output name
+// that repeats — two aggregates with one alias, or an alias equal to a
+// by field: every column carrying the name shows the value written
+// last (by fields first, then aggregates in order), and so do the
+// stages after stats.
+func TestStatsRepeatedOutputName(t *testing.T) {
+	s := New(clock.NewVirtual())
+	mixedGroup(s)
+	var zero time.Time
+	for _, tc := range []struct {
+		q    string
+		cols []string
+		rows [][]string
+	}{
+		{
+			`parse @message "cost_nanodollars=*" as cost | stats count(*) as n, pct(cost, 50) as n by service`,
+			[]string{"service", "n", "n"},
+			[][]string{{"", "", ""}, {"s3", "412", "412"}},
+		},
+		{
+			`stats count(*) as service by service`,
+			[]string{"service", "service"},
+			[][]string{{"12", "12"}, {"25", "25"}},
+		},
+		{
+			`parse @message "cost_nanodollars=*" as cost | stats count(*) as service, max(cost) as hi by service | filter service > 20 | fields hi, service`,
+			[]string{"hi", "service"},
+			[][]string{{"424", "25"}},
+		},
+	} {
+		res, err := s.Query("g/mixed", tc.q, zero, zero)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.q, err)
+		}
+		if !reflect.DeepEqual(res.Columns, tc.cols) || !reflect.DeepEqual(res.Rows, tc.rows) {
+			t.Errorf("%s:\ngot  %q %q\nwant %q %q", tc.q, res.Columns, res.Rows, tc.cols, tc.rows)
+		}
+	}
 }

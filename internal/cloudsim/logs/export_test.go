@@ -2,6 +2,7 @@ package logs
 
 import (
 	"regexp"
+	"time"
 
 	"repro/internal/cloudsim/sortutil"
 )
@@ -22,20 +23,17 @@ func Names() []string {
 	return []string{LogGroupKMSAudit}
 }
 
-// SequenceToken reports a stream's current upload token without
-// writing ("" for an unknown stream).
-func (s *Service) SequenceToken(groupName, streamName string) string {
+// Events returns a group's events within [from, to] (zero times mean
+// unbounded), merged across streams in deterministic order: timestamp,
+// then stream name, then sequence number.
+func (s *Service) Events(groupName string, from, to time.Time) []StoredEvent {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	g, ok := s.groups[groupName]
 	if !ok {
-		return ""
+		return nil
 	}
-	st, ok := g.streams[streamName]
-	if !ok {
-		return ""
-	}
-	return sequenceToken(groupName, streamName, int64(st.rows.Len()))
+	return s.materializeAll(g, g.windowRefs(from, to))
 }
 
 // Groups lists every log group name, sorted.

@@ -6,9 +6,10 @@
 // operator-facing evidence of per-invoke billing.
 //
 // The simulator stores append-only structured events in log groups and
-// streams, stamped with virtual-clock timestamps and deterministic
-// sequence tokens. Nothing expires: every ingested event stays at rest
-// for the run, as under CloudWatch Logs' default "never expire" policy.
+// streams, stamped with virtual-clock timestamps and numbered per
+// stream in arrival order. Nothing expires: every ingested event stays
+// at rest for the run, as under CloudWatch Logs' default "never
+// expire" policy.
 // A single plane interceptor (PlaneInterceptor) auto-emits one event
 // per service API call, the lambda platform writes real-shaped
 // START/END/REPORT lines per invocation, and a Logs Insights-style
@@ -42,7 +43,6 @@
 package logs
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -275,11 +275,10 @@ func New(clk clock.Clock) *Service {
 }
 
 // PutEvents appends events to a stream, creating group and stream on
-// first use, and returns the stream's next sequence token. Events with
-// a zero Time are stamped with the service clock. Ingested bytes
-// (message + fields + the per-event overhead) accrue to the usage
-// inventory that Usage() prices.
-func (s *Service) PutEvents(groupName, streamName string, events ...Event) string {
+// first use. Events with a zero Time are stamped with the service
+// clock. Ingested bytes (message + fields + the per-event overhead)
+// accrue to the usage inventory that Usage() prices.
+func (s *Service) PutEvents(groupName, streamName string, events ...Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	g := s.ensureGroupLocked(groupName)
@@ -287,16 +286,14 @@ func (s *Service) PutEvents(groupName, streamName string, events ...Event) strin
 	for _, e := range events {
 		s.appendLocked(g, st, e.Time, e.Message, s.sortedFieldsLocked(e.Fields))
 	}
-	return sequenceToken(groupName, streamName, int64(st.rows.Len()))
 }
 
 // AppendLambdaLines appends plain-text lines to the named stream of
 // function fn's group, LambdaGroup(fn), creating both on first use. It
 // is PutEvents for the lambda platform's per-invocation START, END and
 // REPORT lines without PutEvents' per-call strings: the group is
-// interned per function, the stream is found by its bytes, each
-// message is copied into the stream's bytes, and no sequence token is
-// built, since the platform never reads one.
+// interned per function, the stream is found by its bytes, and each
+// message is copied into the stream's bytes.
 func (s *Service) AppendLambdaLines(fn string, stream []byte, lines ...Line) {
 	s.mu.Lock()
 	g := s.lambdaGroups[fn]
@@ -375,13 +372,6 @@ func (s *Service) fieldVal(st *stream, f fieldSlot) string {
 	return sortutil.View(&st.bytes, f.lo, f.hi)
 }
 
-// sequenceToken renders the deterministic upload token for a stream
-// position — the same (group, stream, event count) always yields the
-// same token, so identically-seeded runs produce identical tokens.
-func sequenceToken(group, stream string, next int64) string {
-	return fmt.Sprintf("%s/%s@%08d", group, stream, next)
-}
-
 // Inventory summarizes every group (streams, events, stored bytes),
 // sorted by group name.
 func (s *Service) Inventory() []GroupInfo {
@@ -439,17 +429,27 @@ func (s *Service) materialize(g *group, ref eventRef) StoredEvent {
 	return e
 }
 
-// Events returns a group's events within [from, to] (zero times mean
-// unbounded), merged across streams in deterministic order: timestamp,
-// then stream name, then sequence number.
-func (s *Service) Events(groupName string, from, to time.Time) []StoredEvent {
+// Tail returns a group's last n events merged across streams in
+// deterministic order — timestamp, then stream name, then sequence
+// number — or all of them when n <= 0 or exceeds the count. Only the
+// returned events are materialized.
+func (s *Service) Tail(groupName string, n int) []StoredEvent {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	g, ok := s.groups[groupName]
 	if !ok {
 		return nil
 	}
-	refs := g.windowRefs(from, to)
+	refs := g.mergedRefs()
+	if n > 0 && len(refs) > n {
+		refs = refs[len(refs)-n:]
+	}
+	return s.materializeAll(g, refs)
+}
+
+// materializeAll materializes refs in order (nil for none). Caller
+// holds s.mu.
+func (s *Service) materializeAll(g *group, refs []eventRef) []StoredEvent {
 	if len(refs) == 0 {
 		return nil
 	}
@@ -458,16 +458,6 @@ func (s *Service) Events(groupName string, from, to time.Time) []StoredEvent {
 		out = append(out, s.materialize(g, ref))
 	}
 	return out
-}
-
-// Tail returns a group's last n events in deterministic order (all of
-// them when n <= 0 or exceeds the count).
-func (s *Service) Tail(groupName string, n int) []StoredEvent {
-	all := s.Events(groupName, time.Time{}, time.Time{})
-	if n > 0 && len(all) > n {
-		all = all[len(all)-n:]
-	}
-	return all
 }
 
 // IngestedBytes reports the total bytes ever ingested (message +

@@ -11,31 +11,24 @@ import (
 
 func at(d time.Duration) time.Time { return clock.Epoch.Add(d) }
 
-func TestPutEventsSequenceTokens(t *testing.T) {
+// TestPutEventsSequenceNumbers pins that each stream numbers its events
+// from 0 in arrival order, across PutEvents calls, independently of the
+// group's other streams.
+func TestPutEventsSequenceNumbers(t *testing.T) {
 	s := New(clock.NewVirtual())
-	tok := s.PutEvents("plane/s3", "Get", Event{Time: at(0), Message: "one"})
-	if tok != "plane/s3/Get@00000001" {
-		t.Fatalf("token after one event = %q", tok)
-	}
-	tok = s.PutEvents("plane/s3", "Get",
+	s.PutEvents("plane/s3", "Get", Event{Time: at(0), Message: "one"})
+	s.PutEvents("plane/s3", "Put", Event{Time: at(time.Second / 2), Message: "other"})
+	s.PutEvents("plane/s3", "Get",
 		Event{Time: at(time.Second), Message: "two"},
 		Event{Time: at(2 * time.Second), Message: "three"})
-	if tok != "plane/s3/Get@00000003" {
-		t.Fatalf("token after three events = %q", tok)
-	}
-	if got := s.SequenceToken("plane/s3", "Get"); got != tok {
-		t.Fatalf("SequenceToken = %q, want %q", got, tok)
-	}
-	if got := s.SequenceToken("plane/s3", "Put"); got != "" {
-		t.Fatalf("SequenceToken for unknown stream = %q, want empty", got)
-	}
 	evs := s.Events("plane/s3", time.Time{}, time.Time{})
-	if len(evs) != 3 {
-		t.Fatalf("stored %d events, want 3", len(evs))
+	if len(evs) != 4 {
+		t.Fatalf("stored %d events, want 4", len(evs))
 	}
-	for i, e := range evs {
-		if e.Seq != int64(i) {
-			t.Fatalf("event %d has seq %d", i, e.Seq)
+	want := map[string]int64{"one": 0, "other": 0, "two": 1, "three": 2}
+	for _, e := range evs {
+		if e.Seq != want[e.Message] {
+			t.Fatalf("event %q (stream %s) has seq %d, want %d", e.Message, e.Stream, e.Seq, want[e.Message])
 		}
 	}
 }
@@ -77,12 +70,26 @@ func TestEventsWindowAndTail(t *testing.T) {
 	if len(evs) != 3 {
 		t.Fatalf("window returned %d events, want 3", len(evs))
 	}
-	tail := s.Tail("g/w", 2)
-	if len(tail) != 2 || tail[1].Message != "xxxxx" {
-		t.Fatalf("tail = %+v", tail)
+	for _, tc := range []struct {
+		n    int
+		want string // messages, oldest first
+	}{
+		{2, "xxxx xxxxx"},
+		{0, "x xx xxx xxxx xxxxx"},
+		{-1, "x xx xxx xxxx xxxxx"},
+		{5, "x xx xxx xxxx xxxxx"},
+		{9, "x xx xxx xxxx xxxxx"},
+	} {
+		var got []string
+		for _, e := range s.Tail("g/w", tc.n) {
+			got = append(got, e.Message)
+		}
+		if strings.Join(got, " ") != tc.want {
+			t.Errorf("Tail(%d) = %q, want %q", tc.n, got, tc.want)
+		}
 	}
-	if got := len(s.Tail("g/w", 0)); got != 5 {
-		t.Fatalf("Tail(0) returned %d events, want all 5", got)
+	if got := s.Tail("g/none", 3); got != nil {
+		t.Errorf("Tail of an unknown group = %v, want nil", got)
 	}
 }
 

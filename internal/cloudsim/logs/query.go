@@ -2,11 +2,11 @@ package logs
 
 import (
 	"fmt"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // This file implements a CloudWatch Logs Insights-style query engine
@@ -88,16 +88,12 @@ func (r *QueryResult) Render() string {
 	return b.String()
 }
 
-// row is one event (or aggregate) flowing through the pipeline.
-type row map[string]string
-
 // Query runs an Insights-style pipeline over one group's events in
-// [from, to] (zero times mean unbounded). Evaluation is columnar
-// (columnar.go): the pipeline scans the store's column arrays under
-// the service lock instead of materializing a map per event. The
-// legacy row evaluator survives in the tests as queryRows;
-// TestColumnarMatchesRows and FuzzInsightsQuery pin the two
-// cell-for-cell.
+// [from, to] (zero times mean unbounded). Every stage runs on the
+// column executor (columnar.go), which scans the store's columns under
+// the service lock instead of materializing a map per event. The tests
+// keep a row-at-a-time reference evaluator; TestColumnarMatchesRows
+// and FuzzInsightsQuery pin Query to it cell-for-cell.
 func (s *Service) Query(groupName, query string, from, to time.Time) (*QueryResult, error) {
 	stages, err := parseQuery(query)
 	if err != nil {
@@ -109,13 +105,12 @@ func (s *Service) Query(groupName, query string, from, to time.Time) (*QueryResu
 	if g == nil {
 		g = &group{name: groupName} // no events: @logGroup still names it
 	}
-	return runColumnar(s, g, g.windowRefs(from, to), stages)
+	return runColumnar(s, g, g.windowRefs(from, to), stages), nil
 }
 
-// stage is one parsed pipeline step.
-type stage interface {
-	apply(rows []row, columns []string) ([]row, []string, error)
-}
+// stage is one parsed pipeline step: a *fieldsStage, *filterStage,
+// *parseStage, *statsStage, *sortStage or *limitStage.
+type stage any
 
 // parseQuery splits a pipeline on unquoted '|' and parses each stage.
 func parseQuery(q string) ([]stage, error) {
@@ -198,10 +193,6 @@ func parseFields(rest string) (stage, error) {
 	return &fieldsStage{names: names}, nil
 }
 
-func (f *fieldsStage) apply(rows []row, _ []string) ([]row, []string, error) {
-	return rows, append([]string(nil), f.names...), nil
-}
-
 // ---- filter ----
 
 type filterStage struct {
@@ -222,16 +213,6 @@ func parseFilter(rest string) (stage, error) {
 		return nil, fmt.Errorf("logs: filter operator %q not supported", toks[1])
 	}
 	return &filterStage{field: toks[0], op: toks[1], value: toks[2]}, nil
-}
-
-func (f *filterStage) apply(rows []row, columns []string) ([]row, []string, error) {
-	out := rows[:0]
-	for _, r := range rows {
-		if f.match(r[f.field]) {
-			out = append(out, r)
-		}
-	}
-	return out, columns, nil
 }
 
 func (f *filterStage) match(got string) bool {
@@ -278,8 +259,7 @@ func (f *filterStage) match(got string) bool {
 
 type parseStage struct {
 	field string
-	re    *regexp.Regexp // row path
-	lg    litGlob        // columnar path: literal scanner, same semantics
+	lg    litGlob
 	names []string
 }
 
@@ -298,41 +278,12 @@ func parseParse(rest string) (stage, error) {
 	if stars == 0 || stars != len(names) {
 		return nil, fmt.Errorf("logs: parse glob has %d wildcards for %d names", stars, len(names))
 	}
-	// Glob → unanchored regex: each * followed by a literal captures
-	// lazily, so "Billed Duration: * ms" pulls out just the number; a
-	// trailing * captures greedily to the end of the message.
-	var re strings.Builder
-	parts := strings.SplitAfter(glob, "*")
-	for i, part := range parts {
-		if !strings.HasSuffix(part, "*") {
-			re.WriteString(regexp.QuoteMeta(part))
-			continue
-		}
-		re.WriteString(regexp.QuoteMeta(strings.TrimSuffix(part, "*")))
-		if i == len(parts)-2 && parts[len(parts)-1] == "" {
-			re.WriteString("(.*)")
-		} else {
-			re.WriteString("(.*?)")
-		}
+	// A glob is query text, so it must be UTF-8; the scanner would
+	// otherwise match its stray bytes literally.
+	if !utf8.ValidString(glob) {
+		return nil, fmt.Errorf("logs: parse glob %q: invalid UTF-8", glob)
 	}
-	compiled, err := regexp.Compile(re.String())
-	if err != nil {
-		return nil, fmt.Errorf("logs: parse glob %q: %v", glob, err)
-	}
-	return &parseStage{field: toks[0], re: compiled, lg: compileGlob(glob), names: names}, nil
-}
-
-func (p *parseStage) apply(rows []row, columns []string) ([]row, []string, error) {
-	for _, r := range rows {
-		m := p.re.FindStringSubmatch(r[p.field])
-		if m == nil {
-			continue // no match: fields stay unset, like real Insights
-		}
-		for i, name := range p.names {
-			r[name] = strings.TrimSpace(m[i+1])
-		}
-	}
-	return rows, columns, nil
+	return &parseStage{field: toks[0], lg: compileGlob(glob), names: names}, nil
 }
 
 // ---- stats ----
@@ -419,86 +370,9 @@ func parseAggregate(s string) (aggregate, error) {
 	return a, nil
 }
 
-func (st *statsStage) apply(rows []row, _ []string) ([]row, []string, error) {
-	type bucket struct {
-		byVals []string
-		rows   []row
-	}
-	buckets := map[string]*bucket{}
-	var keys []string
-	if len(st.by) == 0 {
-		// Ungrouped stats always yield exactly one row, even over an
-		// empty scan — count(*) of nothing is 0, not no-answer.
-		buckets[""] = &bucket{byVals: nil}
-		keys = append(keys, "")
-	}
-	for _, r := range rows {
-		byVals := make([]string, len(st.by))
-		for i, f := range st.by {
-			byVals[i] = r[f]
-		}
-		key := strings.Join(byVals, "\x00")
-		b, ok := buckets[key]
-		if !ok {
-			b = &bucket{byVals: byVals}
-			buckets[key] = b
-			keys = append(keys, key)
-		}
-		b.rows = append(b.rows, r)
-	}
-	sort.Strings(keys)
-	columns := append([]string(nil), st.by...)
-	for _, a := range st.aggs {
-		columns = append(columns, a.alias)
-	}
-	var out []row
-	for _, key := range keys {
-		b := buckets[key]
-		r := row{}
-		for i, f := range st.by {
-			r[f] = b.byVals[i]
-		}
-		for _, a := range st.aggs {
-			r[a.alias] = a.compute(b.rows)
-		}
-		out = append(out, r)
-	}
-	return out, columns, nil
-}
-
-// compute evaluates one aggregate over a bucket. Non-numeric (or
-// unset) values are skipped for the numeric aggregates, mirroring
-// Insights, which treats unparsed rows as missing data.
-func (a aggregate) compute(rows []row) string {
-	if a.fn == "count" {
-		n := 0
-		for _, r := range rows {
-			if a.field == "*" {
-				n++
-			} else if _, ok := r[a.field]; ok {
-				n++
-			}
-		}
-		return strconv.Itoa(n)
-	}
-	var vals []float64
-	for _, r := range rows {
-		v, ok := r[a.field]
-		if !ok {
-			continue
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			continue
-		}
-		vals = append(vals, f)
-	}
-	return renderAgg(a, vals)
-}
-
-// renderAgg evaluates a numeric aggregate over the collected values —
-// shared by the row and columnar paths so their arithmetic and
-// formatting cannot drift.
+// renderAgg evaluates a numeric aggregate over the collected values.
+// The tests' reference evaluator calls it too, so the two cannot
+// drift in arithmetic or formatting.
 func renderAgg(a aggregate, vals []float64) string {
 	if len(vals) == 0 {
 		return ""
@@ -573,24 +447,6 @@ func parseSort(rest string) (stage, error) {
 	return st, nil
 }
 
-func (st *sortStage) apply(rows []row, columns []string) ([]row, []string, error) {
-	f := st.field
-	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := rows[i][f], rows[j][f]
-		less := a < b
-		if fa, errA := strconv.ParseFloat(a, 64); errA == nil {
-			if fb, errB := strconv.ParseFloat(b, 64); errB == nil {
-				less = fa < fb
-			}
-		}
-		if st.desc {
-			return !less && a != b
-		}
-		return less
-	})
-	return rows, columns, nil
-}
-
 // ---- limit ----
 
 type limitStage struct{ n int }
@@ -601,13 +457,6 @@ func parseLimit(rest string) (stage, error) {
 		return nil, fmt.Errorf("logs: limit wants a non-negative integer, got %q", rest)
 	}
 	return &limitStage{n: n}, nil
-}
-
-func (l *limitStage) apply(rows []row, columns []string) ([]row, []string, error) {
-	if len(rows) > l.n {
-		rows = rows[:l.n]
-	}
-	return rows, columns, nil
 }
 
 // ---- lexing helpers ----

@@ -12,11 +12,11 @@
 // fixed-size pointer-free column chunks (nanosecond timestamps and
 // values side by side). Chunks are never reallocated, so a
 // million-sample series costs zero copy-on-growth and the garbage
-// collector never scans the data. Fixed-width sample buckets carry
-// pre-aggregated sum/min/max so wide windows are answered from bucket
-// aggregates instead of a full scan. Publishers on the request plane
-// insert directly into the series store, so every query and alarm
-// evaluation sees every sample published before it.
+// collector never scans the data. Every statistic scans its window in
+// timestamp order, so a sum is the same float sum however the window
+// is placed. Publishers on the request plane insert directly into the
+// series store, so every query and alarm evaluation sees every sample
+// published before it.
 package metrics
 
 import (
@@ -40,20 +40,11 @@ type Datum struct {
 // per-call key build and map lookup of Record.
 type Handle int32
 
-// Chunked column geometry: chunkLen samples per chunk, bucketSize
-// samples per pre-aggregation bucket. bucketSize divides chunkLen so a
-// bucket never straddles a chunk boundary.
+// Chunked column geometry: chunkLen samples per chunk.
 const (
 	chunkShift = 10
 	chunkLen   = 1 << chunkShift // 1024 samples, 16 KiB per chunk
 	chunkMask  = chunkLen - 1
-
-	// bucketSize is the width, in samples, of one pre-aggregation
-	// bucket. Series shorter than a bucket are always scanned linearly,
-	// so small windows and small series keep bit-identical float
-	// accumulation order; only windows spanning whole buckets of a long
-	// series read the pre-aggregated sums.
-	bucketSize = 256
 )
 
 // chunk is one fixed-size run of a series' columns. Allocated once,
@@ -63,24 +54,13 @@ type chunk struct {
 	vals [chunkLen]float64
 }
 
-// bucket pre-aggregates one fixed-width run of a series' samples.
-type bucket struct {
-	sum, min, max float64
-}
-
 // series is one stored time series: timestamp-ordered samples in
-// chunked columns plus lazily built bucket aggregates.
+// chunked columns.
 type series struct {
 	namespace string
 	metric    string
 	chunks    []*chunk
 	n         int // total samples
-	// buckets[i] covers samples [i*bucketSize, (i+1)*bucketSize). Only
-	// the first validBuckets entries are current; an out-of-order
-	// insert truncates validity back to its insertion point and the
-	// tail is rebuilt on demand.
-	buckets      []bucket
-	validBuckets int
 }
 
 func (sx *series) at(i int) int64    { return sx.chunks[i>>chunkShift].ats[i&chunkMask] }
@@ -155,8 +135,7 @@ func (s *Service) insertLocked(h Handle, ns int64, value float64) {
 		sx.chunks = append(sx.chunks, newChunk())
 	}
 	if n == 0 || sx.at(n-1) <= ns {
-		// In-order append — the steady state. No data moves, no bucket
-		// invalidation (existing buckets cover earlier samples only).
+		// In-order append — the steady state. No data moves.
 		sx.set(n, ns, value)
 		sx.n = n + 1
 		return
@@ -170,41 +149,6 @@ func (s *Service) insertLocked(h Handle, ns int64, value float64) {
 	}
 	sx.set(pos, ns, value)
 	sx.n = n + 1
-	if vb := pos / bucketSize; vb < sx.validBuckets {
-		sx.validBuckets = vb
-	}
-}
-
-// ensureBuckets (re)builds bucket aggregates so that at least the
-// first want full buckets are valid.
-func (sx *series) ensureBuckets(want int) {
-	full := sx.n / bucketSize
-	if want > full {
-		want = full
-	}
-	for i := sx.validBuckets; i < want; i++ {
-		base := i * bucketSize
-		c := sx.chunks[base>>chunkShift]
-		vals := c.vals[base&chunkMask : base&chunkMask+bucketSize]
-		b := bucket{sum: 0, min: vals[0], max: vals[0]}
-		for _, v := range vals {
-			b.sum += v
-			if v < b.min {
-				b.min = v
-			}
-			if v > b.max {
-				b.max = v
-			}
-		}
-		if i < len(sx.buckets) {
-			sx.buckets[i] = b
-		} else {
-			sx.buckets = append(sx.buckets, b)
-		}
-	}
-	if want > sx.validBuckets {
-		sx.validBuckets = want
-	}
 }
 
 // lookupLocked returns the series for (namespace, metric), or nil.
@@ -237,47 +181,22 @@ func (s *Service) window(namespace, metric string, from, to time.Time) []Datum {
 	return out
 }
 
-// statRange aggregates sum/min/max over samples [lo, hi), reading
-// whole pre-aggregated buckets for the interior and scanning only the
-// two partial edges. ok is false for an empty range.
+// statRange aggregates sum/min/max over samples [lo, hi), in
+// timestamp order. ok is false for an empty range.
 func (sx *series) statRange(lo, hi int) (sum, min, max float64, ok bool) {
 	if lo >= hi {
 		return 0, 0, 0, false
 	}
-	first := true
-	acc := func(s, mn, mx float64) {
-		sum += s
-		if first || mn < min {
-			min = mn
-		}
-		if first || mx > max {
-			max = mx
-		}
-		first = false
-	}
-	bLo := (lo + bucketSize - 1) / bucketSize
-	bHi := hi / bucketSize
-	if bLo >= bHi {
-		// Window inside one bucket (or a short series): plain scan in
-		// timestamp order.
-		for i := lo; i < hi; i++ {
-			v := sx.val(i)
-			acc(v, v, v)
-		}
-		return sum, min, max, true
-	}
-	for i := lo; i < bLo*bucketSize; i++ {
+	min, max = sx.val(lo), sx.val(lo)
+	for i := lo; i < hi; i++ {
 		v := sx.val(i)
-		acc(v, v, v)
-	}
-	sx.ensureBuckets(bHi)
-	for i := bLo; i < bHi; i++ {
-		b := sx.buckets[i]
-		acc(b.sum, b.min, b.max)
-	}
-	for i := bHi * bucketSize; i < hi; i++ {
-		v := sx.val(i)
-		acc(v, v, v)
+		sum += v
+		if v < min {
+			min = v
+		}
+		if v > max {
+			max = v
+		}
 	}
 	return sum, min, max, true
 }

@@ -399,11 +399,11 @@ func TestHandleInterningInvisible(t *testing.T) {
 	}
 }
 
-// TestChunkedStatsAgainstBruteForce crosses chunk and bucket
-// boundaries (several thousand samples, shuffled arrival order) and
-// compares every windowed statistic against a straight recomputation,
-// so the chunked columns, the out-of-order shift path, and the bucket
-// pre-aggregation all agree with the obvious implementation.
+// TestChunkedStatsAgainstBruteForce crosses chunk boundaries (several
+// thousand samples, shuffled arrival order) and compares every windowed
+// statistic against a straight recomputation, so the chunked columns
+// and the out-of-order shift path agree with the obvious
+// implementation, the sum bit for bit.
 func TestChunkedStatsAgainstBruteForce(t *testing.T) {
 	s := New()
 	const n = 3 * chunkLen // three full chunks and change
@@ -417,19 +417,19 @@ func TestChunkedStatsAgainstBruteForce(t *testing.T) {
 		all[i] = dat{at: t0.Add(time.Duration(i) * time.Second), v: rng.Float64() * 1000}
 	}
 	// Publish in shuffled order: exercises the insert-shift path across
-	// chunk boundaries and the bucket invalidation it triggers.
+	// chunk boundaries.
 	perm := rng.Perm(n)
 	for _, i := range perm {
 		s.Record("svc/op", MetricPlaneLatencyMs, all[i].at, all[i].v)
 	}
 
 	windows := []struct{ lo, hi int }{
-		{0, n},                           // everything
-		{0, 10},                          // inside the first bucket
-		{bucketSize - 3, bucketSize + 3}, // straddling a bucket edge
-		{chunkLen - 5, chunkLen + 5},     // straddling a chunk edge
-		{chunkLen, 2 * chunkLen},         // exactly one whole chunk
-		{17, n - 17},                     // partial edges both sides
+		{0, n},                       // everything
+		{0, 10},                      // a short prefix
+		{253, 259},                   // a short interior window
+		{chunkLen - 5, chunkLen + 5}, // straddling a chunk edge
+		{chunkLen, 2 * chunkLen},     // exactly one whole chunk
+		{17, n - 17},                 // partial edges both sides
 	}
 	for _, w := range windows {
 		from, to := all[w.lo].at, all[w.hi-1].at
@@ -453,25 +453,40 @@ func TestChunkedStatsAgainstBruteForce(t *testing.T) {
 		if got := s.Max("svc/op", MetricPlaneLatencyMs, from, to); got != max {
 			t.Errorf("window [%d,%d): Max = %v, want %v", w.lo, w.hi, got, max)
 		}
-		// Bucketed summation reorders float adds, so compare against the
-		// in-order sum with a relative tolerance instead of bit equality.
-		if got := s.Sum("svc/op", MetricPlaneLatencyMs, from, to); !closeEnough(got, sum) {
+		if got := s.Sum("svc/op", MetricPlaneLatencyMs, from, to); got != sum {
 			t.Errorf("window [%d,%d): Sum = %v, want %v", w.lo, w.hi, got, sum)
+		}
+		if got, want := s.Avg("svc/op", MetricPlaneLatencyMs, from, to), sum/float64(w.hi-w.lo); got != want {
+			t.Errorf("window [%d,%d): Avg = %v, want %v", w.lo, w.hi, got, want)
 		}
 	}
 }
 
-func closeEnough(a, b float64) bool {
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
+// TestSeriesStatsExactSum pins SeriesStats, the path the fleet control
+// tower rolls each account's latency series up through, to the
+// in-order float sum bit for bit over a long series of fractional
+// samples published in shuffled order.
+func TestSeriesStatsExactSum(t *testing.T) {
+	s := New()
+	const n = 700
+	rng := rand.New(rand.NewSource(43))
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = rng.Float64() * 250
 	}
-	scale := b
-	if scale < 0 {
-		scale = -scale
+	for _, i := range rng.Perm(n) {
+		s.Record("svc/op", MetricPlaneLatencyMs, t0.Add(time.Duration(i)*time.Millisecond), vals[i])
 	}
-	if scale < 1 {
-		scale = 1
+	var sum float64
+	min, max := vals[0], vals[0]
+	for _, v := range vals {
+		sum += v
+		min = math.Min(min, v)
+		max = math.Max(max, v)
 	}
-	return diff <= 1e-9*scale
+	stats := s.SeriesStats()
+	want := SeriesStat{Namespace: "svc/op", Metric: MetricPlaneLatencyMs, Count: n, Sum: sum, Min: min, Max: max, Last: vals[n-1]}
+	if len(stats) != 1 || stats[0] != want {
+		t.Fatalf("SeriesStats = %+v, want [%+v]", stats, want)
+	}
 }

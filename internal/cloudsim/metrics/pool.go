@@ -17,12 +17,10 @@ import (
 // ledger parity test runs entirely on pooled storage).
 //
 // The pool and the fixed chunk layout are kept because they measure
-// better than the obvious alternative. On a 2-core linux/amd64 host,
-// append-grown slices in their place cut fleet_default live heap from
-// 3.33 to 2.17 MB but lost 6 of 8 alternating
-// BenchmarkFleetTelemetry/accounts=1000 ns/request pairs (roughly
-// +5–15%), and cost +6% allocs/op as two slices or +6.6% B/op as one
-// slice of points at capacity 64.
+// better than the obvious alternative. On a 2-vCPU linux/amd64 host, a
+// plain []sample slice per series in their place cut fleet_default's
+// live_heap_mb from 3.06 to 1.93 but lost 5 of 5 alternated
+// fleet_default pairs: median 49.0k → 44.2k req/s (−9.7%).
 
 // chunkPool recycles column chunks across Services. A checkout is
 // owned by exactly one series on one account's store; no sim state
