@@ -80,8 +80,8 @@ func fleetDemo(args []string) error {
 					return
 				case <-tick.C:
 					p := tower.Progress()
-					fmt.Fprintf(os.Stderr, "\rfleet: %d/%d accounts, %d/%d shards, %d requests, %d cold, %d events",
-						p.AccountsDone, p.AccountsTotal, p.ShardsDone, p.ShardsTotal, p.Requests, p.ColdStarts, p.Events)
+					fmt.Fprintf(os.Stderr, "\rfleet: %d/%d accounts, %d/%d shards, %d requests, %d cold",
+						p.AccountsDone, p.AccountsTotal, p.ShardsDone, p.ShardsTotal, p.Requests, p.ColdStarts)
 				}
 			}
 		}()

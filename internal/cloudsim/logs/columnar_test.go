@@ -103,33 +103,41 @@ func TestColumnarMatchesRows(t *testing.T) {
 }
 
 // FuzzInsightsQuery runs arbitrary pipelines through Query and the
-// reference over the mixedGroup events: they must fail with the same
-// error or return the same columns and cells.
+// reference over the mixedGroup events plus one arbitrary message:
+// they must fail with the same error or return the same columns and
+// cells. The message lets the fuzzer reach the glob rule's edges —
+// newlines under a *, and bytes that are not UTF-8.
 func FuzzInsightsQuery(f *testing.F) {
+	const msg = "x=1 y outcome=ok latency_ms=7"
 	for _, q := range columnarQueries {
-		f.Add(q)
+		f.Add(q, msg)
 	}
-	s := New(clock.NewVirtual())
-	mixedGroup(s)
+	// A * spans newlines; a literal U+FFFD matches only its own three
+	// bytes, never an invalid byte that a regexp would decode to it.
+	f.Add(`parse @message "x=* y" as v | fields v`, "x=1\n2 y")
+	f.Add("parse @message \"v=\uFFFD* w\" as v | fields v", "v=\xff9 w")
 	var zero time.Time
-	f.Fuzz(func(t *testing.T, q string) {
+	f.Fuzz(func(t *testing.T, q, msg string) {
+		s := New(clock.NewVirtual())
+		mixedGroup(s)
+		s.PutEvents("g/mixed", "gamma", Event{Time: clock.Epoch.Add(3 * time.Second), Message: msg})
 		col, colErr := s.Query("g/mixed", q, zero, zero)
 		ref, refErr := s.queryRows("g/mixed", q, zero, zero)
 		if fmt.Sprint(colErr) != fmt.Sprint(refErr) {
-			t.Fatalf("query %q: columnar error %v, rows error %v", q, colErr, refErr)
+			t.Fatalf("query %q on %q: columnar error %v, rows error %v", q, msg, colErr, refErr)
 		}
 		if colErr != nil {
 			return
 		}
 		if !reflect.DeepEqual(col.Columns, ref.Columns) {
-			t.Fatalf("query %q: columns %q (columnar) vs %q (rows)", q, col.Columns, ref.Columns)
+			t.Fatalf("query %q on %q: columns %q (columnar) vs %q (rows)", q, msg, col.Columns, ref.Columns)
 		}
 		if len(col.Rows) != len(ref.Rows) {
-			t.Fatalf("query %q: %d rows (columnar) vs %d (rows)", q, len(col.Rows), len(ref.Rows))
+			t.Fatalf("query %q on %q: %d rows (columnar) vs %d (rows)", q, msg, len(col.Rows), len(ref.Rows))
 		}
 		for i := range col.Rows {
 			if !reflect.DeepEqual(col.Rows[i], ref.Rows[i]) {
-				t.Fatalf("query %q row %d: %q (columnar) vs %q (rows)", q, i, col.Rows[i], ref.Rows[i])
+				t.Fatalf("query %q on %q row %d: %q (columnar) vs %q (rows)", q, msg, i, col.Rows[i], ref.Rows[i])
 			}
 		}
 	})

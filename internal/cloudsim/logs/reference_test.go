@@ -61,12 +61,12 @@ func (s *Service) queryRows(group, query string, from, to time.Time) (*QueryResu
 				return nil, err
 			}
 			for _, r := range rows {
-				m := re.FindStringSubmatch(r[t.field])
+				m := re.FindStringSubmatch(byteRunes(r[t.field]))
 				if m == nil {
 					continue // no match: fields stay unset
 				}
 				for j, name := range t.names {
-					r[name] = strings.TrimSpace(m[j+1])
+					r[name] = strings.TrimSpace(runeBytes(m[j+1]))
 				}
 			}
 		case *statsStage:
@@ -96,6 +96,12 @@ func (s *Service) queryRows(group, query string, from, to time.Time) (*QueryResu
 // stage's text into an unanchored regexp: each * followed by a literal
 // captures lazily, so "Billed Duration: * ms" pulls out just the
 // number; a trailing * captures greedily to the end of the message.
+// This is the glob rule Query implements: a * spans any bytes,
+// newlines included ((?s)), and literal glob text matches its own
+// bytes exactly. A regexp reads its input as UTF-8 and would match an
+// invalid byte against a literal U+FFFD, so the regexp is compiled
+// over byteRunes of the glob and must be run over byteRunes of the
+// input, with runeBytes turning its captures back.
 func globRegexp(stageText string) (*regexp.Regexp, error) {
 	toks, err := tokens(strings.TrimPrefix(strings.TrimSpace(stageText), "parse"))
 	if err != nil {
@@ -103,13 +109,14 @@ func globRegexp(stageText string) (*regexp.Regexp, error) {
 	}
 	glob := toks[1]
 	var re strings.Builder
+	re.WriteString("(?s)")
 	parts := strings.SplitAfter(glob, "*")
 	for i, part := range parts {
 		if !strings.HasSuffix(part, "*") {
-			re.WriteString(regexp.QuoteMeta(part))
+			re.WriteString(regexp.QuoteMeta(byteRunes(part)))
 			continue
 		}
-		re.WriteString(regexp.QuoteMeta(strings.TrimSuffix(part, "*")))
+		re.WriteString(regexp.QuoteMeta(byteRunes(strings.TrimSuffix(part, "*"))))
 		if i == len(parts)-2 && parts[len(parts)-1] == "" {
 			re.WriteString("(.*)")
 		} else {
@@ -117,6 +124,25 @@ func globRegexp(stageText string) (*regexp.Regexp, error) {
 		}
 	}
 	return regexp.Compile(re.String())
+}
+
+// byteRunes spells each byte of s as the rune of the same value, so a
+// regexp over the result compares bytes, valid UTF-8 or not.
+func byteRunes(s string) string {
+	out := make([]rune, len(s))
+	for i := 0; i < len(s); i++ {
+		out[i] = rune(s[i])
+	}
+	return string(out)
+}
+
+// runeBytes inverts byteRunes.
+func runeBytes(s string) string {
+	var out []byte
+	for _, r := range s {
+		out = append(out, byte(r))
+	}
+	return string(out)
 }
 
 // statsRows groups rows by the stage's by fields, sorted by key, and

@@ -19,13 +19,6 @@ const AccountNamespace = "account"
 // self-observation series (the telemetry.self.* family).
 const TelemetryNamespace = "telemetry"
 
-// FleetNamespace is the namespace the fleet control tower publishes
-// the engine's own virtual-time counters into (the fleet.* family,
-// plus the per-account cost distribution). Fleet-level rollups of the
-// plane series live under "fleet/<service>/<op>" namespaces, the way
-// per-account plane series live under "<service>/<op>".
-const FleetNamespace = "fleet"
-
 const (
 	// Plane series, auto-published by PlaneInterceptor into a
 	// "service/op" namespace for every call routed through plane.Do.
@@ -57,17 +50,6 @@ const (
 	MetricTelemetryEvents     = "telemetry.self.events"
 	MetricTelemetryBytes      = "telemetry.self.bytes"
 	MetricTelemetryOverheadNs = "telemetry.self.overhead.ns"
-
-	// Fleet engine self-telemetry under FleetNamespace, published by
-	// the control tower (internal/fleet/telemetry) at the virtual end
-	// of a run: one sample per shard, in shard order, all virtual-time
-	// — they are part of nothing the replay-identity goldens pin, but
-	// they are themselves bit-identical across replays.
-	MetricFleetShardEvents   = "fleet.shard.events"     // arrivals served by the replay loop
-	MetricFleetShardAccounts = "fleet.shard.accounts"   // accounts completed
-	MetricFleetShardRequests = "fleet.shard.requests"   // workload arrivals served
-	MetricFleetShardCold     = "fleet.shard.coldstarts" // cold containers hit
-	MetricFleetHorizonNs     = "fleet.horizon.ns"       // virtual time drained
 )
 
 var registered = []string{
@@ -85,11 +67,6 @@ var registered = []string{
 	MetricTelemetryEvents,
 	MetricTelemetryBytes,
 	MetricTelemetryOverheadNs,
-	MetricFleetShardEvents,
-	MetricFleetShardAccounts,
-	MetricFleetShardRequests,
-	MetricFleetShardCold,
-	MetricFleetHorizonNs,
 }
 
 // Names returns every registered metric name, sorted.

@@ -60,7 +60,7 @@ func TestLedgerParityFleetTelemetry(t *testing.T) {
 		t.Fatalf("tower progress %+v does not match result (simulated=%d requests=%d)",
 			p, rep.Result.Simulated, rep.Result.TotalRequests)
 	}
-	if p.Events <= 0 || p.ShardsDone <= 0 {
+	if p.Requests <= 0 || p.ShardsDone <= 0 {
 		t.Fatalf("tower saw no engine activity: %+v", p)
 	}
 	dash := tower.RenderDashboard()

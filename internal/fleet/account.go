@@ -46,15 +46,15 @@ type accountSim struct {
 
 // simulateAccount builds one account's private world — cloud wired
 // from the shared immutable bundle, deployment — replays its span, and
-// returns the outcome. slot is the account's position in the
-// simulated sub-fleet (its outcome-slice index).
+// returns the outcome, the account's gap-band counts, and latencies
+// with the account's request latencies appended.
 //
 // The pprof phase labels and metrics.HostNow marks attribute the
 // account's host-clock cost to its two halves: NewCloud + app install
 // versus the request-plane replay — the split the ROADMAP's ~100
 // µs/request headroom question needs. HostNow is zero (and the labels
 // free) in simulated runs with no injected host clock.
-func simulateAccount(cfg *Config, shared *core.Shared, profile workload.AccountProfile, slot int) accountOutcome {
+func simulateAccount(cfg *Config, shared *core.Shared, profile workload.AccountProfile, latencies []time.Duration) (accountOutcome, gapCounts, []time.Duration) {
 	var a *accountSim
 	var err error
 	installStart := metrics.HostNow()
@@ -62,60 +62,35 @@ func simulateAccount(cfg *Config, shared *core.Shared, profile workload.AccountP
 		a, err = newAccountSim(cfg, shared, profile)
 	})
 	if err != nil {
-		return accountOutcome{err: fmt.Errorf("account %06d (%v): %w", profile.Index, profile.Kind, err)}
+		return accountOutcome{err: fmt.Errorf("account %06d (%v): %w", profile.Index, profile.Kind, err)}, gapCounts{}, latencies
 	}
 	drainStart := metrics.HostNow()
 	var o accountOutcome
+	var gaps gapCounts
 	pprof.Do(context.Background(), pprof.Labels("phase", "drain"), func(context.Context) {
-		o = a.replay()
+		o, gaps, latencies = a.replay(latencies)
 	})
 	drainEnd := metrics.HostNow()
 	if cfg.Tower != nil && o.err == nil {
-		// Reduce the account's CloudWatch series while the store is hot,
-		// then recycle its column chunks (below) — the fleet
-		// builds and drops one store per account. Pooling that storage
-		// beats append-grown slices on BenchmarkFleetTelemetry: those
-		// lost 6 of 8 alternating ns/request pairs (roughly +5–15%)
-		// even though they cut live heap (see metrics/pool.go).
-		cfg.Tower.ObserveAccount(a.cloud.Metrics, telemetry.AccountObservation{
-			Slot:             slot,
+		// Reduce the account's CloudWatch series (and, when traced, its
+		// sampled traces) while the stores are hot, then recycle the
+		// metrics column chunks (below) — the fleet builds and drops one
+		// store per account. Pooling that storage beats append-grown
+		// slices on BenchmarkFleetTelemetry: those lost 6 of 8
+		// alternating ns/request pairs (roughly +5–15%) even though they
+		// cut live heap (see metrics/pool.go).
+		o.tower = cfg.Tower.ObserveAccount(a.cloud.Metrics, a.cloud.Tracer, cfg.Book, telemetry.AccountObservation{
 			Index:            profile.Index,
 			Kind:             profile.Kind.String(),
 			Requests:         o.stats.Requests,
 			ColdStarts:       o.stats.ColdStarts,
-			Events:           o.stats.Requests,
 			MonthlyCostNanos: o.stats.MonthlyCost.Nanodollars(),
 			InstallHostNs:    drainStart - installStart,
 			DrainHostNs:      drainEnd - drainStart,
 		})
-		if cfg.Trace {
-			// Reduce the account's sampled traces to its service map and
-			// critical-path profile while the store is hot; the tower
-			// merges them in slot order at Finalize. The rollup reads
-			// bump the scanned dimension before Stats is taken, so the
-			// dashboard's scan count includes them — deterministically.
-			st := a.cloud.Tracer
-			smap := st.ServiceMap(cfg.Book, time.Time{}, time.Time{})
-			crit := st.CriticalProfile(time.Time{}, time.Time{})
-			stats := st.Stats()
-			var list int64
-			for _, u := range st.Usage() {
-				list += cfg.Book.ListPrice(u).Nanodollars()
-			}
-			cfg.Tower.ObserveTraces(telemetry.TraceObservation{
-				Slot:      slot,
-				Decided:   stats.Decided,
-				Kept:      stats.Kept,
-				Stored:    stats.Stored,
-				Scanned:   stats.Scanned,
-				ListNanos: list,
-				Map:       smap,
-				Crit:      crit,
-			})
-		}
 	}
 	a.cloud.Metrics.Recycle()
-	return o
+	return o, gaps, latencies
 }
 
 // newAccountSim wires the account: per-account netsim and payload
@@ -219,9 +194,11 @@ func (a *accountSim) invokeOK(op string, body []byte) error {
 // replay serves the account's Poisson arrivals in order, each at its
 // own instant on the cloud's clock, until the span ends or a request
 // fails; then it moves the clock to the horizon, prices the span at
-// list price, extrapolates to the month, and packages the raw result.
-func (a *accountSim) replay() accountOutcome {
+// list price, and extrapolates to the month. It appends each request's
+// latency to latencies and counts it in its gap band.
+func (a *accountSim) replay(latencies []time.Duration) (accountOutcome, gapCounts, []time.Duration) {
 	var o accountOutcome
+	var gaps gapCounts
 	// The warmup (installs, sessions, device registration) ran at
 	// Epoch; the first arrival's inter-request gap measures from here.
 	last := a.cloud.Clock.Now()
@@ -232,14 +209,16 @@ func (a *accountSim) replay() accountOutcome {
 		now := a.cloud.Clock.Now()
 		cold, latency, err := a.request(now, o.stats.Requests)
 		if err != nil {
-			return accountOutcome{err: fmt.Errorf("account %06d (%v): %w", a.profile.Index, a.profile.Kind, err)}
+			return accountOutcome{err: fmt.Errorf("account %06d (%v): %w", a.profile.Index, a.profile.Kind, err)}, gaps, latencies
 		}
+		b := bucketFor(now.Sub(last))
 		o.stats.Requests++
+		gaps[b].requests++
 		if cold {
 			o.stats.ColdStarts++
+			gaps[b].cold++
 		}
-		o.latencies = append(o.latencies, latency)
-		o.samples = append(o.samples, reqSample{gap: now.Sub(last), cold: cold})
+		latencies = append(latencies, latency)
 		last = now
 	}
 	a.cloud.Clock.Set(end)
@@ -254,7 +233,7 @@ func (a *accountSim) replay() accountOutcome {
 	if a.cfg.CaptureLedgers {
 		o.stats.Ledger = renderLedger(a.cloud.Meter)
 	}
-	return o
+	return o, gaps, latencies
 }
 
 // request serves arrival n (0-based) at now for the account's app kind,

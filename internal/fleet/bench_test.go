@@ -70,7 +70,8 @@ func BenchmarkFleetTelemetry(b *testing.B) {
 		requests := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			// A fresh tower per iteration: Begin/Finalize are one-shot.
+			// A fresh tower per iteration, as each diyctl run builds one
+			// (a tower can also be reused: Finalize rebuilds its fold).
 			cfg := Config{
 				Accounts: accounts,
 				Span:     10 * time.Minute,

@@ -9,17 +9,20 @@
 // The determinism contract: a fleet run is a pure function of
 // (Accounts, MaxSimulated, Seed, Span, Shards) and replays
 // bit-identically regardless of Workers or GOMAXPROCS. Accounts never
-// interact, per-account results land in a slice slot owned by exactly
-// one account, and every cross-account aggregate is either
-// order-insensitive or merged in account-index order after the workers
-// join. Fleets larger than MaxSimulated are sampled by a deterministic
-// stride and extrapolated — and the scaling is always reported, never
-// silent.
+// interact. Each account's outcome lands in a slice slot it alone
+// owns, and each shard worker counts its requests into one tally it
+// alone owns. After the workers join, Run folds the outcomes in
+// account-index order and the tallies in shard order, once; every
+// cross-account aggregate is order-insensitive or made so by that
+// fold (the latencies are sorted). Fleets larger than MaxSimulated are
+// sampled by a deterministic stride and extrapolated — and the scaling
+// is always reported, never silent.
 package fleet
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/cloudsim/metrics"
@@ -132,8 +135,8 @@ type Result struct {
 	// PerAccount holds each simulated account's outcome in account
 	// order.
 	PerAccount []AccountStats
-	// Latencies is every simulated request's end-to-end latency,
-	// merged in account order (unsorted).
+	// Latencies is every simulated request's end-to-end latency, in
+	// ascending order.
 	Latencies []time.Duration
 	// GapBuckets is the cold-start-fraction-vs-inter-request-gap
 	// histogram over all simulated requests.
@@ -145,10 +148,9 @@ type Result struct {
 	TotalRequests   int
 	TotalColdStarts int
 
-	// Sorted percentile caches, built once per distribution: reports
-	// ask for three or more percentiles of the same samples.
-	sortedCosts     []pricing.Money
-	sortedLatencies []time.Duration
+	// sortedCosts is the per-account monthly costs in ascending order:
+	// reports ask for three or more percentiles of them.
+	sortedCosts []pricing.Money
 }
 
 // month is the simulator's billing month (matching pricing's 30-day
@@ -157,7 +159,7 @@ const month = 30 * 24 * time.Hour
 
 // gapBounds are the inter-request-gap band edges. The 5-minute edge is
 // the Lambda warm-container TTL: the curve's knee.
-var gapBounds = []time.Duration{
+var gapBounds = [...]time.Duration{
 	time.Minute,
 	2 * time.Minute,
 	5 * time.Minute,
@@ -165,9 +167,13 @@ var gapBounds = []time.Duration{
 	30 * time.Minute,
 }
 
+// numGapBands counts the histogram's bands: one below each edge and
+// the open tail.
+const numGapBands = len(gapBounds) + 1
+
 // newGapBuckets builds the empty histogram.
 func newGapBuckets() []GapBucket {
-	out := make([]GapBucket, 0, len(gapBounds)+1)
+	out := make([]GapBucket, 0, numGapBands)
 	prev := time.Duration(0)
 	for _, b := range gapBounds {
 		out = append(out, GapBucket{Label: fmt.Sprintf("%v-%v", prev, b), UpTo: b})
@@ -255,45 +261,52 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	hostDrain := metrics.HostNow()
-	outcomes := runShards(&cfg, shared, profiles)
+	outcomes, tallies := runShards(&cfg, shared, profiles)
 	hostAggregate := metrics.HostNow()
 
-	// Aggregation: strictly in account-index order, after the barrier.
-	// Errors resolve deterministically to the lowest-indexed failure.
+	// Aggregation, after the barrier: outcomes in account-index order
+	// (errors resolve deterministically to the lowest-indexed failure),
+	// then the shard tallies in shard order.
+	costs := make([]pricing.Money, 0, len(outcomes))
 	for _, o := range outcomes {
 		if o.err != nil {
 			return nil, fmt.Errorf("fleet: %w", o.err)
 		}
 		res.PerAccount = append(res.PerAccount, o.stats)
-		res.Latencies = append(res.Latencies, o.latencies...)
 		res.MixCounts[o.stats.Kind]++
 		res.TotalRequests += o.stats.Requests
 		res.TotalColdStarts += o.stats.ColdStarts
-		for _, s := range o.samples {
-			b := bucketFor(s.gap)
-			res.GapBuckets[b].Requests++
-			if s.cold {
-				res.GapBuckets[b].ColdStarts++
-			}
+		costs = append(costs, o.stats.MonthlyCost)
+	}
+	res.Latencies = make([]time.Duration, 0, res.TotalRequests)
+	for i := range tallies {
+		t := &tallies[i]
+		res.Latencies = append(res.Latencies, t.latencies...)
+		for b, g := range t.gaps {
+			res.GapBuckets[b].Requests += g.requests
+			res.GapBuckets[b].ColdStarts += g.cold
 		}
 	}
-
 	// Sort the percentile inputs once, here, so every later
 	// Cost/LatencyPercentile query is a single indexed read.
-	costs := make([]pricing.Money, 0, len(res.PerAccount))
-	for _, a := range res.PerAccount {
-		costs = append(costs, a.MonthlyCost)
-	}
-	res.sortedCosts = sortedMoney(costs)
-	res.sortedLatencies = sortedDurations(res.Latencies)
+	slices.Sort(res.Latencies)
+	slices.Sort(costs)
+	res.sortedCosts = costs
 
 	if cfg.Tower != nil {
-		cfg.Tower.ObservePhases(telemetry.PhaseTimings{
+		records := make([]*telemetry.AccountRecord, len(outcomes))
+		for i := range outcomes {
+			records[i] = outcomes[i].tower
+		}
+		shardRequests := make([]int, len(tallies))
+		for i := range tallies {
+			shardRequests[i] = len(tallies[i].latencies)
+		}
+		cfg.Tower.Finalize(telemetry.PhaseTimings{
 			ProfilesNs:  hostDrain - hostProfiles,
 			DrainNs:     hostAggregate - hostDrain,
 			AggregateNs: metrics.HostNow() - hostAggregate,
-		})
-		cfg.Tower.Finalize()
+		}, records, shardRequests)
 	}
 	return res, nil
 }
@@ -301,22 +314,11 @@ func Run(cfg Config) (*Result, error) {
 // CostPercentile reports the p-th percentile (nearest-rank) of the
 // per-account monthly cost distribution.
 func (r *Result) CostPercentile(p float64) pricing.Money {
-	if r.sortedCosts == nil && len(r.PerAccount) > 0 {
-		// Hand-built Result (tests): build the cache lazily.
-		costs := make([]pricing.Money, 0, len(r.PerAccount))
-		for _, a := range r.PerAccount {
-			costs = append(costs, a.MonthlyCost)
-		}
-		r.sortedCosts = sortedMoney(costs)
-	}
-	return moneyPercentileSorted(r.sortedCosts, p)
+	return percentile(r.sortedCosts, p)
 }
 
 // LatencyPercentile reports the p-th percentile (nearest-rank) of the
 // fleet-wide request latency distribution.
 func (r *Result) LatencyPercentile(p float64) time.Duration {
-	if r.sortedLatencies == nil && len(r.Latencies) > 0 {
-		r.sortedLatencies = sortedDurations(r.Latencies)
-	}
-	return durationPercentileSorted(r.sortedLatencies, p)
+	return percentile(r.Latencies, p)
 }

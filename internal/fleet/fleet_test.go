@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleet/telemetry"
 	"repro/internal/workload"
 )
 
@@ -35,27 +36,58 @@ func fingerprint(r *Result) string {
 }
 
 // TestFleetDeterministicAcrossWorkers is the scheduler's contract: the
-// full result — every per-account stat, every latency sample in merge
-// order, every histogram cell — is bit-identical whether one worker
-// drains all shards or many race over them.
+// full result — every per-account stat, every latency sample, every
+// histogram cell — and the control tower's dashboards, trace rollup
+// included, are bit-identical whether one worker drains all shards or
+// many race over them.
 func TestFleetDeterministicAcrossWorkers(t *testing.T) {
-	cfg := Config{Accounts: 200, Span: 20 * time.Minute, Seed: 3}
+	cfg := Config{Accounts: 200, Span: 20 * time.Minute, Seed: 3, Trace: true}
 
 	var prints []string
 	for _, workers := range []int{1, 3, 8} {
 		c := cfg
 		c.Workers = workers
+		c.Tower = telemetry.NewTower(telemetry.Options{})
 		res, err := Run(c)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		prints = append(prints, fingerprint(res))
+		prints = append(prints, fingerprint(res)+c.Tower.RenderDashboard()+c.Tower.RenderTraceDashboard())
+	}
+	if !strings.Contains(prints[0], "Fleet trace rollup") {
+		t.Fatalf("traced run rendered no trace rollup:\n%s", prints[0])
 	}
 	for i := 1; i < len(prints); i++ {
 		if prints[i] != prints[0] {
 			d := firstDiffLine(prints[0], prints[i])
 			t.Fatalf("result diverges between worker counts 1 and %d:\n%s", []int{1, 3, 8}[i], d)
 		}
+	}
+}
+
+// TestTowerReuse runs two different fleets through one Tower: after
+// the second run it must render exactly what a fresh tower renders for
+// that run alone, since Finalize derives everything from its inputs.
+func TestTowerReuse(t *testing.T) {
+	first := Config{Accounts: 40, Span: 10 * time.Minute, Seed: 5, Trace: true}
+	second := Config{Accounts: 60, Span: 15 * time.Minute, Seed: 9, Shards: 16, Trace: true}
+	render := func(tw *telemetry.Tower) string {
+		return fmt.Sprintf("%s%s%s%+v\n", tw.RenderDashboard(), tw.RenderTraceDashboard(), tw.RenderHostPhases(), tw.Progress())
+	}
+	run := func(cfg Config, tw *telemetry.Tower) {
+		cfg.Tower = tw
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	reused := telemetry.NewTower(telemetry.Options{})
+	run(first, reused)
+	run(second, reused)
+	fresh := telemetry.NewTower(telemetry.Options{})
+	run(second, fresh)
+	if got, want := render(reused), render(fresh); got != want {
+		t.Fatalf("reused tower diverges from a fresh one:\n%s", firstDiffLine(want, got))
 	}
 }
 

@@ -18,27 +18,38 @@ import (
 // shards — a pure function of (Seed, account index, Shards), never of
 // worker count. Workers pull whole shards off a channel and simulate
 // that shard's accounts sequentially in index order. Because the shard
-// assignment is fixed and each account writes only its own slot of the
-// pre-sized outcome slice, the slice contents after the join are
-// identical no matter which worker ran which shard, or in what order —
-// worker count and goroutine scheduling can change only wall-clock
-// time, never a byte of output.
+// assignment is fixed, each account writes only its own slot of the
+// pre-sized outcome slice and each shard only its own slot of the
+// tally slice, the slices' contents after the join are identical no
+// matter which worker ran which shard, or in what order — worker count
+// and goroutine scheduling can change only wall-clock time, never a
+// byte of output.
 
-// accountOutcome is one account's raw simulation product, deposited in
-// the outcome slot owned by that account.
+// accountOutcome is one account's result, deposited in the outcome
+// slot owned by that account.
 type accountOutcome struct {
-	stats     AccountStats
-	latencies []time.Duration
-	samples   []reqSample
-	err       error
+	stats AccountStats
+	err   error
+	// tower is the control tower's reduction of the account's stores;
+	// nil when no tower is attached.
+	tower *telemetry.AccountRecord
 }
 
-// reqSample pairs one request's inter-request gap with whether it hit
-// a cold container, feeding the gap-bucket histogram.
-type reqSample struct {
-	gap  time.Duration
-	cold bool
+// shardTally is what one shard worker drained, kept per shard rather
+// than per account: a churn account serves about 1.4 requests, so
+// per-account buffers and counts would cost more than the requests
+// they describe. Run folds the tallies in shard order after the
+// barrier.
+type shardTally struct {
+	// latencies holds the shard's request latencies in drain order.
+	latencies []time.Duration
+	// gaps counts the shard's requests and cold starts by
+	// inter-request-gap band (see bucketFor).
+	gaps gapCounts
 }
+
+// gapCounts counts requests and cold starts per gap band.
+type gapCounts [numGapBands]struct{ requests, cold int }
 
 // shardOf assigns an account index to a logical shard: splitmix-mixed
 // so adjacent indices spread across shards, seeded so distinct fleets
@@ -58,8 +69,9 @@ func workers(cfg *Config) int {
 }
 
 // runShards simulates every profile and returns the outcomes in
-// profile (account-index) order.
-func runShards(cfg *Config, shared *core.Shared, profiles []workload.AccountProfile) []accountOutcome {
+// profile (account-index) order and one tally per shard, in shard
+// order.
+func runShards(cfg *Config, shared *core.Shared, profiles []workload.AccountProfile) ([]accountOutcome, []shardTally) {
 	// Group profile positions by shard, preserving index order within
 	// each shard.
 	shards := make([][]int, cfg.Shards)
@@ -75,6 +87,7 @@ func runShards(cfg *Config, shared *core.Shared, profiles []workload.AccountProf
 	}
 
 	out := make([]accountOutcome, len(profiles))
+	tallies := make([]shardTally, cfg.Shards)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := workers(cfg); w > 0; w-- {
@@ -86,7 +99,7 @@ func runShards(cfg *Config, shared *core.Shared, profiles []workload.AccountProf
 				// attribute to their shard, and within it to the
 				// install/drain phase set per account.
 				pprof.Do(context.Background(), pprof.Labels("shard", shardNames[sid]), func(context.Context) {
-					drainShard(cfg, shared, profiles, shards[sid], sid, out)
+					tallies[sid] = drainShard(cfg, shared, profiles, shards[sid], out)
 				})
 			}
 		}()
@@ -98,27 +111,24 @@ func runShards(cfg *Config, shared *core.Shared, profiles []workload.AccountProf
 	}
 	close(jobs)
 	wg.Wait()
-	return out
+	return out, tallies
 }
 
 // drainShard simulates one logical shard's accounts sequentially in
-// index order, depositing each outcome in its owned slot, and reports
-// the shard's virtual-time totals to the control tower.
-func drainShard(cfg *Config, shared *core.Shared, profiles []workload.AccountProfile, shard []int, sid int, out []accountOutcome) {
-	var sc telemetry.ShardCounters
+// index order, depositing each outcome in its owned slot, and returns
+// the shard's tally.
+func drainShard(cfg *Config, shared *core.Shared, profiles []workload.AccountProfile, shard []int, out []accountOutcome) shardTally {
+	var t shardTally
 	for _, pos := range shard {
-		o := simulateAccount(cfg, shared, profiles[pos], pos)
-		out[pos] = o
-		if o.err != nil {
-			continue
+		var gaps gapCounts
+		out[pos], gaps, t.latencies = simulateAccount(cfg, shared, profiles[pos], t.latencies)
+		for b, g := range gaps {
+			t.gaps[b].requests += g.requests
+			t.gaps[b].cold += g.cold
 		}
-		sc.Accounts++
-		sc.Requests += o.stats.Requests
-		sc.ColdStarts += o.stats.ColdStarts
-		sc.Events += o.stats.Requests
-		sc.HorizonNs += int64(cfg.Span)
 	}
 	if cfg.Tower != nil {
-		cfg.Tower.ObserveShard(sid, sc)
+		cfg.Tower.ObserveShard()
 	}
+	return t
 }

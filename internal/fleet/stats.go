@@ -1,52 +1,18 @@
 package fleet
 
-import (
-	"sort"
-	"time"
+import "repro/internal/cloudsim/metrics"
 
-	"repro/internal/cloudsim/metrics"
-	"repro/internal/pricing"
-)
-
-// Percentiles over the fleet's aggregated distributions. Two rules:
-//
-//   - One rank formula, shared with metrics.Percentile via
-//     metrics.NearestRank — a second truncating copy here is exactly
-//     how the off-by-one PR 1 fixed crept back in.
-//   - Sort once per sample set, not per query. Aggregation inputs are
-//     merged in account order and must stay replay-stable, so the sort
-//     always works on a copy; but a report asks for three or more
-//     percentiles of the same distribution, and re-copying and
-//     re-sorting 10^5 latencies per query is pure waste.
-
-// sortedMoney returns an ascending-sorted copy of samples.
-func sortedMoney(samples []pricing.Money) []pricing.Money {
-	cp := append([]pricing.Money(nil), samples...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	return cp
-}
-
-// sortedDurations returns an ascending-sorted copy of samples.
-func sortedDurations(samples []time.Duration) []time.Duration {
-	cp := append([]time.Duration(nil), samples...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	return cp
-}
-
-// moneyPercentileSorted reads the nearest-rank p-th percentile from an
-// already-sorted sample set. p is in percent and may be fractional.
-func moneyPercentileSorted(sorted []pricing.Money, p float64) pricing.Money {
+// percentile reads the nearest-rank p-th percentile from an ascending
+// slice, or the zero value from an empty one. p is in percent and may
+// be fractional. The rank formula is metrics.NearestRank, shared with
+// metrics.Percentile, because a second, truncating copy of it is how
+// an off-by-one at p99.9 once crept in. Run sorts each distribution
+// once, after the barrier, so a report's three or more percentiles are
+// indexed reads.
+func percentile[T any](sorted []T, p float64) T {
 	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[metrics.NearestRank(len(sorted), p)]
-}
-
-// durationPercentileSorted reads the nearest-rank p-th percentile from
-// an already-sorted sample set. p is in percent and may be fractional.
-func durationPercentileSorted(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
+		var zero T
+		return zero
 	}
 	return sorted[metrics.NearestRank(len(sorted), p)]
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,7 +10,7 @@ import (
 	"repro/internal/pricing"
 )
 
-// The fleet percentile helpers must agree exactly with the metrics
+// The fleet percentile read must agree exactly with the metrics
 // store's nearest-rank reference — one rank formula, two sample types.
 // This property test feeds identical random samples to both paths and
 // diffs every percentile, fractional ones included; the p=99.9 cases
@@ -30,50 +31,33 @@ func TestPercentilesMatchMetricsReference(t *testing.T) {
 			durs[i] = time.Duration(v)
 			ref.Record("ns", "m", epoch.Add(time.Duration(i)*time.Second), float64(v))
 		}
-		sm := sortedMoney(moneys)
-		sd := sortedDurations(durs)
+		slices.Sort(moneys)
+		slices.Sort(durs)
 		for _, p := range ps {
 			want := ref.Percentile("ns", "m", time.Time{}, time.Time{}, p)
-			if got := moneyPercentileSorted(sm, p); float64(got) != want {
-				t.Fatalf("trial %d n=%d: moneyPercentile(p=%v) = %d, metrics reference %v", trial, n, p, got, want)
+			if got := percentile(moneys, p); float64(got) != want {
+				t.Fatalf("trial %d n=%d: money percentile(p=%v) = %d, metrics reference %v", trial, n, p, got, want)
 			}
-			if got := durationPercentileSorted(sd, p); float64(got) != want {
-				t.Fatalf("trial %d n=%d: durationPercentile(p=%v) = %d, metrics reference %v", trial, n, p, got, want)
+			if got := percentile(durs, p); float64(got) != want {
+				t.Fatalf("trial %d n=%d: duration percentile(p=%v) = %d, metrics reference %v", trial, n, p, got, want)
 			}
 		}
 	}
 }
 
 // Edge cases the property loop can't hit: empty and single-sample
-// inputs, and the sortedness of the copies.
+// inputs.
 func TestPercentileEdgeCases(t *testing.T) {
-	if got := moneyPercentileSorted(nil, 50); got != 0 {
+	if got := percentile([]pricing.Money(nil), 50); got != 0 {
 		t.Fatalf("empty money p50 = %v", got)
 	}
-	if got := durationPercentileSorted(nil, 99.9); got != 0 {
+	if got := percentile([]time.Duration(nil), 99.9); got != 0 {
 		t.Fatalf("empty duration p99.9 = %v", got)
 	}
-	one := sortedMoney([]pricing.Money{41})
+	one := []pricing.Money{41}
 	for _, p := range []float64{0, 50, 99.9, 100} {
-		if got := moneyPercentileSorted(one, p); got != 41 {
+		if got := percentile(one, p); got != 41 {
 			t.Fatalf("single-sample money p%v = %v, want 41", p, got)
 		}
-	}
-	// The sorted copies never reorder the aggregation input.
-	in := []pricing.Money{3, 1, 2}
-	cp := sortedMoney(in)
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Fatalf("sortedMoney mutated its input: %v", in)
-	}
-	if cp[0] != 1 || cp[1] != 2 || cp[2] != 3 {
-		t.Fatalf("sortedMoney not sorted: %v", cp)
-	}
-	din := []time.Duration{3, 1, 2}
-	dcp := sortedDurations(din)
-	if din[0] != 3 {
-		t.Fatalf("sortedDurations mutated its input: %v", din)
-	}
-	if dcp[0] != 1 || dcp[2] != 3 {
-		t.Fatalf("sortedDurations not sorted: %v", dcp)
 	}
 }

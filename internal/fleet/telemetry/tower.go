@@ -1,18 +1,20 @@
 // Package telemetry is the fleet control tower: the fleet engine
-// observing itself through the same interned-handle metrics store the
-// simulated clouds publish into. It has three layers.
+// observing itself. It has three layers.
 //
-// Engine self-telemetry: deterministic virtual-time counters per shard
-// (arrivals served, accounts completed, requests simulated,
-// cold starts, horizon drained), published under metrics.FleetNamespace.
-// These are pure functions of the fleet's replay identity and are
-// bit-identical across runs at any worker count.
+// Cross-account rollups: the moment an account's simulation completes,
+// ObserveAccount reduces its CloudWatch store (the plane
+// requests/errors/denials/latency/cost series and the cumulative
+// account cost gauge) and, when the run is traced, its X-Ray-sim store
+// (sampling counters, list price, service map, critical-path profile)
+// to an AccountRecord the worker keeps in the account's outcome slot.
+// Nothing is written to the tower but the -watch progress counters.
 //
-// Cross-account rollups: each account's CloudWatch series (the
-// plane.requests/errors/cost family and the cumulative account cost
-// gauge) are collected the moment its simulation completes, then
-// merged strictly in account-index order at Finalize — so fleet-level
-// sums and percentiles never depend on the order workers finish.
+// Engine totals: Finalize runs once after the workers join and folds
+// the records in account-index order, plus each shard's request count,
+// into the dashboard's rows. Everything it folds is a pure function of
+// the fleet's replay identity, so the dashboards are bit-identical
+// across runs at any worker count. Finalize rebuilds its state from
+// its inputs alone, so a tower can serve any number of runs.
 //
 // Host-time phase timers: install vs drain per account, and the run's
 // profile/drain/aggregate phases, measured through metrics.HostNow.
@@ -23,13 +25,12 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cloudsim/clock"
 	"repro/internal/cloudsim/metrics"
 	"repro/internal/cloudsim/trace"
 	"repro/internal/pricing"
@@ -47,15 +48,13 @@ type Options struct {
 // identity; the two host-ns fields are zero unless a host clock was
 // injected.
 type AccountObservation struct {
-	// Slot is the account's position in the simulated sub-fleet (its
-	// outcome-slice index); Index is its fleet position.
-	Slot, Index int
+	// Index is the account's fleet position.
+	Index int
 	// Kind names the app the account ran.
 	Kind string
-	// Requests, ColdStarts, Events count workload arrivals served,
-	// cold containers hit, and steps of the account's replay loop (one
-	// per arrival served) over the span.
-	Requests, ColdStarts, Events int
+	// Requests and ColdStarts count workload arrivals served and cold
+	// containers hit over the span.
+	Requests, ColdStarts int
 	// MonthlyCostNanos is the account's extrapolated monthly bill in
 	// nanodollars.
 	MonthlyCostNanos int64
@@ -64,37 +63,30 @@ type AccountObservation struct {
 	InstallHostNs, DrainHostNs int64
 }
 
-// TraceObservation is one account's X-Ray-sim rollup, reported after
-// its simulation completes: the sampling counters, the span's x-ray
-// list price, and the pre-reduced service map and critical-path
-// profile the tower merges fleet-wide at Finalize. Everything here is
-// virtual-time replay identity.
-type TraceObservation struct {
-	// Slot is the account's position in the simulated sub-fleet.
-	Slot int
-	// Decided, Kept, Stored, Scanned mirror trace.StoreStats.
-	Decided, Kept, Stored, Scanned int64
-	// ListNanos prices the account's x-ray usage (traces recorded +
-	// scanned) at list price, in nanodollars.
-	ListNanos int64
-	// Map and Crit are the account's service map and critical-path
-	// profile over its sampled traces.
-	Map  *trace.ServiceMap
-	Crit *trace.CriticalProfile
+// AccountRecord is the tower's reduction of one finished account,
+// built by ObserveAccount and folded by Finalize.
+type AccountRecord struct {
+	obs AccountObservation
+	// services holds one row per plane namespace, in the order the
+	// account's store created the series.
+	services []nsRollup
+	// gaugeNanos is the final reading of the account's cost gauge.
+	gaugeNanos float64
+	// The account's X-Ray-sim rollup; zero and nil when untraced.
+	traceStats trace.StoreStats
+	traceList  int64 // x-ray usage at list price, in nanodollars
+	traceMap   *trace.ServiceMap
+	traceCrit  *trace.CriticalProfile
 }
 
-// traceCell is one account's trace slot; like accountCell, each is
-// written by exactly one worker and read only after the workers join.
-type traceCell struct {
-	ok  bool
-	obs TraceObservation
-}
-
-// ShardCounters accumulates one logical shard's virtual-time totals.
-type ShardCounters struct {
-	Accounts, Requests, ColdStarts, Events int
-	// HorizonNs is the simulated time drained: Span per account.
-	HorizonNs int64
+// nsRollup sums one "service/op" namespace's plane series.
+type nsRollup struct {
+	ns        string
+	requests  float64
+	errors    float64
+	denials   float64
+	latencyMs float64
+	costNanos float64
 }
 
 // PhaseTimings is the run's host-clock phase split. All zero unless a
@@ -109,159 +101,122 @@ type PhaseTimings struct {
 // watcher goroutine while shards drain.
 type Progress struct {
 	// AccountsDone / AccountsTotal and ShardsDone / ShardsTotal track
-	// completion; Requests, ColdStarts, Events are running totals.
+	// completion; Requests and ColdStarts are running totals.
 	AccountsDone, AccountsTotal int
 	ShardsDone, ShardsTotal     int
 	Requests, ColdStarts        int
-	Events                      int64
 }
 
-// accountRollup is the per-account reduction of its CloudWatch series:
-// one row per plane namespace plus the final cost gauge.
-type accountRollup struct {
-	services   []nsRollup
-	gaugeNanos float64
+// fold is everything the dashboards print, derived by Finalize.
+type fold struct {
+	accounts, shards int
+	seed             int64
+	span             time.Duration
+
+	requests, coldStarts int
+	// shardRequests is each shard's request count, ascending.
+	shardRequests []int
+	// red is the per-service fleet RED table, most-requested first.
+	red []nsRollup
+	// spend is the per-account cost gauges, ascending.
+	spend []float64
+	// top is the topN most expensive accounts.
+	top []AccountObservation
+
+	phases                     PhaseTimings
+	installHostNs, drainHostNs int64
+
+	// The fleet-wide trace rollup; traceMap and traceCrit are nil when
+	// the run traced nothing.
+	traceStats trace.StoreStats
+	traceList  int64
+	traceMap   *trace.ServiceMap
+	traceCrit  *trace.CriticalProfile
 }
 
-// nsRollup sums one "service/op" namespace's plane series.
-type nsRollup struct {
-	ns        string
-	requests  float64
-	errors    float64
-	denials   float64
-	latencyMs float64
-	costNanos float64
-}
-
-// accountCell is one account's slot in the tower; each is written by
-// exactly one worker (the one simulating that account) and read only
-// after the workers join.
-type accountCell struct {
-	ok     bool
-	obs    AccountObservation
-	rollup accountRollup
-}
-
-// Tower collects fleet self-telemetry. Observe hooks are called
-// concurrently from shard workers; everything else runs before or
-// after the workers, single-threaded.
+// Tower is the fleet control tower. The engine calls Begin before the
+// shard workers start and Finalize after they join; the workers call
+// the Observe hooks, which write only the atomic progress counters.
 type Tower struct {
 	topN int
 
 	// Live counters for Progress, updated atomically on the hot path.
-	accountsDone atomic.Int64
-	requestsDone atomic.Int64
-	coldDone     atomic.Int64
-	eventsDone   atomic.Int64
-	shardsDone   atomic.Int64
+	accountsTotal atomic.Int64
+	shardsTotal   atomic.Int64
+	accountsDone  atomic.Int64
+	requestsDone  atomic.Int64
+	coldDone      atomic.Int64
+	shardsDone    atomic.Int64
 
-	mu            sync.Mutex
-	begun         bool
-	final         bool
-	accounts      int
-	shards        int
-	seed          int64
-	span          time.Duration
-	cells         []accountCell
-	shardCells    []ShardCounters
-	traceCells    []traceCell
-	phases        PhaseTimings
-	installHostNs int64
-	drainHostNs   int64
+	// seed and span are set by Begin, before the workers start.
+	seed int64
+	span time.Duration
 
-	// Fleet-wide trace rollups, merged from traceCells in slot order
-	// at Finalize; nil when the run traced nothing.
-	traceMap    *trace.ServiceMap
-	traceCrit   *trace.CriticalProfile
-	traceTotals TraceObservation
-
-	store *metrics.Service
+	// f is the last run's fold, replaced whole by Finalize.
+	f fold
 }
 
-// NewTower builds a control tower with its own metrics store.
+// NewTower builds a control tower.
 func NewTower(opts Options) *Tower {
 	if opts.TopN <= 0 {
 		opts.TopN = 5
 	}
-	return &Tower{topN: opts.TopN, store: metrics.New()}
+	return &Tower{topN: opts.TopN}
 }
 
-// Begin sizes the tower for a run. The engine calls it once, before
-// any worker starts.
+// Begin starts a run: it records the run's identity and resets the
+// progress counters. The engine calls it before any worker starts.
 func (t *Tower) Begin(accounts, shards int, seed int64, span time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.begun = true
-	t.accounts = accounts
-	t.shards = shards
 	t.seed = seed
 	t.span = span
-	t.cells = make([]accountCell, accounts)
-	t.shardCells = make([]ShardCounters, shards)
-	t.traceCells = make([]traceCell, accounts)
+	t.accountsTotal.Store(int64(accounts))
+	t.shardsTotal.Store(int64(shards))
+	t.accountsDone.Store(0)
+	t.requestsDone.Store(0)
+	t.coldDone.Store(0)
+	t.shardsDone.Store(0)
 }
 
-// ObserveAccount reports one completed account. svc is the account's
-// CloudWatch store; its series are reduced here, while the account's
-// cloud is still hot in cache, rather than retained until Finalize.
-// Safe for concurrent use: each account owns its slot.
-func (t *Tower) ObserveAccount(svc *metrics.Service, obs AccountObservation) {
-	rollup := collectRollups(svc)
-	t.mu.Lock()
-	if obs.Slot >= 0 && obs.Slot < len(t.cells) {
-		t.cells[obs.Slot] = accountCell{ok: true, obs: obs, rollup: rollup}
+// ObserveAccount reduces one completed account's stores to its record:
+// svc is the account's CloudWatch store, and traces its X-Ray-sim
+// store (nil when the run is untraced), priced with book. It reads the
+// stores while the account is still hot in cache, rather than
+// retaining them until Finalize. Safe for concurrent use: it writes
+// only the progress counters.
+func (t *Tower) ObserveAccount(svc *metrics.Service, traces *trace.Store, book *pricing.PriceBook, obs AccountObservation) *AccountRecord {
+	rec := &AccountRecord{obs: obs}
+	rec.services, rec.gaugeNanos = collectRollups(svc)
+	if traces != nil {
+		// The rollup reads bump the scanned dimension before Stats is
+		// taken, so the dashboard's scan count includes them —
+		// deterministically.
+		rec.traceMap = traces.ServiceMap(book, time.Time{}, time.Time{})
+		rec.traceCrit = traces.CriticalProfile(time.Time{}, time.Time{})
+		rec.traceStats = traces.Stats()
+		for _, u := range traces.Usage() {
+			rec.traceList += book.ListPrice(u).Nanodollars()
+		}
 	}
-	t.installHostNs += obs.InstallHostNs
-	t.drainHostNs += obs.DrainHostNs
-	t.mu.Unlock()
 	t.accountsDone.Add(1)
 	t.requestsDone.Add(int64(obs.Requests))
 	t.coldDone.Add(int64(obs.ColdStarts))
-	t.eventsDone.Add(int64(obs.Events))
+	return rec
 }
 
-// ObserveTraces reports one account's X-Ray-sim rollup. The map and
-// profile arrive pre-reduced (the engine builds them while the
-// account's store is hot), so this is one cell write. Safe for
-// concurrent use: each account owns its slot.
-func (t *Tower) ObserveTraces(obs TraceObservation) {
-	t.mu.Lock()
-	if obs.Slot >= 0 && obs.Slot < len(t.traceCells) {
-		t.traceCells[obs.Slot] = traceCell{ok: true, obs: obs}
-	}
-	t.mu.Unlock()
-}
-
-// ObserveShard reports one drained shard's counters.
-func (t *Tower) ObserveShard(shard int, sc ShardCounters) {
-	t.mu.Lock()
-	if shard >= 0 && shard < len(t.shardCells) {
-		t.shardCells[shard] = sc
-	}
-	t.mu.Unlock()
+// ObserveShard counts one drained shard.
+func (t *Tower) ObserveShard() {
 	t.shardsDone.Add(1)
-}
-
-// ObservePhases records the run's host-clock phase split.
-func (t *Tower) ObservePhases(p PhaseTimings) {
-	t.mu.Lock()
-	t.phases = p
-	t.mu.Unlock()
 }
 
 // Progress snapshots the live counters.
 func (t *Tower) Progress() Progress {
-	t.mu.Lock()
-	total, shards := t.accounts, t.shards
-	t.mu.Unlock()
 	return Progress{
 		AccountsDone:  int(t.accountsDone.Load()),
-		AccountsTotal: total,
+		AccountsTotal: int(t.accountsTotal.Load()),
 		ShardsDone:    int(t.shardsDone.Load()),
-		ShardsTotal:   shards,
+		ShardsTotal:   int(t.shardsTotal.Load()),
 		Requests:      int(t.requestsDone.Load()),
 		ColdStarts:    int(t.coldDone.Load()),
-		Events:        t.eventsDone.Load(),
 	}
 }
 
@@ -269,11 +224,10 @@ func (t *Tower) Progress() Progress {
 // series arrive in creation order — deterministic for a single-threaded
 // account simulation — and the reduction preserves it, so two replays
 // roll up to identical rows in identical order.
-func collectRollups(svc *metrics.Service) accountRollup {
+func collectRollups(svc *metrics.Service) (services []nsRollup, gaugeNanos float64) {
 	// Everything written here is a local of this body (shard-private by
 	// construction — the shardsafe analyzer checks); the interning map
 	// is built once per account, never per sample.
-	var out accountRollup
 	idx := make(map[string]int)
 	for _, st := range svc.SeriesStats() {
 		switch st.Metric {
@@ -283,7 +237,7 @@ func collectRollups(svc *metrics.Service) accountRollup {
 			// Plane series: fall through to the per-namespace row.
 		case metrics.MetricAccountCostNanos:
 			if st.Namespace == metrics.AccountNamespace {
-				out.gaugeNanos = st.Max
+				gaugeNanos = st.Max
 			}
 			continue
 		default:
@@ -291,11 +245,11 @@ func collectRollups(svc *metrics.Service) accountRollup {
 		}
 		i, ok := idx[st.Namespace]
 		if !ok {
-			i = len(out.services)
+			i = len(services)
 			idx[st.Namespace] = i
-			out.services = append(out.services, nsRollup{ns: st.Namespace})
+			services = append(services, nsRollup{ns: st.Namespace})
 		}
-		r := &out.services[i]
+		r := &services[i]
 		switch st.Metric {
 		case metrics.MetricPlaneRequests:
 			r.requests += st.Sum
@@ -309,104 +263,91 @@ func collectRollups(svc *metrics.Service) accountRollup {
 			r.costNanos += st.Sum
 		}
 	}
-	return out
+	return services, gaugeNanos
 }
 
-// Finalize merges the per-account cells into fleet-level series,
-// strictly in account-index order, and publishes the shard counters.
-// The engine calls it once, after the workers join.
-func (t *Tower) Finalize() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.final || !t.begun {
-		return
+// Finalize folds a finished run: its host-clock phase split, every
+// account's record in account-index order, and each shard's request
+// count in shard order (empty shards included). The engine calls it
+// once, after the workers join. It derives everything the dashboards
+// print from these inputs alone, replacing the previous run's fold.
+func (t *Tower) Finalize(phases PhaseTimings, records []*AccountRecord, shardRequests []int) {
+	f := fold{
+		accounts:      len(records),
+		shards:        len(shardRequests),
+		seed:          t.seed,
+		span:          t.span,
+		shardRequests: append([]int(nil), shardRequests...),
+		spend:         make([]float64, 0, len(records)),
+		phases:        phases,
 	}
-	t.final = true
-	end := clock.Epoch.Add(t.span)
+	sort.Ints(f.shardRequests)
 
-	// Per-shard virtual-time counters, one sample per shard in shard
-	// order.
-	for i := range t.shardCells {
-		sc := &t.shardCells[i]
-		at := end
-		t.store.Record(metrics.FleetNamespace, metrics.MetricFleetShardEvents, at, float64(sc.Events))
-		t.store.Record(metrics.FleetNamespace, metrics.MetricFleetShardAccounts, at, float64(sc.Accounts))
-		t.store.Record(metrics.FleetNamespace, metrics.MetricFleetShardRequests, at, float64(sc.Requests))
-		t.store.Record(metrics.FleetNamespace, metrics.MetricFleetShardCold, at, float64(sc.ColdStarts))
-		t.store.Record(metrics.FleetNamespace, metrics.MetricFleetHorizonNs, at, float64(sc.HorizonNs))
-	}
-
-	// Fleet rollups of the plane series, merged account by account in
-	// index order into "fleet/<service>/<op>" namespaces, plus the
-	// per-account cost-gauge distribution under FleetNamespace.
+	// Merge the per-namespace rows account by account, in index order,
+	// so float sums and the first-seen row order never depend on which
+	// worker finished first.
 	idx := make(map[string]int)
-	var merged []nsRollup
-	for i := range t.cells {
-		c := &t.cells[i]
-		if !c.ok {
-			continue
-		}
-		for _, r := range c.rollup.services {
+	obs := make([]AccountObservation, 0, len(records))
+	for _, rec := range records {
+		f.requests += rec.obs.Requests
+		f.coldStarts += rec.obs.ColdStarts
+		f.installHostNs += rec.obs.InstallHostNs
+		f.drainHostNs += rec.obs.DrainHostNs
+		obs = append(obs, rec.obs)
+		f.spend = append(f.spend, rec.gaugeNanos)
+		for _, r := range rec.services {
 			j, ok := idx[r.ns]
 			if !ok {
-				j = len(merged)
+				j = len(f.red)
 				idx[r.ns] = j
-				merged = append(merged, nsRollup{ns: r.ns})
+				f.red = append(f.red, nsRollup{ns: r.ns})
 			}
-			m := &merged[j]
+			m := &f.red[j]
 			m.requests += r.requests
 			m.errors += r.errors
 			m.denials += r.denials
 			m.latencyMs += r.latencyMs
 			m.costNanos += r.costNanos
 		}
-		t.store.Record(metrics.FleetNamespace, metrics.MetricAccountCostNanos, end, c.rollup.gaugeNanos)
-	}
-	for _, m := range merged {
-		ns := "fleet/" + m.ns
-		t.store.Record(ns, metrics.MetricPlaneRequests, end, m.requests)
-		t.store.Record(ns, metrics.MetricPlaneErrors, end, m.errors)
-		t.store.Record(ns, metrics.MetricPlaneDenials, end, m.denials)
-		t.store.Record(ns, metrics.MetricPlaneLatencyMs, end, m.latencyMs)
-		t.store.Record(ns, metrics.MetricPlaneCostNanos, end, m.costNanos)
-	}
-
-	// Fleet-wide trace rollup: merge the per-account service maps and
-	// critical-path profiles strictly in slot order, so node, edge and
-	// step order never depend on worker finish order.
-	for i := range t.traceCells {
-		c := &t.traceCells[i]
-		if !c.ok {
-			continue
-		}
-		t.traceTotals.Decided += c.obs.Decided
-		t.traceTotals.Kept += c.obs.Kept
-		t.traceTotals.Stored += c.obs.Stored
-		t.traceTotals.Scanned += c.obs.Scanned
-		t.traceTotals.ListNanos += c.obs.ListNanos
-		if c.obs.Map != nil {
-			if t.traceMap == nil {
-				t.traceMap = &trace.ServiceMap{}
+		f.traceStats.Decided += rec.traceStats.Decided
+		f.traceStats.Kept += rec.traceStats.Kept
+		f.traceStats.Stored += rec.traceStats.Stored
+		f.traceStats.Scanned += rec.traceStats.Scanned
+		f.traceList += rec.traceList
+		if rec.traceMap != nil {
+			if f.traceMap == nil {
+				f.traceMap = &trace.ServiceMap{}
 			}
-			t.traceMap.Merge(c.obs.Map)
+			f.traceMap.Merge(rec.traceMap)
 		}
-		if c.obs.Crit != nil {
-			if t.traceCrit == nil {
-				t.traceCrit = &trace.CriticalProfile{}
+		if rec.traceCrit != nil {
+			if f.traceCrit == nil {
+				f.traceCrit = &trace.CriticalProfile{}
 			}
-			t.traceCrit.Merge(c.obs.Crit)
+			f.traceCrit.Merge(rec.traceCrit)
 		}
 	}
-}
+	sort.Float64s(f.spend)
 
-// fleetRED is one row of the dashboard's per-service table.
-type fleetRED struct {
-	ns        string
-	requests  float64
-	errors    float64
-	denials   float64
-	latencyMs float64
-	costNanos float64
+	// Most-requested service first; namespaces are unique, so the
+	// order is total.
+	sort.Slice(f.red, func(i, j int) bool {
+		if f.red[i].requests != f.red[j].requests {
+			return f.red[i].requests > f.red[j].requests
+		}
+		return f.red[i].ns < f.red[j].ns
+	})
+
+	// Top-N most expensive accounts by monthly cost, ties by fleet
+	// index ascending.
+	sort.Slice(obs, func(i, j int) bool {
+		if obs[i].MonthlyCostNanos != obs[j].MonthlyCostNanos {
+			return obs[i].MonthlyCostNanos > obs[j].MonthlyCostNanos
+		}
+		return obs[i].Index < obs[j].Index
+	})
+	f.top = slices.Clone(obs[:min(len(obs), t.topN)])
+	t.f = f
 }
 
 // RenderDashboard renders the final control-tower table: shard
@@ -414,33 +355,22 @@ type fleetRED struct {
 // the top-N most expensive accounts. Deterministic — safe to diff
 // across replays.
 func (t *Tower) RenderDashboard() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	f := &t.f
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Fleet control tower — %d accounts, %d shards, seed %d, span %v\n",
-		t.accounts, t.shards, t.seed, t.span)
+		f.accounts, f.shards, f.seed, f.span)
 
-	// Shard spread: virtual-time totals and the per-shard distribution.
-	var evTotal, reqTotal, coldTotal int
-	for i := range t.shardCells {
-		evTotal += t.shardCells[i].Events
-		reqTotal += t.shardCells[i].Requests
-		coldTotal += t.shardCells[i].ColdStarts
-	}
-	fmt.Fprintf(&sb, "shards: %d events, %d requests, %d cold starts\n", evTotal, reqTotal, coldTotal)
-	if len(t.shardCells) > 0 {
-		fmt.Fprintf(&sb, "  events/shard min %.0f  p50 %.0f  max %.0f\n",
-			t.store.Min(metrics.FleetNamespace, metrics.MetricFleetShardEvents, time.Time{}, time.Time{}),
-			t.store.Percentile(metrics.FleetNamespace, metrics.MetricFleetShardEvents, time.Time{}, time.Time{}, 50),
-			t.store.Max(metrics.FleetNamespace, metrics.MetricFleetShardEvents, time.Time{}, time.Time{}))
+	// Shard spread: the replay loop serves one event per request.
+	fmt.Fprintf(&sb, "shards: %d events, %d requests, %d cold starts\n", f.requests, f.requests, f.coldStarts)
+	if n := len(f.shardRequests); n > 0 {
+		fmt.Fprintf(&sb, "  events/shard min %d  p50 %d  max %d\n",
+			f.shardRequests[0], f.shardRequests[metrics.NearestRank(n, 50)], f.shardRequests[n-1])
 	}
 
-	// Per-service fleet RED, most-requested first (ties by name).
-	rows := t.redRowsLocked()
-	if len(rows) > 0 {
+	if len(f.red) > 0 {
 		var errTotal, denTotal float64
 		sb.WriteString("service/op                     requests   errors  denials  avg-lat-ms          cost\n")
-		for _, r := range rows {
+		for _, r := range f.red {
 			avg := 0.0
 			if r.requests > 0 {
 				avg = r.latencyMs / r.requests
@@ -454,73 +384,21 @@ func (t *Tower) RenderDashboard() string {
 	}
 
 	// Account-spend distribution (span spend, the cost gauge).
-	if t.store.Count(metrics.FleetNamespace, metrics.MetricAccountCostNanos, time.Time{}, time.Time{}) > 0 {
+	if n := len(f.spend); n > 0 {
 		fmt.Fprintf(&sb, "account span spend: p50 %s  p99 %s  p99.9 %s\n",
-			dollars(t.store.Percentile(metrics.FleetNamespace, metrics.MetricAccountCostNanos, time.Time{}, time.Time{}, 50)),
-			dollars(t.store.Percentile(metrics.FleetNamespace, metrics.MetricAccountCostNanos, time.Time{}, time.Time{}, 99)),
-			dollars(t.store.Percentile(metrics.FleetNamespace, metrics.MetricAccountCostNanos, time.Time{}, time.Time{}, 99.9)))
+			dollars(f.spend[metrics.NearestRank(n, 50)]),
+			dollars(f.spend[metrics.NearestRank(n, 99)]),
+			dollars(f.spend[metrics.NearestRank(n, 99.9)]))
 	}
 
-	// Top-N most expensive accounts by extrapolated monthly cost.
-	top := t.topAccountsLocked()
-	if len(top) > 0 {
-		fmt.Fprintf(&sb, "top %d accounts by monthly cost:\n", len(top))
-		for _, o := range top {
+	if len(f.top) > 0 {
+		fmt.Fprintf(&sb, "top %d accounts by monthly cost:\n", len(f.top))
+		for _, o := range f.top {
 			fmt.Fprintf(&sb, "  #%06d %-9s %6d req %4d cold  %s/mo\n",
 				o.Index, o.Kind, o.Requests, o.ColdStarts, pricing.Money(o.MonthlyCostNanos))
 		}
 	}
 	return sb.String()
-}
-
-// redRowsLocked reads the fleet/<ns> rollup series back out of the
-// store, sorted by request volume descending (ties by namespace).
-// Caller holds t.mu.
-func (t *Tower) redRowsLocked() []fleetRED {
-	var rows []fleetRED
-	for _, st := range t.store.SeriesStats() {
-		if !strings.HasPrefix(st.Namespace, "fleet/") || st.Metric != metrics.MetricPlaneRequests {
-			continue
-		}
-		ns := st.Namespace
-		rows = append(rows, fleetRED{
-			ns:        strings.TrimPrefix(ns, "fleet/"),
-			requests:  st.Sum,
-			errors:    t.store.Sum(ns, metrics.MetricPlaneErrors, time.Time{}, time.Time{}),
-			denials:   t.store.Sum(ns, metrics.MetricPlaneDenials, time.Time{}, time.Time{}),
-			latencyMs: t.store.Sum(ns, metrics.MetricPlaneLatencyMs, time.Time{}, time.Time{}),
-			costNanos: t.store.Sum(ns, metrics.MetricPlaneCostNanos, time.Time{}, time.Time{}),
-		})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].requests != rows[j].requests {
-			return rows[i].requests > rows[j].requests
-		}
-		return rows[i].ns < rows[j].ns
-	})
-	return rows
-}
-
-// topAccountsLocked returns the topN most expensive accounts, by
-// monthly cost descending (ties by fleet index ascending). Caller
-// holds t.mu.
-func (t *Tower) topAccountsLocked() []AccountObservation {
-	var obs []AccountObservation
-	for i := range t.cells {
-		if t.cells[i].ok {
-			obs = append(obs, t.cells[i].obs)
-		}
-	}
-	sort.Slice(obs, func(i, j int) bool {
-		if obs[i].MonthlyCostNanos != obs[j].MonthlyCostNanos {
-			return obs[i].MonthlyCostNanos > obs[j].MonthlyCostNanos
-		}
-		return obs[i].Index < obs[j].Index
-	})
-	if len(obs) > t.topN {
-		obs = obs[:t.topN]
-	}
-	return obs
 }
 
 // RenderTraceDashboard renders the fleet-wide trace rollup: sampling
@@ -529,21 +407,20 @@ func (t *Tower) topAccountsLocked() []AccountObservation {
 // print it unconditionally). Deterministic — check.sh diffs it across
 // replays.
 func (t *Tower) RenderTraceDashboard() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.traceMap == nil && t.traceCrit == nil {
+	f := &t.f
+	if f.traceMap == nil && f.traceCrit == nil {
 		return ""
 	}
 	var sb strings.Builder
 	sb.WriteString("\nFleet trace rollup — head-sampled (reservoir 1/s + 5%)\n")
 	fmt.Fprintf(&sb, "sampling: %d decisions, %d kept, %d stored, %d scanned; x-ray list price %s\n",
-		t.traceTotals.Decided, t.traceTotals.Kept, t.traceTotals.Stored,
-		t.traceTotals.Scanned, pricing.Money(t.traceTotals.ListNanos))
-	if t.traceMap != nil {
-		sb.WriteString(t.traceMap.Render())
+		f.traceStats.Decided, f.traceStats.Kept, f.traceStats.Stored,
+		f.traceStats.Scanned, pricing.Money(f.traceList))
+	if f.traceMap != nil {
+		sb.WriteString(f.traceMap.Render())
 	}
-	if t.traceCrit != nil {
-		sb.WriteString(t.traceCrit.Render())
+	if f.traceCrit != nil {
+		sb.WriteString(f.traceCrit.Render())
 	}
 	return sb.String()
 }
@@ -553,19 +430,18 @@ func (t *Tower) RenderTraceDashboard() string {
 // run to run, so callers print this to stderr, keeping stdout
 // replay-diffable.
 func (t *Tower) RenderHostPhases() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	total := t.phases.ProfilesNs + t.phases.DrainNs + t.phases.AggregateNs
-	if total == 0 && t.installHostNs == 0 && t.drainHostNs == 0 {
+	f := &t.f
+	total := f.phases.ProfilesNs + f.phases.DrainNs + f.phases.AggregateNs
+	if total == 0 && f.installHostNs == 0 && f.drainHostNs == 0 {
 		return "host phases: no host clock injected (simulated run; timings are all zero)\n"
 	}
 	var sb strings.Builder
 	sb.WriteString("host phases:\n")
-	fmt.Fprintf(&sb, "  profiles   %12v\n", time.Duration(t.phases.ProfilesNs))
-	fmt.Fprintf(&sb, "  drain      %12v\n", time.Duration(t.phases.DrainNs))
-	fmt.Fprintf(&sb, "  aggregate  %12v\n", time.Duration(t.phases.AggregateNs))
+	fmt.Fprintf(&sb, "  profiles   %12v\n", time.Duration(f.phases.ProfilesNs))
+	fmt.Fprintf(&sb, "  drain      %12v\n", time.Duration(f.phases.DrainNs))
+	fmt.Fprintf(&sb, "  aggregate  %12v\n", time.Duration(f.phases.AggregateNs))
 	fmt.Fprintf(&sb, "  per-account split: install %v, request plane %v\n",
-		time.Duration(t.installHostNs), time.Duration(t.drainHostNs))
+		time.Duration(f.installHostNs), time.Duration(f.drainHostNs))
 	return sb.String()
 }
 

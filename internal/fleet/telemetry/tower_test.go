@@ -16,7 +16,10 @@ import (
 // top-N tie break.
 const fixtureAccounts = 6
 
-func observeFixtureAccount(tw *telemetry.Tower, i int) {
+// observeFixtureAccount builds account i's CloudWatch store and
+// reduces it through the worker-side hook, as the fleet engine does
+// when the account finishes.
+func observeFixtureAccount(tw *telemetry.Tower, i int) *telemetry.AccountRecord {
 	svc := metrics.New()
 	at := clock.Epoch.Add(time.Minute)
 	ns := "lambda/Invoke"
@@ -35,46 +38,44 @@ func observeFixtureAccount(tw *telemetry.Tower, i int) {
 	if i == 3 {
 		monthly = 5_000_000_000 // ties with index 4
 	}
-	tw.ObserveAccount(svc, telemetry.AccountObservation{
-		Slot: i, Index: i, Kind: kind,
-		Requests: 10 + i, ColdStarts: i % 3, Events: 100 + i,
+	return tw.ObserveAccount(svc, nil, nil, telemetry.AccountObservation{
+		Index: i, Kind: kind,
+		Requests: 10 + i, ColdStarts: i % 3,
 		MonthlyCostNanos: monthly,
 	})
 }
 
-func runFixture(accountOrder, shardOrder []int) *telemetry.Tower {
+// runFixture drives the fixture fleet through a tower: Begin, every
+// account's record in account order, then Finalize with two shards'
+// request counts.
+func runFixture(phases telemetry.PhaseTimings) *telemetry.Tower {
 	tw := telemetry.NewTower(telemetry.Options{TopN: 3})
-	tw.Begin(fixtureAccounts, len(shardOrder), 42, time.Hour)
-	for _, i := range accountOrder {
-		observeFixtureAccount(tw, i)
+	tw.Begin(fixtureAccounts, 2, 42, time.Hour)
+	records := make([]*telemetry.AccountRecord, fixtureAccounts)
+	for i := range records {
+		records[i] = observeFixtureAccount(tw, i)
 	}
-	for _, s := range shardOrder {
-		tw.ObserveShard(s, telemetry.ShardCounters{
-			Accounts: 3, Requests: 30 + s, ColdStarts: s,
-			Events: 300 + s, HorizonNs: int64(3 * time.Hour),
-		})
-	}
-	tw.Finalize()
+	tw.Finalize(phases, records, []int{36, 39})
 	return tw
 }
 
-// TestDashboardOrderIndependent drives the same synthetic fleet
-// through two towers with the accounts and shards observed in opposite
-// orders — the worker-completion races the real scheduler produces —
-// and requires byte-identical dashboards: Finalize merges in
-// account-index order, never arrival order.
-func TestDashboardOrderIndependent(t *testing.T) {
-	forward := runFixture([]int{0, 1, 2, 3, 4, 5}, []int{0, 1})
-	reverse := runFixture([]int{5, 3, 1, 4, 2, 0}, []int{1, 0})
-	a, b := forward.RenderDashboard(), reverse.RenderDashboard()
-	if a != b {
-		t.Fatalf("dashboard depends on observation order:\n--- forward ---\n%s--- reverse ---\n%s", a, b)
-	}
+// TestDashboardContent pins what the dashboard folds out of the
+// records: the header, the shard spread, the per-service sums across
+// accounts, the spend distribution and the top-N table with its tie
+// break.
+func TestDashboardContent(t *testing.T) {
+	a := runFixture(telemetry.PhaseTimings{}).RenderDashboard()
 	for _, want := range []string{
-		"Fleet control tower — 6 accounts, 2 shards, seed 42, span 1h0m0s",
-		"s3/PutObject", "lambda/Invoke",
-		"account span spend",
-		"top 3 accounts by monthly cost:",
+		"Fleet control tower — 6 accounts, 2 shards, seed 42, span 1h0m0s\n",
+		"shards: 75 events, 75 requests, 6 cold starts\n",
+		"  events/shard min 36  p50 36  max 39\n",
+		// Even accounts (0,2,4) hit lambda/Invoke with 10+i requests,
+		// 3 ms each; odd accounts (1,3,5) hit s3 with one error each.
+		"lambda/Invoke                        36        0        0       3.000     $0.009000\n",
+		"s3/PutObject                         39        3        0       3.000     $0.012000\n",
+		"fleet totals: 3 errors, 0 denials\n",
+		"account span spend: p50 $0.001500  p99 $0.003000  p99.9 $0.003000\n",
+		"top 3 accounts by monthly cost:\n",
 	} {
 		if !strings.Contains(a, want) {
 			t.Errorf("dashboard missing %q:\n%s", want, a)
@@ -90,20 +91,26 @@ func TestDashboardOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestFinalizeIdempotent proves a double Finalize cannot double the
-// fleet series — the engine calls it once, but diyctl's watcher
-// teardown makes a second call cheap to reach.
+// TestFinalizeIdempotent proves Finalize derives the dashboard from its
+// inputs alone: folding the same run twice cannot double a sum.
 func TestFinalizeIdempotent(t *testing.T) {
-	tw := runFixture([]int{0, 1, 2, 3, 4, 5}, []int{0, 1})
+	tw := telemetry.NewTower(telemetry.Options{TopN: 3})
+	tw.Begin(fixtureAccounts, 2, 42, time.Hour)
+	records := make([]*telemetry.AccountRecord, fixtureAccounts)
+	for i := range records {
+		records[i] = observeFixtureAccount(tw, i)
+	}
+	tw.Finalize(telemetry.PhaseTimings{}, records, []int{36, 39})
 	before := tw.RenderDashboard()
-	tw.Finalize()
+	tw.Finalize(telemetry.PhaseTimings{}, records, []int{36, 39})
 	if after := tw.RenderDashboard(); after != before {
 		t.Fatalf("second Finalize changed the dashboard:\n--- before ---\n%s--- after ---\n%s", before, after)
 	}
 }
 
 // TestProgressCounters checks the live snapshot the -watch goroutine
-// polls: running totals across ObserveAccount/ObserveShard.
+// polls: running totals across ObserveAccount/ObserveShard, reset by
+// the next Begin.
 func TestProgressCounters(t *testing.T) {
 	tw := telemetry.NewTower(telemetry.Options{})
 	tw.Begin(4, 2, 7, time.Hour)
@@ -113,7 +120,7 @@ func TestProgressCounters(t *testing.T) {
 	}
 	observeFixtureAccount(tw, 0)
 	observeFixtureAccount(tw, 1)
-	tw.ObserveShard(0, telemetry.ShardCounters{Accounts: 2, Requests: 21, Events: 201})
+	tw.ObserveShard()
 	p = tw.Progress()
 	if p.AccountsDone != 2 || p.ShardsDone != 1 {
 		t.Fatalf("mid-run progress = %+v", p)
@@ -121,29 +128,12 @@ func TestProgressCounters(t *testing.T) {
 	if want := (10 + 0) + (10 + 1); p.Requests != want {
 		t.Fatalf("progress requests = %d, want %d", p.Requests, want)
 	}
-	if want := int64((100 + 0) + (100 + 1)); p.Events != want {
-		t.Fatalf("progress events = %d, want %d", p.Events, want)
+	if want := 0 + 1; p.ColdStarts != want {
+		t.Fatalf("progress cold starts = %d, want %d", p.ColdStarts, want)
 	}
-}
-
-// TestFleetStoreRollups reads the merged series back through the
-// tower's store: sums across accounts land under fleet/<ns>, and the
-// per-shard counters publish one sample per shard.
-func TestFleetStoreRollups(t *testing.T) {
-	tw := runFixture([]int{0, 1, 2, 3, 4, 5}, []int{0, 1})
-	st := tw.Store()
-	// Even accounts (0,2,4) hit lambda/Invoke with 10+i requests.
-	if got, want := st.Sum("fleet/lambda/Invoke", metrics.MetricPlaneRequests, time.Time{}, time.Time{}), float64(10+12+14); got != want {
-		t.Errorf("fleet lambda requests = %g, want %g", got, want)
-	}
-	if got, want := st.Sum("fleet/s3/PutObject", metrics.MetricPlaneErrors, time.Time{}, time.Time{}), 3.0; got != want {
-		t.Errorf("fleet s3 errors = %g, want %g", got, want)
-	}
-	if got := st.Count(metrics.FleetNamespace, metrics.MetricFleetShardEvents, time.Time{}, time.Time{}); got != 2 {
-		t.Errorf("shard-events samples = %d, want 2", got)
-	}
-	if got, want := st.Max(metrics.FleetNamespace, metrics.MetricFleetShardEvents, time.Time{}, time.Time{}), 301.0; got != want {
-		t.Errorf("shard-events max = %g, want %g", got, want)
+	tw.Begin(3, 1, 7, time.Hour)
+	if p := tw.Progress(); p != (telemetry.Progress{AccountsTotal: 3, ShardsTotal: 1}) {
+		t.Fatalf("progress after a second Begin = %+v, want only the new totals", p)
 	}
 }
 
@@ -151,13 +141,11 @@ func TestFleetStoreRollups(t *testing.T) {
 // visible edge: with no injected host clock every phase reads zero and
 // the renderer says so instead of printing noise timings.
 func TestHostPhasesZeroWithoutClock(t *testing.T) {
-	tw := runFixture([]int{0, 1, 2, 3, 4, 5}, []int{0, 1})
-	got := tw.RenderHostPhases()
+	got := runFixture(telemetry.PhaseTimings{}).RenderHostPhases()
 	if !strings.Contains(got, "no host clock injected") {
 		t.Fatalf("host phases without a clock = %q", got)
 	}
-	tw.ObservePhases(telemetry.PhaseTimings{ProfilesNs: 1e6, DrainNs: 2e6, AggregateNs: 3e6})
-	got = tw.RenderHostPhases()
+	got = runFixture(telemetry.PhaseTimings{ProfilesNs: 1e6, DrainNs: 2e6, AggregateNs: 3e6}).RenderHostPhases()
 	for _, want := range []string{"profiles", "drain", "aggregate", "per-account split"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("host phases missing %q:\n%s", want, got)

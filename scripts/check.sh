@@ -58,9 +58,9 @@ echo ">> fleet determinism (1,000-account golden at GOMAXPROCS=1 and NumCPU; con
 GOMAXPROCS=1 go test ./internal/experiments -run TestLedgerParityFleet -count=1
 go test ./internal/experiments -run TestLedgerParityFleet -count=1
 
-echo ">> fleet double-run (report + control-tower dashboard diffed across worker counts)"
-GOMAXPROCS=1 go run ./cmd/diyctl fleet -accounts 300 -span 15m >"$LOG1" 2>/dev/null
-go run ./cmd/diyctl fleet -accounts 300 -span 15m >"$LOG2" 2>/dev/null
+echo ">> fleet double-run (report + control-tower dashboard diffed between -workers 1 and -workers 8)"
+go run ./cmd/diyctl fleet -accounts 300 -span 15m -workers 1 >"$LOG1" 2>/dev/null
+go run ./cmd/diyctl fleet -accounts 300 -span 15m -workers 8 >"$LOG2" 2>/dev/null
 if ! [ -s "$LOG1" ]; then
 	echo "check: fleet run produced no report" >&2
 	exit 1
@@ -88,7 +88,7 @@ diff cmd/diyctl/testdata/trace_fleet.golden "$LOG1"
 go run ./cmd/diyctl trace >"$LOG2"
 diff cmd/diyctl/testdata/trace.golden "$LOG2"
 
-echo ">> fuzz smoke (each hand-written codec against its stdlib oracle, encoding/json or encoding/xml, the room-doc and mailbox splices against decode-append-encode, envelope.Key's Open and SealInPlace, then the telemetry stores: log ingest against a plain-string model, Insights Query against the test-side row reference, before and after stats, and the X-Ray filter grammar; 10 s per fuzzer; -fuzzminimizetime 1x keeps minimization from eating the 10 s)"
+echo ">> fuzz smoke (each hand-written codec against its stdlib oracle, encoding/json or encoding/xml, the room-doc and mailbox splices against decode-append-encode, envelope.Key's Open and SealInPlace, then the telemetry stores: log ingest against a plain-string model, Insights Query against the test-side row reference, before and after stats and over a fuzzed event message, and the X-Ray filter grammar; 10 s per fuzzer; -fuzzminimizetime 1x keeps minimization from eating the 10 s)"
 go test -run '^$' -fuzz '^FuzzAppendString$' -fuzztime 10s -fuzzminimizetime 1x ./internal/canonjson
 go test -run '^$' -fuzz '^FuzzRoomDocCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/chat
 go test -run '^$' -fuzz '^FuzzRoomDocSplice$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/chat
