@@ -3,9 +3,9 @@
 // is deterministic and correctly metered, so a suite of analyzers
 // machine-checks the invariants every service must obey:
 //
-//   - wallclock: simulator, app, and workload code reads time only
-//     through an injected clock.Clock, never the time package's wall
-//     clock, so virtual-timeline replay stays deterministic;
+//   - wallclock: simulator, app, and workload code takes time only from
+//     the cloud's *clock.Virtual, never the time package's wall clock,
+//     so virtual-timeline replay stays deterministic;
 //   - globalrand: randomness comes from an injected seeded *rand.Rand,
 //     never the process-global math/rand source;
 //   - moneyfloat: scaling and float conversion of pricing.Money happen

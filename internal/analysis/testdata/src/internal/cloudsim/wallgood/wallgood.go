@@ -1,5 +1,5 @@
 // Package wallgood is simulator-scoped code that takes all time from
-// an injected clock.Clock; the wallclock analyzer must stay silent.
+// the cloud's *clock.Virtual; the wallclock analyzer must stay silent.
 package wallgood
 
 import (
@@ -9,11 +9,11 @@ import (
 )
 
 // Deadline computes a poll deadline on the injected timeline.
-func Deadline(clk clock.Clock, wait time.Duration) time.Time {
+func Deadline(clk *clock.Virtual, wait time.Duration) time.Time {
 	return clk.Now().Add(wait)
 }
 
 // Age measures elapsed simulated time.
-func Age(clk clock.Clock, start time.Time) time.Duration {
+func Age(clk *clock.Virtual, start time.Time) time.Duration {
 	return clk.Now().Sub(start)
 }

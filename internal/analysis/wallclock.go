@@ -33,18 +33,18 @@ var wallclockForbidden = map[string]bool{
 }
 
 // WallClock flags wall-clock reads in simulator, app, and workload
-// code. Everything outside internal/cloudsim/clock must take time from
-// an injected clock.Clock so a month of billing or a 20-second long
-// poll replays identically on a virtual timeline.
+// code, internal/cloudsim/clock included. All of it takes time from the
+// cloud's *clock.Virtual so a month of billing or a 20-second long poll
+// replays identically on a virtual timeline.
 var WallClock = &Analyzer{
 	Name: "wallclock",
-	Doc:  "simulator/app/workload code must read time through clock.Clock, never the time package's wall clock",
+	Doc:  "simulator/app/workload code must take time from the cloud's *clock.Virtual, never the time package's wall clock",
 	Run:  runWallClock,
 }
 
 func runWallClock(p *Pass) {
 	path := p.Pkg.Path
-	if !inSimScope(path) || pathWithin(path, "internal/cloudsim/clock") {
+	if !inSimScope(path) {
 		return
 	}
 	for ident, obj := range p.Pkg.Info.Uses {
@@ -57,7 +57,7 @@ func runWallClock(p *Pass) {
 		}
 		if wallclockForbidden[fn.Name()] {
 			p.Reportf(ident.Pos(),
-				"time.%s reads the wall clock; take time from the injected clock.Clock so virtual-timeline replay stays deterministic",
+				"time.%s reads the wall clock; take time from the cloud's *clock.Virtual so virtual-timeline replay stays deterministic",
 				fn.Name())
 		}
 	}

@@ -1,9 +1,10 @@
-// Package clock provides the time sources used by the cloud simulator.
+// Package clock provides the cloud simulator's one time source: the
+// Virtual clock each simulated cloud owns.
 //
-// Every simulated service takes a Clock rather than calling time.Now
-// directly, so a full month of billed usage or a 20-second SQS long poll
-// can be simulated in microseconds of test time while remaining faithful
-// on the simulated timeline.
+// Every simulated service takes the cloud's *Virtual rather than
+// calling time.Now directly, so a full month of billed usage or a
+// 20-second SQS long poll can be simulated in microseconds of test time
+// while remaining faithful on the simulated timeline.
 package clock
 
 import (
@@ -11,23 +12,11 @@ import (
 	"time"
 )
 
-// Clock is a readable time source.
-type Clock interface {
-	// Now reports the current time on this clock's timeline.
-	Now() time.Time
-}
-
-// Wall is a Clock backed by the real system clock.
-type Wall struct{}
-
-// Now implements Clock using time.Now.
-func (Wall) Now() time.Time { return time.Now() }
-
 // Epoch is the default start time for virtual clocks: midnight UTC on the
 // first day of a 30-day simulated billing month.
 var Epoch = time.Date(2017, time.June, 1, 0, 0, 0, 0, time.UTC)
 
-// Virtual is a manually advanced Clock. The zero value is not ready for
+// Virtual is a manually advanced clock. The zero value is not ready for
 // use; construct one with NewVirtual. Virtual is safe for concurrent use.
 type Virtual struct {
 	mu  sync.Mutex

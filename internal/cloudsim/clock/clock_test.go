@@ -6,16 +6,6 @@ import (
 	"time"
 )
 
-func TestWallNow(t *testing.T) {
-	var w Wall
-	before := time.Now()
-	got := w.Now()
-	after := time.Now()
-	if got.Before(before) || got.After(after) {
-		t.Fatalf("Wall.Now() = %v, want between %v and %v", got, before, after)
-	}
-}
-
 func TestVirtualStartsAtEpoch(t *testing.T) {
 	v := NewVirtual()
 	if !v.Now().Equal(Epoch) {
@@ -51,22 +41,6 @@ func TestVirtualSetMonotonic(t *testing.T) {
 	if !v.Now().Equal(later) {
 		t.Fatalf("Set(earlier) rewound the clock to %v", v.Now())
 	}
-}
-
-func TestWallVirtualInterfaceAgreement(t *testing.T) {
-	// Both implementations satisfy Clock, and on both Now never runs
-	// backwards as time passes on the clock's own timeline.
-	check := func(name string, c Clock, advance func()) {
-		t.Helper()
-		start := c.Now()
-		advance()
-		if c.Now().Before(start) {
-			t.Fatalf("%s: Now ran backwards: %v < %v", name, c.Now(), start)
-		}
-	}
-	v := NewVirtual()
-	check("Virtual", v, func() { v.Advance(time.Hour) })
-	check("Wall", Wall{}, func() {})
 }
 
 func TestVirtualConcurrentAdvance(t *testing.T) {

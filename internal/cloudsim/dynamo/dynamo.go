@@ -85,19 +85,16 @@ type table struct {
 // Service is the simulated table store. It is safe for concurrent use.
 type Service struct {
 	pl  *plane.Plane
-	clk clock.Clock
+	clk *clock.Virtual
 
 	mu     sync.Mutex
 	tables map[string]*table
 }
 
 // New returns a table store wired to IAM, the meter, the network model
-// and a clock (nil defaults to the wall clock) used for item
+// and the cloud's clock, used for item
 // modification timestamps on flows that carry no simulated timeline.
-func New(iamSvc *iam.Service, meter *pricing.Meter, model *netsim.Model, clk clock.Clock) *Service {
-	if clk == nil {
-		clk = clock.Wall{}
-	}
+func New(iamSvc *iam.Service, meter *pricing.Meter, model *netsim.Model, clk *clock.Virtual) *Service {
 	return &Service{
 		pl:     plane.New(iamSvc, meter, model),
 		clk:    clk,

@@ -23,7 +23,7 @@ type fixture struct {
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	f := &fixture{iam: iam.New(), meter: pricing.NewMeter()}
-	f.dynamo = New(f.iam, f.meter, netsim.NewDefaultModel(), nil)
+	f.dynamo = New(f.iam, f.meter, netsim.NewDefaultModel(), clock.NewVirtual())
 	if err := f.dynamo.CreateTable("alice-chat"); err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ type Instance struct {
 // Service is the simulated VM platform. It is safe for concurrent use.
 type Service struct {
 	meter *pricing.Meter
-	clk   clock.Clock
+	clk   *clock.Virtual
 
 	mu        sync.Mutex
 	instances map[string]*Instance
@@ -71,10 +71,7 @@ type Service struct {
 }
 
 // New returns a VM service wired to the meter and clock.
-func New(meter *pricing.Meter, clk clock.Clock) *Service {
-	if clk == nil {
-		clk = clock.Wall{}
-	}
+func New(meter *pricing.Meter, clk *clock.Virtual) *Service {
 	return &Service{
 		meter:     meter,
 		clk:       clk,

@@ -71,7 +71,7 @@ type Service struct {
 	platform *lambda.Platform
 	pl       *plane.Plane
 	model    *netsim.Model // per-leg samples inside the handler
-	clk      clock.Clock
+	clk      *clock.Virtual
 
 	mu        sync.Mutex
 	endpoints map[string]*endpoint
@@ -79,10 +79,7 @@ type Service struct {
 }
 
 // New returns a gateway in front of the platform.
-func New(platform *lambda.Platform, meter *pricing.Meter, model *netsim.Model, clk clock.Clock) *Service {
-	if clk == nil {
-		clk = clock.Wall{}
-	}
+func New(platform *lambda.Platform, meter *pricing.Meter, model *netsim.Model, clk *clock.Virtual) *Service {
 	return &Service{
 		platform:  platform,
 		pl:        plane.New(nil, meter, model),
@@ -245,7 +242,8 @@ func (s *Service) instant(ctx *sim.Context) time.Time {
 // ServeHTTP adapts the gateway to net/http so the runnable examples can
 // drive DIY apps over real sockets. The request path selects the
 // endpoint; the "X-DIY-Op" header selects the operation; the body is
-// the payload. Requests run in wall-clock mode.
+// the payload. Requests carry no cursor, so they run at the cloud
+// clock's current instant.
 func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {

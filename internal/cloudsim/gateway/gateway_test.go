@@ -27,7 +27,7 @@ func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	f := &fixture{meter: pricing.NewMeter(), model: netsim.NewDefaultModel()}
 	clk := clock.NewVirtual()
-	f.platform = lambda.New(f.meter, f.model, clk)
+	f.platform = lambda.New(f.meter, f.model, clk, nil, nil)
 	f.gw = New(f.platform, f.meter, f.model, clk)
 	err := f.platform.RegisterFunction(lambda.Function{
 		Name: "chat-fn",

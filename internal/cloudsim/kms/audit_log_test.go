@@ -10,13 +10,14 @@ import (
 	"repro/internal/cloudsim/logs"
 )
 
-// The audit log's structured twin: with a log service wired, every
-// AuditEntry is also emitted into the "kms/audit" group, in order,
-// with matching fields — allowed and denied calls alike.
+// The audit log's structured twin: with a log service wired at
+// construction, every AuditEntry is also emitted into the "kms/audit"
+// group, in order, with matching fields — allowed and denied calls
+// alike.
 func TestAuditEntriesFlowIntoLogGroup(t *testing.T) {
-	f := newFixture(t)
-	lg := logs.New(clock.NewVirtual())
-	f.kms.SetLogs(lg)
+	clk := clock.NewVirtual()
+	lg := logs.New(clk)
+	f := newFixtureWith(t, clk, lg)
 
 	ctx := f.ctx()
 	if _, _, err := f.kms.GenerateDataKey(ctx, "alice-chat"); err != nil {

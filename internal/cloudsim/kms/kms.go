@@ -8,7 +8,9 @@
 // Every call is authenticated against IAM, metered for billing, and
 // recorded in an append-only audit log — the properties the paper
 // cites when it argues a KMS is "a hardened, audited system whose main
-// goal is securing encryption keys".
+// goal is securing encryption keys". A cloud that logs also hands New
+// its log service, and every audit entry is then mirrored into the
+// "kms/audit" log group.
 package kms
 
 import (
@@ -71,25 +73,28 @@ type masterKey struct {
 type Service struct {
 	meter *pricing.Meter
 	pl    *plane.Plane
-	clk   clock.Clock
+	clk   *clock.Virtual
+	logs  *logs.Service // set at construction; nil means no audit group
 
 	mu    sync.Mutex
 	keys  map[string]*masterKey
 	audit []AuditEntry
-	logs  *logs.Service
 }
 
 // New returns a KMS wired to the given IAM, meter, network model and
-// clock (nil defaults to the wall clock); the clock timestamps audit
-// entries for calls that carry no simulated timeline.
-func New(iamSvc *iam.Service, meter *pricing.Meter, model *netsim.Model, clk clock.Clock) *Service {
-	if clk == nil {
-		clk = clock.Wall{}
-	}
+// clock; the clock timestamps audit entries for calls that carry no
+// simulated timeline. A non-nil lg also receives every audit entry as
+// a structured event in the "kms/audit" log group, so the "hardened,
+// audited system" evidence trail the paper's trust argument rests on is
+// queryable alongside the rest of the log plane; nil leaves the
+// in-memory log behind Audit() as the only record, which it stays
+// either way.
+func New(iamSvc *iam.Service, meter *pricing.Meter, model *netsim.Model, clk *clock.Virtual, lg *logs.Service) *Service {
 	return &Service{
 		meter: meter,
 		pl:    plane.New(iamSvc, meter, model),
 		clk:   clk,
+		logs:  lg,
 		keys:  make(map[string]*masterKey),
 	}
 }
@@ -228,17 +233,6 @@ func (s *Service) ImportWrapped(ctx *sim.Context, dataKey []byte, keyID string) 
 	return out, nil
 }
 
-// SetLogs wires a log service; every audit entry is then also emitted
-// as a structured event into the "kms/audit" log group, so the
-// "hardened, audited system" evidence trail the paper's trust argument
-// rests on is queryable alongside the rest of the log plane. The
-// in-memory log behind Audit() remains the source of truth.
-func (s *Service) SetLogs(l *logs.Service) {
-	s.mu.Lock()
-	s.logs = l
-	s.mu.Unlock()
-}
-
 // Audit returns a copy of the audit log.
 func (s *Service) Audit() []AuditEntry {
 	s.mu.Lock()
@@ -280,10 +274,9 @@ func (s *Service) do(ctx *sim.Context, action, keyID string, h plane.HandlerFunc
 	}
 	s.mu.Lock()
 	s.audit = append(s.audit, entry)
-	lg := s.logs
 	s.mu.Unlock()
-	if lg != nil {
-		lg.PutEvents(logs.LogGroupKMSAudit, "audit", logs.Event{
+	if s.logs != nil {
+		s.logs.PutEvents(logs.LogGroupKMSAudit, "audit", logs.Event{
 			Time: entry.Time,
 			Message: fmt.Sprintf("principal=%s action=%s key=%s allowed=%t",
 				entry.Principal, entry.Action, entry.KeyID, entry.Allowed),

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cloudsim/clock"
 	"repro/internal/cloudsim/iam"
+	"repro/internal/cloudsim/logs"
 	"repro/internal/cloudsim/netsim"
 	"repro/internal/cloudsim/sim"
 	"repro/internal/crypto/envelope"
@@ -23,8 +25,15 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
+	return newFixtureWith(t, clock.NewVirtual(), nil)
+}
+
+// newFixtureWith builds the fixture's KMS over clk with lg as its audit
+// log group sink (nil for none).
+func newFixtureWith(t *testing.T, clk *clock.Virtual, lg *logs.Service) *fixture {
+	t.Helper()
 	f := &fixture{iam: iam.New(), meter: pricing.NewMeter()}
-	f.kms = New(f.iam, f.meter, netsim.NewDefaultModel(), nil)
+	f.kms = New(f.iam, f.meter, netsim.NewDefaultModel(), clk, lg)
 	if err := f.kms.CreateKey("alice-chat", false); err != nil {
 		t.Fatal(err)
 	}

@@ -29,12 +29,11 @@ type Services struct {
 }
 
 // SetServices wires the platform's service handles, exposed to handlers
-// through their Env.
-func (p *Platform) SetServices(s Services) {
-	p.mu.Lock()
-	p.services = s
-	p.mu.Unlock()
-}
+// through their Env. It is the one setter left after construction,
+// because SES and the platform reference each other. Like plane.Use, it
+// is wiring-time only: call it before the platform serves its first
+// invocation. Handlers then read the handles without a lock.
+func (p *Platform) SetServices(s Services) { p.services = s }
 
 // Env is the execution environment handed to a Handler. It carries the
 // invocation's identity (the function's IAM role), its simulated
@@ -55,20 +54,20 @@ type Env struct {
 func (e *Env) Ctx() *sim.Context { return e.ctx }
 
 // KMS returns the key management service handle.
-func (e *Env) KMS() *kms.Service { return e.platform.servicesSnapshot().KMS }
+func (e *Env) KMS() *kms.Service { return e.platform.services.KMS }
 
 // S3 returns the object store handle.
-func (e *Env) S3() *s3.Service { return e.platform.servicesSnapshot().S3 }
+func (e *Env) S3() *s3.Service { return e.platform.services.S3 }
 
 // SQS returns the queue service handle.
-func (e *Env) SQS() *sqs.Service { return e.platform.servicesSnapshot().SQS }
+func (e *Env) SQS() *sqs.Service { return e.platform.services.SQS }
 
 // Dynamo returns the low-latency table store handle, or nil if the
 // platform has none wired.
-func (e *Env) Dynamo() *dynamo.Service { return e.platform.servicesSnapshot().Dynamo }
+func (e *Env) Dynamo() *dynamo.Service { return e.platform.services.Dynamo }
 
 // Email returns the outbound email service, or nil if none is wired.
-func (e *Env) Email() EmailSender { return e.platform.servicesSnapshot().Email }
+func (e *Env) Email() EmailSender { return e.platform.services.Email }
 
 // Config returns a function environment value ("" if unset).
 func (e *Env) Config(key string) string { return e.fn.Config[key] }
@@ -122,10 +121,4 @@ func (e *Env) finish() {
 		envelope.Zero(s)
 	}
 	e.secrets = nil
-}
-
-func (p *Platform) servicesSnapshot() Services {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.services
 }

@@ -16,6 +16,12 @@
 //     (via sim.Context.FunctionMemMB, consumed by the S3 simulator);
 //   - multi-region replicas with transparent failover when a region is
 //     down.
+//
+// A platform is built once, with everything it writes to: New takes the
+// cloud's clock and its metrics and logs sinks (nil switches a sink
+// off), and SetServices hands it the service handles functions call
+// before it serves its first invocation. No field is re-wired while it
+// serves, so the invoke path reads them without a lock.
 package lambda
 
 import (
@@ -181,10 +187,16 @@ type Platform struct {
 	meter *pricing.Meter
 	pl    *plane.Plane
 	model *netsim.Model
-	clk   clock.Clock
+	clk   *clock.Virtual
+	// Sinks wired at construction: nil means the platform publishes no
+	// samples or log lines.
+	metrics *metrics.Service
+	logs    *logs.Service
+	// services is set once by SetServices while wiring, before any
+	// invocation, and read without the lock.
+	services Services
 
 	mu       sync.Mutex
-	services Services
 	fns      map[string]*functionState
 	triggers map[string]string // "source/key" -> function name
 	nextCID  int64
@@ -192,22 +204,33 @@ type Platform struct {
 
 	concLimit  int
 	concurrent int
-	metrics    *metrics.Service
-	logs       *logs.Service
 	nextReqID  int64
 }
 
-// New returns a platform wired to the meter, the network model and a
-// clock (used for warm-pool aging in wall-clock mode).
-func New(meter *pricing.Meter, model *netsim.Model, clk clock.Clock) *Platform {
-	if clk == nil {
-		clk = clock.Wall{}
-	}
+// New returns a platform wired to the meter, the network model, the
+// cloud's clock (which times invocations that carry no cursor) and its
+// two telemetry sinks, either of which may be nil.
+//
+// With mon set, each invocation publishes lambda.run.ms,
+// lambda.billed.ms, lambda.peak.mb and lambda.cold samples under the
+// function's name (the CloudWatch statistics the paper's Table 3 was
+// measured from).
+//
+// With lg set, each invocation writes the platform's START/END/REPORT
+// lines — the 2017 service's shape, with Duration, Billed Duration (the
+// 100 ms quantum), Memory Size, Max Memory Used, and Init Duration on
+// cold starts — into log group "lambda/<function>", the simulator's
+// /aws/lambda/<function>. These lines are the operator-facing evidence
+// of per-invoke billing the paper's Table 3 numbers would be read from
+// on real AWS.
+func New(meter *pricing.Meter, model *netsim.Model, clk *clock.Virtual, mon *metrics.Service, lg *logs.Service) *Platform {
 	return &Platform{
 		meter:     meter,
 		pl:        plane.New(nil, meter, model),
 		model:     model,
 		clk:       clk,
+		metrics:   mon,
+		logs:      lg,
 		fns:       make(map[string]*functionState),
 		triggers:  make(map[string]string),
 		warmTTL:   DefaultWarmTTL,
@@ -218,29 +241,6 @@ func New(meter *pricing.Meter, model *netsim.Model, clk clock.Clock) *Platform {
 // Plane exposes the platform's request plane so wiring code can attach
 // interceptors around every invocation.
 func (p *Platform) Plane() *plane.Plane { return p.pl }
-
-// SetMetrics wires a monitoring service; each invocation then
-// publishes lambda.run.ms, lambda.billed.ms, lambda.peak.mb and
-// lambda.cold samples under the function's name (the CloudWatch
-// statistics the paper's Table 3 was measured from).
-func (p *Platform) SetMetrics(m *metrics.Service) {
-	p.mu.Lock()
-	p.metrics = m
-	p.mu.Unlock()
-}
-
-// SetLogs wires a log service; each invocation then writes the
-// platform's START/END/REPORT lines — the 2017 service's shape, with
-// Duration, Billed Duration (the 100 ms quantum), Memory Size, Max
-// Memory Used, and Init Duration on cold starts — into log group
-// "lambda/<function>", the simulator's /aws/lambda/<function>. These
-// lines are the operator-facing evidence of per-invoke billing the
-// paper's Table 3 numbers would be read from on real AWS.
-func (p *Platform) SetLogs(l *logs.Service) {
-	p.mu.Lock()
-	p.logs = l
-	p.mu.Unlock()
-}
 
 // SetConcurrencyLimit overrides the account's concurrent execution
 // limit (non-positive restores the default).
@@ -520,10 +520,7 @@ func (p *Platform) Invoke(ctx *sim.Context, fnName string, event Event) (Respons
 		}
 
 		// Publish monitoring samples.
-		p.mu.Lock()
-		mon := p.metrics
-		p.mu.Unlock()
-		if mon != nil {
+		if mon := p.metrics; mon != nil {
 			mon.Record(fnName, metrics.MetricLambdaRunMs, start, float64(stats.RunTime)/float64(time.Millisecond))
 			mon.Record(fnName, metrics.MetricLambdaBilledMs, start, float64(stats.BilledTime)/float64(time.Millisecond))
 			mon.Record(fnName, metrics.MetricLambdaPeakMB, start, float64(stats.PeakMemoryBytes)/(1<<20))
@@ -538,16 +535,12 @@ func (p *Platform) Invoke(ctx *sim.Context, fnName string, event Event) (Respons
 		// platform counter only when a log service is wired, and the
 		// whole block is read-only otherwise — no meter, rand, or cursor
 		// effect — so logging on vs off cannot move the ledger.
-		p.mu.Lock()
-		lg := p.logs
-		var reqNum int64
-		if lg != nil {
+		if p.logs != nil {
+			p.mu.Lock()
 			p.nextReqID++
-			reqNum = p.nextReqID
-		}
-		p.mu.Unlock()
-		if lg != nil {
-			writeLogLines(lg, fnName, reqNum, cont.id, fn.MemoryMB, start, &stats, initDur)
+			reqNum := p.nextReqID
+			p.mu.Unlock()
+			writeLogLines(p.logs, fnName, reqNum, cont.id, fn.MemoryMB, start, &stats, initDur)
 		}
 
 		// Release the container.

@@ -38,10 +38,10 @@ func newFixture(t *testing.T) *fixture {
 		model: netsim.NewDefaultModel(),
 		clk:   clock.NewVirtual(),
 	}
-	f.kms = kms.New(f.iam, f.meter, f.model, nil)
+	f.kms = kms.New(f.iam, f.meter, f.model, f.clk, nil)
 	f.s3 = s3.New(f.iam, f.meter, f.model, f.clk)
 	f.sqs = sqs.New(f.iam, f.meter, f.model, f.clk)
-	f.platform = New(f.meter, f.model, f.clk)
+	f.platform = New(f.meter, f.model, f.clk, nil, nil)
 	f.platform.SetServices(Services{KMS: f.kms, S3: f.s3, SQS: f.sqs})
 
 	if err := f.kms.CreateKey("k", false); err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cloudsim/clock"
 	"repro/internal/cloudsim/logs"
+	"repro/internal/cloudsim/metrics"
 )
 
 // sprintfLogLines is the historical fmt rendering of one invocation's
@@ -82,5 +83,35 @@ func TestLogLinesAllocs(t *testing.T) {
 		writeLogLines(s, "fn", n, 3, 448, clock.Epoch, &stats, 250*time.Millisecond)
 	}); got != 0 {
 		t.Fatalf("writeLogLines allocates %v times per invocation, want 0", got)
+	}
+}
+
+// TestSinksWiredAtConstruction runs the same two invocations on a
+// platform built with both sinks and on one built with neither. The
+// wired platform publishes the four lambda.* series and three log
+// lines per invocation; the unwired one publishes nothing and mints no
+// request ids, so logging off leaves no trace of the log block.
+func TestSinksWiredAtConstruction(t *testing.T) {
+	f := newFixture(t)
+	mon, lg := metrics.New(), logs.New(f.clk)
+	wired := New(f.meter, f.model, f.clk, mon, lg)
+	for _, p := range []*Platform{wired, f.platform} {
+		if err := p.RegisterFunction(Function{Name: "echo", Handler: echoHandler, Role: "fn-role"}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, _, err := p.Invoke(f.ctx(), "echo", Event{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := mon.SeriesCount(); got != 4 {
+		t.Errorf("wired platform published %d series, want 4", got)
+	}
+	if got := len(lg.Tail(logs.LambdaGroup("echo"), 0)); got != 6 {
+		t.Errorf("wired platform wrote %d log lines, want 6", got)
+	}
+	if wired.nextReqID != 2 || f.platform.nextReqID != 0 {
+		t.Errorf("request ids minted: wired %d, unwired %d; want 2 and 0", wired.nextReqID, f.platform.nextReqID)
 	}
 }

@@ -35,7 +35,7 @@ import (
 // event is appended straight into the store under its one lock, which
 // also interns the plane group per service. The `hotpath` diylint
 // analyzer keeps fmt formatting and map literals out of this path.
-func PlaneInterceptor(s *Service, book *pricing.PriceBook, clk clock.Clock) plane.Interceptor {
+func PlaneInterceptor(s *Service, book *pricing.PriceBook, clk *clock.Virtual) plane.Interceptor {
 	pub := &logPublisher{svc: s, book: book, clk: clk}
 	return func(next plane.HandlerFunc) plane.HandlerFunc {
 		return func(req *plane.Request) error {
@@ -51,7 +51,7 @@ func PlaneInterceptor(s *Service, book *pricing.PriceBook, clk clock.Clock) plan
 type logPublisher struct {
 	svc  *Service
 	book *pricing.PriceBook
-	clk  clock.Clock
+	clk  *clock.Virtual
 }
 
 // publish encodes and stores the call's event. The message rendering
@@ -64,7 +64,7 @@ type logPublisher struct {
 // the stream's bytes, never into a string of its own.
 func (p *logPublisher) publish(req *plane.Request, err error) {
 	at := req.Ctx.Now()
-	if at.IsZero() && p.clk != nil {
+	if at.IsZero() {
 		at = p.clk.Now()
 	}
 	outcome := "ok"

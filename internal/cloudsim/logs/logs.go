@@ -239,7 +239,7 @@ type GroupInfo struct {
 // Service is the simulated CloudWatch Logs store. It is safe for
 // concurrent use.
 type Service struct {
-	clk clock.Clock
+	clk *clock.Virtual
 
 	mu           sync.Mutex
 	groups       map[string]*group
@@ -255,13 +255,9 @@ type Service struct {
 	ingestedEvents int64
 }
 
-// New returns an empty log service over the given clock (nil defaults
-// to the wall clock); the clock timestamps events whose emitter passes
-// a zero time.
-func New(clk clock.Clock) *Service {
-	if clk == nil {
-		clk = clock.Wall{}
-	}
+// New returns an empty log service over the cloud's clock, which
+// timestamps events whose emitter passes a zero time.
+func New(clk *clock.Virtual) *Service {
 	s := &Service{
 		clk:          clk,
 		groups:       make(map[string]*group),

@@ -32,7 +32,7 @@ import (
 // resolve them, land its samples and advance the spend gauge, and no
 // names are formatted per call. The `hotpath` diylint analyzer keeps
 // it that way.
-func PlaneInterceptor(s *Service, book *pricing.PriceBook, clk clock.Clock) plane.Interceptor {
+func PlaneInterceptor(s *Service, book *pricing.PriceBook, clk *clock.Virtual) plane.Interceptor {
 	pub := &publisher{
 		svc:       s,
 		book:      book,
@@ -68,7 +68,7 @@ type opHandles struct {
 type publisher struct {
 	svc     *Service
 	book    *pricing.PriceBook
-	clk     clock.Clock
+	clk     *clock.Virtual
 	account Handle
 
 	byService map[string]map[string]*opHandles // guarded by svc.mu
@@ -82,7 +82,7 @@ type publisher struct {
 func (p *publisher) publish(req *plane.Request, err error) {
 	t0 := hostNow()
 	at := req.Ctx.Now()
-	if at.IsZero() && p.clk != nil {
+	if at.IsZero() {
 		at = p.clk.Now()
 	}
 	atNs := at.UnixNano()

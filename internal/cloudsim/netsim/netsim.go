@@ -86,19 +86,13 @@ type HopParams struct {
 type Params struct {
 	Seed int64
 	Hops [numHops]HopParams
-	// RefMemoryMB is the function memory size at which S3 base latency
-	// is exactly the configured median (the paper's 448 MB prototype).
-	RefMemoryMB int
 }
 
 // DefaultParams returns hop latencies calibrated so the §6.2 chat
 // prototype reproduces the paper's Table 3 medians (run 134 ms, billed
 // 200 ms, E2E 211 ms) on the simulated us-west-2.
 func DefaultParams() Params {
-	p := Params{
-		Seed:        1,
-		RefMemoryMB: 448,
-	}
+	p := Params{Seed: 1}
 	p.Hops[HopClientGateway] = HopParams{Median: 16 * time.Millisecond, Sigma: 0.15}
 	p.Hops[HopGatewayDispatch] = HopParams{Median: 9 * time.Millisecond, Sigma: 0.15}
 	p.Hops[HopColdStart] = HopParams{Median: 250 * time.Millisecond, Sigma: 0.25}
@@ -125,9 +119,6 @@ type Model struct {
 
 // NewModel returns a model using the given parameters.
 func NewModel(p Params) *Model {
-	if p.RefMemoryMB <= 0 {
-		p.RefMemoryMB = 448
-	}
 	return &Model{
 		rng:    workload.NewRand(p.Seed),
 		params: p,
@@ -158,18 +149,20 @@ func (m *Model) sampleLocked(hp HopParams) time.Duration {
 	return time.Duration(float64(hp.Median) * f)
 }
 
+// RefMemoryMB is the function allocation at which the memory-coupled
+// latency factor is 1.0, so a memory-coupled hop's base latency is
+// exactly its configured median: the paper's 448 MB prototype.
+const RefMemoryMB = 448
+
 // MemoryLatencyFactor reports the multiplicative penalty on per-request
-// base latency for a function with memMB of memory relative to refMB.
-// The factor is clamped to [0.75, 4.0]: more memory than the reference
-// helps a little; much less hurts a lot.
-func MemoryLatencyFactor(memMB, refMB int) float64 {
+// base latency for a function with memMB of memory relative to
+// RefMemoryMB. The factor is clamped to [0.75, 4.0]: more memory than
+// the reference helps a little; much less hurts a lot.
+func MemoryLatencyFactor(memMB int) float64 {
 	if memMB <= 0 {
 		memMB = 128
 	}
-	if refMB <= 0 {
-		refMB = 448
-	}
-	f := float64(refMB) / float64(memMB)
+	f := float64(RefMemoryMB) / float64(memMB)
 	return math.Min(4.0, math.Max(0.75, f))
 }
 

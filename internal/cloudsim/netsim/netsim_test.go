@@ -63,21 +63,20 @@ func TestSampleInvalidHop(t *testing.T) {
 
 func TestMemoryLatencyFactor(t *testing.T) {
 	tests := []struct {
-		mem, ref int
-		want     float64
+		mem  int
+		want float64
 	}{
-		{448, 448, 1.0},
-		{128, 448, 3.5},
-		{224, 448, 2.0},
-		{896, 448, 0.75},  // clamped low
-		{64, 448, 4.0},    // clamped high
-		{0, 448, 3.5},     // zero memory defaults to 128
-		{448, 0, 1.0},     // zero ref defaults to 448
-		{1536, 448, 0.75}, // clamp
+		{448, 1.0}, // the reference allocation
+		{128, 3.5},
+		{224, 2.0},
+		{896, 0.75},  // clamped low
+		{64, 4.0},    // clamped high
+		{0, 3.5},     // zero memory defaults to 128
+		{1536, 0.75}, // clamp
 	}
 	for _, tt := range tests {
-		if got := MemoryLatencyFactor(tt.mem, tt.ref); math.Abs(got-tt.want) > 1e-9 {
-			t.Errorf("MemoryLatencyFactor(%d,%d) = %v, want %v", tt.mem, tt.ref, got, tt.want)
+		if got := MemoryLatencyFactor(tt.mem); math.Abs(got-tt.want) > 1e-9 {
+			t.Errorf("MemoryLatencyFactor(%d) = %v, want %v", tt.mem, got, tt.want)
 		}
 	}
 }
@@ -114,7 +113,7 @@ func TestTransferTime(t *testing.T) {
 // factor, plus the payload's transfer time at the memory-proportional
 // bandwidth.
 func s3Latency(base time.Duration, memMB int, payloadBytes int64) time.Duration {
-	scaled := time.Duration(float64(base) * MemoryLatencyFactor(memMB, DefaultParams().RefMemoryMB))
+	scaled := time.Duration(float64(base) * MemoryLatencyFactor(memMB))
 	return scaled + TransferTime(payloadBytes, BandwidthMBps(memMB))
 }
 

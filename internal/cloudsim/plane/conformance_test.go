@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cloudsim/clock"
 	"repro/internal/cloudsim/dynamo"
 	"repro/internal/cloudsim/gateway"
 	"repro/internal/cloudsim/iam"
@@ -55,13 +56,14 @@ func newWorld(t *testing.T) *world {
 	t.Helper()
 	w := &world{iam: iam.New(), meter: pricing.NewMeter()}
 	model := netsim.NewDefaultModel()
-	w.s3 = s3.New(w.iam, w.meter, model, nil)
-	w.kms = kms.New(w.iam, w.meter, model, nil)
-	w.dynamo = dynamo.New(w.iam, w.meter, model, nil)
-	w.sqs = sqs.New(w.iam, w.meter, model, nil)
-	w.lambda = lambda.New(w.meter, model, nil)
+	clk := clock.NewVirtual()
+	w.s3 = s3.New(w.iam, w.meter, model, clk)
+	w.kms = kms.New(w.iam, w.meter, model, clk, nil)
+	w.dynamo = dynamo.New(w.iam, w.meter, model, clk)
+	w.sqs = sqs.New(w.iam, w.meter, model, clk)
+	w.lambda = lambda.New(w.meter, model, clk, nil, nil)
 	w.ses = ses.New(w.lambda, w.meter, model)
-	w.gw = gateway.New(w.lambda, w.meter, model, nil)
+	w.gw = gateway.New(w.lambda, w.meter, model, clk)
 
 	err := w.iam.PutRole(&iam.Role{
 		Name: "fn",

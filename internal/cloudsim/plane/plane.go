@@ -45,10 +45,6 @@ import (
 	"repro/internal/pricing"
 )
 
-// RefMemoryMB is the function allocation at which the memory-coupled
-// latency factor is 1.0 — the paper's 448 MB prototype allocation.
-const RefMemoryMB = 448
-
 // Latency describes how a call consumes simulated time.
 type Latency struct {
 	// Hop selects the base latency distribution to sample.
@@ -57,7 +53,7 @@ type Latency struct {
 	// 0.25: a table op is a quarter of an S3 call.
 	Scale float64
 	// MemoryCoupled scales the base by the caller's function memory
-	// allocation relative to RefMemoryMB, and defaults the transfer
+	// allocation relative to netsim.RefMemoryMB, and defaults the transfer
 	// bandwidth from the allocation when the caller has none set.
 	MemoryCoupled bool
 	// TransferBytes adds payload transfer time at the caller's
@@ -302,7 +298,7 @@ func (p *Plane) advance(ctx *sim.Context, l *Latency) {
 		bw, mem = ctx.IOBandwidthMBps, ctx.FunctionMemMB
 	}
 	if l.MemoryCoupled && mem > 0 {
-		d = time.Duration(float64(d) * netsim.MemoryLatencyFactor(mem, RefMemoryMB))
+		d = time.Duration(float64(d) * netsim.MemoryLatencyFactor(mem))
 		if bw == 0 {
 			bw = netsim.BandwidthMBps(mem)
 		}

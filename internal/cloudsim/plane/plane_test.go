@@ -362,7 +362,7 @@ func TestLatencyModel(t *testing.T) {
 	}
 
 	d := ref.Sample(netsim.HopS3)
-	d = time.Duration(float64(d) * netsim.MemoryLatencyFactor(memMB, RefMemoryMB))
+	d = time.Duration(float64(d) * netsim.MemoryLatencyFactor(memMB))
 	d += netsim.TransferTime(payload, netsim.BandwidthMBps(memMB))
 	if got := ctx.Cursor.Elapsed(); got != d {
 		t.Errorf("latency = %v, want %v", got, d)

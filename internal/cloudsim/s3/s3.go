@@ -84,7 +84,7 @@ type Service struct {
 	iam   *iam.Service
 	meter *pricing.Meter
 	pl    *plane.Plane
-	clk   clock.Clock
+	clk   *clock.Virtual
 
 	mu            sync.RWMutex
 	buckets       map[string]*bucket
@@ -93,10 +93,7 @@ type Service struct {
 
 // New returns an object store wired to IAM, the meter, the network
 // model and a clock for object modification timestamps.
-func New(iamSvc *iam.Service, meter *pricing.Meter, model *netsim.Model, clk clock.Clock) *Service {
-	if clk == nil {
-		clk = clock.Wall{}
-	}
+func New(iamSvc *iam.Service, meter *pricing.Meter, model *netsim.Model, clk *clock.Virtual) *Service {
 	return &Service{
 		iam:     iamSvc,
 		meter:   meter,

@@ -22,7 +22,7 @@ func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	f := &fixture{meter: pricing.NewMeter()}
 	model := netsim.NewDefaultModel()
-	f.platform = lambda.New(f.meter, model, clock.NewVirtual())
+	f.platform = lambda.New(f.meter, model, clock.NewVirtual(), nil, nil)
 	f.ses = New(f.platform, f.meter, model)
 	err := f.platform.RegisterFunction(lambda.Function{
 		Name: "alice-mail-fn",

@@ -85,7 +85,7 @@ type queue struct {
 type Service struct {
 	pl    *plane.Plane
 	model *netsim.Model // delivery-hop sampling inside the poll
-	clk   clock.Clock
+	clk   *clock.Virtual
 
 	mu     sync.Mutex
 	queues map[string]*queue
@@ -94,10 +94,7 @@ type Service struct {
 
 // New returns a queue service wired to IAM, the meter, the network
 // model and a clock.
-func New(iamSvc *iam.Service, meter *pricing.Meter, model *netsim.Model, clk clock.Clock) *Service {
-	if clk == nil {
-		clk = clock.Wall{}
-	}
+func New(iamSvc *iam.Service, meter *pricing.Meter, model *netsim.Model, clk *clock.Virtual) *Service {
 	return &Service{
 		pl:     plane.New(iamSvc, meter, model),
 		model:  model,

@@ -46,7 +46,7 @@ func BenchmarkTraceRecord(b *testing.B) {
 			b.StartTimer()
 		}
 		at = at.Add(40 * time.Second)
-		if s.Decide("client", "chat-send", at) {
+		if s.Decide(at) {
 			benchTrace(s, at)
 		}
 	}

@@ -127,19 +127,19 @@ func NewStore(cfg *SamplerConfig) *Store {
 	return &Store{sampler: newSampler(cfg)}
 }
 
-// Decide takes the head-based sampling decision for a request named
-// (service, op) arriving at the given virtual instant: true means the
-// caller should build a trace with New, false means the flow runs
-// untraced (nil-safe spans make that nearly free). A nil store — a
+// Decide takes the head-based sampling decision for a request arriving
+// at the given virtual instant: true means the caller should build a
+// trace with New, false means the flow runs untraced (nil-safe spans
+// make that nearly free). A nil store — a
 // cloud with tracing disabled — decides false, so nothing builds a
 // trace that no store would hold.
-func (s *Store) Decide(service, op string, at time.Time) bool {
+func (s *Store) Decide(at time.Time) bool {
 	if s == nil {
 		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keep := s.sampler.decideLocked(service, op, at)
+	keep := s.sampler.decideLocked(at)
 	s.decided++
 	if keep {
 		s.kept++

@@ -21,12 +21,16 @@
 // the trace is folded once from that slab into the Store's columns,
 // the slab goes back to the store for the next trace, and from then on
 // the trace is read only through the store's TraceView and SegmentView
-// handles — there is no second way to read a trace. The
-// Store is the X-Ray-sim backend proper: head-sampled (see
-// SamplerConfig) traces in columnar storage, priced at 2017 X-Ray
-// rates, and queried for service maps, critical paths and filter
-// expressions. A flow with no store to land in is never traced: New
-// returns nil and every Span method is a nil-safe no-op.
+// handles — there is no second way to read a trace.
+//
+// The Store is the X-Ray-sim backend proper: traces in columnar
+// storage, priced at 2017 X-Ray rates, and queried for service maps,
+// critical paths and filter expressions. A store built with a
+// SamplerConfig head-samples by X-Ray's one default rule, a reservoir
+// of one trace per virtual second plus 5% of the rest on a seeded coin;
+// one built without keeps every trace. A flow with no store to land in
+// is never traced: New returns nil and every Span method is a nil-safe
+// no-op.
 package trace
 
 import (

@@ -126,7 +126,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("New built a trace for a nil store")
 	}
 	var st *Store
-	if st.Decide("x", "y", t0) || st.Len() != 0 || st.Stored() != nil {
+	if st.Decide(t0) || st.Len() != 0 || st.Stored() != nil {
 		t.Fatal("nil store misbehaved")
 	}
 }
@@ -346,7 +346,7 @@ func TestConcurrentFinish(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			at := t0.Add(time.Duration(i) * time.Second)
-			if !s.Decide("client", "req", at) {
+			if !s.Decide(at) {
 				t.Error("keep-all store dropped a trace")
 				return
 			}

@@ -59,41 +59,32 @@ type Cloud struct {
 }
 
 // Shared bundles the immutable pieces of a provider that every account
-// in a fleet can alias instead of rebuilding: the price book, the base
-// latency-model parameters, and the attestation platform (whose ed25519
-// keypair generation is the dominant per-Cloud construction cost — one
-// keypair serves a million accounts the way one real provider's
-// attestation root serves all its tenants). Everything here is
-// read-only after construction, so shards may share it freely; all
-// mutable state (meter, stores, telemetry planes, clock) stays
-// per-Cloud.
+// in a fleet can alias instead of rebuilding: the price book and the
+// attestation platform (whose ed25519 keypair generation is the
+// dominant per-Cloud construction cost — one keypair serves a million
+// accounts the way one real provider's attestation root serves all its
+// tenants). Everything here is read-only after construction, so shards
+// may share it freely; all mutable state (meter, stores, telemetry
+// planes, clock) stays per-Cloud.
 type Shared struct {
 	// Book is the price book accounts bill against.
 	Book *pricing.PriceBook
-	// Params are the base latency-model parameters. A fleet copies them
-	// per account and overrides only Seed, so every account gets an
-	// independent — but identically shaped — latency stream.
-	Params netsim.Params
 	// Attest is the provider's enclave attestation platform.
 	Attest *attest.Platform
 }
 
-// NewShared resolves defaults (Default2017 book, DefaultParams) and
-// generates the attestation keypair once, for reuse across every
-// account Cloud built from it.
-func NewShared(book *pricing.PriceBook, params *netsim.Params) (*Shared, error) {
+// NewShared resolves the price book (Default2017 if nil) and generates
+// the attestation keypair once, for reuse across every account Cloud
+// built from it.
+func NewShared(book *pricing.PriceBook) (*Shared, error) {
 	if book == nil {
 		book = pricing.Default2017()
-	}
-	p := netsim.DefaultParams()
-	if params != nil {
-		p = *params
 	}
 	att, err := attest.NewPlatform()
 	if err != nil {
 		return nil, fmt.Errorf("core: building shared platform state: %w", err)
 	}
-	return &Shared{Book: book, Params: p, Attest: att}, nil
+	return &Shared{Book: book, Attest: att}, nil
 }
 
 // CloudOptions configures NewCloud.
@@ -116,11 +107,8 @@ type CloudOptions struct {
 	// prove a logged run is bit-identical to an unlogged one.
 	DisableLogging bool
 	// Shared supplies the immutable cross-account state (price book,
-	// base netsim params, attestation platform) so per-account
-	// construction stays cheap. Nil builds a private bundle with the
-	// Default2017 book and the NetParams latency model. NetParams, when
-	// set, still wins over the bundle's params — the fleet uses that to
-	// re-seed the latency model per account.
+	// attestation platform) so per-account construction stays cheap.
+	// Nil builds a private bundle with the Default2017 book.
 	Shared *Shared
 	// DisableTracing skips building the X-Ray-sim trace store, so
 	// every flow runs untraced: TracedContext returns a nil trace and
@@ -142,20 +130,24 @@ type CloudOptions struct {
 	SelfTelemetry bool
 }
 
-// NewCloud builds a fully wired simulated provider.
+// NewCloud builds a fully wired simulated provider. It is the one place
+// a cloud is assembled: the telemetry sinks come first, so the services
+// that write to them (Lambda's samples and log lines, the KMS audit
+// group) receive them at construction, and the planes' interceptors go
+// on before anything is served.
 func NewCloud(opts CloudOptions) (*Cloud, error) {
 	if opts.Name == "" {
 		opts.Name = "aws-sim"
 	}
 	shared := opts.Shared
 	if shared == nil {
-		s, err := NewShared(nil, opts.NetParams)
+		s, err := NewShared(nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: building cloud %q: %w", opts.Name, err)
 		}
 		shared = s
 	}
-	params := shared.Params
+	params := netsim.DefaultParams()
 	if opts.NetParams != nil {
 		params = *opts.NetParams
 	}
@@ -169,20 +161,25 @@ func NewCloud(opts CloudOptions) (*Cloud, error) {
 		Book:   shared.Book,
 		IAM:    iam.New(),
 	}
-	c.KMS = kms.New(c.IAM, c.Meter, c.Model, c.Clock)
-	c.S3 = s3.New(c.IAM, c.Meter, c.Model, c.Clock)
-	c.Dynamo = dynamo.New(c.IAM, c.Meter, c.Model, c.Clock)
-	c.SQS = sqs.New(c.IAM, c.Meter, c.Model, c.Clock)
-	c.Lambda = lambda.New(c.Meter, c.Model, c.Clock)
-	c.EC2 = ec2.New(c.Meter, c.Clock)
-	c.SES = ses.New(c.Lambda, c.Meter, c.Model)
-	c.Gateway = gateway.New(c.Lambda, c.Meter, c.Model, c.Clock)
 	c.Metrics = metrics.New()
 	c.Logs = logs.New(c.Clock)
 	if !opts.DisableTracing {
 		c.Tracer = trace.NewStore(opts.TraceSampling)
 	}
-	c.Lambda.SetMetrics(c.Metrics)
+	// The service-side log sinks are off with logging; the metrics sink
+	// is not, because Lambda's samples are the Table 3 statistics.
+	var sink *logs.Service
+	if !opts.DisableLogging {
+		sink = c.Logs
+	}
+	c.KMS = kms.New(c.IAM, c.Meter, c.Model, c.Clock, sink)
+	c.S3 = s3.New(c.IAM, c.Meter, c.Model, c.Clock)
+	c.Dynamo = dynamo.New(c.IAM, c.Meter, c.Model, c.Clock)
+	c.SQS = sqs.New(c.IAM, c.Meter, c.Model, c.Clock)
+	c.Lambda = lambda.New(c.Meter, c.Model, c.Clock, c.Metrics, sink)
+	c.EC2 = ec2.New(c.Meter, c.Clock)
+	c.SES = ses.New(c.Lambda, c.Meter, c.Model)
+	c.Gateway = gateway.New(c.Lambda, c.Meter, c.Model, c.Clock)
 	c.Lambda.SetServices(lambda.Services{KMS: c.KMS, S3: c.S3, SQS: c.SQS, Dynamo: c.Dynamo, Email: c.SES})
 
 	planes := []*plane.Plane{
@@ -200,8 +197,6 @@ func NewCloud(opts CloudOptions) (*Cloud, error) {
 		for _, pl := range planes {
 			pl.Use(lobs)
 		}
-		c.Lambda.SetLogs(c.Logs)
-		c.KMS.SetLogs(c.Logs)
 	}
 
 	c.selfTelemetry = opts.SelfTelemetry

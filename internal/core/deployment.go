@@ -240,7 +240,7 @@ func (d *Deployment) ClientContext() *sim.Context {
 // every flow runs untraced.
 func (d *Deployment) TracedContext(name string) (*sim.Context, *trace.Trace) {
 	ctx := d.ClientContext()
-	if !d.Cloud.Tracer.Decide("client", name, ctx.Cursor.Now()) {
+	if !d.Cloud.Tracer.Decide(ctx.Cursor.Now()) {
 		return ctx, nil
 	}
 	return ctx, ctx.StartTrace(d.Cloud.Tracer, name)

@@ -127,7 +127,7 @@ func RunColdStartAblation(days float64) ([]ColdStartPoint, error) {
 		meter := pricing.NewMeter()
 		model := netsim.NewDefaultModel()
 		clk := clock.NewVirtual()
-		platform := lambda.New(meter, model, clk)
+		platform := lambda.New(meter, model, clk, nil, nil)
 		err := platform.RegisterFunction(lambda.Function{
 			Name: "probe",
 			Handler: func(env *lambda.Env, ev lambda.Event) (lambda.Response, error) {

@@ -54,7 +54,7 @@ func RunStreamingComparison(messages int) ([]StreamingPoint, error) {
 
 	newPlatform := func() (*lambda.Platform, *pricing.Meter) {
 		meter := pricing.NewMeter()
-		p := lambda.New(meter, netsim.NewDefaultModel(), clock.NewVirtual())
+		p := lambda.New(meter, netsim.NewDefaultModel(), clock.NewVirtual(), nil, nil)
 		if err := p.RegisterFunction(lambda.Function{Name: "fn", MemoryMB: memMB, Handler: handler}); err != nil {
 			panic(err)
 		}

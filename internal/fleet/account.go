@@ -15,6 +15,7 @@ import (
 	"repro/internal/apps/iot"
 	"repro/internal/cloudsim/clock"
 	"repro/internal/cloudsim/metrics"
+	"repro/internal/cloudsim/netsim"
 	"repro/internal/cloudsim/trace"
 	"repro/internal/core"
 	"repro/internal/fleet/telemetry"
@@ -97,7 +98,7 @@ func simulateAccount(cfg *Config, shared *core.Shared, profile workload.AccountP
 // streams derived from the account's seed partition, and the app
 // installation + warmup.
 func newAccountSim(cfg *Config, shared *core.Shared, profile workload.AccountProfile) (*accountSim, error) {
-	params := shared.Params
+	params := netsim.DefaultParams()
 	params.Seed = workload.Substream(profile.Seed, "netsim")
 	// With tracing on, each account gets an X-Ray-sim store whose
 	// head sampler draws from its own "trace" seed partition — two

@@ -255,7 +255,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// The immutable cross-account state: one price book, one base
 	// latency model, one attestation keypair for the whole fleet.
-	shared, err := core.NewShared(cfg.Book, nil)
+	shared, err := core.NewShared(cfg.Book)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}

@@ -3,8 +3,12 @@
 # `make bench` snapshot (BENCH_cloudsim.json in the working tree)
 # against the committed budgets (`git show HEAD:BENCH_cloudsim.json`)
 # and fails when any hot-path benchmark regresses more than the margin
-# on ns/op, bytes/op, or allocs/op. CI runs this right after
-# `make bench`, so a PR that slows the telemetry plane fails to merge.
+# on ns/op, bytes/op, or allocs/op, or when the fleet control tower or
+# fleet tracing costs more than the margin over the bare fleet. All
+# three gates always run and every FAIL row is printed; the script
+# exits non-zero at the end if any gate failed. CI runs this right
+# after `make bench`, so a PR that slows the telemetry plane fails to
+# merge.
 #
 # Usage:
 #   bench_gate.sh                  gate the working-tree snapshot
@@ -109,46 +113,43 @@ trap 'rm -f "$BUDGET"' EXIT
 # Budgets come from the last commit, not the working tree: `make bench`
 # has just overwritten the working-tree snapshot with fresh numbers.
 git show HEAD:$SNAPSHOT >"$BUDGET"
-compare "$BUDGET" "$SNAPSHOT"
+FAILED=0
+compare "$BUDGET" "$SNAPSHOT" || FAILED=$((FAILED + 1))
 
-# Relative telemetry-overhead gate: the fleet control tower must cost
-# under MARGIN% ns/request over the untelemetered fleet, measured
-# within the same snapshot so machine speed cancels out. Extraction
-# uses | as the sed delimiter — the benchmark names contain slashes.
+# Relative overhead gates: the fleet control tower and head-sampled
+# fleet tracing must each cost under MARGIN% ns/request over the
+# untelemetered fleet, measured within the same snapshot so machine
+# speed cancels out. Extraction uses | as the sed delimiter — the
+# benchmark names contain slashes.
 ns_req() {
 	sed -n 's|.*"name": "'"$1"'".*"ns_per_request": \([0-9.e+]*\).*|\1|p' "$SNAPSHOT"
 }
 BASE=$(ns_req "BenchmarkFleet/accounts=1000")
-TEL=$(ns_req "BenchmarkFleetTelemetry/accounts=1000")
-if [ -z "$BASE" ] || [ -z "$TEL" ]; then
-	echo "bench_gate: FAIL fleet telemetry overhead unmeasurable (BenchmarkFleet=${BASE:-missing}, BenchmarkFleetTelemetry=${TEL:-missing} in $SNAPSHOT)" >&2
-	exit 1
-fi
-awk -v base="$BASE" -v tel="$TEL" -v margin="$MARGIN" '
-BEGIN {
-	pct = 100 * (tel - base) / base
-	if (tel > base * (1 + margin / 100)) {
-		printf "bench_gate: FAIL fleet telemetry overhead %.1f%% ns/request (%g telemetry vs %g base; margin %g%%)\n", pct, tel, base, margin
-		exit 1
-	}
-	printf "bench_gate: ok   fleet telemetry overhead %.1f%% ns/request (%g telemetry vs %g base)\n", pct, tel, base
-}'
 
-# The same relative gate for head-sampled tracing: a traced fleet must
-# cost under MARGIN% ns/request over the untraced one — sampled
-# tracing has to stay cheap enough to leave on fleet-wide.
-TRACED=$(ns_req "BenchmarkFleetTraced/accounts=1000")
-if [ -z "$TRACED" ]; then
-	echo "bench_gate: FAIL fleet tracing overhead unmeasurable (BenchmarkFleetTraced missing from $SNAPSHOT)" >&2
+# overhead <gate> <benchmark> <label>: one relative gate; fails when the
+# benchmark's ns/request exceeds BASE by more than MARGIN%.
+overhead() {
+	v=$(ns_req "$2/accounts=1000")
+	if [ -z "$BASE" ] || [ -z "$v" ]; then
+		echo "bench_gate: FAIL fleet $1 overhead unmeasurable (BenchmarkFleet=${BASE:-missing}, $2=${v:-missing} in $SNAPSHOT)" >&2
+		return 1
+	fi
+	awk -v base="$BASE" -v v="$v" -v margin="$MARGIN" -v gate="$1" -v label="$3" '
+	BEGIN {
+		pct = 100 * (v - base) / base
+		if (v > base * (1 + margin / 100)) {
+			printf "bench_gate: FAIL fleet %s overhead %.1f%% ns/request (%g %s vs %g base; margin %g%%)\n", gate, pct, v, label, base, margin
+			exit 1
+		}
+		printf "bench_gate: ok   fleet %s overhead %.1f%% ns/request (%g %s vs %g base)\n", gate, pct, v, label, base
+	}'
+}
+overhead telemetry BenchmarkFleetTelemetry telemetry || FAILED=$((FAILED + 1))
+# Sampled tracing has to stay cheap enough to leave on fleet-wide.
+overhead tracing BenchmarkFleetTraced traced || FAILED=$((FAILED + 1))
+
+if [ "$FAILED" -gt 0 ]; then
+	echo "bench_gate: $FAILED of 3 gates failed (margin ${MARGIN}%)" >&2
 	exit 1
 fi
-awk -v base="$BASE" -v traced="$TRACED" -v margin="$MARGIN" '
-BEGIN {
-	pct = 100 * (traced - base) / base
-	if (traced > base * (1 + margin / 100)) {
-		printf "bench_gate: FAIL fleet tracing overhead %.1f%% ns/request (%g traced vs %g base; margin %g%%)\n", pct, traced, base, margin
-		exit 1
-	}
-	printf "bench_gate: ok   fleet tracing overhead %.1f%% ns/request (%g traced vs %g base)\n", pct, traced, base
-}'
 echo "bench_gate: all benchmarks within budget (margin ${MARGIN}%)"
