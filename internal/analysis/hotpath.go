@@ -22,8 +22,9 @@ import (
 //     trace into the store's columns) — runs per request; in
 //     internal/cloudsim/lambda, writeLogLines, and in
 //     internal/cloudsim/logs, AppendLambdaLines, run per invocation:
-//     the platform's START/END/REPORT lines. Every same-package
-//     function they can reach is on the path too. Reads (Query,
+//     the platform's START/END/REPORT lines; in internal/cloudsim/logs,
+//     AppendKMSAudit runs per KMS call: the kms/audit event. Every
+//     same-package function they can reach is on the path too. Reads (Query,
 //     ServiceMap, rendering) are off-path and may format.
 //
 //   - In internal/fleet scopes, the control tower's Observe* hooks —
@@ -39,7 +40,7 @@ import (
 // regress the hot path.
 var HotPath = &Analyzer{
 	Name: "hotpath",
-	Doc:  "PlaneInterceptor bodies, the trace and lambda-log write paths, fleet-telemetry Observe hooks, and their same-package callees must not call fmt.Sprint* or build map literals; intern names and handles instead",
+	Doc:  "PlaneInterceptor bodies, the trace, lambda-log and KMS-audit write paths, fleet-telemetry Observe hooks, and their same-package callees must not call fmt.Sprint* or build map literals; intern names and handles instead",
 	Run:  runHotPath,
 }
 
@@ -55,6 +56,7 @@ var writePaths = []struct {
 	{"internal/cloudsim/trace", "the trace-store publish path", []string{"Record", "Decide", "New", "StartChild", "Annotate", "AddUsage", "Finish"}},
 	{"internal/cloudsim/lambda", "the lambda platform's per-invocation log lines", []string{"writeLogLines"}},
 	{"internal/cloudsim/logs", "the lambda platform's per-invocation log lines", []string{"AppendLambdaLines"}},
+	{"internal/cloudsim/logs", "the KMS audit log", []string{"AppendKMSAudit"}},
 }
 
 // writePathRoot reports whether n is a write-path entry point, and the

@@ -32,9 +32,8 @@ const logsPkgDir = "internal/cloudsim/logs"
 // logGroupArgMethods are the (*logs.Service) methods whose first
 // argument is a group name.
 var logGroupArgMethods = map[string]bool{
-	"PutEvents": true,
-	"Tail":      true,
-	"Query":     true,
+	"Tail":  true,
+	"Query": true,
 }
 
 func runLogGroup(p *Pass) {

@@ -839,7 +839,7 @@ func outputSink(fn *types.Func) bool {
 	}
 	switch {
 	case strings.HasSuffix(pkg, "internal/cloudsim/logs"):
-		return name == "PutEvents" || name == "AppendLambdaLines"
+		return name == "AppendKMSAudit" || name == "AppendLambdaLines"
 	case strings.HasSuffix(pkg, "internal/cloudsim/metrics"):
 		return name == "Record"
 	case strings.HasSuffix(pkg, "internal/cloudsim/trace"):

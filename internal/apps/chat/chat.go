@@ -212,8 +212,8 @@ func (h *handler) getBlob(v *core.Vault, storeKey string) (pt []byte, found bool
 	if err != nil {
 		return nil, false, 0, fmt.Errorf("chat: reading %s: %w", storeKey, err)
 	}
-	if pt, err = v.Key().Open(it.Value, []byte(storeKey)); err != nil {
-		return nil, false, 0, fmt.Errorf("chat: opening %s: %w", storeKey, err)
+	if pt, err = v.Open(it.Value, storeKey); err != nil {
+		return nil, false, 0, err
 	}
 	return pt, true, it.Version, nil
 }

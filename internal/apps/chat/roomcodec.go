@@ -25,7 +25,8 @@ import (
 // decoded entries (Kept.Append says how), and the splice writes
 // json.Marshal's bytes for the appended list.
 //
-// The kept bytes alias the opened plaintext. Nothing writes to them:
+// The kept bytes alias the opened plaintext, which lives in the
+// container's arena until the invocation ends. Nothing writes to them:
 // they are only ever copied into a fresh buffer (the next room
 // document, or an archived chunk), or read by parseEntries.
 //

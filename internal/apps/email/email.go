@@ -15,6 +15,7 @@
 package email
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/mail"
@@ -278,7 +279,9 @@ func (h *mailHandler) fetch(idStr string) (lambda.Response, error) {
 		return lambda.Response{Status: 200, Body: body,
 			Attrs: map[string]string{"X-DIY-Sealed": "box"}}, nil
 	}
-	return lambda.Response{Status: 200, Body: body}, nil
+	// The opened body is zeroed when the invocation ends; the response
+	// outlives it.
+	return lambda.Response{Status: 200, Body: bytes.Clone(body)}, nil
 }
 
 func (h *mailHandler) delete(idStr string) (lambda.Response, error) {

@@ -291,7 +291,10 @@ var ErrNotCanonical = errors.New("canonjson: not canonical encoder output")
 //
 // Strings without escapes are slices of the input itself; strings with
 // escapes are decoded into one growing buffer shared by the whole
-// document.
+// document. A sealed document's input is a plaintext opened into the
+// lambda container's arena, which is zeroed when the invocation ends:
+// a string read from it that must outlive the invocation (a response,
+// a map key a service keeps, a log field) is copied first.
 type Reader struct {
 	src []byte          // the input, for times and base64 (both parse []byte)
 	s   string          // src viewed as a string; unescaped strings slice it
@@ -304,11 +307,12 @@ type Reader struct {
 }
 
 // NewReader returns a Reader over src and takes ownership of it: the
-// strings it returns share src's memory instead of copying it, so the
-// caller must never modify src again. The sealed documents it parses
-// are freshly opened envelope plaintexts that nothing else references;
-// a caller reading a buffer it does not own (a request body) copies
-// the strings it keeps, or the buffer, first.
+// strings it returns share src's memory instead of copying it, so
+// nothing may modify src while they are in use. The sealed documents it
+// parses are freshly opened envelope plaintexts that nothing else
+// references, zeroed only when their invocation ends (see Reader); a
+// caller reading a buffer it does not own (a request body) copies the
+// strings it keeps, or the buffer, first.
 func NewReader(src []byte) *Reader {
 	return &Reader{src: src, s: unsafe.String(unsafe.SliceData(src), len(src))}
 }
@@ -582,8 +586,9 @@ func (r *Reader) StrEncoded() []byte {
 // encoded bytes, for a document that writes the array back unchanged or
 // with elements appended: copying the bytes costs far less than
 // decoding and re-encoding every element. The bytes are a view of the
-// Reader's input, so they are only ever copied, never written. The zero
-// Kept is null.
+// Reader's input, so they are only ever copied, never written, and for
+// an opened document they die with the invocation, as the Reader's
+// strings do. The zero Kept is null.
 type Kept struct {
 	raw      []byte // the array as read, nil for null
 	n        int    // its element count

@@ -133,30 +133,34 @@ func matchAny(patterns []string, value string) bool {
 // Match reports whether an IAM-style pattern matches a value. '*'
 // matches any run of characters (including '/'); all other characters
 // match literally. The empty pattern matches only the empty value.
+//
+// It walks the pattern's '*'-separated segments in place, so it
+// allocates nothing: the first segment must prefix the value, each
+// middle one must follow at its leftmost position, and the last must
+// end it.
 func Match(pattern, value string) bool {
-	// Fast paths.
 	if pattern == "*" {
 		return true
 	}
-	if !strings.Contains(pattern, "*") {
+	star := strings.IndexByte(pattern, '*')
+	if star < 0 {
 		return pattern == value
 	}
-	parts := strings.Split(pattern, "*")
-	// First segment must prefix-match.
-	if !strings.HasPrefix(value, parts[0]) {
+	if !strings.HasPrefix(value, pattern[:star]) {
 		return false
 	}
-	value = value[len(parts[0]):]
-	// Middle segments must appear in order.
-	for _, seg := range parts[1 : len(parts)-1] {
-		idx := strings.Index(value, seg)
-		if idx < 0 {
+	value, pattern = value[star:], pattern[star+1:]
+	for {
+		star = strings.IndexByte(pattern, '*')
+		if star < 0 {
+			return strings.HasSuffix(value, pattern)
+		}
+		i := strings.Index(value, pattern[:star])
+		if i < 0 {
 			return false
 		}
-		value = value[idx+len(seg):]
+		value, pattern = value[i+star:], pattern[star+1:]
 	}
-	// Last segment must suffix-match.
-	return strings.HasSuffix(value, parts[len(parts)-1])
 }
 
 // AllowStatement is a convenience constructor for an Allow statement.

@@ -46,6 +46,25 @@ func TestAuthorizeAllow(t *testing.T) {
 	}
 }
 
+// An allowed request allocates nothing: patterns are matched in place
+// and the error is built only on deny.
+func TestAuthorizeAllowAllocs(t *testing.T) {
+	s := newTestService(t)
+	for _, c := range []struct{ action, resource string }{
+		{"kms:Decrypt", "key/alice-chat"},
+		{"s3:GetObject", "bucket/alice-chat/room/1"},
+	} {
+		got := testing.AllocsPerRun(100, func() {
+			if err := s.Authorize("chat-fn", c.action, c.resource); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("allowed %s on %s: %v allocs, want exactly 0", c.action, c.resource, got)
+		}
+	}
+}
+
 func TestAuthorizeDenyUnknownPrincipal(t *testing.T) {
 	s := newTestService(t)
 	err := s.Authorize("nobody", "kms:Decrypt", "key/alice-chat")

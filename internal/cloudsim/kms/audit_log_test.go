@@ -73,3 +73,27 @@ func TestAuditWithoutLogServiceStillRecords(t *testing.T) {
 		t.Fatalf("audit entries = %d, want 1", got)
 	}
 }
+
+// The audit event is appended with no allocation of its own: a KMS
+// call allocates exactly as often with the log group wired as without
+// it.
+func TestAuditLogAllocs(t *testing.T) {
+	logged := newFixtureWith(t, clock.NewVirtual(), logs.New(clock.NewVirtual()))
+	bare := newFixture(t)
+	decrypt := func(f *fixture) func() {
+		ctx := f.ctx()
+		_, wrapped, err := f.kms.GenerateDataKey(ctx, "alice-chat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			if _, err := f.kms.Decrypt(ctx, wrapped); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	base := testing.AllocsPerRun(500, decrypt(bare))
+	if got := testing.AllocsPerRun(500, decrypt(logged)); got != base {
+		t.Fatalf("a logged KMS call allocates %v times, an unlogged one %v: the audit event should allocate nothing", got, base)
+	}
+}

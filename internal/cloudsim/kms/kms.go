@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -276,17 +275,7 @@ func (s *Service) do(ctx *sim.Context, action, keyID string, h plane.HandlerFunc
 	s.audit = append(s.audit, entry)
 	s.mu.Unlock()
 	if s.logs != nil {
-		s.logs.PutEvents(logs.LogGroupKMSAudit, "audit", logs.Event{
-			Time: entry.Time,
-			Message: fmt.Sprintf("principal=%s action=%s key=%s allowed=%t",
-				entry.Principal, entry.Action, entry.KeyID, entry.Allowed),
-			Fields: map[string]string{
-				"principal": entry.Principal,
-				"action":    entry.Action,
-				"key_id":    entry.KeyID,
-				"allowed":   strconv.FormatBool(entry.Allowed),
-			},
-		})
+		s.logs.AppendKMSAudit(entry.Time, entry.Principal, entry.Action, entry.KeyID, entry.Allowed)
 	}
 	return err
 }

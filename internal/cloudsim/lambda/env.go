@@ -2,6 +2,7 @@ package lambda
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cloudsim/dynamo"
@@ -39,6 +40,11 @@ func (p *Platform) SetServices(s Services) { p.services = s }
 // invocation's identity (the function's IAM role), its simulated
 // timeline, and the container-local state. All service calls made
 // through the Env are authenticated, metered and latency-accounted.
+//
+// An Env lives for one invocation, and so does everything secret it
+// hands out: data keys from DataKey (unless the function caches them)
+// and plaintext memory from Scratch are zeroed when the invocation
+// ends. A handler that returns or keeps such bytes copies them first.
 type Env struct {
 	platform *Platform
 	fn       *Function
@@ -47,6 +53,12 @@ type Env struct {
 
 	peakMemory int64
 	secrets    [][]byte
+
+	// Scratch's bookkeeping: used bytes of cont.arena are handed out,
+	// need bytes over every buffer this invocation, and spent holds
+	// the handed-out part of each buffer the invocation outgrew.
+	used, need int
+	spent      [][]byte
 }
 
 // Ctx returns the invocation's call context: principal = the function's
@@ -107,6 +119,9 @@ func (e *Env) DataKey(wrapped []byte) ([]byte, error) {
 	}
 	if e.fn.CacheDataKeys {
 		e.platform.mu.Lock()
+		if e.cont.cache == nil {
+			e.cont.cache = make(map[string][]byte)
+		}
 		e.cont.cache[cacheKey] = dk
 		e.platform.mu.Unlock()
 	} else {
@@ -115,10 +130,43 @@ func (e *Env) DataKey(wrapped []byte) ([]byte, error) {
 	return dk, nil
 }
 
-// finish scrubs per-invocation secrets.
+// Scratch returns n bytes of the container's plaintext arena as an
+// empty slice with capacity n, for opening sealed state into
+// (envelope.Key.OpenTo). Slices handed out during one invocation are
+// disjoint, so several may be live at once, and every byte of them is
+// zeroed when the invocation ends; the next warm invocation reuses the
+// memory. When a request does not fit, a new buffer replaces the
+// arena, sized for the larger of the invocation's need so far and the
+// most any invocation of the container has used, so a container
+// settles on one buffer its largest invocation fits in; the outgrown
+// buffer's handed-out bytes are zeroed at the end too.
+func (e *Env) Scratch(n int) []byte {
+	c := e.cont
+	if n > len(c.arena)-e.used {
+		if e.used > 0 {
+			e.spent = append(e.spent, c.arena[:e.used])
+		}
+		a := slices.Grow([]byte(nil), max(e.need+n, c.peak))
+		c.arena, e.used = a[:cap(a)], 0
+	}
+	b := c.arena[e.used : e.used : e.used+n]
+	e.used += n
+	e.need += n
+	return b
+}
+
+// finish scrubs per-invocation secrets: unwrapped data keys, and every
+// arena byte Scratch handed out.
 func (e *Env) finish() {
 	for _, s := range e.secrets {
 		envelope.Zero(s)
 	}
 	e.secrets = nil
+	for _, b := range e.spent {
+		envelope.Zero(b)
+	}
+	e.spent = nil
+	envelope.Zero(e.cont.arena[:e.used])
+	e.cont.peak = max(e.cont.peak, e.need)
+	e.used, e.need = 0, 0
 }

@@ -37,3 +37,6 @@ func (c *Connection) State(at time.Time) ConnState {
 	}
 	return c.state
 }
+
+// ArenaLen reports the size of the invocation's container arena.
+func (e *Env) ArenaLen() int { return len(e.cont.arena) }

@@ -163,7 +163,17 @@ type container struct {
 	region   string
 	busy     bool
 	lastUsed time.Time
-	cache    map[string][]byte
+	// cache holds unwrapped data keys for CacheDataKeys functions; it
+	// is made on first use, so it stays nil for every other function.
+	cache map[string][]byte
+	// arena is the container's plaintext memory, which Env.Scratch
+	// hands out. Every byte handed out is zeroed when its invocation
+	// ends, so between invocations the arena holds only zeros. A cold
+	// container starts with none, and eviction drops it with the
+	// container.
+	arena []byte
+	// peak is the most arena one invocation of the container has used.
+	peak int
 }
 
 func (c *container) scrub() {
@@ -685,7 +695,6 @@ func (p *Platform) acquireContainer(st *functionState, region string, now time.T
 		region:   region,
 		busy:     true,
 		lastUsed: now,
-		cache:    make(map[string][]byte),
 	}
 	st.containers = append(st.containers, c)
 	return c, true

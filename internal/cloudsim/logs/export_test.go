@@ -42,3 +42,33 @@ func (s *Service) Groups() []string {
 	defer s.mu.Unlock()
 	return sortutil.SortedKeys(s.groups)
 }
+
+// PutEvents appends events to a stream, creating group and stream on
+// first use. Events with a zero Time are stamped with the service
+// clock. Ingested bytes (message + fields + the per-event overhead)
+// accrue to the usage inventory that Usage() prices.
+func (s *Service) PutEvents(groupName, streamName string, events ...Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	g := s.ensureGroupLocked(groupName)
+	st := s.ensureStreamLocked(g, streamName)
+	for _, e := range events {
+		s.appendLocked(g, st, e.Time, e.Message, s.sortedFieldsLocked(e.Fields))
+	}
+}
+
+// sortedFieldsLocked converts a public Fields map into fields to
+// append, sorted by key so identical maps always store identically.
+// The keys are interned; the values are arbitrary, so they are copied,
+// not interned. Caller holds s.mu.
+func (s *Service) sortedFieldsLocked(m map[string]string) []fieldIn {
+	if len(m) == 0 {
+		return nil
+	}
+	keys := sortutil.SortedKeys(m)
+	fs := make([]fieldIn, len(keys))
+	for i, k := range keys {
+		fs[i] = fieldIn{key: s.keys.IDLocked(k), val: m[k]}
+	}
+	return fs
+}

@@ -1,8 +1,11 @@
 package logs
 
 import (
+	"fmt"
 	"maps"
+	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -53,6 +56,64 @@ func TestPlaneEventAppendAllocs(t *testing.T) {
 	}
 	if n := s.SelfStats().Events; n != runs+2 { // the first call, then AllocsPerRun's warm-up and its runs
 		t.Fatalf("stored %d events, want %d", n, runs+2)
+	}
+}
+
+// TestAppendKMSAuditMatchesPutEvents holds the KMS audit's append
+// path to the PutEvents call it replaced: the same events, byte for
+// byte, and the same metered bytes, for principals short and long
+// (past the stack buffer), empty, allowed and denied.
+func TestAppendKMSAuditMatchesPutEvents(t *testing.T) {
+	cases := []struct {
+		principal, action, keyID string
+		allowed                  bool
+	}{
+		{"alice-chat-fn", "kms:Decrypt", "alice-chat", true},
+		{"mallory", "kms:GenerateDataKey", "alice-chat", false},
+		{"", "kms:Decrypt", "", false},
+		{strings.Repeat("long-role-", 30), "kms:Decrypt", strings.Repeat("k", 70), true},
+	}
+	viaPut, viaAppend := New(clock.NewVirtual()), New(clock.NewVirtual())
+	for i, c := range cases {
+		at := clock.Epoch.Add(time.Duration(i) * time.Second)
+		viaPut.PutEvents(LogGroupKMSAudit, "audit", Event{
+			Time: at,
+			Message: fmt.Sprintf("principal=%s action=%s key=%s allowed=%t",
+				c.principal, c.action, c.keyID, c.allowed),
+			Fields: map[string]string{
+				"principal": c.principal,
+				"action":    c.action,
+				"key_id":    c.keyID,
+				"allowed":   strconv.FormatBool(c.allowed),
+			},
+		})
+		viaAppend.AppendKMSAudit(at, c.principal, c.action, c.keyID, c.allowed)
+	}
+	if got, want := viaAppend.Tail(LogGroupKMSAudit, 0), viaPut.Tail(LogGroupKMSAudit, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("AppendKMSAudit stored\n%+v\nPutEvents stored\n%+v", got, want)
+	}
+	if got, want := viaAppend.Inventory(), viaPut.Inventory(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("inventory %+v, want %+v", got, want)
+	}
+	if got, want := viaAppend.IngestedBytes(), viaPut.IngestedBytes(); got != want {
+		t.Fatalf("ingested %d bytes, want %d", got, want)
+	}
+}
+
+// TestAppendKMSAuditAllocs pins the KMS audit event at zero
+// allocations of its own, as TestPlaneEventAppendAllocs does for the
+// plane's events.
+func TestAppendKMSAuditAllocs(t *testing.T) {
+	const runs = 500
+	s := New(clock.NewVirtual())
+	at := clock.Epoch
+	appendOne := func() {
+		at = at.Add(time.Millisecond)
+		s.AppendKMSAudit(at, "alice-chat-fn", "kms:Decrypt", "alice-chat", true)
+	}
+	appendOne() // creates the group and stream
+	if got := testing.AllocsPerRun(runs, appendOne); got != 0 {
+		t.Fatalf("a KMS audit event allocates %v times, want exactly 0", got)
 	}
 }
 

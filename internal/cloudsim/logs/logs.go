@@ -44,6 +44,7 @@ package logs
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -59,7 +60,7 @@ import (
 // bytes per event, per the 2017 pricing page).
 const EventOverheadBytes = 26
 
-// Event is one structured log event as handed to PutEvents.
+// Event is one structured log event: what a read returns, in StoredEvent.
 type Event struct {
 	// Time is the event timestamp on the emitter's (virtual) timeline.
 	Time time.Time
@@ -107,9 +108,9 @@ type fieldIn struct {
 	inMsg, intern bool
 }
 
-// The plane interceptor's field keys. New interns them first, in this
-// order, so the publish path names them by constant id instead of
-// looking them up per event.
+// The field keys of the plane interceptor and the KMS audit. New
+// interns them first, in this order, so the publish paths name them by
+// constant id instead of looking them up per event.
 const (
 	keyService int32 = iota
 	keyOp
@@ -119,10 +120,13 @@ const (
 	keyApp
 	keyLatency
 	keyError
+	keyAction
+	keyAllowed
+	keyKeyID
 )
 
 // planeKeys are the names of the key ids above, in id order.
-var planeKeys = [...]string{"service", "op", "outcome", "cost_nanodollars", "principal", "app", "latency_ms", "error"}
+var planeKeys = [...]string{"service", "op", "outcome", "cost_nanodollars", "principal", "app", "latency_ms", "error", "action", "allowed", "key_id"}
 
 // eventRow is one stored event's row: its UnixNano timestamp (time.Time
 // is rebuilt only when an event is rendered), its message, the
@@ -270,26 +274,12 @@ func New(clk *clock.Virtual) *Service {
 	return s
 }
 
-// PutEvents appends events to a stream, creating group and stream on
-// first use. Events with a zero Time are stamped with the service
-// clock. Ingested bytes (message + fields + the per-event overhead)
-// accrue to the usage inventory that Usage() prices.
-func (s *Service) PutEvents(groupName, streamName string, events ...Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g := s.ensureGroupLocked(groupName)
-	st := s.ensureStreamLocked(g, streamName)
-	for _, e := range events {
-		s.appendLocked(g, st, e.Time, e.Message, s.sortedFieldsLocked(e.Fields))
-	}
-}
-
 // AppendLambdaLines appends plain-text lines to the named stream of
 // function fn's group, LambdaGroup(fn), creating both on first use. It
-// is PutEvents for the lambda platform's per-invocation START, END and
-// REPORT lines without PutEvents' per-call strings: the group is
-// interned per function, the stream is found by its bytes, and each
-// message is copied into the stream's bytes.
+// lands the lambda platform's per-invocation START, END and REPORT
+// lines without per-call strings: the group is interned per function,
+// the stream is found by its bytes, and each message is copied into
+// the stream's bytes.
 func (s *Service) AppendLambdaLines(fn string, stream []byte, lines ...Line) {
 	s.mu.Lock()
 	g := s.lambdaGroups[fn]
@@ -307,20 +297,43 @@ func (s *Service) AppendLambdaLines(fn string, stream []byte, lines ...Line) {
 	s.mu.Unlock()
 }
 
-// sortedFieldsLocked converts a public Fields map into fields to
-// append, sorted by key so identical maps always store identically.
-// The keys are interned; the values are arbitrary, so they are copied,
-// not interned. Caller holds s.mu.
-func (s *Service) sortedFieldsLocked(m map[string]string) []fieldIn {
-	if len(m) == 0 {
-		return nil
+// AppendKMSAudit appends one KMS audit event to stream "audit" of
+// group LogGroupKMSAudit: the message
+//
+//	"principal=%s action=%s key=%s allowed=%t"
+//
+// with fields action, allowed, key_id and principal. The message is
+// built in a stack buffer and copied into the stream's bytes, and each
+// field value points at its bytes inside it, so the call allocates
+// nothing of its own (TestAppendKMSAuditAllocs).
+func (s *Service) AppendKMSAudit(at time.Time, principal, action, keyID string, allowed bool) {
+	var buf [192]byte
+	b := append(buf[:0], "principal="...)
+	b = append(b, principal...)
+	principalHi := len(b)
+	b = append(b, " action="...)
+	actionLo := len(b)
+	b = append(b, action...)
+	actionHi := len(b)
+	b = append(b, " key="...)
+	keyLo := len(b)
+	b = append(b, keyID...)
+	keyHi := len(b)
+	b = append(b, " allowed="...)
+	allowedLo := len(b)
+	b = strconv.AppendBool(b, allowed)
+
+	// In key order, as a Fields map's fields are stored.
+	fs := [...]fieldIn{
+		{key: keyAction, lo: actionLo, hi: actionHi, inMsg: true},
+		{key: keyAllowed, lo: allowedLo, hi: len(b), inMsg: true},
+		{key: keyKeyID, lo: keyLo, hi: keyHi, inMsg: true},
+		{key: keyPrincipal, lo: len("principal="), hi: principalHi, inMsg: true},
 	}
-	keys := sortutil.SortedKeys(m)
-	fs := make([]fieldIn, len(keys))
-	for i, k := range keys {
-		fs[i] = fieldIn{key: s.keys.IDLocked(k), val: m[k]}
-	}
-	return fs
+	s.mu.Lock()
+	g := s.ensureGroupLocked(LogGroupKMSAudit)
+	s.appendLocked(g, s.ensureStreamLocked(g, "audit"), at, unsafe.String(unsafe.SliceData(b), len(b)), fs[:])
+	s.mu.Unlock()
 }
 
 // appendLocked lands one event in a stream's columns, stamping a zero

@@ -54,7 +54,8 @@ func (notesApp) Handler() lambda.Handler {
 			if !found {
 				return lambda.Response{Status: 404}, nil
 			}
-			return lambda.Response{Status: 200, Body: pt}, nil
+			// pt is zeroed when the invocation ends.
+			return lambda.Response{Status: 200, Body: bytes.Clone(pt)}, nil
 		case "leak":
 			// A buggy/malicious op that tries to store plaintext.
 			err := env.S3().Put(env.Ctx(), v.Bucket(), "leaked", ev.Body)

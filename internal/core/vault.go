@@ -65,17 +65,36 @@ func Get(env *lambda.Env, name string) (blob []byte, found bool, err error) {
 	return obj.Data, true, nil
 }
 
-// Load is Get, then opens the object with aad = name.
+// Load is Get, then Open with aad = name. The plaintext lives in the
+// container's arena (lambda.Env.Scratch) and is zeroed when the
+// invocation ends: a handler that returns it, or keeps it or a string
+// decoded from it past the invocation, copies it first (DESIGN §5).
 func (v *Vault) Load(name string) (plaintext []byte, found bool, err error) {
 	blob, found, err := Get(v.env, name)
 	if !found || err != nil {
 		return nil, found, err
 	}
-	pt, err := v.key.Open(blob, []byte(name))
+	pt, err := v.Open(blob, name)
 	if err != nil {
-		return nil, false, fmt.Errorf("core: opening %s: %w", name, err)
+		return nil, false, err
 	}
 	return pt, true, nil
+}
+
+// Open opens blob, sealed under the vault's key with aad = name, into
+// the container's arena, as Load does for what it reads from the
+// bucket: the path for sealed state kept outside it, such as table
+// items.
+func (v *Vault) Open(blob []byte, name string) ([]byte, error) {
+	// The aad goes in the arena too: a []byte(name) passed through the
+	// AEAD interface would be a heap copy per call.
+	buf := v.env.Scratch(len(name) + max(len(blob)-envelope.Header-envelope.Overhead, 0))
+	aad := append(buf, name...)
+	pt, err := v.key.OpenTo(aad[len(aad):], blob, aad[:len(aad):len(aad)])
+	if err != nil {
+		return nil, fmt.Errorf("core: opening %s: %w", name, err)
+	}
+	return pt, nil
 }
 
 // Save seals buf (an envelope.NewBuffer the plaintext was appended to)

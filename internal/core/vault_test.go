@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/cloudsim/iam"
+	"repro/internal/cloudsim/lambda"
 	"repro/internal/cloudsim/s3"
 	"repro/internal/cloudsim/sim"
 	"repro/internal/crypto/envelope"
@@ -83,5 +85,60 @@ func TestVaultLoad(t *testing.T) {
 	resp, _, err = d.Invoke(d.ClientContext(), "get", nil)
 	if !errors.Is(err, envelope.ErrCorrupt) || resp.Status != 500 {
 		t.Fatalf("moved blob: status %d, err %v; want 500 and ErrCorrupt", resp.Status, err)
+	}
+}
+
+// loadProbe is a test app whose "measure" op counts, inside one
+// invocation, the allocations of a Vault.Load of the note and of the
+// Get under it.
+type loadProbe struct{ load, get *float64 }
+
+func (loadProbe) Name() string  { return "probe" }
+func (loadProbe) Spec() AppSpec { return notesApp{}.Spec() }
+func (p loadProbe) Handler() lambda.Handler {
+	return func(env *lambda.Env, ev lambda.Event) (lambda.Response, error) {
+		v, err := OpenVault(env)
+		if err != nil {
+			return lambda.Response{Status: 500}, err
+		}
+		if ev.Op == "put" {
+			return lambda.Response{Status: 200}, v.Put("note", ev.Body)
+		}
+		var lerr error
+		*p.load = testing.AllocsPerRun(20, func() {
+			if _, found, err := v.Load("note"); !found || err != nil {
+				lerr = fmt.Errorf("load: found %v, %v", found, err)
+			}
+		})
+		*p.get = testing.AllocsPerRun(20, func() {
+			if _, found, err := Get(env, "note"); !found || err != nil {
+				lerr = fmt.Errorf("get: found %v, %v", found, err)
+			}
+		})
+		return lambda.Response{Status: 200}, lerr
+	}
+}
+
+// A warm Vault.Load opens into the container's arena: it allocates
+// exactly what the Get under it allocates, nothing for the plaintext.
+// The first invocations size the arena for the measuring loop's loads;
+// the third is measured.
+func TestVaultLoadWarmAllocs(t *testing.T) {
+	c := newCloud(t, "aws-sim")
+	var load, get float64
+	d, err := Install(c, "alice", loadProbe{load: &load, get: &get})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, _, err := d.Invoke(d.ClientContext(), "put", bytes.Repeat([]byte("sealed state "), 1000)); err != nil || resp.Status != 200 {
+		t.Fatalf("put: status %d, %v", resp.Status, err)
+	}
+	for run := 0; run < 3; run++ {
+		if resp, _, err := d.Invoke(d.ClientContext(), "measure", nil); err != nil || resp.Status != 200 {
+			t.Fatalf("measure: status %d, %v", resp.Status, err)
+		}
+	}
+	if load != get {
+		t.Fatalf("warm Vault.Load: %v allocs, its Get %v: want exactly equal, the plaintext in the arena", load, get)
 	}
 }

@@ -119,7 +119,13 @@ func writeHeader(blob []byte) ([]byte, error) {
 
 // Open decrypts a blob produced by Seal or SealInPlace under the same
 // key and aad. The plaintext is the only allocation.
-func (k Key) Open(blob, aad []byte) ([]byte, error) {
+func (k Key) Open(blob, aad []byte) ([]byte, error) { return k.OpenTo(nil, blob, aad) }
+
+// OpenTo decrypts as Open does and appends the plaintext to dst,
+// returning the extended slice. With len(blob)-Header-Overhead bytes of
+// spare capacity in dst it allocates nothing. On failure it returns nil
+// and leaves dst[:len(dst)] as it was.
+func (k Key) OpenTo(dst, blob, aad []byte) ([]byte, error) {
 	if !IsSealed(blob) {
 		return nil, ErrNotSealed
 	}
@@ -127,7 +133,7 @@ func (k Key) Open(blob, aad []byte) ([]byte, error) {
 		return nil, ErrCorrupt
 	}
 	nonce, ct := blob[len(magic):Header], blob[Header:]
-	pt, err := k.aead.Open(nil, nonce, ct, aad)
+	pt, err := k.aead.Open(dst, nonce, ct, aad)
 	if err != nil {
 		return nil, ErrCorrupt
 	}

@@ -268,4 +268,11 @@ func TestSealOpenAllocs(t *testing.T) {
 	if got := allocsOf(t, func() error { _, err := key.Open(blob, aad); return err }); got != 1 {
 		t.Errorf("Open of %d bytes: %v allocs, want exactly 1", len(pt), got)
 	}
+	dst := make([]byte, 0, len(pt))
+	if got := allocsOf(t, func() error { _, err := key.OpenTo(dst, blob, aad); return err }); got != 0 {
+		t.Errorf("OpenTo of %d bytes into a dst with room: %v allocs, want exactly 0", len(pt), got)
+	}
+	if got := allocsOf(t, func() error { _, err := key.OpenTo(dst[:0:len(pt)-1], blob, aad); return err }); got != 1 {
+		t.Errorf("OpenTo of %d bytes into a dst one byte short: %v allocs, want exactly 1", len(pt), got)
+	}
 }

@@ -6,20 +6,45 @@ import (
 )
 
 // FuzzOpen checks that arbitrary blobs never panic the opener and
-// never decrypt successfully under a fresh key.
+// never decrypt successfully under a fresh key, and that OpenTo is
+// append(dst, Open(...)...): with sealIt the fuzzed bytes are sealed
+// first, so the equality is checked on blobs that open as well as on
+// blobs that fail, and a failed OpenTo leaves dst[:len(dst)] as it was.
 func FuzzOpen(f *testing.F) {
 	key := mustKey(f)
 	sealed, err := key.Seal([]byte("seed plaintext"), nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(sealed)
-	f.Add([]byte("DIY\x01 garbage"))
-	f.Add([]byte(""))
-	f.Fuzz(func(t *testing.T, blob []byte) {
+	f.Add(sealed, []byte("prefix"), uint8(14), false)
+	f.Add(sealed, []byte(nil), uint8(0), false)
+	f.Add([]byte("DIY\x01 garbage"), []byte("prefix"), uint8(64), false)
+	f.Add([]byte(""), []byte(""), uint8(0), false)
+	f.Add([]byte("room document"), []byte("kept"), uint8(13), true)
+	f.Fuzz(func(t *testing.T, blob, dst []byte, spare uint8, sealIt bool) {
 		fresh := mustKey(t)
 		if pt, err := fresh.Open(blob, nil); err == nil {
 			t.Fatalf("random blob opened under a fresh key: %q", pt)
+		}
+		if sealIt {
+			if blob, err = key.Seal(blob, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, werr := key.Open(blob, nil)
+		buf := append(make([]byte, 0, len(dst)+int(spare)), dst...)
+		got, gerr := key.OpenTo(buf, blob, nil)
+		if werr != nil {
+			if gerr != werr || got != nil {
+				t.Fatalf("OpenTo = %q, %v; Open failed with %v", got, gerr, werr)
+			}
+			if !bytes.Equal(buf, dst) {
+				t.Fatalf("failed OpenTo changed dst: %q, was %q", buf, dst)
+			}
+			return
+		}
+		if gerr != nil || !bytes.Equal(got, append(dst, want...)) {
+			t.Fatalf("OpenTo = %q, %v; want %q", got, gerr, append(dst, want...))
 		}
 	})
 }

@@ -88,7 +88,7 @@ diff cmd/diyctl/testdata/trace_fleet.golden "$LOG1"
 go run ./cmd/diyctl trace >"$LOG2"
 diff cmd/diyctl/testdata/trace.golden "$LOG2"
 
-echo ">> fuzz smoke (each hand-written codec against its stdlib oracle, encoding/json or encoding/xml, the room-doc and mailbox splices against decode-append-encode, envelope.Key's Open and SealInPlace, then the telemetry stores: log ingest against a plain-string model, Insights Query against the test-side row reference, before and after stats and over a fuzzed event message, and the X-Ray filter grammar; 10 s per fuzzer; -fuzzminimizetime 1x keeps minimization from eating the 10 s)"
+echo ">> fuzz smoke (each hand-written codec against its stdlib oracle, encoding/json or encoding/xml, the room-doc and mailbox splices against decode-append-encode, envelope.Key's Open (OpenTo against append(dst, Open)) and SealInPlace, IAM's in-place Match against the strings.Split matcher, then the telemetry stores: log ingest against a plain-string model, Insights Query against the test-side row reference, before and after stats and over a fuzzed event message, and the X-Ray filter grammar; 10 s per fuzzer; -fuzzminimizetime 1x keeps minimization from eating the 10 s)"
 go test -run '^$' -fuzz '^FuzzAppendString$' -fuzztime 10s -fuzzminimizetime 1x ./internal/canonjson
 go test -run '^$' -fuzz '^FuzzRoomDocCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/chat
 go test -run '^$' -fuzz '^FuzzRoomDocSplice$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/chat
@@ -101,6 +101,7 @@ go test -run '^$' -fuzz '^FuzzReportDecode$' -fuzztime 10s -fuzzminimizetime 1x 
 go test -run '^$' -fuzz '^FuzzStanzaCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/proto/xmpp
 go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s -fuzzminimizetime 1x ./internal/crypto/envelope
 go test -run '^$' -fuzz '^FuzzSealInPlace$' -fuzztime 10s -fuzzminimizetime 1x ./internal/crypto/envelope
+go test -run '^$' -fuzz '^FuzzMatch$' -fuzztime 10s -fuzzminimizetime 1x ./internal/cloudsim/iam
 go test -run '^$' -fuzz '^FuzzIngestRoundTrip$' -fuzztime 10s -fuzzminimizetime 1x ./internal/cloudsim/logs
 go test -run '^$' -fuzz '^FuzzInsightsQuery$' -fuzztime 10s -fuzzminimizetime 1x ./internal/cloudsim/logs
 go test -run '^$' -fuzz '^FuzzTraceQuery$' -fuzztime 10s -fuzzminimizetime 1x ./internal/cloudsim/trace
