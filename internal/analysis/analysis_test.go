@@ -43,6 +43,8 @@ var fixtureDirs = []string{
 	"internal/cloudsim/trace/storegood",
 	"internal/cloudsim/lambda/linesbad",
 	"internal/cloudsim/lambda/linesgood",
+	"internal/cloudsim/plane/dobad",
+	"internal/cloudsim/plane/dogood",
 	"internal/cloudsim/errbad",
 	"internal/cloudsim/errgood",
 	"internal/cloudsim/mapbad",
@@ -131,6 +133,9 @@ var goldenCases = []struct {
 	// hotpath over the lambda platform's per-invocation log lines:
 	// writeLogLines as the reachability root.
 	{HotPath, "internal/cloudsim/lambda/linesbad", "internal/cloudsim/lambda/linesgood", "hotpathlambda"},
+	// hotpath over the request plane's per-call path: Do and DoHandler
+	// as the reachability roots.
+	{HotPath, "internal/cloudsim/plane/dobad", "internal/cloudsim/plane/dogood", "hotpathplane"},
 }
 
 // TestGolden runs each analyzer over its positive and negative fixture

@@ -23,9 +23,11 @@ import (
 //     internal/cloudsim/lambda, writeLogLines, and in
 //     internal/cloudsim/logs, AppendLambdaLines, run per invocation:
 //     the platform's START/END/REPORT lines; in internal/cloudsim/logs,
-//     AppendKMSAudit runs per KMS call: the kms/audit event. Every
-//     same-package function they can reach is on the path too. Reads (Query,
-//     ServiceMap, rendering) are off-path and may format.
+//     AppendKMSAudit runs per KMS call: the kms/audit event; in
+//     internal/cloudsim/plane, Do and DoHandler run per service call on
+//     every flow, traced or not. Every same-package function they can
+//     reach is on the path too. Reads (Query, ServiceMap, rendering)
+//     are off-path and may format.
 //
 //   - In internal/fleet scopes, the control tower's Observe* hooks —
 //     and every same-package function they can reach — run per
@@ -40,37 +42,41 @@ import (
 // regress the hot path.
 var HotPath = &Analyzer{
 	Name: "hotpath",
-	Doc:  "PlaneInterceptor bodies, the trace, lambda-log and KMS-audit write paths, fleet-telemetry Observe hooks, and their same-package callees must not call fmt.Sprint* or build map literals; intern names and handles instead",
+	Doc:  "PlaneInterceptor bodies, the request plane's per-call path, the trace, lambda-log and KMS-audit write paths, fleet-telemetry Observe hooks, and their same-package callees must not call fmt.Sprint* or build map literals; intern names and handles instead",
 	Run:  runHotPath,
 }
 
-// writePaths are the per-event telemetry write entry points outside
-// the plane interceptors, by package scope. hotpath roots them, and the
-// substrate adds them to the concurrency seams shardsafe guards
-// (Facts.ReachWritePath).
+// writePaths are the per-event write entry points outside the plane
+// interceptors, by package scope. hotpath roots them all; the substrate
+// adds those that write telemetry stores to the concurrency seams
+// shardsafe guards (Facts.ReachWritePath). The request plane's call
+// path is hot but not such a seam: it writes the calling flow's own
+// cursor, context and Request.
 var writePaths = []struct {
-	dir   string   // module-relative package directory
-	seam  string   // how a finding names the seam
-	roots []string // entry points, by function or method name
+	dir     string   // module-relative package directory
+	seam    string   // how a finding names the seam
+	roots   []string // entry points, by function or method name
+	perFlow bool     // writes only flow-private state; not a shardsafe seam
 }{
-	{"internal/cloudsim/trace", "the trace-store publish path", []string{"Record", "Decide", "New", "StartChild", "Annotate", "AddUsage", "Finish"}},
-	{"internal/cloudsim/lambda", "the lambda platform's per-invocation log lines", []string{"writeLogLines"}},
-	{"internal/cloudsim/logs", "the lambda platform's per-invocation log lines", []string{"AppendLambdaLines"}},
-	{"internal/cloudsim/logs", "the KMS audit log", []string{"AppendKMSAudit"}},
+	{"internal/cloudsim/trace", "the trace-store publish path", []string{"Record", "Decide", "New", "StartChild", "Annotate", "AddUsage", "Finish"}, false},
+	{"internal/cloudsim/lambda", "the lambda platform's per-invocation log lines", []string{"writeLogLines"}, false},
+	{"internal/cloudsim/logs", "the lambda platform's per-invocation log lines", []string{"AppendLambdaLines"}, false},
+	{"internal/cloudsim/logs", "the KMS audit log", []string{"AppendKMSAudit"}, false},
+	{"internal/cloudsim/plane", "the request plane's per-call path", []string{"Do", "DoHandler"}, true},
 }
 
-// writePathRoot reports whether n is a write-path entry point, and the
-// seam it roots.
-func writePathRoot(n *Node) (seam string, ok bool) {
+// writePathRoot reports whether n is a write-path entry point, the
+// seam it roots, and whether that path writes only flow-private state.
+func writePathRoot(n *Node) (seam string, perFlow, ok bool) {
 	if n.Fn == nil {
-		return "", false
+		return "", false, false
 	}
 	for _, w := range writePaths {
 		if pathWithin(n.Pkg.Path, w.dir) && slices.Contains(w.roots, n.Fn.Name()) {
-			return w.seam, true
+			return w.seam, w.perFlow, true
 		}
 	}
-	return "", false
+	return "", false, false
 }
 
 // sprintFuncs are the fmt formatters that allocate a string per call.
@@ -103,7 +109,7 @@ func runHotPath(p *Pass) {
 		}
 		switch {
 		case pathWithin(p.Pkg.Path, "internal/cloudsim"):
-			if name, ok := writePathRoot(n); ok {
+			if name, _, ok := writePathRoot(n); ok {
 				add(name, n)
 			} else if n.Fn.Name() == "PlaneInterceptor" {
 				add("PlaneInterceptor", n)

@@ -1,12 +1,14 @@
 package analysis
 
 import (
+	"go/types"
 	"strings"
 )
 
 // PlaneRoute guards the request-plane unification: every exported
 // cloudsim service method that accepts a *sim.Context must route the
-// call through plane.Do — directly or via a same-package helper — so
+// call through plane.Do (or DoHandler) — directly or via a
+// same-package helper — so
 // the fixed trace/auth/latency/meter pipeline cannot be bypassed by a
 // service quietly reverting to a bespoke begin path. Deliberate
 // exceptions (e.g. the lambda connection suspend/billing paths, whose
@@ -40,7 +42,7 @@ func runPlaneRoute(p *Pass) {
 			if callee == nil || callee.Pkg() == nil {
 				continue
 			}
-			if callee.Name() == "Do" && strings.HasSuffix(callee.Pkg().Path(), "internal/cloudsim/plane") {
+			if isPlaneDo(callee) {
 				return true
 			}
 		}
@@ -62,4 +64,11 @@ func runPlaneRoute(p *Pass) {
 			"exported method %s accepts a *sim.Context but never routes through plane.Do; service calls must pass the request plane (trace, auth, latency, metering) or carry a .diylint-allow justification",
 			n.Fn.Name())
 	}
+}
+
+// isPlaneDo reports whether fn is one of the request plane's entry
+// points, (*plane.Plane).Do or DoHandler.
+func isPlaneDo(fn *types.Func) bool {
+	return (fn.Name() == "Do" || fn.Name() == "DoHandler") &&
+		strings.HasSuffix(fn.Pkg().Path(), "internal/cloudsim/plane")
 }

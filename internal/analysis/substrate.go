@@ -120,7 +120,7 @@ type Facts struct {
 	// potentially concurrently with every shard.
 	ReachInterceptor map[*Node]bool
 	// ReachHandler marks nodes reachable from a service handler passed
-	// to plane.Do: the per-call state-mutating stage.
+	// to plane.Do or DoHandler: the per-call state-mutating stage.
 	ReachHandler map[*Node]bool
 	// ReachFleet marks nodes reachable (within the fleet scope) from a
 	// goroutine body spawned inside internal/fleet: the shard workers
@@ -244,7 +244,7 @@ func ComputeFacts(prog *Program) *Facts {
 
 	var writeRoots []*Node
 	for _, n := range b.graph.Nodes {
-		if _, ok := writePathRoot(n); ok {
+		if _, perFlow, ok := writePathRoot(n); ok && !perFlow {
 			writeRoots = append(writeRoots, n)
 		}
 	}
@@ -670,8 +670,9 @@ func (w *bodyWalker) call(n *ast.CallExpr, cur *Node) {
 	switch {
 	case callee.Name() == "Use" && strings.HasSuffix(callee.Pkg().Path(), "internal/cloudsim/plane"):
 		w.b.interceptorRoots = append(w.b.interceptorRoots, w.argNodes(n.Args)...)
-	case callee.Name() == "Do" && strings.HasSuffix(callee.Pkg().Path(), "internal/cloudsim/plane"):
+	case isPlaneDo(callee):
 		w.b.handlerRoots = append(w.b.handlerRoots, w.argNodes(n.Args)...)
+		w.b.handlerRoots = append(w.b.handlerRoots, w.handleMethods(n.Args)...)
 	}
 	// A pointer-receiver method call on an addressable package-level
 	// variable implicitly takes its address (sync.Pool.Get,
@@ -711,6 +712,25 @@ func (w *bodyWalker) argNodes(args []ast.Expr) []*Node {
 				if n, ok := w.b.graph.ByFn[fn]; ok {
 					out = append(out, n)
 				}
+			}
+		}
+	}
+	return out
+}
+
+// handleMethods resolves the Handle method of each argument's static
+// type: the handler stage of a DoHandler call.
+func (w *bodyWalker) handleMethods(args []ast.Expr) []*Node {
+	var out []*Node
+	for _, a := range args {
+		t := w.pkg.Info.TypeOf(a)
+		if t == nil || types.IsInterface(t) {
+			continue
+		}
+		obj, _, _ := types.LookupFieldOrMethod(t, true, w.pkg.Types, "Handle")
+		if fn, ok := obj.(*types.Func); ok {
+			if n, ok := w.b.graph.ByFn[fn]; ok {
+				out = append(out, n)
 			}
 		}
 	}

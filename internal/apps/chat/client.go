@@ -218,7 +218,7 @@ func (c *Client) Receive(ctx *sim.Context, wait time.Duration) ([]*xmpp.Message,
 // instant, for measuring delivery latency against a send timestamp.
 func (c *Client) PollContext(at time.Time) *sim.Context {
 	ctx := c.d.ClientContext()
-	ctx.Cursor = sim.NewCursor(at)
+	*ctx.Cursor = sim.CursorAt(at)
 	return ctx
 }
 

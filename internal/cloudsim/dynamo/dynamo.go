@@ -107,27 +107,28 @@ func New(iamSvc *iam.Service, meter *pricing.Meter, model *netsim.Model, clk *cl
 func (s *Service) Plane() *plane.Plane { return s.pl }
 
 // call builds the plane descriptor for one table op: a quarter of an
-// S3 hop with the same memory coupling, priced in capacity units.
-func call(action, tableName string, rcu, wcu float64) *plane.Call {
-	c := &plane.Call{
+// S3 hop with the same memory coupling, priced in capacity units of
+// the given kind.
+func call(action, tableName string, kind pricing.Kind, units float64) plane.Call {
+	c := plane.Call{
 		Service:     "dynamo",
 		Op:          action,
 		Action:      action,
-		Resource:    Resource(tableName),
-		Annotations: []trace.Annotation{{Key: "table", Value: tableName}},
-		Latency:     &plane.Latency{Hop: netsim.HopS3, Scale: 0.25, MemoryCoupled: true},
+		Resource:    iam.Resource{resourcePrefix, tableName},
+		Annotations: [2]trace.Annotation{{Key: "table", Value: tableName}},
+		Latency:     plane.Latency{On: true, Hop: netsim.HopS3, Scale: 0.25, MemoryCoupled: true},
 	}
-	if rcu > 0 {
-		c.Usage = append(c.Usage, pricing.Usage{Kind: pricing.DynamoRCU, Quantity: rcu})
-	}
-	if wcu > 0 {
-		c.Usage = append(c.Usage, pricing.Usage{Kind: pricing.DynamoWCU, Quantity: wcu})
+	if units > 0 {
+		c.Fee = pricing.Usage{Kind: kind, Quantity: units}
 	}
 	return c
 }
 
+// resourcePrefix starts every table's IAM resource name.
+const resourcePrefix = "table/"
+
 // Resource returns the IAM resource string for a table.
-func Resource(name string) string { return "table/" + name }
+func Resource(name string) string { return resourcePrefix + name }
 
 // CreateTable provisions an empty table.
 func (s *Service) CreateTable(name string) error {
@@ -188,7 +189,8 @@ func (s *Service) Get(ctx *sim.Context, tableName, key string) (*Item, error) {
 	}
 	s.mu.Unlock()
 	var out *Item
-	err := s.pl.Do(ctx, call(ActionGet, tableName, readUnits(size), 0), func(*plane.Request) error {
+	c := call(ActionGet, tableName, pricing.DynamoRCU, readUnits(size))
+	err := s.pl.Do(ctx, &c, func(*plane.Request) error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		t, ok := s.tables[tableName]
@@ -225,7 +227,8 @@ func (s *Service) PutIfVersion(ctx *sim.Context, tableName, key string, value []
 }
 
 func (s *Service) put(ctx *sim.Context, tableName, key string, value []byte, expect int64) error {
-	return s.pl.Do(ctx, call(ActionPut, tableName, 0, writeUnits(len(value))), func(*plane.Request) error {
+	c := call(ActionPut, tableName, pricing.DynamoWCU, writeUnits(len(value)))
+	return s.pl.Do(ctx, &c, func(*plane.Request) error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		t, ok := s.tables[tableName]
@@ -271,7 +274,8 @@ func (s *Service) put(ctx *sim.Context, tableName, key string, value []byte, exp
 // Query returns the keys with the given prefix, sorted.
 func (s *Service) Query(ctx *sim.Context, tableName, prefix string) ([]string, error) {
 	var keys []string
-	err := s.pl.Do(ctx, call(ActionQuery, tableName, 1, 0), func(*plane.Request) error {
+	c := call(ActionQuery, tableName, pricing.DynamoRCU, 1)
+	err := s.pl.Do(ctx, &c, func(*plane.Request) error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		t, ok := s.tables[tableName]

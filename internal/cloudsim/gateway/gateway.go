@@ -143,70 +143,83 @@ func (s *Service) Stats(path string) (EndpointStats, bool) {
 // throttle, and the function invocation, metering the response payload
 // as internet transfer out for external callers.
 func (s *Service) Handle(ctx *sim.Context, req Request) (lambda.Response, lambda.InvocationStats, error) {
-	var resp lambda.Response
-	var stats lambda.InvocationStats
 	// The throttle runs before any latency is paid and the two wire
 	// legs bracket the invocation, so the whole call body is the
 	// handler stage: the plane contributes the span and the seam.
-	err := s.pl.Do(ctx, &plane.Call{Service: "gateway", Op: req.Path, Nest: true}, func(preq *plane.Request) error {
-		sp := preq.Span
-		now := s.instant(ctx)
-		s.mu.Lock()
-		ep, ok := s.endpoints[req.Path]
-		if !ok {
-			s.mu.Unlock()
-			sp.Annotate("error", "no-such-endpoint")
-			return fmt.Errorf("gateway: %q: %w", req.Path, ErrNoSuchEndpoint)
-		}
-		if !ep.take(now) {
-			s.throttled++
-			ep.rejected++
-			s.mu.Unlock()
-			sp.Annotate("error", "throttled")
-			resp = lambda.Response{Status: http.StatusTooManyRequests}
-			return fmt.Errorf("gateway: %q: %w", req.Path, ErrThrottled)
-		}
-		ep.requests++
-		fnName := ep.fnName
-		s.mu.Unlock()
+	c := plane.Call{Service: "gateway", Op: req.Path, Nest: true}
+	op := &handleOp{s: s, ctx: ctx, req: req}
+	err := s.pl.DoHandler(ctx, &c, op)
+	return op.resp, op.stats, err
+}
 
-		// Client -> gateway leg (TLS-protected on the real platform).
-		if s.model != nil && ctx != nil {
+// handleOp is one Handle's handler stage, holding the response and
+// stats it returns.
+type handleOp struct {
+	s     *Service
+	ctx   *sim.Context
+	req   Request
+	resp  lambda.Response
+	stats lambda.InvocationStats
+}
+
+func (op *handleOp) Handle(preq *plane.Request) error {
+	s, ctx, req := op.s, op.ctx, &op.req
+	sp := preq.Span
+	now := s.instant(ctx)
+	s.mu.Lock()
+	ep, ok := s.endpoints[req.Path]
+	if !ok {
+		s.mu.Unlock()
+		sp.Annotate("error", "no-such-endpoint")
+		return fmt.Errorf("gateway: %q: %w", req.Path, ErrNoSuchEndpoint)
+	}
+	if !ep.take(now) {
+		s.throttled++
+		ep.rejected++
+		s.mu.Unlock()
+		sp.Annotate("error", "throttled")
+		op.resp = lambda.Response{Status: http.StatusTooManyRequests}
+		return fmt.Errorf("gateway: %q: %w", req.Path, ErrThrottled)
+	}
+	ep.requests++
+	fnName := ep.fnName
+	s.mu.Unlock()
+
+	// Client -> gateway leg (TLS-protected on the real platform).
+	if s.model != nil && ctx != nil {
+		ctx.Advance(s.model.Sample(netsim.HopClientGateway))
+	}
+
+	var err error
+	op.resp, op.stats, err = s.platform.Invoke(ctx, fnName, lambda.Event{
+		Source: "https",
+		Path:   req.Path,
+		Op:     req.Op,
+		Body:   req.Body,
+		Attrs:  req.Attrs,
+	})
+	s.mu.Lock()
+	if e, ok := s.endpoints[req.Path]; ok {
+		e.totalTime += op.stats.RunTime
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+
+	// Gateway -> client leg plus egress billing.
+	if ctx != nil && ctx.External {
+		if s.model != nil {
 			ctx.Advance(s.model.Sample(netsim.HopClientGateway))
 		}
-
-		var err error
-		resp, stats, err = s.platform.Invoke(ctx, fnName, lambda.Event{
-			Source: "https",
-			Path:   req.Path,
-			Op:     req.Op,
-			Body:   req.Body,
-			Attrs:  req.Attrs,
-		})
-		s.mu.Lock()
-		if e, ok := s.endpoints[req.Path]; ok {
-			e.totalTime += stats.RunTime
+		if n := len(op.resp.Body); n > 0 {
+			preq.MeterUsage(pricing.Usage{
+				Kind:     pricing.TransferOutGB,
+				Quantity: float64(n) / 1e9,
+			})
 		}
-		s.mu.Unlock()
-		if err != nil {
-			return err
-		}
-
-		// Gateway -> client leg plus egress billing.
-		if ctx != nil && ctx.External {
-			if s.model != nil {
-				ctx.Advance(s.model.Sample(netsim.HopClientGateway))
-			}
-			if n := len(resp.Body); n > 0 {
-				preq.MeterUsage(pricing.Usage{
-					Kind:     pricing.TransferOutGB,
-					Quantity: float64(n) / 1e9,
-				})
-			}
-		}
-		return nil
-	})
-	return resp, stats, err
+	}
+	return nil
 }
 
 // take consumes one token, refilling by elapsed time since the last

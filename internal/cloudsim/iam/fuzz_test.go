@@ -7,7 +7,8 @@ import (
 
 // FuzzMatch checks the pattern matcher never panics, holds its basic
 // laws ("*" matches everything; a literal matches itself), and agrees
-// with splitMatch, the strings.Split matcher it replaced.
+// with splitMatch, the strings.Split matcher it replaced, on both forms
+// of the value: an action string and a joined []byte resource name.
 func FuzzMatch(f *testing.F) {
 	f.Add("kms:*", "kms:Decrypt")
 	f.Add("bucket/*/audit", "bucket/a/audit")
@@ -17,19 +18,23 @@ func FuzzMatch(f *testing.F) {
 	f.Add("*ab*b", "abb")
 	f.Add("b*/*/x*", "bucket/alice-chat/x")
 	f.Fuzz(func(t *testing.T, pattern, value string) {
-		if got, want := Match(pattern, value), splitMatch(pattern, value); got != want {
-			t.Fatalf("Match(%q, %q) = %v, split matcher says %v", pattern, value, got, want)
+		want := splitMatch(pattern, value)
+		if got := match(pattern, value); got != want {
+			t.Fatalf("match(%q, %q) = %v, split matcher says %v", pattern, value, got, want)
 		}
-		if !Match("*", value) {
+		if got := match(pattern, []byte(value)); got != want {
+			t.Fatalf("match(%q, []byte(%q)) = %v, split matcher says %v", pattern, value, got, want)
+		}
+		if !match("*", value) {
 			t.Fatalf("* failed to match %q", value)
 		}
-		if !strings.Contains(value, "*") && !Match(value, value) {
+		if !strings.Contains(value, "*") && !match(value, value) {
 			t.Fatalf("literal %q failed to match itself", value)
 		}
 	})
 }
 
-// splitMatch is Match as it was written first, splitting the pattern
+// splitMatch is match as it was written first, splitting the pattern
 // at every '*': the reference FuzzMatch holds the in-place walk to.
 func splitMatch(pattern, value string) bool {
 	if pattern == "*" {

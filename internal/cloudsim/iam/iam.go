@@ -89,16 +89,25 @@ func (s *Service) Role(name string) (*Role, bool) {
 	return r, ok
 }
 
+// Resource is an IAM resource name held as up to four parts whose
+// concatenation is the name, so a caller can name an object as
+// Resource{"bucket/", bucket, "/", key} without building the string.
+type Resource [4]string
+
 // Authorize evaluates whether the principal (a role name) may perform
-// action on resource. It returns nil if allowed and an error wrapping
-// ErrDenied otherwise.
-func (s *Service) Authorize(principal, action, resource string) error {
+// action on resource r. It returns nil if allowed and an error wrapping
+// ErrDenied otherwise. The resource name is joined in a stack buffer
+// and copied into a string only to build a denial's error, so an
+// allowed request allocates nothing.
+func (s *Service) Authorize(principal, action string, r Resource) error {
+	var buf [128]byte
+	resource := append(append(append(append(buf[:0], r[0]...), r[1]...), r[2]...), r[3]...)
 	s.mu.RLock()
 	role, ok := s.roles[principal]
 	s.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("iam: unknown principal %q performing %s on %s: %w",
-			principal, action, resource, ErrDenied)
+			principal, action, string(resource), ErrDenied)
 	}
 	allowed := false
 	for _, p := range role.Policies {
@@ -108,59 +117,70 @@ func (s *Service) Authorize(principal, action, resource string) error {
 			}
 			if st.Effect == Deny {
 				return fmt.Errorf("iam: %q explicitly denied %s on %s by policy %q: %w",
-					principal, action, resource, p.Name, ErrDenied)
+					principal, action, string(resource), p.Name, ErrDenied)
 			}
 			allowed = true
 		}
 	}
 	if !allowed {
 		return fmt.Errorf("iam: %q has no policy allowing %s on %s: %w",
-			principal, action, resource, ErrDenied)
+			principal, action, string(resource), ErrDenied)
 	}
 	return nil
 }
 
 // matchAny reports whether any pattern matches the value.
-func matchAny(patterns []string, value string) bool {
+func matchAny[V string | []byte](patterns []string, value V) bool {
 	for _, p := range patterns {
-		if Match(p, value) {
+		if match(p, value) {
 			return true
 		}
 	}
 	return false
 }
 
-// Match reports whether an IAM-style pattern matches a value. '*'
-// matches any run of characters (including '/'); all other characters
-// match literally. The empty pattern matches only the empty value.
+// match reports whether an IAM-style pattern matches a value, an
+// action string or a joined resource name. '*' matches any run of
+// characters (including '/'); all other characters match literally.
+// The empty pattern matches only the empty value.
 //
 // It walks the pattern's '*'-separated segments in place, so it
 // allocates nothing: the first segment must prefix the value, each
 // middle one must follow at its leftmost position, and the last must
 // end it.
-func Match(pattern, value string) bool {
+func match[V string | []byte](pattern string, value V) bool {
 	if pattern == "*" {
 		return true
 	}
 	star := strings.IndexByte(pattern, '*')
 	if star < 0 {
-		return pattern == value
+		return string(value) == pattern
 	}
-	if !strings.HasPrefix(value, pattern[:star]) {
+	if len(value) < star || string(value[:star]) != pattern[:star] {
 		return false
 	}
 	value, pattern = value[star:], pattern[star+1:]
 	for {
 		star = strings.IndexByte(pattern, '*')
 		if star < 0 {
-			return strings.HasSuffix(value, pattern)
+			return len(value) >= len(pattern) && string(value[len(value)-len(pattern):]) == pattern
 		}
-		i := strings.Index(value, pattern[:star])
+		i := index(value, pattern[:star])
 		if i < 0 {
 			return false
 		}
 		value, pattern = value[i+star:], pattern[star+1:]
 	}
+}
+
+// index is the leftmost position of sub in value, or -1.
+func index[V string | []byte](value V, sub string) int {
+	for i := 0; i+len(sub) <= len(value); i++ {
+		if string(value[i:i+len(sub)]) == sub {
+			return i
+		}
+	}
+	return -1
 }
 
 // AllowStatement is a convenience constructor for an Allow statement.

@@ -2,6 +2,7 @@ package iam
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -38,10 +39,10 @@ func newTestService(t *testing.T) *Service {
 
 func TestAuthorizeAllow(t *testing.T) {
 	s := newTestService(t)
-	if err := s.Authorize("chat-fn", "kms:Decrypt", "key/alice-chat"); err != nil {
+	if err := s.Authorize("chat-fn", "kms:Decrypt", Resource{"key/alice-chat"}); err != nil {
 		t.Fatalf("expected allow, got %v", err)
 	}
-	if err := s.Authorize("chat-fn", "s3:GetObject", "bucket/alice-chat/room/1"); err != nil {
+	if err := s.Authorize("chat-fn", "s3:GetObject", Resource{"bucket/alice-chat/room/1"}); err != nil {
 		t.Fatalf("wildcard action/resource should allow, got %v", err)
 	}
 }
@@ -55,7 +56,7 @@ func TestAuthorizeAllowAllocs(t *testing.T) {
 		{"s3:GetObject", "bucket/alice-chat/room/1"},
 	} {
 		got := testing.AllocsPerRun(100, func() {
-			if err := s.Authorize("chat-fn", c.action, c.resource); err != nil {
+			if err := s.Authorize("chat-fn", c.action, Resource{c.resource}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -65,9 +66,48 @@ func TestAuthorizeAllowAllocs(t *testing.T) {
 	}
 }
 
+// A resource in parts is decided, and its denials worded, exactly as
+// the same name in one part, and an allowed request allocates nothing;
+// a name past the 128-byte stack buffer costs one buffer.
+func TestAuthorizeResourceParts(t *testing.T) {
+	s := newTestService(t)
+	long := strings.Repeat("k", 200)
+	for _, c := range []struct {
+		principal, action string
+		r                 Resource
+	}{
+		{"chat-fn", "kms:Decrypt", Resource{"key/", "alice-chat"}},
+		{"chat-fn", "s3:GetObject", Resource{"bucket/", "alice-chat", "/", "room/1"}},
+		{"chat-fn", "s3:GetObject", Resource{"bucket/", "alice-chat", "/", long}},
+		{"chat-fn", "s3:GetObject", Resource{"bucket/", "bob-chat", "/", "room/1"}},
+		{"chat-fn", "s3:DeleteObject", Resource{"bucket/", "alice-chat", "/", "audit/log1"}},
+		{"nobody", "kms:Decrypt", Resource{"key/", "alice-chat"}},
+	} {
+		name := strings.Join(c.r[:], "")
+		got, want := s.Authorize(c.principal, c.action, c.r), s.Authorize(c.principal, c.action, Resource{name})
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s %s on %q: in parts %v, in one part %v", c.principal, c.action, name, got, want)
+		}
+		if want != nil {
+			continue
+		}
+		wantAllocs := 0.0
+		if len(name) > 128 {
+			wantAllocs = 1
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if err := s.Authorize(c.principal, c.action, c.r); err != nil {
+				t.Fatal(err)
+			}
+		}); n != wantAllocs {
+			t.Errorf("allowed %s on %q: %v allocs, want exactly %v", c.action, name, n, wantAllocs)
+		}
+	}
+}
+
 func TestAuthorizeDenyUnknownPrincipal(t *testing.T) {
 	s := newTestService(t)
-	err := s.Authorize("nobody", "kms:Decrypt", "key/alice-chat")
+	err := s.Authorize("nobody", "kms:Decrypt", Resource{"key/alice-chat"})
 	if !errors.Is(err, ErrDenied) {
 		t.Fatalf("unknown principal: got %v, want ErrDenied", err)
 	}
@@ -77,10 +117,10 @@ func TestAuthorizeDenyForeignResource(t *testing.T) {
 	// The crux of DIY least privilege: the chat function must NOT be
 	// able to touch another user's key or bucket.
 	s := newTestService(t)
-	if err := s.Authorize("chat-fn", "kms:Decrypt", "key/bob-chat"); !errors.Is(err, ErrDenied) {
+	if err := s.Authorize("chat-fn", "kms:Decrypt", Resource{"key/bob-chat"}); !errors.Is(err, ErrDenied) {
 		t.Fatalf("foreign key access: got %v, want ErrDenied", err)
 	}
-	if err := s.Authorize("chat-fn", "s3:GetObject", "bucket/bob-chat/room/1"); !errors.Is(err, ErrDenied) {
+	if err := s.Authorize("chat-fn", "s3:GetObject", Resource{"bucket/bob-chat/room/1"}); !errors.Is(err, ErrDenied) {
 		t.Fatalf("foreign bucket access: got %v, want ErrDenied", err)
 	}
 }
@@ -89,18 +129,18 @@ func TestExplicitDenyWins(t *testing.T) {
 	s := newTestService(t)
 	// s3:* allows DeleteObject on the bucket, but the audit prefix has
 	// an explicit Deny, which must win.
-	err := s.Authorize("chat-fn", "s3:DeleteObject", "bucket/alice-chat/audit/log1")
+	err := s.Authorize("chat-fn", "s3:DeleteObject", Resource{"bucket/alice-chat/audit/log1"})
 	if !errors.Is(err, ErrDenied) {
 		t.Fatalf("explicit deny did not win: %v", err)
 	}
-	if err := s.Authorize("chat-fn", "s3:DeleteObject", "bucket/alice-chat/room/1"); err != nil {
+	if err := s.Authorize("chat-fn", "s3:DeleteObject", Resource{"bucket/alice-chat/room/1"}); err != nil {
 		t.Fatalf("delete outside denied prefix should be allowed: %v", err)
 	}
 }
 
 func TestDenyErrorIsDescriptive(t *testing.T) {
 	s := newTestService(t)
-	err := s.Authorize("chat-fn", "kms:Decrypt", "key/bob-chat")
+	err := s.Authorize("chat-fn", "kms:Decrypt", Resource{"key/bob-chat"})
 	if err == nil || !strings.Contains(err.Error(), "chat-fn") || !strings.Contains(err.Error(), "kms:Decrypt") {
 		t.Fatalf("denial error not descriptive: %v", err)
 	}
@@ -122,7 +162,7 @@ func TestDeleteRole(t *testing.T) {
 	if _, ok := s.Role("chat-fn"); ok {
 		t.Fatal("role survived deletion")
 	}
-	if err := s.Authorize("chat-fn", "kms:Decrypt", "key/alice-chat"); !errors.Is(err, ErrDenied) {
+	if err := s.Authorize("chat-fn", "kms:Decrypt", Resource{"key/alice-chat"}); !errors.Is(err, ErrDenied) {
 		t.Fatal("deleted role still authorized")
 	}
 	s.DeleteRole("chat-fn") // idempotent
@@ -159,8 +199,8 @@ func TestMatch(t *testing.T) {
 		{"", "x", false},
 	}
 	for _, tt := range tests {
-		if got := Match(tt.pattern, tt.value); got != tt.want {
-			t.Errorf("Match(%q, %q) = %v, want %v", tt.pattern, tt.value, got, tt.want)
+		if got := match(tt.pattern, tt.value); got != tt.want {
+			t.Errorf("match(%q, %q) = %v, want %v", tt.pattern, tt.value, got, tt.want)
 		}
 	}
 }
@@ -171,7 +211,7 @@ func TestMatchLiteralProperty(t *testing.T) {
 		if strings.Contains(s, "*") {
 			return true // skip
 		}
-		return Match(s, s) && (s == "" || !Match(s, s+"x"))
+		return match(s, s) && (s == "" || !match(s, s+"x"))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -184,7 +224,7 @@ func TestMatchPrefixWildcardProperty(t *testing.T) {
 		if strings.Contains(p, "*") || strings.Contains(suffix, "*") {
 			return true
 		}
-		return Match(p+"*", p+suffix)
+		return match(p+"*", p+suffix)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -198,7 +238,7 @@ func TestConcurrentAuthorize(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < 500; j++ {
-				s.Authorize("chat-fn", "kms:Decrypt", "key/alice-chat")
+				s.Authorize("chat-fn", "kms:Decrypt", Resource{"key/alice-chat"})
 				s.PutRole(&Role{Name: "scratch"})
 				s.Role("scratch")
 			}

@@ -153,34 +153,47 @@ func (s *Service) KeyExists(id string) bool {
 	return ok
 }
 
+// resourcePrefix starts every key's IAM resource name.
+const resourcePrefix = "key/"
+
 // Resource returns the IAM resource string for a key id.
-func Resource(keyID string) string { return "key/" + keyID }
+func Resource(keyID string) string { return resourcePrefix + keyID }
 
 // GenerateDataKey returns a fresh data key both in plaintext (for
 // immediate use inside the calling container) and wrapped under the
 // master key (for storage alongside the ciphertext). Requires
 // kms:GenerateDataKey on the key.
 func (s *Service) GenerateDataKey(ctx *sim.Context, keyID string) (plaintext, wrapped []byte, err error) {
-	err = s.do(ctx, ActionGenerateDataKey, keyID, func(*plane.Request) error {
-		mk, lerr := s.lookup(keyID)
-		if lerr != nil {
-			return lerr
-		}
-		dk, derr := envelope.NewDataKey()
-		if derr != nil {
-			return derr
-		}
-		w, werr := s.wrap(mk, dk)
-		if werr != nil {
-			return werr
-		}
-		plaintext, wrapped = dk, w
-		return nil
-	})
-	if err != nil {
+	op := &generateOp{s: s, keyID: keyID}
+	if err := s.do(ctx, ActionGenerateDataKey, keyID, op); err != nil {
 		return nil, nil, err
 	}
-	return plaintext, wrapped, nil
+	return op.plaintext, op.wrapped, nil
+}
+
+// generateOp is one GenerateDataKey's handler, holding the key it
+// returns.
+type generateOp struct {
+	s                  *Service
+	keyID              string
+	plaintext, wrapped []byte
+}
+
+func (op *generateOp) Handle(*plane.Request) error {
+	mk, err := op.s.lookup(op.keyID)
+	if err != nil {
+		return err
+	}
+	dk, err := envelope.NewDataKey()
+	if err != nil {
+		return err
+	}
+	w, err := op.s.wrap(mk, dk)
+	if err != nil {
+		return err
+	}
+	op.plaintext, op.wrapped = dk, w
+	return nil
 }
 
 // Decrypt unwraps a data key blob produced by GenerateDataKey. The key
@@ -191,30 +204,41 @@ func (s *Service) Decrypt(ctx *sim.Context, wrapped []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var dk []byte
-	err = s.do(ctx, ActionDecrypt, keyID, func(*plane.Request) error {
-		mk, lerr := s.lookup(keyID)
-		if lerr != nil {
-			return lerr
-		}
-		d, oerr := mk.key.Open(sealed, []byte("kms:"+keyID))
-		if oerr != nil {
-			return fmt.Errorf("kms: unwrapping data key: %w", oerr)
-		}
-		dk = d
-		return nil
-	})
-	if err != nil {
+	op := &decryptOp{s: s, keyID: keyID, sealed: sealed}
+	if err := s.do(ctx, ActionDecrypt, keyID, op); err != nil {
 		return nil, err
 	}
-	return dk, nil
+	return op.dk, nil
+}
+
+// decryptOp is one Decrypt's handler, holding the data key it unwraps.
+// aad backs the "kms:<key id>" associated data, so that shares the
+// op's allocation too unless the key id is long.
+type decryptOp struct {
+	s          *Service
+	keyID      string
+	sealed, dk []byte
+	aad        [48]byte
+}
+
+func (op *decryptOp) Handle(*plane.Request) error {
+	mk, err := op.s.lookup(op.keyID)
+	if err != nil {
+		return err
+	}
+	dk, err := mk.key.Open(op.sealed, append(append(op.aad[:0], "kms:"...), op.keyID...))
+	if err != nil {
+		return fmt.Errorf("kms: unwrapping data key: %w", err)
+	}
+	op.dk = dk
+	return nil
 }
 
 // ImportWrapped wraps an externally supplied data key under a master
 // key. Cross-cloud migration uses it on the destination side.
 func (s *Service) ImportWrapped(ctx *sim.Context, dataKey []byte, keyID string) ([]byte, error) {
 	var out []byte
-	err := s.do(ctx, ActionGenerateDataKey, keyID, func(*plane.Request) error {
+	err := s.do(ctx, ActionGenerateDataKey, keyID, plane.HandlerFunc(func(*plane.Request) error {
 		mk, lerr := s.lookup(keyID)
 		if lerr != nil {
 			return lerr
@@ -225,7 +249,7 @@ func (s *Service) ImportWrapped(ctx *sim.Context, dataKey []byte, keyID string) 
 		}
 		out = w
 		return nil
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -246,16 +270,17 @@ func (s *Service) Audit() []AuditEntry {
 // timeline). Allowed reflects only the IAM decision — a failed lookup
 // after authorization still audits as allowed, as the real service
 // logs the authenticated attempt.
-func (s *Service) do(ctx *sim.Context, action, keyID string, h plane.HandlerFunc) error {
-	err := s.pl.Do(ctx, &plane.Call{
+func (s *Service) do(ctx *sim.Context, action, keyID string, h plane.Handler) error {
+	c := plane.Call{
 		Service:     "kms",
 		Op:          action,
 		Action:      action,
-		Resource:    Resource(keyID),
-		Annotations: []trace.Annotation{{Key: "key_id", Value: keyID}},
-		Latency:     &plane.Latency{Hop: netsim.HopKMS},
-		Usage:       []pricing.Usage{{Kind: pricing.KMSRequests, Quantity: 1}},
-	}, h)
+		Resource:    iam.Resource{resourcePrefix, keyID},
+		Annotations: [2]trace.Annotation{{Key: "key_id", Value: keyID}},
+		Latency:     plane.Latency{On: true, Hop: netsim.HopKMS},
+		Fee:         pricing.Usage{Kind: pricing.KMSRequests, Quantity: 1},
+	}
+	err := s.pl.DoHandler(ctx, &c, h)
 	principal := ""
 	if ctx != nil {
 		principal = ctx.Principal

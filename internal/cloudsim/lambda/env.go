@@ -10,6 +10,7 @@ import (
 	"repro/internal/cloudsim/s3"
 	"repro/internal/cloudsim/sim"
 	"repro/internal/cloudsim/sqs"
+	"repro/internal/cloudsim/trace"
 	"repro/internal/crypto/envelope"
 )
 
@@ -49,7 +50,9 @@ type Env struct {
 	platform *Platform
 	fn       *Function
 	cont     *container
-	ctx      *sim.Context
+	// ctx is the invocation's call context, on cur.
+	ctx sim.Context
+	cur sim.Cursor
 
 	peakMemory int64
 	secrets    [][]byte
@@ -61,9 +64,25 @@ type Env struct {
 	spent      [][]byte
 }
 
+// start readies e for one invocation of fn in cont: the call context
+// acts as the function's role in region, on a fresh cursor at the
+// given instant, with the service hops it makes nested under span sp.
+func (e *Env) start(p *Platform, fn *Function, cont *container, region string, at time.Time, sp *trace.Span) {
+	e.platform, e.fn, e.cont = p, fn, cont
+	e.cur = sim.CursorAt(at)
+	e.ctx = sim.Context{
+		Principal:     fn.Role,
+		App:           fn.App,
+		Region:        region,
+		Cursor:        &e.cur,
+		FunctionMemMB: fn.MemoryMB,
+		Span:          sp,
+	}
+}
+
 // Ctx returns the invocation's call context: principal = the function's
 // role, cursor = the invocation timeline, memory = the allocation.
-func (e *Env) Ctx() *sim.Context { return e.ctx }
+func (e *Env) Ctx() *sim.Context { return &e.ctx }
 
 // KMS returns the key management service handle.
 func (e *Env) KMS() *kms.Service { return e.platform.services.KMS }
@@ -113,7 +132,7 @@ func (e *Env) DataKey(wrapped []byte) ([]byte, error) {
 			return cached, nil
 		}
 	}
-	dk, err := e.KMS().Decrypt(e.ctx, wrapped)
+	dk, err := e.KMS().Decrypt(&e.ctx, wrapped)
 	if err != nil {
 		return nil, fmt.Errorf("lambda: unwrapping data key: %w", err)
 	}
@@ -136,17 +155,20 @@ func (e *Env) DataKey(wrapped []byte) ([]byte, error) {
 // disjoint, so several may be live at once, and every byte of them is
 // zeroed when the invocation ends; the next warm invocation reuses the
 // memory. When a request does not fit, a new buffer replaces the
-// arena, sized for the larger of the invocation's need so far and the
-// most any invocation of the container has used, so a container
-// settles on one buffer its largest invocation fits in; the outgrown
-// buffer's handed-out bytes are zeroed at the end too.
+// arena, sized for the larger of the container's settled peak and the
+// invocation's need so far plus a quarter for growth: a sealed
+// document that grows a little with every invocation then outgrows its
+// arena every few invocations rather than on each, and no arena is
+// more than 1.25 times the peak it settles on. The outgrown buffer's
+// handed-out bytes are zeroed at the end too.
 func (e *Env) Scratch(n int) []byte {
 	c := e.cont
 	if n > len(c.arena)-e.used {
 		if e.used > 0 {
 			e.spent = append(e.spent, c.arena[:e.used])
 		}
-		a := slices.Grow([]byte(nil), max(e.need+n, c.peak))
+		want := e.need + n
+		a := slices.Grow([]byte(nil), max(want+want/4, c.settledPeak()))
 		c.arena, e.used = a[:cap(a)], 0
 	}
 	b := c.arena[e.used : e.used : e.used+n]
@@ -156,7 +178,11 @@ func (e *Env) Scratch(n int) []byte {
 }
 
 // finish scrubs per-invocation secrets: unwrapped data keys, and every
-// arena byte Scratch handed out.
+// arena byte Scratch handed out. It then records the invocation's need
+// in the container's peak and drops an arena more than twice the
+// settled peak, so a container that once opened a large archive gives
+// that memory back once arenaWindow to twice as many invocations have
+// needed far less.
 func (e *Env) finish() {
 	for _, s := range e.secrets {
 		envelope.Zero(s)
@@ -166,7 +192,14 @@ func (e *Env) finish() {
 		envelope.Zero(b)
 	}
 	e.spent = nil
-	envelope.Zero(e.cont.arena[:e.used])
-	e.cont.peak = max(e.cont.peak, e.need)
+	c := e.cont
+	envelope.Zero(c.arena[:e.used])
+	c.peak = max(c.peak, e.need)
+	if c.served++; c.served == arenaWindow {
+		c.lastPeak, c.peak, c.served = c.peak, 0, 0
+	}
+	if len(c.arena) > 2*c.settledPeak() {
+		c.arena = nil
+	}
 	e.used, e.need = 0, 0
 }

@@ -40,3 +40,13 @@ func (c *Connection) State(at time.Time) ConnState {
 
 // ArenaLen reports the size of the invocation's container arena.
 func (e *Env) ArenaLen() int { return len(e.cont.arena) }
+
+// ArenaBase reports the address of the container arena's first byte,
+// or nil when the container has no arena: two invocations that report
+// the same base used the same buffer.
+func (e *Env) ArenaBase() *byte {
+	if len(e.cont.arena) == 0 {
+		return nil
+	}
+	return &e.cont.arena[0]
+}

@@ -172,9 +172,21 @@ type container struct {
 	// container starts with none, and eviction drops it with the
 	// container.
 	arena []byte
-	// peak is the most arena one invocation of the container has used.
-	peak int
+	// peak is the most arena one invocation used in the current window
+	// of arenaWindow invocations, lastPeak the most in the window before,
+	// and served counts the current window's invocations. The larger
+	// peak is the container's settled peak (settledPeak).
+	peak, lastPeak, served int
 }
+
+// arenaWindow is how many invocations a container's arena peak spans
+// before it starts to forget: an arena stays sized for an invocation
+// at least arenaWindow and at most twice that many invocations back.
+const arenaWindow = 16
+
+// settledPeak is the most arena one recent invocation of the container
+// has used.
+func (c *container) settledPeak() int { return max(c.peak, c.lastPeak) }
 
 func (c *container) scrub() {
 	for k, v := range c.cache {
@@ -432,150 +444,161 @@ func (p *Platform) Invoke(ctx *sim.Context, fnName string, event Event) (Respons
 	warmTTL := p.warmTTL
 	p.mu.Unlock()
 
-	var resp Response
-	var stats InvocationStats
 	// The plane opens the lambda span covering dispatch plus the whole
 	// execution (closed at the caller's cursor once the run time has
 	// been absorbed); billing stays in the handler because GB-seconds
 	// are attributed to the function's app, not the caller's, and the
 	// quantum is known only after the run.
-	err := p.pl.Do(ctx, &plane.Call{Service: "lambda", Op: fnName}, func(preq *plane.Request) error {
-		lsp := preq.Span
+	c := plane.Call{Service: "lambda", Op: fnName}
+	inv := &invocation{p: p, ctx: ctx, fnName: fnName, event: event, st: st, fn: fn, warmTTL: warmTTL}
+	err := p.pl.DoHandler(ctx, &c, inv)
+	return inv.resp, inv.stats, err
+}
 
-		// Region selection with transparent failover: first healthy
-		// replica wins; a failed-over request pays inter-region latency.
-		region, hops, err := p.pickRegion(fn.Regions)
-		if err != nil {
-			lsp.Annotate("error", "all-regions-down")
-			return err
+// invocation is one Invoke's handler stage. Its inputs, the function
+// snapshot, the Env (with the invocation's call context and cursor)
+// and the results share the one allocation an invocation makes.
+type invocation struct {
+	p       *Platform
+	ctx     *sim.Context
+	fnName  string
+	event   Event
+	st      *functionState
+	fn      Function
+	warmTTL time.Duration
+	env     Env
+	resp    Response
+	stats   InvocationStats
+}
+
+func (inv *invocation) Handle(preq *plane.Request) error {
+	p, ctx, st, fn := inv.p, inv.ctx, inv.st, &inv.fn
+	lsp := preq.Span
+
+	// Region selection with transparent failover: first healthy
+	// replica wins; a failed-over request pays inter-region latency.
+	region, hops, err := p.pickRegion(fn.Regions)
+	if err != nil {
+		lsp.Annotate("error", "all-regions-down")
+		return err
+	}
+	if ctx != nil {
+		for i := 0; i < hops; i++ {
+			ctx.Advance(p.sample(netsim.HopInterRegion))
 		}
-		if ctx != nil {
-			for i := 0; i < hops; i++ {
-				ctx.Advance(p.sample(netsim.HopInterRegion))
-			}
-			ctx.Advance(p.sample(netsim.HopGatewayDispatch))
-		}
+		ctx.Advance(p.sample(netsim.HopGatewayDispatch))
+	}
 
-		// The invocation runs on its own cursor forked from the caller so
-		// run time is measured independently of upstream latency.
-		start := p.instant(ctx)
-		invCursor := sim.NewCursor(start)
-
-		cont, cold := p.acquireContainer(st, region, start)
-		stats = InvocationStats{ColdStart: cold, Region: region}
+	// The invocation runs on its own cursor forked from the caller so
+	// run time is measured independently of upstream latency; downstream
+	// service hops made from inside the container nest under the
+	// invocation's span on that timeline.
+	start := p.instant(ctx)
+	cont, cold := p.acquireContainer(st, region, start)
+	env := &inv.env
+	env.start(p, fn, cont, region, start, lsp)
+	invCursor := &env.cur
+	stats := &inv.stats
+	*stats = InvocationStats{ColdStart: cold, Region: region}
+	if lsp != nil {
 		lsp.Annotate("region", region)
 		lsp.Annotate("memory_mb", strconv.Itoa(fn.MemoryMB))
 		lsp.Annotate("cold_start", strconv.FormatBool(cold))
-		var initDur time.Duration
-		if cold {
-			csp := lsp.StartChild("lambda", "cold-start", invCursor.Now())
-			initDur = p.sample(netsim.HopColdStart)
-			invCursor.Advance(initDur)
-			csp.Finish(invCursor.Now())
-		}
+	}
+	var initDur time.Duration
+	if cold {
+		csp := lsp.StartChild("lambda", "cold-start", invCursor.Now())
+		initDur = p.sample(netsim.HopColdStart)
+		invCursor.Advance(initDur)
+		csp.Finish(invCursor.Now())
+	}
 
-		env := &Env{
-			platform: p,
-			fn:       &fn,
-			cont:     cont,
-			ctx: &sim.Context{
-				Principal:     fn.Role,
-				App:           fn.App,
-				Region:        region,
-				Cursor:        invCursor,
-				FunctionMemMB: fn.MemoryMB,
-				// Downstream service hops made from inside the container
-				// nest under the invocation's span on its own timeline.
-				Span: lsp,
-			},
-		}
+	var herr error
+	inv.resp, herr = fn.Handler(env, inv.event)
+	env.finish()
 
-		var herr error
-		resp, herr = fn.Handler(env, event)
-		env.finish()
+	run := invCursor.Elapsed()
+	timedOut := run > fn.Timeout
+	if timedOut {
+		run = fn.Timeout
+	}
+	stats.RunTime = run
+	stats.BilledTime = billQuantum(run)
+	stats.GBSeconds = stats.BilledTime.Seconds() * float64(fn.MemoryMB) / 1024.0
+	stats.PeakMemoryBytes = env.peakMemory
 
-		run := invCursor.Elapsed()
-		timedOut := run > fn.Timeout
-		if timedOut {
-			run = fn.Timeout
-		}
-		stats.RunTime = run
-		stats.BilledTime = billQuantum(run)
-		stats.GBSeconds = stats.BilledTime.Seconds() * float64(fn.MemoryMB) / 1024.0
-		stats.PeakMemoryBytes = env.peakMemory
-
+	if lsp != nil {
 		lsp.Annotate("run_ms", strconv.FormatInt(run.Milliseconds(), 10))
 		lsp.Annotate("billed_ms", strconv.FormatInt(stats.BilledTime.Milliseconds(), 10))
-		if pad := stats.BilledTime - run; pad > 0 {
-			// The billing quantum's padding is virtual: nothing executes
-			// during it, but the GB-seconds charge covers it, so it gets a
-			// span of its own for honest cost attribution. It may extend
-			// past the parent's end, like X-Ray's in-progress segments.
-			qsp := lsp.StartChild("lambda", "billing-quantum", start.Add(run))
-			qsp.Annotate("padding_ms", strconv.FormatInt(pad.Milliseconds(), 10))
-			qsp.Finish(start.Add(stats.BilledTime))
+	}
+	if pad := stats.BilledTime - run; pad > 0 && lsp != nil {
+		// The billing quantum's padding is virtual: nothing executes
+		// during it, but the GB-seconds charge covers it, so it gets a
+		// span of its own for honest cost attribution. It may extend
+		// past the parent's end, like X-Ray's in-progress segments.
+		qsp := lsp.StartChild("lambda", "billing-quantum", start.Add(run))
+		qsp.Annotate("padding_ms", strconv.FormatInt(pad.Milliseconds(), 10))
+		qsp.Finish(start.Add(stats.BilledTime))
+	}
+
+	// Metering: one request plus billed GB-seconds, attributed to the
+	// function's app (not the invoking caller's, hence MeterUsageAs);
+	// mirrored into the span so the trace's ledger matches the meter
+	// record-for-record, and visible to the request's interceptors
+	// so the cost series covers the invocation charge.
+	preq.MeterUsageAs(pricing.Usage{Kind: pricing.LambdaRequests, Quantity: 1, App: fn.App})
+	preq.MeterUsageAs(pricing.Usage{Kind: pricing.LambdaGBSeconds, Quantity: stats.GBSeconds, App: fn.App})
+
+	// The caller's timeline absorbs the whole execution.
+	if ctx != nil {
+		ctx.Advance(run)
+	}
+
+	// Publish monitoring samples.
+	if mon := p.metrics; mon != nil {
+		mon.Record(inv.fnName, metrics.MetricLambdaRunMs, start, float64(stats.RunTime)/float64(time.Millisecond))
+		mon.Record(inv.fnName, metrics.MetricLambdaBilledMs, start, float64(stats.BilledTime)/float64(time.Millisecond))
+		mon.Record(inv.fnName, metrics.MetricLambdaPeakMB, start, float64(stats.PeakMemoryBytes)/(1<<20))
+		coldVal := 0.0
+		if stats.ColdStart {
+			coldVal = 1
 		}
+		mon.Record(inv.fnName, metrics.MetricLambdaCold, start, coldVal)
+	}
 
-		// Metering: one request plus billed GB-seconds, attributed to the
-		// function's app (not the invoking caller's, hence MeterUsageAs);
-		// mirrored into the span so the trace's ledger matches the meter
-		// record-for-record, and visible to the request's interceptors
-		// so the cost series covers the invocation charge.
-		preq.MeterUsageAs(pricing.Usage{Kind: pricing.LambdaRequests, Quantity: 1, App: fn.App})
-		preq.MeterUsageAs(pricing.Usage{Kind: pricing.LambdaGBSeconds, Quantity: stats.GBSeconds, App: fn.App})
-
-		// The caller's timeline absorbs the whole execution.
-		if ctx != nil {
-			ctx.Advance(run)
-		}
-
-		// Publish monitoring samples.
-		if mon := p.metrics; mon != nil {
-			mon.Record(fnName, metrics.MetricLambdaRunMs, start, float64(stats.RunTime)/float64(time.Millisecond))
-			mon.Record(fnName, metrics.MetricLambdaBilledMs, start, float64(stats.BilledTime)/float64(time.Millisecond))
-			mon.Record(fnName, metrics.MetricLambdaPeakMB, start, float64(stats.PeakMemoryBytes)/(1<<20))
-			coldVal := 0.0
-			if stats.ColdStart {
-				coldVal = 1
-			}
-			mon.Record(fnName, metrics.MetricLambdaCold, start, coldVal)
-		}
-
-		// Write the platform's log lines. The request id is minted from a
-		// platform counter only when a log service is wired, and the
-		// whole block is read-only otherwise — no meter, rand, or cursor
-		// effect — so logging on vs off cannot move the ledger.
-		if p.logs != nil {
-			p.mu.Lock()
-			p.nextReqID++
-			reqNum := p.nextReqID
-			p.mu.Unlock()
-			writeLogLines(p.logs, fnName, reqNum, cont.id, fn.MemoryMB, start, &stats, initDur)
-		}
-
-		// Release the container.
+	// Write the platform's log lines. The request id is minted from a
+	// platform counter only when a log service is wired, and the
+	// whole block is read-only otherwise — no meter, rand, or cursor
+	// effect — so logging on vs off cannot move the ledger.
+	if p.logs != nil {
 		p.mu.Lock()
-		st.invocations++
-		if cold {
-			st.coldStarts++
-		}
-		cont.busy = false
-		cont.lastUsed = maxTime(p.instant(ctx), invCursor.Now())
-		if !fn.CacheDataKeys {
-			cont.scrub()
-		}
+		p.nextReqID++
+		reqNum := p.nextReqID
 		p.mu.Unlock()
+		writeLogLines(p.logs, inv.fnName, reqNum, cont.id, fn.MemoryMB, start, stats, initDur)
+	}
 
-		// Evict containers idle beyond the TTL so their cached secrets die.
-		p.evictIdle(st, warmTTL, cont.lastUsed)
+	// Release the container.
+	p.mu.Lock()
+	st.invocations++
+	if cold {
+		st.coldStarts++
+	}
+	cont.busy = false
+	cont.lastUsed = maxTime(p.instant(ctx), invCursor.Now())
+	if !fn.CacheDataKeys {
+		cont.scrub()
+	}
+	p.mu.Unlock()
 
-		if timedOut {
-			resp = Response{}
-			return fmt.Errorf("lambda: %q after %v: %w", fnName, fn.Timeout, ErrTimeout)
-		}
-		return herr
-	})
-	return resp, stats, err
+	// Evict containers idle beyond the TTL so their cached secrets die.
+	p.evictIdle(st, inv.warmTTL, cont.lastUsed)
+
+	if timedOut {
+		inv.resp = Response{}
+		return fmt.Errorf("lambda: %q after %v: %w", inv.fnName, fn.Timeout, ErrTimeout)
+	}
+	return herr
 }
 
 // writeLogLines appends one invocation's START, END and REPORT lines

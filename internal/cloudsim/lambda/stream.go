@@ -149,23 +149,12 @@ func (c *Connection) Send(ctx *sim.Context, event Event) (Response, error) {
 		sp.Annotate("resumed", "true")
 	}
 
-	invCursor := sim.NewCursor(c.platform.instant(ctx))
-	env := &Env{
-		platform: c.platform,
-		fn:       &c.fn,
-		cont:     c.cont,
-		ctx: &sim.Context{
-			Principal:     c.fn.Role,
-			App:           c.fn.App,
-			Region:        c.cont.region,
-			Cursor:        invCursor,
-			FunctionMemMB: c.fn.MemoryMB,
-			// Nest the handler's downstream hops under this send's
-			// span, so traced streaming flows attribute cost per hop
-			// exactly like regular invocations.
-			Span: sp,
-		},
-	}
+	// Nest the handler's downstream hops under this send's span, so
+	// traced streaming flows attribute cost per hop exactly like
+	// regular invocations.
+	env := new(Env)
+	env.start(c.platform, &c.fn, c.cont, c.cont.region, c.platform.instant(ctx), sp)
+	invCursor := &env.cur
 	resp, err := c.fn.Handler(env, event)
 	env.finish()
 	if ctx != nil {

@@ -40,8 +40,8 @@ func BenchmarkLogsIngest(b *testing.B) {
 		Service:  "s3",
 		Op:       "s3:GetObject",
 		Action:   "s3:GetObject",
-		Resource: "bucket/x",
-		Usage:    []pricing.Usage{{Kind: pricing.S3GetRequests, Quantity: 1}},
+		Resource: iam.Resource{"bucket/x"},
+		Fee:      pricing.Usage{Kind: pricing.S3GetRequests, Quantity: 1},
 	}
 	handler := func(*plane.Request) error { return nil }
 	b.ReportAllocs()

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cloudsim/clock"
+	"repro/internal/cloudsim/iam"
 	"repro/internal/cloudsim/plane"
 	"repro/internal/cloudsim/sim"
 	"repro/internal/cloudsim/sortutil"
@@ -31,8 +32,8 @@ func TestPlaneEventAppendAllocs(t *testing.T) {
 	const runs = 500
 	ctx := &sim.Context{Principal: "fn", App: "app", Cursor: sim.NewCursor(clock.Epoch)}
 	call := &plane.Call{
-		Service: "s3", Op: "s3:GetObject", Action: "s3:GetObject", Resource: "bucket/x",
-		Usage: []pricing.Usage{{Kind: pricing.S3GetRequests, Quantity: 1}},
+		Service: "s3", Op: "s3:GetObject", Action: "s3:GetObject", Resource: iam.Resource{"bucket/x"},
+		Fee: pricing.Usage{Kind: pricing.S3GetRequests, Quantity: 1},
 	}
 	handler := func(*plane.Request) error { return nil }
 	do := func(p *plane.Plane) func() {

@@ -43,9 +43,9 @@ func TestPlaneInterceptorPublishesRED(t *testing.T) {
 		Service:  "s3",
 		Op:       "s3:GetObject",
 		Action:   "s3:GetObject",
-		Resource: "bucket/x",
-		Latency:  &plane.Latency{Hop: netsim.HopS3},
-		Usage:    []pricing.Usage{{Kind: pricing.S3GetRequests, Quantity: 1}},
+		Resource: iam.Resource{"bucket/x"},
+		Latency:  plane.Latency{On: true, Hop: netsim.HopS3},
+		Fee:      pricing.Usage{Kind: pricing.S3GetRequests, Quantity: 1},
 	}
 	for i := 0; i < 3; i++ {
 		if err := p.Do(ctx, call, func(*plane.Request) error { return nil }); err != nil {
@@ -97,8 +97,8 @@ func TestPlaneInterceptorCountsDenials(t *testing.T) {
 		Service:  "kms",
 		Op:       "kms:Decrypt",
 		Action:   "kms:Decrypt",
-		Resource: "key/k",
-		Usage:    []pricing.Usage{{Kind: pricing.KMSRequests, Quantity: 1}},
+		Resource: iam.Resource{"key/k"},
+		Fee:      pricing.Usage{Kind: pricing.KMSRequests, Quantity: 1},
 	}, func(*plane.Request) error {
 		t.Error("handler ran on a denied call")
 		return nil

@@ -2,8 +2,11 @@
 // latency model engaged, under growing interceptor chains. The
 // "metrics" case installs the real CloudWatch-sim interceptor, so the
 // delta against "none" is the all-in cost of auto-published RED+cost
-// series per call. scripts/bench.sh snapshots these numbers into
-// BENCH_cloudsim.json.
+// series per call. The "s3" case is a call as the fleet makes it: the
+// s3 service's descriptor built on the stack per call, with latency
+// (memory-coupled, 1 KB transfer), a resource in parts and the request
+// fee, under the metrics interceptor. scripts/bench.sh snapshots these
+// numbers into BENCH_cloudsim.json.
 package plane_test
 
 import (
@@ -71,8 +74,8 @@ func BenchmarkDoInterceptors(b *testing.B) {
 				Service:  "s3",
 				Op:       "s3:GetObject",
 				Action:   "s3:GetObject",
-				Resource: "bucket/x",
-				Usage:    []pricing.Usage{{Kind: pricing.S3GetRequests, Quantity: 1}},
+				Resource: iam.Resource{"bucket/x"},
+				Fee:      pricing.Usage{Kind: pricing.S3GetRequests, Quantity: 1},
 			}
 			handler := func(*plane.Request) error { return nil }
 			b.ReportAllocs()
@@ -84,4 +87,25 @@ func BenchmarkDoInterceptors(b *testing.B) {
 			}
 		})
 	}
+	benchS3Call(b)
+}
+
+// benchS3Call runs the "s3" case: an s3-shaped call per iteration on a
+// function's untraced flow, under the metrics interceptor.
+func benchS3Call(b *testing.B) {
+	b.Run("s3", func(b *testing.B) {
+		p := benchPlane(b, []plane.Interceptor{metrics.PlaneInterceptor(
+			metrics.New(), pricing.Default2017(), clock.NewVirtual())})
+		ctx := &sim.Context{Principal: "fn", App: "app", Cursor: sim.NewCursor(t0), FunctionMemMB: 448}
+		bucket, key := "b", "rooms/general.json"
+		handler := func(*plane.Request) error { return nil }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c := s3Call(bucket, key)
+			if err := p.Do(ctx, &c, handler); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

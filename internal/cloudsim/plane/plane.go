@@ -32,10 +32,23 @@
 //     authorization passed. Registered interceptors wrap this stage —
 //     the seam where fault injection, concurrency limits, and per-op
 //     metrics land without touching eight services.
+//
+// A call allocates nothing of its own on an untraced flow:
+//
+//   - A Call is a value the caller builds on its own stack and passes
+//     by pointer. The plane keeps no reference to it, and it holds no
+//     per-call pointer: latency and request fee are values, the IAM
+//     resource is joined from its parts in a stack buffer, and the
+//     annotations sit in a fixed array.
+//   - A *Request is valid only until Do returns: the plane reuses it for
+//     its next call, so interceptors and handlers must not keep it.
+//   - Annotations exist only on traced flows; callers format an
+//     annotation value only when ctx.Traced().
 package plane
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cloudsim/iam"
@@ -47,6 +60,12 @@ import (
 
 // Latency describes how a call consumes simulated time.
 type Latency struct {
+	// On enables the latency stage. The zero Latency costs nothing: an
+	// op whose latency is conditional applies it inside the handler
+	// (gateway's throttle runs before any latency is paid; ec2 checks
+	// instance state first; SQS delivery latency depends on message
+	// availability).
+	On bool
 	// Hop selects the base latency distribution to sample.
 	Hop netsim.Hop
 	// Scale multiplies the sampled base (0 means 1.0). DynamoDB uses
@@ -61,7 +80,10 @@ type Latency struct {
 	TransferBytes int64
 }
 
-// Call describes one service API call to the request plane.
+// Call describes one service API call to the request plane. It is a
+// value the caller builds on its own stack and passes by pointer; the
+// plane reads it during Do and keeps no reference to it, so nothing it
+// holds needs to live on the heap.
 type Call struct {
 	// Service and Op name the trace span ("s3", "s3:PutObject").
 	Service string
@@ -69,29 +91,37 @@ type Call struct {
 	// Action is the IAM action to authorize, or "" for calls that are
 	// not IAM-authenticated (gateway ingress, VM requests, email).
 	Action string
-	// Resource is the IAM resource the action targets.
-	Resource string
+	// Resource is the IAM resource the action targets, in parts that
+	// IAM joins in a stack buffer.
+	Resource iam.Resource
 	// Nest pushes the span onto the context so downstream hops made
 	// during the handler nest under it (gateway, ses). Without it the
 	// span is a leaf and downstream spans stay siblings (ec2, lambda
 	// wire their children explicitly).
 	Nest bool
-	// Annotations are attached to the span at open.
-	Annotations []trace.Annotation
-	// Latency is the call's time cost; nil when the op's latency is
-	// conditional and applied inside the handler (gateway's throttle
-	// runs before any latency is paid; ec2 checks instance state
-	// first; SQS delivery latency depends on message availability).
-	Latency *Latency
-	// Usage is the call's request-fee metering, emitted on success and
-	// error alike. The caller's app attribution is stamped on here.
+	// Annotations are attached to the span at open, in order; entries
+	// with an empty Key are skipped. They exist only on traced flows:
+	// the plane drops them on an untraced one, so a caller formats a
+	// value (a byte count) only when ctx.Traced().
+	Annotations [2]trace.Annotation
+	// Latency is the call's time cost.
+	Latency Latency
+	// Fee is the call's request fee, metered when its Kind is set, on
+	// success and error alike, before Usage. The caller's app
+	// attribution is stamped on here.
+	Fee pricing.Usage
+	// Usage is metering beyond the one fee (SES bills each recipient),
+	// stamped and metered the same way.
 	Usage []pricing.Usage
 }
 
 // Request is the in-flight view of a Call handed to the handler and to
-// interceptors.
+// interceptors. It is valid only until Do returns: the plane reuses it
+// for its next call, so an interceptor or handler must not keep it.
 type Request struct {
-	Ctx  *sim.Context
+	Ctx *sim.Context
+	// Call points at the request's own copy of the call's Service, Op,
+	// Action and Nest; the other fields are left zero.
 	Call *Call
 	// Span is the call's open span (nil on untraced flows; all its
 	// methods are nil-safe).
@@ -99,12 +129,12 @@ type Request struct {
 	plane   *Plane
 	start   time.Time
 	authErr error
-	handler HandlerFunc
+	handler Handler
 	metered []pricing.Usage
 	// meteredBuf backs metered for the common case (a call fee plus at
-	// most one handler-metered record) so the hot path allocates the
-	// Request and nothing else.
+	// most one handler-metered record).
 	meteredBuf [2]pricing.Usage
+	call       Call
 }
 
 // Start reports the flow-cursor instant at which the call entered the
@@ -147,6 +177,18 @@ func (r *Request) MeterUsageAs(u pricing.Usage) {
 // HandlerFunc is the service-specific stage of a call.
 type HandlerFunc func(*Request) error
 
+// Handle calls f, so a HandlerFunc is a Handler.
+func (f HandlerFunc) Handle(r *Request) error { return f(r) }
+
+// Handler is the service-specific stage as an interface. A service op
+// that keeps its inputs and results in one struct passes a pointer to
+// it to DoHandler: the call then allocates that struct and nothing
+// else, where a closure would allocate itself plus every result
+// variable it assigns.
+type Handler interface {
+	Handle(*Request) error
+}
+
 // Interceptor wraps the handler stage of every call routed through a
 // plane. Interceptors run after authorization, latency, and metering,
 // in registration order (the first registered is outermost). They see
@@ -157,7 +199,8 @@ type HandlerFunc func(*Request) error
 // The wrapping happens once, at Use time: the factory is called with
 // the downstream stage and the HandlerFunc it returns is reused for
 // every subsequent call, possibly concurrently. Per-call state belongs
-// on the *Request, not in variables captured at wrap time.
+// on the *Request, not in variables captured at wrap time, and the
+// *Request must not outlive the call.
 type Interceptor func(next HandlerFunc) HandlerFunc
 
 // Plane is one service's request pipeline. A nil model disables the
@@ -172,6 +215,12 @@ type Plane struct {
 	// pre-composed around it, rebuilt on Use. Composing at registration
 	// rather than per call keeps plane.Do free of closure allocations.
 	chain HandlerFunc
+	// spare is a finished Request kept for the next call. Do takes it
+	// with a swap and puts it back on the way out; a nested or
+	// concurrent call finds the slot empty and allocates its own. One
+	// slot, not a sync.Pool: a pool keeps its Requests, and through
+	// them the plane's whole cloud, reachable across GC cycles.
+	spare atomic.Pointer[Request]
 }
 
 // New returns a request plane over the given IAM, meter, and network
@@ -187,7 +236,7 @@ func dispatch(r *Request) error {
 	if r.authErr != nil {
 		return r.authErr
 	}
-	return r.handler(r)
+	return r.handler.Handle(r)
 }
 
 // Use registers interceptors around the handler stage and re-composes
@@ -207,6 +256,11 @@ func (p *Plane) Use(is ...Interceptor) {
 // It returns the authorization error — with the handler skipped — when
 // the caller is denied, otherwise the handler's error.
 func (p *Plane) Do(ctx *sim.Context, call *Call, h HandlerFunc) error {
+	return p.DoHandler(ctx, call, h)
+}
+
+// DoHandler is Do with the service stage as a Handler.
+func (p *Plane) DoHandler(ctx *sim.Context, call *Call, h Handler) error {
 	// Stage 1: trace.
 	var sp *trace.Span
 	if call.Nest {
@@ -218,9 +272,17 @@ func (p *Plane) Do(ctx *sim.Context, call *Call, h HandlerFunc) error {
 		defer ctx.FinishSpan(sp)
 	}
 	for _, a := range call.Annotations {
-		sp.Annotate(a.Key, a.Value)
+		if a.Key != "" {
+			sp.Annotate(a.Key, a.Value)
+		}
 	}
-	req := &Request{Ctx: ctx, Call: call, Span: sp, plane: p, start: ctx.Now(), handler: h}
+	req := p.spare.Swap(nil)
+	if req == nil {
+		req = &Request{plane: p}
+		req.Call = &req.call
+	}
+	req.Ctx, req.Span, req.start, req.handler = ctx, sp, ctx.Now(), h
+	req.call.Service, req.call.Op, req.call.Action, req.call.Nest = call.Service, call.Op, call.Action, call.Nest
 	req.metered = req.meteredBuf[:0]
 
 	// Stage 2: authorization.
@@ -254,17 +316,11 @@ func (p *Plane) Do(ctx *sim.Context, call *Call, h HandlerFunc) error {
 	p.advance(ctx, call.Latency)
 
 	// Stage 4: metering. Denied calls are billed too.
-	var app string
-	if ctx != nil {
-		app = ctx.App
+	if call.Fee.Kind != "" {
+		req.MeterUsage(call.Fee)
 	}
 	for _, u := range call.Usage {
-		u.App = app
-		if p.meter != nil {
-			p.meter.Add(u)
-		}
-		sp.AddUsage(u)
-		req.metered = append(req.metered, u)
+		req.MeterUsage(u)
 	}
 
 	// Stage 5: handler, wrapped by the pre-composed interceptor chain.
@@ -280,12 +336,14 @@ func (p *Plane) Do(ctx *sim.Context, call *Call, h HandlerFunc) error {
 			sp.Annotate("error", err.Error())
 		}
 	}
+	req.Ctx, req.Span, req.handler, req.authErr = nil, nil, nil, nil
+	p.spare.Store(req)
 	return err
 }
 
 // advance applies the call's latency to the flow's timeline.
-func (p *Plane) advance(ctx *sim.Context, l *Latency) {
-	if l == nil || p.model == nil {
+func (p *Plane) advance(ctx *sim.Context, l Latency) {
+	if !l.On || p.model == nil {
 		return
 	}
 	d := p.model.Sample(l.Hop)

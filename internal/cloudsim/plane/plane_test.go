@@ -2,7 +2,11 @@ package plane
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -62,10 +66,10 @@ func TestPipelineOrder(t *testing.T) {
 		Service:     "svc",
 		Op:          "Op",
 		Action:      "svc:Op",
-		Resource:    "thing/x",
-		Annotations: []trace.Annotation{{Key: "k", Value: "v"}},
-		Latency:     &Latency{Hop: netsim.HopS3},
-		Usage:       []pricing.Usage{{Kind: pricing.S3GetRequests, Quantity: 1}},
+		Resource:    iam.Resource{"thing/x"},
+		Annotations: [2]trace.Annotation{{Key: "k", Value: "v"}},
+		Latency:     Latency{On: true, Hop: netsim.HopS3},
+		Fee:         pricing.Usage{Kind: pricing.S3GetRequests, Quantity: 1},
 	}, func(req *Request) error {
 		handlerAt = ctx.Now()
 		if req.Span == nil {
@@ -130,9 +134,9 @@ func TestDeniedCallStillMetersAndPaysLatency(t *testing.T) {
 		Service:  "svc",
 		Op:       "Op",
 		Action:   "svc:Op",
-		Resource: "thing/x",
-		Latency:  &Latency{Hop: netsim.HopS3},
-		Usage:    []pricing.Usage{{Kind: pricing.S3GetRequests, Quantity: 1}},
+		Resource: iam.Resource{"thing/x"},
+		Latency:  Latency{On: true, Hop: netsim.HopS3},
+		Fee:      pricing.Usage{Kind: pricing.S3GetRequests, Quantity: 1},
 	}, func(*Request) error {
 		ran = true
 		return nil
@@ -242,8 +246,8 @@ func TestInterceptorSeesDenial(t *testing.T) {
 		Service:  "svc",
 		Op:       "Op",
 		Action:   "svc:Op",
-		Resource: "thing/x",
-		Usage:    []pricing.Usage{{Kind: pricing.S3GetRequests, Quantity: 1}},
+		Resource: iam.Resource{"thing/x"},
+		Fee:      pricing.Usage{Kind: pricing.S3GetRequests, Quantity: 1},
 	}, func(*Request) error {
 		t.Error("handler ran on a denied call")
 		return nil
@@ -267,19 +271,23 @@ func TestRequestObservability(t *testing.T) {
 	p := New(allowAll(t), meter, netsim.NewDefaultModel())
 	ctx, _ := tracedCtx()
 
-	var req *Request
+	// The interceptor reads the request after the handler stage: a
+	// *Request is valid only until Do returns.
+	var start time.Time
+	var us []pricing.Usage
 	p.Use(func(next HandlerFunc) HandlerFunc {
 		return func(r *Request) error {
-			req = r
-			return next(r)
+			err := next(r)
+			start, us = r.Start(), slices.Clone(r.Metered())
+			return err
 		}
 	})
 	err := p.Do(ctx, &Call{
 		Service: "svc",
 		Op:      "Op",
 		Action:  "svc:Op",
-		Latency: &Latency{Hop: netsim.HopS3},
-		Usage:   []pricing.Usage{{Kind: pricing.S3GetRequests, Quantity: 1}},
+		Latency: Latency{On: true, Hop: netsim.HopS3},
+		Fee:     pricing.Usage{Kind: pricing.S3GetRequests, Quantity: 1},
 	}, func(r *Request) error {
 		r.MeterUsage(pricing.Usage{Kind: pricing.TransferOutGB, Quantity: 2})
 		r.MeterUsageAs(pricing.Usage{Kind: pricing.LambdaRequests, Quantity: 1, App: "fn-app"})
@@ -288,13 +296,12 @@ func TestRequestObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Start() != t0 {
-		t.Errorf("Start() = %v, want the call instant %v", req.Start(), t0)
+	if start != t0 {
+		t.Errorf("Start() = %v, want the call instant %v", start, t0)
 	}
-	if !ctx.Now().After(req.Start()) {
+	if !ctx.Now().After(start) {
 		t.Error("cursor did not advance past Start(); latency unobservable")
 	}
-	us := req.Metered()
 	if len(us) != 3 {
 		t.Fatalf("Metered() = %d records, want request fee + 2 handler records", len(us))
 	}
@@ -355,7 +362,7 @@ func TestLatencyModel(t *testing.T) {
 	err := p.Do(ctx, &Call{
 		Service: "svc",
 		Op:      "Op",
-		Latency: &Latency{Hop: netsim.HopS3, MemoryCoupled: true, TransferBytes: payload},
+		Latency: Latency{On: true, Hop: netsim.HopS3, MemoryCoupled: true, TransferBytes: payload},
 	}, func(*Request) error { return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -372,7 +379,7 @@ func TestLatencyModel(t *testing.T) {
 	p2 := New(nil, nil, netsim.NewDefaultModel())
 	ref2 := netsim.NewDefaultModel()
 	ctx2 := &sim.Context{Cursor: sim.NewCursor(t0)}
-	if err := p2.Do(ctx2, &Call{Service: "svc", Op: "Op", Latency: &Latency{Hop: netsim.HopS3, Scale: 0.25}},
+	if err := p2.Do(ctx2, &Call{Service: "svc", Op: "Op", Latency: Latency{On: true, Hop: netsim.HopS3, Scale: 0.25}},
 		func(*Request) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -390,8 +397,8 @@ func TestNilSafety(t *testing.T) {
 	err := p.Do(nil, &Call{
 		Service: "svc",
 		Op:      "Op",
-		Latency: &Latency{Hop: netsim.HopS3},
-		Usage:   []pricing.Usage{{Kind: pricing.S3GetRequests, Quantity: 1}},
+		Latency: Latency{On: true, Hop: netsim.HopS3},
+		Fee:     pricing.Usage{Kind: pricing.S3GetRequests, Quantity: 1},
 	}, func(req *Request) error {
 		ran = true
 		req.MeterUsage(pricing.Usage{Kind: pricing.TransferOutGB, Quantity: 1}) // nil meter: no-op
@@ -415,5 +422,156 @@ func TestRegistry(t *testing.T) {
 		if a.Service > b.Service || (a.Service == b.Service && a.Method > b.Method) {
 			t.Fatalf("Ops() not sorted at %d: %+v > %+v", i, a, b)
 		}
+	}
+}
+
+// TestFeeBeforeUsage: the inline request fee is metered first, then
+// the extra usages in order, each stamped with the caller's app; a
+// Call with no fee Kind meters only its extras.
+func TestFeeBeforeUsage(t *testing.T) {
+	meter := pricing.NewMeter()
+	p := New(nil, meter, nil)
+	ctx, finish := tracedCtx()
+	var got []pricing.Usage
+	p.Use(func(next HandlerFunc) HandlerFunc {
+		return func(r *Request) error {
+			err := next(r)
+			got = slices.Clone(r.Metered())
+			return err
+		}
+	})
+	call := &Call{
+		Service: "svc",
+		Op:      "Op",
+		Fee:     pricing.Usage{Kind: pricing.SESMessages, Quantity: 1},
+		Usage:   []pricing.Usage{{Kind: pricing.SESMessages, Quantity: 2}, {Kind: pricing.TransferOutGB, Quantity: 3}},
+	}
+	if err := p.Do(ctx, call, func(*Request) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	want := []pricing.Usage{
+		{Kind: pricing.SESMessages, Quantity: 1, App: "app"},
+		{Kind: pricing.SESMessages, Quantity: 2, App: "app"},
+		{Kind: pricing.TransferOutGB, Quantity: 3, App: "app"},
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("metered %+v, want %+v", got, want)
+	}
+	if us := finish().Usage(); len(us) != 2 || us[0].Quantity != 3 || us[1].Quantity != 3 {
+		t.Errorf("span ledger %+v, want 3 SES messages and 3 GB out", us)
+	}
+
+	call.Fee = pricing.Usage{}
+	if err := p.Do(nil, call, func(*Request) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Quantity != 2 {
+		t.Errorf("fee-less call metered %+v, want only the two extras", got)
+	}
+}
+
+// TestAnnotationsTracedOnly: a Call's annotations land on a traced
+// span in order, entries with an empty Key are skipped, and an
+// untraced flow drops them with its nil span.
+func TestAnnotationsTracedOnly(t *testing.T) {
+	p := New(nil, nil, nil)
+	ctx, finish := tracedCtx()
+	call := &Call{Service: "svc", Op: "Op", Annotations: [2]trace.Annotation{{}, {Key: "k", Value: "v"}}}
+	if err := p.Do(ctx, call, func(*Request) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	sp, _ := finish().Find("svc", "Op")
+	if v, ok := sp.Annotation("k"); !ok || v != "v" {
+		t.Errorf("annotation k = %q, %v; want v", v, ok)
+	}
+	if _, ok := sp.Annotation(""); ok {
+		t.Error("the empty-Key slot became an annotation")
+	}
+	untraced := &sim.Context{Cursor: sim.NewCursor(t0)}
+	if untraced.Traced() {
+		t.Fatal("a context with no span reports Traced")
+	}
+	if !ctx.Traced() {
+		t.Fatal("a context with a span reports untraced")
+	}
+}
+
+// TestNestedCallOnSamePlane: a handler that calls back into its own
+// plane gets a Request of its own, the outer Request is intact when the
+// inner call returns, and afterwards the plane reuses one of the two.
+func TestNestedCallOnSamePlane(t *testing.T) {
+	p := New(nil, pricing.NewMeter(), nil)
+	outerCtx := &sim.Context{App: "outer", Cursor: sim.NewCursor(t0)}
+	innerCtx := &sim.Context{App: "inner", Cursor: sim.NewCursor(t0)}
+	var outer, inner *Request
+	err := p.Do(outerCtx, &Call{Service: "svc", Op: "Outer", Fee: pricing.Usage{Kind: pricing.S3GetRequests, Quantity: 1}}, func(r *Request) error {
+		outer = r
+		err := p.Do(innerCtx, &Call{Service: "svc", Op: "Inner", Fee: pricing.Usage{Kind: pricing.S3PutRequests, Quantity: 1}}, func(r *Request) error {
+			inner = r
+			return nil
+		})
+		if r.Ctx != outerCtx || r.Call.Op != "Outer" {
+			t.Errorf("outer request after the nested call: ctx %p op %q, want %p Outer", r.Ctx, r.Call.Op, outerCtx)
+		}
+		if us := r.Metered(); len(us) != 1 || us[0].Kind != pricing.S3GetRequests || us[0].App != "outer" {
+			t.Errorf("outer request metered %+v after the nested call", us)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outer == nil || inner == nil || outer == inner {
+		t.Fatalf("nested call shared the outer Request (outer %p, inner %p)", outer, inner)
+	}
+	if outer.Ctx != nil || outer.Span != nil || outer.handler != nil || outer.authErr != nil {
+		t.Error("a finished Request still holds its call's context, span, handler or verdict")
+	}
+	var next *Request
+	if err := p.Do(nil, &Call{Service: "svc", Op: "Next"}, func(r *Request) error {
+		next = r
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if next != outer && next != inner {
+		t.Error("the call after the nested pair allocated a third Request instead of reusing one")
+	}
+}
+
+// TestConcurrentDo: calls on one plane from several goroutines each see
+// only their own Request. Run under -race, this also checks that the
+// spare-Request handoff is properly synchronized.
+func TestConcurrentDo(t *testing.T) {
+	meter := pricing.NewMeter()
+	p := New(nil, meter, nil)
+	const workers, calls = 4, 200
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := &sim.Context{App: strconv.Itoa(w), Cursor: sim.NewCursor(t0)}
+			op := "op" + strconv.Itoa(w)
+			for range calls {
+				err := p.Do(ctx, &Call{Service: "svc", Op: op, Fee: pricing.Usage{Kind: pricing.S3GetRequests, Quantity: 1}}, func(r *Request) error {
+					if r.Ctx != ctx || r.Call.Op != op {
+						return fmt.Errorf("worker %d saw ctx %p op %q", w, r.Ctx, r.Call.Op)
+					}
+					if us := r.Metered(); len(us) != 1 || us[0].App != ctx.App {
+						return fmt.Errorf("worker %d saw metered %+v", w, us)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := meter.Total(pricing.S3GetRequests); got != workers*calls {
+		t.Errorf("metered %v requests, want %d", got, workers*calls)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cloudsim/iam"
 	"repro/internal/cloudsim/owned"
 	"repro/internal/cloudsim/plane"
 	"repro/internal/cloudsim/sim"
@@ -34,7 +35,7 @@ var (
 // The signer must itself be authorized to read the object: a presigned
 // URL delegates the signer's authority, it does not create any.
 func (s *Service) Presign(principal, bucketName, key string, expires time.Time) (string, error) {
-	if err := s.iam.Authorize(principal, ActionGet, ObjectResource(bucketName, key)); err != nil {
+	if err := s.iam.Authorize(principal, ActionGet, objectResource(bucketName, key)); err != nil {
 		return "", fmt.Errorf("s3: presign: %w", err)
 	}
 	payload := fmt.Sprintf("%s\x00%s\x00%d", bucketName, key, expires.Unix())
@@ -91,9 +92,9 @@ func (s *Service) GetPresigned(ctx *sim.Context, token string) (*Object, error) 
 	// no IAM action; the hop is still traced, latency-modeled, and
 	// metered like any other GET.
 	size := int64(len(cp.Data))
-	c := call("", "", size, pricing.S3GetRequests)
+	c := call(ctx, "", iam.Resource{}, size, pricing.S3GetRequests)
 	c.Op = "GetPresigned"
-	err = s.pl.Do(ctx, c, func(req *plane.Request) error {
+	err = s.pl.Do(ctx, &c, func(req *plane.Request) error {
 		if ctx != nil && ctx.External {
 			req.MeterUsage(pricing.Usage{Kind: pricing.TransferOutGB, Quantity: float64(size) / 1e9})
 		}

@@ -109,30 +109,34 @@ func (s *Service) Plane() *plane.Plane { return s.pl }
 
 // call builds the plane descriptor for one object-store op. Every S3
 // call pays the memory-coupled base latency plus payload transfer
-// time, and meters one request of the given kind.
-func call(action, resource string, payload int64, reqKind pricing.Kind) *plane.Call {
-	c := &plane.Call{
+// time, and meters one request of the given kind; a traced flow's span
+// also carries the payload size.
+func call(ctx *sim.Context, action string, res iam.Resource, payload int64, reqKind pricing.Kind) plane.Call {
+	c := plane.Call{
 		Service:  "s3",
 		Op:       action,
 		Action:   action,
-		Resource: resource,
-		Latency:  &plane.Latency{Hop: netsim.HopS3, MemoryCoupled: true, TransferBytes: payload},
-		Usage:    []pricing.Usage{{Kind: reqKind, Quantity: 1}},
+		Resource: res,
+		Latency:  plane.Latency{On: true, Hop: netsim.HopS3, MemoryCoupled: true, TransferBytes: payload},
+		Fee:      pricing.Usage{Kind: reqKind, Quantity: 1},
 	}
-	if payload > 0 {
-		c.Annotations = []trace.Annotation{{Key: "bytes", Value: strconv.FormatInt(payload, 10)}}
+	if payload > 0 && ctx.Traced() {
+		c.Annotations[0] = trace.Annotation{Key: "bytes", Value: strconv.FormatInt(payload, 10)}
 	}
 	return c
 }
 
-// ObjectResource returns the IAM resource string for one object.
-func ObjectResource(bucketName, key string) string {
-	return "bucket/" + bucketName + "/" + key
+// resourcePrefix starts every bucket's and object's IAM resource name.
+const resourcePrefix = "bucket/"
+
+// objectResource names one object for IAM: "bucket/<bucket>/<key>".
+func objectResource(bucketName, key string) iam.Resource {
+	return iam.Resource{resourcePrefix, bucketName, "/", key}
 }
 
 // BucketResource returns the IAM resource string for bucket-level
 // operations.
-func BucketResource(bucketName string) string { return "bucket/" + bucketName }
+func BucketResource(bucketName string) string { return resourcePrefix + bucketName }
 
 // CreateBucket provisions an empty bucket.
 func (s *Service) CreateBucket(name string) error {
@@ -192,7 +196,8 @@ func (s *Service) BucketExists(name string) bool {
 // Buckets with the sealed-writes policy reject payloads that are not
 // envelope ciphertext.
 func (s *Service) Put(ctx *sim.Context, bucketName, key string, data []byte) error {
-	return s.pl.Do(ctx, call(ActionPut, ObjectResource(bucketName, key), int64(len(data)), pricing.S3PutRequests), func(*plane.Request) error {
+	c := call(ctx, ActionPut, objectResource(bucketName, key), int64(len(data)), pricing.S3PutRequests)
+	return s.pl.Do(ctx, &c, func(*plane.Request) error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		b, ok := s.buckets[bucketName]
@@ -230,36 +235,49 @@ func (s *Service) Get(ctx *sim.Context, bucketName, key string) (*Object, error)
 	}
 	s.mu.RUnlock()
 
-	var out *Object
-	err := s.pl.Do(ctx, call(ActionGet, ObjectResource(bucketName, key), size, pricing.S3GetRequests), func(req *plane.Request) error {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		b, ok := s.buckets[bucketName]
-		if !ok {
-			return fmt.Errorf("s3: %q: %w", bucketName, ErrNoSuchBucket)
-		}
-		o, ok := b.objects[key]
-		if !ok {
-			return fmt.Errorf("s3: %s/%s: %w", bucketName, key, ErrNoSuchKey)
-		}
-		if ctx != nil && ctx.External {
-			req.MeterUsage(pricing.Usage{Kind: pricing.TransferOutGB, Quantity: float64(size) / 1e9})
-		}
-		owned.Check("s3 bucket", bucketName, key, o.Data, o.sum)
-		cp := *o
-		out = &cp
-		return nil
-	})
-	if err != nil {
+	op := &getOp{s: s, ctx: ctx, bucket: bucketName, key: key, size: size}
+	c := call(ctx, ActionGet, objectResource(bucketName, key), size, pricing.S3GetRequests)
+	if err := s.pl.DoHandler(ctx, &c, op); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return &op.out, nil
+}
+
+// getOp is one Get's handler: its inputs and the copy of the object it
+// returns share the call's one allocation.
+type getOp struct {
+	s           *Service
+	ctx         *sim.Context
+	bucket, key string
+	size        int64
+	out         Object
+}
+
+func (op *getOp) Handle(req *plane.Request) error {
+	s := op.s
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	b, ok := s.buckets[op.bucket]
+	if !ok {
+		return fmt.Errorf("s3: %q: %w", op.bucket, ErrNoSuchBucket)
+	}
+	o, ok := b.objects[op.key]
+	if !ok {
+		return fmt.Errorf("s3: %s/%s: %w", op.bucket, op.key, ErrNoSuchKey)
+	}
+	if op.ctx != nil && op.ctx.External {
+		req.MeterUsage(pricing.Usage{Kind: pricing.TransferOutGB, Quantity: float64(op.size) / 1e9})
+	}
+	owned.Check("s3 bucket", op.bucket, op.key, o.Data, o.sum)
+	op.out = *o
+	return nil
 }
 
 // Delete removes an object. Deleting an absent key is not an error,
 // matching S3 semantics.
 func (s *Service) Delete(ctx *sim.Context, bucketName, key string) error {
-	return s.pl.Do(ctx, call(ActionDelete, ObjectResource(bucketName, key), 0, pricing.S3PutRequests), func(*plane.Request) error {
+	c := call(ctx, ActionDelete, objectResource(bucketName, key), 0, pricing.S3PutRequests)
+	return s.pl.Do(ctx, &c, func(*plane.Request) error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		b, ok := s.buckets[bucketName]
@@ -277,7 +295,8 @@ func (s *Service) Delete(ctx *sim.Context, bucketName, key string) error {
 // List returns the keys in a bucket with the given prefix, sorted.
 func (s *Service) List(ctx *sim.Context, bucketName, prefix string) ([]string, error) {
 	var keys []string
-	err := s.pl.Do(ctx, call(ActionList, BucketResource(bucketName), 0, pricing.S3GetRequests), func(*plane.Request) error {
+	c := call(ctx, ActionList, iam.Resource{resourcePrefix, bucketName}, 0, pricing.S3GetRequests)
+	err := s.pl.Do(ctx, &c, func(*plane.Request) error {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 		b, ok := s.buckets[bucketName]

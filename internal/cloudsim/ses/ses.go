@@ -97,14 +97,17 @@ func (s *Service) Send(ctx *sim.Context, from string, to []string, raw []byte) e
 	for i := range usage {
 		usage[i] = pricing.Usage{Kind: pricing.SESMessages, Quantity: 1}
 	}
-	return s.pl.Do(ctx, &plane.Call{
-		Service:     "ses",
-		Op:          "Send",
-		Nest:        true,
-		Annotations: []trace.Annotation{{Key: "recipients", Value: strconv.Itoa(len(to))}},
-		Latency:     &plane.Latency{Hop: netsim.HopSES},
-		Usage:       usage,
-	}, func(*plane.Request) error {
+	c := plane.Call{
+		Service: "ses",
+		Op:      "Send",
+		Nest:    true,
+		Latency: plane.Latency{On: true, Hop: netsim.HopSES},
+		Usage:   usage,
+	}
+	if ctx.Traced() {
+		c.Annotations[0] = trace.Annotation{Key: "recipients", Value: strconv.Itoa(len(to))}
+	}
+	return s.pl.Do(ctx, &c, func(*plane.Request) error {
 		var firstErr error
 		for _, rcpt := range to {
 			if err := s.deliver(ctx, from, normalize(rcpt), raw); err != nil && firstErr == nil {
@@ -125,13 +128,14 @@ func (s *Service) Deliver(ctx *sim.Context, from, to string, raw []byte) error {
 	if !hooked {
 		return fmt.Errorf("ses: %q: %w", to, ErrNoHook)
 	}
-	return s.pl.Do(ctx, &plane.Call{
+	c := plane.Call{
 		Service:     "ses",
 		Op:          "Deliver",
 		Nest:        true,
-		Annotations: []trace.Annotation{{Key: "to", Value: to}},
-		Latency:     &plane.Latency{Hop: netsim.HopSES},
-	}, func(*plane.Request) error {
+		Annotations: [2]trace.Annotation{{Key: "to", Value: to}},
+		Latency:     plane.Latency{On: true, Hop: netsim.HopSES},
+	}
+	return s.pl.Do(ctx, &c, func(*plane.Request) error {
 		_, _, err := s.platform.InvokeTrigger(ctx, TriggerSource, to, lambda.Event{
 			Source: TriggerSource,
 			Op:     "inbound",

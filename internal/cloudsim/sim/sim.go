@@ -25,7 +25,14 @@ type Cursor struct {
 
 // NewCursor returns a cursor positioned at start.
 func NewCursor(start time.Time) *Cursor {
-	return &Cursor{start: start, now: start}
+	c := CursorAt(start)
+	return &c
+}
+
+// CursorAt returns a cursor positioned at start, by value, for
+// embedding in an object that lives as long as the flow does.
+func CursorAt(start time.Time) Cursor {
+	return Cursor{start: start, now: start}
 }
 
 // Now reports the cursor's current position on the simulated timeline.
@@ -94,6 +101,24 @@ type Context struct {
 	Span *trace.Span
 }
 
+// NewFlow returns a copy of c on a fresh cursor positioned at start.
+// The Context and its Cursor share one allocation.
+func NewFlow(c Context, start time.Time) *Context {
+	f := &struct {
+		ctx Context
+		cur Cursor
+	}{ctx: c, cur: CursorAt(start)}
+	f.ctx.Cursor = &f.cur
+	return &f.ctx
+}
+
+// Traced reports whether the flow records spans: StartSpan opens one
+// exactly when it does. Callers build span annotations only then, so
+// an untraced flow formats nothing.
+func (c *Context) Traced() bool {
+	return c != nil && c.Span != nil && c.Cursor != nil
+}
+
 // Advance moves the context's cursor, if any, forward by d.
 func (c *Context) Advance(d time.Duration) {
 	if c != nil && c.Cursor != nil {
@@ -137,7 +162,7 @@ func (c *Context) StartTrace(st *trace.Store, name string) *trace.Trace {
 // Returns nil when the flow is untraced; all trace.Span methods
 // tolerate nil receivers, so call sites need no guards.
 func (c *Context) StartSpan(service, op string) *trace.Span {
-	if c == nil || c.Span == nil || c.Cursor == nil {
+	if !c.Traced() {
 		return nil
 	}
 	return c.Span.StartChild(service, op, c.Cursor.Now())

@@ -108,19 +108,22 @@ func New(iamSvc *iam.Service, meter *pricing.Meter, model *netsim.Model, clk *cl
 func (s *Service) Plane() *plane.Plane { return s.pl }
 
 // call builds the plane descriptor for one queue API call.
-func call(action, name string) *plane.Call {
-	return &plane.Call{
+func call(action, name string) plane.Call {
+	return plane.Call{
 		Service:     "sqs",
 		Op:          action,
 		Action:      action,
-		Resource:    Resource(name),
-		Annotations: []trace.Annotation{{Key: "queue", Value: name}},
-		Usage:       []pricing.Usage{{Kind: pricing.SQSRequests, Quantity: 1}},
+		Resource:    iam.Resource{resourcePrefix, name},
+		Annotations: [2]trace.Annotation{{Key: "queue", Value: name}},
+		Fee:         pricing.Usage{Kind: pricing.SQSRequests, Quantity: 1},
 	}
 }
 
+// resourcePrefix starts every queue's IAM resource name.
+const resourcePrefix = "queue/"
+
 // Resource returns the IAM resource string for a queue.
-func Resource(name string) string { return "queue/" + name }
+func Resource(name string) string { return resourcePrefix + name }
 
 // CreateQueue provisions an empty queue.
 func (s *Service) CreateQueue(name string) error {
@@ -172,30 +175,42 @@ func (s *Service) Len(name string) int {
 // sender's current simulated instant plus the queue-delivery latency.
 func (s *Service) Send(ctx *sim.Context, name string, body []byte) (string, error) {
 	c := call(ActionSend, name)
-	c.Annotations = append(c.Annotations, trace.Annotation{Key: "bytes", Value: strconv.Itoa(len(body))})
-	c.Latency = &plane.Latency{Hop: netsim.HopSQSSend}
-	var id string
-	err := s.pl.Do(ctx, c, func(*plane.Request) error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		q, ok := s.queues[name]
-		if !ok {
-			return fmt.Errorf("sqs: %q: %w", name, ErrNoSuchQueue)
-		}
-		s.nextID++
-		id = "m-" + strconv.FormatInt(s.nextID, 10)
-		q.msgs = append(q.msgs, &message{
-			id:   id,
-			body: body,
-			sent: s.cursor(ctx).Now(),
-			sum:  owned.Sum(body),
-		})
-		return nil
-	})
-	if err != nil {
+	if ctx.Traced() {
+		c.Annotations[1] = trace.Annotation{Key: "bytes", Value: strconv.Itoa(len(body))}
+	}
+	c.Latency = plane.Latency{On: true, Hop: netsim.HopSQSSend}
+	op := &sendOp{s: s, ctx: ctx, name: name, body: body}
+	if err := s.pl.DoHandler(ctx, &c, op); err != nil {
 		return "", err
 	}
-	return id, nil
+	return op.id, nil
+}
+
+// sendOp is one Send's handler, holding the message id it assigns.
+type sendOp struct {
+	s        *Service
+	ctx      *sim.Context
+	name, id string
+	body     []byte
+}
+
+func (op *sendOp) Handle(*plane.Request) error {
+	s := op.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	q, ok := s.queues[op.name]
+	if !ok {
+		return fmt.Errorf("sqs: %q: %w", op.name, ErrNoSuchQueue)
+	}
+	s.nextID++
+	op.id = "m-" + strconv.FormatInt(s.nextID, 10)
+	q.msgs = append(q.msgs, &message{
+		id:   op.id,
+		body: op.body,
+		sent: s.cursor(op.ctx).Now(),
+		sum:  owned.Sum(op.body),
+	})
+	return nil
 }
 
 // Receive long-polls the queue for up to wait, returning at most max
@@ -204,24 +219,30 @@ func (s *Service) Send(ctx *sim.Context, name string, body []byte) (string, erro
 // reappear (at-least-once delivery).
 func (s *Service) Receive(ctx *sim.Context, name string, max int, wait time.Duration) ([]Message, error) {
 	c := call(ActionReceive, name)
-	c.Latency = &plane.Latency{Hop: netsim.HopSQSPoll}
-	var msgs []Message
-	err := s.pl.Do(ctx, c, func(req *plane.Request) error {
-		if max <= 0 {
-			max = 1
-		}
-		if wait < 0 {
-			wait = 0
-		}
-		if wait > MaxWait {
-			wait = MaxWait
-		}
-		var err error
-		msgs, err = s.poll(s.cursor(ctx), name, max, wait)
-		req.Span.Annotate("messages", strconv.Itoa(len(msgs)))
-		return err
-	})
-	return msgs, err
+	c.Latency = plane.Latency{On: true, Hop: netsim.HopSQSPoll}
+	op := &receiveOp{s: s, ctx: ctx, name: name, max: max, wait: wait}
+	err := s.pl.DoHandler(ctx, &c, op)
+	return op.msgs, err
+}
+
+// receiveOp is one Receive's handler, holding the messages it polls.
+type receiveOp struct {
+	s    *Service
+	ctx  *sim.Context
+	name string
+	max  int
+	wait time.Duration
+	msgs []Message
+}
+
+func (op *receiveOp) Handle(req *plane.Request) error {
+	n, wait := max(op.max, 1), min(max(op.wait, 0), MaxWait)
+	var err error
+	op.msgs, err = op.s.poll(op.s.cursor(op.ctx), op.name, n, wait)
+	if req.Span != nil {
+		req.Span.Annotate("messages", strconv.Itoa(len(op.msgs)))
+	}
+	return err
 }
 
 // poll resolves the long poll on cur's virtual timeline: if a message
@@ -280,7 +301,8 @@ func (s *Service) poll(cur *sim.Cursor, name string, max int, wait time.Duration
 // Delete removes a received message by id. Deleting an unknown id is a
 // no-op, matching SQS semantics.
 func (s *Service) Delete(ctx *sim.Context, name, id string) error {
-	return s.pl.Do(ctx, call(ActionDelete, name), func(*plane.Request) error {
+	c := call(ActionDelete, name)
+	return s.pl.Do(ctx, &c, func(*plane.Request) error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		q, ok := s.queues[name]

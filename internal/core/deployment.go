@@ -218,15 +218,15 @@ func Install(cloud *Cloud, user string, app App) (*Deployment, error) {
 
 // ClientContext returns a call context for the user's own device: the
 // client principal, external to the cloud, on a fresh timeline starting
-// at the cloud clock's current instant.
+// at the cloud clock's current instant. The context and its cursor are
+// one allocation.
 func (d *Deployment) ClientContext() *sim.Context {
-	return &sim.Context{
+	return sim.NewFlow(sim.Context{
 		Principal: d.ClientRole,
 		App:       d.AppName,
 		Region:    d.Cloud.Region,
-		Cursor:    sim.NewCursor(d.Cloud.Clock.Now()),
 		External:  true,
-	}
+	}, d.Cloud.Clock.Now())
 }
 
 // TracedContext is ClientContext with a distributed trace attached:

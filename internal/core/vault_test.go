@@ -142,3 +142,24 @@ func TestVaultLoadWarmAllocs(t *testing.T) {
 		t.Fatalf("warm Vault.Load: %v allocs, its Get %v: want exactly equal, the plaintext in the arena", load, get)
 	}
 }
+
+// ClientContext is one allocation, the context and its cursor
+// together, acting as the client role on a fresh external timeline at
+// the cloud clock's now.
+func TestClientContextAllocs(t *testing.T) {
+	c := newCloud(t, "aws-sim")
+	d, err := Install(c, "alice", notesApp{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := d.ClientContext()
+	if ctx.Principal != d.ClientRole || ctx.App != d.AppName || ctx.Region != c.Region || !ctx.External {
+		t.Errorf("ClientContext = %+v", ctx)
+	}
+	if ctx.Cursor == nil || !ctx.Now().Equal(c.Clock.Now()) || ctx.Cursor.Elapsed() != 0 {
+		t.Errorf("ClientContext cursor at %v (elapsed %v), want a fresh one at %v", ctx.Now(), ctx.Cursor.Elapsed(), c.Clock.Now())
+	}
+	if n := testing.AllocsPerRun(100, func() { d.ClientContext() }); n != 1 {
+		t.Errorf("ClientContext: %v allocs, want exactly 1", n)
+	}
+}
