@@ -16,11 +16,7 @@ import (
 // latency, and the dashboard itself shows up as a line on the bill.
 func metricsDemo() error {
 	fmt.Println("== CloudWatch-sim: RED metrics, alarms, and what observing costs ==")
-	// Interactive runs measure the telemetry plane's own overhead on the
-	// host clock; simulated/test runs never inject one, so they stay
-	// deterministic and report zero.
-	metrics.SetHostClock(func() int64 { return time.Now().UnixNano() })
-	cloud, err := diy.NewCloud(diy.CloudOptions{Name: "metrics-demo", SelfTelemetry: true})
+	cloud, err := diy.NewCloud(diy.CloudOptions{Name: "metrics-demo"})
 	if err != nil {
 		return err
 	}
@@ -118,17 +114,6 @@ func metricsDemo() error {
 		TotalOf(pricing.CWMetricMonths, pricing.CWAlarmMonths)
 	fmt.Printf("   %d series + %d alarms -> $%.6f/mo list, $%.6f/mo after the 10/10 free tier\n",
 		cloud.Metrics.SeriesCount(), cloud.Metrics.AlarmCount(), list.Dollars(), billed.Dollars())
-
-	// The telemetry plane observing itself: its publication counters,
-	// published as ordinary telemetry.* series through the same
-	// registry it serves.
-	cloud.PublishSelfTelemetry(cloud.Clock.Now())
-	st := cloud.Metrics.SelfStats()
-	ls := cloud.Logs.SelfStats()
-	fmt.Println("\n-- telemetry self-observation (the cost of watching):")
-	fmt.Printf("   metric samples published %8d\n", st.Samples)
-	fmt.Printf("   log events ingested      %8d (%d bytes)\n", ls.Events, ls.Bytes)
-	fmt.Printf("   interceptor overhead     %8.3f ms host time\n", float64(st.OverheadNs)/1e6)
 
 	fmt.Println("\n-- Prometheus-style exposition (scrape of the whole run):")
 	fmt.Print(indent(cloud.Metrics.Exposition(zero, zero)))

@@ -210,8 +210,12 @@ func TestInterceptorConcurrentPublishers(t *testing.T) {
 			t.Fatalf("event %d at %v precedes event %d at %v", i, e.Time, i-1, evs[i-1].Time)
 		}
 	}
-	if got, want := s.SelfStats().Events, int64(goroutines*per); got != want {
-		t.Fatalf("SelfStats().Events = %d, want %d", got, want)
+	events := 0
+	for _, g := range s.Inventory() {
+		events += g.Events
+	}
+	if want := goroutines * per; events != want {
+		t.Fatalf("inventory holds %d events, want %d", events, want)
 	}
 	if got := s.Groups(); len(got) != 1 || got[0] != PlaneGroup("svc") {
 		t.Fatalf("Groups = %v, want one plane group", got)

@@ -254,9 +254,6 @@ type Service struct {
 	keys          sortutil.Names
 	vals          sortutil.Names
 	ingestedBytes int64
-
-	// Self-telemetry counter (see SelfStats).
-	ingestedEvents int64
 }
 
 // New returns an empty log service over the cloud's clock, which
@@ -368,7 +365,6 @@ func (s *Service) appendLocked(g *group, st *stream, at time.Time, msg string, f
 	r.fieldLo, r.fieldHi = st.fields.Append(slots...)
 	st.rows.Append(r)
 	s.ingestedBytes += b
-	s.ingestedEvents++
 	g.merged = nil
 }
 
@@ -520,20 +516,4 @@ func (s *Service) ensureStreamLocked(g *group, name string) *stream {
 		g.list = append(g.list, st)
 	}
 	return st
-}
-
-// SelfStats is the log plane's observation of itself.
-type SelfStats struct {
-	// Events counts events ingested into the store.
-	Events int64
-	// Bytes is the cumulative ingested byte count (same quantity as
-	// IngestedBytes).
-	Bytes int64
-}
-
-// SelfStats reports the service's self-telemetry counters.
-func (s *Service) SelfStats() SelfStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return SelfStats{Events: s.ingestedEvents, Bytes: s.ingestedBytes}
 }

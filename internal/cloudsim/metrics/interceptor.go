@@ -80,7 +80,6 @@ type publisher struct {
 // each cumulative-gauge update with its sample, so the gauge series
 // stays monotone.
 func (p *publisher) publish(req *plane.Request, err error) {
-	t0 := hostNow()
 	at := req.Ctx.Now()
 	if at.IsZero() {
 		at = p.clk.Now()
@@ -94,28 +93,20 @@ func (p *publisher) publish(req *plane.Request, err error) {
 	s := p.svc
 	s.mu.Lock()
 	h := p.resolveLocked(req.Call.Service, req.Call.Op)
-	n := int64(3) // requests, cost, account gauge
 	s.insertLocked(h.requests, atNs, 1)
 	switch {
 	case errors.Is(err, iam.ErrDenied):
 		s.insertLocked(h.denials, atNs, 1)
-		n++
 	case err != nil:
 		s.insertLocked(h.errs, atNs, 1)
-		n++
 	}
 	if !start.IsZero() && !at.Before(start) {
 		s.insertLocked(h.latency, atNs, float64(at.Sub(start))/float64(time.Millisecond))
-		n++
 	}
 	s.insertLocked(h.cost, atNs, float64(cost.Nanodollars()))
 	p.cum += cost.Nanodollars()
 	s.insertLocked(p.account, atNs, float64(p.cum))
-	s.samples += n
 	s.mu.Unlock()
-	if t0 != 0 {
-		s.addOverhead(hostNow() - t0)
-	}
 }
 
 // resolveLocked interns the five series handles for (service, op),
@@ -174,16 +165,4 @@ func (s *Service) Usage() []pricing.Usage {
 		{Kind: pricing.CWMetricMonths, Quantity: float64(s.SeriesCount()), Resource: "cloudwatch"},
 		{Kind: pricing.CWAlarmMonths, Quantity: float64(s.AlarmCount()), Resource: "cloudwatch"},
 	}
-}
-
-// SelfPublish records the service's self-telemetry counters as metric
-// series under TelemetryNamespace, timestamped at. The telemetry plane
-// observes itself through the same registry it serves — `diyctl
-// metrics` surfaces these like any other series. Opt-in (core publishes
-// only when CloudOptions.SelfTelemetry is set) because the series
-// count feeds the CloudWatch inventory bill.
-func (s *Service) SelfPublish(at time.Time) {
-	st := s.SelfStats()
-	s.Record(TelemetryNamespace, MetricTelemetrySamples, at, float64(st.Samples))
-	s.Record(TelemetryNamespace, MetricTelemetryOverheadNs, at, float64(st.OverheadNs))
 }

@@ -3,6 +3,7 @@ package metrics
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -186,8 +187,56 @@ func TestInterceptorConcurrentPublishers(t *testing.T) {
 	if got := s.Count("svc/op", MetricPlaneRequests, zero, zero); got != goroutines*per {
 		t.Fatalf("Count = %d after concurrent publication, want %d", got, goroutines*per)
 	}
-	if got, want := s.SelfStats().Samples, int64(goroutines*per*4); got != want {
-		t.Fatalf("SelfStats().Samples = %d, want %d (requests, latency, cost, account gauge per call)", got, want)
+	samples := 0
+	for _, st := range s.SeriesStats() {
+		samples += st.Count
+	}
+	if want := goroutines * per * 4; samples != want {
+		t.Fatalf("stored %d samples, want %d (requests, latency, cost, account gauge per call)", samples, want)
+	}
+}
+
+// TestPublishReadsNoHostClock holds the interceptor to DESIGN §13's
+// quarantine of host time: with a host clock installed, publishing a
+// plane call's samples never reads it, and no series outside the
+// simulated RED+cost families appears in the store.
+func TestPublishReadsNoHostClock(t *testing.T) {
+	var reads atomic.Int64
+	SetHostClock(func() int64 { return reads.Add(1) })
+	t.Cleanup(func() { SetHostClock(nil) })
+
+	s := New()
+	p := obsPlane(t, s, true)
+	ctx := &sim.Context{Principal: "fn", App: "app", Cursor: sim.NewCursor(t0)}
+	call := &plane.Call{
+		Service:  "s3",
+		Op:       "s3:GetObject",
+		Action:   "s3:GetObject",
+		Resource: iam.Resource{"bucket/x"},
+		Latency:  plane.Latency{On: true, Hop: netsim.HopS3},
+		Fee:      pricing.Usage{Kind: pricing.S3GetRequests, Quantity: 1},
+	}
+	const calls = 300
+	for i := 0; i < calls; i++ {
+		ctx.Cursor.Advance(time.Millisecond)
+		if err := p.Do(ctx, call, func(*plane.Request) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Count("s3/s3:GetObject", MetricPlaneRequests, time.Time{}, time.Time{}); got != calls {
+		t.Fatalf("requests = %d, want %d", got, calls)
+	}
+	if n := reads.Load(); n != 0 {
+		t.Fatalf("%d plane calls read the host clock %d times, want 0", calls, n)
+	}
+	for _, ns := range s.Namespaces() {
+		if ns == "telemetry" {
+			t.Fatalf("namespaces = %v: host-side self-telemetry reached the simulated store", s.Namespaces())
+		}
+	}
+	SetHostClock(nil)
+	if got := HostNow(); got != 0 {
+		t.Fatalf("HostNow() = %d after SetHostClock(nil), want 0", got)
 	}
 }
 

@@ -80,11 +80,6 @@ type Service struct {
 	series []*series
 	names  sortutil.Names // key(namespace, metric) -> Handle
 	alarms []*Alarm
-
-	// Self-telemetry counters (see SelfStats): how much work the
-	// telemetry plane itself has done.
-	samples    int64 // samples published by the plane interceptor
-	overheadNs int64 // atomic; host-clock interceptor overhead, see SetHostClock
 }
 
 // New returns an empty metrics service.
@@ -392,63 +387,27 @@ func (s *Service) SeriesCount() int {
 	return n
 }
 
-// SelfStats is the metrics plane's observation of itself.
-type SelfStats struct {
-	// Samples counts samples the plane interceptor published.
-	Samples int64
-	// OverheadNs is cumulative host-clock time spent inside the plane
-	// interceptor's publish step. Zero unless SetHostClock was called:
-	// the simulator measures its own cost only when a real-time source
-	// is explicitly injected, keeping simulated runs deterministic.
-	OverheadNs int64
-}
+// hostClock, when set, is a real-time nanosecond source for the
+// fleet's host-phase timers. Nothing in the simulation reads it.
+var hostClock atomic.Pointer[func() int64]
 
-// SelfStats reports the service's self-telemetry counters.
-func (s *Service) SelfStats() SelfStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return SelfStats{
-		Samples:    s.samples,
-		OverheadNs: atomic.LoadInt64(&s.overheadNs),
-	}
-}
+// SetHostClock injects a host (wall) nanosecond clock for HostNow, or
+// uninstalls it when fn is nil. The simulator core never sets one;
+// `diyctl fleet` and the benchmark's tower workloads inject
+// time.Now-based nanos so the fleet's phase timers see real durations.
+func SetHostClock(fn func() int64) { hostClock.Store(&fn) }
 
-// addOverhead accumulates host-clock interceptor time.
-func (s *Service) addOverhead(ns int64) {
-	if ns > 0 {
-		atomic.AddInt64(&s.overheadNs, ns)
-	}
-}
-
-// hostClock, when set, is a real-time nanosecond source used solely to
-// measure the interceptor's own overhead (SelfStats.OverheadNs).
-var hostClock atomic.Value // of func() int64
-
-// SetHostClock injects a host (wall) nanosecond clock for interceptor
-// overhead measurement. The simulator core never sets one — simulated
-// runs measure zero overhead and stay deterministic; diyctl injects
-// time.Now-based nanos so interactive runs can report the telemetry
-// tax in `diyctl metrics`.
-func SetHostClock(fn func() int64) {
-	if fn == nil {
-		return
-	}
-	hostClock.Store(fn)
-}
-
-// hostNow reads the injected host clock, or 0 when none is set.
-func hostNow() int64 {
-	if fn, ok := hostClock.Load().(func() int64); ok {
-		return fn()
+// HostNow reads the injected host clock: nanoseconds from the
+// SetHostClock source, or 0 when none is set. Its one reader is the
+// fleet, which times its host-side phases (profile generation, shard
+// drain, aggregation, per-account install vs replay) through it for
+// the control tower's PhaseTimings, reported on stderr only. Simulated
+// and test runs, which never inject a host clock, measure zero
+// everywhere and stay bit-identical, and no simulated store ever
+// records the value.
+func HostNow() int64 {
+	if fn := hostClock.Load(); fn != nil && *fn != nil {
+		return (*fn)()
 	}
 	return 0
 }
-
-// HostNow exposes the injected host clock to the rest of the module:
-// nanoseconds from the SetHostClock source, or 0 when none is set.
-// The fleet control tower times its host-side phases (profile
-// generation, shard drain, aggregation, per-account install vs replay)
-// through this so simulated and test runs — which never inject a host
-// clock — measure zero everywhere and stay bit-identical, while
-// interactive diyctl runs see real durations.
-func HostNow() int64 { return hostNow() }

@@ -15,10 +15,6 @@ import "sort"
 // (the per-(service, op) plane series use "service/op" namespaces).
 const AccountNamespace = "account"
 
-// TelemetryNamespace is the namespace for the telemetry plane's
-// self-observation series (the telemetry.self.* family).
-const TelemetryNamespace = "telemetry"
-
 const (
 	// Plane series, auto-published by PlaneInterceptor into a
 	// "service/op" namespace for every call routed through plane.Do.
@@ -39,17 +35,6 @@ const (
 	MetricLambdaBilledMs = "lambda.billed.ms"
 	MetricLambdaPeakMB   = "lambda.peak.mb"
 	MetricLambdaCold     = "lambda.cold"
-
-	// Self-telemetry gauges under TelemetryNamespace: the telemetry
-	// plane observing its own work. Published on demand by
-	// Service.SelfPublish / logs ingest stats (opt-in via
-	// core.CloudOptions.SelfTelemetry — the series feed the CloudWatch
-	// inventory bill, so the default stays off and ledger goldens
-	// unmoved).
-	MetricTelemetrySamples    = "telemetry.self.samples"
-	MetricTelemetryEvents     = "telemetry.self.events"
-	MetricTelemetryBytes      = "telemetry.self.bytes"
-	MetricTelemetryOverheadNs = "telemetry.self.overhead.ns"
 )
 
 var registered = []string{
@@ -63,10 +48,6 @@ var registered = []string{
 	MetricLambdaBilledMs,
 	MetricLambdaPeakMB,
 	MetricLambdaCold,
-	MetricTelemetrySamples,
-	MetricTelemetryEvents,
-	MetricTelemetryBytes,
-	MetricTelemetryOverheadNs,
 }
 
 // Names returns every registered metric name, sorted.

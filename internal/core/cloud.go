@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cloudsim/clock"
 	"repro/internal/cloudsim/dynamo"
@@ -54,8 +53,6 @@ type Cloud struct {
 	Logs    *logs.Service
 	Tracer  *trace.Store
 	Attest  *attest.Platform
-
-	selfTelemetry bool
 }
 
 // Shared bundles the immutable pieces of a provider that every account
@@ -121,13 +118,6 @@ type CloudOptions struct {
 	// one per account (workload.Substream(seed, "trace")) with X-Ray's
 	// default reservoir-plus-5% rule.
 	TraceSampling *trace.SamplerConfig
-	// SelfTelemetry lets the telemetry plane record its own counters
-	// (samples published, events ingested, bytes, interceptor
-	// overhead) as telemetry.* metric series via
-	// Cloud.PublishSelfTelemetry. Off by default: the extra series feed
-	// the CloudWatch custom-metric inventory, so silent self-observation
-	// would move SeriesCount-pinned goldens and the monitoring bill.
-	SelfTelemetry bool
 }
 
 // NewCloud builds a fully wired simulated provider. It is the one place
@@ -199,26 +189,8 @@ func NewCloud(opts CloudOptions) (*Cloud, error) {
 		}
 	}
 
-	c.selfTelemetry = opts.SelfTelemetry
 	c.Attest = shared.Attest
 	return c, nil
-}
-
-// PublishSelfTelemetry records the telemetry plane's own counters as
-// telemetry.* metric series timestamped at: published metric samples,
-// interceptor overhead (zero unless a host clock was injected; see
-// metrics.SetHostClock), and the log plane's ingested event and byte
-// totals. No-op unless CloudOptions.SelfTelemetry was set — the series
-// count feeds the CloudWatch inventory bill, so self-observation is
-// opt-in.
-func (c *Cloud) PublishSelfTelemetry(at time.Time) {
-	if !c.selfTelemetry {
-		return
-	}
-	c.Metrics.SelfPublish(at)
-	ls := c.Logs.SelfStats()
-	c.Metrics.Record(metrics.TelemetryNamespace, metrics.MetricTelemetryEvents, at, float64(ls.Events))
-	c.Metrics.Record(metrics.TelemetryNamespace, metrics.MetricTelemetryBytes, at, float64(ls.Bytes))
 }
 
 // Bill computes the provider's current monthly bill.

@@ -88,6 +88,15 @@ diff cmd/diyctl/testdata/trace_fleet.golden "$LOG1"
 go run ./cmd/diyctl trace >"$LOG2"
 diff cmd/diyctl/testdata/trace.golden "$LOG2"
 
+echo ">> metrics demo double-run (the CloudWatch-sim dashboard diffed between two runs; no host time reaches a simulated store)"
+go run ./cmd/diyctl metrics >"$LOG1" 2>/dev/null
+go run ./cmd/diyctl metrics >"$LOG2" 2>/dev/null
+if ! grep -q 'Prometheus-style exposition' "$LOG1"; then
+	echo "check: metrics demo rendered no exposition" >&2
+	exit 1
+fi
+diff "$LOG1" "$LOG2"
+
 echo ">> fuzz smoke (each hand-written codec against its stdlib oracle, encoding/json or encoding/xml, the room-doc and mailbox splices against decode-append-encode, envelope.Key's Open (OpenTo against append(dst, Open)) and SealInPlace, IAM's in-place Match against the strings.Split matcher, then the telemetry stores: log ingest against a plain-string model, Insights Query against the test-side row reference, before and after stats and over a fuzzed event message, and the X-Ray filter grammar; 10 s per fuzzer; -fuzzminimizetime 1x keeps minimization from eating the 10 s)"
 go test -run '^$' -fuzz '^FuzzAppendString$' -fuzztime 10s -fuzzminimizetime 1x ./internal/canonjson
 go test -run '^$' -fuzz '^FuzzRoomDocCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/apps/chat
