@@ -12,7 +12,8 @@ import (
 // TestDecryptAllocs pins what one Decrypt allocates on an untraced flow
 // with the metrics and logs interceptors installed. The plane's
 // Request, the call descriptor, its IAM resource and its annotation
-// allocate nothing; the call costs the key id read from the blob, its
+// allocate nothing, and neither does the key id read from the blob
+// (the provisioned key's own id string is used); the call costs its
 // handler state (which holds the aad) and the unwrapped data key.
 func TestDecryptAllocs(t *testing.T) {
 	f := newFixture(t)
@@ -31,7 +32,7 @@ func TestDecryptAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got != 3 {
-		t.Errorf("Decrypt: %v allocs per call, want exactly 3", got)
+	if got != 2 {
+		t.Errorf("Decrypt: %v allocs per call, want exactly 2", got)
 	}
 }

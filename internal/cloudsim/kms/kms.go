@@ -200,9 +200,22 @@ func (op *generateOp) Handle(*plane.Request) error {
 // id is read from the blob itself, and the caller must hold kms:Decrypt
 // on that key.
 func (s *Service) Decrypt(ctx *sim.Context, wrapped []byte) ([]byte, error) {
-	keyID, sealed, err := splitBlob(wrapped)
+	id, sealed, err := splitBlob(wrapped)
 	if err != nil {
 		return nil, err
+	}
+	// The blob's id names a provisioned key almost always: use that
+	// key's own id string, so the call allocates none. Only an unknown
+	// id is copied out of the blob; the handler looks the key up again
+	// after authorization, so a miss still fails there, as not found.
+	s.mu.Lock()
+	mk := s.keys[string(id)]
+	s.mu.Unlock()
+	var keyID string
+	if mk != nil {
+		keyID = mk.id
+	} else {
+		keyID = string(id)
 	}
 	op := &decryptOp{s: s, keyID: keyID, sealed: sealed}
 	if err := s.do(ctx, ActionDecrypt, keyID, op); err != nil {
@@ -331,13 +344,15 @@ func (s *Service) wrap(mk *masterKey, dataKey []byte) ([]byte, error) {
 	return append(out, sealed...), nil
 }
 
-func splitBlob(blob []byte) (keyID string, sealed []byte, err error) {
+// splitBlob splits a wrapped blob into its key id bytes and the
+// sealed data key, both views of blob.
+func splitBlob(blob []byte) (keyID, sealed []byte, err error) {
 	if len(blob) < 2 {
-		return "", nil, ErrBadBlob
+		return nil, nil, ErrBadBlob
 	}
 	n := int(binary.BigEndian.Uint16(blob[:2]))
 	if len(blob) < 2+n {
-		return "", nil, ErrBadBlob
+		return nil, nil, ErrBadBlob
 	}
-	return string(blob[2 : 2+n]), blob[2+n:], nil
+	return blob[2 : 2+n], blob[2+n:], nil
 }

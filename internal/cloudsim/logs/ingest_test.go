@@ -122,6 +122,26 @@ func TestAppendKMSAuditAllocs(t *testing.T) {
 	}
 }
 
+// TestNewAllocs pins building a store: the Service and its three
+// group maps. Its plane field keys are the shared planeKeys table, so
+// New interns none of them; a store built per account pays nothing
+// for them.
+func TestNewAllocs(t *testing.T) {
+	clk := clock.NewVirtual()
+	var s *Service
+	if got := testing.AllocsPerRun(100, func() { s = New(clk) }); got != newAllocs {
+		t.Errorf("New: %v allocs, want exactly %v", got, newAllocs)
+	}
+	for id, want := range []string{"service", "op", "outcome", "cost_nanodollars", "principal", "app", "latency_ms", "error", "action", "allowed", "key_id"} {
+		if got, ok := s.keys.Lookup(want); !ok || got != int32(id) || s.keys.Name(int32(id)) != want {
+			t.Errorf("key %q: id %d (found %v), want %d", want, got, ok, id)
+		}
+	}
+}
+
+// newAllocs is TestNewAllocs's pin.
+const newAllocs = 4
+
 // field is a field in the plain-string reference model of the store:
 // what the columns held before the arena, a key and a value string.
 type field struct{ k, v string }

@@ -108,9 +108,9 @@ type fieldIn struct {
 	inMsg, intern bool
 }
 
-// The field keys of the plane interceptor and the KMS audit. New
-// interns them first, in this order, so the publish paths name them by
-// constant id instead of looking them up per event.
+// The field keys of the plane interceptor and the KMS audit. Every
+// store's key interner starts from planeKeys, so the publish paths name
+// them by constant id instead of looking them up per event.
 const (
 	keyService int32 = iota
 	keyOp
@@ -125,8 +125,10 @@ const (
 	keyKeyID
 )
 
-// planeKeys are the names of the key ids above, in id order.
-var planeKeys = [...]string{"service", "op", "outcome", "cost_nanodollars", "principal", "app", "latency_ms", "error", "action", "allowed", "key_id"}
+// planeKeys names the key ids above, in id order: one frozen table
+// every store shares as its key interner's base, so building a store
+// interns nothing.
+var planeKeys = sortutil.Freeze("service", "op", "outcome", "cost_nanodollars", "principal", "app", "latency_ms", "error", "action", "allowed", "key_id")
 
 // eventRow is one stored event's row: its UnixNano timestamp (time.Time
 // is rebuilt only when an event is rendered), its message, the
@@ -259,16 +261,13 @@ type Service struct {
 // New returns an empty log service over the cloud's clock, which
 // timestamps events whose emitter passes a zero time.
 func New(clk *clock.Virtual) *Service {
-	s := &Service{
+	return &Service{
 		clk:          clk,
 		groups:       make(map[string]*group),
 		planeGroups:  make(map[string]*group),
 		lambdaGroups: make(map[string]*group),
+		keys:         sortutil.NamesOver(planeKeys),
 	}
-	for _, k := range planeKeys {
-		s.keys.IDLocked(k) // s is not shared yet
-	}
-	return s
 }
 
 // AppendLambdaLines appends plain-text lines to the named stream of

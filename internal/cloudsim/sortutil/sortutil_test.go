@@ -87,3 +87,47 @@ func TestNames(t *testing.T) {
 		}
 	}
 }
+
+// TestNamesOverFrozen pins an interner over a frozen base: the base's
+// names keep their ids and are never re-interned, new names take ids
+// after the base's, and two interners over one base share it without
+// either writing it.
+func TestNamesOverFrozen(t *testing.T) {
+	base := Freeze("service", "op", "outcome")
+	a, b := NamesOver(base), NamesOver(base)
+	if got := a.IDLocked("op"); got != 1 {
+		t.Errorf("IDLocked(op) = %d, want the base's 1", got)
+	}
+	if len(a.names) != 0 || a.ids != nil {
+		t.Errorf("interning a base name stored it: names %v, ids %v", a.names, a.ids)
+	}
+	if got := a.IDLocked("principal"); got != 3 {
+		t.Errorf("IDLocked(principal) = %d, want 3, the first id after the base", got)
+	}
+	if got := b.IDLocked("app"); got != 3 {
+		t.Errorf("other interner: IDLocked(app) = %d, want 3", got)
+	}
+	if _, ok := b.Lookup("principal"); ok {
+		t.Error("a name interned over the base is visible through another interner")
+	}
+	if base.Len() != 3 || len(base.ids) != 3 {
+		t.Errorf("base holds %d names (%d ids) after interning over it, want 3", base.Len(), len(base.ids))
+	}
+	for id, want := range []string{"service", "op", "outcome", "principal"} {
+		if got := a.Name(int32(id)); got != want {
+			t.Errorf("Name(%d) = %q, want %q", id, got, want)
+		}
+		if got, ok := a.Lookup(want); !ok || got != int32(id) {
+			t.Errorf("Lookup(%q) = %d, %v; want %d, true", want, got, ok, id)
+		}
+	}
+	if (*Frozen)(nil).Len() != 0 {
+		t.Error("a nil Frozen is not empty")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Freeze accepted a repeated name")
+		}
+	}()
+	Freeze("a", "b", "a")
+}

@@ -84,6 +84,9 @@ func NewShared(book *pricing.PriceBook) (*Shared, error) {
 	return &Shared{Book: book, Attest: att}, nil
 }
 
+// homeRegion is the region of every cloud NewCloud builds.
+const homeRegion = "us-west-2"
+
 // CloudOptions configures NewCloud.
 type CloudOptions struct {
 	// Name identifies the provider (default "aws-sim").
@@ -144,7 +147,7 @@ func NewCloud(opts CloudOptions) (*Cloud, error) {
 
 	c := &Cloud{
 		Name:   opts.Name,
-		Region: "us-west-2",
+		Region: homeRegion,
 		Clock:  clock.NewVirtual(),
 		Model:  netsim.NewModel(params),
 		Meter:  pricing.NewMeter(),

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/cloudsim/dynamo"
@@ -47,38 +49,194 @@ var ErrNotInstalled = errors.New("core: deployment not installed")
 
 // Install provisions app for user on cloud. Everything is created
 // fresh and scoped to this deployment: nothing grants access to any
-// other user's resources.
+// other user's resources. It plans the installation, then applies the
+// plan (InstallPlan.Apply).
 func Install(cloud *Cloud, user string, app App) (*Deployment, error) {
+	p, err := planInstall(cloud.Region, user, app)
+	if err != nil {
+		return nil, err
+	}
+	return p.Apply(cloud)
+}
+
+// InstallPlan is everything installing one app for one user creates
+// that does not depend on the cloud it lands in: the resource names,
+// the queue names in AppSpec.Queues order, both IAM policy documents,
+// the function config without its wrapped key, the code, the regions,
+// the endpoint path and the inbound addresses. Apply creates the
+// per-cloud rest — the KMS master key, the data key and its wrapped
+// form, and the registry entries — so a fleet whose accounts install
+// the same app under the same user name plans it once and applies it
+// per account.
+//
+// A plan is immutable once built, and Apply hands clouds only what
+// nothing writes through: roles get the plan's policy slices at full
+// capacity, so an append copies them, and each deployment gets its own
+// config and Queues maps.
+type InstallPlan struct {
+	app    App
+	spec   AppSpec
+	name   string // app.Name()
+	user   string
+	region string
+
+	fnName, bucket, table, keyID string
+	role, clientRole, endpoint   string
+	queues                       []planQueue // in spec.Queues order
+
+	fnPolicies, clientPolicies []iam.Policy
+	config                     map[string]string // all but ConfigWrappedKey
+	code                       []byte
+	regions                    []string
+	inbound                    []string // "%USER%" expanded
+}
+
+// planQueue is one provisioned queue: its spec suffix and its name.
+type planQueue struct{ suffix, name string }
+
+// NewInstallPlan plans app for user on a cloud in the home region, the
+// region of every cloud NewCloud builds.
+func NewInstallPlan(user string, app App) (*InstallPlan, error) {
+	return planInstall(homeRegion, user, app)
+}
+
+// planInstall works out everything Install creates on a cloud in region
+// but the key material and the registry entries; it touches no cloud.
+func planInstall(region, user string, app App) (*InstallPlan, error) {
 	if user == "" || strings.ContainsAny(user, "/- ") {
 		return nil, fmt.Errorf("core: invalid user name %q", user)
 	}
 	spec := app.Spec()
-	d := &Deployment{
-		Cloud:   cloud,
-		User:    user,
-		app:     app,
-		AppName: app.Name(),
-		FnName:  user + "-" + app.Name(),
-		Bucket:  user + "-" + app.Name(),
-		KeyID:   user + "-" + app.Name(),
-		Role:    user + "-" + app.Name() + "-fn",
-		Queues:  make(map[string]string),
+	name := app.Name()
+	base := user + "-" + name
+	p := &InstallPlan{
+		app:        app,
+		spec:       spec,
+		name:       name,
+		user:       user,
+		region:     region,
+		fnName:     base,
+		bucket:     base,
+		keyID:      base,
+		role:       base + "-fn",
+		clientRole: base + "-client",
+		code:       codeOf(name, spec),
+		regions:    []string{region, "us-east-1"},
 	}
-	d.ClientRole = user + "-" + app.Name() + "-client"
+	if spec.UseDynamo {
+		p.table = base
+	}
+	for _, suffix := range spec.Queues {
+		p.queues = append(p.queues, planQueue{suffix: suffix, name: base + "-" + suffix})
+	}
+	if spec.Endpoint != "" {
+		p.endpoint = "/" + user + "/" + name + spec.Endpoint
+	}
+	for _, addr := range spec.InboundAddrs {
+		p.inbound = append(p.inbound, strings.ReplaceAll(addr, "%USER%", user))
+	}
+
+	// Function role: least privilege over exactly this deployment's
+	// resources.
+	bucketRes := []string{s3.BucketResource(p.bucket), s3.BucketResource(p.bucket) + "/*"}
+	fnStatements := []iam.Statement{
+		iam.AllowStatement(
+			[]string{kms.ActionGenerateDataKey, kms.ActionDecrypt},
+			[]string{kms.Resource(p.keyID)},
+		),
+		iam.AllowStatement([]string{"s3:*"}, bucketRes),
+	}
+	if p.table != "" {
+		fnStatements = append(fnStatements, iam.AllowStatement(
+			[]string{"dynamodb:*"}, []string{dynamo.Resource(p.table)},
+		))
+	}
+	for _, q := range p.queues {
+		fnStatements = append(fnStatements, iam.AllowStatement(
+			[]string{"sqs:*"}, []string{sqs.Resource(q.name)},
+		))
+	}
+	p.fnPolicies = []iam.Policy{{Name: "diy-least-privilege", Statements: slices.Clip(fnStatements)}}
+
+	// Client role: the user's own devices may poll the deployment's
+	// queues and, if the app allows, read the bucket directly.
+	clientStatements := []iam.Statement{}
+	for _, q := range p.queues {
+		clientStatements = append(clientStatements, iam.AllowStatement(
+			[]string{sqs.ActionReceive, sqs.ActionDelete},
+			[]string{sqs.Resource(q.name)},
+		))
+	}
+	if spec.ClientCanReadBucket {
+		clientStatements = append(clientStatements, iam.AllowStatement(
+			[]string{s3.ActionGet, s3.ActionList}, bucketRes,
+		))
+	}
+	if spec.ClientCanDecrypt {
+		clientStatements = append(clientStatements, iam.AllowStatement(
+			[]string{kms.ActionDecrypt},
+			[]string{kms.Resource(p.keyID)},
+		))
+	}
+	p.clientPolicies = []iam.Policy{{Name: "diy-client", Statements: slices.Clip(clientStatements)}}
+
+	p.config = map[string]string{
+		ConfigBucket: p.bucket,
+		ConfigTable:  p.table,
+		ConfigKeyID:  p.keyID,
+		ConfigUser:   user,
+	}
+	for _, q := range p.queues {
+		p.config[ConfigQueuePref+q.suffix] = q.name
+	}
+	return p, nil
+}
+
+// codeOf is the deployment package of an app with spec: its Code, or a
+// name+version placeholder.
+func codeOf(name string, spec AppSpec) []byte {
+	if len(spec.Code) == 0 {
+		return []byte("diy-app:" + name + ":v1")
+	}
+	return spec.Code
+}
+
+// Apply installs the plan on cloud, which must be in the plan's region.
+// It creates the deployment's bucket (and table), KMS master key,
+// queues and roles, generates and wraps the deployment data key, and
+// registers the function and its triggers.
+func (p *InstallPlan) Apply(cloud *Cloud) (*Deployment, error) {
+	name := p.name
+	if cloud.Region != p.region {
+		return nil, fmt.Errorf("core: installing %s for %s: plan is for region %s, cloud is in %s", name, p.user, p.region, cloud.Region)
+	}
+	d := &Deployment{
+		Cloud:      cloud,
+		User:       p.user,
+		app:        p.app,
+		AppName:    name,
+		FnName:     p.fnName,
+		Bucket:     p.bucket,
+		Table:      p.table,
+		KeyID:      p.keyID,
+		Role:       p.role,
+		ClientRole: p.clientRole,
+		Endpoint:   p.endpoint,
+		Queues:     make(map[string]string, len(p.queues)),
+	}
 
 	// Storage: a bucket that refuses plaintext.
 	if err := cloud.S3.CreateBucket(d.Bucket); err != nil {
-		return nil, fmt.Errorf("core: installing %s for %s: %w", app.Name(), user, err)
+		return nil, fmt.Errorf("core: installing %s for %s: %w", name, p.user, err)
 	}
 	if err := cloud.S3.SetRequireSealed(d.Bucket, true); err != nil {
 		return nil, err
 	}
 
 	// Optional low-latency table with the same ciphertext-only policy.
-	if spec.UseDynamo {
-		d.Table = user + "-" + app.Name()
+	if d.Table != "" {
 		if err := cloud.Dynamo.CreateTable(d.Table); err != nil {
-			return nil, fmt.Errorf("core: installing %s for %s: %w", app.Name(), user, err)
+			return nil, fmt.Errorf("core: installing %s for %s: %w", name, p.user, err)
 		}
 		if err := cloud.Dynamo.SetRequireSealed(d.Table, envelope.IsSealed); err != nil {
 			return nil, err
@@ -87,79 +245,27 @@ func Install(cloud *Cloud, user string, app App) (*Deployment, error) {
 
 	// Key: a per-deployment master key inside KMS.
 	if err := cloud.KMS.CreateKey(d.KeyID, false); err != nil {
-		return nil, fmt.Errorf("core: installing %s for %s: %w", app.Name(), user, err)
+		return nil, fmt.Errorf("core: installing %s for %s: %w", name, p.user, err)
 	}
 
-	// Queues.
-	for _, suffix := range spec.Queues {
-		qname := user + "-" + app.Name() + "-" + suffix
-		if err := cloud.SQS.CreateQueue(qname); err != nil {
+	for _, q := range p.queues {
+		if err := cloud.SQS.CreateQueue(q.name); err != nil {
 			return nil, err
 		}
-		d.Queues[suffix] = qname
+		d.Queues[q.suffix] = q.name
 	}
 
-	// Function role: least privilege over exactly this deployment's
-	// resources.
-	fnStatements := []iam.Statement{
-		iam.AllowStatement(
-			[]string{kms.ActionGenerateDataKey, kms.ActionDecrypt},
-			[]string{kms.Resource(d.KeyID)},
-		),
-		iam.AllowStatement(
-			[]string{"s3:*"},
-			[]string{s3.BucketResource(d.Bucket), s3.BucketResource(d.Bucket) + "/*"},
-		),
-	}
-	if d.Table != "" {
-		fnStatements = append(fnStatements, iam.AllowStatement(
-			[]string{"dynamodb:*"}, []string{dynamo.Resource(d.Table)},
-		))
-	}
-	for _, qname := range d.Queues {
-		fnStatements = append(fnStatements, iam.AllowStatement(
-			[]string{"sqs:*"}, []string{sqs.Resource(qname)},
-		))
-	}
-	if err := cloud.IAM.PutRole(&iam.Role{
-		Name:     d.Role,
-		Policies: []iam.Policy{{Name: "diy-least-privilege", Statements: fnStatements}},
-	}); err != nil {
+	if err := cloud.IAM.PutRole(&iam.Role{Name: d.Role, Policies: p.fnPolicies}); err != nil {
 		return nil, err
 	}
-
-	// Client role: the user's own devices may poll the deployment's
-	// queues and, if the app allows, read the bucket directly.
-	clientStatements := []iam.Statement{}
-	for _, qname := range d.Queues {
-		clientStatements = append(clientStatements, iam.AllowStatement(
-			[]string{sqs.ActionReceive, sqs.ActionDelete},
-			[]string{sqs.Resource(qname)},
-		))
-	}
-	if spec.ClientCanReadBucket {
-		clientStatements = append(clientStatements, iam.AllowStatement(
-			[]string{s3.ActionGet, s3.ActionList},
-			[]string{s3.BucketResource(d.Bucket), s3.BucketResource(d.Bucket) + "/*"},
-		))
-	}
-	if spec.ClientCanDecrypt {
-		clientStatements = append(clientStatements, iam.AllowStatement(
-			[]string{kms.ActionDecrypt},
-			[]string{kms.Resource(d.KeyID)},
-		))
-	}
-	if err := cloud.IAM.PutRole(&iam.Role{
-		Name:     d.ClientRole,
-		Policies: []iam.Policy{{Name: "diy-client", Statements: clientStatements}},
-	}); err != nil {
+	if err := cloud.IAM.PutRole(&iam.Role{Name: d.ClientRole, Policies: p.clientPolicies}); err != nil {
 		return nil, err
 	}
 
 	// Deployment data key, wrapped under the master key. Only the
 	// wrapped form leaves this scope (it goes into the function
 	// config, which the paper assumes is adversary-readable).
-	adminCtx := &sim.Context{Principal: d.Role, App: app.Name(), Region: cloud.Region}
+	adminCtx := &sim.Context{Principal: d.Role, App: name, Region: cloud.Region}
 	plainKey, wrapped, err := cloud.KMS.GenerateDataKey(adminCtx, d.KeyID)
 	if err != nil {
 		return nil, fmt.Errorf("core: generating deployment key: %w", err)
@@ -168,30 +274,18 @@ func Install(cloud *Cloud, user string, app App) (*Deployment, error) {
 	d.WrappedKey = wrapped
 
 	// Function registration.
-	config := map[string]string{
-		ConfigBucket:     d.Bucket,
-		ConfigTable:      d.Table,
-		ConfigKeyID:      d.KeyID,
-		ConfigWrappedKey: hex.EncodeToString(wrapped),
-		ConfigUser:       user,
-	}
-	for suffix, qname := range d.Queues {
-		config[ConfigQueuePref+suffix] = qname
-	}
-	code := spec.Code
-	if len(code) == 0 {
-		code = []byte("diy-app:" + app.Name() + ":v1")
-	}
+	config := maps.Clone(p.config)
+	config[ConfigWrappedKey] = hex.EncodeToString(wrapped)
 	err = cloud.Lambda.RegisterFunction(lambda.Function{
 		Name:          d.FnName,
-		Handler:       app.Handler(),
-		MemoryMB:      spec.MemoryMB,
-		Timeout:       spec.Timeout,
+		Handler:       p.app.Handler(),
+		MemoryMB:      p.spec.MemoryMB,
+		Timeout:       p.spec.Timeout,
 		Role:          d.Role,
-		App:           app.Name(),
-		Regions:       []string{cloud.Region, "us-east-1"},
-		Code:          code,
-		CacheDataKeys: spec.CacheDataKeys,
+		App:           name,
+		Regions:       p.regions,
+		Code:          p.code,
+		CacheDataKeys: p.spec.CacheDataKeys,
 		Config:        config,
 	})
 	if err != nil {
@@ -199,16 +293,14 @@ func Install(cloud *Cloud, user string, app App) (*Deployment, error) {
 	}
 
 	// HTTPS endpoint.
-	if spec.Endpoint != "" {
-		d.Endpoint = "/" + user + "/" + app.Name() + spec.Endpoint
-		if err := cloud.Gateway.RegisterEndpoint(d.Endpoint, d.FnName, spec.Limit); err != nil {
+	if d.Endpoint != "" {
+		if err := cloud.Gateway.RegisterEndpoint(d.Endpoint, d.FnName, p.spec.Limit); err != nil {
 			return nil, err
 		}
 	}
 
 	// Inbound email triggers.
-	for _, addr := range spec.InboundAddrs {
-		addr = strings.ReplaceAll(addr, "%USER%", user)
+	for _, addr := range p.inbound {
 		if err := cloud.SES.RegisterInbound(addr, d.FnName); err != nil {
 			return nil, err
 		}
@@ -336,10 +428,6 @@ func (d *Deployment) AttestQuote(nonce []byte) (attest.Quote, error) {
 
 // VerifyAttestation checks a quote against the app's expected code.
 func (d *Deployment) VerifyAttestation(q attest.Quote, nonce []byte) error {
-	spec := d.app.Spec()
-	code := spec.Code
-	if len(code) == 0 {
-		code = []byte("diy-app:" + d.app.Name() + ":v1")
-	}
+	code := codeOf(d.app.Name(), d.app.Spec())
 	return attest.Verify(d.Cloud.Attest.PublicKey(), q, attest.Measure(code), nonce)
 }

@@ -25,10 +25,6 @@ func Upgrade(d *Deployment, newApp App) error {
 		return ErrNotInstalled
 	}
 	spec := newApp.Spec()
-	code := spec.Code
-	if len(code) == 0 {
-		code = []byte("diy-app:" + newApp.Name() + ":v1")
-	}
 
 	if err := cloud.Lambda.RemoveFunction(d.FnName); err != nil {
 		return err
@@ -41,7 +37,7 @@ func Upgrade(d *Deployment, newApp App) error {
 		Role:          d.Role,
 		App:           d.AppName,
 		Regions:       old.Regions,
-		Code:          code,
+		Code:          codeOf(newApp.Name(), spec),
 		CacheDataKeys: spec.CacheDataKeys,
 		Config:        old.Config, // bucket, key and queues are preserved
 	})

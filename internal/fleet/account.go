@@ -55,7 +55,7 @@ type accountSim struct {
 // versus the request-plane replay — the split the ROADMAP's ~100
 // µs/request headroom question needs. HostNow is zero (and the labels
 // free) in simulated runs with no injected host clock.
-func simulateAccount(cfg *Config, shared *core.Shared, profile workload.AccountProfile, latencies []time.Duration) (accountOutcome, gapCounts, []time.Duration) {
+func simulateAccount(cfg *Config, shared *sharedState, profile workload.AccountProfile, latencies []time.Duration) (accountOutcome, gapCounts, []time.Duration) {
 	var a *accountSim
 	var err error
 	installStart := metrics.HostNow()
@@ -94,10 +94,53 @@ func simulateAccount(cfg *Config, shared *core.Shared, profile workload.AccountP
 	return o, gaps, latencies
 }
 
+// sharedState is what every account of a fleet run aliases and none
+// writes: the provider bundle and one install plan per app kind, built
+// once by newSharedState and immutable after.
+type sharedState struct {
+	cloud *core.Shared
+	plans [workload.NumKinds]*core.InstallPlan
+}
+
+// newSharedState builds the provider bundle and plans each kind's app
+// for the operator.
+func newSharedState(book *pricing.PriceBook) (*sharedState, error) {
+	cs, err := core.NewShared(book)
+	if err != nil {
+		return nil, err
+	}
+	s := &sharedState{cloud: cs}
+	for k := range s.plans {
+		if s.plans[k], err = core.NewInstallPlan(operator, kindApp(workload.AppKind(k))); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// kindApp is the app an account of kind k installs, configured as every
+// account of that kind runs it.
+func kindApp(k workload.AppKind) core.App {
+	switch k {
+	case workload.KindChat:
+		return chat.App{Members: []string{"owner", "peer"}, MemoryMB: 448}
+	case workload.KindEmail:
+		return email.App{}
+	case workload.KindFiledrop:
+		return filetransfer.App{}
+	default:
+		return iot.App{AlertRules: map[string]float64{"temperature_c": 60}}
+	}
+}
+
 // newAccountSim wires the account: per-account netsim and payload
 // streams derived from the account's seed partition, and the app
-// installation + warmup.
-func newAccountSim(cfg *Config, shared *core.Shared, profile workload.AccountProfile) (*accountSim, error) {
+// installation (its kind's plan applied to the account's cloud) +
+// warmup.
+func newAccountSim(cfg *Config, shared *sharedState, profile workload.AccountProfile) (*accountSim, error) {
+	if profile.Kind < 0 || profile.Kind >= workload.NumKinds {
+		return nil, fmt.Errorf("unknown app kind %d", profile.Kind)
+	}
 	params := netsim.DefaultParams()
 	params.Seed = workload.Substream(profile.Seed, "netsim")
 	// With tracing on, each account gets an X-Ray-sim store whose
@@ -109,7 +152,7 @@ func newAccountSim(cfg *Config, shared *core.Shared, profile workload.AccountPro
 	}
 	cloud, err := core.NewCloud(core.CloudOptions{
 		Name:      fmt.Sprintf("fleet-%06d", profile.Index),
-		Shared:    shared,
+		Shared:    shared.cloud,
 		NetParams: &params,
 		// With a control tower attached, each account publishes its
 		// CloudWatch plane series for the cross-account rollups. The
@@ -124,23 +167,20 @@ func newAccountSim(cfg *Config, shared *core.Shared, profile workload.AccountPro
 	if err != nil {
 		return nil, err
 	}
+	d, err := shared.plans[profile.Kind].Apply(cloud)
+	if err != nil {
+		return nil, err
+	}
 	a := &accountSim{
 		cfg:     cfg,
 		profile: profile,
 		cloud:   cloud,
+		dep:     d,
 		payload: workload.NewRand(workload.Substream(profile.Seed, "payload")),
 	}
 
 	switch profile.Kind {
 	case workload.KindChat:
-		d, err := chat.Install(cloud, operator, chat.App{
-			Members:  []string{"owner", "peer"},
-			MemoryMB: 448,
-		})
-		if err != nil {
-			return nil, err
-		}
-		a.dep = d
 		a.owner = chat.NewClient(d, "owner", "laptop")
 		a.peer = chat.NewClient(d, "peer", "phone")
 		if _, err := a.owner.Session(); err != nil {
@@ -149,32 +189,11 @@ func newAccountSim(cfg *Config, shared *core.Shared, profile workload.AccountPro
 		if _, err := a.peer.Session(); err != nil {
 			return nil, err
 		}
-	case workload.KindEmail:
-		d, err := core.Install(cloud, operator, email.App{})
-		if err != nil {
-			return nil, err
-		}
-		a.dep = d
-	case workload.KindFiledrop:
-		d, err := core.Install(cloud, operator, filetransfer.App{})
-		if err != nil {
-			return nil, err
-		}
-		a.dep = d
 	case workload.KindIoT:
-		d, err := core.Install(cloud, operator, iot.App{
-			AlertRules: map[string]float64{"temperature_c": 60},
-		})
-		if err != nil {
-			return nil, err
-		}
-		a.dep = d
 		dev, _ := json.Marshal(iot.Device{Name: "sensor", Kind: "thermo"})
 		if err := a.invokeOK("register", dev); err != nil {
 			return nil, err
 		}
-	default:
-		return nil, fmt.Errorf("unknown app kind %d", profile.Kind)
 	}
 	return a, nil
 }

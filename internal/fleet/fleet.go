@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/cloudsim/metrics"
-	"repro/internal/core"
 	"repro/internal/fleet/telemetry"
 	"repro/internal/pricing"
 	"repro/internal/workload"
@@ -253,9 +252,10 @@ func Run(cfg Config) (*Result, error) {
 			res.Simulated, cfg.Accounts, stride, res.ScaleFactor)
 	}
 
-	// The immutable cross-account state: one price book, one base
-	// latency model, one attestation keypair for the whole fleet.
-	shared, err := core.NewShared(cfg.Book)
+	// The immutable cross-account state: one price book, one
+	// attestation keypair and one install plan per app kind for the
+	// whole fleet.
+	shared, err := newSharedState(cfg.Book)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fleet/telemetry"
 	"repro/internal/workload"
 )
@@ -71,7 +70,7 @@ func workers(cfg *Config) int {
 // runShards simulates every profile and returns the outcomes in
 // profile (account-index) order and one tally per shard, in shard
 // order.
-func runShards(cfg *Config, shared *core.Shared, profiles []workload.AccountProfile) ([]accountOutcome, []shardTally) {
+func runShards(cfg *Config, shared *sharedState, profiles []workload.AccountProfile) ([]accountOutcome, []shardTally) {
 	// Group profile positions by shard, preserving index order within
 	// each shard.
 	shards := make([][]int, cfg.Shards)
@@ -117,7 +116,7 @@ func runShards(cfg *Config, shared *core.Shared, profiles []workload.AccountProf
 // drainShard simulates one logical shard's accounts sequentially in
 // index order, depositing each outcome in its owned slot, and returns
 // the shard's tally.
-func drainShard(cfg *Config, shared *core.Shared, profiles []workload.AccountProfile, shard []int, out []accountOutcome) shardTally {
+func drainShard(cfg *Config, shared *sharedState, profiles []workload.AccountProfile, shard []int, out []accountOutcome) shardTally {
 	var t shardTally
 	for _, pos := range shard {
 		var gaps gapCounts

@@ -74,6 +74,15 @@ diff "$LOG1" "$LOG2"
 echo ">> fleet golden (the report and control-tower dashboard above, byte-identical to cmd/diyctl/testdata/fleet.golden)"
 diff cmd/diyctl/testdata/fleet.golden "$LOG1"
 
+echo ">> churn-shaped fleet double-run (20,000 two-minute accounts with telemetry off, where install dominates and every shard applies the same per-kind install plans; report diffed between -workers 1 and -workers 8)"
+go run ./cmd/diyctl fleet -accounts 20000 -max-simulated 20000 -span 2m -telemetry=false -workers 1 >"$LOG1" 2>/dev/null
+go run ./cmd/diyctl fleet -accounts 20000 -max-simulated 20000 -span 2m -telemetry=false -workers 8 >"$LOG2" 2>/dev/null
+if ! grep -q 'Fleet: 20000 accounts' "$LOG1"; then
+	echo "check: churn-shaped fleet run produced no report" >&2
+	exit 1
+fi
+diff "$LOG1" "$LOG2"
+
 echo ">> traced-fleet double-run (sampled kept-sets, service map and critical path diffed across worker counts)"
 GOMAXPROCS=1 go run ./cmd/diyctl trace -fleet -accounts 200 -span 10m >"$LOG1" 2>/dev/null
 go run ./cmd/diyctl trace -fleet -accounts 200 -span 10m >"$LOG2" 2>/dev/null
